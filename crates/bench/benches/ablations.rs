@@ -6,9 +6,12 @@
 //! `cargo bench -p oscache-bench --bench ablations`.
 
 use oscache_core::runner::{run_cells, Cell};
-use oscache_core::{default_jobs, run_spec, Geometry, System, TraceCache, UpdatePolicy};
-use oscache_memsys::{Machine, MachineConfig, SimStats};
-use oscache_trace::Trace;
+use oscache_core::{
+    default_jobs, try_run_spec_audited_chunked, Geometry, RunResult, System, SystemSpec,
+    TraceCache, UpdatePolicy,
+};
+use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
+use oscache_trace::ChunkedTrace;
 use oscache_workloads::{BuildOptions, Workload};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -28,8 +31,8 @@ fn opts() -> BuildOptions {
     }
 }
 
-fn trfd() -> Arc<Trace> {
-    cache().base(Workload::Trfd4, opts())
+fn trfd() -> Arc<ChunkedTrace> {
+    cache().base_chunked(Workload::Trfd4, opts())
 }
 
 fn timed<R>(group: &str, label: &str, f: impl Fn() -> R) -> R {
@@ -43,12 +46,20 @@ fn timed<R>(group: &str, label: &str, f: impl Fn() -> R) -> R {
 }
 
 fn run_cfg(cfg: &MachineConfig) -> SimStats {
-    Machine::new(cfg.clone(), &trfd()).unwrap().run().unwrap()
+    Machine::new_chunked(cfg.clone(), &trfd())
+        .unwrap()
+        .run()
+        .unwrap()
+}
+
+/// One full cell (software passes plus final run) on the TRFD_4 trace.
+fn run_spec(spec: SystemSpec) -> RunResult {
+    try_run_spec_audited_chunked(&trfd(), spec, Geometry::default(), AuditLevel::Off).unwrap()
 }
 
 /// Fans a set of ablation cells out over the parallel runner and returns
 /// their results in cell order (bitwise-identical to running serially).
-fn run_ablation_cells(group: &str, cells: Vec<Cell>) -> Vec<oscache_core::RunResult> {
+fn run_ablation_cells(group: &str, cells: Vec<Cell>) -> Vec<RunResult> {
     let t0 = Instant::now();
     let report = run_cells(cache(), opts(), &cells, default_jobs()).unwrap();
     println!(
@@ -133,9 +144,7 @@ fn bench_deferred_copy() {
     for on in [false, true] {
         let mut spec = System::Base.spec();
         spec.deferred_copy = on;
-        timed("ablate_deferred_copy", &on.to_string(), || {
-            run_spec(&trfd(), spec, Geometry::default())
-        });
+        timed("ablate_deferred_copy", &on.to_string(), || run_spec(spec));
     }
 }
 
@@ -170,9 +179,7 @@ fn bench_page_coloring() {
     for on in [false, true] {
         let mut spec = System::Base.spec();
         spec.page_coloring = on;
-        let r = timed("ablate_page_coloring", &on.to_string(), || {
-            run_spec(&trfd(), spec, Geometry::default())
-        });
+        let r = timed("ablate_page_coloring", &on.to_string(), || run_spec(spec));
         println!(
             "  coloring={on}: OS misses {} (other {})",
             r.stats.total().os_read_misses(),

@@ -4,7 +4,7 @@
 
 use oscache_core::{Geometry, System, TraceCache};
 use oscache_memsys::{Machine, MachineConfig};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -47,10 +47,10 @@ fn bench(group: &str, label: &str, events: u64, mut f: impl FnMut()) {
 
 fn bench_workload_replay() {
     for w in Workload::all() {
-        let trace = cache().base(w, opts());
+        let trace = cache().base_chunked(w, opts());
         let events = trace.total_events() as u64;
         bench("replay_base", w.name(), events, || {
-            let s = Machine::new(MachineConfig::base(), &trace)
+            let s = Machine::new_chunked(MachineConfig::base(), &trace)
                 .unwrap()
                 .run()
                 .unwrap();
@@ -61,7 +61,7 @@ fn bench_workload_replay() {
 
 fn bench_schemes() {
     // Cache hit: bench_workload_replay already built this trace.
-    let trace = cache().base(Workload::Trfd4, opts());
+    let trace = cache().base_chunked(Workload::Trfd4, opts());
     let events = trace.total_events() as u64;
     for sys in [
         System::Base,
@@ -72,7 +72,10 @@ fn bench_schemes() {
     ] {
         let cfg = Geometry::default().machine_config(&sys.spec());
         bench("replay_schemes", sys.label(), events, || {
-            let s = Machine::new(cfg.clone(), &trace).unwrap().run().unwrap();
+            let s = Machine::new_chunked(cfg.clone(), &trace)
+                .unwrap()
+                .run()
+                .unwrap();
             std::hint::black_box(&s);
         });
     }
@@ -81,7 +84,7 @@ fn bench_schemes() {
 fn bench_trace_generation() {
     for w in Workload::all() {
         bench("generate", w.name(), 0, || {
-            let t = build(
+            let t = build_chunked(
                 w,
                 BuildOptions {
                     scale: SCALE,

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale S] [--jobs N] [--timings] [--keep-going] [--retries N]\n             [--deadline-ms N] [--deadline-action flag|cancel] [--deadline-grace-ms N]\n             [--journal <path> [--resume [--salvage]]] [--inject-cell-panic SPEC]\n             [--mem-budget-mb N] [--inject-io seed[:class]]\n             [table1..table5 | fig1..fig7 | headline | scorecard | all]\n                                                 cells run across N workers (default: all\n                                                 hardware threads); output is bitwise-identical\n                                                 for any N. `all` writes BENCH_repro.json.\n                                                 --keep-going renders every experiment whose cells\n                                                 completed and exits 6 if any cell failed;\n                                                 --retries N grants each failing cell N retries;\n                                                 --deadline-ms N flags cells running longer;\n                                                 --deadline-action cancel also cooperatively kills\n                                                 them --deadline-grace-ms (default 200) past the\n                                                 deadline; --journal records each completed cell\n                                                 crash-safely and --resume replays completed cells\n                                                 from it (--salvage drops a torn trailing record\n                                                 instead of rejecting the journal);\n                                                 --inject-cell-panic seed[:period[:attempts]]\n                                                 panics selected cells (testing the supervisor)\n                                                 --mem-budget-mb N arms the spill governor: sealed\n                                                 trace chunks spill to disk under pressure and the\n                                                 run answers overloaded (exit 7) over dying when\n                                                 the budget cannot be met; --inject-io injects\n                                                 seeded disk faults at the spill write path\n                                                 (classes: short-write, bit-flip, enospc)\n                repro serve [--socket P|--tcp A] [--queue-limit N]\n                                                 resident service: accepts newline-JSON requests\n                                                 from concurrent clients on a Unix socket (default\n                                                 repro.sock) or TCP address, dedupes work via the\n                                                 shared cache and journal, drains on SIGTERM;\n                                                 honors --scale/--jobs/--journal/--resume/--salvage,\n                                                 --mem-budget-mb/--inject-io, and the supervision\n                                                 flags above\n                repro submit [--socket P|--tcp A] [--client NAME]\n                            [--request-deadline-ms N] [experiments...]\n                                                 submit experiments to a running serve daemon and\n                                                 print the streamed report (byte-identical to\n                                                 running the same experiments locally)\n                repro golden <dir>               write each experiment's output to <dir>/<name>.txt\n                                                 (the golden-file corpus under tests/golden/)\n                repro dump <workload> <path>     write a trace dump\n                repro replay <path> <system> [--inject <fault> [--seed N]]\n                                                 simulate a dumped trace (audited);\n                                                 faults: drop duplicate swap bitflip truncate blocklen\n                repro simulate <workload> <system> [--scale S] [--mem-budget-mb N]\n                            [--inject-io seed[:class]]\n                                                 build and run one cell, print counters and peak\n                                                 RSS; honors REPRO_NO_STREAMING=1 (materialized\n                                                 engine) — the CI memory-ceiling probe\n                repro conflicts <workload>       the paper's S6 conflict-pair analysis\n                repro classes <workload>         per-structure reference profile (S3)\n                repro csv <dir>                  write every experiment as CSV\n                repro perturb <workload>         the S2.2 instrumentation-perturbation study\n                repro bench [--check]            perf smoke over representative cells at reduced\n                                                 scale (plus a chunk-codec microcell and a jobs-4\n                                                 mini-matrix); without --check writes\n                                                 BENCH_smoke.json reference timings, with --check\n                                                 fails if any cell regressed more than 2x vs that\n                                                 reference\n       exit codes: 1 i/o, 2 usage/journal mismatch, 3 trace validation, 4 simulation invariant,\n                   5 perf regression, 6 partial (some cells failed under --keep-going, or a\n                   submitted request finished incomplete), 7 overloaded (admission queue full,\n                   or the memory budget could not be met), 8 service unavailable (daemon unreachable or shutting down)"
+        "usage: repro [--scale S] [--jobs N] [--timings] [--keep-going] [--retries N]\n             [--deadline-ms N] [--deadline-action flag|cancel] [--deadline-grace-ms N]\n             [--journal <path> [--resume [--salvage]]] [--inject-cell-panic SPEC]\n             [--mem-budget-mb N] [--inject-io seed[:class]]\n             [table1..table5 | fig1..fig7 | headline | scorecard | all]\n                                                 cells run across N workers (default: all\n                                                 hardware threads); output is bitwise-identical\n                                                 for any N. `all` writes BENCH_repro.json.\n                                                 --keep-going renders every experiment whose cells\n                                                 completed and exits 6 if any cell failed;\n                                                 --retries N grants each failing cell N retries;\n                                                 --deadline-ms N flags cells running longer;\n                                                 --deadline-action cancel also cooperatively kills\n                                                 them --deadline-grace-ms (default 200) past the\n                                                 deadline; --journal records each completed cell\n                                                 crash-safely and --resume replays completed cells\n                                                 from it (--salvage drops a torn trailing record\n                                                 instead of rejecting the journal);\n                                                 --inject-cell-panic seed[:period[:attempts]]\n                                                 panics selected cells (testing the supervisor)\n                                                 --mem-budget-mb N arms the spill governor: sealed\n                                                 trace chunks spill to disk under pressure and the\n                                                 run answers overloaded (exit 7) over dying when\n                                                 the budget cannot be met; --inject-io injects\n                                                 seeded disk faults at the spill write path\n                                                 (classes: short-write, bit-flip, enospc)\n                repro serve [--socket P|--tcp A] [--queue-limit N]\n                                                 resident service: accepts newline-JSON requests\n                                                 from concurrent clients on a Unix socket (default\n                                                 repro.sock) or TCP address, dedupes work via the\n                                                 shared cache and journal, drains on SIGTERM;\n                                                 honors --scale/--jobs/--journal/--resume/--salvage,\n                                                 --mem-budget-mb/--inject-io, and the supervision\n                                                 flags above\n                repro submit [--socket P|--tcp A] [--client NAME]\n                            [--request-deadline-ms N] [experiments...]\n                                                 submit experiments to a running serve daemon and\n                                                 print the streamed report (byte-identical to\n                                                 running the same experiments locally)\n                repro golden <dir>               write each experiment's output to <dir>/<name>.txt\n                                                 (the golden-file corpus under tests/golden/)\n                repro dump <workload> <path>     write a trace dump\n                repro replay <path> <system> [--inject <fault> [--seed N]]\n                                                 simulate a dumped trace (audited);\n                                                 faults: drop duplicate swap bitflip truncate blocklen\n                repro simulate <workload> <system> [--scale S] [--mem-budget-mb N]\n                            [--inject-io seed[:class]]\n                                                 build and run one cell, print counters and peak\n                                                 RSS — the CI memory-ceiling probe\n                repro conflicts <workload>       the paper's S6 conflict-pair analysis\n                repro classes <workload>         per-structure reference profile (S3)\n                repro csv <dir>                  write every experiment as CSV\n                repro perturb <workload>         the S2.2 instrumentation-perturbation study\n                repro bench [--check]            perf smoke over representative cells at reduced\n                                                 scale (plus a chunk-codec microcell and a jobs-4\n                                                 mini-matrix); without --check writes\n                                                 BENCH_smoke.json reference timings, with --check\n                                                 fails if any cell regressed more than 2x vs that\n                                                 reference\n       exit codes: 1 i/o, 2 usage/journal mismatch, 3 trace validation, 4 simulation invariant,\n                   5 perf regression, 6 partial (some cells failed under --keep-going, or a\n                   submitted request finished incomplete), 7 overloaded (admission queue full,\n                   or the memory budget could not be met), 8 service unavailable (daemon unreachable or shutting down)"
     );
     std::process::exit(2);
 }
@@ -505,9 +505,9 @@ fn conflicts(workload: &str, scale: f64) {
 /// cell end to end and reports its counters plus the process peak RSS.
 ///
 /// This is the memory-ceiling probe (DESIGN.md §16): CI runs it at
-/// `--scale 10` under `ulimit -v`, where the streaming engine completes
-/// inside the ceiling and the materialized path (`REPRO_NO_STREAMING=1`)
-/// must die trying to hold the whole trace.
+/// `--scale 10` under `ulimit -v`, where the streaming engine must
+/// complete inside the ceiling, and governed by `--mem-budget-mb` inside
+/// a tighter one that the ungoverned run cannot meet.
 fn simulate(workload: &str, system: &str, scale: f64, sup_opts: &Supervision) {
     use oscache_workloads::Workload;
     let w = Workload::all()
@@ -518,11 +518,6 @@ fn simulate(workload: &str, system: &str, scale: f64, sup_opts: &Supervision) {
         .into_iter()
         .find(|s| s.label().eq_ignore_ascii_case(system))
         .unwrap_or_else(|| usage());
-    let mode = if oscache_core::streaming_enabled() {
-        "streaming"
-    } else {
-        "materialized"
-    };
     let t0 = std::time::Instant::now();
     let mut r = Repro::new(scale);
     arm_budget(&r, sup_opts);
@@ -542,7 +537,7 @@ fn simulate(workload: &str, system: &str, scale: f64, sup_opts: &Supervision) {
     let wall = 1e3 * t0.elapsed().as_secs_f64();
     let events: u64 = r.cache().build_timings().iter().map(|b| b.events).sum();
     println!(
-        "{} on {} at scale {scale} ({mode}): {events} events, OS misses {} in {wall:.0} ms",
+        "{} on {} at scale {scale}: {events} events, OS misses {} in {wall:.0} ms",
         sys.label(),
         w.name(),
         t.os_read_misses(),

@@ -8,11 +8,11 @@ use crate::metrics::{
 use crate::runner::{
     run_cell, run_key, run_plan_supervised, Cell, CellOutcome, Experiment, RequestPlan, TraceCache,
 };
-use crate::sim::{self, RunResult};
+use crate::sim::RunResult;
 use crate::supervise::{CellFailure, Journal, Overrun, RunPolicy};
 use crate::{deferred, paperref};
 use oscache_memsys::CancelToken;
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 use oscache_workloads::{BuildOptions, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,13 +182,7 @@ impl Repro {
         &self.timings
     }
 
-    /// The (cached, shared) trace of a workload.
-    pub fn trace(&mut self, w: Workload) -> Arc<Trace> {
-        self.cache.base(w, self.build_options())
-    }
-
-    /// The (cached, shared) chunked trace of a workload — the streaming
-    /// path's counterpart of [`Repro::trace`].
+    /// The (cached, shared) chunked trace of a workload.
     pub fn trace_chunked(&mut self, w: Workload) -> Arc<ChunkedTrace> {
         self.cache.base_chunked(w, self.build_options())
     }
@@ -419,11 +413,7 @@ impl Repro {
     pub fn table4(&mut self) -> Table4 {
         let mut cols = Vec::new();
         for w in Workload::all() {
-            let counts = if sim::streaming_enabled() {
-                deferred::analyze_chunked(&self.trace_chunked(w))
-            } else {
-                deferred::analyze(&self.trace(w))
-            };
+            let counts = deferred::analyze_chunked(&self.trace_chunked(w));
             let base = self
                 .run(w, System::Base)
                 .stats

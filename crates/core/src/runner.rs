@@ -16,10 +16,10 @@
 //!   returns results ordered by cell index, never by completion order.
 //!
 //! Determinism argument (DESIGN.md §10): every [`RunResult`] is produced
-//! by `sim::run_prepared`, a deterministic single-threaded `Machine` run
-//! over an immutable trace; workers share nothing mutable but the cache,
-//! whose entries are write-once values of pure functions of their keys.
-//! Therefore the outcome of a cell cannot depend on the number of workers
+//! by `sim::run_prepared_chunked_timed`, a deterministic single-threaded
+//! `Machine` run over an immutable trace; workers share nothing mutable but
+//! the cache, whose entries are write-once values of pure functions of
+//! their keys. Therefore the outcome of a cell cannot depend on the number of workers
 //! or on scheduling, and `--jobs N` output is bitwise-identical to the
 //! serial path — which the determinism tests in `tests/runner.rs` and the
 //! golden files under `tests/golden/` pin down.
@@ -31,20 +31,17 @@
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::experiments::{figure6_sweep, figure7_sweep};
 use crate::sim::{
-    self, AnalysisPrefix, AnalyzedCell, AnalyzedCellChunked, PrepPhases, PreparedCell,
-    PreparedCellChunked, RunResult,
+    self, AnalysisPrefix, AnalyzedCellChunked, PrepPhases, PreparedCellChunked, RunResult,
 };
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
     RunPolicy, RunnerError, Watchdog,
 };
 use oscache_memsys::{AuditLevel, CancelToken, SimError};
-use oscache_trace::{
-    spill_enabled, ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity, Trace,
-};
+use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
 use oscache_workloads::{
-    build_chunked, build_chunked_shared, build_chunked_spilled, build_shared, BuildOptions,
-    TraceBuildKey, Workload,
+    build_chunked, build_chunked_shared, build_chunked_spilled, BuildOptions, TraceBuildKey,
+    Workload,
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -273,7 +270,7 @@ pub struct BuildTiming {
 /// same key block until the single builder finishes.
 /// The geometry-independent analysis of each working trace (sharing
 /// profile, privatization/relocation/update planning, and the fused
-/// rewrite — [`sim::analyze_cell`]) is likewise computed once per
+/// rewrite — [`sim::analyze_cell_chunked`]) is likewise computed once per
 /// `(trace build, AnalysisPrefix)` and shared by every geometry and every
 /// spec with the same prefix. Prepared (transform-derived) traces are
 /// cached per fingerprint with a first-writer-wins map — every writer
@@ -296,22 +293,16 @@ pub struct BuildTiming {
 /// append-only, so a panicked holder cannot leave it inconsistent.
 #[derive(Default)]
 pub struct TraceCache {
-    base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<Trace>>>>>,
+    base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
     analyzed: Mutex<AnalysisMap>,
-    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCell>>>,
-    base_chunked: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
-    analyzed_chunked: Mutex<AnalysisMapChunked>,
-    prepared_chunked: Mutex<HashMap<CellFingerprint, Weak<PreparedCellChunked>>>,
+    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCellChunked>>>,
     results: Mutex<HashMap<CellFingerprint, RunResult>>,
     builds: Mutex<Vec<BuildTiming>>,
     spill: Mutex<Option<Arc<SpillConfig>>>,
 }
 
 /// Write-once analysis slots keyed by base trace and spec prefix.
-type AnalysisMap = HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCell>>>>;
-
-/// The streaming path's counterpart of [`AnalysisMap`].
-type AnalysisMapChunked =
+type AnalysisMap =
     HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCellChunked>>>>;
 
 impl TraceCache {
@@ -332,12 +323,8 @@ impl TraceCache {
         }));
     }
 
-    /// The active spill configuration — `None` when no budget was armed
-    /// or `REPRO_NO_SPILL` pins the in-memory path as oracle.
+    /// The active spill configuration — `None` when no budget was armed.
     pub fn spill_config(&self) -> Option<Arc<SpillConfig>> {
-        if !spill_enabled() {
-            return None;
-        }
         lock_tolerant(&self.spill).clone()
     }
 
@@ -349,9 +336,25 @@ impl TraceCache {
             .unwrap_or(0.0)
     }
 
-    /// The (shared) base trace of `workload` under `opts`, built on first
-    /// use.
-    pub fn base(&self, workload: Workload, opts: BuildOptions) -> Arc<Trace> {
+    /// The cached final result for `fp`, if a cell with this fingerprint
+    /// already simulated in this process. Only fingerprints flagged as
+    /// recurring by [`run_cells`] are ever stored.
+    pub fn shared_result(&self, fp: &CellFingerprint) -> Option<RunResult> {
+        lock_tolerant(&self.results).get(fp).cloned()
+    }
+
+    /// Stores `result` for reuse by later cells with the same fingerprint.
+    /// First writer wins; every writer computes an identical result
+    /// (simulation is deterministic in the fingerprint), so which one
+    /// lands is unobservable.
+    pub fn store_result(&self, fp: CellFingerprint, result: RunResult) {
+        lock_tolerant(&self.results).entry(fp).or_insert(result);
+    }
+
+    /// The (shared) chunked base trace of `workload` under `opts`, built
+    /// on first use. Generation streams straight into sealed chunks, so no
+    /// materialized `Vec<Event>` per CPU ever exists.
+    pub fn base_chunked(&self, workload: Workload, opts: BuildOptions) -> Arc<ChunkedTrace> {
         let key = opts.key(workload);
         let slot = {
             let mut map = lock_tolerant(&self.base);
@@ -359,7 +362,10 @@ impl TraceCache {
         };
         slot.get_or_build(|| {
             let t0 = Instant::now();
-            let trace = build_shared(workload, opts);
+            let trace = match self.spill_config() {
+                Some(cfg) => build_base_governed(workload, opts, key, &cfg),
+                None => build_chunked_shared(workload, opts),
+            };
             lock_tolerant(&self.builds).push(BuildTiming {
                 key,
                 ms: 1e3 * t0.elapsed().as_secs_f64(),
@@ -372,24 +378,15 @@ impl TraceCache {
     /// The prepared (transform-applied) input for `fp`, derived from
     /// `base` on first use, plus the wall-clock phase breakdown of what
     /// this call actually computed (`cached: true` and all-zero phases on
-    /// a whole-fingerprint hit).
-    pub fn prepared(
+    /// a whole-fingerprint hit). `cancel` reaches the profiling replay; a
+    /// cancelled preparation caches nothing — the next requester simply
+    /// redoes the work.
+    pub fn prepared_chunked_cancellable(
         &self,
-        base: &Trace,
-        fp: CellFingerprint,
-    ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
-        self.prepared_cancellable(base, fp, &CancelToken::none())
-    }
-
-    /// [`TraceCache::prepared`] with a cancellation token threaded into
-    /// the profiling replay. A cancelled preparation caches nothing — the
-    /// next requester simply redoes the work.
-    pub fn prepared_cancellable(
-        &self,
-        base: &Trace,
+        base: &ChunkedTrace,
         fp: CellFingerprint,
         cancel: &CancelToken,
-    ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
+    ) -> Result<(Arc<PreparedCellChunked>, PrepPhases), SimError> {
         if let Some(p) = lock_tolerant(&self.prepared)
             .get(&fp)
             .and_then(Weak::upgrade)
@@ -403,7 +400,7 @@ impl TraceCache {
             ));
         }
         let analyzed = self.analyzed_for(base, fp);
-        let (built, mut phases) = sim::prepare_from_analysis_cancellable(
+        let (built, mut phases) = sim::prepare_from_analysis_chunked_cancellable(
             base,
             &analyzed.0,
             fp.spec,
@@ -424,116 +421,19 @@ impl TraceCache {
         })
     }
 
-    /// The cached final result for `fp`, if a cell with this fingerprint
-    /// already simulated in this process. Only fingerprints flagged as
-    /// recurring by [`run_cells`] are ever stored.
-    pub fn shared_result(&self, fp: &CellFingerprint) -> Option<RunResult> {
-        lock_tolerant(&self.results).get(fp).cloned()
-    }
-
-    /// Stores `result` for reuse by later cells with the same fingerprint.
-    /// First writer wins; every writer computes an identical result
-    /// (simulation is deterministic in the fingerprint), so which one
-    /// lands is unobservable.
-    pub fn store_result(&self, fp: CellFingerprint, result: RunResult) {
-        lock_tolerant(&self.results).entry(fp).or_insert(result);
-    }
-
     /// The shared geometry-independent analysis for `fp`'s base trace and
     /// spec prefix, plus the milliseconds this call spent computing it
     /// (zero on a hit; concurrent requests block on the single analyzer).
-    fn analyzed_for(&self, base: &Trace, fp: CellFingerprint) -> (Arc<AnalyzedCell>, f64) {
-        let key = (fp.base, AnalysisPrefix::of(fp.spec));
-        let slot = {
-            let mut map = lock_tolerant(&self.analyzed);
-            map.entry(key).or_default().clone()
-        };
-        let mut analyze_ms = 0.0;
-        let analyzed = slot.get_or_build(|| {
-            let t0 = Instant::now();
-            let a = Arc::new(sim::analyze_cell(base, fp.spec));
-            analyze_ms = 1e3 * t0.elapsed().as_secs_f64();
-            a
-        });
-        (analyzed, analyze_ms)
-    }
-
-    /// The (shared) chunked base trace of `workload` under `opts`, built
-    /// on first use — the streaming path's counterpart of
-    /// [`TraceCache::base`]. Generation streams straight into sealed
-    /// chunks, so no materialized `Vec<Event>` per CPU ever exists.
-    pub fn base_chunked(&self, workload: Workload, opts: BuildOptions) -> Arc<ChunkedTrace> {
-        let key = opts.key(workload);
-        let slot = {
-            let mut map = lock_tolerant(&self.base_chunked);
-            map.entry(key).or_default().clone()
-        };
-        slot.get_or_build(|| {
-            let t0 = Instant::now();
-            let trace = match self.spill_config() {
-                Some(cfg) => build_base_governed(workload, opts, key, &cfg),
-                None => build_chunked_shared(workload, opts),
-            };
-            lock_tolerant(&self.builds).push(BuildTiming {
-                key,
-                ms: 1e3 * t0.elapsed().as_secs_f64(),
-                events: trace.total_events() as u64,
-            });
-            trace
-        })
-    }
-
-    /// [`TraceCache::prepared_cancellable`] for the streaming path: the
-    /// prepared chunked input for `fp`, derived from `base` on first use.
-    pub fn prepared_chunked_cancellable(
-        &self,
-        base: &ChunkedTrace,
-        fp: CellFingerprint,
-        cancel: &CancelToken,
-    ) -> Result<(Arc<PreparedCellChunked>, PrepPhases), SimError> {
-        if let Some(p) = lock_tolerant(&self.prepared_chunked)
-            .get(&fp)
-            .and_then(Weak::upgrade)
-        {
-            return Ok((
-                p,
-                PrepPhases {
-                    cached: true,
-                    ..PrepPhases::default()
-                },
-            ));
-        }
-        let analyzed = self.analyzed_chunked_for(base, fp);
-        let (built, mut phases) = sim::prepare_from_analysis_chunked_cancellable(
-            base,
-            &analyzed.0,
-            fp.spec,
-            fp.geometry,
-            fp.audit,
-            cancel,
-        )?;
-        phases.analyze_ms = analyzed.1;
-        let built = Arc::new(built);
-        // First live writer wins, so concurrent preparers agree.
-        let mut map = lock_tolerant(&self.prepared_chunked);
-        Ok(match map.get(&fp).and_then(Weak::upgrade) {
-            Some(existing) => (existing, phases),
-            None => {
-                map.insert(fp, Arc::downgrade(&built));
-                (built, phases)
-            }
-        })
-    }
-
-    /// [`TraceCache::analyzed_for`] for the streaming path.
-    fn analyzed_chunked_for(
+    /// Under an armed budget the fresh rewrite is pushed through the spill
+    /// governor before it is shared.
+    fn analyzed_for(
         &self,
         base: &ChunkedTrace,
         fp: CellFingerprint,
     ) -> (Arc<AnalyzedCellChunked>, f64) {
         let key = (fp.base, AnalysisPrefix::of(fp.spec));
         let slot = {
-            let mut map = lock_tolerant(&self.analyzed_chunked);
+            let mut map = lock_tolerant(&self.analyzed);
             map.entry(key).or_default().clone()
         };
         let mut analyze_ms = 0.0;
@@ -554,20 +454,19 @@ impl TraceCache {
         lock_tolerant(&self.builds).clone()
     }
 
-    /// Number of distinct base traces built (across both the materialized
-    /// and the streaming map; a process normally populates only one).
+    /// Number of distinct base traces built.
     pub fn base_len(&self) -> usize {
-        lock_tolerant(&self.base).len() + lock_tolerant(&self.base_chunked).len()
+        lock_tolerant(&self.base).len()
     }
 
     /// Number of distinct prepared cells cached.
     pub fn prepared_len(&self) -> usize {
-        lock_tolerant(&self.prepared).len() + lock_tolerant(&self.prepared_chunked).len()
+        lock_tolerant(&self.prepared).len()
     }
 
     /// Number of distinct geometry-independent analyses cached.
     pub fn analyzed_len(&self) -> usize {
-        lock_tolerant(&self.analyzed).len() + lock_tolerant(&self.analyzed_chunked).len()
+        lock_tolerant(&self.analyzed).len()
     }
 }
 
@@ -687,8 +586,8 @@ pub struct CellOutcome {
     /// Milliseconds fetching (and, for the first cell per workload,
     /// building) the base trace.
     pub build_ms: f64,
-    /// Milliseconds in the software passes (`prepare_cell`), including the
-    /// hot-spot profiling simulation; near-zero on a prepared-cache hit.
+    /// Milliseconds in the software passes, including the hot-spot
+    /// profiling simulation; near-zero on a prepared-cache hit.
     pub prepare_ms: f64,
     /// Milliseconds in the final machine run (near-zero when the result
     /// was reused from an identical-fingerprint cell that already ran).
@@ -698,7 +597,7 @@ pub struct CellOutcome {
     pub phases: PrepPhases,
     /// Milliseconds of `sim_ms` the final machine run spent in
     /// *synchronous* chunk decode (the stall decode-ahead hides; zero on
-    /// the materialized path and on cached/journaled outcomes).
+    /// cached/journaled outcomes).
     pub decode_ms: f64,
     /// Chunk swap-ins the final run served from a ready decode-ahead
     /// buffer (DESIGN.md §17).
@@ -758,82 +657,11 @@ pub fn run_cell(
 /// cell simulates and publishes its result, later ones reuse it
 /// (identical by determinism) without re-preparing or re-simulating.
 /// `cancel` reaches both machine runs (profiling replay and final run).
+///
+/// Every stage — generation, the software passes, and the final machine
+/// run — consumes and produces the columnar chunked representation, so no
+/// stage ever materializes a per-CPU `Vec<Event>` of the whole trace.
 fn run_cell_inner(
-    cache: &TraceCache,
-    opts: BuildOptions,
-    cell: &Cell,
-    fp: CellFingerprint,
-    share_result: bool,
-    cancel: &CancelToken,
-) -> Result<CellOutcome, SimError> {
-    if sim::streaming_enabled() {
-        return run_cell_inner_chunked(cache, opts, cell, fp, share_result, cancel);
-    }
-    let t0 = Instant::now();
-    let base = cache.base(cell.workload, opts);
-    let built = Instant::now();
-    if share_result {
-        if let Some(result) = cache.shared_result(&fp) {
-            let done = Instant::now();
-            return Ok(CellOutcome {
-                cell: cell.clone(),
-                result,
-                ms: 1e3 * (done - t0).as_secs_f64(),
-                build_ms: 1e3 * (built - t0).as_secs_f64(),
-                prepare_ms: 0.0,
-                sim_ms: 1e3 * (done - built).as_secs_f64(),
-                phases: PrepPhases {
-                    cached: true,
-                    ..PrepPhases::default()
-                },
-                decode_ms: 0.0,
-                prefetch_hits: 0,
-                spilled_mb: 0.0,
-                spill_ms: 0.0,
-                sched_order: 0,
-                attempt: 0,
-                journaled: false,
-            });
-        }
-    }
-    let (prepared, phases) = cache.prepared_cancellable(&base, fp, cancel)?;
-    let prep = Instant::now();
-    let (result, overlap) = sim::run_prepared_timed(
-        &base,
-        &prepared,
-        cell.spec,
-        cell.geometry,
-        AuditLevel::Off,
-        cancel,
-    )?;
-    if share_result {
-        cache.store_result(fp, result.clone());
-    }
-    let done = Instant::now();
-    Ok(CellOutcome {
-        cell: cell.clone(),
-        result,
-        ms: 1e3 * (done - t0).as_secs_f64(),
-        build_ms: 1e3 * (built - t0).as_secs_f64(),
-        prepare_ms: 1e3 * (prep - built).as_secs_f64(),
-        sim_ms: 1e3 * (done - prep).as_secs_f64(),
-        phases,
-        decode_ms: overlap.decode_ms,
-        prefetch_hits: overlap.prefetch_hits,
-        spilled_mb: 0.0,
-        spill_ms: 0.0,
-        sched_order: 0,
-        attempt: 0,
-        journaled: false,
-    })
-}
-
-/// The streaming (chunked) body of [`run_cell_inner`]: identical phase
-/// structure and timing bookkeeping, but every stage — generation, the
-/// software passes, and the final machine run — consumes and produces the
-/// columnar chunked representation, so no stage ever materializes a
-/// per-CPU `Vec<Event>` of the whole trace.
-fn run_cell_inner_chunked(
     cache: &TraceCache,
     opts: BuildOptions,
     cell: &Cell,

@@ -10,17 +10,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-/// Whether the streaming chunked pipeline is active (the default). Setting
-/// `REPRO_NO_STREAMING` to any non-empty value other than `0` routes every
-/// run through the materialized flat-`Vec` path instead — the equivalence
-/// oracle CI pins goldens against. Mirrors the `REPRO_NO_SPECIALIZE` gate.
-pub fn streaming_enabled() -> bool {
-    match std::env::var_os("REPRO_NO_STREAMING") {
-        Some(v) => v.is_empty() || v == "0",
-        None => true,
-    }
-}
-
 /// The outcome of simulating one (workload, system, geometry) point.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -88,14 +77,6 @@ pub struct PreparedCell {
     pub trace: Option<Arc<Trace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
-    /// Whether the *working* trace of this cell (the rewritten trace when
-    /// `trace` is `Some`, the base trace otherwise) passed
-    /// [`Trace::validate`] during preparation. When set, the final machine
-    /// run skips its own O(events) validation scan
-    /// ([`Machine::with_recording_prevalidated`]) — preparation is the
-    /// single validation point of the pipeline. Callers assembling a
-    /// `PreparedCell` by other means should leave this `false`.
-    pub validated: bool,
 }
 
 /// The geometry-independent keys of a [`SystemSpec`]: two specs with equal
@@ -313,21 +294,6 @@ pub fn prepare_from_analysis(
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<(PreparedCell, PrepPhases), SimError> {
-    prepare_from_analysis_cancellable(trace, analyzed, spec, geometry, audit, &CancelToken::none())
-}
-
-/// [`prepare_from_analysis`] with a cooperative-cancellation token wired
-/// into the profiling replay (the only machine run in this phase; the
-/// analysis transforms themselves are not cancellation points, so a
-/// cancellation grace period must absorb them).
-pub fn prepare_from_analysis_cancellable(
-    trace: &Trace,
-    analyzed: &AnalyzedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<(PreparedCell, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
     let mut out = analyzed.trace.clone();
 
@@ -338,7 +304,6 @@ pub fn prepare_from_analysis_cancellable(
         let mut cfg = geometry.machine_config(&spec);
         cfg.n_cpus = trace.n_cpus();
         cfg.update_pages = analyzed.update_pages.clone();
-        cfg.cancel = cancel.clone();
         let profile_stats = if audit == AuditLevel::Off {
             oscache_memsys::profile_os_misses(cfg, working)?
         } else {
@@ -377,20 +342,10 @@ pub fn prepare_from_analysis_cancellable(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    // Validate the working trace here, once, so the timed final run can
-    // skip its own scan. The base trace was validated when the machine of
-    // the profiling replay was built; a rewritten trace has not been seen
-    // by any machine yet, so this is its (single) validation point.
-    let working: &Trace = out.as_deref().unwrap_or(trace);
-    working
-        .validate_for_cpus(trace.n_cpus())
-        .map_err(SimError::from_trace)?;
-
     Ok((
         PreparedCell {
             trace: out,
             update_pages: analyzed.update_pages.clone(),
-            validated: true,
         },
         phases,
     ))
@@ -405,57 +360,16 @@ pub fn run_prepared(
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
-    run_prepared_cancellable(trace, prepared, spec, geometry, audit, &CancelToken::none())
-}
-
-/// [`run_prepared`] with a cooperative-cancellation token wired into the
-/// machine's event loop; a tripped token surfaces as
-/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled).
-pub fn run_prepared_cancellable(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<RunResult, SimError> {
-    run_prepared_timed(trace, prepared, spec, geometry, audit, cancel).map(|(r, _)| r)
-}
-
-/// [`run_prepared_cancellable`] that also reports the machine's
-/// decode-overlap telemetry ([`OverlapStats`]). On the materialized flat
-/// path there is nothing to decode, so the telemetry is all zeros — the
-/// variant exists so the runner threads one shape through both engines.
-pub fn run_prepared_timed(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<(RunResult, OverlapStats), SimError> {
     let mut cfg = geometry.machine_config(&spec);
     cfg.n_cpus = trace.n_cpus();
     cfg.update_pages = prepared.update_pages.clone();
     cfg.audit = audit;
-    cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    // Preparation already validated the working trace (see
-    // [`PreparedCell::validated`]); don't re-scan it in the timed run.
-    let mut machine = if prepared.validated {
-        Machine::with_recording_prevalidated(cfg, working, true)?
-    } else {
-        Machine::new(cfg, working)?
-    };
-    let stats = machine.run_mut()?;
-    Ok((
-        RunResult {
-            stats,
-            spec,
-            geometry,
-        },
-        machine.overlap_stats(),
-    ))
+    Ok(RunResult {
+        stats: Machine::new(cfg, working)?.run()?,
+        spec,
+        geometry,
+    })
 }
 
 /// [`AnalyzedCell`] for the streaming pipeline: the same
@@ -480,8 +394,13 @@ pub struct PreparedCellChunked {
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
-    /// Whether the working trace passed validation during preparation
-    /// (see [`PreparedCell::validated`]).
+    /// Whether the *working* trace of this cell (the rewritten trace when
+    /// `trace` is `Some`, the base trace otherwise) passed validation during
+    /// preparation. When set, the final machine run skips its own O(events)
+    /// validation scan ([`Machine::with_recording_prevalidated_chunked`]) —
+    /// preparation is the single validation point of the pipeline. Callers
+    /// assembling a `PreparedCellChunked` by other means should leave this
+    /// `false`.
     pub validated: bool,
 }
 
@@ -592,10 +511,13 @@ pub fn prepare_from_analysis_chunked(
     )
 }
 
-/// [`prepare_from_analysis_cancellable`] over the chunked backbone: the
-/// hot-spot profiling replay pulls events through the machine's per-CPU
-/// decode windows, and the prefetch-insertion rewrite is the forward merge
-/// of [`transform::HotspotPlan::materialize_chunked`].
+/// [`prepare_from_analysis_chunked`] with a cooperative-cancellation token
+/// wired into the profiling replay (the only machine run in this phase; the
+/// analysis transforms themselves are not cancellation points, so a
+/// cancellation grace period must absorb them). The hot-spot profiling
+/// replay pulls events through the machine's per-CPU decode windows, and
+/// the prefetch-insertion rewrite is the forward merge of
+/// [`transform::HotspotPlan::materialize_chunked`].
 pub fn prepare_from_analysis_chunked_cancellable(
     trace: &ChunkedTrace,
     analyzed: &AnalyzedCellChunked,
@@ -652,8 +574,11 @@ pub fn prepare_from_analysis_chunked_cancellable(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    // Single validation point, as in the flat pipeline: the chunk walk
-    // decodes one window at a time.
+    // Validate the working trace here, once, so the timed final run can
+    // skip its own scan. The base trace was validated when the machine of
+    // the profiling replay was built; a rewritten trace has not been seen
+    // by any machine yet, so this is its (single) validation point. The
+    // chunk walk decodes one window at a time.
     let working: &ChunkedTrace = out.as_deref().unwrap_or(trace);
     working
         .validate_for_cpus(trace.n_cpus())
@@ -680,9 +605,11 @@ pub fn run_prepared_chunked(
     run_prepared_chunked_cancellable(trace, prepared, spec, geometry, audit, &CancelToken::none())
 }
 
-/// [`run_prepared_cancellable`] over the chunked backbone: the machine
-/// pulls decoded events through small per-CPU windows, so the run's peak
-/// memory is the encoded chunks plus O(n_cpus) decode windows.
+/// [`run_prepared_chunked`] with a cooperative-cancellation token wired
+/// into the machine's event loop; a tripped token surfaces as
+/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled).
+/// The machine pulls decoded events through small per-CPU windows, so the
+/// run's peak memory is the encoded chunks plus O(n_cpus) decode windows.
 pub fn run_prepared_chunked_cancellable(
     trace: &ChunkedTrace,
     prepared: &PreparedCellChunked,

@@ -5,8 +5,9 @@
 //! across the system ladder.
 
 use oscache_core::runner::{run_cells, Cell, TraceCache};
+use oscache_core::CellFingerprint;
 use oscache_core::{Experiment, Geometry, Repro, RunResult, System, UpdatePolicy};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::sync::Arc;
 
 const SCALE: f64 = 0.05;
@@ -108,9 +109,9 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
         (Workload::Arc2dFsck, 0.02, 0x05cac8e),
         (Workload::Trfd4, 0.03, 7),
     ];
-    let bytes = |t: &oscache_trace::Trace| {
+    let bytes = |t: &oscache_trace::ChunkedTrace| {
         let mut buf = Vec::new();
-        oscache_trace::write_trace(t, &mut buf).expect("serialize");
+        oscache_trace::write_trace(&t.to_trace(), &mut buf).expect("serialize");
         buf
     };
     for (w, scale, seed) in keys {
@@ -119,15 +120,19 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
             seed,
             ..Default::default()
         };
-        let cached = cache.base(w, o);
-        let fresh = build(w, o);
+        let cached = cache.base_chunked(w, o);
+        let fresh = build_chunked(w, o);
+        assert!(
+            cached.streams == fresh.streams,
+            "{w} scale={scale} seed={seed}: cache returned different encoded chunks"
+        );
         assert_eq!(
             bytes(&cached),
             bytes(&fresh),
             "{w} scale={scale} seed={seed}: cache returned a different trace"
         );
         // Second lookup is the same shared allocation, not a rebuild.
-        assert!(Arc::ptr_eq(&cached, &cache.base(w, o)));
+        assert!(Arc::ptr_eq(&cached, &cache.base_chunked(w, o)));
     }
     assert_eq!(cache.base_len(), keys.len());
 }
@@ -135,9 +140,9 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
 #[test]
 fn concurrent_lookups_build_once() {
     let cache = TraceCache::new();
-    let traces: Vec<Arc<oscache_trace::Trace>> = std::thread::scope(|s| {
+    let traces: Vec<Arc<oscache_trace::ChunkedTrace>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
-            .map(|_| s.spawn(|| cache.base(Workload::Shell, opts())))
+            .map(|_| s.spawn(|| cache.base_chunked(Workload::Shell, opts())))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -207,13 +212,27 @@ fn ladder_fingerprints_cannot_collide() {
     assert_eq!(digests.len(), fps.len(), "fingerprint digest collision");
 }
 
+/// A prepared-cache lookup with no cancellation.
+fn prepared(
+    cache: &TraceCache,
+    base: &oscache_trace::ChunkedTrace,
+    fp: CellFingerprint,
+) -> (
+    Arc<oscache_core::PreparedCellChunked>,
+    oscache_core::PrepPhases,
+) {
+    cache
+        .prepared_chunked_cancellable(base, fp, &oscache_memsys::CancelToken::none())
+        .unwrap()
+}
+
 #[test]
 fn prepared_cells_are_cached_per_fingerprint() {
     let cache = TraceCache::new();
     let cell = Cell::system(Workload::Trfd4, System::BCohReloc);
-    let base = cache.base(cell.workload, opts());
-    let (a, pa) = cache.prepared(&base, cell.fingerprint(opts())).unwrap();
-    let (b, pb) = cache.prepared(&base, cell.fingerprint(opts())).unwrap();
+    let base = cache.base_chunked(cell.workload, opts());
+    let (a, pa) = prepared(&cache, &base, cell.fingerprint(opts()));
+    let (b, pb) = prepared(&cache, &base, cell.fingerprint(opts()));
     assert!(
         Arc::ptr_eq(&a, &b),
         "prepared cell rebuilt on second lookup"
@@ -223,7 +242,7 @@ fn prepared_cells_are_cached_per_fingerprint() {
     assert_eq!(cache.prepared_len(), 1);
     // A different spec gets its own entry.
     let other = Cell::system(Workload::Trfd4, System::BlkDma);
-    let (c, _) = cache.prepared(&base, other.fingerprint(opts())).unwrap();
+    let (c, _) = prepared(&cache, &base, other.fingerprint(opts()));
     assert!(!Arc::ptr_eq(&a, &c));
     assert_eq!(cache.prepared_len(), 2);
 }
@@ -246,10 +265,10 @@ fn analysis_is_shared_across_geometries_and_prefix_equal_specs() {
         ..narrow.clone()
     };
     let relup = Cell::system(Workload::Trfd4, System::BCohRelUp);
-    let base = cache.base(narrow.workload, opts());
-    let (_, p1) = cache.prepared(&base, narrow.fingerprint(opts())).unwrap();
-    let (_, p2) = cache.prepared(&base, wide.fingerprint(opts())).unwrap();
-    let (_, p3) = cache.prepared(&base, relup.fingerprint(opts())).unwrap();
+    let base = cache.base_chunked(narrow.workload, opts());
+    let (_, p1) = prepared(&cache, &base, narrow.fingerprint(opts()));
+    let (_, p2) = prepared(&cache, &base, wide.fingerprint(opts()));
+    let (_, p3) = prepared(&cache, &base, relup.fingerprint(opts()));
     assert_eq!(cache.analyzed_len(), 1, "prefix-equal specs split analyses");
     assert_eq!(cache.prepared_len(), 3);
     assert!(p1.analyze_ms > 0.0, "first cell did not run the analysis");

@@ -1,10 +1,10 @@
 //! Streaming-engine equivalence oracle (DESIGN.md §16).
 //!
-//! The chunked streaming engine is the default path for every stage of
-//! the pipeline — workload generation, the software passes, and the
-//! replay loops — while the materialized `Vec<Event>` path is kept
-//! verbatim behind `REPRO_NO_STREAMING=1` as the oracle. This file pins
-//! the two bitwise-equal at every layer:
+//! The chunked streaming engine is the only production path for every
+//! stage of the pipeline — workload generation, the software passes, and
+//! the replay loops — while the materialized `Vec<Event>` functions are
+//! kept as the reference. This file pins the two bitwise-equal at every
+//! layer:
 //!
 //! * the full ladder matrix (every system × every workload × three cache
 //!   geometries) through the complete software-pass pipeline,
@@ -12,10 +12,6 @@
 //!   state digest, and step count), across chunk capacities that force
 //!   events to straddle chunk boundaries (including 1-event chunks),
 //! * degenerate shapes: empty traces and partially-empty streams.
-//!
-//! The golden corpus under `tests/golden/` pins the same equivalence at
-//! the rendered-report level (CI diffs a `REPRO_NO_STREAMING=1` golden
-//! run against the committed streaming-path files).
 
 use oscache_core::{try_run_spec_audited, try_run_spec_audited_chunked, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig};

@@ -74,7 +74,7 @@ pub use config::{
 };
 pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{BypassSet, Departure, HistoryMap};
-pub use machine::{decode_prefetch_enabled, Machine, OverlapStats, CANCEL_POLL_STRIDE};
+pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
 pub use profiler::{profile_os_misses, profile_os_misses_chunked};
 pub use spec::SpecKey;

@@ -20,12 +20,12 @@
 //! (recording, auditing, update pages, victim cache, cancellation) are
 //! compile-time constants. The generic loop — the same body instantiated
 //! with every decision dynamic — is kept as the equivalence oracle behind
-//! [`Machine::run_generic`] and the `REPRO_NO_SPECIALIZE=1` escape hatch.
+//! [`Machine::run_generic`].
 
 use crate::error::{SimError, SimErrorKind};
 use crate::history::{BypassSet, Departure, HistoryMap};
 use crate::prefetch::{MshrSet, PrefetchBuffer};
-use crate::spec::{self, Gen, Spec, SpecKey, K};
+use crate::spec::{Gen, Spec, SpecKey, K};
 use crate::stats::{CpuStats, MissKind, SimStats};
 use crate::{AuditLevel, BlockOpScheme, Bus, BusOp, Cache, LineState, MachineConfig, WriteBuffer};
 use oscache_trace::{
@@ -191,25 +191,6 @@ impl Default for DecodeWindow {
     }
 }
 
-/// Whether decode-ahead chunk prefetching is switched off for the process.
-/// `REPRO_NO_PREFETCH` set to any non-empty value other than `0` routes
-/// every chunked replay through purely synchronous decode — the escape
-/// hatch the schedule-oracle CI job pins goldens against. Mirrors the
-/// `REPRO_NO_SPECIALIZE` / `REPRO_NO_STREAMING` gates.
-pub(crate) fn prefetch_disabled_by_env() -> bool {
-    match std::env::var_os("REPRO_NO_PREFETCH") {
-        Some(v) => !v.is_empty() && v != "0",
-        None => false,
-    }
-}
-
-/// Whether decode-ahead chunk prefetching is active by default for this
-/// process (i.e. `REPRO_NO_PREFETCH` is unset/`0`/empty). Per-machine
-/// overrides go through [`Machine::set_decode_prefetch`].
-pub fn decode_prefetch_enabled() -> bool {
-    !prefetch_disabled_by_env()
-}
-
 /// Decode-overlap telemetry of one replay (DESIGN.md §17). Pure
 /// observability: none of these feed back into simulated state, timing, or
 /// [`Machine::state_digest`] — a replay with prefetching on and one with it
@@ -345,9 +326,8 @@ pub struct Machine<'t> {
     pub(crate) record: bool,
     steps: u64,
     /// Whether the chunked replay may run a decode-ahead helper thread
-    /// (DESIGN.md §17). Initialized from the `REPRO_NO_PREFETCH` gate;
-    /// [`Machine::set_decode_prefetch`] overrides it programmatically
-    /// (differential tests flip it without racing on process env).
+    /// (DESIGN.md §17). On by default; [`Machine::set_decode_prefetch`]
+    /// switches it off for the differential tests.
     decode_prefetch: bool,
     /// The live decode-ahead mailbox, present only while the specialized
     /// chunked loop runs with its helper thread attached.
@@ -418,7 +398,23 @@ impl<'t> Machine<'t> {
         Self::assemble(cfg, Source::Chunked(trace), record)
     }
 
-    /// [`Machine::with_recording_prevalidated`] over a chunked trace.
+    /// [`Machine::with_recording_chunked`] minus the full-trace validation
+    /// scan.
+    ///
+    /// `ChunkedTrace::validate` walks every event — a few milliseconds on
+    /// real traces, which [`Machine::new_chunked`] pays *per construction*
+    /// even though a pipeline typically validates a trace once and then
+    /// replays it several times (profiling replay, final run, differential
+    /// oracle). This constructor is for exactly that caller: it demands that
+    /// the same, unmodified trace has already passed validation (asserted
+    /// in debug builds), and keeps only the O(1) CPU-count check that the
+    /// replay loops' stream indexing depends on.
+    ///
+    /// Replaying a trace that was *not* validated stays memory-safe and
+    /// panic-free — the loops re-check dynamically everything they rely on
+    /// (block ids, lock pairing, barrier completion) — but malformed inputs
+    /// then surface as replay-time [`SimError`]s or unspecified statistics
+    /// instead of the precise rejection [`Machine::new_chunked`] gives.
     pub fn with_recording_prevalidated_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
@@ -437,42 +433,6 @@ impl<'t> Machine<'t> {
             "with_recording_prevalidated_chunked requires a validated trace"
         );
         Self::assemble(cfg, Source::Chunked(trace), record)
-    }
-
-    /// [`Machine::with_recording`] minus the full-trace validation scan.
-    ///
-    /// `Trace::validate` walks every event — a few milliseconds on real
-    /// traces, which [`Machine::new`] pays *per construction* even though a
-    /// pipeline typically validates a trace once and then replays it
-    /// several times (profiling replay, final run, differential oracle).
-    /// This constructor is for exactly that caller: it demands that the
-    /// same, unmodified trace has already passed [`Trace::validate`]
-    /// (asserted in debug builds), and keeps only the O(1) CPU-count check
-    /// that the replay loops' stream indexing depends on.
-    ///
-    /// Replaying a trace that was *not* validated stays memory-safe and
-    /// panic-free — the loops re-check dynamically everything they rely on
-    /// (block ids, lock pairing, barrier completion) — but malformed inputs
-    /// then surface as replay-time [`SimError`]s or unspecified statistics
-    /// instead of the precise rejection [`Machine::new`] gives.
-    pub fn with_recording_prevalidated(
-        cfg: MachineConfig,
-        trace: &'t Trace,
-        record: bool,
-    ) -> Result<Self, SimError> {
-        if trace.n_cpus() != cfg.n_cpus {
-            return Err(SimError::from_trace(
-                oscache_trace::TraceError::CpuCountMismatch {
-                    expected: cfg.n_cpus,
-                    actual: trace.n_cpus(),
-                },
-            ));
-        }
-        debug_assert!(
-            trace.validate().is_ok(),
-            "with_recording_prevalidated requires a validated trace"
-        );
-        Self::assemble(cfg, Source::Flat(trace), record)
     }
 
     fn assemble(cfg: MachineConfig, src: Source<'t>, record: bool) -> Result<Self, SimError> {
@@ -518,7 +478,7 @@ impl<'t> Machine<'t> {
             incl_exempt: vec![Vec::new(); n_cpus],
             record,
             steps: 0,
-            decode_prefetch: !prefetch_disabled_by_env(),
+            decode_prefetch: true,
             prefetch: None,
             decode_ns: 0,
             prefetch_hits: 0,
@@ -526,9 +486,7 @@ impl<'t> Machine<'t> {
         })
     }
 
-    /// Overrides the decode-ahead gate for this machine (the process-wide
-    /// default follows `REPRO_NO_PREFETCH`). Tests flip this explicitly
-    /// instead of mutating env vars, which race across test threads.
+    /// Overrides the decode-ahead gate for this machine (on by default).
     /// Changing it cannot change any replay output — only whether chunk
     /// decode overlaps the event loop (see [`Machine::overlap_stats`]).
     pub fn set_decode_prefetch(&mut self, on: bool) {
@@ -574,8 +532,7 @@ impl<'t> Machine<'t> {
     ///
     /// Dispatches once to the monomorphized event loop selected by
     /// [`Machine::spec_key`] — or to the generic loop when the key is not
-    /// specializable (auditing on) or `REPRO_NO_SPECIALIZE` is set. The
-    /// choice never changes any output: `tests/specialize_oracle.rs` and
+    /// specializable (auditing on). The choice never changes any output: `tests/specialize_oracle.rs` and
     /// `tests/specialize_matrix.rs` pin every specialized variant bitwise
     /// against the generic oracle.
     ///
@@ -593,7 +550,7 @@ impl<'t> Machine<'t> {
     /// has already replayed returns its (unchanged) statistics again.
     pub fn run_mut(&mut self) -> Result<SimStats, SimError> {
         let key = self.spec_key();
-        if !key.specializable() || spec::disabled_by_env() {
+        if !key.specializable() {
             return self.run_loop_generic();
         }
         // The 16-arm dispatch table: one monomorphized loop per

@@ -20,10 +20,6 @@
 //! const-generic booleans (16 instantiations); auditing runs always fall
 //! back to [`Gen`] because the auditor cross-checks bookkeeping the
 //! specialized fast paths would fold away.
-//!
-//! Setting the environment variable `REPRO_NO_SPECIALIZE=1` forces every
-//! run onto the generic path — the escape hatch CI uses to keep the oracle
-//! green at full scale.
 
 use crate::config::{AuditLevel, BlockOpScheme, MachineConfig};
 
@@ -180,15 +176,6 @@ impl std::fmt::Display for SpecKey {
             self.audit,
             self.scheme.label()
         )
-    }
-}
-
-/// True when `REPRO_NO_SPECIALIZE` is set to anything but `0`/empty: the
-/// escape hatch that forces every replay onto the generic loop.
-pub(crate) fn disabled_by_env() -> bool {
-    match std::env::var_os("REPRO_NO_SPECIALIZE") {
-        Some(v) => !v.is_empty() && v != "0",
-        None => false,
     }
 }
 

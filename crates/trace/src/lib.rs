@@ -57,8 +57,8 @@ pub use code::{BasicBlock, BlockId, CodeLayout, SiteId, SiteInfo};
 pub use event::{BarrierId, BlockKind, BlockOp, Event, LockId, Mode};
 pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError};
 pub use spill::{
-    spill_enabled, IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore,
-    SpillTarget, StoreIdentity,
+    IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore, SpillTarget,
+    StoreIdentity,
 };
 pub use stream::{Stream, StreamBuilder};
 pub use trace::{KernelVar, Trace, TraceMeta, VarRole};

@@ -44,18 +44,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Whether spilling is permitted (the default when a budget asks for it).
-/// Setting `REPRO_NO_SPILL` to any non-empty value other than `0` keeps
-/// every chunk in memory — today's pure in-memory path, verbatim — which
-/// is the oracle the spill differential tests diff against. Mirrors
-/// `REPRO_NO_STREAMING` / `REPRO_NO_SPECIALIZE`.
-pub fn spill_enabled() -> bool {
-    match std::env::var_os("REPRO_NO_SPILL") {
-        Some(v) => v.is_empty() || v == "0",
-        None => true,
-    }
-}
-
 // ---- CRC-32 (IEEE 802.3, reflected) ----------------------------------------
 
 const fn crc32_table() -> [u32; 256] {
@@ -1065,12 +1053,5 @@ mod tests {
             assert!(dir.exists());
         }
         assert!(!dir.exists());
-    }
-
-    #[test]
-    fn spill_env_gate_parses_like_the_other_gates() {
-        // Can't mutate the process env safely in a parallel test run;
-        // just pin the default.
-        assert!(spill_enabled() || std::env::var_os("REPRO_NO_SPILL").is_some());
     }
 }
