@@ -37,7 +37,7 @@ use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
     RunPolicy, RunnerError, Watchdog,
 };
-use oscache_memsys::{AuditLevel, CancelToken, SimError};
+use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError};
 use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
 use oscache_workloads::{
     build_chunked, build_chunked_shared, build_chunked_spilled, BuildOptions, TraceBuildKey,
@@ -50,11 +50,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
-/// The default worker count: every hardware thread the OS grants us.
+/// The default worker count: every hardware thread the OS grants us (the
+/// same count that sizes the decode-ahead core gauge).
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    oscache_memsys::available_cores()
 }
 
 /// Identity of a fully-prepared simulation input: base trace plus every
@@ -1085,6 +1084,9 @@ pub(crate) fn supervise_one(
             });
         }
     }
+    // This thread is busy with the cell, so its machines' decode-ahead
+    // helpers need a core beyond it (DESIGN.md §17).
+    let _busy = CoreGauge::process().lease();
     let mut attempt: u32 = 0;
     let out = loop {
         // The token the machine polls: the request's own token when the

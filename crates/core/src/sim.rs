@@ -394,14 +394,6 @@ pub struct PreparedCellChunked {
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
-    /// Whether the *working* trace of this cell (the rewritten trace when
-    /// `trace` is `Some`, the base trace otherwise) passed validation during
-    /// preparation. When set, the final machine run skips its own O(events)
-    /// validation scan ([`Machine::with_recording_prevalidated_chunked`]) —
-    /// preparation is the single validation point of the pipeline. Callers
-    /// assembling a `PreparedCellChunked` by other means should leave this
-    /// `false`.
-    pub validated: bool,
 }
 
 /// [`analyze_cell`] over the chunked backbone: every pass streams
@@ -574,11 +566,11 @@ pub fn prepare_from_analysis_chunked_cancellable(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    // Validate the working trace here, once, so the timed final run can
-    // skip its own scan. The base trace was validated when the machine of
-    // the profiling replay was built; a rewritten trace has not been seen
-    // by any machine yet, so this is its (single) validation point. The
-    // chunk walk decodes one window at a time.
+    // Validate the working trace here, so the scan is charged to
+    // preparation rather than to the timed final run. The trace memoizes
+    // the result: the final run's `Machine::new_chunked` answers from the
+    // memo, and a base trace that many cells share is scanned once, by
+    // whichever cell (or BCPref profiling replay) reaches it first.
     let working: &ChunkedTrace = out.as_deref().unwrap_or(trace);
     working
         .validate_for_cpus(trace.n_cpus())
@@ -588,7 +580,6 @@ pub fn prepare_from_analysis_chunked_cancellable(
         PreparedCellChunked {
             trace: out,
             update_pages: analyzed.update_pages.clone(),
-            validated: true,
         },
         phases,
     ))
@@ -639,11 +630,7 @@ pub fn run_prepared_chunked_timed(
     cfg.audit = audit;
     cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    let mut machine = if prepared.validated {
-        Machine::with_recording_prevalidated_chunked(cfg, working, true)?
-    } else {
-        Machine::new_chunked(cfg, working)?
-    };
+    let mut machine = Machine::new_chunked(cfg, working)?;
     let stats = machine.run_mut()?;
     Ok((
         RunResult {

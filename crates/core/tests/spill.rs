@@ -175,6 +175,37 @@ fn spilled_replay_matches_in_memory_across_capacities() {
     }
 }
 
+/// A trace validated in memory keeps its memoized validation when its
+/// chunks move to disk, and the machine built over the spilled trace (which
+/// answers validation from the memo) replays exactly as before the spill.
+#[test]
+fn validate_then_spill_then_replay_is_transparent() {
+    let mut rng = SmallRng::seed_from_u64(0x5B11_AA1D);
+    let t = random_trace(&mut rng);
+    let mut ct = chunk_with_capacity(&t, 7);
+    ct.validate().expect("generator must emit valid traces");
+    let mut before = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+    let expected = before.run_mut().expect("replay in memory");
+    let digest = before.state_digest();
+    drop(before);
+    let _store = spill_fully(&mut ct, "memo", 0, None);
+    assert!(
+        ct.spilled_chunks() > 0,
+        "nothing spilled — the test is vacuous"
+    );
+    assert_eq!(ct.validate(), Ok(()));
+    for prefetch in [false, true] {
+        let mut after = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+        after.set_decode_prefetch(prefetch);
+        assert_eq!(
+            after.run_mut().as_ref(),
+            Ok(&expected),
+            "prefetch {prefetch}"
+        );
+        assert_eq!(after.state_digest(), digest, "prefetch {prefetch}");
+    }
+}
+
 /// Injected bit flips corrupt frames on the way to disk; every read of a
 /// corrupted frame must detect the CRC mismatch, quarantine the frame,
 /// and rebuild it through the registered rebuilder — yielding a decode

@@ -57,6 +57,7 @@ mod blockop;
 mod bus;
 mod cache;
 mod config;
+mod cores;
 mod error;
 pub mod faults;
 mod history;
@@ -72,6 +73,7 @@ pub use cache::{Cache, Evicted, LineState};
 pub use config::{
     AuditLevel, BlockOpScheme, CacheGeom, CancelToken, MachineConfig, PageSet, Timing,
 };
+pub use cores::{available_cores, CoreGauge, Lease, ThreadLease};
 pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{BypassSet, Departure, HistoryMap};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};

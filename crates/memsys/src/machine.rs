@@ -27,7 +27,9 @@ use crate::history::{BypassSet, Departure, HistoryMap};
 use crate::prefetch::{MshrSet, PrefetchBuffer};
 use crate::spec::{Gen, Spec, SpecKey, K};
 use crate::stats::{CpuStats, MissKind, SimStats};
-use crate::{AuditLevel, BlockOpScheme, Bus, BusOp, Cache, LineState, MachineConfig, WriteBuffer};
+use crate::{
+    AuditLevel, BlockOpScheme, Bus, BusOp, Cache, CoreGauge, LineState, MachineConfig, WriteBuffer,
+};
 use oscache_trace::{
     Addr, BasicBlock, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event, LineAddr, Mode,
     Trace, TraceMeta,
@@ -325,10 +327,11 @@ pub struct Machine<'t> {
     /// total, are preserved exactly by construction.
     pub(crate) record: bool,
     steps: u64,
-    /// Whether the chunked replay may run a decode-ahead helper thread
-    /// (DESIGN.md §17). On by default; [`Machine::set_decode_prefetch`]
-    /// switches it off for the differential tests.
-    decode_prefetch: bool,
+    /// Whether the chunked replay runs a decode-ahead helper thread
+    /// (DESIGN.md §17): `None` lets the process [`CoreGauge`] decide (a
+    /// helper only on a spare core); [`Machine::set_decode_prefetch`] pins
+    /// it on or off for the differential tests.
+    decode_prefetch: Option<bool>,
     /// The live decode-ahead mailbox, present only while the specialized
     /// chunked loop runs with its helper thread attached.
     prefetch: Option<Arc<PrefetchShared>>,
@@ -386,7 +389,9 @@ impl<'t> Machine<'t> {
         Self::with_recording_chunked(cfg, trace, true)
     }
 
-    /// [`Machine::with_recording`] over a chunked trace.
+    /// [`Machine::with_recording`] over a chunked trace. The trace
+    /// memoizes its validation, so only the first machine over a given
+    /// trace pays the O(events) scan; every later one reuses the result.
     pub fn with_recording_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
@@ -395,43 +400,6 @@ impl<'t> Machine<'t> {
         trace
             .validate_for_cpus(cfg.n_cpus)
             .map_err(SimError::from_trace)?;
-        Self::assemble(cfg, Source::Chunked(trace), record)
-    }
-
-    /// [`Machine::with_recording_chunked`] minus the full-trace validation
-    /// scan.
-    ///
-    /// `ChunkedTrace::validate` walks every event — a few milliseconds on
-    /// real traces, which [`Machine::new_chunked`] pays *per construction*
-    /// even though a pipeline typically validates a trace once and then
-    /// replays it several times (profiling replay, final run, differential
-    /// oracle). This constructor is for exactly that caller: it demands that
-    /// the same, unmodified trace has already passed validation (asserted
-    /// in debug builds), and keeps only the O(1) CPU-count check that the
-    /// replay loops' stream indexing depends on.
-    ///
-    /// Replaying a trace that was *not* validated stays memory-safe and
-    /// panic-free — the loops re-check dynamically everything they rely on
-    /// (block ids, lock pairing, barrier completion) — but malformed inputs
-    /// then surface as replay-time [`SimError`]s or unspecified statistics
-    /// instead of the precise rejection [`Machine::new_chunked`] gives.
-    pub fn with_recording_prevalidated_chunked(
-        cfg: MachineConfig,
-        trace: &'t ChunkedTrace,
-        record: bool,
-    ) -> Result<Self, SimError> {
-        if trace.n_cpus() != cfg.n_cpus {
-            return Err(SimError::from_trace(
-                oscache_trace::TraceError::CpuCountMismatch {
-                    expected: cfg.n_cpus,
-                    actual: trace.n_cpus(),
-                },
-            ));
-        }
-        debug_assert!(
-            trace.validate().is_ok(),
-            "with_recording_prevalidated_chunked requires a validated trace"
-        );
         Self::assemble(cfg, Source::Chunked(trace), record)
     }
 
@@ -478,7 +446,7 @@ impl<'t> Machine<'t> {
             incl_exempt: vec![Vec::new(); n_cpus],
             record,
             steps: 0,
-            decode_prefetch: true,
+            decode_prefetch: None,
             prefetch: None,
             decode_ns: 0,
             prefetch_hits: 0,
@@ -486,11 +454,12 @@ impl<'t> Machine<'t> {
         })
     }
 
-    /// Overrides the decode-ahead gate for this machine (on by default).
-    /// Changing it cannot change any replay output — only whether chunk
-    /// decode overlaps the event loop (see [`Machine::overlap_stats`]).
+    /// Pins the decode-ahead helper on or off for this machine, bypassing
+    /// the core gauge that decides by default. Changing it cannot change
+    /// any replay output — only whether chunk decode overlaps the event
+    /// loop (see [`Machine::overlap_stats`]).
     pub fn set_decode_prefetch(&mut self, on: bool) {
-        self.decode_prefetch = on;
+        self.decode_prefetch = Some(on);
     }
 
     /// Decode-overlap telemetry of the replay so far (see [`OverlapStats`]).
@@ -549,6 +518,9 @@ impl<'t> Machine<'t> {
     /// inspectable (see [`Machine::state_digest`]). Running a machine that
     /// has already replayed returns its (unchanged) statistics again.
     pub fn run_mut(&mut self) -> Result<SimStats, SimError> {
+        // This thread is busy replaying (counted once if its caller
+        // already holds a lease).
+        let _busy = CoreGauge::process().lease();
         let key = self.spec_key();
         if !key.specializable() {
             return self.run_loop_generic();
@@ -647,9 +619,10 @@ impl<'t> Machine<'t> {
     /// generic witness — the representation is orthogonal to the
     /// specialization key.
     ///
-    /// When decode-ahead is enabled and the trace is big enough to
-    /// matter (some stream has more than one chunk), the loop body runs
-    /// with a scoped decoder helper thread attached (DESIGN.md §17):
+    /// When the trace is big enough to matter (some stream has more than
+    /// one chunk) and the process has a spare core (or the helper is
+    /// pinned on), the loop body runs with a scoped decoder helper thread
+    /// attached (DESIGN.md §17):
     /// `fetch_event` requests the next chunk as it enters the current
     /// one, and swap-ins consume ready buffers instead of stalling on
     /// `decode_chunk`. Decode is pure, so the helper cannot change the
@@ -660,18 +633,25 @@ impl<'t> Machine<'t> {
         let Source::Chunked(trace) = self.src else {
             unreachable!("run_loop_spec_chunked requires a chunked source");
         };
-        let overlap = self.decode_prefetch
-            && self.cfg.n_cpus > 0
-            && trace.streams.iter().any(|s| s.n_chunks() > 1);
-        if !overlap {
+        let big = self.cfg.n_cpus > 0 && trace.streams.iter().any(|s| s.n_chunks() > 1);
+        // `Some(core)`: run a helper, holding `core` (`None` when pinned on).
+        let helper_core = match self.decode_prefetch {
+            _ if !big => None,
+            None => CoreGauge::process().try_lease().map(Some),
+            Some(on) => on.then_some(None),
+        };
+        let Some(core) = helper_core else {
             return self.chunked_loop_body::<S>();
-        }
+        };
         let shared = Arc::new(PrefetchShared::new(self.cfg.n_cpus));
         self.prefetch = Some(Arc::clone(&shared));
         let result = std::thread::scope(|scope| {
             let helper = {
                 let shared = Arc::clone(&shared);
-                scope.spawn(move || decode_helper(trace, &shared))
+                scope.spawn(move || {
+                    let _core = core;
+                    decode_helper(trace, &shared)
+                })
             };
             let r = self.chunked_loop_body::<S>();
             shared.shutdown();

@@ -2,10 +2,10 @@
 //! coherence, classification, synchronization, and the block-operation
 //! schemes.
 
-use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
+use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimErrorKind, SimStats};
 use oscache_trace::{
-    Addr, BarrierId, BlockId, CoherenceCategory, DataClass, LockId, Mode, StreamBuilder, Trace,
-    TraceMeta,
+    Addr, BarrierId, BlockId, ChunkedTrace, CoherenceCategory, DataClass, Event, LockId, Mode,
+    Stream, StreamBuilder, Trace, TraceMeta,
 };
 
 /// Builds a 4-CPU trace with one basic block available and hands each CPU's
@@ -436,4 +436,25 @@ fn smaller_cache_misses_more() {
         small.cpus[0].l1d_read_misses.os,
         big.cpus[0].l1d_read_misses.os
     );
+}
+
+/// A chunked trace memoizes a failed validation too: every machine built
+/// over it after the failure is still rejected, with the same typed error.
+#[test]
+fn chunked_machine_rejects_a_trace_that_already_failed_validation() {
+    let mut t = trace_with(|_, _| ());
+    let leak = Event::LockAcquire {
+        lock: LockId(1),
+        addr: Addr(0x0100_0000),
+    };
+    t.streams[2] = Stream::from_events(vec![leak]);
+    let ct = ChunkedTrace::from_trace(&t);
+    let first = ct.validate().expect_err("a lock held at end is invalid");
+    assert_eq!(ct.validate(), Err(first.clone()));
+    for _ in 0..2 {
+        let err = Machine::new_chunked(MachineConfig::base(), &ct)
+            .err()
+            .expect("machine must reject the trace");
+        assert_eq!(err.kind, SimErrorKind::Trace(first.clone()));
+    }
 }

@@ -29,7 +29,7 @@ use crate::{
     Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, Stream, Trace,
     TraceError, TraceMeta,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Default events per chunk. 4096 events decode to a 64 KiB window —
@@ -697,33 +697,47 @@ impl<'a> IntoIterator for &'a ChunkedStream {
 
 /// A whole trace in chunked form: per-CPU [`ChunkedStream`]s plus the
 /// same shared [`TraceMeta`] a materialized [`Trace`] carries.
+///
+/// The first [`ChunkedTrace::validate`] scans every event and memoizes
+/// its result; later calls (and clones) answer from the memo, so a trace
+/// that many machines replay is scanned once (DESIGN.md §16). Mutating
+/// `streams` or `meta` after validation is a logic error: debug builds
+/// re-scan on every memoized `Ok` to catch a stale memo.
 #[derive(Clone, Debug, Default)]
 pub struct ChunkedTrace {
     /// Per-CPU chunked reference streams.
     pub streams: Vec<ChunkedStream>,
     /// Code layout, kernel variables, kernel data ranges.
     pub meta: TraceMeta,
+    /// The memoized result of the validation scan.
+    validated: OnceLock<Result<(), TraceError>>,
 }
 
 impl ChunkedTrace {
     /// An empty chunked trace with `n_cpus` streams.
     pub fn new(n_cpus: usize, meta: TraceMeta) -> Self {
+        Self::from_parts((0..n_cpus).map(|_| ChunkedStream::new()).collect(), meta)
+    }
+
+    /// A chunked trace over the given streams, not yet validated.
+    fn from_parts(streams: Vec<ChunkedStream>, meta: TraceMeta) -> Self {
         ChunkedTrace {
-            streams: (0..n_cpus).map(|_| ChunkedStream::new()).collect(),
+            streams,
             meta,
+            validated: OnceLock::new(),
         }
     }
 
     /// Encodes a materialized trace (default chunk capacity).
     pub fn from_trace(trace: &Trace) -> Self {
-        ChunkedTrace {
-            streams: trace
+        Self::from_parts(
+            trace
                 .streams
                 .iter()
                 .map(ChunkedStream::from_stream)
                 .collect(),
-            meta: trace.meta.clone(),
-        }
+            trace.meta.clone(),
+        )
     }
 
     /// Decodes into a materialized [`Trace`].
@@ -758,7 +772,8 @@ impl ChunkedTrace {
     /// [`ChunkedStream::spill_residents`] over every stream: stream `k`
     /// spills into `store`'s CPU-`k` segment. Used to push analysis
     /// intermediates (transform outputs built without a spill target)
-    /// under the budget after the fact. Returns bytes spilled.
+    /// under the budget after the fact. Returns bytes spilled. Moving
+    /// bytes to disk changes no event, so a memoized validation stays.
     pub fn spill_residents(&mut self, store: &Arc<SpillStore>, budget: &Arc<MemBudget>) -> u64 {
         self.streams
             .iter_mut()
@@ -768,8 +783,23 @@ impl ChunkedTrace {
     }
 
     /// Checks every structural invariant [`Trace::validate`] checks,
-    /// streaming chunk-by-chunk (one decode window per stream).
+    /// streaming chunk-by-chunk (one decode window per stream). Only the
+    /// first call scans; later calls return the memoized result.
     pub fn validate(&self) -> Result<(), TraceError> {
+        let mut scanned = false;
+        let result = self.validated.get_or_init(|| {
+            scanned = true;
+            self.scan()
+        });
+        debug_assert!(
+            scanned || result.is_err() || self.scan().is_ok(),
+            "ChunkedTrace mutated after it was validated"
+        );
+        result.clone()
+    }
+
+    /// The full validation scan behind [`ChunkedTrace::validate`].
+    fn scan(&self) -> Result<(), TraceError> {
         let mut v = TraceValidator::new(&self.meta, self.n_cpus())?;
         for (cpu, stream) in self.streams.iter().enumerate() {
             let mut st = v.stream_state();
@@ -782,7 +812,8 @@ impl ChunkedTrace {
     }
 
     /// Like [`ChunkedTrace::validate`], additionally requiring exactly
-    /// `expected` CPU streams.
+    /// `expected` CPU streams. The CPU-count check is O(1) and runs on
+    /// every call; the scan is memoized.
     pub fn validate_for_cpus(&self, expected: usize) -> Result<(), TraceError> {
         if self.n_cpus() != expected {
             return Err(TraceError::CpuCountMismatch {
@@ -1047,14 +1078,13 @@ mod tests {
     fn post_hoc_spill_conversion_is_transparent() {
         let events: Vec<Event> = (0..100).map(|k| Event::Idle { cycles: k + 1 }).collect();
         let inline = ChunkedStream::from_events(events.clone(), 8);
-        let mut t = ChunkedTrace {
-            streams: vec![inline.clone()],
-            meta: TraceMeta::default(),
-        };
+        let mut t = ChunkedTrace::from_parts(vec![inline.clone()], TraceMeta::default());
+        t.validate().expect("idle stream is valid");
         let store = test_store("chunk-posthoc", 1);
         let budget = tiny_budget();
         let spilled_bytes = t.spill_residents(&store, &budget);
         assert_eq!(spilled_bytes, inline.byte_len() as u64);
+        assert_eq!(t.validated.get(), Some(&Ok(())), "spilling kept the memo");
         assert_eq!(t.spilled_chunks(), inline.n_chunks());
         assert_eq!(t.streams[0], inline);
         let back: Vec<Event> = t.streams[0].iter().collect();
@@ -1079,22 +1109,54 @@ mod tests {
         assert_eq!(budget.resident_bytes(), s.byte_len() as u64);
     }
 
+    /// A one-CPU trace that acquires lock 3 and never releases it.
+    fn lock_leak() -> ChunkedTrace {
+        let acquire = Event::LockAcquire {
+            lock: LockId(3),
+            addr: Addr(0x40),
+        };
+        ChunkedTrace::from_parts(
+            vec![ChunkedStream::from_events(vec![acquire], 1)],
+            TraceMeta::default(),
+        )
+    }
+
     #[test]
     fn chunked_validate_rejects_violations() {
-        // A lock held at end of stream, straddling 1-event chunks.
-        let t = ChunkedTrace {
-            streams: vec![ChunkedStream::from_events(
-                vec![Event::LockAcquire {
-                    lock: LockId(3),
-                    addr: Addr(0x40),
-                }],
-                1,
-            )],
-            meta: TraceMeta::default(),
-        };
-        assert!(matches!(
-            t.validate(),
-            Err(TraceError::LockHeldAtEnd { .. })
-        ));
+        let bad = lock_leak();
+        assert!(bad.validated.get().is_none(), "no scan before validate");
+        let first = bad.validate();
+        assert!(matches!(first, Err(TraceError::LockHeldAtEnd { .. })));
+        assert_eq!(bad.validate(), first, "a repeat returns the same error");
+        // The CPU-count check runs before the memo on every call.
+        assert_eq!(
+            bad.validate_for_cpus(2),
+            Err(TraceError::CpuCountMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        assert_eq!(bad.validate_for_cpus(1), first);
+    }
+
+    #[test]
+    fn clones_keep_the_memo() {
+        let good = ChunkedTrace::from_trace(&Trace::new(2, TraceMeta::default()));
+        assert!(good.clone().validated.get().is_none());
+        good.validate().expect("empty trace is valid");
+        assert_eq!(good.clone().validated.get(), Some(&Ok(())));
+        let bad = lock_leak();
+        let err = bad.validate().unwrap_err();
+        assert_eq!(bad.clone().validated.get(), Some(&Err(err)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "mutated after it was validated")]
+    fn debug_builds_catch_a_stale_memo() {
+        let mut t = ChunkedTrace::from_trace(&Trace::new(1, TraceMeta::default()));
+        t.validate().expect("empty trace is valid");
+        t.streams[0] = lock_leak().streams.remove(0);
+        let _ = t.validate();
     }
 }
