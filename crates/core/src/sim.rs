@@ -566,11 +566,10 @@ pub fn prepare_from_analysis_chunked_cancellable(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    // Validate the working trace here, so the scan is charged to
-    // preparation rather than to the timed final run. The trace memoizes
-    // the result: the final run's `Machine::new_chunked` answers from the
-    // memo, and a base trace that many cells share is scanned once, by
-    // whichever cell (or BCPref profiling replay) reaches it first.
+    // Reject an invalid working trace before the timed final run. For
+    // every trace the encoder vouched for this reads no chunk back: its
+    // streams carry the facts that prove it valid. Only a trace with a
+    // violation pays the full scan, which names the offending event.
     let working: &ChunkedTrace = out.as_deref().unwrap_or(trace);
     working
         .validate_for_cpus(trace.n_cpus())

@@ -175,9 +175,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
     }
 }
 
-/// A trace validated in memory keeps its memoized validation when its
-/// chunks move to disk, and the machine built over the spilled trace (which
-/// answers validation from the memo) replays exactly as before the spill.
+/// A trace validated in memory stays valid when its chunks move to disk,
+/// and the machine built over the spilled trace (which answers validation
+/// from the encoder's facts) replays exactly as before the spill.
 #[test]
 fn validate_then_spill_then_replay_is_transparent() {
     let mut rng = SmallRng::seed_from_u64(0x5B11_AA1D);
@@ -188,7 +188,7 @@ fn validate_then_spill_then_replay_is_transparent() {
     let expected = before.run_mut().expect("replay in memory");
     let digest = before.state_digest();
     drop(before);
-    let _store = spill_fully(&mut ct, "memo", 0, None);
+    let _store = spill_fully(&mut ct, "facts", 0, None);
     assert!(
         ct.spilled_chunks() > 0,
         "nothing spilled — the test is vacuous"
@@ -243,6 +243,137 @@ fn bit_flipped_frames_salvage_to_identical_decode() {
     assert!(
         store.salvage_count() > 0,
         "the fault plan never fired — the salvage path went untested"
+    );
+}
+
+/// Validation reads no spilled byte back, so the first reader of a
+/// corrupted frame is the replay itself — with the decode-ahead helper
+/// pinned on, often the helper thread. Each bad frame must still be
+/// salvaged exactly once (the helper and the event loop may reach it
+/// together), and the statistics must match the pristine in-memory replay.
+#[test]
+fn replay_salvages_each_bad_frame_once_with_the_helper_on() {
+    let mut rng = SmallRng::seed_from_u64(0xB17F_0BCE);
+    let t = random_trace(&mut rng);
+    let inmem = chunk_with_capacity(&t, 3);
+    let mut spilled = chunk_with_capacity(&t, 3);
+    let pristine: Vec<Vec<Option<Vec<u8>>>> = inmem
+        .streams
+        .iter()
+        .map(|s| (0..s.n_chunks()).map(|c| s.chunk_bytes(c)).collect())
+        .collect();
+    let plan = IoFaultPlan {
+        seed: 0x0BAD_F1A6,
+        class: Some(IoFaultClass::BitFlip),
+    };
+    let store = spill_fully(&mut spilled, "replay-salvage", 0, Some(plan));
+    store.set_rebuilder(Box::new(move |cpu, chunk| {
+        pristine.get(cpu)?.get(chunk)?.clone()
+    }));
+    assert_eq!(
+        spilled.spilled_chunks(),
+        inmem.streams.iter().map(|s| s.n_chunks()).sum()
+    );
+    // Every chunk spilled in order, so frame ordinal = chunk index.
+    let flipped: u64 = (0..spilled.n_cpus())
+        .map(|cpu| {
+            (0..spilled.streams[cpu].n_chunks() as u32)
+                .filter(|&f| plan.fires(cpu as u32, f).is_some())
+                .count() as u64
+        })
+        .sum();
+    assert!(
+        flipped > 0,
+        "the fault plan never fired — the test is vacuous"
+    );
+    assert_eq!(spilled.validate(), Ok(()));
+    assert_eq!(store.salvage_count(), 0, "validation read a frame back");
+    let mut reference = Machine::new_chunked(MachineConfig::base(), &inmem).unwrap();
+    reference.set_decode_prefetch(false);
+    let expected = reference.run_mut().expect("in-memory replay");
+    for round in 0..2 {
+        let mut m = Machine::new_chunked(MachineConfig::base(), &spilled).unwrap();
+        m.set_decode_prefetch(true);
+        assert_eq!(m.run_mut().as_ref(), Ok(&expected), "round {round}");
+        assert_eq!(m.state_digest(), reference.state_digest(), "round {round}");
+        assert_eq!(store.salvage_count(), flipped, "round {round}");
+    }
+}
+
+/// Set in the child process [`unrecoverable_frame_fails_the_replay_cleanly`]
+/// spawns; the child runs the failing replay with real stderr.
+const CHILD_ENV: &str = "OSCACHE_UNRECOVERABLE_FRAME_CHILD";
+
+/// A torn frame with no rebuilder is unrecoverable. With the helper pinned
+/// on, the replay must end as a caught panic on the replaying thread — the
+/// payload the cell supervisor records as a typed `panic` cell failure —
+/// without hanging, aborting, or printing a bare helper-thread panic.
+/// The failing replay runs in a child test process so its stderr can be
+/// inspected.
+#[test]
+fn unrecoverable_frame_fails_the_replay_cleanly() {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        let mut rng = SmallRng::seed_from_u64(0x70B1_D00D);
+        let t = random_trace(&mut rng);
+        let mut ct = chunk_with_capacity(&t, 2);
+        let store = spill_fully(&mut ct, "unrecoverable", 0, None);
+        // Tear the second half of every segment: early chunks still
+        // decode, later ones fail mid-replay.
+        for cpu in 0..ct.n_cpus() {
+            let f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(store.segment_path(cpu))
+                .expect("open segment");
+            let len = f.metadata().expect("segment metadata").len();
+            f.set_len(len / 2).expect("truncate segment");
+        }
+        assert_eq!(ct.validate(), Ok(()), "validation must not read frames");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut m = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+            m.set_decode_prefetch(true);
+            m.run_mut()
+        }));
+        let payload = outcome.expect_err("a torn frame without a rebuilder must fail the replay");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("unrecoverable spill frame"), "{msg}");
+        assert_eq!(store.salvage_count(), 0);
+        return;
+    }
+    let mut child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "--exact",
+            "unrecoverable_frame_fails_the_replay_cleanly",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(CHILD_ENV, "1")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn child test");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the failing replay hung");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed: {stdout}\n{stderr}");
+    assert!(stdout.contains("1 passed"), "child ran no test: {stdout}");
+    // The panic line reads `thread '<unnamed>' panicked` or, on newer
+    // toolchains, `thread '<unnamed>' (<tid>) panicked`.
+    assert!(
+        !stderr
+            .lines()
+            .any(|l| l.starts_with("thread '<unnamed>'") && l.contains("panicked")),
+        "a helper-thread panic leaked to stderr:\n{stderr}"
     );
 }
 

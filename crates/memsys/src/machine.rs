@@ -262,11 +262,27 @@ impl PrefetchShared {
     }
 }
 
+/// Shuts the helper down when dropped, so an event loop that unwinds (an
+/// unrecoverable spilled frame panics it) still releases the helper and
+/// the enclosing thread scope can join it instead of waiting forever.
+struct StopHelper<'a>(&'a PrefetchShared);
+
+impl Drop for StopHelper<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 /// The decoder helper's run loop: pop a request, decode the chunk into a
 /// recycled buffer with the lock released, publish it into the CPU's ready
 /// slot. Decode purity makes the helper invisible to replay semantics —
 /// it only ever produces the same bytes→events mapping `fetch_event`
 /// would have computed synchronously.
+///
+/// A spilled chunk that can be neither read nor salvaged is not published:
+/// the event loop then decodes it synchronously and fails on its own
+/// thread, where the cell's supervision catches it. The helper never
+/// panics, so no bare helper-thread panic reaches stderr.
 fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
     loop {
         let (cpu, chunk, mut buf) = {
@@ -282,8 +298,12 @@ fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
                 st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        trace.streams[cpu].decode_chunk(chunk, &mut buf);
+        let decoded = trace.streams[cpu].try_decode_chunk(chunk, &mut buf);
         let mut st = shared.lock();
+        if decoded.is_err() {
+            st.spares.push(buf);
+            continue;
+        }
         if let Some((_, old)) = st.ready[cpu].replace((chunk, buf)) {
             // A stale ready entry the consumer never took (backward scan).
             st.spares.push(old);
@@ -389,9 +409,9 @@ impl<'t> Machine<'t> {
         Self::with_recording_chunked(cfg, trace, true)
     }
 
-    /// [`Machine::with_recording`] over a chunked trace. The trace
-    /// memoizes its validation, so only the first machine over a given
-    /// trace pays the O(events) scan; every later one reuses the result.
+    /// [`Machine::with_recording`] over a chunked trace. Validation is
+    /// answered from the facts the trace's encoder recorded, so a valid
+    /// trace costs no O(events) scan however many machines replay it.
     pub fn with_recording_chunked(
         cfg: MachineConfig,
         trace: &'t ChunkedTrace,
@@ -653,8 +673,9 @@ impl<'t> Machine<'t> {
                     decode_helper(trace, &shared)
                 })
             };
+            let stop = StopHelper(&shared);
             let r = self.chunked_loop_body::<S>();
-            shared.shutdown();
+            drop(stop);
             let _ = helper.join();
             r
         });

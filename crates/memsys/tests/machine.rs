@@ -438,8 +438,8 @@ fn smaller_cache_misses_more() {
     );
 }
 
-/// A chunked trace memoizes a failed validation too: every machine built
-/// over it after the failure is still rejected, with the same typed error.
+/// A chunked trace that failed validation keeps failing it: every machine
+/// built over it afterwards is rejected, with the same typed error.
 #[test]
 fn chunked_machine_rejects_a_trace_that_already_failed_validation() {
     let mut t = trace_with(|_, _| ());

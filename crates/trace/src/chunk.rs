@@ -24,12 +24,12 @@
 //!   bitwise simulation-equivalence guarantee stands on.
 
 use crate::spill::{FrameRef, MemBudget, SpillStore, SpillTarget};
-use crate::validate::TraceValidator;
+use crate::validate::{check_meta, facts_prove_valid, StreamFacts, StreamProver, TraceValidator};
 use crate::{
     Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, Stream, Trace,
     TraceError, TraceMeta,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default events per chunk. 4096 events decode to a 64 KiB window —
@@ -340,15 +340,30 @@ impl EncodedChunk {
 
     /// Appends this chunk's decoded events to `out`.
     pub fn decode_into(&self, out: &mut Vec<Event>) {
-        out.reserve(self.len());
-        self.with_bytes(|bytes| {
-            let mut pos = 0usize;
-            let mut last = 0u32;
-            for _ in 0..self.n_events {
-                out.push(decode_event(bytes, &mut pos, &mut last));
+        self.with_bytes(|bytes| self.decode_bytes(bytes, out));
+    }
+
+    /// [`EncodedChunk::decode_into`], answering a spilled frame that can
+    /// be neither read nor salvaged with an error message instead of a
+    /// panic (see [`SpillStore::try_frame_bytes`]).
+    fn try_decode_into(&self, out: &mut Vec<Event>) -> Result<(), String> {
+        match &self.payload {
+            ChunkPayload::Inline(b) => self.decode_bytes(b, out),
+            ChunkPayload::Spilled { store, frame } => {
+                self.decode_bytes(&store.try_frame_bytes(frame)?, out);
             }
-            debug_assert_eq!(pos, bytes.len(), "trailing bytes in chunk");
-        });
+        }
+        Ok(())
+    }
+
+    fn decode_bytes(&self, bytes: &[u8], out: &mut Vec<Event>) {
+        out.reserve(self.len());
+        let mut pos = 0usize;
+        let mut last = 0u32;
+        for _ in 0..self.n_events {
+            out.push(decode_event(bytes, &mut pos, &mut last));
+        }
+        debug_assert_eq!(pos, bytes.len(), "trailing bytes in chunk");
     }
 }
 
@@ -372,7 +387,10 @@ impl Eq for EncodedChunk {}
 ///
 /// Only the current (partial) chunk's bytes are mutable state; completed
 /// chunks are sealed as they fill, so a builder's peak overhead over the
-/// encoded output is one chunk's bytes.
+/// encoded output is one chunk's bytes. Every pushed event also runs
+/// through the trace validator, and the finished stream records what that
+/// proved, so validating a trace never reads its chunks back
+/// (DESIGN.md §16).
 #[derive(Debug)]
 pub struct ChunkedStreamBuilder {
     capacity: usize,
@@ -382,6 +400,7 @@ pub struct ChunkedStreamBuilder {
     last_addr: u32,
     len: usize,
     spill: Option<SpillTarget>,
+    prover: StreamProver,
 }
 
 impl ChunkedStreamBuilder {
@@ -406,6 +425,7 @@ impl ChunkedStreamBuilder {
             last_addr: 0,
             len: 0,
             spill: None,
+            prover: StreamProver::new(),
         }
     }
 
@@ -423,6 +443,7 @@ impl ChunkedStreamBuilder {
 
     /// Appends one event.
     pub fn push(&mut self, e: Event) {
+        self.prover.push(self.len, &e);
         encode_event(&mut self.cur, &mut self.last_addr, &e);
         self.cur_events += 1;
         self.len += 1;
@@ -467,6 +488,7 @@ impl ChunkedStreamBuilder {
             chunks: self.chunks,
             len: self.len,
             capacity: self.capacity,
+            facts: self.prover.finish(),
         }
     }
 }
@@ -508,6 +530,10 @@ pub struct ChunkedStream {
     chunks: Vec<EncodedChunk>,
     len: usize,
     capacity: usize,
+    /// What the encoder proved about the events (see
+    /// [`ChunkedTrace::validate`]). Private, and set only when the stream
+    /// is sealed, so it always describes exactly these events.
+    facts: StreamFacts,
 }
 
 impl ChunkedStream {
@@ -517,6 +543,7 @@ impl ChunkedStream {
             chunks: Vec::new(),
             len: 0,
             capacity: CHUNK_EVENTS,
+            facts: StreamFacts::default(),
         }
     }
 
@@ -573,6 +600,17 @@ impl ChunkedStream {
     pub fn decode_chunk(&self, c: usize, out: &mut Vec<Event>) {
         out.clear();
         self.chunks[c].decode_into(out);
+    }
+
+    /// [`ChunkedStream::decode_chunk`] for callers that must not panic: a
+    /// spilled chunk that can be neither read nor salvaged is an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
+    pub fn try_decode_chunk(&self, c: usize, out: &mut Vec<Event>) -> Result<(), String> {
+        out.clear();
+        self.chunks[c].try_decode_into(out)
     }
 
     /// The encoded bytes of chunk `c`, materialized — the extraction hook
@@ -698,46 +736,36 @@ impl<'a> IntoIterator for &'a ChunkedStream {
 /// A whole trace in chunked form: per-CPU [`ChunkedStream`]s plus the
 /// same shared [`TraceMeta`] a materialized [`Trace`] carries.
 ///
-/// The first [`ChunkedTrace::validate`] scans every event and memoizes
-/// its result; later calls (and clones) answer from the memo, so a trace
-/// that many machines replay is scanned once (DESIGN.md §16). Mutating
-/// `streams` or `meta` after validation is a logic error: debug builds
-/// re-scan on every memoized `Ok` to catch a stale memo.
+/// Each stream carries what its encoder proved about its events, so
+/// [`ChunkedTrace::validate`] is O(streams + barriers) for every trace the
+/// encoder can vouch for, and never reads chunk bytes back (DESIGN.md §16).
 #[derive(Clone, Debug, Default)]
 pub struct ChunkedTrace {
     /// Per-CPU chunked reference streams.
     pub streams: Vec<ChunkedStream>,
     /// Code layout, kernel variables, kernel data ranges.
     pub meta: TraceMeta,
-    /// The memoized result of the validation scan.
-    validated: OnceLock<Result<(), TraceError>>,
 }
 
 impl ChunkedTrace {
     /// An empty chunked trace with `n_cpus` streams.
     pub fn new(n_cpus: usize, meta: TraceMeta) -> Self {
-        Self::from_parts((0..n_cpus).map(|_| ChunkedStream::new()).collect(), meta)
-    }
-
-    /// A chunked trace over the given streams, not yet validated.
-    fn from_parts(streams: Vec<ChunkedStream>, meta: TraceMeta) -> Self {
         ChunkedTrace {
-            streams,
+            streams: (0..n_cpus).map(|_| ChunkedStream::new()).collect(),
             meta,
-            validated: OnceLock::new(),
         }
     }
 
     /// Encodes a materialized trace (default chunk capacity).
     pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_parts(
-            trace
+        ChunkedTrace {
+            streams: trace
                 .streams
                 .iter()
                 .map(ChunkedStream::from_stream)
                 .collect(),
-            trace.meta.clone(),
-        )
+            meta: trace.meta.clone(),
+        }
     }
 
     /// Decodes into a materialized [`Trace`].
@@ -773,7 +801,7 @@ impl ChunkedTrace {
     /// spills into `store`'s CPU-`k` segment. Used to push analysis
     /// intermediates (transform outputs built without a spill target)
     /// under the budget after the fact. Returns bytes spilled. Moving
-    /// bytes to disk changes no event, so a memoized validation stays.
+    /// bytes to disk changes no event, so the streams' facts stay.
     pub fn spill_residents(&mut self, store: &Arc<SpillStore>, budget: &Arc<MemBudget>) -> u64 {
         self.streams
             .iter_mut()
@@ -782,23 +810,22 @@ impl ChunkedTrace {
             .sum()
     }
 
-    /// Checks every structural invariant [`Trace::validate`] checks,
-    /// streaming chunk-by-chunk (one decode window per stream). Only the
-    /// first call scans; later calls return the memoized result.
+    /// Checks every structural invariant [`Trace::validate`] checks.
+    ///
+    /// The metadata checks run every time. The event invariants are
+    /// answered from the facts each stream's encoder recorded; when they
+    /// cannot prove the trace valid, the full scan runs instead and
+    /// returns the first violation, exactly as [`Trace::validate`] would.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut scanned = false;
-        let result = self.validated.get_or_init(|| {
-            scanned = true;
-            self.scan()
-        });
-        debug_assert!(
-            scanned || result.is_err() || self.scan().is_ok(),
-            "ChunkedTrace mutated after it was validated"
-        );
-        result.clone()
+        check_meta(&self.meta)?;
+        if facts_prove_valid(&self.meta, self.streams.iter().map(|s| &s.facts)) {
+            return Ok(());
+        }
+        self.scan()
     }
 
-    /// The full validation scan behind [`ChunkedTrace::validate`].
+    /// The full validation scan, streaming chunk-by-chunk (one decode
+    /// window per stream): the error path of [`ChunkedTrace::validate`].
     fn scan(&self) -> Result<(), TraceError> {
         let mut v = TraceValidator::new(&self.meta, self.n_cpus())?;
         for (cpu, stream) in self.streams.iter().enumerate() {
@@ -812,8 +839,7 @@ impl ChunkedTrace {
     }
 
     /// Like [`ChunkedTrace::validate`], additionally requiring exactly
-    /// `expected` CPU streams. The CPU-count check is O(1) and runs on
-    /// every call; the scan is memoized.
+    /// `expected` CPU streams (an O(1) check, made first).
     pub fn validate_for_cpus(&self, expected: usize) -> Result<(), TraceError> {
         if self.n_cpus() != expected {
             return Err(TraceError::CpuCountMismatch {
@@ -1078,13 +1104,15 @@ mod tests {
     fn post_hoc_spill_conversion_is_transparent() {
         let events: Vec<Event> = (0..100).map(|k| Event::Idle { cycles: k + 1 }).collect();
         let inline = ChunkedStream::from_events(events.clone(), 8);
-        let mut t = ChunkedTrace::from_parts(vec![inline.clone()], TraceMeta::default());
+        let mut t = ChunkedTrace {
+            streams: vec![inline.clone()],
+            meta: TraceMeta::default(),
+        };
         t.validate().expect("idle stream is valid");
         let store = test_store("chunk-posthoc", 1);
         let budget = tiny_budget();
         let spilled_bytes = t.spill_residents(&store, &budget);
         assert_eq!(spilled_bytes, inline.byte_len() as u64);
-        assert_eq!(t.validated.get(), Some(&Ok(())), "spilling kept the memo");
         assert_eq!(t.spilled_chunks(), inline.n_chunks());
         assert_eq!(t.streams[0], inline);
         let back: Vec<Event> = t.streams[0].iter().collect();
@@ -1115,20 +1143,20 @@ mod tests {
             lock: LockId(3),
             addr: Addr(0x40),
         };
-        ChunkedTrace::from_parts(
-            vec![ChunkedStream::from_events(vec![acquire], 1)],
-            TraceMeta::default(),
-        )
+        ChunkedTrace {
+            streams: vec![ChunkedStream::from_events(vec![acquire], 1)],
+            meta: TraceMeta::default(),
+        }
     }
 
     #[test]
     fn chunked_validate_rejects_violations() {
         let bad = lock_leak();
-        assert!(bad.validated.get().is_none(), "no scan before validate");
+        assert!(!bad.streams[0].facts.clean, "the encoder saw the leak");
         let first = bad.validate();
         assert!(matches!(first, Err(TraceError::LockHeldAtEnd { .. })));
         assert_eq!(bad.validate(), first, "a repeat returns the same error");
-        // The CPU-count check runs before the memo on every call.
+        // The CPU-count check runs before the facts on every call.
         assert_eq!(
             bad.validate_for_cpus(2),
             Err(TraceError::CpuCountMismatch {
@@ -1140,23 +1168,113 @@ mod tests {
     }
 
     #[test]
-    fn clones_keep_the_memo() {
-        let good = ChunkedTrace::from_trace(&Trace::new(2, TraceMeta::default()));
-        assert!(good.clone().validated.get().is_none());
-        good.validate().expect("empty trace is valid");
-        assert_eq!(good.clone().validated.get(), Some(&Ok(())));
-        let bad = lock_leak();
-        let err = bad.validate().unwrap_err();
-        assert_eq!(bad.clone().validated.get(), Some(&Err(err)));
+    fn encoder_records_what_validation_needs() {
+        let mut meta = TraceMeta::default();
+        let site = meta.code.add_site("p", false);
+        for k in 0..4 {
+            meta.code.add_block(Addr(0x100 + 16 * k), 3, site);
+        }
+        let arrive = |barrier, participants| Event::Barrier {
+            barrier: BarrierId(barrier),
+            addr: Addr(0x80),
+            participants,
+        };
+        let events = vec![
+            Event::Exec { block: BlockId(2) },
+            arrive(5, 2),
+            Event::Exec { block: BlockId(0) },
+            arrive(1, 2),
+            arrive(5, 2),
+        ];
+        let s = ChunkedStream::from_events(events, 2);
+        let facts = &s.facts;
+        assert!(facts.clean);
+        assert_eq!(facts.block_end, 3);
+        assert_eq!(facts.barriers, vec![(BarrierId(1), 2), (BarrierId(5), 2)]);
+        assert_eq!(ChunkedStream::new().facts, StreamFacts::default());
+        let t = ChunkedTrace {
+            streams: vec![s.clone(), s],
+            meta,
+        };
+        assert!(facts_prove_valid(
+            &t.meta,
+            t.streams.iter().map(|s| &s.facts)
+        ));
+        assert_eq!(t.validate(), Ok(()));
+        // One CPU is too few for a two-participant barrier: not proven,
+        // and the scan names the first arrival.
+        let solo = ChunkedTrace {
+            streams: vec![t.streams[0].clone()],
+            meta: t.meta.clone(),
+        };
+        assert!(!facts_prove_valid(
+            &solo.meta,
+            solo.streams.iter().map(|s| &s.facts)
+        ));
+        assert!(matches!(
+            solo.validate(),
+            Err(TraceError::BarrierParticipants {
+                cpu: 0,
+                index: 1,
+                ..
+            })
+        ));
     }
 
-    #[cfg(debug_assertions)]
+    /// Overwrites the on-disk payload of every spilled chunk of `t`.
+    fn corrupt_every_frame(t: &ChunkedTrace) -> usize {
+        use std::os::unix::fs::FileExt;
+        let mut hit = 0;
+        for s in &t.streams {
+            for c in &s.chunks {
+                let ChunkPayload::Spilled { store, frame } = &c.payload else {
+                    continue;
+                };
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(store.segment_path(frame.cpu as usize))
+                    .expect("open segment");
+                f.write_all_at(&vec![0xA5; frame.len as usize], frame.offset)
+                    .expect("corrupt frame");
+                hit += 1;
+            }
+        }
+        hit
+    }
+
     #[test]
-    #[should_panic(expected = "mutated after it was validated")]
-    fn debug_builds_catch_a_stale_memo() {
-        let mut t = ChunkedTrace::from_trace(&Trace::new(1, TraceMeta::default()));
-        t.validate().expect("empty trace is valid");
-        t.streams[0] = lock_leak().streams.remove(0);
-        let _ = t.validate();
+    fn validation_reads_nothing_back() {
+        let events: Vec<Event> = all_kinds()
+            .into_iter()
+            .filter(|e| !matches!(e, Event::Exec { .. } | Event::Barrier { .. }))
+            .collect();
+        // Built spilling at seal, and spilled after the fact.
+        let store = test_store("chunk-noread", 2);
+        let mut b = ChunkedStreamBuilder::with_spill(SpillTarget {
+            store: store.clone(),
+            cpu: 0,
+            budget: tiny_budget(),
+        });
+        b.capacity = 3;
+        for e in &events {
+            b.push(*e);
+        }
+        let at_seal = b.finish();
+        let mut post_hoc = ChunkedStream::from_events(events.clone(), 3);
+        let facts = post_hoc.facts.clone();
+        post_hoc.spill_residents(&store, 1, &tiny_budget());
+        assert_eq!(post_hoc.facts, facts, "spilling keeps the facts");
+        let t = ChunkedTrace {
+            streams: vec![at_seal, post_hoc],
+            meta: TraceMeta::default(),
+        };
+        assert_eq!(t.spilled_chunks(), 2 * events.len().div_ceil(3));
+        assert_eq!(corrupt_every_frame(&t), t.spilled_chunks());
+        // No rebuilder is installed: any frame read would panic.
+        assert_eq!(t.validate(), Ok(()));
+        let copy = t.clone();
+        assert_eq!(copy.streams[1].facts, facts, "clones keep the facts");
+        assert_eq!(copy.validate_for_cpus(2), Ok(()));
+        assert_eq!(store.salvage_count(), 0);
     }
 }

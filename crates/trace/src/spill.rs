@@ -46,8 +46,11 @@ use std::sync::{Arc, Mutex};
 
 // ---- CRC-32 (IEEE 802.3, reflected) ----------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic bytewise table, and `t[k][b]`
+/// is the CRC contribution of byte `b` followed by `k` zero bytes, so eight
+/// lookups fold a whole 8-byte word into the running CRC.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -60,19 +63,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[n] = c;
+        t[0][n] = c;
         n += 1;
     }
-    table
+    let mut n = 0;
+    while n < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][n];
+            t[k][n] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        n += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes` — the frame and header checksum.
+/// CRC-32 (IEEE) of `bytes` — the frame and header checksum. Eight bytes
+/// per step (slicing-by-8), then bytewise over the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
     !c
 }
@@ -754,8 +782,16 @@ impl SpillStore {
     /// the per-cell supervision layer catches and reports as a typed cell
     /// failure rather than a process abort.
     pub fn frame_bytes(&self, frame: &FrameRef) -> Arc<Vec<u8>> {
+        self.try_frame_bytes(frame)
+            .unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`SpillStore::frame_bytes`] answering an unrecoverable frame with
+    /// the message it would panic with, for callers that must not panic
+    /// (the decode-ahead helper leaves such a chunk to the event loop).
+    pub(crate) fn try_frame_bytes(&self, frame: &FrameRef) -> Result<Arc<Vec<u8>>, String> {
         match self.try_read_frame(frame) {
-            Ok(bytes) => Arc::new(bytes),
+            Ok(bytes) => Ok(Arc::new(bytes)),
             Err(e) => self.salvage(frame, &e),
         }
     }
@@ -807,35 +843,36 @@ impl SpillStore {
 
     /// Quarantine-and-rebuild: re-derive the chunk from the generator,
     /// verify against the recorded CRC, cache, and log one structured
-    /// stderr line.
-    fn salvage(&self, frame: &FrameRef, err: &SpillError) -> Arc<Vec<u8>> {
+    /// stderr line. Single-flight: the replay and its decode-ahead helper
+    /// may hit the same bad frame at once, and it is still salvaged (and
+    /// logged) exactly once. `Err` carries the unrecoverable-frame message.
+    fn salvage(&self, frame: &FrameRef, err: &SpillError) -> Result<Arc<Vec<u8>>, String> {
         let key = (frame.cpu, frame.chunk);
+        let rb = lock_tolerant(&self.rebuilder);
         if let Some(bytes) = lock_tolerant(&self.salvaged).get(&key) {
-            return bytes.clone();
+            return Ok(bytes.clone());
         }
-        let rebuilt = {
-            let rb = lock_tolerant(&self.rebuilder);
-            rb.as_ref()
-                .and_then(|f| f(frame.cpu as usize, frame.chunk as usize))
+        let Some(bytes) = rb
+            .as_ref()
+            .and_then(|f| f(frame.cpu as usize, frame.chunk as usize))
+        else {
+            return Err(format!(
+                "unrecoverable spill frame (no rebuilder or chunk unknown): {err}"
+            ));
         };
-        let Some(bytes) = rebuilt else {
-            panic!("unrecoverable spill frame (no rebuilder or chunk unknown): {err}");
-        };
-        assert_eq!(
-            crc32(&bytes),
-            frame.crc,
-            "rebuilder produced bytes not matching the recorded CRC for {err}"
-        );
+        if crc32(&bytes) != frame.crc {
+            return Err(format!(
+                "rebuilder produced bytes not matching the recorded CRC for {err}"
+            ));
+        }
         eprintln!(
             "warning: class=spill-salvage segment={} frame={} chunk={} msg=\"{}; chunk quarantined and rebuilt from the generator\"",
             err.segment, frame.frame, frame.chunk, err.kind_msg()
         );
         self.salvages.fetch_add(1, Ordering::Relaxed);
         let bytes = Arc::new(bytes);
-        lock_tolerant(&self.salvaged)
-            .entry(key)
-            .or_insert_with(|| bytes.clone())
-            .clone()
+        lock_tolerant(&self.salvaged).insert(key, bytes.clone());
+        Ok(bytes)
     }
 }
 
@@ -882,11 +919,37 @@ mod tests {
         }
     }
 
+    /// The bytewise CRC-32 the sliced one must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise() {
+        use crate::rng::{RngCore, SmallRng};
+        let mut rng = SmallRng::seed_from_u64(0xC3C3_2020);
+        let buf: Vec<u8> = (0..(1 << 20) + 8).map(|_| rng.next_u64() as u8).collect();
+        // Every short length at every alignment: word loop, tail, both.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let b = &buf[start..start + len];
+                assert_eq!(crc32(b), crc32_bytewise(b), "start {start} len {len}");
+            }
+        }
+        let mib = &buf[3..3 + (1 << 20)];
+        assert_eq!(crc32(mib), crc32_bytewise(mib));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! operations stay inside the address space. [`Trace::validate`] reports the
 //! first violation as a typed [`TraceError`]; `read_trace` and
 //! `Machine::new` both call it so malformed input is rejected with a precise
-//! error instead of a panic deep inside replay.
+//! error instead of a panic deep inside replay. Chunked traces run the same
+//! rules while they are encoded ([`StreamProver`]) and keep the outcome as
+//! per-stream [`StreamFacts`], so validating them reads no event back unless
+//! the facts cannot prove the trace valid.
 
 use crate::{BarrierId, BlockId, Event, LockId, Trace, TraceMeta};
 use std::collections::HashMap;
@@ -217,11 +220,13 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The shared per-event validation engine behind [`Trace::validate`] and
-/// `ChunkedTrace::validate`: both drive the same `step`/`finish_stream`
-/// state machine, so the chunked representation is checked against exactly
-/// the invariants the materialized one is — by construction, not by a
-/// parallel copy of the rules.
+/// The shared per-event validation engine behind [`Trace::validate`],
+/// `ChunkedTrace::validate`'s scan and the encoder's [`StreamProver`]: all
+/// three drive the same `step`/`finish_stream` state machine, so the
+/// chunked representation is checked against exactly the invariants the
+/// materialized one is — by construction, not by a parallel copy of the
+/// rules.
+#[derive(Debug)]
 pub(crate) struct TraceValidator {
     n_cpus: usize,
     n_blocks: usize,
@@ -229,6 +234,7 @@ pub(crate) struct TraceValidator {
 }
 
 /// Per-stream validator state (lock set and block-op bracket).
+#[derive(Debug)]
 pub(crate) struct StreamState {
     held: Vec<LockId>,
     in_block_op: bool,
@@ -256,7 +262,29 @@ impl TraceValidator {
     }
 
     /// Checks one event at position `index` of stream `cpu`.
+    #[inline]
     pub(crate) fn step(
+        &mut self,
+        st: &mut StreamState,
+        cpu: usize,
+        index: usize,
+        ev: &Event,
+    ) -> Result<(), TraceError> {
+        // The bulk of every trace, legal inside or outside a block
+        // operation: answered inline, without the bracket or lock state.
+        match *ev {
+            Event::Read { .. } | Event::Write { .. } | Event::Prefetch { .. } => Ok(()),
+            Event::Exec { block } if block.index() >= self.n_blocks => {
+                Err(TraceError::UnknownBlock { cpu, index, block })
+            }
+            Event::Exec { .. } => Ok(()),
+            _ => self.step_control(st, cpu, index, ev),
+        }
+    }
+
+    /// [`TraceValidator::step`] for the synchronization, bracket, mode and
+    /// idle events.
+    fn step_control(
         &mut self,
         st: &mut StreamState,
         cpu: usize,
@@ -282,9 +310,6 @@ impl TraceValidator {
             }
         }
         match *ev {
-            Event::Exec { block } if block.index() >= self.n_blocks => {
-                return Err(TraceError::UnknownBlock { cpu, index, block });
-            }
             Event::LockAcquire { lock, .. } => {
                 if st.held.contains(&lock) {
                     return Err(TraceError::LockAlreadyHeld { cpu, index, lock });
@@ -357,10 +382,125 @@ impl TraceValidator {
     }
 }
 
+/// What encoding proved about one stream on its own. A chunk builder feeds
+/// every event it encodes through a [`StreamProver`] and keeps the result
+/// beside the chunks, so `ChunkedTrace::validate` can decide validity from
+/// these few facts instead of reading the stream back (DESIGN.md §16).
+///
+/// The facts are a function of the pushed event sequence alone: equal
+/// streams carry equal facts, and moving chunk bytes to disk changes
+/// neither.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct StreamFacts {
+    /// No stream-local violation, end-of-stream checks included.
+    pub(crate) clean: bool,
+    /// The largest `Exec` block index plus one (0 with no `Exec`).
+    pub(crate) block_end: usize,
+    /// Each barrier the stream arrives at, with its participant count,
+    /// sorted by barrier id.
+    pub(crate) barriers: Vec<(BarrierId, u8)>,
+}
+
+impl Default for StreamFacts {
+    /// The facts of the empty stream.
+    fn default() -> Self {
+        StreamFacts {
+            clean: true,
+            block_end: 0,
+            barriers: Vec::new(),
+        }
+    }
+}
+
+/// Runs [`TraceValidator::step`] over one stream as it is encoded, in a
+/// per-stream mode with no limit on block ids or CPU count: those two
+/// bounds, and barrier agreement across streams, depend on the whole trace
+/// and are checked against the recorded [`StreamFacts`] instead.
+#[derive(Debug)]
+pub(crate) struct StreamProver {
+    v: TraceValidator,
+    st: StreamState,
+    clean: bool,
+    block_end: usize,
+}
+
+impl StreamProver {
+    pub(crate) fn new() -> Self {
+        let v = TraceValidator {
+            n_cpus: usize::MAX,
+            n_blocks: usize::MAX,
+            barrier_sizes: HashMap::new(),
+        };
+        StreamProver {
+            st: v.stream_state(),
+            v,
+            clean: true,
+            block_end: 0,
+        }
+    }
+
+    /// Checks the stream's `index`-th event. After the first violation
+    /// the stream is known dirty and later events only track `block_end`.
+    #[inline]
+    pub(crate) fn push(&mut self, index: usize, ev: &Event) {
+        if let Event::Exec { block } = *ev {
+            self.block_end = self.block_end.max(block.index() + 1);
+        }
+        if self.clean && self.v.step(&mut self.st, 0, index, ev).is_err() {
+            self.clean = false;
+        }
+    }
+
+    /// Runs the end-of-stream checks and returns what the stream proved.
+    pub(crate) fn finish(self) -> StreamFacts {
+        let StreamProver {
+            mut v,
+            st,
+            clean,
+            block_end,
+        } = self;
+        let clean = clean && v.finish_stream(st, 0).is_ok();
+        let mut barriers: Vec<(BarrierId, u8)> = v.barrier_sizes.into_iter().collect();
+        barriers.sort_unstable();
+        StreamFacts {
+            clean,
+            block_end,
+            barriers,
+        }
+    }
+}
+
+/// True when per-stream `facts` prove that a trace with this `meta` and
+/// one stream per fact passes the full scan: every stream is clean, every
+/// `Exec` resolves against the code layout, and every barrier declares the
+/// same participant count, between 1 and the CPU count, on every stream.
+/// `false` means only "not proven" — the scan then finds the exact error.
+pub(crate) fn facts_prove_valid<'a, I>(meta: &TraceMeta, facts: I) -> bool
+where
+    I: ExactSizeIterator<Item = &'a StreamFacts>,
+{
+    let n_cpus = facts.len();
+    let n_blocks = meta.code.block_count();
+    let mut sizes: HashMap<BarrierId, u8> = HashMap::new();
+    for f in facts {
+        if !f.clean || f.block_end > n_blocks {
+            return false;
+        }
+        for &(barrier, participants) in &f.barriers {
+            if participants as usize > n_cpus
+                || *sizes.entry(barrier).or_insert(participants) != participants
+            {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 /// Metadata invariants: declared kernel variables sit inside the declared
 /// kernel data ranges (when any are declared) and nothing overflows the
 /// 32-bit address space.
-fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
+pub(crate) fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
     for v in &meta.vars {
         let end = match v.addr.0.checked_add(v.size) {
             Some(e) => e,
