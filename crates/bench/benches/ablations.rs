@@ -7,8 +7,8 @@
 
 use oscache_core::runner::{run_cells, Cell};
 use oscache_core::{
-    default_jobs, try_run_spec_audited_chunked, Geometry, RunResult, System, SystemSpec,
-    TraceCache, UpdatePolicy,
+    default_jobs, try_run_spec_audited, Geometry, RunResult, System, SystemSpec, TraceCache,
+    UpdatePolicy,
 };
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::ChunkedTrace;
@@ -46,15 +46,12 @@ fn timed<R>(group: &str, label: &str, f: impl Fn() -> R) -> R {
 }
 
 fn run_cfg(cfg: &MachineConfig) -> SimStats {
-    Machine::new_chunked(cfg.clone(), &trfd())
-        .unwrap()
-        .run()
-        .unwrap()
+    Machine::new(cfg.clone(), &trfd()).unwrap().run().unwrap()
 }
 
 /// One full cell (software passes plus final run) on the TRFD_4 trace.
 fn run_spec(spec: SystemSpec) -> RunResult {
-    try_run_spec_audited_chunked(&trfd(), spec, Geometry::default(), AuditLevel::Off).unwrap()
+    try_run_spec_audited(&trfd(), spec, Geometry::default(), AuditLevel::Off).unwrap()
 }
 
 /// Fans a set of ablation cells out over the parallel runner and returns

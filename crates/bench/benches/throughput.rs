@@ -50,7 +50,7 @@ fn bench_workload_replay() {
         let trace = cache().base_chunked(w, opts());
         let events = trace.total_events() as u64;
         bench("replay_base", w.name(), events, || {
-            let s = Machine::new_chunked(MachineConfig::base(), &trace)
+            let s = Machine::new(MachineConfig::base(), &trace)
                 .unwrap()
                 .run()
                 .unwrap();
@@ -72,10 +72,7 @@ fn bench_schemes() {
     ] {
         let cfg = Geometry::default().machine_config(&sys.spec());
         bench("replay_schemes", sys.label(), events, || {
-            let s = Machine::new_chunked(cfg.clone(), &trace)
-                .unwrap()
-                .run()
-                .unwrap();
+            let s = Machine::new(cfg.clone(), &trace).unwrap().run().unwrap();
             std::hint::black_box(&s);
         });
     }

@@ -287,12 +287,12 @@ fn report_spill(r: &Repro, sup: &Supervision) {
 /// The §2.2 perturbation study: instrument every basic block with an
 /// escape load and show the measured metrics barely move.
 fn perturb(workload: &str, scale: f64) {
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build(
+    let trace = build_chunked(
         w,
         BuildOptions {
             scale,
@@ -426,12 +426,12 @@ fn csv(dir: &str, scale: f64, jobs: usize) {
 }
 
 fn classes(workload: &str, scale: f64) {
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build(
+    let trace = build_chunked(
         w,
         BuildOptions {
             scale,
@@ -467,12 +467,12 @@ fn classes(workload: &str, scale: f64) {
 
 fn conflicts(workload: &str, scale: f64) {
     use oscache_core::analysis::{conflict_matrix, conflicts_are_diffuse};
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build(
+    let trace = build_chunked(
         w,
         BuildOptions {
             scale,
@@ -587,6 +587,7 @@ fn replay(path: &str, system: &str, inject: Option<(oscache_memsys::faults::Faul
             fail("trace-validation", &e.to_string(), EXIT_TRACE_INVALID);
         }
     }
+    let trace = oscache_trace::ChunkedTrace::from_trace(&trace);
     // Replay with the full invariant audit enabled, so a fault that slips
     // past validation is either survived cleanly or reported as a typed
     // simulation error — never a panic.
@@ -619,6 +620,7 @@ fn replay(path: &str, system: &str, inject: Option<(oscache_memsys::faults::Faul
 }
 
 fn main() {
+    set_sigpipe(SIG_DFL);
     let mut scale = 1.0f64;
     let mut jobs = 0usize; // 0 = one worker per hardware thread
     let mut timings = false;
@@ -747,6 +749,7 @@ fn main() {
                 if names.is_empty() {
                     names.push("all".to_string());
                 }
+                set_sigpipe(SIG_IGN);
                 let code = submit(&socket, tcp.as_deref(), &client, deadline_ms, &names);
                 std::process::exit(code);
             }
@@ -1347,13 +1350,32 @@ extern "C" fn on_signal(_sig: i32) {
 
 extern "C" {
     /// libc `signal(2)` — already linked by std, so installing a handler
-    /// needs no new dependency.
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    /// needs no new dependency. `handler` is a `sighandler_t`: a function
+    /// address, [`SIG_DFL`] or [`SIG_IGN`].
+    fn signal(signum: i32, handler: usize) -> usize;
 }
 
-/// `SIGINT` / `SIGTERM` on every platform this repo targets.
+/// `SIGINT` / `SIGPIPE` / `SIGTERM` on every platform this repo targets.
 const SIGINT: i32 = 2;
+const SIGPIPE: i32 = 13;
 const SIGTERM: i32 = 15;
+/// The default and ignore dispositions of `signal(2)`.
+const SIG_DFL: usize = 0;
+const SIG_IGN: usize = 1;
+
+/// Sets the `SIGPIPE` disposition. The Rust runtime ignores `SIGPIPE`,
+/// which turns a closed stdout (`repro ... | head -1`) into a panic in
+/// `println!`; the one-shot commands restore the default so a closed pipe
+/// ends the process quietly, as it does for any other filter. The socket
+/// commands (`serve`, `submit`) ignore it again, so a vanished peer is an
+/// `EPIPE` error on that connection rather than the end of the process.
+fn set_sigpipe(disposition: usize) {
+    // SAFETY: `signal` is the libc function declared above; SIG_DFL and
+    // SIG_IGN are valid dispositions for SIGPIPE.
+    unsafe {
+        signal(SIGPIPE, disposition);
+    }
+}
 
 /// Runs the resident experiment service until SIGTERM/SIGINT or a
 /// `shutdown` op, then drains in-flight cells (journaling them) and
@@ -1366,9 +1388,13 @@ fn serve(
     socket: &str,
     tcp: Option<&str>,
 ) {
+    set_sigpipe(SIG_IGN);
+    let handler = on_signal as extern "C" fn(i32) as usize;
+    // SAFETY: `handler` is the address of `on_signal`, an `extern "C"`
+    // function that only performs an async-signal-safe atomic store.
     unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
+        signal(SIGTERM, handler);
+        signal(SIGINT, handler);
     }
     STOP.store(false, Ordering::SeqCst);
     let journal = sup_opts.open_service_journal(scale);

@@ -1,0 +1,76 @@
+//! The one-shot `repro` commands end to end: a closed stdout ends the
+//! process quietly, and the dump → replay path (the paper's §2.1 monitor
+//! dumps traces and simulates them later) agrees with the cached,
+//! specialized `simulate` path on the same cell.
+
+use std::process::{Command, Output, Stdio};
+
+fn repro() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+fn stdout_of(out: &Output) -> &str {
+    std::str::from_utf8(&out.stdout).expect("utf8 stdout")
+}
+
+/// The `OS misses N` figure of a `replay` or `simulate` report.
+fn os_misses(report: &str) -> u64 {
+    let tail = report
+        .split("OS misses ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no `OS misses` in {report:?}"));
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("OS misses count")
+}
+
+/// `repro simulate ... | head -1` with the reader already gone: the
+/// write fails with a broken pipe, which must end the process without a
+/// panic message (and without the panic exit code 101, which the exit
+/// table does not list).
+#[test]
+fn closed_stdout_ends_quietly() {
+    let mut child = repro()
+        .args(["simulate", "TRFD_4", "Base", "--scale", "0.02"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro");
+    // Close the read end before repro prints anything.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "repro panicked: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "panic exit: {stderr}");
+}
+
+/// A dumped trace replayed under the strict audit (generic loop plus the
+/// fully-recorded profiling machine) reports the same OS misses as the
+/// cached, specialized `simulate` run of the same cell.
+#[test]
+fn replayed_dump_agrees_with_simulate() {
+    let path = std::env::temp_dir().join(format!("oscache-oneshot-{}.trace", std::process::id()));
+    let path_str = path.to_str().expect("utf8 temp path");
+    let dump = repro()
+        .args(["--scale", "0.1", "dump", "TRFD_4", path_str])
+        .output()
+        .expect("run dump");
+    assert!(dump.status.success(), "dump failed: {dump:?}");
+    let replay = repro()
+        .args(["replay", path_str, "BCPref"])
+        .output()
+        .expect("run replay");
+    let _ = std::fs::remove_file(&path);
+    assert!(replay.status.success(), "replay failed: {replay:?}");
+    let simulate = repro()
+        .args(["simulate", "TRFD_4", "BCPref", "--scale", "0.1"])
+        .output()
+        .expect("run simulate");
+    assert!(simulate.status.success(), "simulate failed: {simulate:?}");
+    assert_eq!(
+        os_misses(stdout_of(&replay)),
+        os_misses(stdout_of(&simulate)),
+        "replay:\n{}\nsimulate:\n{}",
+        stdout_of(&replay),
+        stdout_of(&simulate)
+    );
+}

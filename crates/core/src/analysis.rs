@@ -14,9 +14,7 @@
 //!    misses in a profiling simulation.
 
 use oscache_memsys::CpuStats;
-use oscache_trace::{
-    Addr, ChunkedTrace, CodeLayout, DataClass, Event, Trace, TraceMeta, WORD_SIZE,
-};
+use oscache_trace::{Addr, ChunkedTrace, CodeLayout, DataClass, Event, WORD_SIZE};
 use std::collections::{HashMap, HashSet};
 
 /// Maximum CPUs the profile tracks.
@@ -87,29 +85,14 @@ pub struct SharingProfile {
 /// Only statically-allocated kernel variables are profiled — the paper's
 /// analysis likewise excludes dynamically-allocated structures so results
 /// are repeatable across reboots (§6).
-pub fn profile_sharing(trace: &Trace) -> SharingProfile {
-    profile_streams(
-        &trace.meta,
-        trace.streams.iter().map(|s| s.events().iter().copied()),
-    )
-}
-
-/// [`profile_sharing`] over a chunked trace: the same one-pass profile,
-/// pulling events through each stream's chunk iterator so memory stays at
-/// one decode window per stream.
-pub fn profile_sharing_chunked(trace: &ChunkedTrace) -> SharingProfile {
-    profile_streams(&trace.meta, trace.streams.iter().map(|s| s.iter()))
-}
-
-/// The profiling walk, generic over the event source. The rmw peephole
+///
+/// One pass pulling events through each stream's chunk iterator, so
+/// memory stays at one decode window per stream. The rmw peephole
 /// (adjacent read+write of one word counts as a single update) needs only
 /// a one-event lookahead, which the peekable iterator supplies across
 /// chunk boundaries.
-fn profile_streams<S, I>(meta: &TraceMeta, streams: S) -> SharingProfile
-where
-    S: Iterator<Item = I>,
-    I: Iterator<Item = Event>,
-{
+pub fn profile_sharing(trace: &ChunkedTrace) -> SharingProfile {
+    let meta = &trace.meta;
     // Static-variable ranges, sorted for binary search.
     let mut ranges: Vec<(u32, u32)> = meta.vars.iter().map(|v| (v.addr.0, v.size)).collect();
     ranges.sort_unstable();
@@ -126,10 +109,10 @@ where
     let word = |a: u32| a & !(WORD_SIZE - 1);
 
     let mut p = SharingProfile::default();
-    for (cpu, stream) in streams.enumerate() {
+    for (cpu, stream) in trace.streams.iter().enumerate() {
         let cpu = cpu.min(MAX_CPUS - 1);
         let mut lock_depth = 0u32;
-        let mut it = stream.peekable();
+        let mut it = stream.iter().peekable();
         while let Some(ev) = it.next() {
             match ev {
                 Event::LockAcquire { lock, addr } => {
@@ -332,24 +315,10 @@ pub struct ClassProfile {
 
 /// Counts reads/writes per [`DataClass`] across the whole trace
 /// (block-operation payload references included).
-pub fn class_profile(trace: &Trace) -> HashMap<DataClass, ClassProfile> {
-    class_profile_streams(trace.streams.iter().map(|s| s.events().iter().copied()))
-}
-
-/// [`class_profile`] over a chunked trace (see [`profile_sharing_chunked`]).
-pub fn class_profile_chunked(trace: &ChunkedTrace) -> HashMap<DataClass, ClassProfile> {
-    class_profile_streams(trace.streams.iter().map(|s| s.iter()))
-}
-
-/// The counting walk shared by the flat and chunked fronts.
-fn class_profile_streams<S, I>(streams: S) -> HashMap<DataClass, ClassProfile>
-where
-    S: Iterator<Item = I>,
-    I: Iterator<Item = Event>,
-{
+pub fn class_profile(trace: &ChunkedTrace) -> HashMap<DataClass, ClassProfile> {
     let mut map: HashMap<DataClass, ClassProfile> = HashMap::new();
-    for stream in streams {
-        for e in stream {
+    for stream in &trace.streams {
+        for e in stream.iter() {
             match e {
                 Event::Read { class, .. } => map.entry(class).or_default().reads += 1,
                 Event::Write { class, .. } => map.entry(class).or_default().writes += 1,
@@ -421,10 +390,10 @@ pub fn conflicts_are_diffuse(matrix: &[ConflictPair], threshold: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
-    fn profile_of(w: Workload) -> (SharingProfile, Trace) {
-        let t = build(
+    fn profile_of(w: Workload) -> (SharingProfile, ChunkedTrace) {
+        let t = build_chunked(
             w,
             BuildOptions {
                 scale: 0.1,
@@ -512,7 +481,7 @@ mod tests {
 
     #[test]
     fn class_profile_counts_references() {
-        let t = build(
+        let t = build_chunked(
             Workload::Shell,
             BuildOptions {
                 scale: 0.05,
@@ -537,14 +506,14 @@ mod tests {
         // Totals reconcile with the trace's own counters (locks/barriers
         // add their synthetic accesses on top of scalar reads/writes).
         let reads: u64 = p.values().map(|e| e.reads).sum();
-        assert!(reads >= t.total_reads() as u64);
+        assert!(reads >= t.to_trace().total_reads() as u64);
     }
 
     #[test]
     fn conflict_matrix_reports_diffuse_conflicts() {
         // The paper's §6 result on the real kernel: conflicts are random,
         // not concentrated between one structure pair.
-        let t = build(
+        let t = build_chunked(
             Workload::TrfdMake,
             BuildOptions {
                 scale: 0.1,
@@ -587,41 +556,6 @@ mod tests {
         ];
         assert!(conflicts_are_diffuse(&diffuse, 0.25));
         assert!(conflicts_are_diffuse(&[], 0.25));
-    }
-
-    #[test]
-    fn chunked_profiles_match_flat_profiles() {
-        let t = build(
-            Workload::Trfd4,
-            BuildOptions {
-                scale: 0.1,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        let ct = ChunkedTrace::from_trace(&t);
-        let flat = profile_sharing(&t);
-        let chunked = profile_sharing_chunked(&ct);
-        assert_eq!(flat.locks, chunked.locks);
-        assert_eq!(flat.barriers, chunked.barriers);
-        assert_eq!(flat.words.len(), chunked.words.len());
-        for (addr, a) in &flat.words {
-            let b = chunked.words.get(addr).expect("word missing from chunked");
-            assert_eq!(a.rmw, b.rmw, "rmw differs at {addr:#x}");
-            assert_eq!(a.reads, b.reads, "reads differ at {addr:#x}");
-            assert_eq!(a.writes, b.writes, "writes differ at {addr:#x}");
-            assert_eq!(a.locked, b.locked, "locked differs at {addr:#x}");
-            assert_eq!(a.total, b.total, "total differs at {addr:#x}");
-        }
-        // Downstream decisions agree exactly.
-        let privatized = find_privatizable(&flat);
-        assert_eq!(privatized, find_privatizable(&chunked));
-        let fset = find_update_set(&flat, &privatized);
-        let cset = find_update_set(&chunked, &privatized);
-        assert_eq!(fset.barriers, cset.barriers);
-        assert_eq!(fset.locks, cset.locks);
-        assert_eq!(fset.vars, cset.vars);
-        assert_eq!(class_profile(&t), class_profile_chunked(&ct));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 9–44% of small copies, but eliminating them removes only 0.1–0.4% of
 //! primary-cache misses.
 
-use oscache_trace::{Addr, ChunkedStreamBuilder, ChunkedTrace, Event, Stream, Trace, PAGE_SIZE};
+use oscache_trace::{Addr, ChunkedStreamBuilder, ChunkedTrace, Event, PAGE_SIZE};
 
 /// Counts for Table 4.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,47 +47,20 @@ fn overlaps(op: &CopyOp, a: Addr) -> bool {
     (a.0 >= op.src.0 && a.0 < op.src.0 + op.len) || (a.0 >= op.dst.0 && a.0 < op.dst.0 + op.len)
 }
 
-/// Abstraction over the two trace backbones for the read-only analysis,
-/// which walks every stream twice: block-op discovery, then the global
-/// write check. Flat traces hand out slice iterators; chunked traces hand
-/// out decoding chunk iterators, so the walk never materializes a stream.
-trait EventStreams {
-    /// Number of per-CPU streams.
-    fn n_streams(&self) -> usize;
-    /// A fresh pass over one stream's events.
-    fn stream_events(&self, cpu: usize) -> Box<dyn Iterator<Item = Event> + '_>;
-}
-
-impl EventStreams for Trace {
-    fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-    fn stream_events(&self, cpu: usize) -> Box<dyn Iterator<Item = Event> + '_> {
-        Box::new(self.streams[cpu].events().iter().copied())
-    }
-}
-
-impl EventStreams for ChunkedTrace {
-    fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-    fn stream_events(&self, cpu: usize) -> Box<dyn Iterator<Item = Event> + '_> {
-        Box::new(self.streams[cpu].iter())
-    }
-}
-
 /// Finds every sub-page copy and decides which are read-only: neither
 /// block is written later in the issuing CPU's stream, nor written at all
 /// by any other CPU (a conservative global check, since cross-CPU order is
-/// not fixed).
-fn analyze_ops(trace: &(impl EventStreams + ?Sized)) -> (DeferredCounts, Vec<CopyOp>) {
+/// not fixed). Walks every stream twice — block-op discovery, then the
+/// global write check — through decoding chunk iterators, so the walk
+/// never materializes a stream.
+fn analyze_ops(trace: &ChunkedTrace) -> (DeferredCounts, Vec<CopyOp>) {
     let mut counts = DeferredCounts::default();
     let mut small_ops: Vec<CopyOp> = Vec::new();
-    for cpu in 0..trace.n_streams() {
+    for (cpu, stream) in trace.streams.iter().enumerate() {
         // A small copy pending its matching `BlockOpEnd`. Block ops never
         // nest (validation rejects that), so one slot suffices.
         let mut pending: Option<(Addr, Addr, u32)> = None;
-        for (idx, e) in trace.stream_events(cpu).enumerate() {
+        for (idx, e) in stream.iter().enumerate() {
             match e {
                 Event::BlockOpBegin { op } if op.kind == oscache_trace::BlockKind::Copy => {
                     counts.block_copies += 1;
@@ -113,9 +86,9 @@ fn analyze_ops(trace: &(impl EventStreams + ?Sized)) -> (DeferredCounts, Vec<Cop
     }
     // Decide read-only status.
     let mut readonly = vec![true; small_ops.len()];
-    for cpu in 0..trace.n_streams() {
+    for (cpu, stream) in trace.streams.iter().enumerate() {
         let mut in_op_of: Option<usize> = None;
-        for (idx, e) in trace.stream_events(cpu).enumerate() {
+        for (idx, e) in stream.iter().enumerate() {
             match e {
                 Event::BlockOpBegin { .. } => {
                     in_op_of = small_ops.iter().position(|op| {
@@ -149,82 +122,16 @@ fn analyze_ops(trace: &(impl EventStreams + ?Sized)) -> (DeferredCounts, Vec<Cop
 }
 
 /// Computes the Table 4 counts for a trace.
-pub fn analyze(trace: &Trace) -> DeferredCounts {
-    analyze_ops(trace).0
-}
-
-/// [`analyze`] over a chunked trace: the same two-pass walk pulling
-/// events through each stream's chunk iterator.
-pub fn analyze_chunked(trace: &ChunkedTrace) -> DeferredCounts {
+pub fn analyze(trace: &ChunkedTrace) -> DeferredCounts {
     analyze_ops(trace).0
 }
 
 /// Applies deferred copying: read-only small copies are removed entirely
 /// (the copy never happens) and later reads of their destination blocks
 /// are remapped to the source (the VMP-style remap); a short bookkeeping
-/// overhead replaces each removed operation.
-pub fn apply_deferred_copy(trace: &Trace) -> Trace {
-    let (_, ro_ops) = analyze_ops(trace);
-    let mut out = trace.clone();
-    for (cpu, stream) in trace.streams.iter().enumerate() {
-        let ops: Vec<&CopyOp> = ro_ops.iter().filter(|o| o.cpu == cpu).collect();
-        let events = stream.events();
-        let mut new = Vec::with_capacity(events.len());
-        let mut skip_until: Option<usize> = None;
-        for (idx, e) in events.iter().enumerate() {
-            if let Some(end) = skip_until {
-                if idx < end {
-                    continue;
-                }
-                if idx == end {
-                    skip_until = None;
-                    continue; // skip the BlockOpEnd itself
-                }
-            }
-            if let Event::BlockOpBegin { op } = *e {
-                // Several identical copies may exist; match the one whose
-                // bracket closes soonest after this begin.
-                if let Some(ro) = ops
-                    .iter()
-                    .filter(|o| {
-                        o.src == op.src && o.dst == op.dst && o.len == op.len && o.end_idx > idx
-                    })
-                    .min_by_key(|o| o.end_idx)
-                {
-                    // Remap bookkeeping: a few kernel-stack-class writes.
-                    for k in 0..4u32 {
-                        new.push(Event::Write {
-                            addr: Addr(0x0104_0000 + cpu as u32 * 4096 + 512 + k * 4),
-                            class: oscache_trace::DataClass::KernelStack,
-                        });
-                    }
-                    skip_until = Some(ro.end_idx);
-                    continue;
-                }
-            }
-            // Remap reads of removed destinations to the source.
-            if let Event::Read { addr, class } = *e {
-                if let Some(ro) = ops
-                    .iter()
-                    .find(|o| idx > o.end_idx && addr.0 >= o.dst.0 && addr.0 < o.dst.0 + o.len)
-                {
-                    new.push(Event::Read {
-                        addr: Addr(ro.src.0 + (addr.0 - ro.dst.0)),
-                        class,
-                    });
-                    continue;
-                }
-            }
-            new.push(*e);
-        }
-        out.streams[cpu] = Stream::from_events(new);
-    }
-    out
-}
-
-/// [`apply_deferred_copy`] over a chunked trace: the identical rewrite
-/// walk, decoding one chunk at a time and re-encoding into fresh chunks.
-pub fn apply_deferred_copy_chunked(trace: &ChunkedTrace) -> ChunkedTrace {
+/// overhead replaces each removed operation. The rewrite decodes one
+/// chunk at a time and re-encodes into fresh chunks.
+pub fn apply_deferred_copy(trace: &ChunkedTrace) -> ChunkedTrace {
     let (_, ro_ops) = analyze_ops(trace);
     let mut out = ChunkedTrace::new(trace.n_cpus(), trace.meta.clone());
     for (cpu, stream) in trace.streams.iter().enumerate() {
@@ -285,7 +192,7 @@ pub fn apply_deferred_copy_chunked(trace: &ChunkedTrace) -> ChunkedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_trace::{DataClass, Mode, StreamBuilder, TraceMeta};
+    use oscache_trace::{DataClass, Mode, StreamBuilder, Trace, TraceMeta};
 
     fn copy(b: &mut StreamBuilder, src: u32, dst: u32, len: u32) {
         b.begin_block_copy(
@@ -314,7 +221,7 @@ mod tests {
         b.write(Addr(0x2100_0010), DataClass::UserData);
         copy(&mut b, 0x1200_0000, 0x2200_0000, PAGE_SIZE); // page-sized
         t.streams[0] = b.finish();
-        let c = analyze(&t);
+        let c = analyze(&ChunkedTrace::from_trace(&t));
         assert_eq!(c.block_copies, 3);
         assert_eq!(c.small_copies, 2);
         assert_eq!(c.readonly_small_copies, 1);
@@ -330,7 +237,7 @@ mod tests {
         copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
         b.read(Addr(0x2000_0008), DataClass::UserData); // read of dst
         t.streams[0] = b.finish();
-        let out = apply_deferred_copy(&t);
+        let out = apply_deferred_copy(&ChunkedTrace::from_trace(&t)).to_trace();
         let evs = out.streams[0].events();
         assert!(
             !evs.iter().any(|e| matches!(e, Event::BlockOpBegin { .. })),
@@ -344,26 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_analysis_and_apply_match_flat() {
-        let t = oscache_workloads::build(
-            oscache_workloads::Workload::Shell,
-            oscache_workloads::BuildOptions {
-                scale: 0.05,
-                seed: 11,
-                ..Default::default()
-            },
-        );
-        let ct = ChunkedTrace::from_trace(&t);
-        assert_eq!(analyze(&t), analyze_chunked(&ct));
-        let flat = apply_deferred_copy(&t);
-        let chunked = apply_deferred_copy_chunked(&ct).to_trace();
-        assert_eq!(flat.streams.len(), chunked.streams.len());
-        for (cpu, (a, b)) in flat.streams.iter().zip(&chunked.streams).enumerate() {
-            assert_eq!(a.events(), b.events(), "cpu{cpu} rewrite differs");
-        }
-    }
-
-    #[test]
     fn cross_cpu_write_disqualifies() {
         let mut t = Trace::new(2, TraceMeta::default());
         let mut b = StreamBuilder::new();
@@ -372,7 +259,7 @@ mod tests {
         let mut b1 = StreamBuilder::new();
         b1.write(Addr(0x1000_0020), DataClass::UserData); // writes the src
         t.streams[1] = b1.finish();
-        let c = analyze(&t);
+        let c = analyze(&ChunkedTrace::from_trace(&t));
         assert_eq!(c.small_copies, 1);
         assert_eq!(c.readonly_small_copies, 0);
     }

@@ -413,7 +413,7 @@ impl Repro {
     pub fn table4(&mut self) -> Table4 {
         let mut cols = Vec::new();
         for w in Workload::all() {
-            let counts = deferred::analyze_chunked(&self.trace_chunked(w));
+            let counts = deferred::analyze(&self.trace_chunked(w));
             let base = self
                 .run(w, System::Base)
                 .stats

@@ -36,11 +36,9 @@ pub use runner::{
 };
 pub use scorecard::{Check, Scorecard};
 pub use sim::{
-    analyze_cell, analyze_cell_chunked, prepare_cell, prepare_from_analysis,
-    prepare_from_analysis_chunked, run_prepared, run_prepared_chunked, run_prepared_chunked_timed,
-    run_spec, run_system, try_run_spec, try_run_spec_audited, try_run_spec_audited_chunked,
-    try_run_system, AnalysisPrefix, AnalyzedCell, AnalyzedCellChunked, PrepPhases, PreparedCell,
-    PreparedCellChunked, RunResult,
+    analyze_cell, prepare_cell, prepare_from_analysis, run_prepared_chunked_timed, run_spec,
+    run_system, try_run_spec, try_run_spec_audited, try_run_system, AnalysisPrefix, AnalyzedCell,
+    PrepPhases, PreparedCell, RunResult,
 };
 pub use supervise::{
     CellFailure, Escalation, FailureCause, Journal, JournalError, JournalHeader, JournalRecord,

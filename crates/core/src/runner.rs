@@ -30,9 +30,7 @@
 
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::experiments::{figure6_sweep, figure7_sweep};
-use crate::sim::{
-    self, AnalysisPrefix, AnalyzedCellChunked, PrepPhases, PreparedCellChunked, RunResult,
-};
+use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
     RunPolicy, RunnerError, Watchdog,
@@ -269,7 +267,7 @@ pub struct BuildTiming {
 /// same key block until the single builder finishes.
 /// The geometry-independent analysis of each working trace (sharing
 /// profile, privatization/relocation/update planning, and the fused
-/// rewrite — [`sim::analyze_cell_chunked`]) is likewise computed once per
+/// rewrite — [`sim::analyze_cell`]) is likewise computed once per
 /// `(trace build, AnalysisPrefix)` and shared by every geometry and every
 /// spec with the same prefix. Prepared (transform-derived) traces are
 /// cached per fingerprint with a first-writer-wins map — every writer
@@ -294,15 +292,14 @@ pub struct BuildTiming {
 pub struct TraceCache {
     base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
     analyzed: Mutex<AnalysisMap>,
-    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCellChunked>>>,
+    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCell>>>,
     results: Mutex<HashMap<CellFingerprint, RunResult>>,
     builds: Mutex<Vec<BuildTiming>>,
     spill: Mutex<Option<Arc<SpillConfig>>>,
 }
 
 /// Write-once analysis slots keyed by base trace and spec prefix.
-type AnalysisMap =
-    HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCellChunked>>>>;
+type AnalysisMap = HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCell>>>>;
 
 impl TraceCache {
     /// An empty cache.
@@ -385,7 +382,7 @@ impl TraceCache {
         base: &ChunkedTrace,
         fp: CellFingerprint,
         cancel: &CancelToken,
-    ) -> Result<(Arc<PreparedCellChunked>, PrepPhases), SimError> {
+    ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
         if let Some(p) = lock_tolerant(&self.prepared)
             .get(&fp)
             .and_then(Weak::upgrade)
@@ -399,14 +396,8 @@ impl TraceCache {
             ));
         }
         let analyzed = self.analyzed_for(base, fp);
-        let (built, mut phases) = sim::prepare_from_analysis_chunked_cancellable(
-            base,
-            &analyzed.0,
-            fp.spec,
-            fp.geometry,
-            fp.audit,
-            cancel,
-        )?;
+        let (built, mut phases) =
+            sim::prepare_from_analysis(base, &analyzed.0, fp.spec, fp.geometry, fp.audit, cancel)?;
         phases.analyze_ms = analyzed.1;
         let built = Arc::new(built);
         // First live writer wins, so concurrent preparers agree.
@@ -425,11 +416,7 @@ impl TraceCache {
     /// (zero on a hit; concurrent requests block on the single analyzer).
     /// Under an armed budget the fresh rewrite is pushed through the spill
     /// governor before it is shared.
-    fn analyzed_for(
-        &self,
-        base: &ChunkedTrace,
-        fp: CellFingerprint,
-    ) -> (Arc<AnalyzedCellChunked>, f64) {
+    fn analyzed_for(&self, base: &ChunkedTrace, fp: CellFingerprint) -> (Arc<AnalyzedCell>, f64) {
         let key = (fp.base, AnalysisPrefix::of(fp.spec));
         let slot = {
             let mut map = lock_tolerant(&self.analyzed);
@@ -438,7 +425,7 @@ impl TraceCache {
         let mut analyze_ms = 0.0;
         let analyzed = slot.get_or_build(|| {
             let t0 = Instant::now();
-            let mut a = sim::analyze_cell_chunked(base, fp.spec);
+            let mut a = sim::analyze_cell(base, fp.spec);
             if let Some(cfg) = self.spill_config() {
                 spill_analysis(&mut a, fp, &cfg);
             }
@@ -524,7 +511,7 @@ fn build_base_governed(
 /// every analysis pass are deterministic, so the re-derived bytes match
 /// the recorded CRC exactly). Called only on the path that just built
 /// `a`, where its trace `Arc` is fresh — `get_mut` cannot fail there.
-fn spill_analysis(a: &mut AnalyzedCellChunked, fp: CellFingerprint, cfg: &SpillConfig) {
+fn spill_analysis(a: &mut AnalyzedCell, fp: CellFingerprint, cfg: &SpillConfig) {
     let Some(trace) = a.trace.as_mut() else {
         return;
     };
@@ -549,7 +536,7 @@ fn spill_analysis(a: &mut AnalyzedCellChunked, fp: CellFingerprint, cfg: &SpillC
     store.set_rebuilder(Box::new(move |cpu, chunk| {
         let t = rebuilt.get_or_init(|| {
             let base = build_chunked(key.workload, key.options());
-            sim::analyze_cell_chunked(&base, spec).trace
+            sim::analyze_cell(&base, spec).trace
         });
         t.as_ref()?.streams.get(cpu)?.chunk_bytes(chunk)
     }));

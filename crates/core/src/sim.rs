@@ -5,7 +5,7 @@ use crate::analysis;
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::transform;
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
@@ -27,13 +27,13 @@ pub struct RunResult {
 ///
 /// Panics on a malformed trace or a simulator invariant violation; use
 /// [`try_run_system`] to receive those as typed errors instead.
-pub fn run_system(trace: &Trace, system: System) -> RunResult {
+pub fn run_system(trace: &ChunkedTrace, system: System) -> RunResult {
     run_spec(trace, system.spec(), Geometry::default())
 }
 
 /// Fallible variant of [`run_system`]: malformed traces and invariant
 /// violations come back as a typed [`SimError`].
-pub fn try_run_system(trace: &Trace, system: System) -> Result<RunResult, SimError> {
+pub fn try_run_system(trace: &ChunkedTrace, system: System) -> Result<RunResult, SimError> {
     try_run_spec_audited(trace, system.spec(), Geometry::default(), AuditLevel::Off)
 }
 
@@ -47,14 +47,14 @@ pub fn try_run_system(trace: &Trace, system: System) -> Result<RunResult, SimErr
 /// 3. for hot-spot prefetching (§6), first run a *profiling* simulation of
 ///    the system without prefetches, rank sites by OS misses, insert
 ///    prefetches at the top 12, then run the final simulation.
-pub fn run_spec(trace: &Trace, spec: SystemSpec, geometry: Geometry) -> RunResult {
+pub fn run_spec(trace: &ChunkedTrace, spec: SystemSpec, geometry: Geometry) -> RunResult {
     try_run_spec_audited(trace, spec, geometry, AuditLevel::Off)
         .unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// Fallible variant of [`run_spec`] with no invariant auditing.
 pub fn try_run_spec(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
 ) -> Result<RunResult, SimError> {
@@ -74,7 +74,7 @@ pub struct PreparedCell {
     /// The rewritten trace, or `None` when no pass touched it (run the
     /// original). Shared: several cells that converge on the same rewrite
     /// (e.g. two geometries with the same hot set) hold one allocation.
-    pub trace: Option<Arc<Trace>>,
+    pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
 }
@@ -122,7 +122,7 @@ impl AnalysisPrefix {
 #[derive(Debug, Default)]
 pub struct AnalyzedCell {
     /// Working trace after the prefix passes, or `None` (base is usable).
-    pub trace: Option<Arc<Trace>>,
+    pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
     /// Per-site hot-spot insertion plan over the working trace, built on
@@ -134,7 +134,7 @@ pub struct AnalyzedCell {
     /// common case, and pinning every retired multi-megabyte trace for the
     /// whole run grows the process footprint until fresh allocations fault
     /// at host-paging speed (see DESIGN.md §12.3).
-    hot: Mutex<HashMap<Vec<u16>, Weak<Trace>>>,
+    hot: Mutex<HashMap<Vec<u16>, Weak<ChunkedTrace>>>,
 }
 
 /// Wall-clock breakdown of one cell preparation.
@@ -151,15 +151,17 @@ pub struct PrepPhases {
 }
 
 /// Runs a fully-specified system with the machine's invariant auditor set
-/// to `audit`, returning trace and invariant problems as typed errors.
+/// to `audit`, returning trace and invariant problems as typed errors:
+/// analyze, prepare, run — every phase streaming.
 pub fn try_run_spec_audited(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
     let prepared = prepare_cell(trace, spec, geometry, audit)?;
-    run_prepared(trace, &prepared, spec, geometry, audit)
+    let none = CancelToken::none();
+    run_prepared_chunked_timed(trace, &prepared, spec, geometry, audit, &none).map(|(r, _)| r)
 }
 
 /// The preparation half of [`try_run_spec_audited`]: applies every
@@ -171,13 +173,15 @@ pub fn try_run_spec_audited(
 /// [`prepare_from_analysis`] per geometry instead (the runner's
 /// [`TraceCache`](crate::runner::TraceCache) does).
 pub fn prepare_cell(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<PreparedCell, SimError> {
     let analyzed = analyze_cell(trace, spec);
-    let (prepared, _phases) = prepare_from_analysis(trace, &analyzed, spec, geometry, audit)?;
+    let none = CancelToken::none();
+    let (prepared, _phases) =
+        prepare_from_analysis(trace, &analyzed, spec, geometry, audit, &none)?;
     Ok(prepared)
 }
 
@@ -185,9 +189,15 @@ pub fn prepare_cell(
 /// coloring, sharing profiling, privatization/relocation/update planning,
 /// and the fused rewrite. Deterministic in `(trace, AnalysisPrefix::of
 /// (spec))`; infallible because no machine runs here.
-pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
+///
+/// Every pass streams chunk-by-chunk — deferred copy, coloring, profiling,
+/// and the fused privatize/relocate rewrite each hold one decode window
+/// plus one open output chunk per stream, never a materialized
+/// `Vec<Event>`. The plans themselves ([`transform::false_sharing_plan`]
+/// etc.) read only the metadata.
+pub fn analyze_cell(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
     let mut update_pages = PageSet::new();
-    let mut owned: Option<Trace> = None;
+    let mut owned: Option<ChunkedTrace> = None;
 
     if spec.deferred_copy {
         owned = Some(crate::deferred::apply_deferred_copy(
@@ -223,7 +233,7 @@ pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
         let mut placed: HashSet<u32> = HashSet::new();
         if spec.update == UpdatePolicy::Selective {
             let set = analysis::find_update_set(&profile, &privatized);
-            let (upd_plan, pages) = transform::update_page_plan(working, &set);
+            let (upd_plan, pages) = transform::update_page_plan(&working.meta, &set);
             update_pages = pages.into_iter().collect();
             // Record which variables the update plan placed.
             for w in set.all_words() {
@@ -236,7 +246,7 @@ pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
             plan = upd_plan;
         }
         if spec.relocate {
-            let fs = transform::false_sharing_plan(working, &placed);
+            let fs = transform::false_sharing_plan(&working.meta, &placed);
             // Merge: false-sharing moves for anything not already placed.
             for v in &working.meta.vars {
                 if v.false_shared_group.is_some()
@@ -265,7 +275,9 @@ pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
 
     if spec.update == UpdatePolicy::Full {
         let working = owned.as_ref().unwrap_or(trace);
-        update_pages = transform::full_update_pages(working).into_iter().collect();
+        update_pages = transform::full_update_pages(&working.meta)
+            .into_iter()
+            .collect();
     }
 
     AnalyzedCell {
@@ -286,24 +298,31 @@ pub fn analyze_cell(trace: &Trace, spec: SystemSpec) -> AnalyzedCell {
 /// level falls back to the fully-recorded [`Machine`] so the step/final
 /// auditors see the bookkeeping they cross-check (see `DESIGN.md` §12).
 /// The rewrite is served from the analysis's hot-set cache when another
-/// geometry already ranked the same sites.
+/// geometry already ranked the same sites; otherwise it is the forward
+/// merge of [`transform::HotspotPlan::materialize`].
+///
+/// `cancel` is wired into the profiling replay (the only machine run in
+/// this phase; the analysis transforms themselves are not cancellation
+/// points, so a cancellation grace period must absorb them).
 pub fn prepare_from_analysis(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     analyzed: &AnalyzedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
+    cancel: &CancelToken,
 ) -> Result<(PreparedCell, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
     let mut out = analyzed.trace.clone();
 
     if spec.hotspot_prefetch {
-        let working: &Trace = analyzed.trace.as_deref().unwrap_or(trace);
+        let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
         // Profiling run without the prefetches.
         let t0 = Instant::now();
         let mut cfg = geometry.machine_config(&spec);
         cfg.n_cpus = trace.n_cpus();
         cfg.update_pages = analyzed.update_pages.clone();
+        cfg.cancel = cancel.clone();
         let profile_stats = if audit == AuditLevel::Off {
             oscache_memsys::profile_os_misses(cfg, working)?
         } else {
@@ -342,230 +361,6 @@ pub fn prepare_from_analysis(
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
-    Ok((
-        PreparedCell {
-            trace: out,
-            update_pages: analyzed.update_pages.clone(),
-        },
-        phases,
-    ))
-}
-
-/// The execution half of [`try_run_spec_audited`]: one deterministic
-/// single-threaded machine run over the prepared trace.
-pub fn run_prepared(
-    trace: &Trace,
-    prepared: &PreparedCell,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<RunResult, SimError> {
-    let mut cfg = geometry.machine_config(&spec);
-    cfg.n_cpus = trace.n_cpus();
-    cfg.update_pages = prepared.update_pages.clone();
-    cfg.audit = audit;
-    let working = prepared.trace.as_deref().unwrap_or(trace);
-    Ok(RunResult {
-        stats: Machine::new(cfg, working)?.run()?,
-        spec,
-        geometry,
-    })
-}
-
-/// [`AnalyzedCell`] for the streaming pipeline: the same
-/// geometry-independent prefix state over the chunked backbone.
-#[derive(Debug, Default)]
-pub struct AnalyzedCellChunked {
-    /// Working trace after the prefix passes, or `None` (base is usable).
-    pub trace: Option<Arc<ChunkedTrace>>,
-    /// Pages mapped with the update protocol (§5.2).
-    pub update_pages: PageSet,
-    /// Per-site hot-spot insertion plan over the working trace.
-    hot_plan: OnceLock<transform::HotspotPlan>,
-    /// Materialized hot-spot rewrites keyed by the hot-site vector, held
-    /// weakly (same rationale as [`AnalyzedCell::hot`]).
-    hot: Mutex<HashMap<Vec<u16>, Weak<ChunkedTrace>>>,
-}
-
-/// [`PreparedCell`] for the streaming pipeline.
-#[derive(Clone, Debug)]
-pub struct PreparedCellChunked {
-    /// The rewritten trace, or `None` when no pass touched it.
-    pub trace: Option<Arc<ChunkedTrace>>,
-    /// Pages mapped with the update protocol (§5.2).
-    pub update_pages: PageSet,
-}
-
-/// [`analyze_cell`] over the chunked backbone: every pass streams
-/// chunk-by-chunk — deferred copy, coloring, profiling, and the fused
-/// privatize/relocate rewrite each hold one decode window plus one open
-/// output chunk per stream, never a materialized `Vec<Event>`. The plans
-/// themselves ([`transform::false_sharing_plan_meta`] etc.) read only the
-/// metadata. Produces rewrites event-identical to [`analyze_cell`] on the
-/// decoded trace (pinned by the streaming oracle tests).
-pub fn analyze_cell_chunked(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCellChunked {
-    let mut update_pages = PageSet::new();
-    let mut owned: Option<ChunkedTrace> = None;
-
-    if spec.deferred_copy {
-        owned = Some(crate::deferred::apply_deferred_copy_chunked(
-            owned.as_ref().unwrap_or(trace),
-        ));
-    }
-
-    if spec.page_coloring {
-        let l2_size = Geometry::default().machine_config(&spec).l2.size;
-        let working = owned.as_ref().unwrap_or(trace);
-        let colored = transform::TransformPipeline::new()
-            .coloring_chunked(working, l2_size)
-            .run_chunked(working);
-        owned = Some(colored);
-    }
-
-    if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
-        let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing_chunked(working);
-        let privatized = if spec.privatize {
-            analysis::find_privatizable(&profile)
-        } else {
-            Vec::new()
-        };
-        let mut plan = transform::RelocationMap::new();
-        let mut placed: HashSet<u32> = HashSet::new();
-        if spec.update == UpdatePolicy::Selective {
-            let set = analysis::find_update_set(&profile, &privatized);
-            let (upd_plan, pages) = transform::update_page_plan_meta(&working.meta, &set);
-            update_pages = pages.into_iter().collect();
-            for w in set.all_words() {
-                if let Some(v) = working.meta.var_at(w) {
-                    placed.insert(v.addr.0);
-                } else {
-                    placed.insert(w.0);
-                }
-            }
-            plan = upd_plan;
-        }
-        if spec.relocate {
-            let fs = transform::false_sharing_plan_meta(&working.meta, &placed);
-            for v in &working.meta.vars {
-                if v.false_shared_group.is_some()
-                    && !placed.contains(&v.addr.0)
-                    && plan.lookup(v.addr).is_none()
-                {
-                    if let Some(new) = fs.lookup(v.addr) {
-                        plan.add(v.addr, v.size, new);
-                    }
-                }
-            }
-        }
-        plan.finish();
-        let mut pipe = transform::TransformPipeline::new();
-        if spec.privatize && !privatized.is_empty() {
-            pipe = pipe.privatize(&privatized);
-        }
-        if !plan.is_empty() {
-            pipe = pipe.relocate(&plan);
-        }
-        let rewritten = pipe.run_chunked(working);
-        owned = Some(rewritten);
-    }
-
-    if spec.update == UpdatePolicy::Full {
-        let working = owned.as_ref().unwrap_or(trace);
-        update_pages = transform::full_update_pages_meta(&working.meta)
-            .into_iter()
-            .collect();
-    }
-
-    AnalyzedCellChunked {
-        trace: owned.map(Arc::new),
-        update_pages,
-        hot_plan: OnceLock::new(),
-        hot: Mutex::new(HashMap::new()),
-    }
-}
-
-/// [`prepare_from_analysis`] over the chunked backbone.
-pub fn prepare_from_analysis_chunked(
-    trace: &ChunkedTrace,
-    analyzed: &AnalyzedCellChunked,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<(PreparedCellChunked, PrepPhases), SimError> {
-    prepare_from_analysis_chunked_cancellable(
-        trace,
-        analyzed,
-        spec,
-        geometry,
-        audit,
-        &CancelToken::none(),
-    )
-}
-
-/// [`prepare_from_analysis_chunked`] with a cooperative-cancellation token
-/// wired into the profiling replay (the only machine run in this phase; the
-/// analysis transforms themselves are not cancellation points, so a
-/// cancellation grace period must absorb them). The hot-spot profiling
-/// replay pulls events through the machine's per-CPU decode windows, and
-/// the prefetch-insertion rewrite is the forward merge of
-/// [`transform::HotspotPlan::materialize_chunked`].
-pub fn prepare_from_analysis_chunked_cancellable(
-    trace: &ChunkedTrace,
-    analyzed: &AnalyzedCellChunked,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<(PreparedCellChunked, PrepPhases), SimError> {
-    let mut phases = PrepPhases::default();
-    let mut out = analyzed.trace.clone();
-
-    if spec.hotspot_prefetch {
-        let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
-        let t0 = Instant::now();
-        let mut cfg = geometry.machine_config(&spec);
-        cfg.n_cpus = trace.n_cpus();
-        cfg.update_pages = analyzed.update_pages.clone();
-        cfg.cancel = cancel.clone();
-        let profile_stats = if audit == AuditLevel::Off {
-            oscache_memsys::profile_os_misses_chunked(cfg, working)?
-        } else {
-            cfg.audit = audit;
-            Machine::new_chunked(cfg, working)?.run()?
-        };
-        let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
-        phases.profile_ms = 1e3 * t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let hit = analyzed
-            .hot
-            .lock()
-            .expect("hot cache poisoned")
-            .get(&hot)
-            .and_then(Weak::upgrade);
-        let rewritten = match hit {
-            Some(t) => t,
-            None => {
-                let plan = analyzed
-                    .hot_plan
-                    .get_or_init(|| transform::HotspotPlan::build_chunked(working));
-                let t = Arc::new(plan.materialize_chunked(working, &hot));
-                // First live writer wins, so concurrent preparers agree.
-                let mut map = analyzed.hot.lock().expect("hot cache poisoned");
-                match map.get(&hot).and_then(Weak::upgrade) {
-                    Some(existing) => existing,
-                    None => {
-                        map.insert(hot, Arc::downgrade(&t));
-                        t
-                    }
-                }
-            }
-        };
-        out = Some(rewritten);
-        phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
-    }
-
     // Reject an invalid working trace before the timed final run. For
     // every trace the encoder vouched for this reads no chunk back: its
     // streams carry the facts that prove it valid. Only a trace with a
@@ -576,7 +371,7 @@ pub fn prepare_from_analysis_chunked_cancellable(
         .map_err(SimError::from_trace)?;
 
     Ok((
-        PreparedCellChunked {
+        PreparedCell {
             trace: out,
             update_pages: analyzed.update_pages.clone(),
         },
@@ -584,40 +379,20 @@ pub fn prepare_from_analysis_chunked_cancellable(
     ))
 }
 
-/// [`run_prepared`] over the chunked backbone.
-pub fn run_prepared_chunked(
-    trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<RunResult, SimError> {
-    run_prepared_chunked_cancellable(trace, prepared, spec, geometry, audit, &CancelToken::none())
-}
-
-/// [`run_prepared_chunked`] with a cooperative-cancellation token wired
-/// into the machine's event loop; a tripped token surfaces as
-/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled).
+/// The execution half of [`try_run_spec_audited`]: one deterministic
+/// single-threaded machine run over the prepared trace, with `cancel`
+/// wired into the machine's event loop (a tripped token surfaces as
+/// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled)).
 /// The machine pulls decoded events through small per-CPU windows, so the
 /// run's peak memory is the encoded chunks plus O(n_cpus) decode windows.
-pub fn run_prepared_chunked_cancellable(
-    trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
-) -> Result<RunResult, SimError> {
-    run_prepared_chunked_timed(trace, prepared, spec, geometry, audit, cancel).map(|(r, _)| r)
-}
-
-/// [`run_prepared_chunked_cancellable`] that also reports the machine's
-/// decode-overlap telemetry: residual synchronous-decode milliseconds and
-/// decode-ahead hit counts (DESIGN.md §17). The telemetry is pure
-/// observability — it never feeds back into the statistics.
+///
+/// Also reports the machine's decode-overlap telemetry: residual
+/// synchronous-decode milliseconds and decode-ahead hit counts (DESIGN.md
+/// §17). The telemetry is pure observability — it never feeds back into
+/// the statistics.
 pub fn run_prepared_chunked_timed(
     trace: &ChunkedTrace,
-    prepared: &PreparedCellChunked,
+    prepared: &PreparedCell,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
@@ -629,7 +404,7 @@ pub fn run_prepared_chunked_timed(
     cfg.audit = audit;
     cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    let mut machine = Machine::new_chunked(cfg, working)?;
+    let mut machine = Machine::new(cfg, working)?;
     let stats = machine.run_mut()?;
     Ok((
         RunResult {
@@ -641,27 +416,13 @@ pub fn run_prepared_chunked_timed(
     ))
 }
 
-/// [`try_run_spec_audited`] over the chunked backbone: analyze, prepare,
-/// run — every phase streaming.
-pub fn try_run_spec_audited_chunked(
-    trace: &ChunkedTrace,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<RunResult, SimError> {
-    let analyzed = analyze_cell_chunked(trace, spec);
-    let (prepared, _phases) =
-        prepare_from_analysis_chunked(trace, &analyzed, spec, geometry, audit)?;
-    run_prepared_chunked(trace, &prepared, spec, geometry, audit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
-    fn trace() -> Trace {
-        build(
+    fn trace() -> ChunkedTrace {
+        build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.05,
@@ -740,28 +501,6 @@ mod tests {
             tr(&relup),
             tr(&reloc)
         );
-    }
-
-    #[test]
-    fn chunked_pipeline_matches_flat_pipeline_end_to_end() {
-        let t = trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        // BCPref exercises every pass: deferred block schemes aside, it
-        // colors nothing but privatizes, relocates, updates, and inserts
-        // hot-spot prefetches (a profiling replay inside preparation).
-        for system in [System::Base, System::BCohRelUp, System::BCPref] {
-            let flat =
-                try_run_spec_audited(&t, system.spec(), Geometry::default(), AuditLevel::Off)
-                    .expect("flat run");
-            let chunked = try_run_spec_audited_chunked(
-                &ct,
-                system.spec(),
-                Geometry::default(),
-                AuditLevel::Off,
-            )
-            .expect("chunked run");
-            assert_eq!(flat.stats, chunked.stats, "{system:?} stats diverge");
-        }
     }
 
     #[test]

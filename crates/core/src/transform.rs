@@ -9,13 +9,15 @@
 //! variables are gathered into one page, and prefetch instructions appear
 //! ahead of the loads they cover.
 //!
-//! The rewrites are *fused*: [`TransformPipeline`] applies any combination
-//! of passes in one walk over each stream into one pre-sized buffer, in
-//! the fixed composition order coloring → privatization → relocation →
-//! escape instrumentation → hot-spot prefetching. The per-pass functions
-//! ([`privatize_counters`], [`relocate`], …) are thin wrappers over a
-//! single-stage pipeline; the original pass-by-pass implementations live
-//! on verbatim in [`compat`] as the equivalence oracle.
+//! The address rewrites are *fused*: [`TransformPipeline`] applies any
+//! combination of coloring, privatization, relocation and escape
+//! instrumentation in one streaming walk over each chunked stream, in
+//! that fixed composition order. Hot-spot prefetching runs after them
+//! through [`HotspotPlan`], whose insertions are forward-merged. The
+//! per-pass functions ([`privatize_counters`], [`relocate`], …) are thin
+//! wrappers over those two; the original pass-by-pass implementations
+//! over the materialized [`Trace`] live on verbatim in [`compat`] as the
+//! equivalence oracle.
 
 use crate::analysis::UpdateSet;
 use oscache_trace::{
@@ -47,7 +49,7 @@ pub fn private_copy_addr(idx: usize, cpu: usize) -> Addr {
 /// aggregate reads into reads of every copy (§5.1: "instead of reading one
 /// counter, [the pager] reads all the private sub-counters and adds them
 /// all up").
-pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
+pub fn privatize_counters(trace: &ChunkedTrace, targets: &[Addr]) -> ChunkedTrace {
     TransformPipeline::new().privatize(targets).run(trace)
 }
 
@@ -147,14 +149,9 @@ impl RelocationMap {
 }
 
 /// Builds the §5.1 relocation plan: every variable in a false-sharing
-/// group moves to its own [`SLOT`]-aligned home.
-pub fn false_sharing_plan(trace: &Trace, skip: &HashSet<u32>) -> RelocationMap {
-    false_sharing_plan_meta(&trace.meta, skip)
-}
-
-/// [`false_sharing_plan`] from the metadata alone — the plan never reads
-/// the event streams, so chunked pipelines call this without decoding.
-pub fn false_sharing_plan_meta(meta: &TraceMeta, skip: &HashSet<u32>) -> RelocationMap {
+/// group moves to its own [`SLOT`]-aligned home. The plan reads only the
+/// trace metadata, never the event streams.
+pub fn false_sharing_plan(meta: &TraceMeta, skip: &HashSet<u32>) -> RelocationMap {
     let mut map = RelocationMap::new();
     let mut next = RELOC_BASE;
     for v in &meta.vars {
@@ -170,13 +167,7 @@ pub fn false_sharing_plan_meta(meta: &TraceMeta, skip: &HashSet<u32>) -> Relocat
 
 /// Builds the §5.2 update-page plan: each update-set member gets its own
 /// line in the update page. Returns the plan and the update-mapped pages.
-pub fn update_page_plan(trace: &Trace, set: &UpdateSet) -> (RelocationMap, HashSet<u32>) {
-    update_page_plan_meta(&trace.meta, set)
-}
-
-/// [`update_page_plan`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
-pub fn update_page_plan_meta(meta: &TraceMeta, set: &UpdateSet) -> (RelocationMap, HashSet<u32>) {
+pub fn update_page_plan(meta: &TraceMeta, set: &UpdateSet) -> (RelocationMap, HashSet<u32>) {
     let mut map = RelocationMap::new();
     let mut next = UPDATE_PAGE_BASE;
     let mut pages = HashSet::new();
@@ -198,7 +189,7 @@ pub fn update_page_plan_meta(meta: &TraceMeta, set: &UpdateSet) -> (RelocationMa
 }
 
 /// Applies an address remapping to every reference in the trace.
-pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
+pub fn relocate(trace: &ChunkedTrace, map: &RelocationMap) -> ChunkedTrace {
     TransformPipeline::new().relocate(map).run(trace)
 }
 
@@ -216,8 +207,8 @@ pub const HOIST_LIMIT: usize = 24;
 /// [`LOOP_AHEAD`] bytes ahead at each access; sequence sites hoist a
 /// prefetch of the accessed line up to [`HOIST_LIMIT`] events earlier,
 /// never across synchronization, block operations, or mode switches.
-pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
-    TransformPipeline::new().hotspot(hot_sites).run(trace)
+pub fn insert_hotspot_prefetches(trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
+    HotspotPlan::build(trace).materialize(trace, hot_sites)
 }
 
 /// One precomputed insertion of the hot-spot stage: `first` (and `second`
@@ -235,7 +226,8 @@ struct HotInsertion {
 /// The hot-spot stage split in two: [`HotspotPlan::build`] walks a trace
 /// once and records, for *every* site, the prefetches the stage would
 /// insert if that site were hot; [`HotspotPlan::materialize`] then emits
-/// the rewritten trace for one concrete hot set in a single merge pass.
+/// the rewritten trace for one concrete hot set in a single forward merge
+/// pass — so the rewrite never reaches back into sealed chunks.
 ///
 /// A profiling caller that tries several cache geometries over one
 /// working trace pays the stage's walk once instead of once per distinct
@@ -243,9 +235,9 @@ struct HotInsertion {
 /// per-site-run: `recent_lines` resets whenever the current site changes
 /// and is consulted only for reads attributed to that site, and hoist
 /// targets are chosen from the input-event window alone — so whether
-/// *other* sites are hot never changes what one site inserts. The
-/// `hotspot_plan` tests pin event-for-event equality against
-/// [`TransformPipeline`].
+/// *other* sites are hot never changes what one site inserts. The unit
+/// tests pin event-for-event equality against
+/// [`compat::insert_hotspot_prefetches`].
 #[derive(Debug)]
 pub struct HotspotPlan {
     /// Per input stream, insertions sorted by `before` (stable: equal
@@ -254,20 +246,10 @@ pub struct HotspotPlan {
 }
 
 impl HotspotPlan {
-    /// Precomputes every site's would-be insertions over `trace`.
-    pub fn build(trace: &Trace) -> Self {
-        let streams = trace
-            .streams
-            .iter()
-            .map(|stream| Self::build_stream(&trace.meta, stream.events().iter().copied()))
-            .collect();
-        HotspotPlan { streams }
-    }
-
-    /// [`HotspotPlan::build`] over a chunked trace: the identical one-pass
-    /// walk pulling events through each stream's chunk iterator, so the
-    /// plan is computed in O(decode window) memory.
-    pub fn build_chunked(trace: &ChunkedTrace) -> Self {
+    /// Precomputes every site's would-be insertions over `trace`, pulling
+    /// events through each stream's chunk iterator, so the plan is
+    /// computed in O(decode window) memory.
+    pub fn build(trace: &ChunkedTrace) -> Self {
         let streams = trace
             .streams
             .iter()
@@ -276,8 +258,7 @@ impl HotspotPlan {
         HotspotPlan { streams }
     }
 
-    /// One stream's plan: the per-site bookkeeping walk, generic over the
-    /// event source so flat slices and chunk iterators share it verbatim.
+    /// One stream's plan: the per-site bookkeeping walk.
     fn build_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<HotInsertion> {
         let mut ins: Vec<HotInsertion> = Vec::new();
         let mut cur_site: Option<u16> = None;
@@ -355,51 +336,12 @@ impl HotspotPlan {
     }
 
     /// Emits the rewrite for `hot_sites` over the same `trace` the plan
-    /// was built from — event-identical to
-    /// [`insert_hotspot_prefetches`]`(trace, hot_sites)`.
-    pub fn materialize(&self, trace: &Trace, hot_sites: &[u16]) -> Trace {
+    /// was built from: a forward pass over each stream's chunk iterator
+    /// against the `before`-sorted insertion list, re-encoding into fresh
+    /// chunks.
+    pub fn materialize(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
         // Dense site mask: the plan holds one insertion per profiled read,
         // so membership is tested millions of times per materialization.
-        let mut hot = vec![false; 1 << 16];
-        for &s in hot_sites {
-            hot[usize::from(s)] = true;
-        }
-        let mut out = Trace::new(trace.n_cpus(), trace.meta.clone());
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let events = stream.events();
-            let ins = &self.streams[cpu];
-            let extra: usize = ins
-                .iter()
-                .filter(|it| hot[usize::from(it.site)])
-                .map(|it| 1 + usize::from(it.second.is_some()))
-                .sum();
-            // Chunked merge: memcpy the runs between live insertion points
-            // instead of pushing event-by-event. Insertions sharing one
-            // `before` keep their plan order (the gap copy is empty).
-            let mut buf: Vec<Event> = Vec::with_capacity(events.len() + extra);
-            let mut prev = 0usize;
-            for it in ins.iter().filter(|it| hot[usize::from(it.site)]) {
-                let before = it.before as usize;
-                buf.extend_from_slice(&events[prev..before]);
-                prev = before;
-                buf.push(it.first);
-                if let Some(second) = it.second {
-                    buf.push(second);
-                }
-            }
-            buf.extend_from_slice(&events[prev..]);
-            out.streams[cpu] = Stream::from_events(buf);
-        }
-        out
-    }
-
-    /// [`HotspotPlan::materialize`] over a chunked trace: the same merge,
-    /// run as a forward pass over each stream's chunk iterator against the
-    /// `before`-sorted insertion list, re-encoding into fresh chunks. The
-    /// plan must have been built over an event-identical trace
-    /// ([`HotspotPlan::build_chunked`] on this trace, or
-    /// [`HotspotPlan::build`] on its decoded equivalent).
-    pub fn materialize_chunked(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
         let mut hot = vec![false; 1 << 16];
         for &s in hot_sites {
             hot[usize::from(s)] = true;
@@ -448,7 +390,7 @@ pub fn is_prefetch(e: &Event) -> bool {
 /// inflates code size by ~30% yet "does not significantly affect the
 /// metrics"; [`crate::Repro`]-level comparisons of an instrumented trace
 /// against the original reproduce that perturbation study.
-pub fn instrument_escapes(trace: &Trace) -> Trace {
+pub fn instrument_escapes(trace: &ChunkedTrace) -> ChunkedTrace {
     TransformPipeline::new().escapes().run(trace)
 }
 
@@ -475,19 +417,13 @@ fn colorable(class: DataClass) -> bool {
 /// the scheme's shortcoming — placement is page-grained, "not optimal for
 /// the many small data structures in the kernel" — which is why it is an
 /// extension here, not part of the §4–§6 ladder.
-pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
+pub fn color_pages(trace: &ChunkedTrace, l2_size: u32) -> ChunkedTrace {
     TransformPipeline::new().coloring(trace, l2_size).run(trace)
 }
 
 /// Collects the pages of every static kernel variable (for the
 /// full-update ablation).
-pub fn static_pages(trace: &Trace) -> HashSet<u32> {
-    static_pages_meta(&trace.meta)
-}
-
-/// [`static_pages`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
-pub fn static_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
+pub fn static_pages(meta: &TraceMeta) -> HashSet<u32> {
     meta.vars
         .iter()
         .flat_map(|v| {
@@ -501,14 +437,8 @@ pub fn static_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
 /// Pages a *pure* update protocol would map: every kernel data region
 /// plus the transformed areas (§5.2's comparison point — "a pure update
 /// protocol" over operating-system variables).
-pub fn full_update_pages(trace: &Trace) -> HashSet<u32> {
-    full_update_pages_meta(&trace.meta)
-}
-
-/// [`full_update_pages`] from the metadata alone (see
-/// [`false_sharing_plan_meta`]).
-pub fn full_update_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
-    let mut pages = static_pages_meta(meta);
+pub fn full_update_pages(meta: &TraceMeta) -> HashSet<u32> {
+    let mut pages = static_pages(meta);
     for &(base, len) in &meta.kernel_data {
         let first = base.page();
         let last = Addr(base.0 + len.max(1) - 1).page();
@@ -524,13 +454,8 @@ pub fn full_update_pages_meta(meta: &TraceMeta) -> HashSet<u32> {
 
 /// Builds the coloring stage's first-touch page map: pages of colorable
 /// classes are assigned round-robin over `l2_size / PAGE_SIZE` colors in
-/// the order they first appear, walking streams in CPU order. Shared by
-/// the flat and chunked pipeline fronts so both produce the same map.
-fn first_touch_color_map<S, I>(streams: S, l2_size: u32) -> HashMap<u32, u32>
-where
-    S: Iterator<Item = I>,
-    I: Iterator<Item = Event>,
-{
+/// the order they first appear, walking streams in CPU order.
+fn first_touch_color_map(trace: &ChunkedTrace, l2_size: u32) -> HashMap<u32, u32> {
     let colors = (l2_size / oscache_trace::PAGE_SIZE).max(1);
     let mut map: HashMap<u32, u32> = HashMap::new();
     let mut next_color = 0u32;
@@ -544,8 +469,8 @@ where
             COLOR_BASE_PAGE + round * colors + color
         });
     };
-    for stream in streams {
-        for e in stream {
+    for stream in &trace.streams {
+        for e in stream.iter() {
             match e {
                 Event::Read { addr, class }
                 | Event::Write { addr, class }
@@ -569,21 +494,22 @@ where
     map
 }
 
-/// A fused trace rewrite: any combination of the software passes applied
-/// in one walk over each stream into one pre-sized output buffer.
+/// A fused trace rewrite: any combination of the address passes applied
+/// in one streaming walk over each chunked stream.
 ///
 /// Stages run per event in the fixed order the old pass chain composed
-/// them: **coloring → privatization → relocation → escape instrumentation
-/// → hot-spot prefetching**. Coloring and relocation are pure per-event
-/// address maps; privatization's two-event peephole applies coloring to
-/// its lookahead on the fly, so the fused output is event-for-event
-/// identical to running the stages as separate whole-trace passes (the
-/// [`compat`] oracle, pinned by the equivalence tests).
+/// them: **coloring → privatization → relocation → escape
+/// instrumentation**. Coloring and relocation are pure per-event address
+/// maps; privatization's two-event peephole applies coloring to its
+/// lookahead on the fly, so the fused output is event-for-event identical
+/// to running the stages as separate whole-trace passes (the [`compat`]
+/// oracle, pinned by the equivalence tests).
 ///
 /// Plans are still computed separately — the pipeline consumes a finished
-/// [`RelocationMap`], privatization targets, and hot-site list; it only
-/// fuses the *rewrites*, which is where the per-pass chain paid a full
-/// clone + walk each.
+/// [`RelocationMap`] and privatization targets; it only fuses the
+/// *rewrites*, which is where the per-pass chain paid a full clone + walk
+/// each. Hot-spot prefetch insertion hoists prefetches backwards, so it
+/// is not a stage here: it goes through [`HotspotPlan`].
 #[derive(Default)]
 pub struct TransformPipeline<'a> {
     /// First-touch page map for the coloring stage.
@@ -594,22 +520,6 @@ pub struct TransformPipeline<'a> {
     reloc: Option<&'a RelocationMap>,
     /// Insert one escape read after every basic block.
     escapes: bool,
-    /// Hot sites for the prefetch-insertion stage.
-    hot: Option<HashSet<u16>>,
-}
-
-/// Per-stream state of the fused hot-spot stage. Mirrors the bookkeeping
-/// of the pass-by-pass version, except insertion positions are tracked in
-/// the *output* buffer: the last [`HOIST_LIMIT`] stage-input events and
-/// their current output positions replace the old `insertions` side map.
-struct HotspotState {
-    cur_site: Option<u16>,
-    site_is_loop: bool,
-    in_blockop: bool,
-    recent_lines: Vec<u32>,
-    /// `(blocks_hoisting, output_position)` of the most recent stage-input
-    /// events, oldest first.
-    window: VecDeque<(bool, usize)>,
 }
 
 impl<'a> TransformPipeline<'a> {
@@ -619,23 +529,10 @@ impl<'a> TransformPipeline<'a> {
     }
 
     /// Enables page coloring. The first-touch page map is computed here,
-    /// from `trace` — pass the same trace to [`TransformPipeline::run`].
-    pub fn coloring(mut self, trace: &Trace, l2_size: u32) -> Self {
-        self.color = Some(first_touch_color_map(
-            trace.streams.iter().map(|s| s.events().iter().copied()),
-            l2_size,
-        ));
-        self
-    }
-
-    /// [`TransformPipeline::coloring`] over a chunked trace: the same
-    /// first-touch map, built by streaming each chunk through one decode
-    /// window instead of walking materialized streams.
-    pub fn coloring_chunked(mut self, trace: &ChunkedTrace, l2_size: u32) -> Self {
-        self.color = Some(first_touch_color_map(
-            trace.streams.iter().map(|s| s.iter()),
-            l2_size,
-        ));
+    /// by streaming `trace` — pass the same trace to
+    /// [`TransformPipeline::run`].
+    pub fn coloring(mut self, trace: &ChunkedTrace, l2_size: u32) -> Self {
+        self.color = Some(first_touch_color_map(trace, l2_size));
         self
     }
 
@@ -664,19 +561,9 @@ impl<'a> TransformPipeline<'a> {
         self
     }
 
-    /// Enables hot-spot prefetch insertion at `hot_sites`.
-    pub fn hotspot(mut self, hot_sites: &[u16]) -> Self {
-        self.hot = Some(hot_sites.iter().copied().collect());
-        self
-    }
-
     /// True when no stage is enabled (run would copy the trace).
     pub fn is_identity(&self) -> bool {
-        self.color.is_none()
-            && self.privatize.is_none()
-            && self.reloc.is_none()
-            && !self.escapes
-            && self.hot.is_none()
+        self.color.is_none() && self.privatize.is_none() && self.reloc.is_none() && !self.escapes
     }
 
     /// The coloring stage: a pure per-event address map.
@@ -752,212 +639,9 @@ impl<'a> TransformPipeline<'a> {
         }
     }
 
-    /// Emits one post-privatization event through relocation, escape
-    /// instrumentation, and the hot-spot stage into `out`.
-    fn emit(&self, trace: &Trace, hs: &mut Option<HotspotState>, out: &mut Vec<Event>, e: Event) {
-        let e = self.apply_reloc(e);
-        self.hot_emit(trace, hs, out, e);
-        if self.escapes {
-            if let Event::Exec { block } = e {
-                let bb = trace.meta.code.block(block);
-                // Escape: a data read of an odd code-segment address.
-                self.hot_emit(
-                    trace,
-                    hs,
-                    out,
-                    Event::Read {
-                        addr: Addr(bb.start.0 | 1),
-                        class: DataClass::KernelOther,
-                    },
-                );
-            }
-        }
-    }
-
-    /// The hot-spot stage: pushes `e` (a stage-input event), inserting
-    /// prefetches before it or at an earlier (hoisted) output position,
-    /// exactly as the pass-by-pass version keyed insertions by input index.
-    fn hot_emit(
-        &self,
-        trace: &Trace,
-        hs: &mut Option<HotspotState>,
-        out: &mut Vec<Event>,
-        e: Event,
-    ) {
-        let Some(st) = hs else {
-            out.push(e);
-            return;
-        };
-        let hot = self.hot.as_ref().expect("hotspot state implies hot set");
-        match e {
-            Event::Exec { block } => {
-                let bb = trace.meta.code.block(block);
-                if st.cur_site != Some(bb.site.0) {
-                    st.cur_site = Some(bb.site.0);
-                    st.site_is_loop = trace.meta.code.site(bb.site).is_loop;
-                    st.recent_lines.clear();
-                }
-            }
-            Event::BlockOpBegin { .. } => st.in_blockop = true,
-            Event::BlockOpEnd => st.in_blockop = false,
-            Event::Read { addr, class }
-                if !st.in_blockop && st.cur_site.map(|s| hot.contains(&s)).unwrap_or(false) =>
-            {
-                let line = addr.0 & !15;
-                if !st.recent_lines.contains(&line) {
-                    st.recent_lines.push(line);
-                    if st.recent_lines.len() > 16 {
-                        st.recent_lines.remove(0);
-                    }
-                    if st.site_is_loop {
-                        // Software pipelining: prefetch the data of a later
-                        // iteration at this one; the prologue covers the
-                        // first accesses.
-                        out.push(Event::Prefetch {
-                            addr: addr.offset(LOOP_AHEAD),
-                            class,
-                        });
-                        out.push(Event::Prefetch { addr, class });
-                    } else {
-                        // Hoist backwards to the earliest safe position:
-                        // walk the window of prior stage-input events until
-                        // a synchronization/mode/idle boundary or the hoist
-                        // limit.
-                        let mut pos = out.len();
-                        for (hoisted, &(blocks, p)) in st.window.iter().rev().enumerate() {
-                            if blocks || hoisted >= HOIST_LIMIT {
-                                break;
-                            }
-                            pos = p;
-                        }
-                        out.insert(pos, Event::Prefetch { addr, class });
-                        for w in st.window.iter_mut() {
-                            if w.1 >= pos {
-                                w.1 += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        let blocks = matches!(
-            e,
-            Event::LockAcquire { .. }
-                | Event::LockRelease { .. }
-                | Event::Barrier { .. }
-                | Event::BlockOpBegin { .. }
-                | Event::BlockOpEnd
-                | Event::SetMode { .. }
-                | Event::Idle { .. }
-        );
-        st.window.push_back((blocks, out.len()));
-        out.push(e);
-        if st.window.len() > HOIST_LIMIT {
-            st.window.pop_front();
-        }
-    }
-
-    /// Runs the enabled stages over `trace` in one walk per stream.
-    pub fn run(&self, trace: &Trace) -> Trace {
-        let n_cpus = trace.n_cpus();
-        let mut out = Trace::new(n_cpus, trace.meta.clone());
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let events = stream.events();
-            let mut hs = self.hot.as_ref().map(|_| HotspotState {
-                cur_site: None,
-                site_is_loop: false,
-                in_blockop: false,
-                recent_lines: Vec::new(),
-                window: VecDeque::with_capacity(HOIST_LIMIT + 1),
-            });
-            // Pre-sized: privatization's aggregate expansion and the
-            // prefetch/escape insertions add a small fraction on top.
-            let mut buf: Vec<Event> = Vec::with_capacity(events.len() + events.len() / 8 + 16);
-            let mut i = 0;
-            while i < events.len() {
-                let e = self.apply_color(events[i]);
-                if let Some(index) = &self.privatize {
-                    match e {
-                        Event::Read { addr, class } => {
-                            let w = addr.0 & !(WORD_SIZE - 1);
-                            if let Some(&idx) = index.get(&w) {
-                                // Update (read+write pair) → private copy.
-                                // The lookahead sees the *colored* next
-                                // event, exactly as a privatization pass
-                                // running after a coloring pass would.
-                                let paired = events.get(i + 1).is_some_and(|&n| {
-                                    matches!(
-                                        self.apply_color(n),
-                                        Event::Write { addr: wa, .. }
-                                            if wa.0 & !(WORD_SIZE - 1) == w
-                                    )
-                                });
-                                if paired {
-                                    let p = private_copy_addr(idx, cpu);
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Read { addr: p, class },
-                                    );
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Write { addr: p, class },
-                                    );
-                                    i += 2;
-                                    continue;
-                                }
-                                // Aggregate use → read every CPU's copy.
-                                for c in 0..n_cpus {
-                                    self.emit(
-                                        trace,
-                                        &mut hs,
-                                        &mut buf,
-                                        Event::Read {
-                                            addr: private_copy_addr(idx, c),
-                                            class,
-                                        },
-                                    );
-                                }
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        Event::Write { addr, class } => {
-                            let w = addr.0 & !(WORD_SIZE - 1);
-                            if let Some(&idx) = index.get(&w) {
-                                self.emit(
-                                    trace,
-                                    &mut hs,
-                                    &mut buf,
-                                    Event::Write {
-                                        addr: private_copy_addr(idx, cpu),
-                                        class,
-                                    },
-                                );
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                self.emit(trace, &mut hs, &mut buf, e);
-                i += 1;
-            }
-            out.streams[cpu] = Stream::from_events(buf);
-        }
-        out
-    }
-
     /// Emits one post-privatization event through relocation and escape
-    /// instrumentation straight into a chunk builder. The chunked front
-    /// has no hot-spot stage ([`TransformPipeline::run_chunked`] asserts
-    /// it off), so emission never needs to reach back into sealed chunks.
-    fn emit_chunked(&self, meta: &TraceMeta, out: &mut ChunkedStreamBuilder, e: Event) {
+    /// instrumentation straight into a chunk builder.
+    fn emit(&self, meta: &TraceMeta, out: &mut ChunkedStreamBuilder, e: Event) {
         let e = self.apply_reloc(e);
         out.push(e);
         if self.escapes {
@@ -971,26 +655,14 @@ impl<'a> TransformPipeline<'a> {
         }
     }
 
-    /// Runs the enabled stages over a chunked trace, decoding one chunk at
-    /// a time and re-encoding into fresh chunks: peak memory per stream is
-    /// one decode window plus one open output chunk, independent of trace
-    /// length. Event-for-event identical to decoding the whole trace and
-    /// running [`TransformPipeline::run`] (pinned by the `chunked_*`
-    /// tests): coloring and relocation are pure per-event maps, and
-    /// privatization's two-event peephole needs only a one-event lookahead,
-    /// which the peekable chunk iterator provides across chunk boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hot-spot stage is enabled: its backward hoisting
-    /// would have to rewrite already-sealed chunks. Chunked callers insert
-    /// prefetches through [`HotspotPlan::materialize_chunked`], whose
-    /// insertions are forward-merged.
-    pub fn run_chunked(&self, trace: &ChunkedTrace) -> ChunkedTrace {
-        assert!(
-            self.hot.is_none(),
-            "hot-spot insertion over chunked traces goes through HotspotPlan"
-        );
+    /// Runs the enabled stages over `trace` in one walk per stream,
+    /// decoding one chunk at a time and re-encoding into fresh chunks: peak
+    /// memory per stream is one decode window plus one open output chunk,
+    /// independent of trace length. Coloring and relocation are pure
+    /// per-event maps, and privatization's two-event peephole needs only a
+    /// one-event lookahead, which the peekable chunk iterator provides
+    /// across chunk boundaries.
+    pub fn run(&self, trace: &ChunkedTrace) -> ChunkedTrace {
         let n_cpus = trace.n_cpus();
         let mut out = ChunkedTrace::new(n_cpus, trace.meta.clone());
         for (cpu, stream) in trace.streams.iter().enumerate() {
@@ -1004,8 +676,9 @@ impl<'a> TransformPipeline<'a> {
                             let w = addr.0 & !(WORD_SIZE - 1);
                             if let Some(&idx) = index.get(&w) {
                                 // Update (read+write pair) → private copy.
-                                // As in `run`, the lookahead sees the
-                                // *colored* next event.
+                                // The lookahead sees the *colored* next
+                                // event, exactly as a privatization pass
+                                // running after a coloring pass would.
                                 let paired = it.peek().is_some_and(|&n| {
                                     matches!(
                                         self.apply_color(n),
@@ -1017,17 +690,13 @@ impl<'a> TransformPipeline<'a> {
                                     it.next();
                                     let p = private_copy_addr(idx, cpu);
                                     let meta = &trace.meta;
-                                    self.emit_chunked(meta, &mut b, Event::Read { addr: p, class });
-                                    self.emit_chunked(
-                                        meta,
-                                        &mut b,
-                                        Event::Write { addr: p, class },
-                                    );
+                                    self.emit(meta, &mut b, Event::Read { addr: p, class });
+                                    self.emit(meta, &mut b, Event::Write { addr: p, class });
                                     continue;
                                 }
                                 // Aggregate use → read every CPU's copy.
                                 for c in 0..n_cpus {
-                                    self.emit_chunked(
+                                    self.emit(
                                         &trace.meta,
                                         &mut b,
                                         Event::Read {
@@ -1042,7 +711,7 @@ impl<'a> TransformPipeline<'a> {
                         Event::Write { addr, class } => {
                             let w = addr.0 & !(WORD_SIZE - 1);
                             if let Some(&idx) = index.get(&w) {
-                                self.emit_chunked(
+                                self.emit(
                                     &trace.meta,
                                     &mut b,
                                     Event::Write {
@@ -1056,7 +725,7 @@ impl<'a> TransformPipeline<'a> {
                         _ => {}
                     }
                 }
-                self.emit_chunked(&trace.meta, &mut b, e);
+                self.emit(&trace.meta, &mut b, e);
             }
             out.streams[cpu] = b.finish();
         }
@@ -1359,16 +1028,12 @@ pub mod compat {
     }
 }
 
-// keep DataClass import used in doc examples
-#[allow(unused)]
-fn _class(_: DataClass) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oscache_trace::{Mode, StreamBuilder, TraceMeta};
 
-    fn mini_trace() -> Trace {
+    fn mini_trace() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("seq", false);
         let bb = meta.code.add_block(Addr(0x1000), 4, site);
@@ -1389,13 +1054,13 @@ mod tests {
         b1.set_mode(Mode::Os);
         b1.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
         t.streams[1] = b1.finish();
-        t
+        ChunkedTrace::from_trace(&t)
     }
 
     #[test]
     fn privatize_rewrites_updates_and_expands_aggregates() {
         let t = mini_trace();
-        let out = privatize_counters(&t, &[Addr(0x0100_0000)]);
+        let out = privatize_counters(&t, &[Addr(0x0100_0000)]).to_trace();
         // cpu0: rmw → private pair; aggregate read → 2 reads (2 CPUs).
         let reads0: Vec<Addr> = out.streams[0]
             .events()
@@ -1463,7 +1128,7 @@ mod tests {
         let t = mini_trace();
         let mut m = RelocationMap::new();
         m.add(Addr(0x0100_0000), 4, Addr(RELOC_BASE));
-        let out = relocate(&t, &m);
+        let out = relocate(&t, &m).to_trace();
         for s in &out.streams {
             for e in s.events() {
                 if let Some(a) = e.data_addr() {
@@ -1477,7 +1142,7 @@ mod tests {
     fn hotspot_prefetch_inserts_ahead_for_loops_and_hoists_for_sequences() {
         let t = mini_trace();
         // site ids: 0 = "seq", 1 = "loop"
-        let out = insert_hotspot_prefetches(&t, &[0, 1]);
+        let out = insert_hotspot_prefetches(&t, &[0, 1]).to_trace();
         let evs = out.streams[0].events();
         let n_pref = evs.iter().filter(|e| is_prefetch(e)).count();
         assert!(n_pref >= 2, "expected prefetches, got {n_pref}");
@@ -1498,7 +1163,7 @@ mod tests {
 
     #[test]
     fn update_page_plan_fits_one_page() {
-        let t = oscache_workloads::build(
+        let t = oscache_workloads::build_chunked(
             oscache_workloads::Workload::Trfd4,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -1509,7 +1174,7 @@ mod tests {
         let p = crate::analysis::profile_sharing(&t);
         let privatized = crate::analysis::find_privatizable(&p);
         let set = crate::analysis::find_update_set(&p, &privatized);
-        let (map, pages) = update_page_plan(&t, &set);
+        let (map, pages) = update_page_plan(&t.meta, &set);
         assert!(!map.is_empty());
         assert_eq!(pages.len(), 1, "update set must fit one page: {pages:?}");
     }
@@ -1518,7 +1183,7 @@ mod tests {
     fn escape_instrumentation_is_low_perturbation() {
         // The §2.2 check: instrumenting every basic block with an escape
         // load must not significantly change the measured OS behaviour.
-        let t = oscache_workloads::build(
+        let t = oscache_workloads::build_chunked(
             oscache_workloads::Workload::TrfdMake,
             oscache_workloads::BuildOptions {
                 scale: 0.1,
@@ -1531,12 +1196,12 @@ mod tests {
         let execs: usize = t
             .streams
             .iter()
-            .flat_map(|s| s.events())
+            .flat_map(|s| s.iter())
             .filter(|e| matches!(e, Event::Exec { .. }))
             .count();
         assert_eq!(
-            instrumented.total_reads(),
-            t.total_reads() + execs,
+            instrumented.to_trace().total_reads(),
+            t.to_trace().total_reads() + execs,
             "one escape per basic block"
         );
         let base = crate::sim::run_system(&t, crate::config::System::Base);
@@ -1579,7 +1244,7 @@ mod tests {
             b.read(Addr(0x1000_0000 + k * 256 * 1024), DataClass::PageFrame);
         }
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
+        let out = color_pages(&ChunkedTrace::from_trace(&t), 256 * 1024).to_trace();
         let colors: std::collections::HashSet<u32> = out.streams[0]
             .events()
             .iter()
@@ -1608,7 +1273,7 @@ mod tests {
         b.end_block_op();
         b.read(Addr(0x1000_0008), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
+        let out = color_pages(&ChunkedTrace::from_trace(&t), 256 * 1024).to_trace();
         let evs = out.streams[0].events();
         let (src, dst) = match evs[0] {
             Event::BlockOpBegin { op } => (op.src, op.dst),
@@ -1630,7 +1295,7 @@ mod tests {
         b.read(Addr(0x0100_0000), DataClass::InfreqCounter);
         b.read(Addr(0x1000_0000), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = color_pages(&t, 256 * 1024);
+        let out = color_pages(&ChunkedTrace::from_trace(&t), 256 * 1024).to_trace();
         let evs = out.streams[0].events();
         assert_eq!(evs[0].data_addr().unwrap(), Addr(0x0100_0000));
         assert_ne!(evs[1].data_addr().unwrap(), Addr(0x1000_0000));
@@ -1653,8 +1318,8 @@ mod tests {
         }
     }
 
-    fn workload_trace() -> Trace {
-        oscache_workloads::build(
+    fn workload_trace() -> ChunkedTrace {
+        oscache_workloads::build_chunked(
             oscache_workloads::Workload::Trfd4,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -1666,146 +1331,102 @@ mod tests {
 
     #[test]
     fn pipeline_matches_compat_single_passes() {
-        let t = workload_trace();
-        let p = crate::analysis::profile_sharing(&t);
+        let ct = workload_trace();
+        let t = ct.to_trace();
+        let p = crate::analysis::profile_sharing(&ct);
         let privatized = crate::analysis::find_privatizable(&p);
         assert!(!privatized.is_empty(), "need privatization targets");
         assert_traces_equal(
-            &privatize_counters(&t, &privatized),
+            &privatize_counters(&ct, &privatized).to_trace(),
             &compat::privatize_counters(&t, &privatized),
             "privatize",
         );
-        let plan = false_sharing_plan(&t, &HashSet::new());
+        let plan = false_sharing_plan(&t.meta, &HashSet::new());
         assert!(!plan.is_empty(), "need relocation ranges");
         assert_traces_equal(
-            &relocate(&t, &plan),
+            &relocate(&ct, &plan).to_trace(),
             &compat::relocate(&t, &plan),
             "relocate",
         );
         assert_traces_equal(
-            &instrument_escapes(&t),
+            &instrument_escapes(&ct).to_trace(),
             &compat::instrument_escapes(&t),
             "escapes",
         );
         assert_traces_equal(
-            &color_pages(&t, 256 * 1024),
+            &color_pages(&ct, 256 * 1024).to_trace(),
             &compat::color_pages(&t, 256 * 1024),
             "coloring",
         );
-        // Hot-spot insertion over every non-block-op site, loop and
-        // sequence alike, exercising both insertion shapes and hoisting.
-        let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-        assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &sites),
-            &compat::insert_hotspot_prefetches(&t, &sites),
-            "hotspot",
-        );
+        // The identity pipeline is a chunk-level copy.
+        let id = TransformPipeline::new().run(&ct);
+        assert_traces_equal(&t, &id.to_trace(), "identity");
     }
 
     #[test]
     fn fused_pipeline_matches_compat_composition() {
-        // The fused walk must equal the pass-by-pass *composition* in the
-        // pipeline's stage order, with every stage enabled at once.
-        let t = workload_trace();
-        let p = crate::analysis::profile_sharing(&t);
+        // The fused walk plus the hot-spot plan must equal the pass-by-pass
+        // *composition* in the pipeline's stage order, with every stage
+        // enabled at once.
+        let ct = workload_trace();
+        let t = ct.to_trace();
+        let p = crate::analysis::profile_sharing(&ct);
         let privatized = crate::analysis::find_privatizable(&p);
-        let mut plan = false_sharing_plan(&t, &HashSet::new());
+        let mut plan = false_sharing_plan(&t.meta, &HashSet::new());
         plan.finish();
         let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
 
         let fused = TransformPipeline::new()
-            .coloring(&t, 256 * 1024)
+            .coloring(&ct, 256 * 1024)
             .privatize(&privatized)
             .relocate(&plan)
             .escapes()
-            .hotspot(&sites)
-            .run(&t);
+            .run(&ct);
+        fused.validate().expect("fused output validates");
+        let fused = insert_hotspot_prefetches(&fused, &sites);
 
         let staged = compat::color_pages(&t, 256 * 1024);
         let staged = compat::privatize_counters(&staged, &privatized);
         let staged = compat::relocate(&staged, &plan);
         let staged = compat::instrument_escapes(&staged);
         let staged = compat::insert_hotspot_prefetches(&staged, &sites);
-        assert_traces_equal(&fused, &staged, "fused C+P+R+E+H");
+        assert_traces_equal(&fused.to_trace(), &staged, "fused C+P+R+E+H");
     }
 
     #[test]
-    fn chunked_pipeline_matches_flat_pipeline() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        let p = crate::analysis::profile_sharing(&t);
-        let privatized = crate::analysis::find_privatizable(&p);
-        assert!(!privatized.is_empty(), "need privatization targets");
-        let mut plan = false_sharing_plan(&t, &HashSet::new());
-        plan.finish();
-
-        // Every stage except hot-spot, fused.
-        let flat = TransformPipeline::new()
-            .coloring(&t, 256 * 1024)
-            .privatize(&privatized)
-            .relocate(&plan)
-            .escapes()
-            .run(&t);
-        let chunked = TransformPipeline::new()
-            .coloring_chunked(&ct, 256 * 1024)
-            .privatize(&privatized)
-            .relocate(&plan)
-            .escapes()
-            .run_chunked(&ct);
-        assert_traces_equal(&flat, &chunked.to_trace(), "chunked C+P+R+E");
-        chunked.validate().expect("chunked output validates");
-
-        // The identity pipeline is a chunk-level copy.
-        let id = TransformPipeline::new().run_chunked(&ct);
-        assert_traces_equal(&t, &id.to_trace(), "chunked identity");
-    }
-
-    #[test]
-    fn chunked_hotspot_plan_matches_flat_insertion() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
+    fn hotspot_plan_matches_compat_insertion() {
+        // Hot-spot insertion over every non-block-op site, loop and
+        // sequence alike, exercising both insertion shapes and hoisting;
+        // one plan serves every hot set.
+        let ct = workload_trace();
+        let t = ct.to_trace();
         let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-        let plan = HotspotPlan::build_chunked(&ct);
+        let plan = HotspotPlan::build(&ct);
         assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &sites),
-            &plan.materialize_chunked(&ct, &sites).to_trace(),
-            "chunked hotspot all sites",
+            &plan.materialize(&ct, &sites).to_trace(),
+            &compat::insert_hotspot_prefetches(&t, &sites),
+            "hotspot all sites",
         );
         // A subset and the empty set (identity merge).
         let some: Vec<u16> = sites.iter().copied().take(sites.len() / 2).collect();
         assert_traces_equal(
-            &insert_hotspot_prefetches(&t, &some),
-            &plan.materialize_chunked(&ct, &some).to_trace(),
-            "chunked hotspot subset",
+            &plan.materialize(&ct, &some).to_trace(),
+            &compat::insert_hotspot_prefetches(&t, &some),
+            "hotspot subset",
         );
         assert_traces_equal(
+            &plan.materialize(&ct, &[]).to_trace(),
             &t,
-            &plan.materialize_chunked(&ct, &[]).to_trace(),
-            "chunked hotspot empty set",
+            "hotspot empty set",
         );
-        // And the plan itself matches the flat-built plan's output.
-        let flat_plan = HotspotPlan::build(&t);
-        assert_traces_equal(
-            &flat_plan.materialize(&t, &sites),
-            &plan.materialize_chunked(&ct, &sites).to_trace(),
-            "chunked vs flat plan",
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "HotspotPlan")]
-    fn run_chunked_rejects_hotspot_stage() {
-        let t = workload_trace();
-        let ct = ChunkedTrace::from_trace(&t);
-        TransformPipeline::new().hotspot(&[0]).run_chunked(&ct);
     }
 
     #[test]
     fn static_pages_cover_the_static_area() {
         let t = mini_trace();
         // mini trace has no vars; use a workload trace.
-        assert!(static_pages(&t).is_empty());
-        let t2 = oscache_workloads::build(
+        assert!(static_pages(&t.meta).is_empty());
+        let t2 = oscache_workloads::build_chunked(
             oscache_workloads::Workload::Shell,
             oscache_workloads::BuildOptions {
                 scale: 0.05,
@@ -1813,7 +1434,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let pages = static_pages(&t2);
+        let pages = static_pages(&t2.meta);
         assert!(!pages.is_empty());
     }
 }

@@ -1,20 +1,26 @@
 //! End-to-end equivalence oracle for the fused transform pipeline.
 //!
-//! Re-implements the pre-fusion `prepare_cell` — one cloned rewrite per
-//! software pass, using the verbatim old passes kept in
-//! `transform::compat` — and checks that the production (fused) path
-//! produces an event-for-event identical prepared trace and the same
-//! update-page set for every `System` in the ladder, plus the coloring
-//! variants the ladder itself never enables.
+//! Re-implements the pre-fusion `prepare_cell` over the materialized
+//! `Trace` — one cloned rewrite per software pass, using the verbatim old
+//! passes kept in `transform::compat` — and checks that the production
+//! path (`analyze_cell` + `prepare_from_analysis` over the chunked trace,
+//! decoded with `to_trace()`) produces an event-for-event identical
+//! prepared trace and the same update-page set for every `System` in the
+//! ladder, plus the coloring variants the ladder itself never enables.
 
-use oscache_core::{analysis, deferred, prepare_cell, transform, Geometry, System, UpdatePolicy};
-use oscache_memsys::{AuditLevel, Machine, PageSet};
-use oscache_trace::Trace;
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_core::{
+    analysis, analyze_cell, deferred, prepare_from_analysis, transform, Geometry, System,
+    UpdatePolicy,
+};
+use oscache_memsys::{AuditLevel, CancelToken, Machine, PageSet};
+use oscache_trace::{ChunkedTrace, Trace};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::collections::HashSet;
 
 /// The old pass-by-pass preparation: each enabled pass clones and rewrites
-/// the whole trace. Mirrors the pre-fusion `sim::prepare_cell` exactly.
+/// the whole trace. Mirrors the pre-fusion `sim::prepare_cell` exactly;
+/// the analyses that have no `compat` twin (sharing profile, deferred
+/// copy, the profiling replay) run on a re-encoding of the working trace.
 fn prepare_compat(
     trace: &Trace,
     spec: oscache_core::SystemSpec,
@@ -24,9 +30,8 @@ fn prepare_compat(
     let mut owned: Option<Trace> = None;
 
     if spec.deferred_copy {
-        owned = Some(deferred::apply_deferred_copy(
-            owned.as_ref().unwrap_or(trace),
-        ));
+        let working = ChunkedTrace::from_trace(owned.as_ref().unwrap_or(trace));
+        owned = Some(deferred::apply_deferred_copy(&working).to_trace());
     }
 
     if spec.page_coloring {
@@ -39,7 +44,7 @@ fn prepare_compat(
 
     if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
         let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing(working);
+        let profile = analysis::profile_sharing(&ChunkedTrace::from_trace(working));
         let privatized = if spec.privatize {
             analysis::find_privatizable(&profile)
         } else {
@@ -49,7 +54,7 @@ fn prepare_compat(
         let mut placed: HashSet<u32> = HashSet::new();
         if spec.update == UpdatePolicy::Selective {
             let set = analysis::find_update_set(&profile, &privatized);
-            let (upd_plan, pages) = transform::update_page_plan(working, &set);
+            let (upd_plan, pages) = transform::update_page_plan(&working.meta, &set);
             update_pages = pages.into_iter().collect();
             for w in set.all_words() {
                 if let Some(v) = working.meta.var_at(w) {
@@ -61,7 +66,7 @@ fn prepare_compat(
             plan = upd_plan;
         }
         if spec.relocate {
-            let fs = transform::false_sharing_plan(working, &placed);
+            let fs = transform::false_sharing_plan(&working.meta, &placed);
             for v in &working.meta.vars {
                 if v.false_shared_group.is_some()
                     && !placed.contains(&v.addr.0)
@@ -86,7 +91,9 @@ fn prepare_compat(
 
     if spec.update == UpdatePolicy::Full {
         let working = owned.as_ref().unwrap_or(trace);
-        update_pages = transform::full_update_pages(working).into_iter().collect();
+        update_pages = transform::full_update_pages(&working.meta)
+            .into_iter()
+            .collect();
     }
 
     if spec.hotspot_prefetch {
@@ -95,7 +102,10 @@ fn prepare_compat(
         cfg.update_pages = update_pages.clone();
         cfg.audit = AuditLevel::Off;
         let working = owned.as_ref().unwrap_or(trace);
-        let profile_stats = Machine::new(cfg, working).unwrap().run().unwrap();
+        let profile_stats = Machine::new(cfg, &ChunkedTrace::from_trace(working))
+            .unwrap()
+            .run()
+            .unwrap();
         let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
         let t = transform::compat::insert_hotspot_prefetches(working, &hot);
         owned = Some(t);
@@ -104,7 +114,8 @@ fn prepare_compat(
     (owned, update_pages)
 }
 
-fn assert_prepared_equal(a: Option<&Trace>, trace: &Trace, b: Option<&Trace>, what: &str) {
+fn assert_prepared_equal(a: Option<Trace>, trace: &Trace, b: Option<&Trace>, what: &str) {
+    let a = a.as_ref();
     let a = a.unwrap_or(trace);
     let b = b.unwrap_or(trace);
     assert_eq!(a.n_cpus(), b.n_cpus(), "{what}: cpu count differs");
@@ -121,7 +132,7 @@ fn assert_prepared_equal(a: Option<&Trace>, trace: &Trace, b: Option<&Trace>, wh
 }
 
 fn check_workload(workload: Workload, seed: u64) {
-    let t = build(
+    let ct = build_chunked(
         workload,
         BuildOptions {
             scale: 0.05,
@@ -129,6 +140,7 @@ fn check_workload(workload: Workload, seed: u64) {
             ..Default::default()
         },
     );
+    let t = ct.to_trace();
     let geometry = Geometry::default();
     // Every ladder system, plus coloring alone and coloring stacked on the
     // full ladder top (exercises the C stage feeding P/R/H).
@@ -144,14 +156,18 @@ fn check_workload(workload: Workload, seed: u64) {
     specs.push(("BCPref+color".into(), colored_top));
 
     for (label, spec) in specs {
-        let fused = prepare_cell(&t, spec, geometry, AuditLevel::Off).unwrap();
+        let analyzed = analyze_cell(&ct, spec);
+        let none = CancelToken::none();
+        let (fused, _) =
+            prepare_from_analysis(&ct, &analyzed, spec, geometry, AuditLevel::Off, &none).unwrap();
         let (oracle, oracle_pages) = prepare_compat(&t, spec, geometry);
         let what = format!("{workload:?}/{label}");
         assert_eq!(
             fused.update_pages, oracle_pages,
             "{what}: update pages differ"
         );
-        assert_prepared_equal(fused.trace.as_deref(), &t, oracle.as_ref(), &what);
+        let fused_trace = fused.trace.as_deref().map(ChunkedTrace::to_trace);
+        assert_prepared_equal(fused_trace, &t, oracle.as_ref(), &what);
     }
 }
 

@@ -7,21 +7,21 @@
 //! times must match a fully-recorded run *bit for bit*. These tests pin
 //! that claim against the real ladder (every system × every workload) and
 //! against seeded-PRNG random traces, and pin the hot-spot insertion plan
-//! against the single-set rewrite pipeline it replaces.
+//! against the pass-by-pass `compat` rewrite.
 
-use oscache_core::transform::{HotspotPlan, TransformPipeline};
+use oscache_core::transform::{compat, HotspotPlan};
 use oscache_core::{analysis, analyze_cell, try_run_spec_audited, Geometry, System};
 use oscache_memsys::{profile_os_misses, AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder oracle in seconds.
 const SCALE: f64 = 0.08;
 
-fn trace_of(workload: Workload) -> Trace {
-    build(
+fn trace_of(workload: Workload) -> ChunkedTrace {
+    build_chunked(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -34,7 +34,7 @@ fn trace_of(workload: Workload) -> Trace {
 /// the same input and asserts everything the profiler promises to be
 /// exact: per-CPU and aggregate `os_miss_by_site`, the OS read-miss
 /// total, and the per-CPU simulated finish times.
-fn assert_profiler_exact(cfg: MachineConfig, trace: &Trace, what: &str) -> SimStats {
+fn assert_profiler_exact(cfg: MachineConfig, trace: &ChunkedTrace, what: &str) -> SimStats {
     let full = Machine::new(cfg.clone(), trace)
         .unwrap_or_else(|e| panic!("{what}: {e}"))
         .run()
@@ -65,7 +65,7 @@ fn assert_profiler_exact(cfg: MachineConfig, trace: &Trace, what: &str) -> SimSt
 
 /// The profiling input `prepare_from_analysis` would hand the profiler
 /// for this (workload trace, system, geometry) cell.
-fn profiling_cfg(trace: &Trace, system: System, geometry: Geometry) -> MachineConfig {
+fn profiling_cfg(trace: &ChunkedTrace, system: System, geometry: Geometry) -> MachineConfig {
     let spec = system.spec();
     let analyzed = analyze_cell(trace, spec);
     let mut cfg = geometry.machine_config(&spec);
@@ -159,15 +159,16 @@ fn profiler_matches_machine_on_random_traces() {
         }
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
+        let t = ChunkedTrace::from_trace(&t);
         assert_profiler_exact(cfg, &t, &format!("random seed {seed}"));
     }
 }
 
 /// The precomputed hot-spot insertion plan must materialize, for every hot
 /// set the ladder actually ranks (plus synthetic subsets), the exact event
-/// streams the single-set rewrite pipeline emits.
+/// streams the pass-by-pass `compat` rewrite emits.
 #[test]
-fn hotspot_plan_matches_pipeline_rewrite() {
+fn hotspot_plan_matches_compat_rewrite() {
     for workload in [Workload::Trfd4, Workload::Shell, Workload::Arc2dFsck] {
         let base = trace_of(workload);
         let spec = System::BCPref.spec();
@@ -179,6 +180,7 @@ fn hotspot_plan_matches_pipeline_rewrite() {
         assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
 
         let plan = HotspotPlan::build(working);
+        let flat = working.to_trace();
         let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
         // A rotated subset exercises orderings the ranking never produces.
         if hot.len() > 2 {
@@ -187,12 +189,12 @@ fn hotspot_plan_matches_pipeline_rewrite() {
             sets.push(rot);
         }
         for set in sets {
-            let planned = plan.materialize(working, &set);
-            let piped = TransformPipeline::new().hotspot(&set).run(working);
+            let planned = plan.materialize(working, &set).to_trace();
+            let staged = compat::insert_hotspot_prefetches(&flat, &set);
             for cpu in 0..working.n_cpus() {
                 assert_eq!(
                     planned.streams[cpu].events(),
-                    piped.streams[cpu].events(),
+                    staged.streams[cpu].events(),
                     "{workload:?}: cpu {cpu} rewrite differs for set {set:?}"
                 );
             }

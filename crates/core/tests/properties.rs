@@ -5,7 +5,7 @@ use oscache_core::transform::{
     insert_hotspot_prefetches, privatize_counters, relocate, RelocationMap,
 };
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
 
@@ -46,7 +46,7 @@ fn empty_relocation_is_identity() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, u32::MAX, 100));
-        let out = relocate(&t, &RelocationMap::new());
+        let out = relocate(&ChunkedTrace::from_trace(&t), &RelocationMap::new()).to_trace();
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].events(), t.streams[cpu].events());
         }
@@ -66,7 +66,7 @@ fn relocation_is_structure_preserving() {
         let old = Addr(0x0100_0000 + start * 4);
         let new = Addr(0x0900_0000);
         m.add(old, len, new);
-        let out = relocate(&t, &m);
+        let out = relocate(&ChunkedTrace::from_trace(&t), &m).to_trace();
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].len(), t.streams[cpu].len());
             for (a, b) in t.streams[cpu]
@@ -113,7 +113,7 @@ fn privatization_removes_shared_addresses() {
             }
             t.streams[cpu] = b.finish();
         }
-        let out = privatize_counters(&t, &[target]);
+        let out = privatize_counters(&ChunkedTrace::from_trace(&t), &[target]).to_trace();
         let mut private_addrs = std::collections::HashSet::new();
         for cpu in 0..2 {
             for e in out.streams[cpu].events() {
@@ -139,7 +139,7 @@ fn prefetch_insertion_is_additive() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, 4096, 150));
-        let out = insert_hotspot_prefetches(&t, &[0]);
+        let out = insert_hotspot_prefetches(&ChunkedTrace::from_trace(&t), &[0]).to_trace();
         for cpu in 0..2 {
             let orig: Vec<&Event> = t.streams[cpu].events().iter().collect();
             let kept: Vec<&Event> = out.streams[cpu]
@@ -189,9 +189,10 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
             }
         }
         t.streams[0] = b.finish();
-        let counts = analyze(&t);
+        let ct = ChunkedTrace::from_trace(&t);
+        let counts = analyze(&ct);
         assert_eq!(counts.small_copies as usize, lens.len());
-        let out = apply_deferred_copy(&t);
+        let out = apply_deferred_copy(&ct).to_trace();
         // All copies are read-only (no later writes): every bracket goes.
         let remaining = out.streams[0]
             .events()
@@ -204,7 +205,7 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
         t4.streams[0] = out.streams[0].clone();
         let cfg =
             oscache_memsys::MachineConfig::base().with_audit(oscache_memsys::AuditLevel::Strict);
-        let s = oscache_memsys::Machine::new(cfg, &t4)
+        let s = oscache_memsys::Machine::new(cfg, &ChunkedTrace::from_trace(&t4))
             .unwrap()
             .run()
             .unwrap();

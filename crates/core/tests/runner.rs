@@ -217,10 +217,7 @@ fn prepared(
     cache: &TraceCache,
     base: &oscache_trace::ChunkedTrace,
     fp: CellFingerprint,
-) -> (
-    Arc<oscache_core::PreparedCellChunked>,
-    oscache_core::PrepPhases,
-) {
+) -> (Arc<oscache_core::PreparedCell>, oscache_core::PrepPhases) {
     cache
         .prepared_chunked_cancellable(base, fp, &oscache_memsys::CancelToken::none())
         .unwrap()

@@ -14,15 +14,15 @@
 use oscache_core::{analyze_cell, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
 /// small enough to run the full ladder differential in seconds.
 const SCALE: f64 = 0.08;
 
-fn trace_of(workload: Workload) -> Trace {
-    build(
+fn trace_of(workload: Workload) -> ChunkedTrace {
+    build_chunked(
         workload,
         BuildOptions {
             scale: SCALE,
@@ -37,7 +37,7 @@ fn trace_of(workload: Workload) -> Trace {
 /// failure message), the final machine-state digest, and the step count.
 fn assert_spec_matches_generic(
     cfg: MachineConfig,
-    trace: &Trace,
+    trace: &ChunkedTrace,
     record: bool,
     what: &str,
 ) -> SimStats {
@@ -207,6 +207,7 @@ fn specialized_replay_matches_generic_on_random_traces() {
             }
             t.streams[cpu] = b.finish();
         }
+        let t = ChunkedTrace::from_trace(&t);
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
         if seed % 2 == 0 {

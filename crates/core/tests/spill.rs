@@ -141,9 +141,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
             );
             for prefetch in [false, true] {
                 let what = format!("seed {seed} capacity {capacity} prefetch {prefetch}");
-                let mut m0 = Machine::with_recording_chunked(MachineConfig::base(), &inmem, true)
+                let mut m0 = Machine::with_recording(MachineConfig::base(), &inmem, true)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                let mut m1 = Machine::with_recording_chunked(MachineConfig::base(), &spilled, true)
+                let mut m1 = Machine::with_recording(MachineConfig::base(), &spilled, true)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 m0.set_decode_prefetch(prefetch);
                 m1.set_decode_prefetch(prefetch);
@@ -154,10 +154,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
                     "{what}: final machine states diverge"
                 );
                 assert_eq!(m0.steps(), m1.steps(), "{what}: event counts diverge");
-                let mut g0 =
-                    Machine::with_recording_chunked(MachineConfig::base(), &inmem, true).unwrap();
+                let mut g0 = Machine::with_recording(MachineConfig::base(), &inmem, true).unwrap();
                 let mut g1 =
-                    Machine::with_recording_chunked(MachineConfig::base(), &spilled, true).unwrap();
+                    Machine::with_recording(MachineConfig::base(), &spilled, true).unwrap();
                 g0.set_decode_prefetch(prefetch);
                 g1.set_decode_prefetch(prefetch);
                 assert_eq!(
@@ -184,7 +183,7 @@ fn validate_then_spill_then_replay_is_transparent() {
     let t = random_trace(&mut rng);
     let mut ct = chunk_with_capacity(&t, 7);
     ct.validate().expect("generator must emit valid traces");
-    let mut before = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+    let mut before = Machine::new(MachineConfig::base(), &ct).unwrap();
     let expected = before.run_mut().expect("replay in memory");
     let digest = before.state_digest();
     drop(before);
@@ -195,7 +194,7 @@ fn validate_then_spill_then_replay_is_transparent() {
     );
     assert_eq!(ct.validate(), Ok(()));
     for prefetch in [false, true] {
-        let mut after = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+        let mut after = Machine::new(MachineConfig::base(), &ct).unwrap();
         after.set_decode_prefetch(prefetch);
         assert_eq!(
             after.run_mut().as_ref(),
@@ -288,11 +287,11 @@ fn replay_salvages_each_bad_frame_once_with_the_helper_on() {
     );
     assert_eq!(spilled.validate(), Ok(()));
     assert_eq!(store.salvage_count(), 0, "validation read a frame back");
-    let mut reference = Machine::new_chunked(MachineConfig::base(), &inmem).unwrap();
+    let mut reference = Machine::new(MachineConfig::base(), &inmem).unwrap();
     reference.set_decode_prefetch(false);
     let expected = reference.run_mut().expect("in-memory replay");
     for round in 0..2 {
-        let mut m = Machine::new_chunked(MachineConfig::base(), &spilled).unwrap();
+        let mut m = Machine::new(MachineConfig::base(), &spilled).unwrap();
         m.set_decode_prefetch(true);
         assert_eq!(m.run_mut().as_ref(), Ok(&expected), "round {round}");
         assert_eq!(m.state_digest(), reference.state_digest(), "round {round}");
@@ -329,7 +328,7 @@ fn unrecoverable_frame_fails_the_replay_cleanly() {
         }
         assert_eq!(ct.validate(), Ok(()), "validation must not read frames");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut m = Machine::new_chunked(MachineConfig::base(), &ct).unwrap();
+            let mut m = Machine::new(MachineConfig::base(), &ct).unwrap();
             m.set_decode_prefetch(true);
             m.run_mut()
         }));

@@ -1,36 +1,37 @@
-//! Streaming-engine equivalence oracle (DESIGN.md §16).
+//! Chunk-capacity invariance oracle (DESIGN.md §16).
 //!
-//! The chunked streaming engine is the only production path for every
-//! stage of the pipeline — workload generation, the software passes, and
-//! the replay loops — while the materialized `Vec<Event>` functions are
-//! kept as the reference. This file pins the two bitwise-equal at every
-//! layer:
+//! Every pass, the profiler and the machine consume `ChunkedTrace`, which
+//! splits each per-CPU stream into fixed-capacity delta-encoded chunks and
+//! decodes them through small windows. Where the chunk boundaries fall
+//! must be invisible to every result. This file pins that at every layer:
 //!
 //! * the full ladder matrix (every system × every workload × three cache
-//!   geometries) through the complete software-pass pipeline,
+//!   geometries) through the complete software-pass pipeline, with the
+//!   base trace re-encoded at capacity 5 against the default capacity,
 //! * seeded random traces through the machine itself (results, final
-//!   state digest, and step count), across chunk capacities that force
-//!   events to straddle chunk boundaries (including 1-event chunks),
+//!   state digest, and step count on both dispatch tiers), at capacities
+//!   that force events to straddle chunk boundaries (including 1-event
+//!   chunks),
 //! * degenerate shapes: empty traces and partially-empty streams.
 
-use oscache_core::{try_run_spec_audited, try_run_spec_audited_chunked, Geometry, System};
+use oscache_core::{try_run_spec_audited, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta,
 };
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
 
 /// Chunk capacities the machine-level matrix runs at: 1 (every event is
-/// its own chunk), small primes that misalign with any event pattern,
+/// its own chunk), a small prime that misaligns with any event pattern,
 /// and the production default.
 const CAPACITIES: [usize; 3] = [1, 5, 4096];
 
-/// Re-encodes a materialized trace chunk-by-chunk at an explicit
-/// capacity, so chunk boundaries land mid-stream wherever the capacity
-/// says — the decode windows must be invisible to the replay.
+/// Re-encodes a trace chunk-by-chunk at an explicit capacity, so chunk
+/// boundaries land mid-stream wherever the capacity says — the decode
+/// windows must be invisible to the replay.
 fn chunk_with_capacity(t: &Trace, capacity: usize) -> ChunkedTrace {
     let mut ct = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
     for (cpu, s) in t.streams.iter().enumerate() {
@@ -58,54 +59,29 @@ fn geometries() -> [Geometry; 3] {
 }
 
 /// The full ladder × workload × geometry matrix through the complete
-/// pipeline (analysis, transforms, profiling replay, final run): the
-/// streaming path must produce bitwise-identical statistics to the
-/// materialized path for every cell of every experiment.
+/// pipeline (analysis, transforms, profiling replay, final run): a base
+/// trace whose chunks hold 5 events must produce bitwise-identical
+/// statistics to the default-capacity build for every cell of every
+/// experiment.
 #[test]
-fn ladder_matrix_streaming_matches_materialized() {
+fn ladder_matrix_is_chunk_capacity_invariant() {
     let opts = BuildOptions {
         scale: 0.03,
         ..BuildOptions::default()
     };
     for w in Workload::all() {
-        let flat = build(w, opts);
-        let chunked = ChunkedTrace::from_trace(&flat);
+        let base = build_chunked(w, opts);
+        let small = chunk_with_capacity(&base.to_trace(), 5);
+        assert!(small.streams.iter().all(|s| s.capacity() == 5));
         for sys in System::all() {
             for (gi, geometry) in geometries().into_iter().enumerate() {
                 let what = format!("{}/{}/geom{}", w.name(), sys.label(), gi);
-                let rf = try_run_spec_audited(&flat, sys.spec(), geometry, AuditLevel::Off)
-                    .unwrap_or_else(|e| panic!("{what} (flat): {e}"));
-                let rc =
-                    try_run_spec_audited_chunked(&chunked, sys.spec(), geometry, AuditLevel::Off)
-                        .unwrap_or_else(|e| panic!("{what} (chunked): {e}"));
-                assert_eq!(rf.stats, rc.stats, "{what}: statistics diverge");
+                let rd = try_run_spec_audited(&base, sys.spec(), geometry, AuditLevel::Off)
+                    .unwrap_or_else(|e| panic!("{what} (default capacity): {e}"));
+                let rs = try_run_spec_audited(&small, sys.spec(), geometry, AuditLevel::Off)
+                    .unwrap_or_else(|e| panic!("{what} (capacity 5): {e}"));
+                assert_eq!(rd.stats, rs.stats, "{what}: statistics diverge");
             }
-        }
-    }
-}
-
-/// The chunked workload builder emits exactly the events the
-/// materialized builder does — generation itself is part of the pinned
-/// surface, not just the replay.
-#[test]
-fn chunked_builder_matches_materialized_builder() {
-    let opts = BuildOptions {
-        scale: 0.05,
-        ..BuildOptions::default()
-    };
-    for w in Workload::all() {
-        let flat = build(w, opts);
-        let chunked = oscache_workloads::build_chunked(w, opts);
-        assert_eq!(chunked.n_cpus(), flat.n_cpus(), "{}", w.name());
-        assert_eq!(chunked.total_events(), flat.total_events(), "{}", w.name());
-        for cpu in 0..flat.n_cpus() {
-            let decoded: Vec<_> = chunked.streams[cpu].iter().collect();
-            assert_eq!(
-                decoded.as_slice(),
-                flat.streams[cpu].events(),
-                "{} cpu {cpu}",
-                w.name()
-            );
         }
     }
 }
@@ -172,65 +148,73 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
-/// Runs the same (config, trace) cell through the flat machine and the
-/// chunked machine and asserts end-to-end equality: the full `Result`,
-/// the final machine-state digest, and the step count — for both the
-/// specialized dispatcher and the generic loop.
-fn assert_chunked_matches_flat(cfg: MachineConfig, flat: &Trace, ct: &ChunkedTrace, what: &str) {
-    let mut f =
-        Machine::with_recording(cfg.clone(), flat, true).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut c = Machine::with_recording_chunked(cfg.clone(), ct, true)
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(f.run_mut(), c.run_mut(), "{what}: results diverge");
+/// Runs the same cell over two encodings of one trace and asserts
+/// end-to-end equality: the full `Result`, the final machine-state
+/// digest, and the step count — for both the specialized dispatcher and
+/// the generic loop.
+fn assert_capacity_invisible(cfg: MachineConfig, a: &ChunkedTrace, b: &ChunkedTrace, what: &str) {
+    let mut ma = Machine::new(cfg.clone(), a).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut mb = Machine::new(cfg.clone(), b).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(ma.run_mut(), mb.run_mut(), "{what}: results diverge");
     assert_eq!(
-        f.state_digest(),
-        c.state_digest(),
+        ma.state_digest(),
+        mb.state_digest(),
         "{what}: final machine states diverge"
     );
-    assert_eq!(f.steps(), c.steps(), "{what}: event counts diverge");
-    // The chunked generic loop against the flat generic loop, too: the
-    // decode windows must be invisible on both dispatch tiers.
-    let mut fg = Machine::with_recording(cfg.clone(), flat, true).unwrap();
-    let mut cg = Machine::with_recording_chunked(cfg, ct, true).unwrap();
+    assert_eq!(ma.steps(), mb.steps(), "{what}: event counts diverge");
+    // The generic loop too: the decode windows must be invisible on both
+    // dispatch tiers.
+    let mut ga = Machine::new(cfg.clone(), a).unwrap();
+    let mut gb = Machine::new(cfg, b).unwrap();
     assert_eq!(
-        fg.run_generic_mut(),
-        cg.run_generic_mut(),
+        ga.run_generic_mut(),
+        gb.run_generic_mut(),
         "{what}: generic results diverge"
     );
     assert_eq!(
-        fg.state_digest(),
-        cg.state_digest(),
+        ga.state_digest(),
+        gb.state_digest(),
         "{what}: generic final states diverge"
+    );
+    assert_eq!(
+        ga.steps(),
+        gb.steps(),
+        "{what}: generic event counts diverge"
     );
 }
 
-/// Seeded random traces replay identically through the chunked machine
-/// at every chunk capacity — including capacity 1 (every event alone in
-/// its chunk) and capacities that put chunk boundaries inside lock
-/// regions and block operations.
+/// Seeded random traces replay identically at every chunk capacity —
+/// including capacity 1 (every event alone in its chunk) and capacities
+/// that put chunk boundaries inside lock regions and block operations —
+/// as at the default capacity.
 #[test]
 fn random_traces_match_across_chunk_capacities() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(0x57EA_0000 ^ seed);
         let t = random_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
+        let reference = ChunkedTrace::from_trace(&t);
         for capacity in CAPACITIES {
             let ct = chunk_with_capacity(&t, capacity);
             assert_eq!(ct.total_events(), t.total_events());
             let what = format!("seed {seed} capacity {capacity}");
-            assert_chunked_matches_flat(MachineConfig::base(), &t, &ct, &what);
+            assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
         }
     }
 }
 
 /// Degenerate shapes: a wholly empty trace and a trace where some CPUs
-/// have no events at all decode and replay identically.
+/// have no events at all replay identically at every capacity.
 #[test]
 fn empty_and_partially_empty_streams_match() {
     let empty = Trace::new(4, TraceMeta::default());
-    let ct = ChunkedTrace::from_trace(&empty);
-    assert_eq!(ct.total_events(), 0);
-    assert_chunked_matches_flat(MachineConfig::base(), &empty, &ct, "empty trace");
+    let reference = ChunkedTrace::from_trace(&empty);
+    assert_eq!(reference.total_events(), 0);
+    for capacity in CAPACITIES {
+        let ct = chunk_with_capacity(&empty, capacity);
+        let what = format!("empty capacity {capacity}");
+        assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
+    }
 
     let mut partial = Trace::new(4, TraceMeta::default());
     let mut b = StreamBuilder::new();
@@ -239,9 +223,10 @@ fn empty_and_partially_empty_streams_match() {
         b.read(Addr(0x0100_0000 + (i % 512) * 4), DataClass::KernelOther);
     }
     partial.streams[2] = b.finish();
+    let reference = ChunkedTrace::from_trace(&partial);
     for capacity in CAPACITIES {
         let ct = chunk_with_capacity(&partial, capacity);
         let what = format!("partial capacity {capacity}");
-        assert_chunked_matches_flat(MachineConfig::base(), &partial, &ct, &what);
+        assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
     }
 }

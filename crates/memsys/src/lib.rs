@@ -21,7 +21,7 @@
 //!   `Blk_ByPref`, and the DMA-like `Blk_Dma` engine), selected by
 //!   [`BlockOpScheme`].
 //!
-//! [`Machine::run`] replays an [`oscache_trace::Trace`] and returns
+//! [`Machine::run`] replays an [`oscache_trace::ChunkedTrace`] and returns
 //! [`SimStats`], from which every table and figure of the paper is derived.
 //! Malformed traces and violated machine invariants surface as typed
 //! [`SimError`]s rather than panics; [`AuditLevel`] selects how much
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use oscache_memsys::{AuditLevel, Machine, MachineConfig};
-//! use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+//! use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
 //!
 //! let mut meta = TraceMeta::default();
 //! let site = meta.code.add_site("demo", false);
@@ -45,6 +45,7 @@
 //! trace.streams[0] = b.finish();
 //!
 //! let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
+//! let trace = ChunkedTrace::from_trace(&trace);
 //! let stats = Machine::new(cfg, &trace).unwrap().run().unwrap();
 //! assert_eq!(stats.total().l1d_read_misses.os, 1); // cold miss
 //! ```
@@ -78,7 +79,7 @@ pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{BypassSet, Departure, HistoryMap};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
-pub use profiler::{profile_os_misses, profile_os_misses_chunked};
+pub use profiler::profile_os_misses;
 pub use spec::SpecKey;
 pub use stats::{CpuStats, MissKind, ModeSplit, SimStats};
 pub use wbuf::WriteBuffer;

@@ -1,6 +1,6 @@
 //! The trace-driven multiprocessor machine model.
 //!
-//! [`Machine`] replays a multiprocessor [`Trace`] against the §2.4
+//! [`Machine`] replays a multiprocessor [`ChunkedTrace`] against the §2.4
 //! architecture: per-CPU L1I/L1D/L2 caches with write buffers, a shared
 //! split-transaction bus with full contention, Illinois-MESI invalidation
 //! coherence with optional per-page Firefly updates (§5.2), software
@@ -32,7 +32,6 @@ use crate::{
 };
 use oscache_trace::{
     Addr, BasicBlock, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event, LineAddr, Mode,
-    Trace, TraceMeta,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -156,18 +155,6 @@ enum LockSlot {
 #[derive(Clone, Default)]
 struct BarrierState {
     arrived: Vec<usize>,
-}
-
-/// Where the machine pulls its reference streams from: the historical
-/// materialized trace (events indexed directly from the flat `Vec`), or a
-/// chunked trace decoded on demand through per-CPU [`DecodeWindow`]s so
-/// the replay's decoded footprint is one chunk per CPU. Both sources feed
-/// the identical dispatch path; the streaming oracle pins them bitwise
-/// against each other.
-#[derive(Clone, Copy)]
-pub(crate) enum Source<'t> {
-    Flat(&'t Trace),
-    Chunked(&'t ChunkedTrace),
 }
 
 /// One CPU's decode window over a chunked stream: the single decoded
@@ -314,14 +301,13 @@ fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
 /// The simulated multiprocessor.
 pub struct Machine<'t> {
     pub(crate) cfg: MachineConfig,
-    src: Source<'t>,
-    /// The trace metadata (code layout for `Exec` resolution), shared by
-    /// both source representations.
-    pub(crate) meta: &'t TraceMeta,
+    /// The replayed trace, decoded on demand through `windows` so the
+    /// replay's decoded footprint is one chunk per CPU.
+    trace: &'t ChunkedTrace,
     /// Per-CPU stream lengths, hoisted so end-of-stream checks never
-    /// touch the source representation.
+    /// touch the chunk headers.
     stream_len: Vec<usize>,
-    /// Per-CPU decode windows (used only with [`Source::Chunked`]).
+    /// Per-CPU decode windows.
     windows: Vec<DecodeWindow>,
     pub(crate) cpus: Vec<Cpu>,
     pub(crate) bus: Bus,
@@ -347,13 +333,13 @@ pub struct Machine<'t> {
     /// total, are preserved exactly by construction.
     pub(crate) record: bool,
     steps: u64,
-    /// Whether the chunked replay runs a decode-ahead helper thread
+    /// Whether the replay runs a decode-ahead helper thread
     /// (DESIGN.md §17): `None` lets the process [`CoreGauge`] decide (a
     /// helper only on a spare core); [`Machine::set_decode_prefetch`] pins
     /// it on or off for the differential tests.
     decode_prefetch: Option<bool>,
     /// The live decode-ahead mailbox, present only while the specialized
-    /// chunked loop runs with its helper thread attached.
+    /// loop runs with its helper thread attached.
     prefetch: Option<Arc<PrefetchShared>>,
     /// Nanoseconds spent in synchronous `decode_chunk` calls (observability
     /// only — never part of simulated time or `state_digest`).
@@ -367,17 +353,19 @@ pub struct Machine<'t> {
 impl<'t> Machine<'t> {
     /// Builds a machine ready to replay `trace` under `cfg`.
     ///
-    /// The trace is validated first (see [`Trace::validate_for_cpus`]):
+    /// The trace is validated first (see [`ChunkedTrace::validate_for_cpus`]):
     /// malformed traces — wrong CPU count, unresolvable block ids,
     /// unbalanced lock or block-operation brackets, inconsistent barriers —
     /// are rejected with a typed [`SimError`] before any replay state is
-    /// built.
+    /// built. Validation is answered from the facts the trace's encoder
+    /// recorded, so a valid trace costs no O(events) scan however many
+    /// machines replay it.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` itself is invalid (see [`MachineConfig::validate`]) —
     /// a programmer error, unlike trace problems, which are input errors.
-    pub fn new(cfg: MachineConfig, trace: &'t Trace) -> Result<Self, SimError> {
+    pub fn new(cfg: MachineConfig, trace: &'t ChunkedTrace) -> Result<Self, SimError> {
         Self::with_recording(cfg, trace, true)
     }
 
@@ -391,44 +379,14 @@ impl<'t> Machine<'t> {
     /// ordinary callers want [`crate::profile_os_misses`].
     pub fn with_recording(
         cfg: MachineConfig,
-        trace: &'t Trace,
-        record: bool,
-    ) -> Result<Self, SimError> {
-        trace
-            .validate_for_cpus(cfg.n_cpus)
-            .map_err(SimError::from_trace)?;
-        Self::assemble(cfg, Source::Flat(trace), record)
-    }
-
-    /// [`Machine::new`] over a chunked trace: replay pulls decoded events
-    /// through per-CPU one-chunk decode windows instead of a flat event
-    /// vector, so peak decoded memory is O(chunk) per CPU. Identical
-    /// validation, replay semantics, statistics, and final state digest —
-    /// the streaming oracle pins this bitwise against the flat path.
-    pub fn new_chunked(cfg: MachineConfig, trace: &'t ChunkedTrace) -> Result<Self, SimError> {
-        Self::with_recording_chunked(cfg, trace, true)
-    }
-
-    /// [`Machine::with_recording`] over a chunked trace. Validation is
-    /// answered from the facts the trace's encoder recorded, so a valid
-    /// trace costs no O(events) scan however many machines replay it.
-    pub fn with_recording_chunked(
-        cfg: MachineConfig,
         trace: &'t ChunkedTrace,
         record: bool,
     ) -> Result<Self, SimError> {
         trace
             .validate_for_cpus(cfg.n_cpus)
             .map_err(SimError::from_trace)?;
-        Self::assemble(cfg, Source::Chunked(trace), record)
-    }
-
-    fn assemble(cfg: MachineConfig, src: Source<'t>, record: bool) -> Result<Self, SimError> {
         cfg.validate();
-        let (meta, stream_len): (&'t TraceMeta, Vec<usize>) = match src {
-            Source::Flat(t) => (&t.meta, t.streams.iter().map(|s| s.len()).collect()),
-            Source::Chunked(t) => (&t.meta, t.streams.iter().map(|s| s.len()).collect()),
-        };
+        let stream_len = trace.streams.iter().map(|s| s.len()).collect();
         let cpus = (0..cfg.n_cpus)
             .map(|_| Cpu {
                 time: 0,
@@ -452,8 +410,7 @@ impl<'t> Machine<'t> {
         let n_cpus = cfg.n_cpus;
         Ok(Machine {
             cfg,
-            src,
-            meta,
+            trace,
             stream_len,
             windows: (0..n_cpus).map(|_| DecodeWindow::default()).collect(),
             cpus,
@@ -594,50 +551,8 @@ impl<'t> Machine<'t> {
     /// The specialized replay loop: monomorphized over `S` and *batched* —
     /// once a CPU is scheduled it keeps stepping, without rescanning, until
     /// an event may have changed another CPU's clock or status, it blocks
-    /// or finishes, or its clock passes the runner-up CPU's.
-    fn run_loop_spec<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let Source::Flat(trace) = self.src else {
-            return self.run_loop_spec_chunked::<S>();
-        };
-        // `trace` is a `&'t Trace` copied out of `self.src`; this lets the
-        // batch hold the scheduled CPU's event slice without borrowing
-        // `self`, saving the per-event stream re-dereference `step` pays.
-        'schedule: while let Some((i, limit)) = self.pick_two() {
-            let events = trace.streams[i].events();
-            let n = events.len();
-            loop {
-                self.poll_cancel::<S>(i)?;
-                // Mirrors `step`: count the dispatch, then the end-of-stream
-                // check, then the event itself.
-                self.steps += 1;
-                let cursor = self.cpus[i].cursor;
-                if cursor >= n {
-                    self.cpus[i].status = Status::Done;
-                    continue 'schedule;
-                }
-                let resched = self.dispatch_ev::<S>(i, events[cursor], n)?;
-                if resched || self.cpus[i].status != Status::Runnable {
-                    continue 'schedule;
-                }
-                if let Some((lt, lj)) = limit {
-                    let t = self.cpus[i].time;
-                    // Ties go to the lower index, exactly as in pick_next.
-                    let still_first = if lj < i { t < lt } else { t <= lt };
-                    if !still_first {
-                        continue 'schedule;
-                    }
-                }
-            }
-        }
-        self.finish::<S>()
-    }
-
-    /// The batched loop over a chunked source: identical scheduling and
-    /// dispatch to the flat body above, with the hoisted event slice
-    /// replaced by [`Machine::fetch_event`]'s per-CPU decode window. One
-    /// generic body serves all 16 specialized instantiations and the
-    /// generic witness — the representation is orthogonal to the
-    /// specialization key.
+    /// or finishes, or its clock passes the runner-up CPU's. Events come
+    /// through [`Machine::fetch_event`]'s per-CPU decode window.
     ///
     /// When the trace is big enough to matter (some stream has more than
     /// one chunk) and the process has a spare core (or the helper is
@@ -649,10 +564,8 @@ impl<'t> Machine<'t> {
     /// event sequence — statistics, goldens, and `state_digest()` are
     /// identical with the helper on or off (pinned by
     /// `tests/decode_ahead.rs` and the schedule-oracle CI job).
-    fn run_loop_spec_chunked<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let Source::Chunked(trace) = self.src else {
-            unreachable!("run_loop_spec_chunked requires a chunked source");
-        };
+    fn run_loop_spec<S: Spec>(&mut self) -> Result<SimStats, SimError> {
+        let trace = self.trace;
         let big = self.cfg.n_cpus > 0 && trace.streams.iter().any(|s| s.n_chunks() > 1);
         // `Some(core)`: run a helper, holding `core` (`None` when pinned on).
         let helper_core = match self.decode_prefetch {
@@ -661,7 +574,7 @@ impl<'t> Machine<'t> {
             Some(on) => on.then_some(None),
         };
         let Some(core) = helper_core else {
-            return self.chunked_loop_body::<S>();
+            return self.spec_loop_body::<S>();
         };
         let shared = Arc::new(PrefetchShared::new(self.cfg.n_cpus));
         self.prefetch = Some(Arc::clone(&shared));
@@ -674,7 +587,7 @@ impl<'t> Machine<'t> {
                 })
             };
             let stop = StopHelper(&shared);
-            let r = self.chunked_loop_body::<S>();
+            let r = self.spec_loop_body::<S>();
             drop(stop);
             let _ = helper.join();
             r
@@ -683,10 +596,10 @@ impl<'t> Machine<'t> {
         result
     }
 
-    /// The chunked batched loop proper (shared by the synchronous and the
+    /// The batched loop proper (shared by the synchronous and the
     /// decode-ahead paths — the only difference is whether `fetch_event`
     /// finds a live mailbox in `self.prefetch`).
-    fn chunked_loop_body<S: Spec>(&mut self) -> Result<SimStats, SimError> {
+    fn spec_loop_body<S: Spec>(&mut self) -> Result<SimStats, SimError> {
         'schedule: while let Some((i, limit)) = self.pick_two() {
             let n = self.stream_len[i];
             loop {
@@ -704,6 +617,7 @@ impl<'t> Machine<'t> {
                 }
                 if let Some((lt, lj)) = limit {
                     let t = self.cpus[i].time;
+                    // Ties go to the lower index, exactly as in pick_next.
                     let still_first = if lj < i { t < lt } else { t <= lt };
                     if !still_first {
                         continue 'schedule;
@@ -885,9 +799,8 @@ impl<'t> Machine<'t> {
         self.dispatch_ev::<S>(i, ev, n)
     }
 
-    /// Returns event `idx` of CPU `i`'s stream from whichever source the
-    /// machine replays. Flat: a direct slice index. Chunked: decodes the
-    /// containing chunk into the CPU's window unless already resident —
+    /// Returns event `idx` of CPU `i`'s stream: decodes the containing
+    /// chunk into the CPU's window unless already resident —
     /// cursors advance monotonically chunk by chunk, so the common case is
     /// a window hit, and bounded scans (lock-retry re-fetch, the DMA
     /// bracket skip) stay within one or two chunk decodes. With the
@@ -898,23 +811,19 @@ impl<'t> Machine<'t> {
     /// # Panics
     ///
     /// Panics if `idx` is out of range — callers check against
-    /// `stream_len` first, as the flat slice-indexing path always has.
+    /// `stream_len` first.
     #[inline]
     pub(crate) fn fetch_event(&mut self, i: usize, idx: usize) -> Event {
-        match self.src {
-            Source::Flat(t) => t.streams[i].events()[idx],
-            Source::Chunked(t) => {
-                let s = &t.streams[i];
-                let c = idx / s.capacity();
-                if self.windows[i].chunk != c {
-                    self.swap_in_chunk(s, i, c);
-                }
-                self.windows[i].events[idx - c * s.capacity()]
-            }
+        let trace = self.trace;
+        let s = &trace.streams[i];
+        let c = idx / s.capacity();
+        if self.windows[i].chunk != c {
+            self.swap_in_chunk(s, i, c);
         }
+        self.windows[i].events[idx - c * s.capacity()]
     }
 
-    /// The cold half of the chunked [`Machine::fetch_event`]: makes chunk
+    /// The cold half of [`Machine::fetch_event`]: makes chunk
     /// `c` resident in CPU `i`'s decode window.
     ///
     /// With the decode-ahead mailbox live, first consume the CPU's ready
@@ -926,7 +835,7 @@ impl<'t> Machine<'t> {
     /// way the window ends up holding exactly `decode_chunk(c)` — decode
     /// purity is what keeps the two paths indistinguishable to the replay.
     #[cold]
-    fn swap_in_chunk(&mut self, s: &ChunkedStream, i: usize, c: usize) {
+    fn swap_in_chunk(&mut self, s: &'t ChunkedStream, i: usize, c: usize) {
         let w = &mut self.windows[i];
         let mut resident = false;
         if let Some(pf) = &self.prefetch {
@@ -965,7 +874,7 @@ impl<'t> Machine<'t> {
     }
 
     /// The per-event dispatch shared by [`Machine::step`] and the batched
-    /// loop (which fetches the event itself from a hoisted slice). Both
+    /// loop. Both
     /// callers have already counted the step and ruled out end-of-stream;
     /// `stream_len` is passed in so the post-event Done check does not
     /// re-dereference the stream.
@@ -994,7 +903,7 @@ impl<'t> Machine<'t> {
             Event::Exec { block } => {
                 // `Machine::new` validated every block id; re-check so a
                 // trace mutated after validation still cannot panic here.
-                let Some(&bb) = self.meta.code.try_block(block) else {
+                let Some(&bb) = self.trace.meta.code.try_block(block) else {
                     return Err(SimError {
                         cycle: self.cpus[i].time,
                         cpu: Some(i),

@@ -27,7 +27,7 @@ use crate::error::SimError;
 use crate::machine::Machine;
 use crate::stats::SimStats;
 use crate::{AuditLevel, MachineConfig};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 
 #[allow(unused_imports)] // doc links
 use crate::stats::CpuStats;
@@ -42,17 +42,10 @@ use crate::stats::CpuStats;
 /// Errors are the same typed [`SimError`]s the full machine reports —
 /// validation, deadlock, and replay-semantics failures are unaffected by
 /// the recording switch.
-pub fn profile_os_misses(mut cfg: MachineConfig, trace: &Trace) -> Result<SimStats, SimError> {
-    cfg.audit = AuditLevel::Off;
-    Machine::with_recording(cfg, trace, false)?.run()
-}
-
-/// [`profile_os_misses`] over a chunked trace: the same bookkeeping-free
-/// replay pulling events through the machine's per-CPU decode windows.
-pub fn profile_os_misses_chunked(
+pub fn profile_os_misses(
     mut cfg: MachineConfig,
     trace: &ChunkedTrace,
 ) -> Result<SimStats, SimError> {
     cfg.audit = AuditLevel::Off;
-    Machine::with_recording_chunked(cfg, trace, false)?.run()
+    Machine::with_recording(cfg, trace, false)?.run()
 }

@@ -3,7 +3,7 @@
 //! probes.
 
 use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
-use oscache_trace::{Addr, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
 
 fn meta() -> TraceMeta {
     let mut m = TraceMeta::default();
@@ -37,7 +37,10 @@ fn run(t: &Trace, scheme: BlockOpScheme) -> SimStats {
     let cfg = MachineConfig::base()
         .with_block_scheme(scheme)
         .with_audit(oscache_memsys::AuditLevel::Strict);
-    Machine::new(cfg, t).unwrap().run().unwrap()
+    Machine::new(cfg, &ChunkedTrace::from_trace(t))
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 #[test]

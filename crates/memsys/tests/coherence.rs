@@ -3,7 +3,7 @@
 //! through the machine's counters.
 
 use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
-use oscache_trace::{Addr, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
 
 fn meta() -> TraceMeta {
     let mut meta = TraceMeta::default();
@@ -13,7 +13,7 @@ fn meta() -> TraceMeta {
 }
 
 fn run(t: &Trace) -> SimStats {
-    Machine::new(MachineConfig::base(), t)
+    Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(t))
         .unwrap()
         .run()
         .unwrap()
@@ -141,7 +141,10 @@ fn firefly_update_keeps_remote_copies_valid() {
         let mut evs = t2.streams[0].clone().into_events();
         evs.extend(extra.finish().into_events());
         t2.streams[0] = oscache_trace::Stream::from_events(evs);
-        Machine::new(cfg, &t2).unwrap().run().unwrap()
+        Machine::new(cfg, &ChunkedTrace::from_trace(&t2))
+            .unwrap()
+            .run()
+            .unwrap()
     };
     let inval = mk(false);
     let upd = mk(true);
@@ -165,7 +168,10 @@ fn firefly_stops_broadcasting_without_sharers() {
         b.write(D, DataClass::FreqShared);
     }
     t.streams[0] = b.finish();
-    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(s.bus.update_words, 0, "no sharers -> no broadcasts");
 }
 
@@ -197,7 +203,10 @@ fn dma_zero_op_touches_no_source() {
     b.end_block_op();
     t.streams[0] = b.finish();
     let cfg = MachineConfig::base().with_block_scheme(BlockOpScheme::Dma);
-    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(s.bus.dma_transfers, 1);
     assert_eq!(s.total().dreads.total(), 0);
     assert_eq!(s.total().os_miss_blockop, 0);
@@ -238,7 +247,10 @@ fn dma_updates_cached_destination_copies() {
     t.streams[1] = oscache_trace::Stream::from_events(evs);
 
     let cfg = MachineConfig::base().with_block_scheme(BlockOpScheme::Dma);
-    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     // One initial cold miss only: the DMA updated the cached copy in place.
     assert_eq!(s.cpus[1].l1d_read_misses.os, 1, "{:?}", s.cpus[1]);
 }
@@ -306,13 +318,16 @@ fn associativity_removes_conflict_misses() {
         t
     };
     let t = mk();
-    let direct = Machine::new(MachineConfig::base(), &t)
+    let direct = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
         .unwrap()
         .run()
         .unwrap();
     let mut cfg = MachineConfig::base();
     cfg.l1d = oscache_memsys::CacheGeom::new_assoc(32 * 1024, 16, 2);
-    let assoc = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let assoc = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     assert!(direct.cpus[0].l1d_read_misses.os > 50, "must thrash 1-way");
     assert!(
         assoc.cpus[0].l1d_read_misses.os <= 4,
@@ -338,7 +353,10 @@ fn victim_cache_absorbs_conflict_ping_pong() {
     let plain = run(&t);
     let mut cfg = MachineConfig::base();
     cfg.victim_lines = 4;
-    let vc = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let vc = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     assert!(plain.cpus[0].l1d_read_misses.os > 50);
     assert!(
         vc.cpus[0].l1d_read_misses.os <= 4,
@@ -365,7 +383,10 @@ fn victim_cache_is_fifo_bounded() {
     t.streams[0] = b.finish();
     let mut cfg = MachineConfig::base();
     cfg.victim_lines = 2;
-    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
+    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+        .unwrap()
+        .run()
+        .unwrap();
     // 8 lines cycling through one frame + 2 victim entries: the victim
     // cache cannot hold the working set, so most rounds still miss.
     assert!(

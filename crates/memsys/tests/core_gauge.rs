@@ -26,9 +26,9 @@ fn a_full_gauge_denies_the_helper_unless_pinned() {
     let full: Vec<_> = std::iter::from_fn(|| gauge.try_lease()).collect();
     assert!(gauge.try_lease().is_none());
 
-    let mut gauged = Machine::new_chunked(cfg.clone(), &ct).unwrap();
-    let mut pinned = Machine::new_chunked(cfg.clone(), &ct).unwrap();
-    let mut off = Machine::new_chunked(cfg, &ct).unwrap();
+    let mut gauged = Machine::new(cfg.clone(), &ct).unwrap();
+    let mut pinned = Machine::new(cfg.clone(), &ct).unwrap();
+    let mut off = Machine::new(cfg, &ct).unwrap();
     pinned.set_decode_prefetch(true);
     off.set_decode_prefetch(false);
     let r = gauged.run_mut();

@@ -98,8 +98,8 @@ fn assert_prefetch_invisible(
     ct: &ChunkedTrace,
     what: &str,
 ) -> oscache_memsys::OverlapStats {
-    let mut on = Machine::new_chunked(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut off = Machine::new_chunked(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut on = Machine::new(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut off = Machine::new(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
     on.set_decode_prefetch(true);
     off.set_decode_prefetch(false);
     let ron = on.run_mut();
@@ -206,8 +206,8 @@ fn cancellation_fires_at_identical_steps_with_prefetch() {
             cfg.cancel = CancelToken::countdown(polls);
             cfg
         };
-        let mut on = Machine::new_chunked(mk(polls), &ct).unwrap();
-        let mut off = Machine::new_chunked(mk(polls), &ct).unwrap();
+        let mut on = Machine::new(mk(polls), &ct).unwrap();
+        let mut off = Machine::new(mk(polls), &ct).unwrap();
         on.set_decode_prefetch(true);
         off.set_decode_prefetch(false);
         let ron = on.run_mut();
@@ -240,7 +240,7 @@ fn overlap_counters_account_for_every_chunk() {
     assert!(n_chunks > 1, "test needs a multi-chunk stream");
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = 1;
-    let mut m = Machine::new_chunked(cfg, &ct).unwrap();
+    let mut m = Machine::new(cfg, &ct).unwrap();
     m.set_decode_prefetch(true);
     m.run_mut().expect("replay completes");
     let o = m.overlap_stats();

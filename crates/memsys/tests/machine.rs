@@ -37,7 +37,10 @@ fn run(trace: &Trace) -> SimStats {
 
 fn run_cfg(cfg: MachineConfig, trace: &Trace) -> SimStats {
     let cfg = cfg.with_audit(oscache_memsys::AuditLevel::Strict);
-    Machine::new(cfg, trace).unwrap().run().unwrap()
+    Machine::new(cfg, &ChunkedTrace::from_trace(trace))
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 const D: Addr = Addr(0x0200_0000);
@@ -452,7 +455,7 @@ fn chunked_machine_rejects_a_trace_that_already_failed_validation() {
     let first = ct.validate().expect_err("a lock held at end is invalid");
     assert_eq!(ct.validate(), Err(first.clone()));
     for _ in 0..2 {
-        let err = Machine::new_chunked(MachineConfig::base(), &ct)
+        let err = Machine::new(MachineConfig::base(), &ct)
             .err()
             .expect("machine must reject the trace");
         assert_eq!(err.kind, SimErrorKind::Trace(first.clone()));

@@ -8,7 +8,9 @@ use oscache_memsys::{
     MshrSet, PrefetchBuffer, WriteBuffer,
 };
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, LineAddr, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{
+    Addr, ChunkedTrace, DataClass, LineAddr, LockId, Mode, StreamBuilder, Trace, TraceMeta,
+};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
 
@@ -168,8 +170,14 @@ fn machine_accounts_all_cycles() {
         t.streams[0] = b.finish();
 
         let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-        let s1 = Machine::new(cfg.clone(), &t).unwrap().run().unwrap();
-        let s2 = Machine::new(cfg, &t).unwrap().run().unwrap();
+        let s1 = Machine::new(cfg.clone(), &ChunkedTrace::from_trace(&t))
+            .unwrap()
+            .run()
+            .unwrap();
+        let s2 = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+            .unwrap()
+            .run()
+            .unwrap();
         // deterministic
         assert_eq!(s1.cpu_times, s2.cpu_times);
         assert_eq!(
@@ -220,7 +228,10 @@ fn block_ops_account_under_every_scheme() {
         let cfg = MachineConfig::base()
             .with_block_scheme(scheme)
             .with_audit(AuditLevel::Strict);
-        let s = Machine::new(cfg, &t).unwrap().run().unwrap();
+        let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(s.cpus[0].accounted_cycles(), s.cpu_times[0], "seed {seed}");
         assert_eq!(s.total().blk_ops, 1);
     }
@@ -301,7 +312,9 @@ fn random_traces_pass_strict_audit_under_every_scheme() {
             let cfg = MachineConfig::base()
                 .with_block_scheme(scheme)
                 .with_audit(AuditLevel::Strict);
-            let r = Machine::new(cfg, &t).unwrap().run();
+            let r = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
+                .unwrap()
+                .run();
             assert!(r.is_ok(), "seed {seed} {scheme:?}: {:?}", r.err());
         }
     }
@@ -322,14 +335,19 @@ fn injected_faults_are_rejected_or_survived() {
                 // Rejected up front with a typed error; Machine::new must
                 // agree and also reject.
                 let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-                let m = Machine::new(cfg, &bad);
-                assert!(m.is_err(), "{kind:?} seed {seed}: validate/new disagree");
+                let ct = ChunkedTrace::from_trace(&bad);
+                assert!(
+                    Machine::new(cfg, &ct).is_err(),
+                    "{kind:?} seed {seed}: validate/new disagree"
+                );
                 continue;
             }
             // Slipped past validation (e.g. a bit-flip that still forms a
             // valid trace): the replay must finish with a typed result.
             let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-            let r = Machine::new(cfg, &bad).unwrap().run();
+            let r = Machine::new(cfg, &ChunkedTrace::from_trace(&bad))
+                .unwrap()
+                .run();
             match r {
                 Ok(_) | Err(_) => {} // both fine; the point is no panic
             }

@@ -10,7 +10,7 @@
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
@@ -106,10 +106,11 @@ fn cfg_for(updates: bool, victim: bool, cancel: bool) -> MachineConfig {
 /// the full `Result` (statistics or typed error), the final machine-state
 /// digest, and the step count.
 fn assert_spec_matches_generic(cfg: MachineConfig, trace: &Trace, record: bool, what: &str) {
-    let mut s = Machine::with_recording(cfg.clone(), trace, record)
+    let trace = ChunkedTrace::from_trace(trace);
+    let mut s = Machine::with_recording(cfg.clone(), &trace, record)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let mut g =
-        Machine::with_recording(cfg, trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
+        Machine::with_recording(cfg, &trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
     let rs = s.run_mut();
     let rg = g.run_generic_mut();
     assert_eq!(rs, rg, "{what}: specialized and generic results diverge");
@@ -134,7 +135,8 @@ fn every_spec_key_variant_matches_generic() {
             let (record, updates) = (key & 1 != 0, key & 2 != 0);
             let (victim, cancel) = (key & 4 != 0, key & 8 != 0);
             let cfg = cfg_for(updates, victim, cancel);
-            let m = Machine::with_recording(cfg.clone(), &t, record).unwrap();
+            let ct = ChunkedTrace::from_trace(&t);
+            let m = Machine::with_recording(cfg.clone(), &ct, record).unwrap();
             let k = m.spec_key();
             assert_eq!(
                 (k.record, k.updates, k.victim, k.cancel),
@@ -178,7 +180,7 @@ fn cancel_poll_stride_is_a_power_of_two() {
 /// step 0 and every `CANCEL_POLL_STRIDE` events thereafter.
 #[test]
 fn cancellation_fires_at_identical_deterministic_steps() {
-    let t = long_trace(3 * CANCEL_POLL_STRIDE as u32);
+    let t = ChunkedTrace::from_trace(&long_trace(3 * CANCEL_POLL_STRIDE as u32));
     for polls in 1..=3u64 {
         // Each machine gets its *own* countdown (the token is shared
         // state; a cloned config would share the counter between them).
@@ -214,7 +216,7 @@ fn cancellation_fires_at_identical_deterministic_steps() {
 #[test]
 fn armed_unfired_token_is_invisible() {
     let mut rng = SmallRng::seed_from_u64(0xCA9C_E77E);
-    let t = random_trace(&mut rng);
+    let t = ChunkedTrace::from_trace(&random_trace(&mut rng));
     let armed = {
         let mut cfg = MachineConfig::base();
         cfg.cancel = CancelToken::new();
@@ -234,7 +236,7 @@ fn armed_unfired_token_is_invisible() {
 #[test]
 fn victim_keyed_replay_still_fills_caches() {
     let mut rng = SmallRng::seed_from_u64(0x71C7_1234);
-    let t = random_trace(&mut rng);
+    let t = ChunkedTrace::from_trace(&random_trace(&mut rng));
     let cfg = cfg_for(false, true, false);
     let mut m = Machine::new(cfg, &t).unwrap();
     assert!(m.spec_key().victim);

@@ -19,9 +19,9 @@
 //!   chunk boundary (the first address in a chunk is a delta from 0), so
 //!   a chunk decodes without touching its predecessors.
 //! * **Lossless**: encoding is a bijection on well-formed events; the
-//!   round-trip tests and the cross-crate streaming oracle pin
-//!   `decode(encode(e)) == e` for every event, which is the ground the
-//!   bitwise simulation-equivalence guarantee stands on.
+//!   round-trip tests pin `decode(encode(e)) == e` for every event, and
+//!   the cross-crate chunk-capacity oracle pins that where chunk
+//!   boundaries fall never changes a simulation result.
 
 use crate::spill::{FrameRef, MemBudget, SpillStore, SpillTarget};
 use crate::validate::{check_meta, facts_prove_valid, StreamFacts, StreamProver, TraceValidator};

@@ -1,7 +1,7 @@
 //! The four workloads of the paper (§2.3), composed from kernel services
 //! and user-program models.
 //!
-//! Each builder produces a 4-CPU [`Trace`] whose structure is calibrated
+//! Each builder produces a 4-CPU [`ChunkedTrace`] whose structure is calibrated
 //! against the paper's measurements: execution-time split (Table 1), miss
 //! breakdown (Table 2), block-operation characteristics and size mix
 //! (Table 3), and coherence-miss breakdown (Table 5). Generation is
@@ -247,27 +247,20 @@ impl Workload {
     }
 }
 
-/// Builds one of the paper's workload traces.
+/// Builds one of the paper's workload traces, decoded into the
+/// materialized [`Trace`] (for trace dumps and event-level inspection;
+/// the simulator itself consumes [`build_chunked`]).
 pub fn build(workload: Workload, opts: BuildOptions) -> Trace {
-    Builder::new(workload, rates(workload), opts, false).run()
+    build_chunked(workload, opts).to_trace()
 }
 
-/// Builds a trace behind an [`std::sync::Arc`] so it can be shared
-/// immutably across threads (the cache-friendly entry point used by
-/// `oscache-core`'s trace cache).
-pub fn build_shared(workload: Workload, opts: BuildOptions) -> std::sync::Arc<Trace> {
-    std::sync::Arc::new(build(workload, opts))
-}
-
-/// Builds the same trace [`build`] would, but encoded straight into the
+/// Builds one of the paper's workload traces, encoded straight into the
 /// chunked representation: each per-CPU stream is sealed into fixed-size
 /// delta-encoded chunks as the generator emits events, so the peak decoded
 /// footprint during generation is one chunk per CPU instead of the whole
-/// event vector. Deterministic per [`TraceBuildKey`], exactly like the
-/// materialized build — decoding the result yields `build(workload, opts)`
-/// event for event (the streaming oracle pins this).
+/// event vector. Deterministic per [`TraceBuildKey`].
 pub fn build_chunked(workload: Workload, opts: BuildOptions) -> ChunkedTrace {
-    Builder::new(workload, rates(workload), opts, true).run_chunked()
+    Builder::new(workload, rates(workload), opts).run()
 }
 
 /// [`build_chunked`] under a memory budget: each per-CPU stream seals its
@@ -282,11 +275,11 @@ pub fn build_chunked_spilled(
     store: &std::sync::Arc<oscache_trace::SpillStore>,
     budget: &std::sync::Arc<oscache_trace::MemBudget>,
 ) -> ChunkedTrace {
-    let mut b = Builder::new(workload, rates(workload), opts, true);
+    let mut b = Builder::new(workload, rates(workload), opts);
     for (cpu, s) in b.streams.iter_mut().enumerate() {
         *s = spilling_stream(cpu, store, budget);
     }
-    b.run_chunked()
+    b.run()
 }
 
 /// A fresh spilling stream builder with the initial `Mode::User` switch
@@ -383,7 +376,7 @@ impl TraceBuildKey {
 /// outside `1..=8`.
 pub fn build_with_mix(name: &str, base: Workload, mix: Mix, opts: BuildOptions) -> Trace {
     assert!(mix.segments >= 2, "need at least two segments per round");
-    let mut trace = Builder::new(base, mix, opts, false).run();
+    let mut trace = Builder::new(base, mix, opts).run().to_trace();
     trace.meta.workload = name.to_string();
     trace
 }
@@ -409,7 +402,7 @@ struct Builder {
 }
 
 impl Builder {
-    fn new(workload: Workload, r: Mix, opts: BuildOptions, chunked: bool) -> Self {
+    fn new(workload: Workload, r: Mix, opts: BuildOptions) -> Self {
         assert!(opts.scale > 0.0, "scale must be positive");
         let n_cpus = opts.n_cpus;
         let mut code = CodeLayout::new();
@@ -421,15 +414,8 @@ impl Builder {
         let procs = (0..n_cpus)
             .map(|c| UserProc::new(&kernel, 4 + c as u32))
             .collect();
-        let mut streams: Vec<StreamBuilder> = (0..n_cpus)
-            .map(|_| {
-                if chunked {
-                    StreamBuilder::new_chunked()
-                } else {
-                    StreamBuilder::new()
-                }
-            })
-            .collect();
+        let mut streams: Vec<StreamBuilder> =
+            (0..n_cpus).map(|_| StreamBuilder::new_chunked()).collect();
         for s in &mut streams {
             s.set_mode(Mode::User);
         }
@@ -864,19 +850,7 @@ impl Builder {
         }
     }
 
-    fn run(mut self) -> Trace {
-        for r in 0..self.rounds {
-            self.round(r);
-        }
-        let meta = self.take_meta();
-        let mut trace = Trace::new(self.n_cpus, meta);
-        for (k, s) in self.streams.into_iter().enumerate() {
-            trace.streams[k] = s.finish();
-        }
-        trace
-    }
-
-    fn run_chunked(mut self) -> ChunkedTrace {
+    fn run(mut self) -> ChunkedTrace {
         for r in 0..self.rounds {
             self.round(r);
         }
@@ -949,29 +923,6 @@ mod tests {
             assert_eq!(spilled.streams[cpu], inline.streams[cpu], "cpu {cpu}");
         }
         assert_eq!(budget.spilled_bytes(), inline.byte_len() as u64);
-    }
-
-    #[test]
-    fn chunked_build_decodes_to_flat_build() {
-        for w in [Workload::Trfd4, Workload::Shell] {
-            let opts = BuildOptions {
-                scale: 0.05,
-                seed: 1,
-                ..Default::default()
-            };
-            let flat = build(w, opts);
-            let chunked = build_chunked(w, opts);
-            assert_eq!(chunked.n_cpus(), flat.n_cpus());
-            assert_eq!(chunked.total_events(), flat.total_events());
-            assert_eq!(chunked.meta.workload, flat.meta.workload);
-            assert_eq!(chunked.meta.vars.len(), flat.meta.vars.len());
-            assert_eq!(chunked.meta.kernel_data, flat.meta.kernel_data);
-            for cpu in 0..flat.n_cpus() {
-                let decoded: Vec<Event> = chunked.streams[cpu].iter().collect();
-                assert_eq!(decoded, flat.streams[cpu].events(), "{w} cpu {cpu}");
-            }
-            assert_eq!(chunked.validate(), Ok(()));
-        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Each generator composes the `oscache-kernel` services (page faults,
 //! fork/exec, scheduling, gang barriers, cross-processor interrupts, file
 //! I/O) with user-program models into a deterministic 4-CPU
-//! [`oscache_trace::Trace`]. Activity rates are calibrated so the trace's
-//! structure matches the paper's measurements: execution-time split
+//! [`oscache_trace::ChunkedTrace`]. Activity rates are calibrated so the
+//! trace's structure matches the paper's measurements: execution-time split
 //! (Table 1), operating-system miss breakdown (Table 2), block-operation
 //! characteristics and size mix (Tables 3–4), and coherence-miss
 //! breakdown (Table 5).
@@ -16,9 +16,10 @@
 //! # Example
 //!
 //! ```
-//! use oscache_workloads::{build, BuildOptions, Workload};
+//! use oscache_workloads::{build_chunked, BuildOptions, Workload};
 //!
-//! let trace = build(Workload::Shell, BuildOptions { scale: 0.05, seed: 1, ..Default::default() });
+//! let opts = BuildOptions { scale: 0.05, seed: 1, ..Default::default() };
+//! let trace = build_chunked(Workload::Shell, opts);
 //! assert_eq!(trace.n_cpus(), 4);
 //! assert!(trace.total_events() > 0);
 //! ```
@@ -30,7 +31,7 @@ mod builder;
 mod user;
 
 pub use builder::{
-    build, build_chunked, build_chunked_shared, build_chunked_spilled, build_shared,
-    build_with_mix, BuildOptions, Mix, TraceBuildKey, Workload, N_CPUS,
+    build, build_chunked, build_chunked_shared, build_chunked_spilled, build_with_mix,
+    BuildOptions, Mix, TraceBuildKey, Workload, N_CPUS,
 };
 pub use user::{UserProc, UserProgram, UserPrograms};

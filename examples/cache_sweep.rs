@@ -7,7 +7,7 @@
 //! ```
 
 use oscache::core::{run_spec, Geometry, OsTimeBreakdown, System};
-use oscache::workloads::{build, BuildOptions, Workload};
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "Shell".into());
@@ -16,7 +16,7 @@ fn main() {
         .find(|w| w.name().eq_ignore_ascii_case(&which))
         .unwrap_or(Workload::Shell);
     println!("building {workload} ...");
-    let trace = build(
+    let trace = build_chunked(
         workload,
         BuildOptions {
             scale: 0.15,

@@ -9,7 +9,7 @@
 
 use oscache::core::analysis::{find_privatizable, find_update_set, profile_sharing};
 use oscache::core::{run_spec, Geometry, System, UpdatePolicy};
-use oscache::workloads::{build, BuildOptions, Workload};
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "TRFD_4".into());
@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or(Workload::Trfd4);
 
     println!("building {workload} ...");
-    let trace = build(
+    let trace = build_chunked(
         workload,
         BuildOptions {
             scale: 0.2,

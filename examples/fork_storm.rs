@@ -12,7 +12,7 @@
 
 use oscache::kernel::Kernel;
 use oscache::memsys::{BlockOpScheme, Machine, MachineConfig};
-use oscache::trace::{CodeLayout, Mode, Trace, TraceMeta};
+use oscache::trace::{ChunkedTrace, CodeLayout, Mode, Trace, TraceMeta};
 use oscache_trace::rng::SmallRng;
 
 fn main() {
@@ -52,6 +52,7 @@ fn main() {
         },
     );
     trace.streams = streams;
+    let trace = ChunkedTrace::from_trace(&trace);
 
     println!("fork-storm: 4 CPUs x 24 chained forks x 3 pages each\n");
     println!(

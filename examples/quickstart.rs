@@ -6,7 +6,7 @@
 //! ```
 
 use oscache::core::{run_system, OsTimeBreakdown, RunResult, System, WorkloadMetrics};
-use oscache::workloads::{build, BuildOptions, Workload};
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -15,14 +15,19 @@ fn main() {
         .unwrap_or(0.2);
 
     println!("building the TRFD_4 workload (scale {scale}) ...");
-    let trace = build(
+    let trace = build_chunked(
         Workload::Trfd4,
         BuildOptions {
             scale,
             ..Default::default()
         },
     );
-    println!("  {trace}");
+    println!(
+        "  {} ({} cpus, {} events)",
+        trace.meta.workload,
+        trace.n_cpus(),
+        trace.total_events()
+    );
 
     println!("\nsimulating the paper's system ladder:");
     println!(

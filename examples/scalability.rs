@@ -7,7 +7,7 @@
 //! ```
 
 use oscache::core::{run_system, MissBreakdown, OsTimeBreakdown, System};
-use oscache::workloads::{build, BuildOptions, Workload};
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 fn main() {
     println!("TRFD_4 with a growing processor count (scale 0.15):\n");
@@ -16,7 +16,7 @@ fn main() {
         "cpus", "OS misses", "coh %", "Blk_Dma", "BCPref", "bus busy%"
     );
     for n_cpus in [2usize, 4, 8] {
-        let t = build(
+        let t = build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.15,

@@ -29,10 +29,11 @@
 //!
 //! ```
 //! use oscache::core::{run_system, System};
-//! use oscache::workloads::{build, BuildOptions, Workload};
+//! use oscache::workloads::{build_chunked, BuildOptions, Workload};
 //!
 //! // Build a small TRFD_4 trace and compare Base with the full ladder.
-//! let trace = build(Workload::Trfd4, BuildOptions { scale: 0.05, seed: 1, ..Default::default() });
+//! let opts = BuildOptions { scale: 0.05, seed: 1, ..Default::default() };
+//! let trace = build_chunked(Workload::Trfd4, opts);
 //! let base = run_system(&trace, System::Base);
 //! let best = run_system(&trace, System::BCPref);
 //! let misses = |r: &oscache::core::RunResult| r.stats.total().os_read_misses();

@@ -4,8 +4,8 @@
 use oscache::core::{run_system, Repro, System};
 use oscache::kernel::{Kernel, KernelLock};
 use oscache::memsys::{BlockOpScheme, Machine, MachineConfig};
-use oscache::trace::{CodeLayout, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-use oscache::workloads::{build, BuildOptions, Workload};
+use oscache::trace::{ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 #[test]
 fn hand_built_trace_through_facade() {
@@ -27,7 +27,7 @@ fn hand_built_trace_through_facade() {
         },
     );
     t.streams[0] = b.finish();
-    let stats = Machine::new(MachineConfig::base(), &t)
+    let stats = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
         .unwrap()
         .run()
         .unwrap();
@@ -36,7 +36,7 @@ fn hand_built_trace_through_facade() {
 
 #[test]
 fn workload_to_system_pipeline() {
-    let t = build(
+    let t = build_chunked(
         Workload::Shell,
         BuildOptions {
             scale: 0.05,

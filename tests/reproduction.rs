@@ -8,21 +8,21 @@ use oscache::core::{
     run_spec, run_system, Geometry, MissBreakdown, OsTimeBreakdown, System, UpdatePolicy,
     WorkloadMetrics,
 };
-use oscache::workloads::{build, BuildOptions, Workload};
-use oscache_trace::Trace;
+use oscache::workloads::{build_chunked, BuildOptions, Workload};
+use oscache_trace::ChunkedTrace;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 const SCALE: f64 = 0.1;
 
-fn trace(w: Workload) -> Trace {
-    static CACHE: OnceLock<Mutex<HashMap<&'static str, Trace>>> = OnceLock::new();
+fn trace(w: Workload) -> ChunkedTrace {
+    static CACHE: OnceLock<Mutex<HashMap<&'static str, ChunkedTrace>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut guard = cache.lock().unwrap();
     guard
         .entry(w.name())
         .or_insert_with(|| {
-            build(
+            build_chunked(
                 w,
                 BuildOptions {
                     scale: SCALE,
@@ -267,7 +267,7 @@ fn deferred_copy_saves_little() {
 
 #[test]
 fn traces_are_reproducible_end_to_end() {
-    let a = build(
+    let a = build_chunked(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.05,
@@ -275,7 +275,7 @@ fn traces_are_reproducible_end_to_end() {
             ..Default::default()
         },
     );
-    let b = build(
+    let b = build_chunked(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.05,
@@ -298,7 +298,7 @@ fn scalability_extension_holds_directionally() {
     // yet the optimization ladder keeps working.
     let mut prev_busy = 0.0;
     for n_cpus in [2usize, 4, 8] {
-        let t = build(
+        let t = build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.05,

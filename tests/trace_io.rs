@@ -3,7 +3,7 @@
 //! its buffers to disk and simulates later, §2.1).
 
 use oscache::core::{run_system, System};
-use oscache::trace::{read_trace, write_trace};
+use oscache::trace::{read_trace, write_trace, ChunkedTrace};
 use oscache::workloads::{build, BuildOptions, Workload};
 
 #[test]
@@ -22,6 +22,10 @@ fn dumped_trace_simulates_identically() {
 
     assert_eq!(back.total_events(), t.total_events());
     assert_eq!(back.meta.vars.len(), t.meta.vars.len());
+    let (t, back) = (
+        ChunkedTrace::from_trace(&t),
+        ChunkedTrace::from_trace(&back),
+    );
 
     for sys in [System::Base, System::BlkDma] {
         let a = run_system(&t, sys);
@@ -52,8 +56,8 @@ fn bcpref_works_on_reloaded_traces() {
     let mut buf = Vec::new();
     write_trace(&t, &mut buf).unwrap();
     let back = read_trace(&buf[..]).unwrap();
-    let orig = run_system(&t, System::BCPref);
-    let redo = run_system(&back, System::BCPref);
+    let orig = run_system(&ChunkedTrace::from_trace(&t), System::BCPref);
+    let redo = run_system(&ChunkedTrace::from_trace(&back), System::BCPref);
     assert_eq!(
         orig.stats.total().os_read_misses(),
         redo.stats.total().os_read_misses()
