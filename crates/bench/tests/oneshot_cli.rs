@@ -74,3 +74,20 @@ fn replayed_dump_agrees_with_simulate() {
         stdout_of(&simulate)
     );
 }
+
+/// A dump declaring an absurd CPU count is a trace-validation error
+/// (exit 3), rejected before anything is sized by it — not an allocation
+/// abort.
+#[test]
+fn huge_cpu_count_is_a_trace_error() {
+    let path = std::env::temp_dir().join(format!("oscache-cpus-{}.trace", std::process::id()));
+    std::fs::write(&path, "oscache-trace 1\nworkload X\ncpus 999999999999\n").expect("write dump");
+    let out = repro()
+        .args(["replay", path.to_str().expect("utf8 temp path"), "Base"])
+        .output()
+        .expect("run replay");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(!stderr.contains("memory allocation"), "stderr: {stderr}");
+}

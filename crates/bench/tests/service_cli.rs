@@ -8,6 +8,8 @@
 //! SIGTERM drains gracefully, and the admission/unavailability exit codes
 //! (7/8) are real.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -184,4 +186,34 @@ fn overload_and_unavailability_have_their_own_exit_codes() {
     assert!(stderr_of(&out).contains("overloaded"));
     let drained = stop_daemon(daemon);
     assert!(drained.status.success());
+}
+
+/// Sends one request line on a fresh connection and returns the reply line.
+fn request(socket: &Path, line: &str) -> String {
+    let mut conn = UnixStream::connect(socket).expect("connect to daemon");
+    conn.write_all(line.as_bytes()).expect("send request");
+    conn.write_all(b"\n").expect("send newline");
+    let mut reply = String::new();
+    BufReader::new(conn)
+        .read_line(&mut reply)
+        .expect("read reply");
+    reply
+}
+
+#[test]
+fn a_deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
+    let socket = tmp("nesting", "sock");
+    let daemon = start_daemon(&socket, None, &[]);
+    let reply = request(&socket, &"[".repeat(200_000));
+    assert!(
+        reply.contains("\"status\":\"error\"") && reply.contains("nesting"),
+        "the nesting line must get an error reply: {reply:?}"
+    );
+    let reply = request(&socket, r#"{"op":"stats"}"#);
+    assert!(
+        reply.contains("\"submitted\""),
+        "the daemon must answer the next request: {reply:?}"
+    );
+    let drained = stop_daemon(daemon);
+    assert!(drained.status.success(), "{}", stderr_of(&drained));
 }

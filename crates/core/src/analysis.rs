@@ -14,11 +14,8 @@
 //!    misses in a profiling simulation.
 
 use oscache_memsys::CpuStats;
-use oscache_trace::{Addr, ChunkedTrace, CodeLayout, DataClass, Event, WORD_SIZE};
+use oscache_trace::{Addr, ChunkedTrace, CodeLayout, DataClass, Event, MAX_CPUS, WORD_SIZE};
 use std::collections::{HashMap, HashSet};
-
-/// Maximum CPUs the profile tracks.
-const MAX_CPUS: usize = 8;
 
 /// Per-word sharing behaviour.
 #[derive(Clone, Copy, Debug, Default)]
@@ -91,7 +88,13 @@ pub struct SharingProfile {
 /// (adjacent read+write of one word counts as a single update) needs only
 /// a one-event lookahead, which the peekable iterator supplies across
 /// chunk boundaries.
+///
+/// # Panics
+///
+/// Panics if the trace has more than [`MAX_CPUS`] streams, a bound
+/// `read_trace` and the workload builders already enforce.
 pub fn profile_sharing(trace: &ChunkedTrace) -> SharingProfile {
+    assert!(trace.n_cpus() <= MAX_CPUS, "more than {MAX_CPUS} cpus");
     let meta = &trace.meta;
     // Static-variable ranges, sorted for binary search.
     let mut ranges: Vec<(u32, u32)> = meta.vars.iter().map(|v| (v.addr.0, v.size)).collect();
@@ -110,7 +113,6 @@ pub fn profile_sharing(trace: &ChunkedTrace) -> SharingProfile {
 
     let mut p = SharingProfile::default();
     for (cpu, stream) in trace.streams.iter().enumerate() {
-        let cpu = cpu.min(MAX_CPUS - 1);
         let mut lock_depth = 0u32;
         let mut it = stream.iter().peekable();
         while let Some(ev) = it.next() {

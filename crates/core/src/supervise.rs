@@ -1223,7 +1223,7 @@ impl Json {
     pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -1290,8 +1290,19 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts, far above any
+/// journal record or service request; the bound keeps a hostile line
+/// from overflowing the recursive parser's stack.
+const MAX_JSON_DEPTH: usize = 32;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -1306,7 +1317,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1328,7 +1339,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1494,6 +1505,11 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{}trailing").is_err());
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(32)).is_ok());
+        let err = Json::parse(&nested(33)).unwrap_err();
+        assert!(err.contains("nesting deeper than 32"), "{err}");
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! falsely shared in common lines (the "Other" coherence category of
 //! Table 5).
 
-use oscache_trace::{Addr, DataClass, KernelVar, VarRole, PAGE_SIZE};
+use oscache_trace::{Addr, DataClass, KernelVar, VarRole, MAX_CPUS, PAGE_SIZE};
 
 /// Number of processors the kernel is laid out for.
 pub const N_CPUS: usize = 4;
@@ -108,9 +108,12 @@ impl KernelLayout {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= n_cpus <= 8`.
+    /// Panics unless `1 <= n_cpus <= MAX_CPUS`.
     pub fn for_cpus(n_cpus: usize) -> Self {
-        assert!((1..=8).contains(&n_cpus), "supported CPU counts are 1..=8");
+        assert!(
+            (1..=MAX_CPUS).contains(&n_cpus),
+            "supported CPU counts are 1..={MAX_CPUS}"
+        );
         let static_base = Addr(0x0100_0000);
         let mut vars = Vec::new();
 

@@ -80,6 +80,5 @@ pub use history::{BypassSet, Departure, HistoryMap};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
 pub use profiler::profile_os_misses;
-pub use spec::SpecKey;
 pub use stats::{CpuStats, MissKind, ModeSplit, SimStats};
 pub use wbuf::WriteBuffer;

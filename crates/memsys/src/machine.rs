@@ -14,18 +14,18 @@
 //! the trace and make sure that their mutual exclusion functionality is
 //! maintained in the simulations" (§2.2).
 //!
-//! The event loop is *config-specialized* (DESIGN.md §15): [`Machine::run`]
-//! derives a [`SpecKey`] from the configuration and dispatches to a
-//! monomorphized copy of the loop in which the per-replay decisions
-//! (recording, auditing, update pages, victim cache, cancellation) are
-//! compile-time constants. The generic loop — the same body instantiated
-//! with every decision dynamic — is kept as the equivalence oracle behind
-//! [`Machine::run_generic`].
+//! The event loop is *config-specialized* (DESIGN.md §15): an audit-off
+//! [`Machine::run`] dispatches on the recording flag to one of 2
+//! monomorphized copies of the loop, in which recording and auditing are
+//! compile-time constants; update pages, the victim cache and
+//! cancellation stay run-time checks. The generic loop — the same body
+//! instantiated with every decision dynamic — is kept as the equivalence
+//! oracle behind [`Machine::run_generic`].
 
 use crate::error::{SimError, SimErrorKind};
 use crate::history::{BypassSet, Departure, HistoryMap};
 use crate::prefetch::{MshrSet, PrefetchBuffer};
-use crate::spec::{Gen, Spec, SpecKey, K};
+use crate::spec::{Gen, Spec, K};
 use crate::stats::{CpuStats, MissKind, SimStats};
 use crate::{
     AuditLevel, BlockOpScheme, Bus, BusOp, Cache, CoreGauge, LineState, MachineConfig, WriteBuffer,
@@ -448,12 +448,6 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// The specialization key this machine's replay dispatches on
-    /// (DESIGN.md §15).
-    pub fn spec_key(&self) -> SpecKey {
-        SpecKey::of(&self.cfg, self.record)
-    }
-
     // ---- specialization helpers ------------------------------------------
 
     /// Recording decision through the witness (folds under [`K`]).
@@ -468,18 +462,12 @@ impl<'t> Machine<'t> {
         S::AUDIT_OFF.resolve(self.cfg.audit == AuditLevel::Off)
     }
 
-    /// Victim-cache decision through the witness (folds under [`K`]).
-    #[inline(always)]
-    pub(crate) fn s_victim<S: Spec>(&self) -> bool {
-        S::VICTIM.resolve(self.cfg.victim_lines > 0)
-    }
-
     /// Replays the whole trace and returns the collected statistics.
     ///
-    /// Dispatches once to the monomorphized event loop selected by
-    /// [`Machine::spec_key`] — or to the generic loop when the key is not
-    /// specializable (auditing on). The choice never changes any output: `tests/specialize_oracle.rs` and
-    /// `tests/specialize_matrix.rs` pin every specialized variant bitwise
+    /// An audit-off replay dispatches once on the recording flag to one of
+    /// the 2 monomorphized event loops; an audited replay runs the generic
+    /// loop. The choice never changes any output: `tests/specialize_oracle.rs`
+    /// and `tests/specialize_matrix.rs` pin both specialized loops bitwise
     /// against the generic oracle.
     ///
     /// Fails with a typed [`SimError`] on deadlock (a barrier some
@@ -498,34 +486,17 @@ impl<'t> Machine<'t> {
         // This thread is busy replaying (counted once if its caller
         // already holds a lease).
         let _busy = CoreGauge::process().lease();
-        let key = self.spec_key();
-        if !key.specializable() {
-            return self.run_loop_generic();
-        }
-        // The 16-arm dispatch table: one monomorphized loop per
-        // (record, updates, victim, cancel) combination, audit off.
-        match (key.record, key.updates, key.victim, key.cancel) {
-            (false, false, false, false) => self.run_loop_spec::<K<false, false, false, false>>(),
-            (false, false, false, true) => self.run_loop_spec::<K<false, false, false, true>>(),
-            (false, false, true, false) => self.run_loop_spec::<K<false, false, true, false>>(),
-            (false, false, true, true) => self.run_loop_spec::<K<false, false, true, true>>(),
-            (false, true, false, false) => self.run_loop_spec::<K<false, true, false, false>>(),
-            (false, true, false, true) => self.run_loop_spec::<K<false, true, false, true>>(),
-            (false, true, true, false) => self.run_loop_spec::<K<false, true, true, false>>(),
-            (false, true, true, true) => self.run_loop_spec::<K<false, true, true, true>>(),
-            (true, false, false, false) => self.run_loop_spec::<K<true, false, false, false>>(),
-            (true, false, false, true) => self.run_loop_spec::<K<true, false, false, true>>(),
-            (true, false, true, false) => self.run_loop_spec::<K<true, false, true, false>>(),
-            (true, false, true, true) => self.run_loop_spec::<K<true, false, true, true>>(),
-            (true, true, false, false) => self.run_loop_spec::<K<true, true, false, false>>(),
-            (true, true, false, true) => self.run_loop_spec::<K<true, true, false, true>>(),
-            (true, true, true, false) => self.run_loop_spec::<K<true, true, true, false>>(),
-            (true, true, true, true) => self.run_loop_spec::<K<true, true, true, true>>(),
+        if self.cfg.audit != AuditLevel::Off {
+            self.run_loop_generic()
+        } else if self.record {
+            self.run_loop_spec::<K<true>>()
+        } else {
+            self.run_loop_spec::<K<false>>()
         }
     }
 
     /// Replays on the generic (all-decisions-dynamic) loop regardless of
-    /// the specialization key: the equivalence oracle the differential
+    /// the configuration: the equivalence oracle the differential
     /// harnesses compare [`Machine::run`] against.
     pub fn run_generic(mut self) -> Result<SimStats, SimError> {
         self.run_generic_mut()
@@ -542,7 +513,7 @@ impl<'t> Machine<'t> {
     /// flow.
     fn run_loop_generic(&mut self) -> Result<SimStats, SimError> {
         while let Some(i) = self.pick_next() {
-            self.poll_cancel::<Gen>(i)?;
+            self.poll_cancel(i)?;
             self.step::<Gen>(i)?;
         }
         self.finish::<Gen>()
@@ -603,7 +574,7 @@ impl<'t> Machine<'t> {
         'schedule: while let Some((i, limit)) = self.pick_two() {
             let n = self.stream_len[i];
             loop {
-                self.poll_cancel::<S>(i)?;
+                self.poll_cancel(i)?;
                 self.steps += 1;
                 let cursor = self.cpus[i].cursor;
                 if cursor >= n {
@@ -630,14 +601,11 @@ impl<'t> Machine<'t> {
 
     /// The cancellation poll, hoisted into the loop preamble of both
     /// replay loops: before the event at index `steps` is dispatched, every
-    /// [`CANCEL_POLL_STRIDE`]-th index checks the token. Folds away
-    /// entirely when the witness pins the token unarmed.
+    /// [`CANCEL_POLL_STRIDE`]-th index checks the token (an unarmed token
+    /// answers `false`).
     #[inline(always)]
-    fn poll_cancel<S: Spec>(&self, i: usize) -> Result<(), SimError> {
-        if S::CANCEL.maybe()
-            && self.steps & (CANCEL_POLL_STRIDE - 1) == 0
-            && self.cfg.cancel.is_cancelled()
-        {
+    fn poll_cancel(&self, i: usize) -> Result<(), SimError> {
+        if self.steps & (CANCEL_POLL_STRIDE - 1) == 0 && self.cfg.cancel.is_cancelled() {
             return Err(SimError {
                 cycle: self.cpus[i].time,
                 cpu: Some(i),
@@ -1250,7 +1218,7 @@ impl<'t> Machine<'t> {
             self.note_l1d_departure::<S>(i, ev.line);
             // The victim cache is timing-relevant (it turns conflict misses
             // into 2-cycle swaps), so it is maintained even when `!record`.
-            if self.s_victim::<S>() {
+            if self.cfg.victim_lines > 0 {
                 let v = &mut self.cpus[i].victim;
                 v.retain(|&l| l != ev.line);
                 v.push(ev.line);
@@ -1426,7 +1394,7 @@ impl<'t> Machine<'t> {
         }
         // Victim-cache hit: swap back into the L1D for a 2-cycle penalty;
         // the conflict miss is avoided entirely.
-        if self.s_victim::<S>() {
+        if self.cfg.victim_lines > 0 {
             if let Some(pos) = self.cpus[i].victim.iter().position(|&l| l == line1) {
                 self.cpus[i].victim.remove(pos);
                 self.l1d_fill::<S>(i, line1, class, self.cpus[i].block.is_some());
@@ -1511,9 +1479,7 @@ impl<'t> Machine<'t> {
         by_blockop: bool,
     ) -> u64 {
         let timing = self.cfg.timing;
-        // `UPDATES = Off` folds the page-set probe away entirely; `On`
-        // still probes (a non-empty set covers only *some* pages).
-        let update = S::UPDATES.maybe() && self.cfg.update_pages.contains(line2.page());
+        let update = self.cfg.update_pages.contains(line2.page());
         match self.cpus[i].l2.state(line2) {
             LineState::Modified => self.l2_port(i, t, timing.l2_write) + timing.l2_write,
             LineState::Exclusive => {

@@ -154,11 +154,11 @@ fn prefetch_matches_sync_decode_at_capacity_one() {
     }
 }
 
-/// Update-coherent pages and a victim cache (the heavier specialization
-/// keys) under small chunks: the specialized chunked loops swap chunks
+/// Update-coherent pages and a victim cache (the heavier run-time
+/// branches) under small chunks: the specialized chunked loops swap chunks
 /// identically with the helper on and off.
 #[test]
-fn prefetch_is_invisible_across_spec_keys() {
+fn prefetch_is_invisible_across_configs() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(0x5bec_da00 ^ seed);
         let t = random_trace(&mut rng);

@@ -27,6 +27,7 @@
 use crate::{
     Addr, BarrierId, BlockId, BlockKind, BlockOp, ChunkedStreamBuilder, ChunkedTrace, CodeLayout,
     DataClass, Event, KernelVar, LockId, Mode, SiteId, Trace, TraceError, TraceMeta, VarRole,
+    MAX_CPUS,
 };
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -302,7 +303,8 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`ReadTraceError::Parse`] when the input deviates from the
-/// format (wrong magic, unknown event letter, missing fields),
+/// format (wrong magic, unknown event letter, missing fields, more than
+/// [`MAX_CPUS`] CPUs),
 /// [`ReadTraceError::Truncated`] when the input ends before the trailing
 /// `end` marker, and [`ReadTraceError::Io`] on reader failures.
 pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
@@ -368,6 +370,9 @@ pub fn read_trace_chunked<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceErr
                 }
                 cpus_declared = true;
                 n_cpus = p.num(arg(&p)?)?;
+                if n_cpus > MAX_CPUS {
+                    return p.err(format!("{n_cpus} cpus exceeds the limit of {MAX_CPUS}"));
+                }
                 builders = (0..n_cpus).map(|_| ChunkedStreamBuilder::new()).collect();
                 seen_streams = vec![false; n_cpus];
             }

@@ -63,3 +63,9 @@ pub use spill::{
 pub use stream::{Stream, StreamBuilder};
 pub use trace::{KernelVar, Trace, TraceMeta, VarRole};
 pub use validate::TraceError;
+
+/// The most CPUs a trace may have: the paper's machines have 4 and the
+/// scalability extension sweeps up to 8. [`read_trace`] rejects a dump
+/// declaring more, and the kernel layout and the sharing profile are
+/// sized by it.
+pub const MAX_CPUS: usize = 8;
