@@ -5,10 +5,10 @@
 //! metric of its configuration, and times the run. Run with
 //! `cargo bench -p oscache-bench --bench ablations`.
 
-use oscache_core::runner::{run_cells, Cell};
+use oscache_core::runner::{run_cells_supervised, Cell};
 use oscache_core::{
-    default_jobs, try_run_spec_audited, Geometry, RunResult, System, SystemSpec, TraceCache,
-    UpdatePolicy,
+    default_jobs, try_run_spec_audited, Geometry, RunPolicy, RunResult, System, SystemSpec,
+    TraceCache, UpdatePolicy,
 };
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::ChunkedTrace;
@@ -58,14 +58,25 @@ fn run_spec(spec: SystemSpec) -> RunResult {
 /// their results in cell order (bitwise-identical to running serially).
 fn run_ablation_cells(group: &str, cells: Vec<Cell>) -> Vec<RunResult> {
     let t0 = Instant::now();
-    let report = run_cells(cache(), opts(), &cells, default_jobs()).unwrap();
+    let report = run_cells_supervised(
+        cache(),
+        opts(),
+        &cells,
+        default_jobs(),
+        &RunPolicy::fail_fast(),
+        None,
+    );
     println!(
         "{group}/fanout      {:>9.3} ms  ({} cells, {} workers)",
         1e3 * t0.elapsed().as_secs_f64(),
         cells.len(),
         report.jobs
     );
-    report.outcomes.into_iter().map(|o| o.result).collect()
+    report
+        .outcomes
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|f| panic!("{f}")).result)
+        .collect()
 }
 
 /// §4.1.2: "Obvious techniques to reduce this stall include deeper write

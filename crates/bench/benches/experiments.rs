@@ -6,7 +6,7 @@
 //! suite; the first experiment to need a trace pays its build. Run with
 //! `cargo bench -p oscache-bench --bench experiments`.
 
-use oscache_core::{default_jobs, Experiment, Repro, TraceCache};
+use oscache_core::{default_jobs, Experiment, Repro, RunPolicy, TraceCache};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -15,7 +15,8 @@ const SCALE: f64 = 0.05;
 fn bench(cache: &Arc<TraceCache>, e: Experiment, f: impl Fn(&mut Repro) -> String) {
     let t0 = Instant::now();
     let mut r = Repro::with_cache(SCALE, default_jobs(), cache.clone());
-    let warm = r.warm(&[e]);
+    let warm = r.warm_supervised(&[e], &RunPolicy::fail_fast(), None);
+    assert!(warm.failures.is_empty(), "{:?}", warm.failures);
     let out = f(&mut r);
     std::hint::black_box(&out);
     println!(

@@ -17,7 +17,7 @@ use oscache_core::service::{self, RunRequest, Server, ServiceConfig};
 use oscache_core::supervise::{Journal, JournalError, JournalHeader};
 use oscache_core::{
     render_experiment, CellFailure, Escalation, Experiment, FailureCause, Repro, RunPolicy,
-    SupervisedWarmStats, System, WarmStats,
+    SupervisedWarmStats, System,
 };
 use oscache_memsys::faults::CellFault;
 use std::io::Write;
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale S] [--jobs N] [--timings] [--keep-going] [--retries N]\n             [--deadline-ms N] [--deadline-action flag|cancel] [--deadline-grace-ms N]\n             [--journal <path> [--resume [--salvage]]] [--inject-cell-panic SPEC]\n             [--mem-budget-mb N] [--inject-io seed[:class]]\n             [table1..table5 | fig1..fig7 | headline | scorecard | all]\n                                                 cells run across N workers (default: all\n                                                 hardware threads); output is bitwise-identical\n                                                 for any N. `all` writes BENCH_repro.json.\n                                                 --keep-going renders every experiment whose cells\n                                                 completed and exits 6 if any cell failed;\n                                                 --retries N grants each failing cell N retries;\n                                                 --deadline-ms N flags cells running longer;\n                                                 --deadline-action cancel also cooperatively kills\n                                                 them --deadline-grace-ms (default 200) past the\n                                                 deadline; --journal records each completed cell\n                                                 crash-safely and --resume replays completed cells\n                                                 from it (--salvage drops a torn trailing record\n                                                 instead of rejecting the journal);\n                                                 --inject-cell-panic seed[:period[:attempts]]\n                                                 panics selected cells (testing the supervisor)\n                                                 --mem-budget-mb N arms the spill governor: sealed\n                                                 trace chunks spill to disk under pressure and the\n                                                 run answers overloaded (exit 7) over dying when\n                                                 the budget cannot be met; --inject-io injects\n                                                 seeded disk faults at the spill write path\n                                                 (classes: short-write, bit-flip, enospc)\n                repro serve [--socket P|--tcp A] [--queue-limit N]\n                                                 resident service: accepts newline-JSON requests\n                                                 from concurrent clients on a Unix socket (default\n                                                 repro.sock) or TCP address, dedupes work via the\n                                                 shared cache and journal, drains on SIGTERM;\n                                                 honors --scale/--jobs/--journal/--resume/--salvage,\n                                                 --mem-budget-mb/--inject-io, and the supervision\n                                                 flags above\n                repro submit [--socket P|--tcp A] [--client NAME]\n                            [--request-deadline-ms N] [experiments...]\n                                                 submit experiments to a running serve daemon and\n                                                 print the streamed report (byte-identical to\n                                                 running the same experiments locally)\n                repro golden <dir>               write each experiment's output to <dir>/<name>.txt\n                                                 (the golden-file corpus under tests/golden/)\n                repro dump <workload> <path>     write a trace dump\n                repro replay <path> <system> [--inject <fault> [--seed N]]\n                                                 simulate a dumped trace (audited);\n                                                 faults: drop duplicate swap bitflip truncate blocklen\n                repro simulate <workload> <system> [--scale S] [--mem-budget-mb N]\n                            [--inject-io seed[:class]]\n                                                 build and run one cell, print counters and peak\n                                                 RSS — the CI memory-ceiling probe\n                repro conflicts <workload>       the paper's S6 conflict-pair analysis\n                repro classes <workload>         per-structure reference profile (S3)\n                repro csv <dir>                  write every experiment as CSV\n                repro perturb <workload>         the S2.2 instrumentation-perturbation study\n                repro bench [--check]            perf smoke over representative cells at reduced\n                                                 scale (plus a chunk-codec microcell and a jobs-4\n                                                 mini-matrix); without --check writes\n                                                 BENCH_smoke.json reference timings, with --check\n                                                 fails if any cell regressed more than 2x vs that\n                                                 reference\n       exit codes: 1 i/o, 2 usage/journal mismatch, 3 trace validation, 4 simulation invariant,\n                   5 perf regression, 6 partial (some cells failed under --keep-going, or a\n                   submitted request finished incomplete), 7 overloaded (admission queue full,\n                   or the memory budget could not be met), 8 service unavailable (daemon unreachable or shutting down)"
+        "usage: repro [--scale S] [--jobs N] [--timings] [--keep-going] [--retries N]\n             [--deadline-ms N] [--deadline-action flag|cancel] [--deadline-grace-ms N]\n             [--journal <path> [--resume]] [--inject-cell-panic SPEC]\n             [--mem-budget-mb N] [--inject-io seed[:class]]\n             [table1..table5 | fig1..fig7 | headline | scorecard | all]\n                                                 cells run across N workers (default: all\n                                                 hardware threads); output is bitwise-identical\n                                                 for any N. `all` writes BENCH_repro.json.\n                                                 --keep-going renders every experiment whose cells\n                                                 completed and exits 6 if any cell failed;\n                                                 --retries N grants each failing cell N retries;\n                                                 --deadline-ms N flags cells running longer;\n                                                 --deadline-action cancel also cooperatively kills\n                                                 them --deadline-grace-ms (default 200) past the\n                                                 deadline; --journal records each completed cell\n                                                 crash-safely and --resume replays completed cells\n                                                 from it (a torn trailing record left by a kill is\n                                                 dropped with a warning);\n                                                 --inject-cell-panic seed[:period[:attempts]]\n                                                 panics selected cells (testing the supervisor)\n                                                 --mem-budget-mb N arms the spill governor: sealed\n                                                 trace chunks spill to disk under pressure and the\n                                                 run answers overloaded (exit 7) over dying when\n                                                 the budget cannot be met; --inject-io injects\n                                                 seeded disk faults at the spill write path\n                                                 (classes: short-write, bit-flip, enospc)\n                repro serve [--socket P|--tcp A] [--queue-limit N]\n                                                 resident service: accepts newline-JSON requests\n                                                 from concurrent clients on a Unix socket (default\n                                                 repro.sock) or TCP address, dedupes work via the\n                                                 shared cache and journal, drains on SIGTERM;\n                                                 honors --scale/--jobs/--journal/--resume,\n                                                 --mem-budget-mb/--inject-io, and the supervision\n                                                 flags above\n                repro submit [--socket P|--tcp A] [--client NAME]\n                            [--request-deadline-ms N] [experiments...]\n                                                 submit experiments to a running serve daemon and\n                                                 print the streamed report (byte-identical to\n                                                 running the same experiments locally)\n                repro golden <dir>               write each experiment's output to <dir>/<name>.txt\n                                                 (the golden-file corpus under tests/golden/)\n                repro dump <workload> <path>     write a trace dump\n                repro replay <path> <system> [--inject <fault> [--seed N]]\n                                                 simulate a dumped trace (audited);\n                                                 faults: drop duplicate swap bitflip truncate blocklen\n                repro simulate <workload> <system> [--scale S] [--mem-budget-mb N]\n                            [--inject-io seed[:class]]\n                                                 build and run one cell, print counters and peak\n                                                 RSS — the CI memory-ceiling probe\n                repro conflicts <workload>       the paper's S6 conflict-pair analysis\n                repro classes <workload>         per-structure reference profile (S3)\n                repro csv <dir>                  write every experiment as CSV\n                repro perturb <workload>         the S2.2 instrumentation-perturbation study\n                repro bench [--check]            perf smoke over representative cells at reduced\n                                                 scale (plus a chunk-codec microcell and a jobs-4\n                                                 mini-matrix); without --check writes\n                                                 BENCH_smoke.json reference timings, with --check\n                                                 fails if any cell regressed more than 2x vs that\n                                                 reference\n       exit codes: 1 i/o, 2 usage/journal mismatch, 3 trace validation, 4 simulation invariant,\n                   5 perf regression, 6 partial (some cells failed under --keep-going, or a\n                   submitted request finished incomplete), 7 overloaded (admission queue full,\n                   or the memory budget could not be met), 8 service unavailable (daemon unreachable or shutting down)"
     );
     std::process::exit(2);
 }
@@ -103,7 +103,6 @@ struct Supervision {
     keep_going: bool,
     journal_path: Option<String>,
     resume: bool,
-    salvage: bool,
     retries: u32,
     deadline_ms: Option<u64>,
     deadline_cancel: bool,
@@ -134,37 +133,36 @@ impl Supervision {
         }
     }
 
-    /// Opens the journal per the resume/salvage flags, reporting torn-tail
-    /// salvage as a structured warning. Factored out so the one-shot and
-    /// `serve` flows recover identically.
-    fn open_journal_at(
-        &self,
-        path: &std::path::Path,
-        scale: f64,
-        create_missing: bool,
-    ) -> Result<Journal, JournalError> {
+    /// Opens (with `--resume`: resumes) the run journal, reporting a
+    /// dropped torn tail as a structured warning and exiting with a
+    /// structured error on an incompatible header (exit 2), a corrupt
+    /// record (exit 2), or an I/O failure (exit 1). The one-shot and
+    /// `serve` flows share it, so they recover identically.
+    fn open_journal(&self, scale: f64) -> Option<Journal> {
+        let path = std::path::Path::new(self.journal_path.as_ref()?);
         let opts = oscache_workloads::BuildOptions {
             scale,
             ..Default::default()
         };
         let header = JournalHeader::new(&opts);
-        if !self.resume || (create_missing && !path.exists()) {
-            return Journal::create(path, header);
-        }
-        let journal = if self.salvage {
-            let (journal, salvage) = Journal::resume_salvage(path, header)?;
-            if let Some(s) = salvage {
-                eprintln!(
-                    "warning: class=journal-salvage path={} line={} dropped_bytes={} msg=\"dropped torn trailing record; resuming from the last intact record\"",
-                    path.display(),
-                    s.line,
-                    s.dropped_bytes
-                );
-            }
-            journal
+        let opened = if self.resume {
+            Journal::resume(path, header)
         } else {
-            Journal::resume(path, header)?
+            Journal::create(path, header)
         };
+        let journal = match opened {
+            Ok(j) => j,
+            Err(e @ JournalError::Io(_)) => fail("io", &e.to_string(), EXIT_IO),
+            Err(e) => fail("journal", &e.to_string(), EXIT_USAGE),
+        };
+        if let Some(s) = journal.salvaged() {
+            eprintln!(
+                "warning: class=journal-salvage path={} line={} dropped_bytes={} msg=\"dropped torn trailing record; resuming from the last intact record\"",
+                path.display(),
+                s.line,
+                s.dropped_bytes
+            );
+        }
         if !journal.is_empty() {
             eprintln!(
                 "journal: resuming from {} ({} completed cells)",
@@ -172,35 +170,7 @@ impl Supervision {
                 journal.len()
             );
         }
-        Ok(journal)
-    }
-
-    /// Opens (with `--resume`: resumes) the run journal, exiting with a
-    /// structured error on an incompatible header (exit 2), a corrupt
-    /// record (exit 2), or an I/O failure (exit 1).
-    fn open_journal(&self, scale: f64) -> Option<Journal> {
-        let path = std::path::PathBuf::from(self.journal_path.as_ref()?);
-        match self.open_journal_at(&path, scale, false) {
-            Ok(j) => Some(j),
-            Err(e @ JournalError::Io(_)) => fail("io", &e.to_string(), EXIT_IO),
-            Err(e) => fail("journal", &e.to_string(), EXIT_USAGE),
-        }
-    }
-
-    /// The `serve` flavor: creates the journal when `--resume` finds no
-    /// file yet (a daemon's first start), and switches it to O(1) append
-    /// mode — the daemon journals every completed cell for the lifetime
-    /// of the process.
-    fn open_service_journal(&self, scale: f64) -> Option<Journal> {
-        let path = std::path::PathBuf::from(self.journal_path.as_ref()?);
-        match self
-            .open_journal_at(&path, scale, true)
-            .and_then(Journal::into_append)
-        {
-            Ok(j) => Some(j),
-            Err(e @ JournalError::Io(_)) => fail("io", &e.to_string(), EXIT_IO),
-            Err(e) => fail("journal", &e.to_string(), EXIT_USAGE),
-        }
+        Some(journal)
     }
 }
 
@@ -259,6 +229,24 @@ fn failure_exit(failures: &[CellFailure]) -> i32 {
     } else {
         EXIT_SIM_FAILED
     }
+}
+
+/// Warms every cell `exps` need without retries, exiting through
+/// [`failure_exit`] if any cell fails.
+fn warm_fail_fast(r: &mut Repro, exps: &[Experiment]) -> SupervisedWarmStats {
+    let warm = r.warm_supervised(exps, &RunPolicy::fail_fast(), None);
+    if report_supervision(&warm, None) {
+        fail(
+            "cell-failure",
+            &format!(
+                "{} of {} cells failed",
+                warm.failures.len(),
+                warm.failures.len() + warm.cells.len()
+            ),
+            failure_exit(&warm.failures),
+        );
+    }
+    warm
 }
 
 /// Arms the memory-budget governor on a driver per `--mem-budget-mb` /
@@ -336,16 +324,19 @@ fn csv(dir: &str, scale: f64, jobs: usize) {
     use oscache_core::paperref as p;
     std::fs::create_dir_all(dir).expect("create csv dir");
     let mut r = Repro::with_jobs(scale, jobs);
-    r.warm(&[
-        Experiment::Table1,
-        Experiment::Table2,
-        Experiment::Fig2,
-        Experiment::Fig3,
-        Experiment::Fig4,
-        Experiment::Fig5,
-        Experiment::Fig6,
-        Experiment::Fig7,
-    ]);
+    warm_fail_fast(
+        &mut r,
+        &[
+            Experiment::Table1,
+            Experiment::Table2,
+            Experiment::Fig2,
+            Experiment::Fig3,
+            Experiment::Fig4,
+            Experiment::Fig5,
+            Experiment::Fig6,
+            Experiment::Fig7,
+        ],
+    );
     let file = |name: &str| {
         std::io::BufWriter::new(
             std::fs::File::create(format!("{dir}/{name}.csv")).expect("create csv"),
@@ -649,7 +640,6 @@ fn main() {
             "--timings" => timings = true,
             "--keep-going" => sup_opts.keep_going = true,
             "--resume" => sup_opts.resume = true,
-            "--salvage" => sup_opts.salvage = true,
             "--journal" => {
                 sup_opts.journal_path = Some(args.next().unwrap_or_else(|| usage()));
             }
@@ -889,11 +879,6 @@ fn main() {
             failure_exit(&sup.failures),
         );
     }
-    let warm = WarmStats {
-        jobs: sup.jobs,
-        wall_ms: sup.wall_ms,
-        cells: sup.cells.clone(),
-    };
     for w in what.clone() {
         let all = w == "all";
         for e in Experiment::all() {
@@ -919,7 +904,7 @@ fn main() {
         }
     }
     if timings {
-        print_timings(&r, &warm);
+        print_timings(&r, &sup);
     }
     if partial {
         // Partial runs never overwrite the benchmark record.
@@ -933,7 +918,7 @@ fn main() {
         );
     }
     if what.iter().any(|w| w == "all") {
-        write_bench_json("BENCH_repro.json", scale, &r, &warm);
+        write_bench_json("BENCH_repro.json", scale, &r, &sup);
     }
 }
 
@@ -1001,7 +986,7 @@ fn golden(dir: &str, scale: f64, jobs: usize, sup_opts: &Supervision) {
 
 /// Prints the per-cell timing summary (`--timings`), with each cell's
 /// wall time broken down into build / prepare / simulate phases.
-fn print_timings(r: &Repro, warm: &WarmStats) {
+fn print_timings(r: &Repro, warm: &SupervisedWarmStats) {
     println!("\nPer-cell timings ({} workers)", warm.jobs);
     println!("{}", "-".repeat(96));
     for b in r.cache().build_timings() {
@@ -1200,7 +1185,7 @@ fn bench(check: bool) {
     // (4 workloads x {Base, Blk_Dma, BCoh_RelUp, BCPref}) at 4 workers —
     // the wall clock the LPT dispatch order is meant to shrink.
     let mut r4 = Repro::with_jobs(SMOKE_SCALE, 4);
-    let warm4 = r4.warm(&[Experiment::Fig5]);
+    let warm4 = warm_fail_fast(&mut r4, &[Experiment::Fig5]);
     println!(
         "jobs-4 mini-matrix (Fig5): {:.1} ms wall, {} cells",
         warm4.wall_ms,
@@ -1284,7 +1269,7 @@ fn compact_key(key: &str) -> String {
 
 /// Emits the machine-readable per-run benchmark record tracking the repro
 /// pipeline's performance trajectory.
-fn write_bench_json(path: &str, scale: f64, r: &Repro, warm: &WarmStats) {
+fn write_bench_json(path: &str, scale: f64, r: &Repro, warm: &SupervisedWarmStats) {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"scale\": {scale},\n"));
@@ -1397,7 +1382,7 @@ fn serve(
         signal(SIGINT, handler);
     }
     STOP.store(false, Ordering::SeqCst);
-    let journal = sup_opts.open_service_journal(scale);
+    let journal = sup_opts.open_journal(scale);
     let journaled = journal.is_some();
     let server = Server::start(
         ServiceConfig {

@@ -1,8 +1,10 @@
 //! The one-shot `repro` commands end to end: a closed stdout ends the
 //! process quietly, and the dump → replay path (the paper's §2.1 monitor
 //! dumps traces and simulates them later) agrees with the cached,
-//! specialized `simulate` path on the same cell.
+//! specialized `simulate` path on the same cell. A journaled run resumes
+//! past a torn final record but not past a corrupt one.
 
+use std::io::Write;
 use std::process::{Command, Output, Stdio};
 
 fn repro() -> Command {
@@ -90,4 +92,48 @@ fn huge_cpu_count_is_a_trace_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
     assert!(!stderr.contains("memory allocation"), "stderr: {stderr}");
+}
+
+/// A kill mid-append leaves a torn, unterminated final journal record. A
+/// plain `--resume` drops it with a structured warning and prints exactly
+/// what the uninterrupted run printed. A garbled line that does end in a
+/// newline is corruption, not a torn tail, and stays a journal error
+/// (exit 2).
+#[test]
+fn resume_drops_a_torn_journal_tail_but_not_a_terminated_garbled_line() {
+    let path = std::env::temp_dir().join(format!("oscache-torn-{}.jsonl", std::process::id()));
+    let journal = path.to_str().expect("utf8 temp path");
+    let run = |extra: &[&str]| {
+        repro()
+            .args(["--scale", "0.05", "--journal", journal])
+            .args(extra)
+            .arg("table2")
+            .output()
+            .expect("run repro")
+    };
+    let first = run(&[]);
+    assert!(first.status.success(), "first run failed: {first:?}");
+    let append = |bytes: &[u8]| {
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(bytes))
+            .expect("append to journal");
+    };
+    append(b"{\"digest\":1");
+    let resumed = run(&["--resume"]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(
+        stdout_of(&resumed),
+        stdout_of(&first),
+        "a resumed run must print what the uninterrupted one did"
+    );
+    assert!(stderr.contains("class=journal-salvage"), "stderr: {stderr}");
+    append(b"{\"digest\":1\n");
+    let corrupt = run(&["--resume"]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&corrupt.stderr);
+    assert_eq!(corrupt.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("journal corrupt"), "stderr: {stderr}");
 }

@@ -217,3 +217,30 @@ fn a_deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
     let drained = stop_daemon(daemon);
     assert!(drained.status.success(), "{}", stderr_of(&drained));
 }
+
+/// A client that never sends a newline cannot grow the daemon's memory
+/// without bound: past the request-line cap it gets an error reply and
+/// its connection closes, and the daemon keeps serving new connections.
+#[test]
+fn an_endless_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    let socket = tmp("endless", "sock");
+    let daemon = start_daemon(&socket, None, &[]);
+    let mut conn = UnixStream::connect(&socket).expect("connect to daemon");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set read timeout");
+    // The daemon may close the connection before it has read all of it.
+    let _ = conn.write_all(&vec![b'x'; 2 << 20]);
+    let mut reply = String::new();
+    let _ = BufReader::new(&conn).read_line(&mut reply);
+    assert!(
+        reply.contains("\"status\":\"error\""),
+        "an over-long request line must get an error reply: {reply:?}"
+    );
+    let reply = request(&socket, r#"{"op":"stats"}"#);
+    assert!(
+        reply.contains("\"submitted\""),
+        "the daemon must answer the next request: {reply:?}"
+    );
+    let drained = stop_daemon(daemon);
+    assert!(drained.status.success(), "{}", stderr_of(&drained));
+}

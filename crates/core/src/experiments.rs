@@ -20,10 +20,11 @@ use std::sync::Arc;
 /// Builds traces and caches simulation runs for the reproduction.
 ///
 /// Simulation cells run through [`crate::runner`]: a shared [`TraceCache`]
-/// builds each calibrated trace once, and [`Repro::warm`] fans independent
-/// cells out over worker threads. Results are bitwise-identical regardless
-/// of worker count — each cell is a deterministic single-threaded run, and
-/// parallelism only schedules whole cells.
+/// builds each calibrated trace once, and [`Repro::warm_supervised`] fans
+/// independent cells out over worker threads. Results are
+/// bitwise-identical regardless of worker count — each cell is a
+/// deterministic single-threaded run, and parallelism only schedules whole
+/// cells.
 ///
 /// # Examples
 ///
@@ -93,21 +94,9 @@ pub struct CellTiming {
     pub journaled: bool,
 }
 
-/// What a [`Repro::warm`] fan-out did: worker count, wall clock, and the
-/// cells it actually ran (already-cached cells are skipped).
-#[derive(Clone, Debug)]
-pub struct WarmStats {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Wall-clock milliseconds for the fan-out.
-    pub wall_ms: f64,
-    /// Per-cell timings, in cell order.
-    pub cells: Vec<CellTiming>,
-}
-
-/// What a [`Repro::warm_supervised`] fan-out did: [`WarmStats`] for the
-/// completed cells plus everything the supervision layer observed
-/// (DESIGN.md §13).
+/// What a [`Repro::warm_supervised`] fan-out did: worker count, wall
+/// clock, and the cells it ran (already-cached cells are skipped), plus
+/// everything the supervision layer observed (DESIGN.md §13).
 #[derive(Debug)]
 pub struct SupervisedWarmStats {
     /// Worker threads used.
@@ -136,7 +125,7 @@ impl Repro {
         Repro::with_jobs(scale, 1)
     }
 
-    /// Creates a driver that fans [`Repro::warm`] out over `jobs` worker
+    /// Creates a driver that fans [`Repro::warm_supervised`] out over `jobs` worker
     /// threads (`0` = one per hardware thread).
     pub fn with_jobs(scale: f64, jobs: usize) -> Self {
         Repro::with_cache(scale, jobs, Arc::new(TraceCache::new()))
@@ -189,38 +178,12 @@ impl Repro {
 
     /// Runs every cell the given experiments need, in parallel across
     /// `jobs` workers, so the subsequent table/figure calls are pure cache
-    /// hits. Cells already simulated are not rerun.
-    pub fn warm(&mut self, experiments: &[Experiment]) -> WarmStats {
-        let plan = self.plan(experiments);
-        let report = run_plan_supervised(
-            &self.cache,
-            self.build_options(),
-            &plan,
-            self.jobs,
-            &RunPolicy::fail_fast(),
-            None,
-            &CancelToken::none(),
-        )
-        .into_report()
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-        let mut stats = WarmStats {
-            jobs: report.jobs,
-            wall_ms: report.wall_ms,
-            cells: Vec::with_capacity(report.outcomes.len()),
-        };
-        for outcome in report.outcomes {
-            stats.cells.push(self.absorb(outcome));
-        }
-        self.timings.extend(stats.cells.iter().cloned());
-        stats
-    }
-
-    /// [`Repro::warm`] under a [`RunPolicy`] (DESIGN.md §13): failing
-    /// cells cost their own slot instead of panicking the driver, retries
-    /// and journal replay/record apply per the policy, and the returned
-    /// stats say exactly which cells did not complete — the caller decides
-    /// whether that is fatal (`repro` without `--keep-going`) or a partial
-    /// report (exit code 6).
+    /// hits. Cells already simulated are not rerun. Under the
+    /// [`RunPolicy`] (DESIGN.md §13), failing cells cost their own slot
+    /// instead of panicking the driver, retries and journal replay/record
+    /// apply per the policy, and the returned stats say exactly which
+    /// cells did not complete — the caller decides whether that is fatal
+    /// (`repro` without `--keep-going`) or a partial report (exit code 6).
     pub fn warm_supervised(
         &mut self,
         experiments: &[Experiment],

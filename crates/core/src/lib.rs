@@ -24,9 +24,7 @@ pub mod supervise;
 pub mod transform;
 
 pub use config::{Geometry, System, SystemSpec, UpdatePolicy};
-pub use experiments::{
-    render_experiment, CellTiming, Headline, Repro, SupervisedWarmStats, WarmStats,
-};
+pub use experiments::{render_experiment, CellTiming, Headline, Repro, SupervisedWarmStats};
 pub use metrics::{
     BlockOpOverhead, CoherenceBreakdown, MissBreakdown, OsTimeBreakdown, WorkloadMetrics,
 };
@@ -42,5 +40,5 @@ pub use sim::{
 };
 pub use supervise::{
     CellFailure, Escalation, FailureCause, Journal, JournalError, JournalHeader, JournalRecord,
-    Overrun, RunPolicy, RunnerError, Salvage,
+    Overrun, RunPolicy, Salvage,
 };

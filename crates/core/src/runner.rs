@@ -10,7 +10,7 @@
 //!   per [`TraceBuildKey`] `(workload, scale, seed, n_cpus)` and shares it
 //!   immutably via [`Arc`]; transform-derived traces (privatize/relocate/
 //!   prefetch/coloring rewrites) are cached per [`CellFingerprint`].
-//! * [`run_cells`]: a dependency-free fan-out over a work queue
+//! * [`run_cells_supervised`]: a dependency-free fan-out over a work queue
 //!   (`std::thread::scope`, worker count from [`default_jobs`] or an
 //!   explicit `--jobs N`) that schedules whole cells onto workers and
 //!   returns results ordered by cell index, never by completion order.
@@ -33,7 +33,7 @@ use crate::experiments::{figure6_sweep, figure7_sweep};
 use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
-    RunPolicy, RunnerError, Watchdog,
+    RunPolicy, Watchdog,
 };
 use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError};
 use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
@@ -278,7 +278,7 @@ pub struct BuildTiming {
 /// run, so pinning every retired multi-megabyte rewrite for the whole run
 /// only grows the process footprint until fresh allocations fault at
 /// host-paging speed (DESIGN.md §12.3). Cells whose fingerprint *does*
-/// recur within one [`run_cells`] fan-out are deduplicated at the result
+/// recur within one [`run_cells_supervised`] fan-out are deduplicated at the result
 /// level instead ([`TraceCache::shared_result`]), which is strictly
 /// cheaper than re-simulating and keeps only kilobytes of counters alive.
 ///
@@ -334,7 +334,7 @@ impl TraceCache {
 
     /// The cached final result for `fp`, if a cell with this fingerprint
     /// already simulated in this process. Only fingerprints flagged as
-    /// recurring by [`run_cells`] are ever stored.
+    /// recurring by [`run_cells_supervised`] are ever stored.
     pub fn shared_result(&self, fp: &CellFingerprint) -> Option<RunResult> {
         lock_tolerant(&self.results).get(fp).cloned()
     }
@@ -609,17 +609,6 @@ pub struct CellOutcome {
     pub journaled: bool,
 }
 
-/// What [`run_cells`] returns: per-cell outcomes in *cell index order*
-/// (never completion order), plus fan-out bookkeeping.
-pub struct RunnerReport {
-    /// One outcome per input cell, same order as the input.
-    pub outcomes: Vec<CellOutcome>,
-    /// Worker count actually used.
-    pub jobs: usize,
-    /// Wall-clock milliseconds for the whole fan-out.
-    pub wall_ms: f64,
-}
-
 /// Runs one cell through the cache: base trace, software passes, final
 /// single-threaded machine run.
 pub fn run_cell(
@@ -761,62 +750,24 @@ impl SupervisedReport {
             .filter_map(|o| o.as_ref().err())
             .collect()
     }
-
-    /// Collapses the report into the fail-fast shape: all outcomes, or the
-    /// lowest-indexed failure annotated with how much work had completed.
-    pub fn into_report(self) -> Result<RunnerReport, RunnerError> {
-        let completed = self.completed();
-        let total = self.outcomes.len();
-        let mut outcomes = Vec::with_capacity(total);
-        for slot in self.outcomes {
-            match slot {
-                Ok(o) => outcomes.push(o),
-                Err(failure) => {
-                    return Err(RunnerError {
-                        failure,
-                        completed,
-                        total,
-                    })
-                }
-            }
-        }
-        Ok(RunnerReport {
-            outcomes,
-            jobs: self.jobs,
-            wall_ms: self.wall_ms,
-        })
-    }
 }
 
 /// Fans `cells` out over `jobs` workers (clamped to the cell count; `0`
-/// means [`default_jobs`]).
+/// means [`default_jobs`]) under a [`RunPolicy`]: per-cell panic
+/// isolation, bounded retry, soft-deadline watchdog, and optional journal
+/// replay/record (DESIGN.md §13).
 ///
-/// Each cell is simulated by exactly one worker via [`run_cell`];
-/// parallelism only schedules whole cells, so results are
-/// bitwise-identical to running the same cells serially. On error the
-/// lowest-indexed failing cell's error is returned (regardless of which
-/// worker hit it first), annotated with how many cells had completed —
-/// completed work is counted, never silently discarded.
-pub fn run_cells(
-    cache: &TraceCache,
-    opts: BuildOptions,
-    cells: &[Cell],
-    jobs: usize,
-) -> Result<RunnerReport, RunnerError> {
-    run_cells_supervised(cache, opts, cells, jobs, &RunPolicy::fail_fast(), None).into_report()
-}
-
-/// [`run_cells`] under a [`RunPolicy`]: per-cell panic isolation, bounded
-/// retry, soft-deadline watchdog, and optional journal replay/record
-/// (DESIGN.md §13).
+/// Each cell is simulated by exactly one worker; parallelism only
+/// schedules whole cells, so results are bitwise-identical to running the
+/// same cells serially. [`RunPolicy::fail_fast`] retries nothing.
 ///
 /// Every cell gets a slot in the report — a panicking or failing cell
 /// costs exactly its own slot, never the scope, the process, or the other
 /// cells' completed work. With `journal` set, cells whose stable
 /// fingerprint digest is already journaled are replayed without
-/// simulation, and every newly-completed cell is journaled (atomically,
-/// temp-file + rename) the moment it finishes, so a `SIGKILL` at any
-/// point loses at most the cells in flight.
+/// simulation, and every newly-completed cell is appended to the journal
+/// the moment it finishes, so a `SIGKILL` at any point loses at most the
+/// cells in flight.
 ///
 /// Determinism: supervision adds no scheduling influence on results —
 /// retries rerun the same pure function, journal replay returns stats that

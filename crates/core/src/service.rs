@@ -1,7 +1,7 @@
 //! The resident experiment service (DESIGN.md §14).
 //!
 //! A [`Server`] keeps one [`TraceCache`], one supervised worker pool, and
-//! (optionally) one append-mode run [`Journal`] resident, and accepts
+//! (optionally) one run [`Journal`] resident, and accepts
 //! experiment requests from many concurrent clients. Robustness is the
 //! point:
 //!
@@ -333,8 +333,8 @@ pub struct Server {
 
 impl Server {
     /// Provisions the cache, worker pool, watchdog, and deadline monitor.
-    /// `journal` (append mode recommended — [`Journal::into_append`])
-    /// makes results persistent and deduplicates across daemon restarts.
+    /// `journal` makes results persistent and deduplicates across daemon
+    /// restarts.
     pub fn start(cfg: ServiceConfig, journal: Option<Journal>) -> Server {
         let jobs = if cfg.jobs == 0 {
             default_jobs()
@@ -1068,6 +1068,12 @@ fn bool_field(v: &Json, name: &str) -> Result<bool, String> {
 // Socket layer
 // ---------------------------------------------------------------------------
 
+/// The longest request line a connection may send, newline excluded. A
+/// real request is well under a kilobyte; past this cap the connection
+/// gets an `error` reply and is closed, so a client that never sends a
+/// newline cannot grow the daemon's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Accumulates stream bytes into lines, surviving read timeouts (the
 /// serve loops set one so idle connections observe the stop flag).
 struct LineReader {
@@ -1084,7 +1090,8 @@ impl LineReader {
     }
 
     /// Reads one line; `Ok(None)` on EOF or once `stop` is set while the
-    /// connection is idle.
+    /// connection is idle, and an `InvalidData` error once the pending
+    /// line outgrows [`MAX_REQUEST_LINE`].
     fn read_line<S: Read>(
         &mut self,
         s: &mut S,
@@ -1098,6 +1105,12 @@ impl LineReader {
             }
             self.buf.drain(..self.pos);
             self.pos = 0;
+            if self.buf.len() > MAX_REQUEST_LINE {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                ));
+            }
             let mut chunk = [0u8; 4096];
             match s.read(&mut chunk) {
                 Ok(0) => return Ok(None),
@@ -1134,6 +1147,10 @@ pub fn handle_connection<S: Read + Write>(server: &Server, stream: &mut S, stop:
     loop {
         let line = match reader.read_line(stream, stop) {
             Ok(Some(line)) => line,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let _ = write_line(stream, &reply_line(&Reply::Error(e.to_string())));
+                return;
+            }
             Ok(None) | Err(_) => return,
         };
         if line.trim().is_empty() {

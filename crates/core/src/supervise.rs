@@ -2,7 +2,7 @@
 //! journal, and the soft-deadline watchdog.
 //!
 //! The paper's full reproduction is a multi-minute fan-out over ~34
-//! independent cells ([`crate::runner::run_cells`]). Before this layer, a
+//! independent cells ([`crate::runner::run_cells_supervised`]). Before this layer, a
 //! single failing cell discarded every completed one, a worker panic tore
 //! the whole process down, and a killed run restarted from zero. The
 //! supervision layer (DESIGN.md §13) makes runs survivable:
@@ -17,10 +17,11 @@
 //!   run returns `Ok(outcome) | Err(failure)` per slot so callers can
 //!   render every table whose cells completed (`repro --keep-going`).
 //! * [`Journal`] — a crash-safe JSONL run journal: one self-contained
-//!   record per completed cell, persisted via write-temp-then-rename after
-//!   every cell, so `repro --journal <path> --resume` replays completed
+//!   record per completed cell, appended as one line the moment the cell
+//!   finishes, so `repro --journal <path> --resume` replays completed
 //!   cells instead of re-simulating them and a killed run loses at most
-//!   the cells that were in flight.
+//!   the cells that were in flight (plus one torn line, which resume
+//!   drops).
 //!
 //! Everything here is dependency-free: the journal's JSON is written and
 //! parsed by the small hand-rolled codec at the bottom of this module
@@ -178,8 +179,8 @@ pub struct RunPolicy {
 
 impl RunPolicy {
     /// The non-supervised default: no retries, no watchdog, no injection.
-    /// [`crate::runner::run_cells`] uses this — panic isolation and typed
-    /// failures still apply, but nothing is retried or journaled.
+    /// Panic isolation and typed failures still apply, but nothing is
+    /// retried.
     pub fn fail_fast() -> Self {
         RunPolicy::default()
     }
@@ -274,31 +275,6 @@ impl std::fmt::Display for CellFailure {
         )
     }
 }
-
-/// The error [`crate::runner::run_cells`] returns: the lowest-indexed
-/// failing cell plus how much of the fan-out had completed — completed
-/// work is reported, not silently discarded.
-#[derive(Debug)]
-pub struct RunnerError {
-    /// The lowest-indexed cell failure.
-    pub failure: CellFailure,
-    /// Cells that completed successfully before collection.
-    pub completed: usize,
-    /// Total cells in the fan-out.
-    pub total: usize,
-}
-
-impl std::fmt::Display for RunnerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} ({} of {} cells completed)",
-            self.failure, self.completed, self.total
-        )
-    }
-}
-
-impl std::error::Error for RunnerError {}
 
 // ---------------------------------------------------------------------------
 // Watchdog
@@ -532,12 +508,10 @@ pub enum JournalError {
         /// The value of the current invocation.
         current: String,
     },
-    /// A record line could not be decoded. The CLI journal is written
-    /// atomically (temp file + rename), so this indicates external
-    /// corruption; a daemon journal in [append mode](Journal::into_append)
-    /// can legitimately leave one *torn final line* behind when killed
-    /// mid-write — [`Journal::resume_salvage`] truncates exactly that case
-    /// instead of failing.
+    /// A line could not be decoded: a bad header, or a record line that
+    /// ends in a newline. An append killed mid-write can only leave an
+    /// *unterminated* final line, which [`Journal::resume`] drops instead
+    /// (see [`Journal::salvaged`]); anything else is external corruption.
     Corrupt {
         /// 1-based line number of the undecodable line.
         line: usize,
@@ -574,8 +548,8 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// What [`Journal::resume_salvage`] threw away to recover a journal with
-/// a torn final line.
+/// What [`Journal::resume`] threw away to recover a journal with a torn
+/// final line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Salvage {
     /// 1-based line number of the truncated line.
@@ -587,18 +561,13 @@ pub struct Salvage {
 /// A crash-safe run journal: JSONL on disk, one header line plus one
 /// self-contained record per completed cell.
 ///
-/// The journal is logically append-only. In the default *atomic* mode
-/// each append persists by serializing the whole journal to `<path>.tmp`
-/// and renaming it over `<path>` — the file on disk is therefore *always*
-/// a complete, parseable journal, no matter when the process is killed (a
-/// `SIGKILL` between cells loses nothing; one mid-rename loses at most
-/// the record being appended). A long-running daemon instead switches to
-/// *append* mode ([`Journal::into_append`]): each record is one buffered
-/// `write` + flush to an open handle, O(1) per cell instead of O(n), at
-/// the cost that a kill mid-write can leave a torn final line —
-/// recoverable with [`Journal::resume_salvage`].
+/// The header is persisted atomically (temp file + rename); each record is
+/// then one `write` of one line to an open append handle, O(1) per cell.
+/// A kill mid-write can leave only a torn *unterminated* final line, which
+/// [`Journal::resume`] drops and reports through [`Journal::salvaged`].
 pub struct Journal {
     path: PathBuf,
+    salvaged: Option<Salvage>,
     inner: Mutex<JournalInner>,
 }
 
@@ -606,137 +575,102 @@ struct JournalInner {
     header: JournalHeader,
     records: Vec<JournalRecord>,
     by_digest: HashMap<u64, usize>,
-    /// Open handle for append mode; `None` = atomic whole-file persists.
-    appender: Option<std::fs::File>,
+    file: std::fs::File,
 }
 
 impl Journal {
     /// Starts a fresh journal at `path` (truncating any existing file) and
     /// persists the header immediately.
     pub fn create(path: &Path, header: JournalHeader) -> Result<Journal, JournalError> {
-        let j = Journal {
-            path: path.to_path_buf(),
-            inner: Mutex::new(JournalInner {
-                header,
-                records: Vec::new(),
-                by_digest: HashMap::new(),
-                appender: None,
-            }),
-        };
-        j.persist(&lock_tolerant(&j.inner))?;
-        Ok(j)
+        let file = persist(path, &header, &[])?;
+        Ok(Journal::with_file(path, header, Vec::new(), None, file))
     }
 
     /// Opens the journal at `path` for resumption: parses every record so
     /// completed cells can be replayed. A missing file starts a fresh
     /// journal; an existing one must carry a matching header.
+    ///
+    /// A file that does not end in a newline was cut by a kill mid-append.
+    /// If its final line does not decode, that torn record is dropped and
+    /// reported by [`Journal::salvaged`]; if it does decode, it is kept.
+    /// Either way the file is re-persisted so the next append starts on a
+    /// line of its own. An undecodable line that *does* end in a newline,
+    /// or a bad header, is [`JournalError::Corrupt`]: no append leaves
+    /// that behind, so dropping records there would be a guess.
     pub fn resume(path: &Path, header: JournalHeader) -> Result<Journal, JournalError> {
-        Self::resume_inner(path, header, false).map(|(j, _)| j)
-    }
-
-    /// [`Journal::resume`], except a *torn final line* — the signature of
-    /// an append-mode writer killed mid-write — is truncated away instead
-    /// of failing the whole resume. Returns what was dropped, if
-    /// anything, so callers can log a structured warning. Corruption
-    /// anywhere other than the last non-empty line is still a
-    /// [`JournalError::Corrupt`]: a damaged middle means something other
-    /// than a torn tail happened and silently dropping records would be
-    /// wrong.
-    pub fn resume_salvage(
-        path: &Path,
-        header: JournalHeader,
-    ) -> Result<(Journal, Option<Salvage>), JournalError> {
-        Self::resume_inner(path, header, true)
-    }
-
-    fn resume_inner(
-        path: &Path,
-        header: JournalHeader,
-        salvage: bool,
-    ) -> Result<(Journal, Option<Salvage>), JournalError> {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Journal::create(path, header).map(|j| (j, None));
+                return Journal::create(path, header);
             }
             Err(e) => return Err(JournalError::Io(e)),
         };
-        // An empty file can only come from a writer killed between
-        // creating the file and writing the header; with salvage it is a
-        // fresh journal, without it the historical Corrupt error stands.
-        if salvage && text.trim().is_empty() && !text.is_empty() {
-            let dropped = Salvage {
-                line: 1,
-                dropped_bytes: text.len(),
-            };
-            return Journal::create(path, header).map(|j| (j, Some(dropped)));
-        }
-        let mut records = Vec::new();
-        let mut by_digest = HashMap::new();
-        let mut lines = text.lines().enumerate().peekable();
+        let mut lines = text.lines().enumerate();
         let (_, first) = lines.next().ok_or(JournalError::Corrupt {
             line: 1,
             msg: "empty journal (missing header line)".to_string(),
         })?;
         let found = parse_header(first).map_err(|msg| JournalError::Corrupt { line: 1, msg })?;
         check_header(&found, &header)?;
+        let unterminated = !text.ends_with('\n');
+        let last = text.lines().count();
+        let mut records = Vec::new();
         let mut salvaged = None;
-        while let Some((i, line)) = lines.next() {
+        for (i, line) in lines {
             if line.trim().is_empty() {
                 continue;
             }
             match parse_record(line) {
-                Ok(rec) => {
-                    by_digest.insert(rec.digest, records.len());
-                    records.push(rec);
-                }
-                Err(msg) => {
-                    let is_last = !lines.clone().any(|(_, l)| !l.trim().is_empty());
-                    if !(salvage && is_last) {
-                        return Err(JournalError::Corrupt { line: i + 1, msg });
-                    }
-                    // Torn tail: everything from this line on is dropped
-                    // and the truncated journal re-persisted below.
+                Ok(rec) => records.push(rec),
+                Err(_) if unterminated && i + 1 == last => {
                     salvaged = Some(Salvage {
                         line: i + 1,
-                        dropped_bytes: text.len()
-                            - text.lines().take(i).map(|l| l.len() + 1).sum::<usize>(),
+                        dropped_bytes: text.len() - text.rfind('\n').map_or(0, |p| p + 1),
                     });
-                    break;
                 }
+                Err(msg) => return Err(JournalError::Corrupt { line: i + 1, msg }),
             }
         }
-        let j = Journal {
+        let file = if unterminated {
+            persist(path, &header, &records)?
+        } else {
+            std::fs::OpenOptions::new().append(true).open(path)?
+        };
+        Ok(Journal::with_file(path, header, records, salvaged, file))
+    }
+
+    fn with_file(
+        path: &Path,
+        header: JournalHeader,
+        records: Vec<JournalRecord>,
+        salvaged: Option<Salvage>,
+        file: std::fs::File,
+    ) -> Journal {
+        let by_digest = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.digest, i))
+            .collect();
+        Journal {
             path: path.to_path_buf(),
+            salvaged,
             inner: Mutex::new(JournalInner {
                 header,
                 records,
                 by_digest,
-                appender: None,
+                file,
             }),
-        };
-        if salvaged.is_some() {
-            j.persist(&lock_tolerant(&j.inner))?;
         }
-        Ok((j, salvaged))
     }
 
-    /// Switches this journal to append mode: the file as persisted so far
-    /// stays in place and every subsequent [`Journal::append`] writes one
-    /// record line to an open handle (O(1) per cell) instead of rewriting
-    /// the whole file. The daemon uses this; see the type docs for the
-    /// torn-tail trade-off.
+    /// The torn final record [`Journal::resume`] dropped, if it dropped one.
+    pub fn salvaged(&self) -> Option<&Salvage> {
+        self.salvaged.as_ref()
+    }
+
+    /// Every journal already appends; kept as the identity so existing
+    /// `Journal::create(..).and_then(Journal::into_append)` callers build.
     pub fn into_append(self) -> Result<Journal, JournalError> {
-        {
-            let mut inner = lock_tolerant(&self.inner);
-            // Make the on-disk file match memory, then open for append.
-            self.persist(&inner)?;
-            let f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&self.path)
-                .map_err(JournalError::Io)?;
-            inner.appender = Some(f);
-        }
         Ok(self)
     }
 
@@ -765,9 +699,9 @@ impl Journal {
             .map(|&i| inner.records[i].stats.clone())
     }
 
-    /// Appends one completed cell and persists it — atomically (whole-file
-    /// rewrite) by default, or as one appended line in append mode.
+    /// Appends one completed cell as one line written to the open handle.
     pub fn append(&self, rec: JournalRecord) -> Result<(), JournalError> {
+        use std::io::Write;
         let mut inner = lock_tolerant(&self.inner);
         if inner.by_digest.contains_key(&rec.digest) {
             return Ok(()); // recurring fingerprint: first record stands
@@ -777,13 +711,8 @@ impl Journal {
         let idx = inner.records.len();
         inner.by_digest.insert(rec.digest, idx);
         inner.records.push(rec);
-        match &mut inner.appender {
-            Some(f) => {
-                use std::io::Write;
-                f.write_all(line.as_bytes()).map_err(JournalError::Io)
-            }
-            None => self.persist(&inner),
-        }
+        inner.file.write_all(line.as_bytes())?;
+        Ok(())
     }
 
     /// Truncates the journal to its first `n` records and persists (test
@@ -797,33 +726,30 @@ impl Journal {
             .enumerate()
             .map(|(i, d)| (d, i))
             .collect();
-        self.persist(&inner)?;
-        // The rename replaced the inode an append-mode handle pointed at;
-        // reopen so later appends land in the live file.
-        if inner.appender.is_some() {
-            let f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&self.path)
-                .map_err(JournalError::Io)?;
-            inner.appender = Some(f);
-        }
+        // The rename replaces the inode the old handle pointed at.
+        inner.file = persist(&self.path, &inner.header, &inner.records)?;
         Ok(())
     }
+}
 
-    /// Serializes the whole journal and atomically replaces the file.
-    fn persist(&self, inner: &JournalInner) -> Result<(), JournalError> {
-        let mut s = String::new();
-        write_header(&inner.header, &mut s);
-        for r in &inner.records {
-            write_record(r, &mut s);
-        }
-        let mut tmp = self.path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &s)?;
-        std::fs::rename(&tmp, &self.path)?;
-        Ok(())
+/// Serializes a whole journal, atomically replaces `path` with it (temp
+/// file + rename), and returns a handle appending to the new file.
+fn persist(
+    path: &Path,
+    header: &JournalHeader,
+    records: &[JournalRecord],
+) -> Result<std::fs::File, JournalError> {
+    let mut s = String::new();
+    write_header(header, &mut s);
+    for r in records {
+        write_record(r, &mut s);
     }
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, &s)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(std::fs::OpenOptions::new().append(true).open(path)?)
 }
 
 fn check_header(found: &JournalHeader, want: &JournalHeader) -> Result<(), JournalError> {

@@ -4,9 +4,9 @@
 //! differs from a fresh build, and config fingerprints cannot collide
 //! across the system ladder.
 
-use oscache_core::runner::{run_cells, Cell, TraceCache};
+use oscache_core::runner::{run_cells_supervised, Cell, TraceCache};
 use oscache_core::CellFingerprint;
-use oscache_core::{Experiment, Geometry, Repro, RunResult, System, UpdatePolicy};
+use oscache_core::{Experiment, Geometry, Repro, RunPolicy, RunResult, System, UpdatePolicy};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::sync::Arc;
 
@@ -65,13 +65,18 @@ fn report(r: &RunResult) -> String {
 fn run_subset(jobs: usize) -> String {
     let cache = TraceCache::new();
     let cells = subset();
-    let rep = run_cells(&cache, opts(), &cells, jobs).expect("subset runs");
+    let rep = run_cells_supervised(&cache, opts(), &cells, jobs, &RunPolicy::fail_fast(), None);
     assert_eq!(rep.outcomes.len(), cells.len());
+    let outcomes: Vec<_> = rep
+        .outcomes
+        .iter()
+        .map(|slot| slot.as_ref().expect("subset runs"))
+        .collect();
     // Output order is cell-index order, never completion order.
-    for (cell, out) in cells.iter().zip(&rep.outcomes) {
+    for (cell, out) in cells.iter().zip(&outcomes) {
         assert_eq!(cell.key(), out.cell.key());
     }
-    rep.outcomes.iter().map(|o| report(&o.result)).collect()
+    outcomes.iter().map(|o| report(&o.result)).collect()
 }
 
 #[test]
@@ -87,7 +92,8 @@ fn jobs_do_not_change_results() {
 fn warmed_parallel_repro_renders_identically_to_serial() {
     let render = |jobs: usize| {
         let mut r = Repro::with_jobs(SCALE, jobs);
-        let warm = r.warm(&[Experiment::Table2]);
+        let warm = r.warm_supervised(&[Experiment::Table2], &RunPolicy::fail_fast(), None);
+        assert!(warm.failures.is_empty(), "table2 cells failed");
         assert_eq!(
             warm.cells.len(),
             4,

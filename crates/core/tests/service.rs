@@ -83,9 +83,8 @@ fn concurrent_clients_get_byte_identical_reports_and_work_is_deduplicated() {
         scale: SCALE,
         ..Default::default()
     };
-    let journal = Journal::create(&path, JournalHeader::new(&opts))
-        .and_then(Journal::into_append)
-        .expect("create service journal");
+    let journal =
+        Journal::create(&path, JournalHeader::new(&opts)).expect("create service journal");
     let server = Server::start(config(4), Some(journal));
     // Three clients, same experiments, all in flight at once.
     let reports: Vec<RequestReport> = std::thread::scope(|scope| {

@@ -4,9 +4,9 @@
 //! resumes to byte-identical results while re-simulating only the cells
 //! the journal does not yet hold.
 
-use oscache_core::runner::{run_cells, run_cells_supervised, Cell, TraceCache};
+use oscache_core::runner::{run_cells_supervised, Cell, TraceCache};
 use oscache_core::supervise::{
-    stats_from_json, stats_to_json, Journal, JournalError, JournalHeader,
+    stats_from_json, stats_to_json, Journal, JournalError, JournalHeader, JournalRecord,
 };
 use oscache_core::{Escalation, FailureCause, RunPolicy, RunResult, SupervisedReport, System};
 use oscache_memsys::faults::CellFault;
@@ -84,6 +84,22 @@ fn partial_seed(keys: &[String], period: u32) -> u64 {
         .expect("some seed under 10000 must split the cell set")
 }
 
+/// An uninjected fail-fast serial run: every cell's result, in cell order.
+fn clean_run(cells: &[Cell]) -> Vec<RunResult> {
+    run_cells_supervised(
+        &TraceCache::new(),
+        opts(),
+        cells,
+        1,
+        &RunPolicy::fail_fast(),
+        None,
+    )
+    .outcomes
+    .into_iter()
+    .map(|slot| slot.expect("clean run").result)
+    .collect()
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "oscache-supervise-{}-{name}.jsonl",
@@ -126,10 +142,10 @@ fn injected_panic_costs_exactly_its_cell_and_is_deterministic() {
     assert_eq!(partial_report(&serial), partial_report(&par_a));
     assert_eq!(partial_report(&par_a), partial_report(&par_b));
     // The completed cells are bitwise-identical to an uninjected run.
-    let clean = run_cells(&TraceCache::new(), opts(), &cells, 1).expect("clean run");
-    for (slot, out) in serial.outcomes.iter().zip(&clean.outcomes) {
+    let clean = clean_run(&cells);
+    for (slot, out) in serial.outcomes.iter().zip(&clean) {
         if let Ok(o) = slot {
-            assert_eq!(report(&o.result), report(&out.result));
+            assert_eq!(report(&o.result), report(out));
         }
     }
 }
@@ -165,9 +181,9 @@ fn bounded_retry_overcomes_transient_faults_deterministically() {
     // and to a second supervised run.
     let b = run();
     assert_eq!(partial_report(&a), partial_report(&b));
-    let clean = run_cells(&TraceCache::new(), opts(), &cells, 1).expect("clean run");
-    for (slot, out) in a.outcomes.iter().zip(&clean.outcomes) {
-        assert_eq!(report(&slot.as_ref().unwrap().result), report(&out.result));
+    let clean = clean_run(&cells);
+    for (slot, out) in a.outcomes.iter().zip(&clean) {
+        assert_eq!(report(&slot.as_ref().unwrap().result), report(out));
     }
 }
 
@@ -194,19 +210,15 @@ fn retry_exhaustion_keeps_the_cause_and_reports_completed_work() {
         assert_eq!(f.attempt, 1, "exhaustion must report the last attempt");
         assert!(matches!(&f.cause, FailureCause::Panic(m) if m.contains("injected")));
     }
-    // Collapsing to the fail-fast shape names the lowest-indexed failure
-    // and how much had completed — never a silent discard.
+    // The failures come in cell-index order, and every cell is either
+    // completed or failed — never a silent discard.
     let first_failed = keys.iter().find(|k| fault.targets(k)).unwrap().clone();
-    let err = match rep.into_report() {
-        Ok(_) => panic!("a failed run cannot collapse to Ok"),
-        Err(e) => e,
-    };
-    assert_eq!(err.failure.cell.key(), first_failed);
-    assert_eq!(err.completed, completed);
-    assert_eq!(err.total, cells.len());
-    let msg = err.to_string();
+    let first = rep.failures()[0];
+    assert_eq!(first.cell.key(), first_failed);
+    assert_eq!(completed + failed, cells.len());
+    let msg = first.to_string();
     assert!(
-        msg.contains(&format!("{} of {} cells completed", completed, cells.len())),
+        msg.contains(&first_failed) && msg.contains("attempt 1"),
         "unhelpful error: {msg}"
     );
 }
@@ -346,12 +358,7 @@ fn journal_resume_from_any_cell_boundary_is_byte_identical() {
     let _ = std::fs::remove_file(&path);
     let header = JournalHeader::new(&opts());
     // The uninterrupted reference: serial, no journal.
-    let reference: String = run_cells(&TraceCache::new(), opts(), &cells, 1)
-        .expect("reference run")
-        .outcomes
-        .iter()
-        .map(|o| report(&o.result))
-        .collect();
+    let reference: String = clean_run(&cells).iter().map(report).collect();
     // A full journaled run, which the boundary loop below re-truncates.
     let full = {
         let j = Journal::create(&path, header).expect("create journal");
@@ -498,16 +505,10 @@ fn salvage_recovers_a_torn_tail_but_not_interior_corruption() {
     // A writer killed mid-append leaves half a record with no newline.
     let torn = format!("{intact}{{\"cell\":\"trfd4/Base\",\"digest\":\"ab");
     std::fs::write(&path, &torn).expect("tear journal");
-    // Without salvage the historical strictness stands: a typed error
-    // naming the torn line, not a silent skip.
-    match Journal::resume(&path, header).err() {
-        Some(JournalError::Corrupt { line, .. }) => assert_eq!(line, cells.len() + 2),
-        other => panic!("torn tail not rejected without salvage: {other:?}"),
-    }
-    // With salvage: exactly the torn bytes are dropped, every intact
-    // record survives, and the truncation is reported, not silent.
-    let (j, salvage) = Journal::resume_salvage(&path, header).expect("salvage");
-    let s = salvage.expect("a truncation must be reported");
+    // Resume drops exactly the torn bytes, every intact record survives,
+    // and the truncation is reported, not silent.
+    let j = Journal::resume(&path, header).expect("salvage");
+    let s = j.salvaged().expect("a truncation must be reported");
     assert_eq!(s.line, cells.len() + 2);
     assert_eq!(s.dropped_bytes, torn.len() - intact.len());
     assert_eq!(j.len(), cells.len(), "intact records must survive");
@@ -535,12 +536,63 @@ fn salvage_recovers_a_torn_tail_but_not_interior_corruption() {
     lines[1] = "{definitely not a record";
     let corrupted = format!("{}\n", lines.join("\n"));
     std::fs::write(&path, &corrupted).expect("corrupt journal");
-    match Journal::resume_salvage(&path, header) {
+    match Journal::resume(&path, header) {
         Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 2),
         other => panic!(
             "interior corruption must stay fatal under salvage: {:?}",
-            other.map(|(j, s)| (j.len(), s))
+            other.map(|j| j.len())
         ),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn an_unterminated_complete_record_survives_resume_and_later_appends_stay_on_their_own_line() {
+    let path = tmp_path("unterminated");
+    let _ = std::fs::remove_file(&path);
+    let header = JournalHeader::new(&opts());
+    let record = |digest: u64| JournalRecord {
+        digest,
+        key: format!("cell-{digest}"),
+        attempt: 0,
+        ms: 1.5,
+        stats: SimStats {
+            cpu_times: vec![digest],
+            ..SimStats::default()
+        },
+    };
+    {
+        let j = Journal::create(&path, header).expect("create journal");
+        j.append(record(1)).expect("append");
+        j.append(record(2)).expect("append");
+    }
+    // A kill between a record's last byte and its newline.
+    let full = std::fs::read_to_string(&path).expect("read journal");
+    std::fs::write(&path, full.strip_suffix('\n').unwrap()).expect("drop the final newline");
+    let j = Journal::resume(&path, header).expect("resume");
+    assert!(
+        j.salvaged().is_none(),
+        "a complete record is not a torn tail"
+    );
+    assert_eq!(j.len(), 2, "the unterminated record must survive");
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("read journal"),
+        full,
+        "resume must re-terminate the final record"
+    );
+    j.append(record(3)).expect("append after resume");
+    drop(j);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    assert_eq!(
+        text.lines().count(),
+        4,
+        "header plus one line per record:\n{text}"
+    );
+    let j = Journal::resume(&path, header).expect("second resume");
+    assert!(j.salvaged().is_none());
+    assert_eq!(j.len(), 3, "the second resume must see every record");
+    for d in 1..=3 {
+        assert_eq!(j.lookup(d), Some(record(d).stats), "record {d}");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -551,6 +603,5 @@ fn salvage_recovers_a_torn_tail_but_not_interior_corruption() {
 fn failure_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<oscache_core::CellFailure>();
-    assert_send_sync::<oscache_core::RunnerError>();
     assert_send_sync::<Journal>();
 }

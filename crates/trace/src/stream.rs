@@ -97,35 +97,10 @@ impl<'a> IntoIterator for &'a Stream {
 /// ```
 #[derive(Debug)]
 pub struct StreamBuilder {
-    sink: Sink,
+    sink: ChunkedStreamBuilder,
     mode: Mode,
     in_block_op: bool,
     held_locks: Vec<LockId>,
-}
-
-/// Where a [`StreamBuilder`] accumulates events: the historical flat
-/// vector, or a chunk encoder that seals fixed-capacity chunks as they
-/// fill so the builder never holds more than one chunk of decoded events.
-#[derive(Debug)]
-enum Sink {
-    Flat(Vec<Event>),
-    Chunked(ChunkedStreamBuilder),
-}
-
-impl Sink {
-    fn push(&mut self, e: Event) {
-        match self {
-            Sink::Flat(v) => v.push(e),
-            Sink::Chunked(b) => b.push(e),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Sink::Flat(v) => v.len(),
-            Sink::Chunked(b) => b.len(),
-        }
-    }
 }
 
 impl Default for StreamBuilder {
@@ -135,36 +110,24 @@ impl Default for StreamBuilder {
 }
 
 impl StreamBuilder {
-    /// Creates a builder; the initial mode is [`Mode::User`].
+    /// Creates a builder; the initial mode is [`Mode::User`]. Events are
+    /// encoded straight into chunks as they arrive, so the builder never
+    /// holds more than one chunk of decoded events.
     pub fn new() -> Self {
-        StreamBuilder {
-            sink: Sink::Flat(Vec::new()),
-            mode: Mode::default(),
-            in_block_op: false,
-            held_locks: Vec::new(),
-        }
+        StreamBuilder::with_sink(ChunkedStreamBuilder::new())
     }
 
-    /// Creates a builder that encodes straight into chunks (finish with
-    /// [`StreamBuilder::finish_chunked`]). Event-for-event identical to a
-    /// flat build: both sinks receive the same pushes, so a chunked build
-    /// decoded back equals the flat build of the same calls.
-    pub fn new_chunked() -> Self {
-        StreamBuilder {
-            sink: Sink::Chunked(ChunkedStreamBuilder::new()),
-            mode: Mode::default(),
-            in_block_op: false,
-            held_locks: Vec::new(),
-        }
-    }
-
-    /// [`StreamBuilder::new_chunked`] with a spill target: sealed chunks
-    /// the target's budget refuses to keep resident are written to its
-    /// segment as the stream is built. The produced events are identical;
-    /// only where the encoded bytes live differs.
+    /// [`StreamBuilder::new`] with a spill target: sealed chunks the
+    /// target's budget refuses to keep resident are written to its segment
+    /// as the stream is built. The produced events are identical; only
+    /// where the encoded bytes live differs.
     pub fn new_chunked_spilling(target: crate::spill::SpillTarget) -> Self {
+        StreamBuilder::with_sink(ChunkedStreamBuilder::with_spill(target))
+    }
+
+    fn with_sink(sink: ChunkedStreamBuilder) -> Self {
         StreamBuilder {
-            sink: Sink::Chunked(ChunkedStreamBuilder::with_spill(target)),
+            sink,
             mode: Mode::default(),
             in_block_op: false,
             held_locks: Vec::new(),
@@ -333,38 +296,25 @@ impl StreamBuilder {
         }
     }
 
-    /// Finalizes the stream.
+    /// Finalizes the stream, decoded into a flat [`Stream`].
     ///
     /// # Panics
     ///
     /// Panics if a block operation is still open or any lock is still held.
     pub fn finish(self) -> Stream {
-        self.check_finished();
-        match self.sink {
-            Sink::Flat(events) => Stream { events },
-            // A chunked builder can still finalize flat (decode); rare, but
-            // keeps the two constructors drop-in interchangeable.
-            Sink::Chunked(b) => b.finish().to_stream(),
-        }
+        self.finish_chunked().to_stream()
     }
 
     /// Finalizes as a [`ChunkedStream`] (the streaming counterpart of
     /// [`StreamBuilder::finish`], same invariant checks and panics).
     pub fn finish_chunked(self) -> ChunkedStream {
-        self.check_finished();
-        match self.sink {
-            Sink::Flat(events) => ChunkedStream::from_events(events, crate::CHUNK_EVENTS),
-            Sink::Chunked(b) => b.finish(),
-        }
-    }
-
-    fn check_finished(&self) {
         assert!(!self.in_block_op, "unterminated block operation");
         assert!(
             self.held_locks.is_empty(),
             "locks still held at end of stream: {:?}",
             self.held_locks
         );
+        self.sink.finish()
     }
 }
 
@@ -450,43 +400,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_builder_matches_flat_builder() {
-        // A named fn, not a closure: with rustc 1.95.0 at opt-level >= 2 the
-        // closure form of this helper — one closure passing StreamBuilder by
-        // value, called with both Sink variants — miscompiles into a double
-        // free (SIGABRT) in the release test binary. Single-call closures and
-        // this named fn compile correctly; debug builds are unaffected.
-        fn drive(mut b: StreamBuilder) -> StreamBuilder {
-            b.set_mode(Mode::Os);
-            b.lock_acquire(LockId(2), Addr(0x80));
-            b.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
-            b.lock_release(LockId(2), Addr(0x80));
-            b.begin_block_zero(Addr(0x3000), 128, DataClass::PageFrame);
-            b.write(Addr(0x3000), DataClass::PageFrame);
-            b.end_block_op();
-            b.idle(9);
-            b.set_mode(Mode::User);
-            b
-        }
-        let flat = drive(StreamBuilder::new()).finish();
-        let chunked = drive(StreamBuilder::new_chunked()).finish_chunked();
-        assert_eq!(chunked.len(), flat.len());
-        let back: Vec<Event> = chunked.iter().collect();
-        assert_eq!(back, flat.events());
-        // Both finishers work from either sink.
-        let cross = drive(StreamBuilder::new_chunked()).finish();
-        assert_eq!(cross.events(), flat.events());
-        let cross: Vec<Event> = drive(StreamBuilder::new())
-            .finish_chunked()
-            .iter()
-            .collect();
-        assert_eq!(cross, flat.events());
-    }
-
-    #[test]
     #[should_panic(expected = "locks still held")]
     fn finish_chunked_with_held_lock_panics() {
-        let mut b = StreamBuilder::new_chunked();
+        let mut b = StreamBuilder::new();
         b.lock_acquire(LockId(1), Addr(64));
         let _ = b.finish_chunked();
     }

@@ -414,8 +414,7 @@ impl Builder {
         let procs = (0..n_cpus)
             .map(|c| UserProc::new(&kernel, 4 + c as u32))
             .collect();
-        let mut streams: Vec<StreamBuilder> =
-            (0..n_cpus).map(|_| StreamBuilder::new_chunked()).collect();
+        let mut streams: Vec<StreamBuilder> = (0..n_cpus).map(|_| StreamBuilder::new()).collect();
         for s in &mut streams {
             s.set_mode(Mode::User);
         }
