@@ -1093,9 +1093,9 @@ fn codec_microcell() -> (f64, f64, f64, f64) {
 
 /// The `bench` perf smoke: four representative TRFD_4 cells — the cheap
 /// baseline, the transform-heavy relocate+update cell, the full ladder
-/// top (hot-spot profiling simulation + prefetch insertion), and the
+/// top (hot-spot profiling simulation + prefetch selection), and the
 /// ladder top again at a second line size, whose preparation re-profiles
-/// and re-rewrites against a warm analysis cache — run serially at a
+/// and re-ranks against a warm analysis cache — run serially at a
 /// reduced scale with per-phase timings. Two structural cells ride along:
 /// the chunk-codec microcell ([`codec_microcell`]) and a jobs-4
 /// mini-matrix fan-out over Fig5, which times the LPT dispatch order end
@@ -1118,7 +1118,7 @@ fn bench(check: bool) {
     }
     // The prepare-heavy cell: BCPref at a second line size repeats the
     // geometry-dependent half of preparation (profiling replay + prefetch
-    // rewrite) against a warm analysis cache — exactly the path the
+    // selection) against a warm analysis cache — exactly the path the
     // bookkeeping-free profiler and the analysis cache optimize.
     let wide = oscache_core::Geometry {
         l1_line: 64,

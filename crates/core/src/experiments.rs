@@ -66,7 +66,8 @@ pub struct CellTiming {
     pub analyze_ms: f64,
     /// Milliseconds of `prepare_ms` in the hot-spot profiling replay.
     pub profile_ms: f64,
-    /// Milliseconds of `prepare_ms` in the prefetch-insertion rewrite.
+    /// Milliseconds of `prepare_ms` in the hot-spot prefetch selection
+    /// (see [`PrepPhases::rewrite_ms`](crate::PrepPhases::rewrite_ms)).
     pub rewrite_ms: f64,
     /// Whether the fully-prepared trace came straight from the cache
     /// (another cell with an identical fingerprint prepared it first).

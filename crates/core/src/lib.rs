@@ -36,7 +36,7 @@ pub use scorecard::{Check, Scorecard};
 pub use sim::{
     analyze_cell, prepare_cell, prepare_from_analysis, run_prepared_chunked_timed, run_spec,
     run_system, try_run_spec, try_run_spec_audited, try_run_system, AnalysisPrefix, AnalyzedCell,
-    PrepPhases, PreparedCell, RunResult,
+    HotPrefetches, PrepPhases, PreparedCell, RunResult,
 };
 pub use supervise::{
     CellFailure, Escalation, FailureCause, Journal, JournalError, JournalHeader, JournalRecord,

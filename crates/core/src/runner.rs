@@ -9,7 +9,9 @@
 //! * [`TraceCache`]: builds each calibrated workload trace exactly once
 //!   per [`TraceBuildKey`] `(workload, scale, seed, n_cpus)` and shares it
 //!   immutably via [`Arc`]; transform-derived traces (privatize/relocate/
-//!   prefetch/coloring rewrites) are cached per [`CellFingerprint`].
+//!   coloring rewrites) are cached per analysis, and prepared cells (the
+//!   working trace plus a hot-spot cell's prefetch selection) per
+//!   [`CellFingerprint`].
 //! * [`run_cells_supervised`]: a dependency-free fan-out over a work queue
 //!   (`std::thread::scope`, worker count from [`default_jobs`] or an
 //!   explicit `--jobs N`) that schedules whole cells onto workers and
@@ -269,15 +271,14 @@ pub struct BuildTiming {
 /// profile, privatization/relocation/update planning, and the fused
 /// rewrite — [`sim::analyze_cell`]) is likewise computed once per
 /// `(trace build, AnalysisPrefix)` and shared by every geometry and every
-/// spec with the same prefix. Prepared (transform-derived) traces are
-/// cached per fingerprint with a first-writer-wins map — every writer
-/// computes the same value, so which one lands is unobservable.
+/// spec with the same prefix. Prepared cells are cached per fingerprint
+/// with a first-writer-wins map — every writer computes the same value,
+/// so which one lands is unobservable.
 ///
-/// Prepared cells are held *weakly*: each rewritten trace is consumed by
-/// exactly one simulation unless the same fingerprint appears twice in a
-/// run, so pinning every retired multi-megabyte rewrite for the whole run
-/// only grows the process footprint until fresh allocations fault at
-/// host-paging speed (DESIGN.md §12.3). Cells whose fingerprint *does*
+/// Prepared cells are held *weakly*: each is consumed by exactly one
+/// simulation unless the same fingerprint appears twice in a run, so
+/// there is nothing to gain from pinning it for the whole run (DESIGN.md
+/// §12.3). Cells whose fingerprint *does*
 /// recur within one [`run_cells_supervised`] fan-out are deduplicated at the result
 /// level instead ([`TraceCache::shared_result`]), which is strictly
 /// cheaper than re-simulating and keeps only kilobytes of counters alive.
@@ -579,7 +580,7 @@ pub struct CellOutcome {
     /// was reused from an identical-fingerprint cell that already ran).
     pub sim_ms: f64,
     /// Breakdown of `prepare_ms` by phase (analysis / profiling replay /
-    /// prefetch rewrite), with `cached: true` on a whole-fingerprint hit.
+    /// prefetch selection), with `cached: true` on a whole-fingerprint hit.
     pub phases: PrepPhases,
     /// Milliseconds of `sim_ms` the final machine run spent in
     /// *synchronous* chunk decode (the stall decode-ahead hides; zero on
@@ -796,19 +797,20 @@ pub fn run_cells_supervised(
 
 /// Static cost estimate of one cell, in arbitrary units (DESIGN.md §17).
 ///
-/// The model is seeded from the measured shape of `BENCH_smoke.json` /
-/// `BENCH_repro.json`: hot-spot prefetch cells (`BCPref*`) cost ~3× a
-/// `Base` cell (their preparation replays the whole trace once more for
-/// profiling), coherence-ladder rewrites (`privatize`/`relocate`/update
-/// mapping) sit in between, and the block-op schemes add a little bus
-/// work each. Trace scale multiplies everything uniformly. Only the
+/// The model is seeded from the measured shape of `repro --jobs 2
+/// --timings all`: a hot-spot prefetch cell (`BCPref*`) costs its
+/// coherence-ladder twin plus one profiling replay, which measures
+/// ~0.6× a `Base` cell's replay (its prefetches are merged into the
+/// final replay, so no rewrite is paid); coherence-ladder rewrites
+/// (`privatize`/`relocate`/update mapping) sit between `Base` and
+/// `BCPref`, and the block-op schemes add a little bus work each. Trace scale multiplies everything uniformly. Only the
 /// *relative* order matters: the scheduler uses these costs to dispatch
 /// longest-first, and a wrong estimate costs only makespan, never
 /// correctness — results are returned in cell-index order regardless.
 pub fn cell_cost(cell: &Cell, scale: f64) -> u64 {
     let mut units: u64 = 100;
     if cell.spec.hotspot_prefetch {
-        units += 180;
+        units += 60;
     }
     if cell.spec.privatize {
         units += 20;

@@ -6,8 +6,8 @@ use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::transform;
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
 use oscache_trace::ChunkedTrace;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The outcome of simulating one (workload, system, geometry) point.
@@ -63,7 +63,8 @@ pub fn try_run_spec(
 
 /// A trace fully prepared for its final machine run: every software pass
 /// of the spec (deferred copy, coloring, privatize/relocate/update
-/// planning, hot-spot prefetch insertion) has been applied.
+/// planning) has been applied, and the hot-spot prefetches the replay
+/// merges in (§6) are selected.
 ///
 /// Preparation is deterministic: equal `(trace, spec, geometry, audit)`
 /// inputs always produce an identical `PreparedCell`, which is what lets
@@ -71,12 +72,28 @@ pub fn try_run_spec(
 /// config fingerprint.
 #[derive(Clone, Debug)]
 pub struct PreparedCell {
-    /// The rewritten trace, or `None` when no pass touched it (run the
-    /// original). Shared: several cells that converge on the same rewrite
-    /// (e.g. two geometries with the same hot set) hold one allocation.
+    /// The analysis's working trace, or `None` when no pass touched it
+    /// (run the original). Shared by every cell of the same analysis; a
+    /// hot-spot cell's prefetches are *not* in it (see `prefetches`).
     pub trace: Option<Arc<ChunkedTrace>>,
     /// Pages mapped with the update protocol (§5.2).
     pub update_pages: PageSet,
+    /// The hot-spot prefetches the replay merges into `trace`, for specs
+    /// with `hotspot_prefetch`.
+    pub prefetches: Option<HotPrefetches>,
+}
+
+/// The §6 prefetches of one hot-spot cell: the analysis's plan (every
+/// site's would-be insertions, shared by all geometries) and the sites
+/// this cell's profiling replay ranked hot. The replay splices the hot
+/// entries into its decode windows
+/// ([`Machine::with_prefetches`]); no rewritten trace is encoded.
+#[derive(Clone, Debug)]
+pub struct HotPrefetches {
+    /// Insertion plan over the working trace.
+    pub plan: Arc<transform::HotspotPlan>,
+    /// The cell's hot sites.
+    pub hot: Vec<u16>,
 }
 
 /// The geometry-independent keys of a [`SystemSpec`]: two specs with equal
@@ -117,7 +134,7 @@ impl AnalysisPrefix {
 
 /// The geometry-independent half of cell preparation: the working trace
 /// after every software rewrite that precedes hot-spot profiling, plus the
-/// update-page set, plus lazily-built hot-spot machinery shared by every
+/// update-page set, plus the lazily-built hot-spot plan shared by every
 /// geometry probing this trace.
 #[derive(Debug, Default)]
 pub struct AnalyzedCell {
@@ -127,14 +144,7 @@ pub struct AnalyzedCell {
     pub update_pages: PageSet,
     /// Per-site hot-spot insertion plan over the working trace, built on
     /// the first hotspot-using preparation.
-    hot_plan: OnceLock<transform::HotspotPlan>,
-    /// Materialized hot-spot rewrites keyed by the hot-site vector: two
-    /// geometries that rank the same hot set share one rewritten trace.
-    /// Held weakly — a rewrite is used by exactly one simulation in the
-    /// common case, and pinning every retired multi-megabyte trace for the
-    /// whole run grows the process footprint until fresh allocations fault
-    /// at host-paging speed (see DESIGN.md §12.3).
-    hot: Mutex<HashMap<Vec<u16>, Weak<ChunkedTrace>>>,
+    hot_plan: OnceLock<Arc<transform::HotspotPlan>>,
 }
 
 /// Wall-clock breakdown of one cell preparation.
@@ -144,7 +154,9 @@ pub struct PrepPhases {
     pub analyze_ms: f64,
     /// Hot-spot profiling replay.
     pub profile_ms: f64,
-    /// Hot-spot prefetch-insertion rewrite (near-zero on a hot-set hit).
+    /// Hot-spot prefetch selection: ranking the hot sites, plus building
+    /// the analysis's insertion plan on its first use (near-zero after).
+    /// No trace is rewritten; the replay merges the plan.
     pub rewrite_ms: f64,
     /// Whole-fingerprint cache hit: every phase was skipped.
     pub cached: bool,
@@ -284,12 +296,12 @@ pub fn analyze_cell(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
         trace: owned.map(Arc::new),
         update_pages,
         hot_plan: OnceLock::new(),
-        hot: Mutex::new(HashMap::new()),
     }
 }
 
 /// The geometry-dependent preparation suffix: the hot-spot profiling
-/// replay, hot-site ranking, and prefetch-insertion rewrite. For specs
+/// replay and hot-site ranking, which select the prefetches the replay
+/// merges from the analysis's [`transform::HotspotPlan`]. For specs
 /// without `hotspot_prefetch` this just repackages the analysis.
 ///
 /// With `audit == Off` the profiling run uses the bookkeeping-free
@@ -297,9 +309,8 @@ pub fn analyze_cell(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
 /// per-site OS miss counts are exact by construction; any higher audit
 /// level falls back to the fully-recorded [`Machine`] so the step/final
 /// auditors see the bookkeeping they cross-check (see `DESIGN.md` §12).
-/// The rewrite is served from the analysis's hot-set cache when another
-/// geometry already ranked the same sites; otherwise it is the forward
-/// merge of [`transform::HotspotPlan::materialize`].
+/// The plan is built once per analysis, on the first hot-spot cell, and
+/// shared by every geometry; each cell carries only its hot-site list.
 ///
 /// `cancel` is wired into the profiling replay (the only machine run in
 /// this phase; the analysis transforms themselves are not cancellation
@@ -313,7 +324,7 @@ pub fn prepare_from_analysis(
     cancel: &CancelToken,
 ) -> Result<(PreparedCell, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
-    let mut out = analyzed.trace.clone();
+    let mut prefetches = None;
 
     if spec.hotspot_prefetch {
         let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
@@ -329,35 +340,17 @@ pub fn prepare_from_analysis(
             cfg.audit = audit;
             Machine::new(cfg, working)?.run()?
         };
-        let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
         phases.profile_ms = 1e3 * t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let hit = analyzed
-            .hot
-            .lock()
-            .expect("hot cache poisoned")
-            .get(&hot)
-            .and_then(Weak::upgrade);
-        let rewritten = match hit {
-            Some(t) => t,
-            None => {
-                let plan = analyzed
-                    .hot_plan
-                    .get_or_init(|| transform::HotspotPlan::build(working));
-                let t = Arc::new(plan.materialize(working, &hot));
-                // First live writer wins, so concurrent preparers agree.
-                let mut map = analyzed.hot.lock().expect("hot cache poisoned");
-                match map.get(&hot).and_then(Weak::upgrade) {
-                    Some(existing) => existing,
-                    None => {
-                        map.insert(hot, Arc::downgrade(&t));
-                        t
-                    }
-                }
-            }
-        };
-        out = Some(rewritten);
+        let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
+        let plan = analyzed
+            .hot_plan
+            .get_or_init(|| Arc::new(transform::build_hotspot_plan(working)));
+        prefetches = Some(HotPrefetches {
+            plan: Arc::clone(plan),
+            hot,
+        });
         phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
     }
 
@@ -365,22 +358,24 @@ pub fn prepare_from_analysis(
     // every trace the encoder vouched for this reads no chunk back: its
     // streams carry the facts that prove it valid. Only a trace with a
     // violation pays the full scan, which names the offending event.
-    let working: &ChunkedTrace = out.as_deref().unwrap_or(trace);
+    let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
     working
         .validate_for_cpus(trace.n_cpus())
         .map_err(SimError::from_trace)?;
 
     Ok((
         PreparedCell {
-            trace: out,
+            trace: analyzed.trace.clone(),
             update_pages: analyzed.update_pages.clone(),
+            prefetches,
         },
         phases,
     ))
 }
 
 /// The execution half of [`try_run_spec_audited`]: one deterministic
-/// single-threaded machine run over the prepared trace, with `cancel`
+/// single-threaded machine run over the prepared trace, with the cell's
+/// hot-spot prefetches merged in and `cancel`
 /// wired into the machine's event loop (a tripped token surfaces as
 /// [`SimErrorKind::Cancelled`](oscache_memsys::SimErrorKind::Cancelled)).
 /// The machine pulls decoded events through small per-CPU windows, so the
@@ -404,7 +399,10 @@ pub fn run_prepared_chunked_timed(
     cfg.audit = audit;
     cfg.cancel = cancel.clone();
     let working = prepared.trace.as_deref().unwrap_or(trace);
-    let mut machine = Machine::new(cfg, working)?;
+    let mut machine = match &prepared.prefetches {
+        Some(p) => Machine::with_prefetches(cfg, working, &p.plan, &p.hot)?,
+        None => Machine::new(cfg, working)?,
+    };
     let stats = machine.run_mut()?;
     Ok((
         RunResult {

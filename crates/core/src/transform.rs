@@ -12,8 +12,9 @@
 //! The address rewrites are *fused*: [`TransformPipeline`] applies any
 //! combination of coloring, privatization, relocation and escape
 //! instrumentation in one streaming walk over each chunked stream, in
-//! that fixed composition order. Hot-spot prefetching runs after them
-//! through [`HotspotPlan`], whose insertions are forward-merged. The
+//! that fixed composition order. Hot-spot prefetching runs after them as
+//! a [`HotspotPlan`] the replay merges into its decode windows, so no
+//! prefetch-carrying trace is ever encoded outside the oracles. The
 //! per-pass functions ([`privatize_counters`], [`relocate`], …) are thin
 //! wrappers over those two; the original pass-by-pass implementations
 //! over the materialized [`Trace`] live on verbatim in [`compat`] as the
@@ -21,7 +22,8 @@
 
 use crate::analysis::UpdateSet;
 use oscache_trace::{
-    Addr, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event, Stream, Trace, TraceMeta, WORD_SIZE,
+    Addr, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event, PlanEntry, Stream, Trace,
+    TraceMeta, WORD_SIZE,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -193,9 +195,7 @@ pub fn relocate(trace: &ChunkedTrace, map: &RelocationMap) -> ChunkedTrace {
     TransformPipeline::new().relocate(map).run(trace)
 }
 
-/// Prefetch look-ahead for loop hot spots, in bytes (§6 unrolls and
-/// software-pipelines the loops).
-pub const LOOP_AHEAD: u32 = 64;
+pub use oscache_trace::{HotspotPlan, LOOP_AHEAD};
 
 /// How far back (in events) a sequence prefetch may be hoisted. The paper
 /// notes hoisting is limited by operand availability and stops at routine
@@ -207,27 +207,19 @@ pub const HOIST_LIMIT: usize = 24;
 /// [`LOOP_AHEAD`] bytes ahead at each access; sequence sites hoist a
 /// prefetch of the accessed line up to [`HOIST_LIMIT`] events earlier,
 /// never across synchronization, block operations, or mode switches.
+///
+/// This is the reference expansion ([`HotspotPlan::materialize`]) for
+/// tests and oracles; a replay merges the plan instead (see
+/// [`Machine::with_prefetches`](oscache_memsys::Machine::with_prefetches)).
 pub fn insert_hotspot_prefetches(trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
-    HotspotPlan::build(trace).materialize(trace, hot_sites)
+    build_hotspot_plan(trace).materialize(trace, hot_sites)
 }
 
-/// One precomputed insertion of the hot-spot stage: `first` (and `second`
-/// for loop sites) go immediately before the input event at index
-/// `before`, after any insertion recorded earlier for the same boundary
-/// (build order is generation order, and the plan is sorted stably).
-#[derive(Clone, Copy, Debug)]
-struct HotInsertion {
-    before: u32,
-    site: u16,
-    first: Event,
-    second: Option<Event>,
-}
-
-/// The hot-spot stage split in two: [`HotspotPlan::build`] walks a trace
-/// once and records, for *every* site, the prefetches the stage would
-/// insert if that site were hot; [`HotspotPlan::materialize`] then emits
-/// the rewritten trace for one concrete hot set in a single forward merge
-/// pass — so the rewrite never reaches back into sealed chunks.
+/// The hot-spot stage split in two: this walk records, for *every* site,
+/// the prefetches the stage would insert if that site were hot, as one
+/// [`HotspotPlan`] over `trace`; a replay then merges one concrete hot
+/// set's entries into its decode windows
+/// ([`Machine::with_prefetches`](oscache_memsys::Machine::with_prefetches)).
 ///
 /// A profiling caller that tries several cache geometries over one
 /// working trace pays the stage's walk once instead of once per distinct
@@ -235,148 +227,84 @@ struct HotInsertion {
 /// per-site-run: `recent_lines` resets whenever the current site changes
 /// and is consulted only for reads attributed to that site, and hoist
 /// targets are chosen from the input-event window alone — so whether
-/// *other* sites are hot never changes what one site inserts. The unit
-/// tests pin event-for-event equality against
+/// *other* sites are hot never changes what one site inserts. The tests
+/// pin event-for-event equality of the plan's expansion against
 /// [`compat::insert_hotspot_prefetches`].
-#[derive(Debug)]
-pub struct HotspotPlan {
-    /// Per input stream, insertions sorted by `before` (stable: equal
-    /// boundaries keep generation order).
-    streams: Vec<Vec<HotInsertion>>,
-}
-
-impl HotspotPlan {
-    /// Precomputes every site's would-be insertions over `trace`, pulling
-    /// events through each stream's chunk iterator, so the plan is
-    /// computed in O(decode window) memory.
-    pub fn build(trace: &ChunkedTrace) -> Self {
-        let streams = trace
+///
+/// Events are pulled through each stream's chunk iterator, so the walk
+/// runs in O(decode window) memory.
+pub fn build_hotspot_plan(trace: &ChunkedTrace) -> HotspotPlan {
+    HotspotPlan::new(
+        trace
             .streams
             .iter()
-            .map(|stream| Self::build_stream(&trace.meta, stream.iter()))
-            .collect();
-        HotspotPlan { streams }
-    }
+            .map(|stream| plan_stream(&trace.meta, stream.iter()))
+            .collect(),
+    )
+}
 
-    /// One stream's plan: the per-site bookkeeping walk.
-    fn build_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<HotInsertion> {
-        let mut ins: Vec<HotInsertion> = Vec::new();
-        let mut cur_site: Option<u16> = None;
-        let mut site_is_loop = false;
-        let mut in_blockop = false;
-        let mut recent_lines: Vec<u32> = Vec::new();
-        let mut window: VecDeque<(bool, u32)> = VecDeque::with_capacity(HOIST_LIMIT + 1);
-        for (i, e) in events.enumerate() {
-            let i = i as u32;
-            match e {
-                Event::Exec { block } => {
-                    let bb = meta.code.block(block);
-                    if cur_site != Some(bb.site.0) {
-                        cur_site = Some(bb.site.0);
-                        site_is_loop = meta.code.site(bb.site).is_loop;
-                        recent_lines.clear();
-                    }
+/// One stream's plan entries, in generation order: the per-site
+/// bookkeeping walk.
+fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<PlanEntry> {
+    let mut ins: Vec<PlanEntry> = Vec::new();
+    let mut cur_site: Option<u16> = None;
+    let mut site_is_loop = false;
+    let mut in_blockop = false;
+    let mut recent_lines: Vec<u32> = Vec::new();
+    let mut window: VecDeque<(bool, u32)> = VecDeque::with_capacity(HOIST_LIMIT + 1);
+    for (i, e) in events.enumerate() {
+        let i = i as u32;
+        match e {
+            Event::Exec { block } => {
+                let bb = meta.code.block(block);
+                if cur_site != Some(bb.site.0) {
+                    cur_site = Some(bb.site.0);
+                    site_is_loop = meta.code.site(bb.site).is_loop;
+                    recent_lines.clear();
                 }
-                Event::BlockOpBegin { .. } => in_blockop = true,
-                Event::BlockOpEnd => in_blockop = false,
-                Event::Read { addr, class } if !in_blockop && cur_site.is_some() => {
-                    let site = cur_site.expect("guarded");
-                    let line = addr.0 & !15;
-                    if !recent_lines.contains(&line) {
-                        recent_lines.push(line);
-                        if recent_lines.len() > 16 {
-                            recent_lines.remove(0);
-                        }
-                        if site_is_loop {
-                            ins.push(HotInsertion {
-                                before: i,
-                                site,
-                                first: Event::Prefetch {
-                                    addr: addr.offset(LOOP_AHEAD),
-                                    class,
-                                },
-                                second: Some(Event::Prefetch { addr, class }),
-                            });
-                        } else {
-                            let mut target = i;
-                            for (hoisted, &(blocks, p)) in window.iter().rev().enumerate() {
-                                if blocks || hoisted >= HOIST_LIMIT {
-                                    break;
-                                }
-                                target = p;
+            }
+            Event::BlockOpBegin { .. } => in_blockop = true,
+            Event::BlockOpEnd => in_blockop = false,
+            Event::Read { addr, class } if !in_blockop && cur_site.is_some() => {
+                let site = cur_site.expect("guarded");
+                let line = addr.0 & !15;
+                if !recent_lines.contains(&line) {
+                    recent_lines.push(line);
+                    if recent_lines.len() > 16 {
+                        recent_lines.remove(0);
+                    }
+                    if site_is_loop {
+                        ins.push(PlanEntry::new(i, site, addr, class, true));
+                    } else {
+                        let mut target = i;
+                        for (hoisted, &(blocks, p)) in window.iter().rev().enumerate() {
+                            if blocks || hoisted >= HOIST_LIMIT {
+                                break;
                             }
-                            ins.push(HotInsertion {
-                                before: target,
-                                site,
-                                first: Event::Prefetch { addr, class },
-                                second: None,
-                            });
+                            target = p;
                         }
+                        ins.push(PlanEntry::new(target, site, addr, class, false));
                     }
                 }
-                _ => {}
             }
-            let blocks = matches!(
-                e,
-                Event::LockAcquire { .. }
-                    | Event::LockRelease { .. }
-                    | Event::Barrier { .. }
-                    | Event::BlockOpBegin { .. }
-                    | Event::BlockOpEnd
-                    | Event::SetMode { .. }
-                    | Event::Idle { .. }
-            );
-            window.push_back((blocks, i));
-            if window.len() > HOIST_LIMIT {
-                window.pop_front();
-            }
+            _ => {}
         }
-        ins.sort_by_key(|it| it.before);
-        ins
+        let blocks = matches!(
+            e,
+            Event::LockAcquire { .. }
+                | Event::LockRelease { .. }
+                | Event::Barrier { .. }
+                | Event::BlockOpBegin { .. }
+                | Event::BlockOpEnd
+                | Event::SetMode { .. }
+                | Event::Idle { .. }
+        );
+        window.push_back((blocks, i));
+        if window.len() > HOIST_LIMIT {
+            window.pop_front();
+        }
     }
-
-    /// Emits the rewrite for `hot_sites` over the same `trace` the plan
-    /// was built from: a forward pass over each stream's chunk iterator
-    /// against the `before`-sorted insertion list, re-encoding into fresh
-    /// chunks.
-    pub fn materialize(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
-        // Dense site mask: the plan holds one insertion per profiled read,
-        // so membership is tested millions of times per materialization.
-        let mut hot = vec![false; 1 << 16];
-        for &s in hot_sites {
-            hot[usize::from(s)] = true;
-        }
-        let mut out = ChunkedTrace::new(trace.n_cpus(), trace.meta.clone());
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let mut b = ChunkedStreamBuilder::new();
-            let mut ins = self.streams[cpu]
-                .iter()
-                .filter(|it| hot[usize::from(it.site)])
-                .peekable();
-            for (i, e) in stream.iter().enumerate() {
-                // Insertions sharing one boundary keep their plan order.
-                while let Some(it) = ins.peek() {
-                    if it.before as usize != i {
-                        break;
-                    }
-                    b.push(it.first);
-                    if let Some(second) = it.second {
-                        b.push(second);
-                    }
-                    ins.next();
-                }
-                b.push(e);
-            }
-            for it in ins {
-                b.push(it.first);
-                if let Some(second) = it.second {
-                    b.push(second);
-                }
-            }
-            out.streams[cpu] = b.finish();
-        }
-        out
-    }
+    ins
 }
 
 /// Marker class re-export used by tests.
@@ -1401,7 +1329,7 @@ mod tests {
         let ct = workload_trace();
         let t = ct.to_trace();
         let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-        let plan = HotspotPlan::build(&ct);
+        let plan = build_hotspot_plan(&ct);
         assert_traces_equal(
             &plan.materialize(&ct, &sites).to_trace(),
             &compat::insert_hotspot_prefetches(&t, &sites),

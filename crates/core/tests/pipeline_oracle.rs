@@ -4,8 +4,9 @@
 //! `Trace` — one cloned rewrite per software pass, using the verbatim old
 //! passes kept in `transform::compat` — and checks that the production
 //! path (`analyze_cell` + `prepare_from_analysis` over the chunked trace,
-//! decoded with `to_trace()`) produces an event-for-event identical
-//! prepared trace and the same update-page set for every `System` in the
+//! decoded with `to_trace()`, hot-spot cells with their selected
+//! prefetches expanded) produces an event-for-event identical effective
+//! replay stream and the same update-page set for every `System` in the
 //! ladder, plus the coloring variants the ladder itself never enables.
 
 use oscache_core::{
@@ -166,8 +167,20 @@ fn check_workload(workload: Workload, seed: u64) {
             fused.update_pages, oracle_pages,
             "{what}: update pages differ"
         );
-        let fused_trace = fused.trace.as_deref().map(ChunkedTrace::to_trace);
-        assert_prepared_equal(fused_trace, &t, oracle.as_ref(), &what);
+        // The effective replay stream: the working trace with the cell's
+        // hot set expanded (the replay merges the same entries into its
+        // decode windows; tests/hotspot_merge.rs pins that merge).
+        let working = fused.trace.as_deref().unwrap_or(&ct);
+        let replayed = match &fused.prefetches {
+            Some(p) => Some(p.plan.materialize(working, &p.hot).to_trace()),
+            None => fused.trace.as_deref().map(ChunkedTrace::to_trace),
+        };
+        assert_eq!(
+            fused.prefetches.is_some(),
+            spec.hotspot_prefetch,
+            "{what}: prefetches selected for the wrong specs"
+        );
+        assert_prepared_equal(replayed, &t, oracle.as_ref(), &what);
     }
 }
 

@@ -9,7 +9,7 @@
 //! against seeded-PRNG random traces, and pin the hot-spot insertion plan
 //! against the pass-by-pass `compat` rewrite.
 
-use oscache_core::transform::{compat, HotspotPlan};
+use oscache_core::transform::{build_hotspot_plan, compat};
 use oscache_core::{analysis, analyze_cell, try_run_spec_audited, Geometry, System};
 use oscache_memsys::{profile_os_misses, AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
@@ -164,9 +164,10 @@ fn profiler_matches_machine_on_random_traces() {
     }
 }
 
-/// The precomputed hot-spot insertion plan must materialize, for every hot
-/// set the ladder actually ranks (plus synthetic subsets), the exact event
-/// streams the pass-by-pass `compat` rewrite emits.
+/// The precomputed hot-spot insertion plan must expand, for every hot set
+/// the ladder actually ranks (plus synthetic subsets), to the exact event
+/// streams the pass-by-pass `compat` rewrite emits. (That the replay's
+/// window merge equals this expansion is `tests/hotspot_merge.rs`.)
 #[test]
 fn hotspot_plan_matches_compat_rewrite() {
     for workload in [Workload::Trfd4, Workload::Shell, Workload::Arc2dFsck] {
@@ -179,7 +180,7 @@ fn hotspot_plan_matches_compat_rewrite() {
         let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
         assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
 
-        let plan = HotspotPlan::build(working);
+        let plan = build_hotspot_plan(working);
         let flat = working.to_trace();
         let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
         // A rotated subset exercises orderings the ranking never produces.

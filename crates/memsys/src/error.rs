@@ -124,6 +124,15 @@ pub enum SimErrorKind {
         /// specialized and generic loops report the same index.
         step: u64,
     },
+    /// A hot-spot prefetch plan positions an entry past the end of the
+    /// stream it is merged into (or names a stream the trace lacks): the
+    /// plan was built for a different trace.
+    PlanOutOfRange {
+        /// The entry's insertion position (an input-event index).
+        before: u32,
+        /// Events in the stream it was merged into.
+        stream_len: usize,
+    },
     /// The cell's traces could not be held (or spilled) within the
     /// configured memory budget: the spill store degraded (out of disk
     /// space or persistent write failure) while resident bytes already
@@ -229,6 +238,10 @@ impl fmt::Display for SimErrorKind {
             SimErrorKind::Cancelled { step } => {
                 write!(f, "replay cancelled cooperatively at event {step}")
             }
+            SimErrorKind::PlanOutOfRange { before, stream_len } => write!(
+                f,
+                "prefetch plan inserts before event {before} of a {stream_len}-event stream"
+            ),
             SimErrorKind::MemBudgetExceeded {
                 resident_mb,
                 budget_mb,

@@ -31,7 +31,8 @@ use crate::{
     AuditLevel, BlockOpScheme, Bus, BusOp, Cache, CoreGauge, LineState, MachineConfig, WriteBuffer,
 };
 use oscache_trace::{
-    Addr, BasicBlock, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event, LineAddr, Mode,
+    Addr, BasicBlock, BlockOp, ChunkedTrace, DataClass, Event, HotspotPlan, LineAddr, MergedStream,
+    Mode,
 };
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -157,12 +158,13 @@ struct BarrierState {
     arrived: Vec<usize>,
 }
 
-/// One CPU's decode window over a chunked stream: the single decoded
-/// chunk its cursor (or a bounded scan like the DMA bracket skip) is
-/// currently inside. Pure cache — never part of [`Machine::state_digest`].
+/// One CPU's decode window over its merged stream: the single filled
+/// merged chunk its cursor (or a bounded scan like the DMA bracket skip)
+/// is currently inside, covering merged indices `[lo, lo + events.len())`.
+/// Pure cache — never part of [`Machine::state_digest`].
 struct DecodeWindow {
-    /// Decoded chunk index, or `usize::MAX` when nothing is decoded yet.
-    chunk: usize,
+    /// Merged index of `events[0]`.
+    lo: usize,
     events: Vec<Event>,
     /// Highest chunk index handed to the decode-ahead helper for this CPU
     /// (`usize::MAX` = none), bounding the request queue to at most one
@@ -173,7 +175,7 @@ struct DecodeWindow {
 impl Default for DecodeWindow {
     fn default() -> Self {
         DecodeWindow {
-            chunk: usize::MAX,
+            lo: 0,
             events: Vec::new(),
             requested: usize::MAX,
         }
@@ -200,11 +202,13 @@ pub struct OverlapStats {
 /// The decode-ahead mailbox shared between the event loop and the
 /// per-machine decoder helper thread (DESIGN.md §17).
 ///
-/// Protocol: on swapping chunk `c` into CPU `i`'s window, the event loop
-/// enqueues a request for chunk `c+1` and marks it in
-/// `DecodeWindow::requested`. The helper pops requests, decodes into a
-/// recycled spare buffer *outside* the lock (decode is a pure function of
-/// the chunk bytes), and publishes into the per-CPU `ready` slot. The next
+/// Protocol: on swapping merged chunk `c` into CPU `i`'s window, the event
+/// loop enqueues a request for chunk `c+1` and marks it in
+/// `DecodeWindow::requested`. The helper pops requests, fills a recycled
+/// spare buffer *outside* the lock through the same
+/// [`MergedStream::try_fill`] the synchronous path calls (a pure function
+/// of the chunk bytes and the plan), and publishes into the per-CPU
+/// `ready` slot. The next
 /// swap-in consumes a matching ready buffer by pointer swap; a stale one
 /// (backward scan, or the consumer outran the helper and decoded
 /// synchronously) is recycled into `spares`. Memory is bounded: one
@@ -260,17 +264,17 @@ impl Drop for StopHelper<'_> {
     }
 }
 
-/// The decoder helper's run loop: pop a request, decode the chunk into a
-/// recycled buffer with the lock released, publish it into the CPU's ready
-/// slot. Decode purity makes the helper invisible to replay semantics —
-/// it only ever produces the same bytes→events mapping `fetch_event`
-/// would have computed synchronously.
+/// The decoder helper's run loop: pop a request, fill the merged chunk
+/// into a recycled buffer with the lock released, publish it into the
+/// CPU's ready slot. Fill purity makes the helper invisible to replay
+/// semantics — it only ever produces the same merged events `fetch_event`
+/// would have filled synchronously.
 ///
 /// A spilled chunk that can be neither read nor salvaged is not published:
 /// the event loop then decodes it synchronously and fails on its own
 /// thread, where the cell's supervision catches it. The helper never
 /// panics, so no bare helper-thread panic reaches stderr.
-fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
+fn decode_helper(streams: &[MergedStream<'_>], shared: &PrefetchShared) {
     loop {
         let (cpu, chunk, mut buf) = {
             let mut st = shared.lock();
@@ -285,7 +289,7 @@ fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
                 st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let decoded = trace.streams[cpu].try_decode_chunk(chunk, &mut buf);
+        let decoded = streams[cpu].try_fill(chunk, &mut buf);
         let mut st = shared.lock();
         if decoded.is_err() {
             st.spares.push(buf);
@@ -301,11 +305,15 @@ fn decode_helper(trace: &ChunkedTrace, shared: &PrefetchShared) {
 /// The simulated multiprocessor.
 pub struct Machine<'t> {
     pub(crate) cfg: MachineConfig,
-    /// The replayed trace, decoded on demand through `windows` so the
-    /// replay's decoded footprint is one chunk per CPU.
+    /// The replayed trace (its code layout resolves `Exec` events).
     trace: &'t ChunkedTrace,
-    /// Per-CPU stream lengths, hoisted so end-of-stream checks never
-    /// touch the chunk headers.
+    /// Per-CPU replay streams: the trace's chunked streams with the hot
+    /// set's prefetches merged in, filled on demand through `windows` so
+    /// the replay's decoded footprint is one chunk per CPU. Shared with
+    /// the decode-ahead helper.
+    streams: Arc<[MergedStream<'t>]>,
+    /// Per-CPU merged stream lengths, hoisted so end-of-stream checks
+    /// never touch the chunk tables.
     stream_len: Vec<usize>,
     /// Per-CPU decode windows.
     windows: Vec<DecodeWindow>,
@@ -369,6 +377,25 @@ impl<'t> Machine<'t> {
         Self::with_recording(cfg, trace, true)
     }
 
+    /// [`Machine::new`] replaying `trace` with the §6 hot-spot prefetches
+    /// of `hot` merged in: every entry of `plan` whose site is in `hot` is
+    /// spliced into the stream as its decode windows fill, so the replay
+    /// — statistics, `steps`, [`Machine::state_digest`], cursors — equals
+    /// a replay of [`HotspotPlan::materialize`]`(trace, hot)` without that
+    /// trace ever being encoded.
+    ///
+    /// Besides the validation [`Machine::new`] does, rejects a plan that
+    /// positions an entry past the end of its stream (or names a stream
+    /// the trace lacks) with [`SimErrorKind::PlanOutOfRange`].
+    pub fn with_prefetches(
+        cfg: MachineConfig,
+        trace: &'t ChunkedTrace,
+        plan: &'t HotspotPlan,
+        hot: &'t [u16],
+    ) -> Result<Self, SimError> {
+        Self::assemble(cfg, trace, plan, hot, true)
+    }
+
     /// [`Machine::new`] with full statistics recording switched on or off.
     ///
     /// `record = false` is the bookkeeping-free profiling replay (see
@@ -382,11 +409,41 @@ impl<'t> Machine<'t> {
         trace: &'t ChunkedTrace,
         record: bool,
     ) -> Result<Self, SimError> {
+        Self::assemble(cfg, trace, HotspotPlan::empty(), &[], record)
+    }
+
+    /// The one constructor behind the public ones: a replay without
+    /// prefetches merges the empty plan through the same windows.
+    fn assemble(
+        cfg: MachineConfig,
+        trace: &'t ChunkedTrace,
+        plan: &'t HotspotPlan,
+        hot: &'t [u16],
+        record: bool,
+    ) -> Result<Self, SimError> {
         trace
             .validate_for_cpus(cfg.n_cpus)
             .map_err(SimError::from_trace)?;
         cfg.validate();
-        let stream_len = trace.streams.iter().map(|s| s.len()).collect();
+        let out_of_range = |cpu: usize, before: u32, stream_len: usize| SimError {
+            cycle: 0,
+            cpu: Some(cpu),
+            line: None,
+            kind: SimErrorKind::PlanOutOfRange { before, stream_len },
+        };
+        if let Some(cpu) = (trace.n_cpus()..plan.n_streams()).find(|&c| !plan.stream(c).is_empty())
+        {
+            return Err(out_of_range(cpu, plan.stream(cpu)[0].before(), 0));
+        }
+        let streams = trace
+            .streams
+            .iter()
+            .enumerate()
+            .map(|(cpu, s)| {
+                MergedStream::new(s, plan, cpu, hot).map_err(|b| out_of_range(cpu, b, s.len()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let stream_len = streams.iter().map(MergedStream::len).collect();
         let cpus = (0..cfg.n_cpus)
             .map(|_| Cpu {
                 time: 0,
@@ -411,6 +468,7 @@ impl<'t> Machine<'t> {
         Ok(Machine {
             cfg,
             trace,
+            streams: streams.into(),
             stream_len,
             windows: (0..n_cpus).map(|_| DecodeWindow::default()).collect(),
             cpus,
@@ -536,8 +594,7 @@ impl<'t> Machine<'t> {
     /// identical with the helper on or off (pinned by
     /// `tests/decode_ahead.rs` and the schedule-oracle CI job).
     fn run_loop_spec<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let trace = self.trace;
-        let big = self.cfg.n_cpus > 0 && trace.streams.iter().any(|s| s.n_chunks() > 1);
+        let big = self.cfg.n_cpus > 0 && self.streams.iter().any(|s| s.n_chunks() > 1);
         // `Some(core)`: run a helper, holding `core` (`None` when pinned on).
         let helper_core = match self.decode_prefetch {
             _ if !big => None,
@@ -549,12 +606,13 @@ impl<'t> Machine<'t> {
         };
         let shared = Arc::new(PrefetchShared::new(self.cfg.n_cpus));
         self.prefetch = Some(Arc::clone(&shared));
+        let streams = Arc::clone(&self.streams);
         let result = std::thread::scope(|scope| {
             let helper = {
                 let shared = Arc::clone(&shared);
                 scope.spawn(move || {
                     let _core = core;
-                    decode_helper(trace, &shared)
+                    decode_helper(&streams, &shared)
                 })
             };
             let stop = StopHelper(&shared);
@@ -767,11 +825,12 @@ impl<'t> Machine<'t> {
         self.dispatch_ev::<S>(i, ev, n)
     }
 
-    /// Returns event `idx` of CPU `i`'s stream: decodes the containing
-    /// chunk into the CPU's window unless already resident —
+    /// Returns merged event `idx` of CPU `i`'s stream: a hit when `idx`
+    /// falls in the window's `[lo, hi)` range, otherwise fills the
+    /// containing merged chunk into the window —
     /// cursors advance monotonically chunk by chunk, so the common case is
     /// a window hit, and bounded scans (lock-retry re-fetch, the DMA
-    /// bracket skip) stay within one or two chunk decodes. With the
+    /// bracket skip) stay within one or two chunk fills. With the
     /// decode-ahead helper attached, the cold swap-in consumes a ready
     /// buffer when the helper got there first (see
     /// [`Machine::swap_in_chunk`]).
@@ -782,16 +841,18 @@ impl<'t> Machine<'t> {
     /// `stream_len` first.
     #[inline]
     pub(crate) fn fetch_event(&mut self, i: usize, idx: usize) -> Event {
-        let trace = self.trace;
-        let s = &trace.streams[i];
-        let c = idx / s.capacity();
-        if self.windows[i].chunk != c {
-            self.swap_in_chunk(s, i, c);
+        let w = &self.windows[i];
+        let off = idx.wrapping_sub(w.lo);
+        if off < w.events.len() {
+            return w.events[off];
         }
-        self.windows[i].events[idx - c * s.capacity()]
+        let c = self.streams[i].chunk_of(idx);
+        self.swap_in_chunk(i, c);
+        let w = &self.windows[i];
+        w.events[idx - w.lo]
     }
 
-    /// The cold half of [`Machine::fetch_event`]: makes chunk
+    /// The cold half of [`Machine::fetch_event`]: makes merged chunk
     /// `c` resident in CPU `i`'s decode window.
     ///
     /// With the decode-ahead mailbox live, first consume the CPU's ready
@@ -799,11 +860,13 @@ impl<'t> Machine<'t> {
     /// window buffer is recycled as a spare), a stale one is recycled —
     /// and request the *next* chunk so the helper stays one chunk ahead of
     /// the cursor. Any miss (cold first chunk, backward scan, helper
-    /// outrun) falls back to a synchronous, timed `decode_chunk`. Either
-    /// way the window ends up holding exactly `decode_chunk(c)` — decode
-    /// purity is what keeps the two paths indistinguishable to the replay.
+    /// outrun) falls back to a synchronous, timed fill. Either way the
+    /// window ends up holding exactly what [`MergedStream::try_fill`]
+    /// makes of chunk `c` — fill purity is what keeps the two paths
+    /// indistinguishable to the replay.
     #[cold]
-    fn swap_in_chunk(&mut self, s: &'t ChunkedStream, i: usize, c: usize) {
+    fn swap_in_chunk(&mut self, i: usize, c: usize) {
+        let s = &self.streams[i];
         let w = &mut self.windows[i];
         let mut resident = false;
         if let Some(pf) = &self.prefetch {
@@ -812,7 +875,6 @@ impl<'t> Machine<'t> {
                 if rc == c {
                     let old = std::mem::replace(&mut w.events, buf);
                     st.spares.push(old);
-                    w.chunk = c;
                     resident = true;
                     self.prefetch_hits += 1;
                 } else {
@@ -828,14 +890,16 @@ impl<'t> Machine<'t> {
         }
         if !resident {
             let t0 = Instant::now();
-            s.decode_chunk(c, &mut w.events);
-            w.chunk = c;
+            if let Err(e) = s.try_fill(c, &mut w.events) {
+                panic!("{e}");
+            }
             self.decode_ns += t0.elapsed().as_nanos() as u64;
             self.sync_decodes += 1;
         }
+        w.lo = s.chunk_start(c);
     }
 
-    /// CPU `i`'s stream length (hoisted at assembly).
+    /// CPU `i`'s merged stream length (hoisted at assembly).
     #[inline]
     pub(crate) fn stream_len_of(&self, i: usize) -> usize {
         self.stream_len[i]

@@ -4,14 +4,18 @@
 //! a cancellation fires — from the same replay decoding every chunk
 //! synchronously. Chunk decode is pure, so this holds by construction;
 //! these tests pin it against seeded random traces, hostile chunk
-//! capacities (down to one event per chunk), and mid-run cancellation.
+//! capacities (down to one event per chunk), replays with hot-spot
+//! prefetches merged into the windows (the helper fills merged chunks
+//! through the same function as the synchronous path), and mid-run
+//! cancellation.
 //! Prefetch is flipped per machine via [`Machine::set_decode_prefetch`]
 //! (env vars race across test threads).
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta,
+    Addr, ChunkedStream, ChunkedTrace, DataClass, HotspotPlan, LockId, Mode, PlanEntry,
+    StreamBuilder, Trace, TraceMeta,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -98,8 +102,23 @@ fn assert_prefetch_invisible(
     ct: &ChunkedTrace,
     what: &str,
 ) -> oscache_memsys::OverlapStats {
-    let mut on = Machine::new(cfg.clone(), ct).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut off = Machine::new(cfg, ct).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_merged_prefetch_invisible(cfg, ct, HotspotPlan::empty(), &[], what)
+}
+
+/// [`assert_prefetch_invisible`] for a replay with `hot`'s entries of
+/// `plan` merged into the decode windows.
+fn assert_merged_prefetch_invisible(
+    cfg: MachineConfig,
+    ct: &ChunkedTrace,
+    plan: &HotspotPlan,
+    hot: &[u16],
+    what: &str,
+) -> oscache_memsys::OverlapStats {
+    let mk = |cfg| {
+        Machine::with_prefetches(cfg, ct, plan, hot).unwrap_or_else(|e| panic!("{what}: {e}"))
+    };
+    let mut on = mk(cfg.clone());
+    let mut off = mk(cfg);
     on.set_decode_prefetch(true);
     off.set_decode_prefetch(false);
     let ron = on.run_mut();
@@ -135,6 +154,52 @@ fn prefetch_matches_sync_decode_on_random_traces() {
             assert!(
                 overlap.prefetch_hits + overlap.sync_decodes > 0,
                 "{what}: multi-chunk replay recorded no decodes"
+            );
+        }
+    }
+}
+
+/// Random hot-spot plans over each stream: entries at any position up to
+/// and including the stream's end, loop and sequence shapes, hot and cold
+/// sites.
+fn random_plan(t: &Trace, rng: &mut SmallRng) -> HotspotPlan {
+    HotspotPlan::new(
+        t.streams
+            .iter()
+            .map(|s| {
+                (0..rng.gen_range(0..3 * s.len() / 2 + 2))
+                    .map(|k| {
+                        PlanEntry::new(
+                            rng.gen_range(0..s.len() + 1) as u32,
+                            rng.gen_range(1..4u32) as u16,
+                            Addr(0x0300_0000 + 16 * k as u32),
+                            DataClass::RunQueue,
+                            rng.gen_bool(0.5),
+                        )
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// Prefetches merged into the windows: the helper's merged chunks equal
+/// the synchronous path's at every capacity, so the replay with the
+/// helper on is indistinguishable from the replay with it off.
+#[test]
+fn prefetch_matches_sync_decode_with_merged_prefetches() {
+    for seed in SEEDS {
+        let mut rng = SmallRng::seed_from_u64(0x4075_0000 ^ seed);
+        let t = random_trace(&mut rng);
+        let plan = random_plan(&t, &mut rng);
+        for capacity in [1, 7, 64] {
+            let ct = rechunk(&t, capacity);
+            let what = format!("seed {seed} capacity {capacity} merged");
+            let overlap =
+                assert_merged_prefetch_invisible(MachineConfig::base(), &ct, &plan, &[1, 3], &what);
+            assert!(
+                overlap.prefetch_hits + overlap.sync_decodes > 0,
+                "{what}: multi-chunk replay recorded no fills"
             );
         }
     }

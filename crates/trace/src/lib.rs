@@ -43,6 +43,7 @@ pub mod chunk;
 mod class;
 mod code;
 mod event;
+mod hotspot;
 pub mod io;
 pub mod rng;
 pub mod spill;
@@ -55,6 +56,7 @@ pub use chunk::{ChunkedStream, ChunkedStreamBuilder, ChunkedTrace, CHUNK_EVENTS}
 pub use class::{CoherenceCategory, DataClass};
 pub use code::{BasicBlock, BlockId, CodeLayout, SiteId, SiteInfo};
 pub use event::{BarrierId, BlockKind, BlockOp, Event, LockId, Mode};
+pub use hotspot::{HotspotPlan, MergedStream, PlanEntry, LOOP_AHEAD};
 pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError};
 pub use spill::{
     IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore, SpillTarget,
