@@ -5,12 +5,12 @@ use crate::config::{Geometry, System, SystemSpec};
 use crate::metrics::{
     BlockOpOverhead, CoherenceBreakdown, MissBreakdown, OsTimeBreakdown, WorkloadMetrics,
 };
+use crate::paperref;
 use crate::runner::{
     run_cell, run_key, run_plan_supervised, Cell, CellOutcome, Experiment, RequestPlan, TraceCache,
 };
 use crate::sim::RunResult;
 use crate::supervise::{CellFailure, Journal, Overrun, RunPolicy};
-use crate::{deferred, paperref};
 use oscache_memsys::CancelToken;
 use oscache_trace::ChunkedTrace;
 use oscache_workloads::{BuildOptions, Workload};
@@ -377,7 +377,7 @@ impl Repro {
     pub fn table4(&mut self) -> Table4 {
         let mut cols = Vec::new();
         for w in Workload::all() {
-            let counts = deferred::analyze(&self.trace_chunked(w));
+            let counts = self.cache.deferral(w, self.build_options()).counts;
             let base = self
                 .run(w, System::Base)
                 .stats

@@ -31,13 +31,14 @@
 #![allow(clippy::result_large_err)]
 
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
+use crate::deferred::{self, DeferralSummary};
 use crate::experiments::{figure6_sweep, figure7_sweep};
 use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
     RunPolicy, Watchdog,
 };
-use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError};
+use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError, SimStats};
 use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
 use oscache_workloads::{
     build_chunked, build_chunked_shared, build_chunked_spilled, BuildOptions, TraceBuildKey,
@@ -293,6 +294,7 @@ pub struct BuildTiming {
 pub struct TraceCache {
     base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
     analyzed: Mutex<AnalysisMap>,
+    deferral: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<DeferralSummary>>>>>,
     prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCell>>>,
     results: Mutex<HashMap<CellFingerprint, RunResult>>,
     builds: Mutex<Vec<BuildTiming>>,
@@ -426,7 +428,11 @@ impl TraceCache {
         let mut analyze_ms = 0.0;
         let analyzed = slot.get_or_build(|| {
             let t0 = Instant::now();
-            let mut a = sim::analyze_cell(base, fp.spec);
+            let deferral = fp
+                .spec
+                .deferred_copy
+                .then(|| self.deferral_of(fp.base, base));
+            let mut a = sim::analyze_cell_with(base, fp.spec, deferral.as_deref());
             if let Some(cfg) = self.spill_config() {
                 spill_analysis(&mut a, fp, &cfg);
             }
@@ -434,6 +440,23 @@ impl TraceCache {
             Arc::new(a)
         });
         (analyzed, analyze_ms)
+    }
+
+    /// The deferral summary of `workload`'s base trace under `opts`
+    /// (Table 4's counts and the read-only small copies), computed once
+    /// per base trace and shared by the `Base+Deferred` analysis and every
+    /// Table 4 render.
+    pub(crate) fn deferral(&self, workload: Workload, opts: BuildOptions) -> Arc<DeferralSummary> {
+        self.deferral_of(opts.key(workload), &self.base_chunked(workload, opts))
+    }
+
+    /// [`TraceCache::deferral`] for the base trace `base` built under `key`.
+    fn deferral_of(&self, key: TraceBuildKey, base: &ChunkedTrace) -> Arc<DeferralSummary> {
+        let slot = lock_tolerant(&self.deferral)
+            .entry(key)
+            .or_default()
+            .clone();
+        slot.get_or_build(|| Arc::new(deferred::summarize(base)))
     }
 
     /// Timings of every base-trace build so far, in build order.
@@ -803,10 +826,14 @@ pub fn run_cells_supervised(
 /// ~0.6× a `Base` cell's replay (its prefetches are merged into the
 /// final replay, so no rewrite is paid); coherence-ladder rewrites
 /// (`privatize`/`relocate`/update mapping) sit between `Base` and
-/// `BCPref`, and the block-op schemes add a little bus work each. Trace scale multiplies everything uniformly. Only the
-/// *relative* order matters: the scheduler uses these costs to dispatch
-/// longest-first, and a wrong estimate costs only makespan, never
-/// correctness — results are returned in cell-index order regardless.
+/// `BCPref`, and the block-op schemes add a little bus work each. The
+/// deferred-copy analysis (two summary walks plus a re-encoding rewrite)
+/// measures 0.8–1.3× a `Base` cell's replay, so a `Base+Deferred` cell
+/// weighs about two `Base` cells. Trace scale multiplies everything
+/// uniformly. Only the *relative* order matters: the scheduler uses these
+/// costs to dispatch longest-first, and a wrong estimate costs only
+/// makespan, never correctness — results are returned in cell-index order
+/// regardless.
 pub fn cell_cost(cell: &Cell, scale: f64) -> u64 {
     let mut units: u64 = 100;
     if cell.spec.hotspot_prefetch {
@@ -822,7 +849,7 @@ pub fn cell_cost(cell: &Cell, scale: f64) -> u64 {
         units += 25;
     }
     if cell.spec.deferred_copy {
-        units += 10;
+        units += 100;
     }
     if cell.spec.page_coloring {
         units += 10;
@@ -970,6 +997,36 @@ pub fn run_plan_supervised(
     }
 }
 
+/// The outcome of a cell answered without running anything: from its
+/// journal record (`journaled`), or from a result this process already
+/// simulated. Both the supervised path ([`supervise_one`]) and the
+/// service's admission gate build journal hits here.
+pub(crate) fn resolved_outcome(cell: &Cell, stats: SimStats, journaled: bool) -> CellOutcome {
+    CellOutcome {
+        cell: cell.clone(),
+        result: RunResult {
+            stats,
+            spec: cell.spec,
+            geometry: cell.geometry,
+        },
+        ms: 0.0,
+        build_ms: 0.0,
+        prepare_ms: 0.0,
+        sim_ms: 0.0,
+        phases: PrepPhases {
+            cached: true,
+            ..PrepPhases::default()
+        },
+        decode_ms: 0.0,
+        prefetch_hits: 0,
+        spilled_mb: 0.0,
+        spill_ms: 0.0,
+        sched_order: 0,
+        attempt: 0,
+        journaled,
+    }
+}
+
 /// Everything [`supervise_one`] needs besides the cell itself (bundled so
 /// the worker loop stays readable). `pub(crate)` because the resident
 /// service ([`crate::service`]) schedules cells through the same
@@ -999,29 +1056,7 @@ pub(crate) fn supervise_one(
     if let Some(j) = ctx.journal {
         if let Some(stats) = j.lookup(digest) {
             ctx.journal_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(CellOutcome {
-                cell: cell.clone(),
-                result: RunResult {
-                    stats,
-                    spec: cell.spec,
-                    geometry: cell.geometry,
-                },
-                ms: 0.0,
-                build_ms: 0.0,
-                prepare_ms: 0.0,
-                sim_ms: 0.0,
-                phases: PrepPhases {
-                    cached: true,
-                    ..PrepPhases::default()
-                },
-                decode_ms: 0.0,
-                prefetch_hits: 0,
-                spilled_mb: 0.0,
-                spill_ms: 0.0,
-                sched_order: 0,
-                attempt: 0,
-                journaled: true,
-            });
+            return Ok(resolved_outcome(cell, stats, true));
         }
     }
     // This thread is busy with the cell, so its machines' decode-ahead

@@ -38,7 +38,8 @@
 
 use crate::experiments::{render_experiment, Repro};
 use crate::runner::{
-    default_jobs, supervise_one, CellOutcome, Experiment, RequestPlan, SuperviseCtx, TraceCache,
+    default_jobs, resolved_outcome, supervise_one, CellOutcome, Experiment, PlannedCell,
+    RequestPlan, SuperviseCtx, TraceCache,
 };
 use crate::supervise::{
     json_escape, lock_tolerant, CellFailure, FailureCause, Journal, Json, RunPolicy, Watchdog,
@@ -49,7 +50,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -162,7 +163,7 @@ pub enum Admission {
     Accepted {
         /// Request id (quote it in progress lines and cancellations).
         id: u64,
-        /// Cells the request's plan will run.
+        /// Cells in the request's plan, resolved at admission or run.
         total: usize,
         /// One [`Event::Cell`] per processed cell, then exactly one
         /// [`Event::Done`].
@@ -271,9 +272,14 @@ struct Req {
     deadline_hit: bool,
     orphaned: bool,
     drained: bool,
+    /// True once any cell has an outcome or a worker: resolved at
+    /// admission or dispatched.
     started: bool,
-    /// Next undispatched cell index (== plan len once nothing more will
-    /// be dispatched).
+    /// Plan indices of the cells admission could not resolve, in plan
+    /// order: the only cells that ever reach a worker.
+    todo: Vec<usize>,
+    /// Next undispatched position in `todo` (== `todo.len()` once nothing
+    /// more will be dispatched).
     next: usize,
     /// Cells dispatched to workers and not yet recorded back.
     inflight: usize,
@@ -290,6 +296,10 @@ struct Sched {
     stopped: bool,
     queued_cells: usize,
     next_id: u64,
+    /// Requests removed from `requests` whose report is still to be
+    /// rendered and sent: filled under the lock, emptied by
+    /// [`Inner::release`] once it is dropped.
+    retired: Vec<Req>,
 }
 
 /// Monotonic counters (lock-free reads for the `stats` op).
@@ -369,6 +379,7 @@ impl Server {
                 stopped: false,
                 queued_cells: 0,
                 next_id: 1,
+                retired: Vec::new(),
             }),
             cv: Condvar::new(),
             counters: Counters::default(),
@@ -402,6 +413,13 @@ impl Server {
     /// Admits (or rejects) one request. On admission the caller receives
     /// the event stream; dropping the receiver counts as the client
     /// vanishing and cancels the request's remaining work.
+    ///
+    /// Every planned cell the daemon already holds — its journal record,
+    /// or on a daemon without a journal the results cache — is resolved
+    /// here, before anything is queued: its slot is filled and its
+    /// progress event sent, and it never counts toward `queued_cells` or
+    /// reaches a worker. A request with nothing left finalizes in the
+    /// calling thread, so its whole event stream is waiting on return.
     pub fn submit(&self, req: RunRequest) -> Admission {
         let inner = &self.inner;
         inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -410,6 +428,12 @@ impl Server {
             inner.opts,
             |_| false,
         ));
+        let slots: Vec<Slot> = plan
+            .cells
+            .iter()
+            .map(|pc| inner.resolve(pc).map(Ok))
+            .collect();
+        let todo: Vec<usize> = (0..plan.len()).filter(|&i| slots[i].is_none()).collect();
         let mut s = lock_tolerant(&inner.sched);
         if s.draining || s.stopped {
             inner
@@ -418,7 +442,7 @@ impl Server {
                 .fetch_add(1, Ordering::Relaxed);
             return Admission::ShuttingDown;
         }
-        if s.queued_cells + plan.len() > inner.queue_limit {
+        if s.queued_cells + todo.len() > inner.queue_limit {
             inner
                 .counters
                 .rejected_overloaded
@@ -432,8 +456,21 @@ impl Server {
         s.next_id += 1;
         let (tx, rx) = channel();
         let total = plan.len();
-        s.queued_cells += total;
-        s.requests.push(Req {
+        for (cidx, slot) in slots.iter().enumerate() {
+            if let Some(Ok(o)) = slot {
+                inner
+                    .counters
+                    .cells_completed
+                    .fetch_add(1, Ordering::Relaxed);
+                if o.journaled {
+                    inner.journal_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                // The receiver is still in hand here, so the send succeeds.
+                let _ = tx.send(progress(&plan, cidx, slot));
+            }
+        }
+        s.queued_cells += todo.len();
+        let req = Req {
             id,
             client: if req.client.is_empty() {
                 "anon".to_string()
@@ -441,6 +478,7 @@ impl Server {
                 req.client
             },
             experiments: req.experiments,
+            started: todo.len() < total,
             plan,
             cancel: CancelToken::new(),
             deadline: req
@@ -449,18 +487,19 @@ impl Server {
             deadline_hit: false,
             orphaned: false,
             drained: false,
-            started: false,
             next: 0,
             inflight: 0,
-            slots: (0..total).map(|_| None).collect(),
+            todo,
+            slots,
             tx,
-        });
+        };
         inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if total == 0 {
-            let pos = s.requests.len() - 1;
-            inner.finalize_locked(&mut s, pos);
+        if req.todo.is_empty() {
+            s.retired.push(req);
+        } else {
+            s.requests.push(req);
         }
-        inner.cv.notify_all();
+        inner.release(s);
         Admission::Accepted {
             id,
             total,
@@ -477,7 +516,7 @@ impl Server {
             self.inner
                 .cancel_locked(&mut s, pos, CancelKind::ClientGone);
         }
-        self.inner.cv.notify_all();
+        self.inner.release(s);
     }
 
     /// Begins the graceful drain: no new admissions, no new dispatches;
@@ -493,7 +532,7 @@ impl Server {
         for pos in (0..s.requests.len()).rev() {
             self.inner.cancel_locked(&mut s, pos, CancelKind::Drain);
         }
-        self.inner.cv.notify_all();
+        self.inner.release(s);
     }
 
     /// Drains, waits for every admitted request to finalize, and joins
@@ -573,7 +612,7 @@ impl Inner {
         }
         let mut clients: Vec<String> = Vec::new();
         for r in &s.requests {
-            if r.next < r.plan.len() && !clients.contains(&r.client) {
+            if r.next < r.todo.len() && !clients.contains(&r.client) {
                 clients.push(r.client.clone());
             }
         }
@@ -586,8 +625,8 @@ impl Inner {
         let req = s
             .requests
             .iter_mut()
-            .find(|r| r.client == client && r.next < r.plan.len())?;
-        let cidx = req.next;
+            .find(|r| r.client == client && r.next < r.todo.len())?;
+        let cidx = req.todo[req.next];
         req.next += 1;
         req.inflight += 1;
         req.started = true;
@@ -642,6 +681,20 @@ impl Inner {
         }
     }
 
+    /// The outcome the daemon already holds for `pc`, if any: its journal
+    /// record, or (without a journal) a result this daemon simulated.
+    fn resolve(&self, pc: &PlannedCell) -> Option<CellOutcome> {
+        match &self.journal {
+            Some(j) => j
+                .lookup(pc.digest)
+                .map(|stats| resolved_outcome(&pc.cell, stats, true)),
+            None => self
+                .cache
+                .shared_result(&pc.fingerprint)
+                .map(|r| resolved_outcome(&pc.cell, r.stats, false)),
+        }
+    }
+
     /// Records one processed cell, streams progress, finalizes the
     /// request when it was the last.
     fn complete(&self, id: u64, cidx: usize, out: Result<CellOutcome, CellFailure>) {
@@ -649,40 +702,26 @@ impl Inner {
         let Some(pos) = s.requests.iter().position(|r| r.id == id) else {
             return;
         };
-        let mut orphaned = false;
-        {
-            let req = &mut s.requests[pos];
-            match &out {
-                Ok(_) => self
-                    .counters
-                    .cells_completed
-                    .fetch_add(1, Ordering::Relaxed),
-                Err(_) => self.counters.cells_failed.fetch_add(1, Ordering::Relaxed),
-            };
-            let progress = Event::Cell(CellProgress {
-                index: cidx,
-                total: req.plan.len(),
-                key: req.plan.cells[cidx].key.clone(),
-                ok: out.is_ok(),
-                ms: out.as_ref().map(|o| o.ms).unwrap_or(0.0),
-                journaled: out.as_ref().map(|o| o.journaled).unwrap_or(false),
-            });
-            req.slots[cidx] = Some(out);
-            req.inflight -= 1;
-            if req.tx.send(progress).is_err() && !req.orphaned {
-                orphaned = true;
-            }
-        }
-        if orphaned {
+        match &out {
+            Ok(_) => self
+                .counters
+                .cells_completed
+                .fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.counters.cells_failed.fetch_add(1, Ordering::Relaxed),
+        };
+        let req = &mut s.requests[pos];
+        req.slots[cidx] = Some(out);
+        req.inflight -= 1;
+        let orphaned = req
+            .tx
+            .send(progress(&req.plan, cidx, &req.slots[cidx]))
+            .is_err();
+        if orphaned && !req.orphaned {
             self.cancel_locked(&mut s, pos, CancelKind::ClientGone);
+        } else if req.inflight == 0 && req.next >= req.todo.len() {
+            self.retire(&mut s, pos);
         }
-        if let Some(pos) = s.requests.iter().position(|r| r.id == id) {
-            let req = &s.requests[pos];
-            if req.inflight == 0 && req.next >= req.plan.len() {
-                self.finalize_locked(&mut s, pos);
-            }
-        }
-        self.cv.notify_all();
+        self.release(s);
     }
 
     /// Abandons a request's undispatched cells per `kind`; finalizes
@@ -690,13 +729,12 @@ impl Inner {
     fn cancel_locked(&self, s: &mut Sched, pos: usize, kind: CancelKind) {
         {
             let req = &mut s.requests[pos];
-            let remaining = req.plan.len() - req.next;
-            s.queued_cells -= remaining;
+            s.queued_cells -= req.todo.len() - req.next;
             match kind {
                 CancelKind::Deadline => {
                     req.cancel.cancel();
                     req.deadline_hit = true;
-                    for i in req.next..req.plan.len() {
+                    for &i in &req.todo[req.next..] {
                         req.slots[i] = Some(Err(CellFailure {
                             cell: req.plan.cells[i].cell.clone(),
                             attempt: 0,
@@ -712,40 +750,59 @@ impl Inner {
                     req.drained = true;
                 }
             }
-            req.next = req.plan.len();
+            req.next = req.todo.len();
         }
         if s.requests[pos].inflight == 0 {
-            self.finalize_locked(s, pos);
+            self.retire(s, pos);
         }
     }
 
-    /// Removes the request, renders its report from the completed cells
-    /// (exactly the `--keep-going` machinery: only experiments whose
-    /// cells all completed render), and sends [`Event::Done`].
-    fn finalize_locked(&self, s: &mut Sched, pos: usize) {
+    /// Removes a finished request from the schedule; [`Inner::release`]
+    /// renders and answers it once the lock is dropped.
+    fn retire(&self, s: &mut Sched, pos: usize) {
         let req = s.requests.remove(pos);
+        s.retired.push(req);
+    }
+
+    /// Drops the scheduler lock, waking every waiter first, and then
+    /// finalizes the requests retired while it was held. Every request
+    /// finalizes here, so no report is ever rendered under the lock.
+    fn release(&self, mut s: MutexGuard<'_, Sched>) {
+        let retired = std::mem::take(&mut s.retired);
+        self.cv.notify_all();
+        drop(s);
+        for req in retired {
+            self.finalize(req);
+        }
+    }
+
+    /// Renders a retired request's report from the completed cells
+    /// (exactly the `--keep-going` machinery: only experiments whose
+    /// cells all completed render) and sends [`Event::Done`].
+    fn finalize(&self, req: Req) {
         let total = req.plan.len();
         let mut ok_outcomes: Vec<CellOutcome> = Vec::new();
         let mut failures: Vec<String> = Vec::new();
         let mut unstarted = 0usize;
         let mut journal_hits = 0usize;
-        for slot in &req.slots {
+        for slot in req.slots {
             match slot {
                 Some(Ok(o)) => {
                     if o.journaled {
                         journal_hits += 1;
                     }
-                    ok_outcomes.push(o.clone());
+                    ok_outcomes.push(o);
                 }
                 Some(Err(f)) => failures.push(format!("{}: {}", f.cell.key(), f.cause.class())),
                 None => unstarted += 1,
             }
         }
+        let completed = ok_outcomes.len();
         let (report, skipped) = if req.orphaned {
             (String::new(), Vec::new())
         } else {
             let mut r = Repro::with_cache(self.scale, 1, Arc::clone(&self.cache));
-            r.absorb_outcomes(ok_outcomes.iter().cloned());
+            r.absorb_outcomes(ok_outcomes);
             let mut text = String::new();
             let mut skipped = Vec::new();
             for e in &req.experiments {
@@ -761,7 +818,7 @@ impl Inner {
         let _ = req.tx.send(Event::Done(RequestReport {
             id: req.id,
             total,
-            completed: ok_outcomes.len(),
+            completed,
             failed: failures.len(),
             unstarted,
             journal_hits,
@@ -778,8 +835,8 @@ impl Inner {
     /// without any client cooperation) and drains watchdog overruns into
     /// the counters.
     fn monitor_loop(&self) {
-        let mut s = lock_tolerant(&self.sched);
         loop {
+            let mut s = lock_tolerant(&self.sched);
             if s.stopped {
                 return;
             }
@@ -802,6 +859,10 @@ impl Inner {
                     self.cancel_locked(&mut s, pos, CancelKind::Deadline);
                 }
             }
+            if !s.retired.is_empty() {
+                self.release(s);
+                continue;
+            }
             if let Some(dog) = &self.watchdog {
                 let n = dog.take_overruns().len();
                 if n > 0 {
@@ -811,13 +872,25 @@ impl Inner {
                     self.cv.notify_all();
                 }
             }
-            let (guard, _) = self
+            let _ = self
                 .cv
                 .wait_timeout(s, wake.max(Duration::from_millis(1)))
                 .unwrap_or_else(PoisonError::into_inner);
-            s = guard;
         }
     }
+}
+
+/// The progress event for a request's processed cell `cidx`.
+fn progress(plan: &RequestPlan, cidx: usize, slot: &Slot) -> Event {
+    let out = slot.as_ref().expect("progress is sent for a filled slot");
+    Event::Cell(CellProgress {
+        index: cidx,
+        total: plan.len(),
+        key: plan.cells[cidx].key.clone(),
+        ok: out.is_ok(),
+        ms: out.as_ref().map(|o| o.ms).unwrap_or(0.0),
+        journaled: out.as_ref().map(|o| o.journaled).unwrap_or(false),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1132,23 +1205,57 @@ impl LineReader {
     }
 }
 
-fn write_line<S: Write>(stream: &mut S, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// Appends one reply line to a write batch.
+fn push_reply(batch: &mut String, r: &Reply) {
+    batch.push_str(&reply_line(r));
+    batch.push('\n');
+}
+
+/// Appends an event's reply line; true for the terminal [`Event::Done`].
+fn push_event(batch: &mut String, ev: Event) -> bool {
+    match ev {
+        Event::Cell(p) => {
+            push_reply(batch, &Reply::Cell(p));
+            false
+        }
+        Event::Done(rep) => {
+            push_reply(batch, &Reply::Done(rep));
+            true
+        }
+    }
+}
+
+/// Writes a batch of reply lines with one `write_all`, and empties it.
+fn write_batch<S: Write>(stream: &mut S, batch: &mut String) -> std::io::Result<()> {
+    let r = stream
+        .write_all(batch.as_bytes())
+        .and_then(|()| stream.flush());
+    batch.clear();
+    r
+}
+
+/// Writes one reply line.
+fn write_reply<S: Write>(stream: &mut S, r: &Reply) -> std::io::Result<()> {
+    let mut batch = String::new();
+    push_reply(&mut batch, r);
+    write_batch(stream, &mut batch)
 }
 
 /// Speaks the wire protocol over one connection: parse request lines,
 /// translate onto [`Server::submit`]/[`Server::stats`], stream events
-/// back. A failed write (the client vanished) cancels the in-flight
-/// request. The `shutdown` op sets `stop`, which the serve loop watches.
+/// back. Replies go out in batches: the `accepted` line together with
+/// every event already waiting, then each later event together with
+/// whatever queued behind it, one `write_all` per batch — so a request
+/// admission answered in full costs one write. A failed write (the client
+/// vanished) cancels the in-flight request. The `shutdown` op sets
+/// `stop`, which the serve loop watches.
 pub fn handle_connection<S: Read + Write>(server: &Server, stream: &mut S, stop: &AtomicBool) {
     let mut reader = LineReader::new();
     loop {
         let line = match reader.read_line(stream, stop) {
             Ok(Some(line)) => line,
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let _ = write_line(stream, &reply_line(&Reply::Error(e.to_string())));
+                let _ = write_reply(stream, &Reply::Error(e.to_string()));
                 return;
             }
             Ok(None) | Err(_) => return,
@@ -1156,73 +1263,53 @@ pub fn handle_connection<S: Read + Write>(server: &Server, stream: &mut S, stop:
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
-            Err(msg) => {
-                if write_line(stream, &reply_line(&Reply::Error(msg))).is_err() {
-                    return;
-                }
-            }
-            Ok(WireRequest::Stats) => {
-                if write_line(stream, &reply_line(&Reply::Stats(server.stats()))).is_err() {
-                    return;
-                }
-            }
+        let rejected = |status: &str| Reply::Rejected {
+            status: status.to_string(),
+        };
+        let written = match parse_request(&line) {
+            Err(msg) => write_reply(stream, &Reply::Error(msg)),
+            Ok(WireRequest::Stats) => write_reply(stream, &Reply::Stats(server.stats())),
             Ok(WireRequest::Shutdown) => {
                 stop.store(true, Ordering::SeqCst);
                 server.shutdown();
-                let _ = write_line(
-                    stream,
-                    &reply_line(&Reply::Rejected {
-                        status: "shutting-down".to_string(),
-                    }),
-                );
+                let _ = write_reply(stream, &rejected("shutting-down"));
                 return;
             }
             Ok(WireRequest::Run(req)) => match server.submit(req) {
-                Admission::Overloaded { .. } => {
-                    if write_line(
-                        stream,
-                        &reply_line(&Reply::Rejected {
-                            status: "overloaded".to_string(),
-                        }),
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                }
-                Admission::ShuttingDown => {
-                    if write_line(
-                        stream,
-                        &reply_line(&Reply::Rejected {
-                            status: "shutting-down".to_string(),
-                        }),
-                    )
-                    .is_err()
-                    {
-                        return;
-                    }
-                }
+                Admission::Overloaded { .. } => write_reply(stream, &rejected("overloaded")),
+                Admission::ShuttingDown => write_reply(stream, &rejected("shutting-down")),
                 Admission::Accepted { id, total, events } => {
-                    if write_line(stream, &reply_line(&Reply::Accepted { id, total })).is_err() {
-                        server.cancel(id);
-                        return;
-                    }
-                    for ev in events {
-                        let (line, done) = match ev {
-                            Event::Cell(p) => (reply_line(&Reply::Cell(p)), false),
-                            Event::Done(rep) => (reply_line(&Reply::Done(rep)), true),
-                        };
-                        if write_line(stream, &line).is_err() {
+                    let mut batch = String::new();
+                    push_reply(&mut batch, &Reply::Accepted { id, total });
+                    let mut done = false;
+                    loop {
+                        if !done {
+                            for ev in events.try_iter() {
+                                done = push_event(&mut batch, ev);
+                                if done {
+                                    break;
+                                }
+                            }
+                        }
+                        if write_batch(stream, &mut batch).is_err() {
                             server.cancel(id);
                             return;
                         }
                         if done {
                             break;
                         }
+                        // Block for the next event; it opens the next batch.
+                        match events.recv() {
+                            Ok(ev) => done = push_event(&mut batch, ev),
+                            Err(_) => break,
+                        }
                     }
+                    Ok(())
                 }
             },
+        };
+        if written.is_err() {
+            return;
         }
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::analysis;
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
+use crate::deferred::{self, DeferralSummary};
 use crate::transform;
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
 use oscache_trace::ChunkedTrace;
@@ -208,13 +209,24 @@ pub fn prepare_cell(
 /// `Vec<Event>`. The plans themselves ([`transform::false_sharing_plan`]
 /// etc.) read only the metadata.
 pub fn analyze_cell(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
+    analyze_cell_with(trace, spec, None)
+}
+
+/// [`analyze_cell`], with the trace's deferral summary already computed
+/// (the runner's cache computes it once per base trace).
+pub(crate) fn analyze_cell_with(
+    trace: &ChunkedTrace,
+    spec: SystemSpec,
+    deferral: Option<&DeferralSummary>,
+) -> AnalyzedCell {
     let mut update_pages = PageSet::new();
     let mut owned: Option<ChunkedTrace> = None;
 
     if spec.deferred_copy {
-        owned = Some(crate::deferred::apply_deferred_copy(
-            owned.as_ref().unwrap_or(trace),
-        ));
+        owned = Some(match deferral {
+            Some(summary) => deferred::rewrite(trace, summary),
+            None => deferred::apply_deferred_copy(trace),
+        });
     }
 
     if spec.page_coloring {

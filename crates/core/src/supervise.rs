@@ -1342,12 +1342,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (keys and cell tags are ASCII,
-                // but stay correct for arbitrary strings).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run up to the next quote or backslash,
+                // validating it once: both delimiters are ASCII, so a run
+                // never splits a multibyte scalar, and the parse stays
+                // linear in the line's length.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .ok_or("unterminated string")?;
+                let text = std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -1436,6 +1441,38 @@ mod tests {
         let err = Json::parse(&nested(33)).unwrap_err();
         assert!(err.contains("nesting deeper than 32"), "{err}");
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_is_an_error() {
+        let mut pos = 0;
+        assert!(parse_string(b"\"ok \xff\xfe bad\"", &mut pos).is_err());
+        let mut pos = 0;
+        assert!(parse_string(b"\"cut \xe2\x82\"", &mut pos).is_err());
+        let mut pos = 0;
+        assert_eq!(parse_string(b"\"caf\xc3\xa9\"", &mut pos).unwrap(), "café");
+        assert_eq!(pos, 7);
+        let mut pos = 0;
+        assert!(parse_string(b"\"no end", &mut pos).is_err());
+        let mut pos = 0;
+        assert!(parse_string(br#""bad \q escape""#, &mut pos).is_err());
+    }
+
+    #[test]
+    fn journal_record_round_trips_multibyte_keys_and_escapes() {
+        let rec = JournalRecord {
+            digest: 42,
+            key: "Shell/Base \"ü\"\\Ωπ\t😀\n/x".to_string(),
+            attempt: 1,
+            ms: 2.5,
+            stats: SimStats::default(),
+        };
+        let mut s = String::new();
+        write_record(&rec, &mut s);
+        let back = parse_record(s.trim_end()).expect("record parses");
+        assert_eq!(back.key, rec.key);
+        assert_eq!(back.digest, 42);
+        assert_eq!(back.attempt, 1);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! request.
 
 use oscache_core::service::{
-    parse_reply, parse_request, reply_line, run_request_line, Admission, CellProgress, Event,
-    Reply, RequestReport, RunRequest, Server, ServiceConfig, ServiceStats, WireRequest,
+    handle_connection, parse_reply, parse_request, reply_line, run_request_line, Admission,
+    CellProgress, Event, Reply, RequestReport, RunRequest, Server, ServiceConfig, ServiceStats,
+    WireRequest,
 };
 use oscache_core::{render_experiment, Experiment, Journal, JournalHeader, Repro, RunPolicy};
 use oscache_workloads::BuildOptions;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 
 const SCALE: f64 = 0.02;
 
@@ -316,5 +318,224 @@ fn wire_protocol_round_trips_requests_and_replies() {
     {
         Reply::Rejected { status } => assert_eq!(status, "overloaded"),
         _ => panic!("expected rejection"),
+    }
+}
+
+/// A server whose journal already holds every cell of [`EXPERIMENTS`]
+/// (one request ran them), plus the journal's path for cleanup.
+fn journaled_server(name: &str, jobs: usize) -> (Server, PathBuf) {
+    let path = tmp_path(name);
+    let _ = std::fs::remove_file(&path);
+    let opts = BuildOptions {
+        scale: SCALE,
+        ..Default::default()
+    };
+    let journal = Journal::create(&path, JournalHeader::new(&opts)).expect("create journal");
+    let server = Server::start(config(jobs), Some(journal));
+    let rep = collect(server.submit(request("seeder", None)));
+    assert!(rep.complete() && rep.journal_hits == 0);
+    (server, path)
+}
+
+/// Every event already waiting on an admitted request's stream, without
+/// blocking.
+fn waiting(adm: &Admission) -> Vec<Event> {
+    match adm {
+        Admission::Accepted { events, .. } => events.try_iter().collect(),
+        _ => panic!("expected admission"),
+    }
+}
+
+#[test]
+fn a_journaled_request_is_answered_at_admission_while_the_worker_is_busy() {
+    let (server, path) = journaled_server("admit-busy", 1);
+    // An uncached sweep occupies the one worker and queues the rest.
+    let sweep = server.submit(RunRequest {
+        client: "sweeper".to_string(),
+        experiments: vec![Experiment::Fig6],
+        deadline_ms: None,
+    });
+    assert!(matches!(sweep, Admission::Accepted { .. }));
+    let before = server.stats();
+    // The journaled request needs no worker: its whole event stream is
+    // waiting when `submit` returns.
+    let adm = server.submit(request("reader", None));
+    let events = waiting(&adm);
+    assert_eq!(events.len(), 5, "4 cell events and the Done");
+    let Some(Event::Done(rep)) = events.last() else {
+        panic!("the last waiting event must be Done");
+    };
+    assert!(rep.complete());
+    assert_eq!(rep.journal_hits, 4);
+    assert_eq!(rep.report, reference());
+    let st = server.stats();
+    assert!(st.queued_cells > 0, "the sweep is still queued");
+    assert_eq!(st.journal_replays - before.journal_replays, 4);
+    drop(sweep);
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_partially_journaled_request_dispatches_only_the_rest() {
+    let (server, path) = journaled_server("admit-partial", 2);
+    // Table 4 needs the four journaled Base cells and four Base+Deferred
+    // cells nobody ran yet.
+    let adm = server.submit(RunRequest {
+        client: "partial".to_string(),
+        experiments: vec![Experiment::Table4],
+        deadline_ms: None,
+    });
+    let Admission::Accepted { total, events, .. } = adm else {
+        panic!("expected admission");
+    };
+    assert_eq!(total, 8);
+    let mut cells = Vec::new();
+    let rep = loop {
+        match events.recv().expect("stream ends with Done") {
+            Event::Cell(p) => cells.push(p),
+            Event::Done(rep) => break rep,
+        }
+    };
+    assert_eq!(cells.len(), 8, "one progress event per cell");
+    assert!(
+        cells[..4].iter().all(|p| p.journaled && p.ok),
+        "journaled cells are answered first, at admission"
+    );
+    assert!(cells[4..].iter().all(|p| !p.journaled && p.ok));
+    assert!(rep.complete());
+    assert_eq!(rep.journal_hits, 4, "exactly the pre-journaled cells");
+    let mut r = Repro::new(SCALE);
+    assert_eq!(rep.report, render_experiment(&mut r, Experiment::Table4));
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_draining_daemon_rejects_even_a_fully_journaled_request() {
+    let (server, path) = journaled_server("admit-drain", 1);
+    server.shutdown();
+    assert!(matches!(
+        server.submit(request("late", None)),
+        Admission::ShuttingDown
+    ));
+    assert_eq!(server.stats().rejected_shutdown, 1);
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn without_a_journal_simulated_results_answer_at_admission() {
+    let server = Server::start(config(2), None);
+    assert!(collect(server.submit(request("first", None))).complete());
+    let adm = server.submit(request("second", None));
+    let events = waiting(&adm);
+    let Some(Event::Done(rep)) = events.last() else {
+        panic!("a request the results cache answers finalizes at admission");
+    };
+    assert!(rep.complete());
+    assert_eq!(rep.journal_hits, 0, "no journal, no journal hits");
+    assert_eq!(rep.report, reference());
+    assert_eq!(server.stats().cells_completed, 8);
+    server.stop();
+}
+
+/// An in-memory connection: one request line in, every `write` counted.
+struct CountingStream {
+    input: std::io::Cursor<Vec<u8>>,
+    output: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Read for CountingStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl std::io::Write for CountingStream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.output.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_journaled_request_is_answered_in_one_write_batch() {
+    let (server, path) = journaled_server("admit-writes", 1);
+    let mut stream = CountingStream {
+        input: std::io::Cursor::new((run_request_line(&request("wire", None)) + "\n").into_bytes()),
+        output: Vec::new(),
+        writes: 0,
+    };
+    handle_connection(&server, &mut stream, &AtomicBool::new(false));
+    assert!(stream.writes <= 2, "{} writes", stream.writes);
+    let text = String::from_utf8(stream.output).expect("utf-8 replies");
+    let replies: Vec<Reply> = text
+        .lines()
+        .map(|l| parse_reply(l).expect("reply parses"))
+        .collect();
+    assert_eq!(replies.len(), 6, "accepted, 4 cells, done");
+    assert!(matches!(replies[0], Reply::Accepted { total: 4, .. }));
+    match &replies[5] {
+        Reply::Done(rep) => {
+            assert_eq!(rep.journal_hits, 4);
+            assert_eq!(rep.report, reference());
+        }
+        _ => panic!("expected done last"),
+    }
+    server.stop();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_half_megabyte_request_string_parses_in_linear_time() {
+    let client = "é".repeat(256 * 1024); // 512 KiB of two-byte scalars
+    let line = run_request_line(&RunRequest {
+        client: client.clone(),
+        experiments: vec![Experiment::Table1],
+        deadline_ms: None,
+    });
+    let t0 = std::time::Instant::now();
+    let parsed = parse_request(&line).expect("parses");
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "parse took {elapsed:?}"
+    );
+    match parsed {
+        WireRequest::Run(r) => assert_eq!(r.client, client),
+        _ => panic!("expected a run request"),
+    }
+}
+
+#[test]
+fn multibyte_text_and_escapes_survive_the_wire() {
+    let text = "Ω≈ç√ 漢字 😀 \"q\" \\b\\ \t tab \u{1} ctl\nnext\r\n";
+    let rep = RequestReport {
+        id: 1,
+        total: 1,
+        completed: 1,
+        report: text.to_string(),
+        skipped: vec![format!("{text}/skipped")],
+        failures: vec!["Ünïcødé/Base: timeout".to_string()],
+        ..Default::default()
+    };
+    match parse_reply(&reply_line(&Reply::Done(rep.clone()))).expect("done parses") {
+        Reply::Done(r) => {
+            assert_eq!(r.report, rep.report);
+            assert_eq!(r.skipped, rep.skipped);
+            assert_eq!(r.failures, rep.failures);
+        }
+        _ => panic!("expected done"),
+    }
+    match parse_reply(&reply_line(&Reply::Error(text.to_string()))).expect("error parses") {
+        Reply::Error(msg) => assert_eq!(msg, text),
+        _ => panic!("expected error"),
     }
 }
