@@ -13,7 +13,7 @@
 //! machine-readable `BENCH_repro.json` with per-cell timings.
 
 use oscache_bench::gate;
-use oscache_core::service::{self, RunRequest, Server, ServiceConfig};
+use oscache_core::service::{self, peak_rss_mb, RunRequest, Server, ServiceConfig};
 use oscache_core::supervise::{Journal, JournalError, JournalHeader};
 use oscache_core::{
     render_experiment, CellFailure, Escalation, Experiment, FailureCause, Repro, RunPolicy,
@@ -83,17 +83,6 @@ const SMOKE_SPILL_BUDGET_MB: u64 = 64;
 fn fail(class: &str, msg: &str, code: i32) -> ! {
     eprintln!("error: class={class} msg={msg:?}");
     std::process::exit(code);
-}
-
-/// The process's peak resident set size in MB, from `/proc/self/status`
-/// `VmHWM` (the kernel's high-water mark — monotone, so reading it after
-/// a phase bounds that phase's true footprint from above). `None` where
-/// the proc file is unavailable (non-Linux).
-fn peak_rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
 }
 
 /// The supervision options (DESIGN.md §13) shared by the experiment and

@@ -11,8 +11,6 @@ use crate::runner::{
 };
 use crate::sim::RunResult;
 use crate::supervise::{CellFailure, Journal, Overrun, RunPolicy};
-use oscache_memsys::CancelToken;
-use oscache_trace::ChunkedTrace;
 use oscache_workloads::{BuildOptions, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -172,11 +170,6 @@ impl Repro {
         &self.timings
     }
 
-    /// The (cached, shared) chunked trace of a workload.
-    pub fn trace_chunked(&mut self, w: Workload) -> Arc<ChunkedTrace> {
-        self.cache.base_chunked(w, self.build_options())
-    }
-
     /// Runs every cell the given experiments need, in parallel across
     /// `jobs` workers, so the subsequent table/figure calls are pure cache
     /// hits. Cells already simulated are not rerun. Under the
@@ -199,7 +192,6 @@ impl Repro {
             self.jobs,
             policy,
             journal,
-            &CancelToken::none(),
         );
         let mut stats = SupervisedWarmStats {
             jobs: report.jobs,
@@ -828,9 +820,4 @@ impl std::fmt::Display for Headline {
                 .join(" ")
         )
     }
-}
-
-/// Convenience: the paper's workload labels.
-pub fn workload_labels() -> [&'static str; 4] {
-    paperref::WORKLOADS
 }

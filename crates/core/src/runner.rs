@@ -8,10 +8,10 @@
 //!
 //! * [`TraceCache`]: builds each calibrated workload trace exactly once
 //!   per [`TraceBuildKey`] `(workload, scale, seed, n_cpus)` and shares it
-//!   immutably via [`Arc`]; transform-derived traces (privatize/relocate/
-//!   coloring rewrites) are cached per analysis, and prepared cells (the
-//!   working trace plus a hot-spot cell's prefetch selection) per
-//!   [`CellFingerprint`].
+//!   immutably via [`Arc`]; the geometry-independent analysis of each
+//!   working trace is computed once per `(trace build, AnalysisPrefix)`,
+//!   and a cell whose [`CellFingerprint`] recurs in a fan-out waits for
+//!   the one in-flight result instead of simulating again.
 //! * [`run_cells_supervised`]: a dependency-free fan-out over a work queue
 //!   (`std::thread::scope`, worker count from [`default_jobs`] or an
 //!   explicit `--jobs N`) that schedules whole cells onto workers and
@@ -35,10 +35,10 @@ use crate::deferred::{self, DeferralSummary};
 use crate::experiments::{figure6_sweep, figure7_sweep};
 use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
-    fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, OnceSlot, Overrun,
-    RunPolicy, Watchdog,
+    fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, Overrun, RunPolicy,
+    Watchdog,
 };
-use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError, SimStats};
+use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError, SimErrorKind, SimStats};
 use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
 use oscache_workloads::{
     build_chunked, build_chunked_shared, build_chunked_spilled, BuildOptions, TraceBuildKey,
@@ -48,7 +48,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The default worker count: every hardware thread the OS grants us (the
@@ -264,45 +264,97 @@ pub struct BuildTiming {
     pub events: u64,
 }
 
+/// Write-once values keyed by `K`: one std [`OnceLock`] per key, so each
+/// value is built once and concurrent requesters block on the single
+/// builder. A builder that panics leaves its slot empty and the panic
+/// unwinds to its own caller; a blocked requester then runs its own
+/// builder (DESIGN.md §13.1).
+struct Memo<K, V>(Mutex<HashMap<K, Arc<OnceLock<V>>>>);
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo(Mutex::default())
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// The value for `key`, running `build` if no requester has yet.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
+        let slot = lock_tolerant(&self.0).entry(key).or_default().clone();
+        slot.get_or_init(build).clone()
+    }
+
+    /// Number of keys requested so far.
+    fn len(&self) -> usize {
+        lock_tolerant(&self.0).len()
+    }
+}
+
+/// How often a cell waiting on a duplicate's in-flight result polls its
+/// own [`CancelToken`].
+const RESULT_POLL: Duration = Duration::from_millis(10);
+
+/// What [`TraceCache::claim_result`] hands a cell with a recurring
+/// fingerprint.
+enum SharedResult<'a> {
+    /// Another cell with the same fingerprint already simulated.
+    Ready(RunResult),
+    /// No cell holds the fingerprint: the caller simulates it and
+    /// publishes through [`TraceCache::store_result`]. Dropping the claim
+    /// without publishing (failure, panic, cancellation) empties the slot
+    /// so a waiter runs the cell itself.
+    Claimed(ResultClaim<'a>),
+}
+
+/// An in-flight result slot held by the cell simulating it.
+struct ResultClaim<'a> {
+    cache: &'a TraceCache,
+    fp: CellFingerprint,
+}
+
+impl Drop for ResultClaim<'_> {
+    fn drop(&mut self) {
+        let mut results = lock_tolerant(&self.cache.results);
+        if matches!(results.get(&self.fp), Some(None)) {
+            results.remove(&self.fp);
+        }
+        self.cache.result_settled.notify_all();
+    }
+}
+
 /// Builds and shares workload traces across threads.
 ///
-/// Base traces are built at most once per key: concurrent requests for the
-/// same key block until the single builder finishes.
-/// The geometry-independent analysis of each working trace (sharing
-/// profile, privatization/relocation/update planning, and the fused
-/// rewrite — [`sim::analyze_cell`]) is likewise computed once per
-/// `(trace build, AnalysisPrefix)` and shared by every geometry and every
-/// spec with the same prefix. Prepared cells are cached per fingerprint
-/// with a first-writer-wins map — every writer computes the same value,
-/// so which one lands is unobservable.
+/// Every write-once value is a std `OnceLock` slot: base traces per
+/// [`TraceBuildKey`], deferral summaries per base trace, and the
+/// geometry-independent analysis of each working trace (sharing profile,
+/// privatization/relocation/update planning, and the fused rewrite —
+/// [`sim::analyze_cell`]) per `(trace build, AnalysisPrefix)`, shared by
+/// every geometry and every spec with the same prefix. Concurrent
+/// requests for one key block until the single builder finishes.
 ///
-/// Prepared cells are held *weakly*: each is consumed by exactly one
-/// simulation unless the same fingerprint appears twice in a run, so
-/// there is nothing to gain from pinning it for the whole run (DESIGN.md
-/// §12.3). Cells whose fingerprint *does*
-/// recur within one [`run_cells_supervised`] fan-out are deduplicated at the result
-/// level instead ([`TraceCache::shared_result`]), which is strictly
-/// cheaper than re-simulating and keeps only kilobytes of counters alive.
+/// Prepared cells are not memoized: a [`PreparedCell`] is the shared
+/// analysis plus a hot-site list, cheap to derive and consumed by one
+/// simulation (DESIGN.md §12.3). Cells whose fingerprint recurs within
+/// one fan-out share the *result* instead: the first claims the
+/// fingerprint's in-flight slot, and the others wait for its result
+/// rather than preparing and simulating again.
 ///
-/// The cache is **panic-tolerant** (DESIGN.md §13.1): write-once slots are
-/// [`OnceSlot`]s, which reset to empty when a builder panics instead of
-/// poisoning like `std::sync::OnceLock` (one crashed trace build would
-/// otherwise wedge every later cell needing that trace), and every lock is
-/// taken poison-tolerantly — all guarded state is write-once or
+/// The cache is **panic-tolerant** (DESIGN.md §13.1): a panicking builder
+/// or simulation leaves its slot empty for the next requester, and every
+/// lock is taken poison-tolerantly — all guarded state is write-once or
 /// append-only, so a panicked holder cannot leave it inconsistent.
 #[derive(Default)]
 pub struct TraceCache {
-    base: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<ChunkedTrace>>>>>,
-    analyzed: Mutex<AnalysisMap>,
-    deferral: Mutex<HashMap<TraceBuildKey, Arc<OnceSlot<Arc<DeferralSummary>>>>>,
-    prepared: Mutex<HashMap<CellFingerprint, Weak<PreparedCell>>>,
-    results: Mutex<HashMap<CellFingerprint, RunResult>>,
+    base: Memo<TraceBuildKey, Arc<ChunkedTrace>>,
+    analyzed: Memo<(TraceBuildKey, AnalysisPrefix), Arc<AnalyzedCell>>,
+    deferral: Memo<TraceBuildKey, Arc<DeferralSummary>>,
+    /// Results of recurring fingerprints; `None` while a cell runs it.
+    results: Mutex<HashMap<CellFingerprint, Option<RunResult>>>,
+    /// Signalled whenever a result slot is filled or abandoned.
+    result_settled: Condvar,
     builds: Mutex<Vec<BuildTiming>>,
     spill: Mutex<Option<Arc<SpillConfig>>>,
 }
-
-/// Write-once analysis slots keyed by base trace and spec prefix.
-type AnalysisMap = HashMap<(TraceBuildKey, AnalysisPrefix), Arc<OnceSlot<Arc<AnalyzedCell>>>>;
 
 impl TraceCache {
     /// An empty cache.
@@ -336,18 +388,58 @@ impl TraceCache {
     }
 
     /// The cached final result for `fp`, if a cell with this fingerprint
-    /// already simulated in this process. Only fingerprints flagged as
-    /// recurring by [`run_cells_supervised`] are ever stored.
+    /// already simulated in this process. Never blocks: a result still in
+    /// flight reads as `None`. Only fingerprints flagged as recurring by
+    /// [`run_cells_supervised`] are ever stored.
     pub fn shared_result(&self, fp: &CellFingerprint) -> Option<RunResult> {
-        lock_tolerant(&self.results).get(fp).cloned()
+        lock_tolerant(&self.results).get(fp).cloned().flatten()
     }
 
-    /// Stores `result` for reuse by later cells with the same fingerprint.
-    /// First writer wins; every writer computes an identical result
-    /// (simulation is deterministic in the fingerprint), so which one
-    /// lands is unobservable.
+    /// Stores `result` for reuse by later cells with the same fingerprint
+    /// and wakes the cells waiting for it. First writer wins; every writer
+    /// computes an identical result (simulation is deterministic in the
+    /// fingerprint), so which one lands is unobservable.
     pub fn store_result(&self, fp: CellFingerprint, result: RunResult) {
-        lock_tolerant(&self.results).entry(fp).or_insert(result);
+        lock_tolerant(&self.results)
+            .entry(fp)
+            .or_default()
+            .get_or_insert(result);
+        self.result_settled.notify_all();
+    }
+
+    /// The result of `fp` if a cell already produced it; else, when
+    /// another cell is producing it, waits for that result, polling
+    /// `cancel`; else claims the fingerprint for the caller to run.
+    fn claim_result(
+        &self,
+        fp: CellFingerprint,
+        cancel: &CancelToken,
+    ) -> Result<SharedResult<'_>, SimError> {
+        let mut results = lock_tolerant(&self.results);
+        loop {
+            match results.get(&fp) {
+                Some(Some(r)) => return Ok(SharedResult::Ready(r.clone())),
+                Some(None) if cancel.is_cancelled() => {
+                    return Err(SimError {
+                        cycle: 0,
+                        cpu: None,
+                        line: None,
+                        kind: SimErrorKind::Cancelled { step: 0 },
+                    })
+                }
+                Some(None) => {
+                    results = self
+                        .result_settled
+                        .wait_timeout(results, RESULT_POLL)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+                None => {
+                    results.insert(fp, None);
+                    return Ok(SharedResult::Claimed(ResultClaim { cache: self, fp }));
+                }
+            }
+        }
     }
 
     /// The (shared) chunked base trace of `workload` under `opts`, built
@@ -355,11 +447,7 @@ impl TraceCache {
     /// materialized `Vec<Event>` per CPU ever exists.
     pub fn base_chunked(&self, workload: Workload, opts: BuildOptions) -> Arc<ChunkedTrace> {
         let key = opts.key(workload);
-        let slot = {
-            let mut map = lock_tolerant(&self.base);
-            map.entry(key).or_default().clone()
-        };
-        slot.get_or_build(|| {
+        self.base.get_or_build(key, || {
             let t0 = Instant::now();
             let trace = match self.spill_config() {
                 Some(cfg) => build_base_governed(workload, opts, key, &cfg),
@@ -374,44 +462,22 @@ impl TraceCache {
         })
     }
 
-    /// The prepared (transform-applied) input for `fp`, derived from
-    /// `base` on first use, plus the wall-clock phase breakdown of what
-    /// this call actually computed (`cached: true` and all-zero phases on
-    /// a whole-fingerprint hit). `cancel` reaches the profiling replay; a
-    /// cancelled preparation caches nothing — the next requester simply
-    /// redoes the work.
+    /// The prepared (transform-applied) input for `fp`: the shared
+    /// analysis of its base trace and spec prefix plus the cell's own
+    /// hot-spot selection, with the wall-clock phase breakdown of what
+    /// this call computed. `cancel` reaches the profiling replay.
+    /// Nothing here is memoized beyond the analysis.
     pub fn prepared_chunked_cancellable(
         &self,
         base: &ChunkedTrace,
         fp: CellFingerprint,
         cancel: &CancelToken,
     ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
-        if let Some(p) = lock_tolerant(&self.prepared)
-            .get(&fp)
-            .and_then(Weak::upgrade)
-        {
-            return Ok((
-                p,
-                PrepPhases {
-                    cached: true,
-                    ..PrepPhases::default()
-                },
-            ));
-        }
-        let analyzed = self.analyzed_for(base, fp);
-        let (built, mut phases) =
-            sim::prepare_from_analysis(base, &analyzed.0, fp.spec, fp.geometry, fp.audit, cancel)?;
-        phases.analyze_ms = analyzed.1;
-        let built = Arc::new(built);
-        // First live writer wins, so concurrent preparers agree.
-        let mut map = lock_tolerant(&self.prepared);
-        Ok(match map.get(&fp).and_then(Weak::upgrade) {
-            Some(existing) => (existing, phases),
-            None => {
-                map.insert(fp, Arc::downgrade(&built));
-                (built, phases)
-            }
-        })
+        let (analyzed, analyze_ms) = self.analyzed_for(base, fp);
+        let (prepared, mut phases) =
+            sim::prepare_from_analysis(base, &analyzed, fp.spec, fp.geometry, fp.audit, cancel)?;
+        phases.analyze_ms = analyze_ms;
+        Ok((Arc::new(prepared), phases))
     }
 
     /// The shared geometry-independent analysis for `fp`'s base trace and
@@ -421,12 +487,8 @@ impl TraceCache {
     /// governor before it is shared.
     fn analyzed_for(&self, base: &ChunkedTrace, fp: CellFingerprint) -> (Arc<AnalyzedCell>, f64) {
         let key = (fp.base, AnalysisPrefix::of(fp.spec));
-        let slot = {
-            let mut map = lock_tolerant(&self.analyzed);
-            map.entry(key).or_default().clone()
-        };
         let mut analyze_ms = 0.0;
-        let analyzed = slot.get_or_build(|| {
+        let analyzed = self.analyzed.get_or_build(key, || {
             let t0 = Instant::now();
             let deferral = fp
                 .spec
@@ -452,11 +514,8 @@ impl TraceCache {
 
     /// [`TraceCache::deferral`] for the base trace `base` built under `key`.
     fn deferral_of(&self, key: TraceBuildKey, base: &ChunkedTrace) -> Arc<DeferralSummary> {
-        let slot = lock_tolerant(&self.deferral)
-            .entry(key)
-            .or_default()
-            .clone();
-        slot.get_or_build(|| Arc::new(deferred::summarize(base)))
+        self.deferral
+            .get_or_build(key, || Arc::new(deferred::summarize(base)))
     }
 
     /// Timings of every base-trace build so far, in build order.
@@ -466,17 +525,12 @@ impl TraceCache {
 
     /// Number of distinct base traces built.
     pub fn base_len(&self) -> usize {
-        lock_tolerant(&self.base).len()
-    }
-
-    /// Number of distinct prepared cells cached.
-    pub fn prepared_len(&self) -> usize {
-        lock_tolerant(&self.prepared).len()
+        self.base.len()
     }
 
     /// Number of distinct geometry-independent analyses cached.
     pub fn analyzed_len(&self) -> usize {
-        lock_tolerant(&self.analyzed).len()
+        self.analyzed.len()
     }
 }
 
@@ -597,13 +651,13 @@ pub struct CellOutcome {
     /// building) the base trace.
     pub build_ms: f64,
     /// Milliseconds in the software passes, including the hot-spot
-    /// profiling simulation; near-zero on a prepared-cache hit.
+    /// profiling simulation; zero for a reused result.
     pub prepare_ms: f64,
-    /// Milliseconds in the final machine run (near-zero when the result
-    /// was reused from an identical-fingerprint cell that already ran).
+    /// Milliseconds in the final machine run (for a result reused from an
+    /// identical-fingerprint cell, the time spent waiting for that run).
     pub sim_ms: f64,
     /// Breakdown of `prepare_ms` by phase (analysis / profiling replay /
-    /// prefetch selection), with `cached: true` on a whole-fingerprint hit.
+    /// prefetch selection), with `cached: true` on a reused result.
     pub phases: PrepPhases,
     /// Milliseconds of `sim_ms` the final machine run spent in
     /// *synchronous* chunk decode (the stall decode-ahead hides; zero on
@@ -653,9 +707,11 @@ pub fn run_cell(
 /// [`run_cell`], with the cell's fingerprint precomputed by the caller
 /// (the fan-out computes it exactly once per cell) and result sharing for
 /// fingerprints known to recur in the current fan-out: the first such
-/// cell simulates and publishes its result, later ones reuse it
-/// (identical by determinism) without re-preparing or re-simulating.
-/// `cancel` reaches both machine runs (profiling replay and final run).
+/// cell claims the fingerprint, simulates and publishes its result; the
+/// others wait for it (identical by determinism) without preparing or
+/// simulating, and run the cell themselves only if the claimant fails.
+/// `cancel` reaches the wait and both machine runs (profiling replay and
+/// final run).
 ///
 /// Every stage — generation, the software passes, and the final machine
 /// run — consumes and produces the columnar chunked representation, so no
@@ -669,36 +725,29 @@ fn run_cell_inner(
     cancel: &CancelToken,
 ) -> Result<CellOutcome, SimError> {
     let t0 = Instant::now();
+    // Held until this cell publishes its result (or fails, and the slot
+    // empties for a waiter to take over).
+    let _claim = if share_result {
+        match cache.claim_result(fp, cancel)? {
+            SharedResult::Ready(result) => {
+                let ms = 1e3 * t0.elapsed().as_secs_f64();
+                return Ok(CellOutcome {
+                    ms,
+                    sim_ms: ms,
+                    ..resolved_outcome(cell, result.stats, false)
+                });
+            }
+            SharedResult::Claimed(claim) => Some(claim),
+        }
+    } else {
+        None
+    };
     let spill0 = cache
         .spill_config()
         .map(|c| (c.budget.spilled_bytes(), c.budget.spill_ms()));
     let base = cache.base_chunked(cell.workload, opts);
     check_budget(cache)?;
     let built = Instant::now();
-    if share_result {
-        if let Some(result) = cache.shared_result(&fp) {
-            let done = Instant::now();
-            return Ok(CellOutcome {
-                cell: cell.clone(),
-                result,
-                ms: 1e3 * (done - t0).as_secs_f64(),
-                build_ms: 1e3 * (built - t0).as_secs_f64(),
-                prepare_ms: 0.0,
-                sim_ms: 1e3 * (done - built).as_secs_f64(),
-                phases: PrepPhases {
-                    cached: true,
-                    ..PrepPhases::default()
-                },
-                decode_ms: 0.0,
-                prefetch_hits: 0,
-                spilled_mb: 0.0,
-                spill_ms: 0.0,
-                sched_order: 0,
-                attempt: 0,
-                journaled: false,
-            });
-        }
-    }
     let (prepared, phases) = cache.prepared_chunked_cancellable(&base, fp, cancel)?;
     check_budget(cache)?;
     let prep = Instant::now();
@@ -807,15 +856,7 @@ pub fn run_cells_supervised(
     journal: Option<&Journal>,
 ) -> SupervisedReport {
     let plan = RequestPlan::from_cells(cells, opts);
-    run_plan_supervised(
-        cache,
-        opts,
-        &plan,
-        jobs,
-        policy,
-        journal,
-        &CancelToken::none(),
-    )
+    run_plan_supervised(cache, opts, &plan, jobs, policy, journal)
 }
 
 /// Static cost estimate of one cell, in arbitrary units (DESIGN.md §17).
@@ -880,12 +921,9 @@ pub fn dispatch_order(cells: &[PlannedCell], scale: f64) -> Vec<usize> {
     order
 }
 
-/// [`run_cells_supervised`] over a pre-built [`RequestPlan`], with a
-/// request-level [`CancelToken`]: tripping it makes every still-running
-/// and not-yet-started cell of the fan-out fail as
-/// [`FailureCause::Timeout`] within the machine's polling latency. The
-/// resident service drives this directly; the CLI goes through
-/// [`run_cells_supervised`] with an inert token.
+/// [`run_cells_supervised`] over a pre-built [`RequestPlan`] (what
+/// [`crate::Repro::warm_supervised`] runs). The resident service
+/// schedules plan cells through its own worker pool instead.
 pub fn run_plan_supervised(
     cache: &TraceCache,
     opts: BuildOptions,
@@ -893,7 +931,6 @@ pub fn run_plan_supervised(
     jobs: usize,
     policy: &RunPolicy,
     journal: Option<&Journal>,
-    cancel: &CancelToken,
 ) -> SupervisedReport {
     let t0 = Instant::now();
     let cells = &plan.cells;
@@ -939,7 +976,7 @@ pub fn run_plan_supervised(
                             journal_hits: &journal_hits,
                             journal_errors: &journal_errors,
                             share: recurring.contains(&pc.fingerprint),
-                            cancel,
+                            cancel: &CancelToken::none(),
                         },
                         pc,
                     );
@@ -1312,5 +1349,69 @@ impl Experiment {
             }
         }
         cells
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn memo_builds_once() {
+        let memo = Memo::default();
+        let calls = AtomicUsize::new(0);
+        let a = memo.get_or_build(0, || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            7u64
+        });
+        let b = memo.get_or_build(0, || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            8u64
+        });
+        assert_eq!((a, b), (7, 7));
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn memo_survives_builder_panic() {
+        let memo = Memo::default();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            memo.get_or_build(0, || -> u64 { panic!("builder died") })
+        }));
+        assert!(r.is_err(), "panic must propagate to the builder's caller");
+        // The slot is empty again, not poisoned: the next caller rebuilds.
+        assert_eq!(memo.get_or_build(0, || 42u64), 42);
+    }
+
+    #[test]
+    fn memo_waiter_takes_over_after_panic() {
+        let memo = Memo::default();
+        let builds = AtomicUsize::new(0);
+        let results: Vec<Result<u64, ()>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            memo.get_or_build(0, || {
+                                // The first builder panics; whichever
+                                // waiter takes over succeeds.
+                                if builds.fetch_add(1, Ordering::SeqCst) == 0 {
+                                    panic!("first build fails");
+                                }
+                                11u64
+                            })
+                        }))
+                        .map_err(|_| ())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let ok = results.iter().filter(|r| **r == Ok(11)).count();
+        let failed = results.iter().filter(|r| r.is_err()).count();
+        assert_eq!(failed, 1, "exactly the panicking builder's caller fails");
+        assert_eq!(ok, 3, "every waiter recovers");
+        assert_eq!(memo.get_or_build(0, || 0), 11);
     }
 }

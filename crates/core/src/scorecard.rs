@@ -136,20 +136,18 @@ impl Repro {
         }
 
         // --- Figure 3: the ladder speeds the OS up ----------------------
-        let mut speedups = Vec::new();
         for w in workloads {
             let base = self.os_time(w, System::Base);
             let dma = self.os_time(w, System::BlkDma);
-            let best = self.os_time(w, System::BCPref);
             sc.push(
                 format!("[F3] {w}: Blk_Dma speeds up the OS 11-17%-ish"),
                 1.0 - dma / base,
                 0.14,
                 dma < 0.97 * base,
             );
-            speedups.push(1.0 - best / base);
         }
-        let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
+        let headline = self.headline();
+        let avg = headline.os_speedup;
         sc.push(
             "[§8] average OS speedup ~19%".to_string(),
             avg,
@@ -158,13 +156,7 @@ impl Repro {
         );
 
         // --- Figure 5 / headline: miss elimination ----------------------
-        let mut reductions = Vec::new();
-        for w in workloads {
-            let base = self.os_misses(w, System::Base);
-            let best = self.os_misses(w, System::BCPref);
-            reductions.push(1.0 - best / base);
-        }
-        let avg = reductions.iter().sum::<f64>() / reductions.len() as f64;
+        let avg = headline.miss_reduction;
         sc.push(
             "[§8] ~75% of OS misses eliminated or hidden".to_string(),
             avg,

@@ -225,7 +225,9 @@ pub struct ServiceStats {
     pub trace_builds: usize,
     /// Distinct base traces resident in the cache.
     pub base_traces: usize,
-    /// Distinct prepared (transformed) traces resident in the cache.
+    /// Distinct geometry-independent analyses in the cache
+    /// ([`TraceCache::analyzed_len`]). Prepared cells themselves are not
+    /// cached; the field keeps its wire name `prepared_cells`.
     pub prepared_cells: usize,
     /// The daemon's peak resident set size in MiB (`VmHWM` from
     /// `/proc/self/status`; 0 where /proc is unavailable).
@@ -584,7 +586,7 @@ impl Server {
             draining,
             trace_builds: inner.cache.build_timings().len(),
             base_traces: inner.cache.base_len(),
-            prepared_cells: inner.cache.prepared_len(),
+            prepared_cells: inner.cache.analyzed_len(),
             peak_rss_mb: peak_rss_mb().unwrap_or(0.0),
             spilled_mb: inner.cache.spilled_mb(),
         }
@@ -1322,26 +1324,11 @@ pub fn serve_unix(server: &Server, path: &Path, stop: &AtomicBool) -> std::io::R
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
-    std::thread::scope(|scope| {
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                    scope.spawn(move || {
-                        let mut stream = stream;
-                        handle_connection(server, &mut stream, stop);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => break,
-            }
-        }
-        // Drain before joining the connection threads: their terminal
-        // replies require every admitted request to finalize.
-        server.shutdown();
+    accept_loop(server, stop, || {
+        let (stream, _) = listener.accept()?;
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        Ok(stream)
     });
     let _ = std::fs::remove_file(path);
     Ok(())
@@ -1351,16 +1338,31 @@ pub fn serve_unix(server: &Server, path: &Path, stop: &AtomicBool) -> std::io::R
 pub fn serve_tcp(server: &Server, addr: &str, stop: &AtomicBool) -> std::io::Result<()> {
     let listener = std::net::TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
+    accept_loop(server, stop, || {
+        let (stream, _) = listener.accept()?;
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        Ok(stream)
+    });
+    Ok(())
+}
+
+/// The accept loop of both transports: `accept` polls a non-blocking
+/// listener and hands back a blocking connection whose reads time out,
+/// so its handler observes `stop`. Each connection runs on its own
+/// thread until `stop` is set; the server then drains before the
+/// connection threads are joined, since their terminal replies require
+/// every admitted request to finalize.
+fn accept_loop<S: Read + Write + Send>(
+    server: &Server,
+    stop: &AtomicBool,
+    accept: impl Fn() -> std::io::Result<S>,
+) {
     std::thread::scope(|scope| {
         while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                    scope.spawn(move || {
-                        let mut stream = stream;
-                        handle_connection(server, &mut stream, stop);
-                    });
+            match accept() {
+                Ok(mut stream) => {
+                    scope.spawn(move || handle_connection(server, &mut stream, stop));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(20));
@@ -1370,5 +1372,4 @@ pub fn serve_tcp(server: &Server, addr: &str, stop: &AtomicBool) -> std::io::Res
         }
         server.shutdown();
     });
-    Ok(())
 }

@@ -159,7 +159,8 @@ pub struct PrepPhases {
     /// the analysis's insertion plan on its first use (near-zero after).
     /// No trace is rewritten; the replay merges the plan.
     pub rewrite_ms: f64,
-    /// Whole-fingerprint cache hit: every phase was skipped.
+    /// The cell reused a result (an identical-fingerprint cell's, or a
+    /// journal record): every phase was skipped.
     pub cached: bool,
 }
 

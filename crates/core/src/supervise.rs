@@ -9,7 +9,7 @@
 //!
 //! * [`RunPolicy`] — per-cell panic isolation, bounded retry with
 //!   exponential backoff, an optional soft deadline enforced by a
-//!   [`Watchdog`] thread that *flags* (never kills) overrunning cells, and
+//!   watchdog thread that *flags* (never kills) overrunning cells, and
 //!   a deterministic seeded panic-injection hook
 //!   ([`oscache_memsys::faults::CellFault`]) for exercising all of it.
 //! * [`CellFailure`] — the typed per-cell failure
@@ -50,92 +50,10 @@ pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Poison-proof once slots
-// ---------------------------------------------------------------------------
-
-/// A write-once slot whose builder may panic without wedging waiters.
-///
-/// `std::sync::OnceLock` poisons its internal `Once` when the initializer
-/// panics: every later `get_or_init` on the same slot panics too, so one
-/// crashed trace build would take down every cell that needs that trace.
-/// `OnceSlot` instead resets the slot to *empty* when a builder unwinds —
-/// the panic still propagates to the builder's own cell (where the
-/// supervised runner converts it into a [`CellFailure`]), but the next
-/// cell that needs the value simply retries the build.
-pub(crate) struct OnceSlot<T> {
-    state: Mutex<SlotState<T>>,
-    cv: Condvar,
-}
-
-enum SlotState<T> {
-    Empty,
-    Building,
-    Ready(T),
-}
-
-impl<T: Clone> OnceSlot<T> {
-    /// An empty slot.
-    pub(crate) fn new() -> Self {
-        OnceSlot {
-            state: Mutex::new(SlotState::Empty),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Returns the stored value, running `build` (outside the lock) if the
-    /// slot is empty. Concurrent callers block until the single builder
-    /// finishes; if the builder panics the slot is reset to empty, one
-    /// waiter takes over the build, and the panic unwinds to the original
-    /// caller.
-    pub(crate) fn get_or_build(&self, build: impl FnOnce() -> T) -> T {
-        let mut st = lock_tolerant(&self.state);
-        loop {
-            match &*st {
-                SlotState::Ready(v) => return v.clone(),
-                SlotState::Building => {
-                    st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                }
-                SlotState::Empty => {
-                    *st = SlotState::Building;
-                    drop(st);
-                    // If `build` unwinds, the guard resets the slot to
-                    // Empty and wakes a waiter to retry.
-                    let reset = ResetOnUnwind { slot: self };
-                    let v = build();
-                    std::mem::forget(reset);
-                    let mut st = lock_tolerant(&self.state);
-                    *st = SlotState::Ready(v.clone());
-                    self.cv.notify_all();
-                    return v;
-                }
-            }
-        }
-    }
-}
-
-struct ResetOnUnwind<'a, T> {
-    slot: &'a OnceSlot<T>,
-}
-
-impl<T> Drop for ResetOnUnwind<'_, T> {
-    fn drop(&mut self) {
-        let mut st = lock_tolerant(&self.slot.state);
-        *st = SlotState::Empty;
-        self.slot.cv.notify_all();
-    }
-}
-
-impl<T: Clone> Default for OnceSlot<T> {
-    fn default() -> Self {
-        OnceSlot::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Policy and failures
 // ---------------------------------------------------------------------------
 
-/// What the [`Watchdog`] does to an attempt that outlives the soft
+/// What the watchdog does to an attempt that outlives the soft
 /// deadline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Escalation {
@@ -165,7 +83,7 @@ pub struct RunPolicy {
     /// Base backoff before retry `n`, slept as `backoff_ms << n`
     /// milliseconds (capped at one second). Zero disables sleeping.
     pub backoff_ms: u64,
-    /// Soft per-cell deadline in milliseconds: a [`Watchdog`] thread flags
+    /// Soft per-cell deadline in milliseconds: a watchdog thread flags
     /// attempts that run longer (and, under
     /// [`Escalation::CancelAfterGrace`], cancels them). `None` disables
     /// the watchdog.
@@ -183,15 +101,6 @@ impl RunPolicy {
     /// retried.
     pub fn fail_fast() -> Self {
         RunPolicy::default()
-    }
-
-    /// A policy retrying each failing cell up to `retries` extra times.
-    pub fn with_retries(retries: u32) -> Self {
-        RunPolicy {
-            max_retries: retries,
-            backoff_ms: 25,
-            ..RunPolicy::default()
-        }
     }
 
     /// The watchdog's kill grace period, when escalation requests one.
@@ -888,21 +797,6 @@ fn u64s_from_value(j: &Json) -> Result<Vec<u64>, String> {
     j.arr()?.iter().map(Json::u64).collect()
 }
 
-fn class_index(c: DataClass) -> usize {
-    DataClass::all()
-        .iter()
-        .position(|&x| x == c)
-        .expect("DataClass::all is exhaustive")
-}
-
-fn class_from_name(name: &str) -> Result<DataClass, String> {
-    DataClass::all()
-        .iter()
-        .copied()
-        .find(|c| format!("{c:?}") == name)
-        .ok_or_else(|| format!("unknown data class {name:?}"))
-}
-
 fn write_cpu(c: &CpuStats, out: &mut String) {
     out.push('{');
     let mut first = true;
@@ -965,13 +859,13 @@ fn write_cpu(c: &CpuStats, out: &mut String) {
     field(out, "os_miss_by_class");
     let mut by_class: Vec<(DataClass, u64)> =
         c.os_miss_by_class.iter().map(|(&k, &v)| (k, v)).collect();
-    by_class.sort_by_key(|&(k, _)| class_index(k));
+    by_class.sort_unstable();
     out.push('[');
     for (i, (k, v)) in by_class.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[\"{k:?}\",{v}]"));
+        out.push_str(&format!("[\"{}\",{v}]", k.name()));
     }
     out.push(']');
 
@@ -990,13 +884,13 @@ fn write_cpu(c: &CpuStats, out: &mut String) {
     field(out, "conflict_pairs");
     let mut pairs: Vec<((DataClass, DataClass), u64)> =
         c.conflict_pairs.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_by_key(|&((a, b), _)| (class_index(a), class_index(b)));
+    pairs.sort_unstable();
     out.push('[');
     for (i, ((a, b), v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[\"{a:?}\",\"{b:?}\",{v}]"));
+        out.push_str(&format!("[\"{}\",\"{}\",{v}]", a.name(), b.name()));
     }
     out.push(']');
     out.push('}');
@@ -1044,13 +938,16 @@ fn cpu_from_value(j: &Json) -> Result<CpuStats, String> {
         .try_into()
         .map_err(|v: Vec<u64>| format!("blk_size_buckets needs 3 elements, got {}", v.len()))?;
     c.os_miss_by_site = u64s_from_value(j.field("os_miss_by_site")?)?;
+    let class = |j: &Json| {
+        let name = j.str()?;
+        DataClass::from_name(name).ok_or_else(|| format!("unknown data class {name:?}"))
+    };
     for e in j.field("os_miss_by_class")?.arr()? {
         let pair = e.arr()?;
         if pair.len() != 2 {
             return Err("os_miss_by_class entries are [class, count]".to_string());
         }
-        c.os_miss_by_class
-            .insert(class_from_name(pair[0].str()?)?, pair[1].u64()?);
+        c.os_miss_by_class.insert(class(&pair[0])?, pair[1].u64()?);
     }
     for e in j.field("lock_wait_cycles")?.arr()? {
         let pair = e.arr()?;
@@ -1065,13 +962,8 @@ fn cpu_from_value(j: &Json) -> Result<CpuStats, String> {
         if triple.len() != 3 {
             return Err("conflict_pairs entries are [victim, evictor, count]".to_string());
         }
-        c.conflict_pairs.insert(
-            (
-                class_from_name(triple[0].str()?)?,
-                class_from_name(triple[1].str()?)?,
-            ),
-            triple[2].u64()?,
-        );
+        c.conflict_pairs
+            .insert((class(&triple[0])?, class(&triple[1])?), triple[2].u64()?);
     }
     Ok(c)
 }
@@ -1361,69 +1253,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn once_slot_builds_once() {
-        let slot = OnceSlot::new();
-        let calls = AtomicUsize::new(0);
-        let a = slot.get_or_build(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            7u64
-        });
-        let b = slot.get_or_build(|| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            8u64
-        });
-        assert_eq!((a, b), (7, 7));
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn once_slot_survives_builder_panic() {
-        let slot = OnceSlot::new();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            slot.get_or_build(|| -> u64 { panic!("builder died") })
-        }));
-        assert!(r.is_err(), "panic must propagate to the builder's caller");
-        // The slot is empty again, not poisoned: the next caller rebuilds.
-        assert_eq!(slot.get_or_build(|| 42u64), 42);
-    }
-
-    #[test]
-    fn once_slot_waiter_takes_over_after_panic() {
-        let slot = Arc::new(OnceSlot::new());
-        let builds = Arc::new(AtomicUsize::new(0));
-        let results: Vec<Result<u64, ()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let slot = Arc::clone(&slot);
-                    let builds = Arc::clone(&builds);
-                    s.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            slot.get_or_build(|| {
-                                // The first builder panics; whichever
-                                // waiter takes over succeeds.
-                                if builds.fetch_add(1, Ordering::SeqCst) == 0 {
-                                    panic!("first build fails");
-                                }
-                                11u64
-                            })
-                        }))
-                        .map_err(|_| ())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let ok = results.iter().filter(|r| **r == Ok(11)).count();
-        let failed = results.iter().filter(|r| r.is_err()).count();
-        assert_eq!(failed, 1, "exactly the panicking builder's caller fails");
-        assert_eq!(ok, 3, "every waiter recovers");
-        assert_eq!(slot.get_or_build(|| 0), 11);
-    }
 
     #[test]
     fn json_round_trips_scalars() {

@@ -489,11 +489,6 @@ impl<'a> TransformPipeline<'a> {
         self
     }
 
-    /// True when no stage is enabled (run would copy the trace).
-    pub fn is_identity(&self) -> bool {
-        self.color.is_none() && self.privatize.is_none() && self.reloc.is_none() && !self.escapes
-    }
-
     /// The coloring stage: a pure per-event address map.
     fn apply_color(&self, e: Event) -> Event {
         let Some(map) = &self.color else { return e };

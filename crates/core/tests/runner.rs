@@ -230,24 +230,36 @@ fn prepared(
 }
 
 #[test]
-fn prepared_cells_are_cached_per_fingerprint() {
+fn a_duplicate_cell_waits_for_the_in_flight_result() {
+    // Fig. 6's 32 KB point is the Base machine: a ladder cell and a sweep
+    // cell with one fingerprint. Dispatched together onto two workers,
+    // one simulates and the other is served its result, never preparing
+    // or simulating again.
+    let ladder = Cell::system(Workload::Trfd4, System::Base);
+    let sweep = Cell {
+        tag: "Base@32KB".to_string(),
+        ..ladder.clone()
+    };
+    assert_eq!(ladder.fingerprint(opts()), sweep.fingerprint(opts()));
     let cache = TraceCache::new();
-    let cell = Cell::system(Workload::Trfd4, System::BCohReloc);
-    let base = cache.base_chunked(cell.workload, opts());
-    let (a, pa) = prepared(&cache, &base, cell.fingerprint(opts()));
-    let (b, pb) = prepared(&cache, &base, cell.fingerprint(opts()));
-    assert!(
-        Arc::ptr_eq(&a, &b),
-        "prepared cell rebuilt on second lookup"
+    let rep = run_cells_supervised(
+        &cache,
+        opts(),
+        &[ladder, sweep],
+        2,
+        &RunPolicy::fail_fast(),
+        None,
     );
-    assert!(!pa.cached, "first preparation misreported as a cache hit");
-    assert!(pb.cached, "second lookup did not hit the prepared cache");
-    assert_eq!(cache.prepared_len(), 1);
-    // A different spec gets its own entry.
-    let other = Cell::system(Workload::Trfd4, System::BlkDma);
-    let (c, _) = prepared(&cache, &base, other.fingerprint(opts()));
-    assert!(!Arc::ptr_eq(&a, &c));
-    assert_eq!(cache.prepared_len(), 2);
+    let outcomes: Vec<_> = rep.outcomes.into_iter().map(Result::unwrap).collect();
+    let served = outcomes
+        .iter()
+        .filter(|o| o.phases.cached && o.prepare_ms == 0.0)
+        .count();
+    assert_eq!(
+        served, 1,
+        "exactly one duplicate is served the other's result"
+    );
+    assert_eq!(report(&outcomes[0].result), report(&outcomes[1].result));
 }
 
 #[test]
@@ -273,7 +285,6 @@ fn analysis_is_shared_across_geometries_and_prefix_equal_specs() {
     let (_, p2) = prepared(&cache, &base, wide.fingerprint(opts()));
     let (_, p3) = prepared(&cache, &base, relup.fingerprint(opts()));
     assert_eq!(cache.analyzed_len(), 1, "prefix-equal specs split analyses");
-    assert_eq!(cache.prepared_len(), 3);
     assert!(p1.analyze_ms > 0.0, "first cell did not run the analysis");
     assert_eq!(p2.analyze_ms, 0.0, "second geometry re-ran the analysis");
     assert_eq!(p3.analyze_ms, 0.0, "prefix-equal spec re-ran the analysis");

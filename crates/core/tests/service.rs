@@ -14,6 +14,7 @@ use oscache_core::{render_experiment, Experiment, Journal, JournalHeader, Repro,
 use oscache_workloads::BuildOptions;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 
 const SCALE: f64 = 0.02;
 
@@ -437,6 +438,46 @@ fn without_a_journal_simulated_results_answer_at_admission() {
     assert_eq!(rep.journal_hits, 0, "no journal, no journal hits");
     assert_eq!(rep.report, reference());
     assert_eq!(server.stats().cells_completed, 8);
+    server.stop();
+}
+
+/// How long past its deadline a request may take to fail: the deadline
+/// monitor's wake-up plus one poll of the cancel token by each cell.
+const POLL_GRACE: Duration = Duration::from_millis(500);
+
+#[test]
+fn a_duplicate_cell_waiting_on_another_request_still_meets_its_deadline() {
+    // Five workers: the slow request's four cells take four of them, and
+    // the hurried request's first cell, the duplicate of one of those,
+    // takes the fifth and waits on that in-flight result. The scale keeps
+    // those cells running for several times the deadline in either build
+    // profile.
+    let scale = if cfg!(debug_assertions) { 0.2 } else { 1.0 };
+    let server = Server::start(ServiceConfig { scale, ..config(5) }, None);
+    let slow = server.submit(request("slow", None));
+    while server.stats().queued_cells > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Let the dispatched cells claim their fingerprints.
+    std::thread::sleep(Duration::from_millis(20));
+    let deadline = Duration::from_millis(100);
+    let submitted = Instant::now();
+    let rep = collect(server.submit(request("hurried", Some(deadline.as_millis() as u64))));
+    let answered = submitted.elapsed();
+    assert!(rep.deadline_exceeded, "deadline must be recorded");
+    assert_eq!(rep.completed, 0, "the duplicate outwaited its deadline");
+    assert_eq!(rep.failed, rep.total);
+    for f in &rep.failures {
+        assert!(f.ends_with(": timeout"), "untyped failure: {f}");
+    }
+    assert!(
+        answered < deadline + POLL_GRACE,
+        "a waiting duplicate answered {answered:?} after submission"
+    );
+    assert!(
+        collect(slow).complete(),
+        "the awaited request must complete"
+    );
     server.stop();
 }
 

@@ -130,11 +130,6 @@ impl Kernel {
         }
     }
 
-    /// Increment one of the `vmmeter` event counters.
-    pub fn bump_counter(&self, b: &mut StreamBuilder, counter: usize) {
-        b.rmw(self.layout.counter_addr(counter), DataClass::InfreqCounter);
-    }
-
     /// Read all event counters (the pager's periodic aggregate use, §5.1).
     pub fn read_all_counters(&self, b: &mut StreamBuilder) {
         for k in 0..crate::N_COUNTERS {

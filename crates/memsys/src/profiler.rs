@@ -20,7 +20,7 @@
 //! miss breakdowns (everything lands in `os_miss_other`), cycle buckets,
 //! reference counts, displacement/reuse counters, and block-op probes —
 //! they all read zero. Callers that need them (or any
-//! [`AuditLevel`](crate::AuditLevel) above `Off`, whose step audit expects
+//! [`AuditLevel`] above `Off`, whose step audit expects
 //! the recorded histories) must run the full [`Machine`] instead.
 
 use crate::error::SimError;

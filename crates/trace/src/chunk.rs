@@ -96,31 +96,8 @@ fn read_delta(bytes: &[u8], pos: &mut usize, last: &mut u32) -> Addr {
     Addr(a)
 }
 
-fn class_byte(c: DataClass) -> u8 {
-    match c {
-        DataClass::BarrierVar => 0,
-        DataClass::LockVar => 1,
-        DataClass::InfreqCounter => 2,
-        DataClass::FreqShared => 3,
-        DataClass::Freelist => 4,
-        DataClass::CpiEvents => 5,
-        DataClass::PageTable => 6,
-        DataClass::ProcTable => 7,
-        DataClass::RunQueue => 8,
-        DataClass::SyscallTable => 9,
-        DataClass::TimerStruct => 10,
-        DataClass::BufferCache => 11,
-        DataClass::KernelStack => 12,
-        DataClass::KernelOther => 13,
-        DataClass::PageFrame => 14,
-        DataClass::UserData => 15,
-        DataClass::UserStack => 16,
-    }
-}
-
 fn byte_class(b: u8) -> DataClass {
-    // `class_byte` is the index of the variant in `DataClass::all()`'s
-    // declaration order; the round-trip test pins the agreement.
+    // A class's byte is its discriminant: its index in `DataClass::all()`.
     DataClass::all()[usize::from(b)]
 }
 
@@ -133,17 +110,17 @@ fn encode_event(out: &mut Vec<u8>, last: &mut u32, e: &Event) {
         }
         Event::Read { addr, class } => {
             out.push(TAG_READ);
-            out.push(class_byte(class));
+            out.push(class as u8);
             push_delta(out, last, addr);
         }
         Event::Write { addr, class } => {
             out.push(TAG_WRITE);
-            out.push(class_byte(class));
+            out.push(class as u8);
             push_delta(out, last, addr);
         }
         Event::Prefetch { addr, class } => {
             out.push(TAG_PREFETCH);
-            out.push(class_byte(class));
+            out.push(class as u8);
             push_delta(out, last, addr);
         }
         Event::LockAcquire { lock, addr } => {
@@ -175,8 +152,8 @@ fn encode_event(out: &mut Vec<u8>, last: &mut u32, e: &Event) {
             push_delta(out, last, op.src);
             push_delta(out, last, op.dst);
             push_varint(out, u64::from(op.len));
-            out.push(class_byte(op.src_class));
-            out.push(class_byte(op.dst_class));
+            out.push(op.src_class as u8);
+            out.push(op.dst_class as u8);
         }
         Event::BlockOpEnd => out.push(TAG_BLOCK_END),
         Event::SetMode { mode } => {
@@ -930,9 +907,9 @@ mod tests {
 
     #[test]
     fn class_byte_matches_declaration_order() {
-        for (i, c) in DataClass::all().iter().enumerate() {
-            assert_eq!(usize::from(class_byte(*c)), i);
-            assert_eq!(byte_class(class_byte(*c)), *c);
+        for (i, &c) in DataClass::all().iter().enumerate() {
+            assert_eq!(usize::from(c as u8), i);
+            assert_eq!(byte_class(c as u8), c);
         }
     }
 

@@ -15,8 +15,14 @@ use std::fmt;
 /// tables, the process table, scheduler queues, the system-call table, the
 /// high-resolution timer, and the buffer cache, plus generic kernel/user
 /// data and block-operation payloads.
+///
+/// The discriminant (declaration order, which is also the order of
+/// [`DataClass::all`] and of `Ord`) is the class's byte in encoded trace
+/// chunks; [`DataClass::name`] is its spelling in trace dumps and run
+/// journals.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[non_exhaustive]
+#[repr(u8)]
 pub enum DataClass {
     /// Barrier synchronization variables (gang-scheduling barriers, §5).
     BarrierVar,
@@ -59,6 +65,35 @@ pub enum DataClass {
 }
 
 impl DataClass {
+    /// The class's name: its variant name, as written in trace dumps and
+    /// run journals.
+    pub fn name(self) -> &'static str {
+        match self {
+            DataClass::BarrierVar => "BarrierVar",
+            DataClass::LockVar => "LockVar",
+            DataClass::InfreqCounter => "InfreqCounter",
+            DataClass::FreqShared => "FreqShared",
+            DataClass::Freelist => "Freelist",
+            DataClass::CpiEvents => "CpiEvents",
+            DataClass::PageTable => "PageTable",
+            DataClass::ProcTable => "ProcTable",
+            DataClass::RunQueue => "RunQueue",
+            DataClass::SyscallTable => "SyscallTable",
+            DataClass::TimerStruct => "TimerStruct",
+            DataClass::BufferCache => "BufferCache",
+            DataClass::KernelStack => "KernelStack",
+            DataClass::KernelOther => "KernelOther",
+            DataClass::PageFrame => "PageFrame",
+            DataClass::UserData => "UserData",
+            DataClass::UserStack => "UserStack",
+        }
+    }
+
+    /// The class named `name` ([`DataClass::name`]'s inverse).
+    pub fn from_name(name: &str) -> Option<DataClass> {
+        DataClass::all().iter().copied().find(|c| c.name() == name)
+    }
+
     /// Whether references of this class are operating-system references when
     /// the CPU is in kernel mode. (User classes can also be touched by the
     /// kernel, e.g. `copyout`; OS/user attribution in the simulator is by
@@ -115,7 +150,7 @@ impl DataClass {
 
 impl fmt::Display for DataClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
+        f.write_str(self.name())
     }
 }
 
@@ -212,6 +247,16 @@ mod tests {
             }
         }
         assert_eq!(CoherenceCategory::all().len(), 5);
+    }
+
+    #[test]
+    fn names_round_trip_and_match_debug() {
+        for (i, &c) in DataClass::all().iter().enumerate() {
+            assert_eq!(c as usize, i, "discriminant is the all() index");
+            assert_eq!(c.name(), format!("{c:?}"));
+            assert_eq!(DataClass::from_name(c.name()), Some(c));
+        }
+        assert_eq!(DataClass::from_name("NoSuchClass"), None);
     }
 
     #[test]

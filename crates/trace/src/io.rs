@@ -96,51 +96,6 @@ impl From<TraceError> for ReadTraceError {
     }
 }
 
-fn class_name(c: DataClass) -> &'static str {
-    match c {
-        DataClass::BarrierVar => "BarrierVar",
-        DataClass::LockVar => "LockVar",
-        DataClass::InfreqCounter => "InfreqCounter",
-        DataClass::FreqShared => "FreqShared",
-        DataClass::Freelist => "Freelist",
-        DataClass::CpiEvents => "CpiEvents",
-        DataClass::PageTable => "PageTable",
-        DataClass::ProcTable => "ProcTable",
-        DataClass::RunQueue => "RunQueue",
-        DataClass::SyscallTable => "SyscallTable",
-        DataClass::TimerStruct => "TimerStruct",
-        DataClass::BufferCache => "BufferCache",
-        DataClass::KernelStack => "KernelStack",
-        DataClass::KernelOther => "KernelOther",
-        DataClass::PageFrame => "PageFrame",
-        DataClass::UserData => "UserData",
-        DataClass::UserStack => "UserStack",
-    }
-}
-
-fn parse_class(s: &str) -> Option<DataClass> {
-    Some(match s {
-        "BarrierVar" => DataClass::BarrierVar,
-        "LockVar" => DataClass::LockVar,
-        "InfreqCounter" => DataClass::InfreqCounter,
-        "FreqShared" => DataClass::FreqShared,
-        "Freelist" => DataClass::Freelist,
-        "CpiEvents" => DataClass::CpiEvents,
-        "PageTable" => DataClass::PageTable,
-        "ProcTable" => DataClass::ProcTable,
-        "RunQueue" => DataClass::RunQueue,
-        "SyscallTable" => DataClass::SyscallTable,
-        "TimerStruct" => DataClass::TimerStruct,
-        "BufferCache" => DataClass::BufferCache,
-        "KernelStack" => DataClass::KernelStack,
-        "KernelOther" => DataClass::KernelOther,
-        "PageFrame" => DataClass::PageFrame,
-        "UserData" => DataClass::UserData,
-        "UserStack" => DataClass::UserStack,
-        _ => return None,
-    })
-}
-
 fn role_name(r: VarRole) -> String {
     match r {
         VarRole::Counter => "counter".into(),
@@ -214,7 +169,7 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
             "var {:x} {} {} {} {} {}",
             v.addr.0,
             v.size,
-            class_name(v.class),
+            v.class.name(),
             role_name(v.role),
             v.false_shared_group
                 .map(|g| g.to_string())
@@ -230,13 +185,9 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
         for e in stream.events() {
             match *e {
                 Event::Exec { block } => writeln!(w, "E {}", block.0)?,
-                Event::Read { addr, class } => writeln!(w, "R {:x} {}", addr.0, class_name(class))?,
-                Event::Write { addr, class } => {
-                    writeln!(w, "W {:x} {}", addr.0, class_name(class))?
-                }
-                Event::Prefetch { addr, class } => {
-                    writeln!(w, "P {:x} {}", addr.0, class_name(class))?
-                }
+                Event::Read { addr, class } => writeln!(w, "R {:x} {}", addr.0, class.name())?,
+                Event::Write { addr, class } => writeln!(w, "W {:x} {}", addr.0, class.name())?,
+                Event::Prefetch { addr, class } => writeln!(w, "P {:x} {}", addr.0, class.name())?,
                 Event::LockAcquire { lock, addr } => writeln!(w, "LA {} {:x}", lock.0, addr.0)?,
                 Event::LockRelease { lock, addr } => writeln!(w, "LR {} {:x}", lock.0, addr.0)?,
                 Event::Barrier {
@@ -254,8 +205,8 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
                         BlockKind::Copy => "copy",
                         BlockKind::Zero => "zero",
                     },
-                    class_name(op.src_class),
-                    class_name(op.dst_class),
+                    op.src_class.name(),
+                    op.dst_class.name(),
                 )?,
                 Event::BlockOpEnd => writeln!(w, "OE")?,
                 Event::SetMode { mode } => {
@@ -290,7 +241,7 @@ impl Parser {
     }
 
     fn class(&self, s: &str) -> Result<DataClass, ReadTraceError> {
-        parse_class(s).map_or_else(|| self.err(format!("unknown class {s:?}")), Ok)
+        DataClass::from_name(s).map_or_else(|| self.err(format!("unknown class {s:?}")), Ok)
     }
 }
 
