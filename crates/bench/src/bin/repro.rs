@@ -188,7 +188,7 @@ fn report_supervision(sup: &SupervisedWarmStats, journal: Option<&Journal>) -> b
     }
     for f in &sup.failures {
         eprintln!(
-            "error: class=cell-failure cell={} attempt={} cause={} msg={:?}",
+            "error: class=cell-failure cell={:?} attempt={} cause={} msg={:?}",
             f.cell.key(),
             f.attempt,
             f.cause.class(),
@@ -1444,14 +1444,16 @@ fn submit(
         Some(addr) => match std::net::TcpStream::connect(addr) {
             Ok(stream) => submit_over(stream, &req),
             Err(e) => {
-                eprintln!("error: class=service msg=\"cannot reach daemon at tcp {addr}: {e}\"");
+                let msg = format!("cannot reach daemon at tcp {addr}: {e}");
+                eprintln!("error: class=service msg={msg:?}");
                 EXIT_UNAVAILABLE
             }
         },
         None => match std::os::unix::net::UnixStream::connect(socket) {
             Ok(stream) => submit_over(stream, &req),
             Err(e) => {
-                eprintln!("error: class=service msg=\"cannot reach daemon at {socket}: {e}\"");
+                let msg = format!("cannot reach daemon at {socket}: {e}");
+                eprintln!("error: class=service msg={msg:?}");
                 EXIT_UNAVAILABLE
             }
         },
@@ -1500,7 +1502,8 @@ fn submit_over<S: std::io::Read + std::io::Write>(mut stream: S, req: &RunReques
                 );
             }
             service::Reply::Rejected { status } => {
-                eprintln!("error: class=service msg=\"request rejected: {status}\"");
+                let msg = format!("request rejected: {status}");
+                eprintln!("error: class=service msg={msg:?}");
                 return if status == "overloaded" {
                     EXIT_OVERLOADED
                 } else {
@@ -1518,7 +1521,7 @@ fn submit_over<S: std::io::Read + std::io::Write>(mut stream: S, req: &RunReques
                     eprintln!("skipping {s}: not all of its cells completed");
                 }
                 for f in &rep.failures {
-                    eprintln!("error: class=cell-failure cell={f}");
+                    eprintln!("error: class=cell-failure cell={f:?}");
                 }
                 if rep.journal_hits > 0 {
                     eprintln!(
@@ -1528,12 +1531,13 @@ fn submit_over<S: std::io::Read + std::io::Write>(mut stream: S, req: &RunReques
                 }
                 if rep.shutdown {
                     eprintln!(
-                        "error: class=service msg=\"daemon was shutting down; request never started\""
+                        "error: class=service msg={:?}",
+                        "daemon was shutting down; request never started"
                     );
                     return EXIT_UNAVAILABLE;
                 }
                 if rep.deadline_exceeded {
-                    eprintln!("error: class=service msg=\"request deadline exceeded\"");
+                    eprintln!("error: class=service msg={:?}", "request deadline exceeded");
                 }
                 return if rep.complete() { 0 } else { EXIT_PARTIAL };
             }

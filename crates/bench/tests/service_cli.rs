@@ -188,6 +188,23 @@ fn overload_and_unavailability_have_their_own_exit_codes() {
     assert!(drained.status.success());
 }
 
+#[test]
+fn an_unreachable_socket_path_is_quoted_on_stderr() {
+    let socket =
+        std::env::temp_dir().join(format!("oscache-cli-{}-quote\"d.sock", std::process::id()));
+    let out = submit(&socket, "nobody", &["table1"]);
+    assert_eq!(out.status.code(), Some(8), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("error: class=service msg=\""))
+        .unwrap_or_else(|| panic!("no class=service line:\n{err}"));
+    assert!(
+        line.contains("quote\\\"d.sock"),
+        "the quote in the path must be escaped: {line}"
+    );
+}
+
 /// Sends one request line on a fresh connection and returns the reply line.
 fn request(socket: &Path, line: &str) -> String {
     let mut conn = UnixStream::connect(socket).expect("connect to daemon");

@@ -107,7 +107,7 @@ pub struct SupervisedWarmStats {
     /// Cells whose retries were exhausted, in cell order. Empty means the
     /// run is complete and every table/figure can render.
     pub failures: Vec<CellFailure>,
-    /// Soft-deadline overruns the watchdog flagged (advisory).
+    /// Attempts that ran past the soft deadline (advisory unless escalated).
     pub overruns: Vec<Overrun>,
     /// Retry attempts granted across all cells.
     pub retries: u64,

@@ -36,7 +36,6 @@ use crate::experiments::{figure6_sweep, figure7_sweep};
 use crate::sim::{self, AnalysisPrefix, AnalyzedCell, PrepPhases, PreparedCell, RunResult};
 use crate::supervise::{
     fnv1a, lock_tolerant, CellFailure, FailureCause, Journal, JournalRecord, Overrun, RunPolicy,
-    Watchdog,
 };
 use oscache_memsys::{AuditLevel, CancelToken, CoreGauge, SimError, SimErrorKind, SimStats};
 use oscache_trace::{ChunkedTrace, IoFaultPlan, MemBudget, SpillStore, StoreIdentity};
@@ -798,8 +797,8 @@ pub struct SupervisedReport {
     pub jobs: usize,
     /// Wall-clock milliseconds for the whole fan-out.
     pub wall_ms: f64,
-    /// Soft-deadline overruns flagged by the watchdog (advisory — the
-    /// flagged cells kept running and usually completed).
+    /// Attempts that ran past the soft deadline, sorted by key and
+    /// attempt (advisory under [`crate::Escalation::FlagOnly`]).
     pub overruns: Vec<Overrun>,
     /// Total retry attempts granted across all cells.
     pub retries: u64,
@@ -827,7 +826,7 @@ impl SupervisedReport {
 
 /// Fans `cells` out over `jobs` workers (clamped to the cell count; `0`
 /// means [`default_jobs`]) under a [`RunPolicy`]: per-cell panic
-/// isolation, bounded retry, soft-deadline watchdog, and optional journal
+/// isolation, bounded retry, soft deadlines, and optional journal
 /// replay/record (DESIGN.md §13).
 ///
 /// Each cell is simulated by exactly one worker; parallelism only
@@ -844,7 +843,7 @@ impl SupervisedReport {
 ///
 /// Determinism: supervision adds no scheduling influence on results —
 /// retries rerun the same pure function, journal replay returns stats that
-/// function already produced, and the watchdog only observes. The same
+/// function already produced, and a flag-only deadline only observes. The same
 /// `(cells, opts, policy.inject)` therefore yields the same per-slot
 /// outcome pattern at any `jobs`.
 pub fn run_cells_supervised(
@@ -951,11 +950,8 @@ pub fn run_plan_supervised(
     let journal_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let slots: Vec<Mutex<Option<Result<CellOutcome, CellFailure>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
-    let watchdog = policy
-        .soft_deadline_ms
-        .map(|ms| Watchdog::new(Duration::from_millis(ms.max(1)), policy.grace()));
+    let overruns: Mutex<Vec<Overrun>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
-        let dog_handle = watchdog.as_ref().map(|dog| s.spawn(|| dog.run()));
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(|| loop {
@@ -971,10 +967,10 @@ pub fn run_plan_supervised(
                             opts,
                             policy,
                             journal,
-                            watchdog: watchdog.as_ref(),
                             retries: &retries,
                             journal_hits: &journal_hits,
                             journal_errors: &journal_errors,
+                            overruns: &overruns,
                             share: recurring.contains(&pc.fingerprint),
                             cancel: &CancelToken::none(),
                         },
@@ -993,14 +989,11 @@ pub fn run_plan_supervised(
             // the slots it never filled.
             let _ = w.join();
         }
-        // Workers are done; tell the watchdog to exit its tick loop.
-        if let Some(dog) = &watchdog {
-            dog.shutdown();
-        }
-        if let Some(h) = dog_handle {
-            let _ = h.join();
-        }
     });
+    let mut overruns = overruns
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    overruns.sort_by(|a, b| a.key.cmp(&b.key).then(a.attempt.cmp(&b.attempt)));
     let outcomes: Vec<Result<CellOutcome, CellFailure>> = slots
         .into_iter()
         .zip(cells)
@@ -1025,7 +1018,7 @@ pub fn run_plan_supervised(
         outcomes,
         jobs,
         wall_ms: 1e3 * t0.elapsed().as_secs_f64(),
-        overruns: watchdog.map(|d| d.take_overruns()).unwrap_or_default(),
+        overruns,
         retries: retries.load(Ordering::Relaxed),
         journal_hits: journal_hits.load(Ordering::Relaxed),
         journal_errors: journal_errors
@@ -1073,10 +1066,11 @@ pub(crate) struct SuperviseCtx<'a> {
     pub(crate) opts: BuildOptions,
     pub(crate) policy: &'a RunPolicy,
     pub(crate) journal: Option<&'a Journal>,
-    pub(crate) watchdog: Option<&'a Watchdog>,
     pub(crate) retries: &'a AtomicU64,
     pub(crate) journal_hits: &'a AtomicUsize,
     pub(crate) journal_errors: &'a Mutex<Vec<String>>,
+    /// Where attempts that ran past the soft deadline are recorded.
+    pub(crate) overruns: &'a Mutex<Vec<Overrun>>,
     pub(crate) share: bool,
     /// Request-level cancellation: tripped by a service deadline, a
     /// vanished client, or a draining daemon. Inert for plain CLI runs.
@@ -1084,7 +1078,8 @@ pub(crate) struct SuperviseCtx<'a> {
 }
 
 /// Runs one cell under the supervision policy: journal replay, panic
-/// isolation, bounded retry, journal record, cooperative cancellation.
+/// isolation, bounded retry, soft deadlines, journal record, cooperative
+/// cancellation.
 pub(crate) fn supervise_one(
     ctx: SuperviseCtx<'_>,
     pc: &PlannedCell,
@@ -1099,22 +1094,24 @@ pub(crate) fn supervise_one(
     // This thread is busy with the cell, so its machines' decode-ahead
     // helpers need a core beyond it (DESIGN.md §17).
     let _busy = CoreGauge::process().lease();
+    let deadline = ctx
+        .policy
+        .soft_deadline_ms
+        .map(|ms| Duration::from_millis(ms.max(1)));
     let mut attempt: u32 = 0;
     let out = loop {
-        // The token the machine polls: the request's own token when the
-        // caller supplied a live one; otherwise a fresh per-attempt token
-        // when the watchdog may escalate (so a kill hits exactly the
-        // overrunning attempt); otherwise inert.
-        let attempt_cancel = if ctx.cancel.can_cancel() {
-            ctx.cancel.clone()
-        } else if ctx.watchdog.is_some() && ctx.policy.grace().is_some() {
-            CancelToken::new()
-        } else {
-            CancelToken::none()
+        // The token the machine polls: the caller's, or — when the soft
+        // deadline escalates — a child of it that also trips once the
+        // grace is spent, so a kill hits exactly this attempt. A kill
+        // instant past what `Instant` can hold never comes.
+        let started = Instant::now();
+        let kill_at = deadline
+            .zip(ctx.policy.grace())
+            .and_then(|(d, g)| started.checked_add(d + g));
+        let attempt_cancel = match kill_at {
+            Some(at) => ctx.cancel.child_until(at),
+            None => ctx.cancel.clone(),
         };
-        let watch = ctx
-            .watchdog
-            .map(|d| d.watch(key, attempt, attempt_cancel.clone()));
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(fault) = &ctx.policy.inject {
                 if fault.fires(key, attempt) {
@@ -1126,7 +1123,15 @@ pub(crate) fn supervise_one(
             }
             run_cell_inner(ctx.cache, ctx.opts, cell, fp, ctx.share, &attempt_cancel)
         }));
-        drop(watch);
+        let elapsed = started.elapsed();
+        if let Some(d) = deadline.filter(|&d| elapsed > d) {
+            lock_tolerant(ctx.overruns).push(Overrun {
+                key: key.to_string(),
+                attempt,
+                deadline_ms: d.as_millis() as u64,
+                elapsed_ms: 1e3 * elapsed.as_secs_f64(),
+            });
+        }
         let cause = match attempt_result {
             Ok(Ok(mut o)) => {
                 o.attempt = attempt;

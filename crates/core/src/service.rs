@@ -42,7 +42,7 @@ use crate::runner::{
     RequestPlan, SuperviseCtx, TraceCache,
 };
 use crate::supervise::{
-    json_escape, lock_tolerant, CellFailure, FailureCause, Journal, Json, RunPolicy, Watchdog,
+    json_escape, lock_tolerant, CellFailure, FailureCause, Journal, Json, RunPolicy,
 };
 use oscache_memsys::CancelToken;
 use oscache_workloads::BuildOptions;
@@ -211,7 +211,7 @@ pub struct ServiceStats {
     pub journal_replays: u64,
     /// Retry attempts granted by the supervision policy.
     pub retries: u64,
-    /// Soft-deadline overruns flagged by the watchdog.
+    /// Cell attempts that ran past the policy's soft deadline.
     pub overruns: u64,
     /// Requests currently admitted and unfinished.
     pub active_requests: usize,
@@ -324,7 +324,6 @@ struct Inner {
     policy: RunPolicy,
     cache: Arc<TraceCache>,
     journal: Option<Journal>,
-    watchdog: Option<Watchdog>,
     sched: Mutex<Sched>,
     cv: Condvar,
     counters: Counters,
@@ -344,7 +343,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Provisions the cache, worker pool, watchdog, and deadline monitor.
+    /// Provisions the cache, worker pool, and deadline monitor.
     /// `journal` makes results persistent and deduplicates across daemon
     /// restarts.
     pub fn start(cfg: ServiceConfig, journal: Option<Journal>) -> Server {
@@ -353,10 +352,6 @@ impl Server {
         } else {
             cfg.jobs
         };
-        let watchdog = cfg
-            .policy
-            .soft_deadline_ms
-            .map(|ms| Watchdog::new(Duration::from_millis(ms.max(1)), cfg.policy.grace()));
         let inner = Arc::new(Inner {
             scale: cfg.scale,
             opts: BuildOptions {
@@ -373,7 +368,6 @@ impl Server {
                 cache
             },
             journal,
-            watchdog,
             sched: Mutex::new(Sched {
                 requests: Vec::new(),
                 rr: 0,
@@ -389,7 +383,7 @@ impl Server {
             journal_hits: AtomicUsize::new(0),
             journal_errors: Mutex::new(Vec::new()),
         });
-        let mut threads = Vec::with_capacity(jobs + 2);
+        let mut threads = Vec::with_capacity(jobs + 1);
         for _ in 0..jobs {
             let inner = Arc::clone(&inner);
             threads.push(std::thread::spawn(move || inner.worker_loop()));
@@ -397,14 +391,6 @@ impl Server {
         {
             let inner = Arc::clone(&inner);
             threads.push(std::thread::spawn(move || inner.monitor_loop()));
-        }
-        if inner.watchdog.is_some() {
-            let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || {
-                if let Some(dog) = &inner.watchdog {
-                    dog.run();
-                }
-            }));
         }
         Server {
             inner,
@@ -553,9 +539,6 @@ impl Server {
             s.stopped = true;
         }
         self.inner.cv.notify_all();
-        if let Some(dog) = &self.inner.watchdog {
-            dog.shutdown();
-        }
         let threads: Vec<_> = lock_tolerant(&self.threads).drain(..).collect();
         for t in threads {
             let _ = t.join();
@@ -654,6 +637,7 @@ impl Inner {
                 }
             };
             let pc = &plan.cells[cidx];
+            let overruns = Mutex::new(Vec::new());
             let out = if cancel.is_cancelled() {
                 // Cancelled between dispatch and execution: charge the
                 // deadline, don't burn a simulation.
@@ -669,16 +653,20 @@ impl Inner {
                         opts: self.opts,
                         policy: &self.policy,
                         journal: self.journal.as_ref(),
-                        watchdog: self.watchdog.as_ref(),
                         retries: &self.retries,
                         journal_hits: &self.journal_hits,
                         journal_errors: &self.journal_errors,
+                        overruns: &overruns,
                         share: true,
                         cancel: &cancel,
                     },
                     pc,
                 )
             };
+            let overruns = lock_tolerant(&overruns).len() as u64;
+            self.counters
+                .overruns
+                .fetch_add(overruns, Ordering::Relaxed);
             self.complete(id, cidx, out);
         }
     }
@@ -832,10 +820,9 @@ impl Inner {
         }));
     }
 
-    /// Deadline monitor: trips expired request tokens (so the acceptance
+    /// Deadline monitor: trips expired request tokens, so the acceptance
     /// bound — cancelled within one polling grace of the deadline — holds
-    /// without any client cooperation) and drains watchdog overruns into
-    /// the counters.
+    /// without any client cooperation.
     fn monitor_loop(&self) {
         loop {
             let mut s = lock_tolerant(&self.sched);
@@ -864,15 +851,6 @@ impl Inner {
             if !s.retired.is_empty() {
                 self.release(s);
                 continue;
-            }
-            if let Some(dog) = &self.watchdog {
-                let n = dog.take_overruns().len();
-                if n > 0 {
-                    self.counters
-                        .overruns
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    self.cv.notify_all();
-                }
             }
             let _ = self
                 .cv

@@ -1,5 +1,5 @@
-//! Supervision layer for experiment runs: failure policy, the run
-//! journal, and the soft-deadline watchdog.
+//! Supervision layer for experiment runs: failure policy, soft
+//! deadlines, and the run journal.
 //!
 //! The paper's full reproduction is a multi-minute fan-out over ~34
 //! independent cells ([`crate::runner::run_cells_supervised`]). Before this layer, a
@@ -8,10 +8,14 @@
 //! supervision layer (DESIGN.md §13) makes runs survivable:
 //!
 //! * [`RunPolicy`] — per-cell panic isolation, bounded retry with
-//!   exponential backoff, an optional soft deadline enforced by a
-//!   watchdog thread that *flags* (never kills) overrunning cells, and
-//!   a deterministic seeded panic-injection hook
+//!   exponential backoff, an optional soft deadline, and a deterministic
+//!   seeded panic-injection hook
 //!   ([`oscache_memsys::faults::CellFault`]) for exercising all of it.
+//!   An attempt that runs past the soft deadline is recorded as an
+//!   [`Overrun`] when it ends. Under [`Escalation::CancelAfterGrace`] the
+//!   attempt also runs on its own child token
+//!   ([`oscache_memsys::CancelToken::child_until`]) that kills it once the
+//!   grace is spent. No thread watches the deadline.
 //! * [`CellFailure`] — the typed per-cell failure
 //!   (`Panic | Sim | Timeout`) that replaces process aborts; a supervised
 //!   run returns `Ok(outcome) | Err(failure)` per slot so callers can
@@ -31,13 +35,13 @@
 
 use crate::runner::Cell;
 use oscache_memsys::faults::CellFault;
-use oscache_memsys::{BusStats, CancelToken, CpuStats, ModeSplit, SimError, SimStats};
+use oscache_memsys::{BusStats, CpuStats, ModeSplit, SimError, SimStats};
 use oscache_trace::DataClass;
 use oscache_workloads::BuildOptions;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
@@ -53,21 +57,21 @@ pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Policy and failures
 // ---------------------------------------------------------------------------
 
-/// What the watchdog does to an attempt that outlives the soft
-/// deadline.
+/// What happens to an attempt that outlives the soft deadline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Escalation {
-    /// Record an [`Overrun`] and let the attempt keep running — the
-    /// historical behavior and the default, so existing CLI runs are
-    /// unchanged.
+    /// Let the attempt run to the end and record an [`Overrun`] then —
+    /// the default, so existing CLI runs are unchanged.
     #[default]
     FlagOnly,
-    /// Record the overrun at the deadline, then trip the attempt's
-    /// [`CancelToken`] once it has also outlived `grace_ms` more
-    /// milliseconds. The machine's event loop observes the token and the
-    /// attempt dies as [`FailureCause::Timeout`] within a bounded delay
-    /// (cancellation is cooperative: polled every ~1k simulated events,
-    /// plus any non-cancellable analysis pass in flight).
+    /// Run the attempt on a child of the caller's cancel token that trips
+    /// `grace_ms` milliseconds past the soft deadline
+    /// ([`oscache_memsys::CancelToken::child_until`]). The machine's event loop observes
+    /// it and the attempt dies as [`FailureCause::Timeout`] within a
+    /// bounded delay (cancellation is cooperative: polled every ~1k
+    /// simulated events, plus any non-cancellable analysis pass in
+    /// flight). Only that attempt dies: the caller's token, which its
+    /// sibling cells share, stays live. The overrun is still recorded.
     CancelAfterGrace {
         /// Extra milliseconds past the soft deadline before the kill.
         grace_ms: u64,
@@ -83,12 +87,12 @@ pub struct RunPolicy {
     /// Base backoff before retry `n`, slept as `backoff_ms << n`
     /// milliseconds (capped at one second). Zero disables sleeping.
     pub backoff_ms: u64,
-    /// Soft per-cell deadline in milliseconds: a watchdog thread flags
-    /// attempts that run longer (and, under
-    /// [`Escalation::CancelAfterGrace`], cancels them). `None` disables
-    /// the watchdog.
+    /// Soft per-cell deadline in milliseconds (0 counts as 1): an attempt
+    /// that runs longer is recorded as an [`Overrun`] when it ends (and,
+    /// under [`Escalation::CancelAfterGrace`], is cancelled). `None`
+    /// disables the deadline.
     pub soft_deadline_ms: Option<u64>,
-    /// What the watchdog does beyond flagging an overrun.
+    /// What happens beyond recording an overrun.
     pub escalation: Escalation,
     /// Deterministic panic injection (tests, CI fault smoke): attempts it
     /// [`CellFault::fires`] on panic inside the supervised region.
@@ -96,14 +100,15 @@ pub struct RunPolicy {
 }
 
 impl RunPolicy {
-    /// The non-supervised default: no retries, no watchdog, no injection.
+    /// The non-supervised default: no retries, no deadline, no injection.
     /// Panic isolation and typed failures still apply, but nothing is
     /// retried.
     pub fn fail_fast() -> Self {
         RunPolicy::default()
     }
 
-    /// The watchdog's kill grace period, when escalation requests one.
+    /// The kill grace period past the soft deadline, when escalation
+    /// requests one.
     pub fn grace(&self) -> Option<Duration> {
         match self.escalation {
             Escalation::FlagOnly => None,
@@ -132,11 +137,12 @@ pub enum FailureCause {
     /// The simulator rejected the cell with a typed error.
     Sim(SimError),
     /// The attempt outlived its deadline and was cooperatively cancelled:
-    /// either the watchdog escalated under
+    /// either its soft deadline plus grace passed under
     /// [`Escalation::CancelAfterGrace`], or a service request's deadline
     /// (or its client's disappearance) tripped the cell's
-    /// [`CancelToken`]. Under the default [`Escalation::FlagOnly`] policy
-    /// overruns are still only flagged and this cause is never produced.
+    /// [`oscache_memsys::CancelToken`]. Under the default [`Escalation::FlagOnly`] policy
+    /// overruns are only recorded and the soft deadline never produces
+    /// this cause.
     Timeout,
 }
 
@@ -185,12 +191,9 @@ impl std::fmt::Display for CellFailure {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-/// A soft-deadline overrun flagged by the watchdog. The attempt kept
-/// running (and may well have completed); the flag is advisory.
+/// An attempt that ran past the soft deadline, recorded when the attempt
+/// ended. Under [`Escalation::FlagOnly`] the record is advisory: the
+/// attempt ran to completion (or to its own failure).
 #[derive(Clone, Debug)]
 pub struct Overrun {
     /// Run-cache key of the overrunning cell.
@@ -199,143 +202,8 @@ pub struct Overrun {
     pub attempt: u32,
     /// The policy's soft deadline, in milliseconds.
     pub deadline_ms: u64,
-    /// How long the attempt had been running when it was flagged.
+    /// The attempt's full run time, in milliseconds.
     pub elapsed_ms: f64,
-}
-
-/// Watches in-flight cell attempts and flags the ones that outlive the
-/// soft deadline — and, when built with a grace period
-/// ([`Escalation::CancelAfterGrace`]), trips each overrunning attempt's
-/// [`CancelToken`] once the grace is also spent. Runs on its own thread
-/// inside the fan-out's scope; workers register attempts via
-/// [`Watchdog::watch`] (an RAII guard deregisters on completion —
-/// including by unwinding).
-pub(crate) struct Watchdog {
-    deadline: Duration,
-    grace: Option<Duration>,
-    state: Mutex<WatchState>,
-    cv: Condvar,
-}
-
-struct WatchState {
-    active: HashMap<u64, ActiveAttempt>,
-    next_token: u64,
-    overruns: Vec<Overrun>,
-    done: bool,
-}
-
-struct ActiveAttempt {
-    key: String,
-    attempt: u32,
-    started: Instant,
-    flagged: bool,
-    cancel: CancelToken,
-    killed: bool,
-}
-
-impl Watchdog {
-    pub(crate) fn new(deadline: Duration, grace: Option<Duration>) -> Self {
-        Watchdog {
-            deadline,
-            grace,
-            state: Mutex::new(WatchState {
-                active: HashMap::new(),
-                next_token: 0,
-                overruns: Vec::new(),
-                done: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Registers one attempt; dropping the guard deregisters it. `cancel`
-    /// is the token the attempt's machine polls — inert under flag-only
-    /// escalation, in which case the kill path is unreachable.
-    pub(crate) fn watch(&self, key: &str, attempt: u32, cancel: CancelToken) -> WatchGuard<'_> {
-        let mut st = lock_tolerant(&self.state);
-        let token = st.next_token;
-        st.next_token += 1;
-        st.active.insert(
-            token,
-            ActiveAttempt {
-                key: key.to_string(),
-                attempt,
-                started: Instant::now(),
-                flagged: false,
-                cancel,
-                killed: false,
-            },
-        );
-        WatchGuard { dog: self, token }
-    }
-
-    /// The watchdog loop: scan every quarter-deadline (bounded by half the
-    /// grace period, so escalation lands within one grace of the
-    /// deadline), flag overruns once per attempt, cancel flagged attempts
-    /// whose grace is spent, exit when [`Watchdog::shutdown`] is
-    /// signalled.
-    pub(crate) fn run(&self) {
-        let mut tick = self.deadline / 4;
-        if let Some(g) = self.grace {
-            tick = tick.min(g / 2);
-        }
-        let tick = tick.max(Duration::from_millis(1));
-        let mut st = lock_tolerant(&self.state);
-        while !st.done {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, tick)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            let now = Instant::now();
-            let WatchState {
-                active, overruns, ..
-            } = &mut *st;
-            for a in active.values_mut() {
-                let elapsed = now.duration_since(a.started);
-                if !a.flagged && elapsed > self.deadline {
-                    a.flagged = true;
-                    overruns.push(Overrun {
-                        key: a.key.clone(),
-                        attempt: a.attempt,
-                        deadline_ms: self.deadline.as_millis() as u64,
-                        elapsed_ms: 1e3 * elapsed.as_secs_f64(),
-                    });
-                }
-                if let Some(g) = self.grace {
-                    if a.flagged && !a.killed && elapsed > self.deadline + g {
-                        a.killed = true;
-                        a.cancel.cancel();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Tells the watchdog thread to exit at its next wakeup.
-    pub(crate) fn shutdown(&self) {
-        lock_tolerant(&self.state).done = true;
-        self.cv.notify_all();
-    }
-
-    /// Drains the flagged overruns, sorted for deterministic reports.
-    pub(crate) fn take_overruns(&self) -> Vec<Overrun> {
-        let mut o = std::mem::take(&mut lock_tolerant(&self.state).overruns);
-        o.sort_by(|a, b| a.key.cmp(&b.key).then(a.attempt.cmp(&b.attempt)));
-        o
-    }
-}
-
-/// RAII registration of one attempt with the [`Watchdog`].
-pub(crate) struct WatchGuard<'a> {
-    dog: &'a Watchdog,
-    token: u64,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        lock_tolerant(&self.dog.state).active.remove(&self.token);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -307,11 +307,6 @@ fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<Pla
     ins
 }
 
-/// Marker class re-export used by tests.
-pub fn is_prefetch(e: &Event) -> bool {
-    matches!(e, Event::Prefetch { .. })
-}
-
 /// The §2.2 escape instrumentation: one escape load per basic block,
 /// reading an odd address in the code segment so the performance monitor
 /// can reconstruct the instruction stream. The paper measured that this
@@ -1067,6 +1062,7 @@ mod tests {
         // site ids: 0 = "seq", 1 = "loop"
         let out = insert_hotspot_prefetches(&t, &[0, 1]).to_trace();
         let evs = out.streams[0].events();
+        let is_prefetch = |e: &Event| matches!(e, Event::Prefetch { .. });
         let n_pref = evs.iter().filter(|e| is_prefetch(e)).count();
         assert!(n_pref >= 2, "expected prefetches, got {n_pref}");
         // A prefetch for the loop read's look-ahead line exists.

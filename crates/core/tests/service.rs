@@ -10,7 +10,9 @@ use oscache_core::service::{
     CellProgress, Event, Reply, RequestReport, RunRequest, Server, ServiceConfig, ServiceStats,
     WireRequest,
 };
-use oscache_core::{render_experiment, Experiment, Journal, JournalHeader, Repro, RunPolicy};
+use oscache_core::{
+    render_experiment, Escalation, Experiment, Journal, JournalHeader, Repro, RunPolicy,
+};
 use oscache_workloads::BuildOptions;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -141,6 +143,33 @@ fn deadline_cancels_as_typed_timeouts_and_later_requests_are_unpoisoned() {
     let rep = collect(server.submit(request("patient", None)));
     assert!(rep.complete(), "post-cancellation request must complete");
     assert_eq!(rep.report, reference());
+    server.stop();
+}
+
+#[test]
+fn an_escalated_soft_deadline_kills_only_its_own_attempt() {
+    // Every attempt outlives a 1 ms soft deadline with zero grace, so
+    // each one dies as a timeout. Killing one attempt must not trip the
+    // request's shared token: each of the four cells is still attempted
+    // and records its own overrun.
+    let server = Server::start(
+        ServiceConfig {
+            policy: RunPolicy {
+                soft_deadline_ms: Some(1),
+                escalation: Escalation::CancelAfterGrace { grace_ms: 0 },
+                ..RunPolicy::default()
+            },
+            ..config(1)
+        },
+        None,
+    );
+    let rep = collect(server.submit(request("escalated", None)));
+    assert_eq!(rep.total, 4);
+    assert_eq!(server.stats().overruns, 4, "every cell must be attempted");
+    assert!(!rep.deadline_exceeded, "no request deadline was set");
+    for f in &rep.failures {
+        assert!(f.ends_with(": timeout"), "untyped failure: {f}");
+    }
     server.stop();
 }
 

@@ -1,8 +1,8 @@
 //! Supervision-layer guarantees (DESIGN.md §13): an injected panic costs
-//! exactly its own cell, bounded retry is deterministic, the watchdog
-//! flags but never kills, and a journaled run killed at any cell boundary
-//! resumes to byte-identical results while re-simulating only the cells
-//! the journal does not yet hold.
+//! exactly its own cell, bounded retry is deterministic, a flag-only soft
+//! deadline records overruns but never kills, and a journaled run killed
+//! at any cell boundary resumes to byte-identical results while
+//! re-simulating only the cells the journal does not yet hold.
 
 use oscache_core::runner::{run_cells_supervised, Cell, TraceCache};
 use oscache_core::supervise::{
@@ -458,8 +458,8 @@ fn journal_rejects_mismatched_headers_and_corrupt_records() {
 fn escalated_watchdog_cancels_overruns_as_typed_timeouts_without_retry() {
     let cells = subset();
     // A 1 ms deadline with zero grace: every attempt outlives it, and
-    // under CancelAfterGrace the watchdog trips the attempt's token
-    // instead of only flagging. Retries are granted but must not be
+    // under CancelAfterGrace the attempt's own deadline token trips
+    // instead of the overrun only being recorded. Retries are granted but must not be
     // spent on a cancelled attempt (retrying a kill would loop).
     let policy = RunPolicy {
         max_retries: 2,

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A shared flag for cooperative cancellation of a running replay.
 ///
@@ -48,6 +49,16 @@ enum CancelInner {
     /// the *same event index* — the property `tests/specialize_matrix.rs`
     /// asserts.
     Countdown(Arc<AtomicU64>),
+    /// A child of another token ([`CancelToken::child_until`]).
+    Child(Arc<ChildToken>),
+}
+
+/// A token with its own flag that also trips when its parent does or
+/// when its deadline passes.
+struct ChildToken {
+    flag: AtomicBool,
+    parent: CancelToken,
+    deadline: Instant,
 }
 
 impl CancelToken {
@@ -72,8 +83,36 @@ impl CancelToken {
         )))))
     }
 
-    /// True when this token is live (was built by [`CancelToken::new`] or
-    /// [`CancelToken::countdown`]).
+    /// A live token that trips when `self` trips or once `deadline` has
+    /// passed, whichever comes first. Cancelling the child leaves `self`
+    /// live; a child of an inert token trips only by its deadline (or
+    /// its own [`CancelToken::cancel`]). This is how a supervisor gives
+    /// one attempt its own kill deadline without touching the token its
+    /// siblings share.
+    ///
+    /// ```
+    /// use oscache_memsys::CancelToken;
+    /// use std::time::{Duration, Instant};
+    ///
+    /// let request = CancelToken::new();
+    /// let attempt = request.child_until(Instant::now() + Duration::from_secs(60));
+    /// assert!(!attempt.is_cancelled());
+    /// attempt.cancel(); // kills this attempt only
+    /// assert!(attempt.is_cancelled() && !request.is_cancelled());
+    ///
+    /// let late = request.child_until(Instant::now());
+    /// assert!(late.is_cancelled()); // its deadline has passed
+    /// ```
+    pub fn child_until(&self, deadline: Instant) -> Self {
+        CancelToken(Some(CancelInner::Child(Arc::new(ChildToken {
+            flag: AtomicBool::new(false),
+            parent: self.clone(),
+            deadline,
+        }))))
+    }
+
+    /// True when this token is live (was built by [`CancelToken::new`],
+    /// [`CancelToken::countdown`] or [`CancelToken::child_until`]).
     pub fn can_cancel(&self) -> bool {
         self.0.is_some()
     }
@@ -83,12 +122,14 @@ impl CancelToken {
         match &self.0 {
             Some(CancelInner::Flag(flag)) => flag.store(true, Ordering::Release),
             Some(CancelInner::Countdown(left)) => left.store(0, Ordering::Release),
+            Some(CancelInner::Child(c)) => c.flag.store(true, Ordering::Release),
             None => {}
         }
     }
 
     /// True once [`CancelToken::cancel`] has been called on any clone of a
-    /// live token, or once a countdown token's polls are exhausted. Inert
+    /// live token, once a countdown token's polls are exhausted, or once a
+    /// child token's parent has tripped or its deadline has passed. Inert
     /// tokens always return false.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
@@ -99,8 +140,20 @@ impl CancelToken {
                 left.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
                     .map_or(true, |prev| prev <= 1)
             }
+            Some(CancelInner::Child(c)) => c.is_cancelled(),
             None => false,
         }
+    }
+}
+
+impl ChildToken {
+    // Out of line: keeps the parent recursion and the clock read out of
+    // the replay loops that inline `CancelToken::is_cancelled`.
+    #[inline(never)]
+    fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+            || self.parent.is_cancelled()
+            || Instant::now() >= self.deadline
     }
 }
 
@@ -442,36 +495,10 @@ impl MachineConfig {
         self
     }
 
-    /// Returns a copy with the given L1D size in bytes (Figure 6 sweeps
-    /// 16/32/64 KB at a fixed 16-B line).
-    pub fn with_l1d_size(mut self, size: u32) -> Self {
-        self.l1d = CacheGeom::new(size, self.l1d.line);
-        self
-    }
-
-    /// Returns a copy with the given L1 line size in bytes (Figure 7 sweeps
-    /// 16/32/64 B at a fixed 32-KB cache; the paper pairs this with a
-    /// 64-B-line L2).
-    pub fn with_l1_line(mut self, line: u32) -> Self {
-        self.l1d = CacheGeom::new(self.l1d.size, line);
-        self.l1i = CacheGeom::new(self.l1i.size, line);
-        if self.l2.line < line {
-            self.l2 = CacheGeom::new(self.l2.size, line);
-        }
-        self
-    }
-
-    /// Returns a copy with the given L2 line size in bytes. Bus occupancy
-    /// and memory latency scale with the line: the 8-byte, 40-MHz bus
+    /// Recomputes line-size-dependent timing parameters. Bus occupancy
+    /// and memory latency scale with the L2 line: the 8-byte, 40-MHz bus
     /// moves 8 bytes per bus cycle (5 CPU cycles), so a 32-B line occupies
     /// it for 20 CPU cycles (§2.4) and a 64-B line for 40.
-    pub fn with_l2_line(mut self, line: u32) -> Self {
-        self.l2 = CacheGeom::new(self.l2.size, line);
-        self.rescale_bus();
-        self
-    }
-
-    /// Recomputes line-size-dependent timing parameters.
     pub fn rescale_bus(&mut self) {
         let transfer = u64::from(self.l2.line / 8) * self.timing.cpu_per_bus_cycle;
         let base = Timing::default();
@@ -514,6 +541,48 @@ impl Default for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn child_trips_once_its_deadline_passes() {
+        let child = CancelToken::new().child_until(Instant::now() + Duration::from_millis(20));
+        assert!(child.can_cancel());
+        assert!(!child.is_cancelled());
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(child.is_cancelled());
+    }
+
+    #[test]
+    fn cancelling_the_parent_trips_the_child() {
+        let parent = CancelToken::new();
+        let child = parent.child_until(Instant::now() + Duration::from_secs(3600));
+        assert!(!child.is_cancelled());
+        parent.cancel();
+        assert!(child.is_cancelled());
+    }
+
+    #[test]
+    fn cancelling_the_child_leaves_the_parent_live() {
+        let parent = CancelToken::new();
+        let sibling = parent.child_until(Instant::now() + Duration::from_secs(3600));
+        let child = parent.child_until(Instant::now() + Duration::from_secs(3600));
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled());
+        assert!(!sibling.is_cancelled());
+    }
+
+    #[test]
+    fn a_child_of_an_inert_token_is_live_and_deadline_only() {
+        let inert = CancelToken::none();
+        let child = inert.child_until(Instant::now() + Duration::from_millis(20));
+        assert!(child.can_cancel() && !inert.can_cancel());
+        assert!(!child.is_cancelled());
+        inert.cancel();
+        assert!(!child.is_cancelled(), "an inert parent never trips");
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(child.is_cancelled());
+    }
 
     #[test]
     fn base_matches_paper_parameters() {
@@ -575,12 +644,18 @@ mod tests {
 
     #[test]
     fn geometry_sweeps() {
-        let c = MachineConfig::base().with_l1d_size(64 * 1024);
-        assert_eq!(c.l1d.size, 64 * 1024);
+        let mut c = MachineConfig::base();
+        c.l1d = CacheGeom::new(64 * 1024, c.l1d.line);
         assert_eq!(c.l1d.line, 16);
-        let c = MachineConfig::base().with_l1_line(64).with_l2_line(64);
-        assert_eq!(c.l1d.line, 64);
-        assert_eq!(c.l2.line, 64);
+        c.validate();
+        c.l1d = CacheGeom::new(c.l1d.size, 64);
+        c.l1i = CacheGeom::new(c.l1i.size, 64);
+        c.l2 = CacheGeom::new(c.l2.size, 64);
+        c.rescale_bus();
+        assert_eq!(
+            c.timing.line_transfer, 40,
+            "a 64-B line holds the bus 40 cycles"
+        );
         c.validate();
     }
 

@@ -2,7 +2,7 @@
 //! coherence, classification, synchronization, and the block-operation
 //! schemes.
 
-use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimErrorKind, SimStats};
+use oscache_memsys::{BlockOpScheme, CacheGeom, Machine, MachineConfig, SimErrorKind, SimStats};
 use oscache_trace::{
     Addr, BarrierId, BlockId, ChunkedTrace, CoherenceCategory, DataClass, Event, LockId, Mode,
     Stream, StreamBuilder, Trace, TraceMeta,
@@ -431,8 +431,13 @@ fn smaller_cache_misses_more() {
             }
         }
     });
-    let big = run_cfg(MachineConfig::base().with_l1d_size(64 * 1024), &t);
-    let small = run_cfg(MachineConfig::base().with_l1d_size(16 * 1024), &t);
+    let with_l1d = |size| {
+        let mut cfg = MachineConfig::base();
+        cfg.l1d = CacheGeom::new(size, cfg.l1d.line);
+        cfg
+    };
+    let big = run_cfg(with_l1d(64 * 1024), &t);
+    let small = run_cfg(with_l1d(16 * 1024), &t);
     assert!(
         small.cpus[0].l1d_read_misses.os > big.cpus[0].l1d_read_misses.os,
         "16KB: {} vs 64KB: {}",

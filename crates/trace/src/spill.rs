@@ -866,8 +866,14 @@ impl SpillStore {
             ));
         }
         eprintln!(
-            "warning: class=spill-salvage segment={} frame={} chunk={} msg=\"{}; chunk quarantined and rebuilt from the generator\"",
-            err.segment, frame.frame, frame.chunk, err.kind_msg()
+            "warning: class=spill-salvage segment={} frame={} chunk={} msg={:?}",
+            err.segment,
+            frame.frame,
+            frame.chunk,
+            format!(
+                "{}; chunk quarantined and rebuilt from the generator",
+                err.kind_msg()
+            )
         );
         self.salvages.fetch_add(1, Ordering::Relaxed);
         let bytes = Arc::new(bytes);
