@@ -16,8 +16,8 @@ use oscache_bench::gate;
 use oscache_core::service::{self, peak_rss_mb, RunRequest, Server, ServiceConfig};
 use oscache_core::supervise::{Journal, JournalError, JournalHeader};
 use oscache_core::{
-    render_experiment, CellFailure, Escalation, Experiment, FailureCause, Repro, RunPolicy,
-    SupervisedWarmStats, System,
+    render_experiment, CellFailure, Escalation, Experiment, FailureCause, FailureReport, Repro,
+    RunPolicy, SupervisedWarmStats, System,
 };
 use oscache_memsys::faults::CellFault;
 use std::io::Write;
@@ -168,8 +168,8 @@ impl Supervision {
 fn report_supervision(sup: &SupervisedWarmStats, journal: Option<&Journal>) -> bool {
     for o in &sup.overruns {
         eprintln!(
-            "warning: cell {} attempt {} exceeded the soft deadline ({} ms limit, ran {:.0} ms)",
-            o.key, o.attempt, o.deadline_ms, o.elapsed_ms
+            "warning: class=deadline-overrun cell={:?} attempt={} deadline_ms={} elapsed_ms={:.0} msg={:?}",
+            o.key, o.attempt, o.deadline_ms, o.elapsed_ms, "exceeded the soft deadline"
         );
     }
     for e in &sup.journal_errors {
@@ -187,13 +187,7 @@ fn report_supervision(sup: &SupervisedWarmStats, journal: Option<&Journal>) -> b
         );
     }
     for f in &sup.failures {
-        eprintln!(
-            "error: class=cell-failure cell={:?} attempt={} cause={} msg={:?}",
-            f.cell.key(),
-            f.attempt,
-            f.cause.class(),
-            f.cause.to_string()
-        );
+        eprintln!("error: class=cell-failure {}", FailureReport::from(f));
     }
     !sup.failures.is_empty()
 }
@@ -1404,13 +1398,14 @@ fn serve(
     }
     let st = server.stats();
     eprintln!(
-        "serve: drained; {} requests finished ({} rejected overloaded, {} rejected shutting-down), {} cells completed ({} journal replays), {} trace builds",
+        "serve: drained; {} requests finished ({} rejected overloaded, {} rejected shutting-down), {} cells completed ({} journal replays), {} trace builds, {} deadline overruns",
         st.finished,
         st.rejected_overloaded,
         st.rejected_shutdown,
         st.cells_completed,
         st.journal_replays,
-        st.trace_builds
+        st.trace_builds,
+        st.overruns
     );
     if let Err(e) = served {
         fail("io", &e.to_string(), EXIT_IO);
@@ -1521,7 +1516,7 @@ fn submit_over<S: std::io::Read + std::io::Write>(mut stream: S, req: &RunReques
                     eprintln!("skipping {s}: not all of its cells completed");
                 }
                 for f in &rep.failures {
-                    eprintln!("error: class=cell-failure cell={f:?}");
+                    eprintln!("error: class=cell-failure {f}");
                 }
                 if rep.journal_hits > 0 {
                     eprintln!(

@@ -137,3 +137,32 @@ fn resume_drops_a_torn_journal_tail_but_not_a_terminated_garbled_line() {
     assert_eq!(corrupt.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("journal corrupt"), "stderr: {stderr}");
 }
+
+/// A flag-only soft deadline records each overrun as one structured
+/// warning: a class, the Debug-quoted cell key, and the message the CI
+/// smoke greps for.
+#[test]
+fn a_soft_deadline_overrun_is_a_structured_warning() {
+    let out = repro()
+        .args(["--scale", "0.05", "--deadline-ms", "1", "table1"])
+        .output()
+        .expect("run repro");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "flag-only overruns fail nothing: {err}"
+    );
+    let overruns: Vec<&str> = err
+        .lines()
+        .filter(|l| l.contains("soft deadline"))
+        .collect();
+    assert_eq!(overruns.len(), 4, "one line per table1 cell:\n{err}");
+    for line in overruns {
+        assert!(
+            line.starts_with("warning: class=deadline-overrun cell=\"")
+                && line.contains("\" attempt=0 deadline_ms=1 elapsed_ms=")
+                && line.ends_with(" msg=\"exceeded the soft deadline\""),
+            "{line}"
+        );
+    }
+}

@@ -27,13 +27,20 @@ fn tmp(name: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!("oscache-cli-{}-{name}.{ext}", std::process::id()))
 }
 
-/// Starts a daemon on `socket` and waits until it is accepting.
-fn start_daemon(socket: &Path, journal: Option<&PathBuf>, extra: &[&str]) -> Child {
+/// Starts a daemon on `socket` and waits until it is accepting. `global`
+/// options go before `serve`, `extra` ones after it.
+fn start_daemon(
+    socket: &Path,
+    journal: Option<&PathBuf>,
+    global: &[&str],
+    extra: &[&str],
+) -> Child {
     let mut cmd = repro();
     cmd.args(["--scale", SCALE, "--jobs", "2"]);
     if let Some(j) = journal {
         cmd.args(["--journal", j.to_str().unwrap(), "--resume"]);
     }
+    cmd.args(global);
     cmd.args(["serve", "--socket", socket.to_str().unwrap()]);
     cmd.args(extra);
     let child = cmd
@@ -98,7 +105,7 @@ fn concurrent_submits_match_the_one_shot_cli_and_share_trace_builds() {
     assert!(!reference.is_empty());
 
     let socket = tmp("concurrent", "sock");
-    let daemon = start_daemon(&socket, None, &[]);
+    let daemon = start_daemon(&socket, None, &[], &[]);
     // Three clients at once.
     let outs: Vec<Output> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
@@ -135,7 +142,7 @@ fn a_sigkilled_daemon_restarts_onto_its_journal_and_replays() {
     let journal = tmp("kill9", "jsonl");
     let _ = std::fs::remove_file(&journal);
 
-    let daemon = start_daemon(&socket, Some(&journal), &[]);
+    let daemon = start_daemon(&socket, Some(&journal), &[], &[]);
     let first = submit(&socket, "before-crash", &EXPERIMENTS);
     assert!(first.status.success(), "{}", stderr_of(&first));
     let reference = stdout_of(&first).to_string();
@@ -147,7 +154,7 @@ fn a_sigkilled_daemon_restarts_onto_its_journal_and_replays() {
     // probe below sees the restarted daemon's bind, not the corpse.
     let _ = std::fs::remove_file(&socket);
 
-    let daemon = start_daemon(&socket, Some(&journal), &[]);
+    let daemon = start_daemon(&socket, Some(&journal), &[], &[]);
     let second = submit(&socket, "after-crash", &EXPERIMENTS);
     assert!(second.status.success(), "{}", stderr_of(&second));
     assert_eq!(
@@ -175,7 +182,7 @@ fn overload_and_unavailability_have_their_own_exit_codes() {
 
     // Exit 7: the admission queue cannot hold even one request.
     let socket = tmp("overload", "sock");
-    let daemon = start_daemon(&socket, None, &["--queue-limit", "1"]);
+    let daemon = start_daemon(&socket, None, &[], &["--queue-limit", "1"]);
     let out = submit(&socket, "too-big", &["table1"]);
     assert_eq!(
         out.status.code(),
@@ -205,6 +212,48 @@ fn an_unreachable_socket_path_is_quoted_on_stderr() {
     );
 }
 
+#[test]
+fn an_escalated_deadline_reaches_submit_as_a_typed_timeout() {
+    // Every cell outlives a 1 ms soft deadline with zero grace, so each
+    // attempt dies as a timeout; the client prints the same structured
+    // failure line the one-shot CLI does.
+    let socket = tmp("deadline", "sock");
+    let escalate = [
+        "--deadline-ms",
+        "1",
+        "--deadline-action",
+        "cancel",
+        "--deadline-grace-ms",
+        "0",
+    ];
+    let daemon = start_daemon(&socket, None, &escalate, &[]);
+    let out = submit(&socket, "hurried", &["table1"]);
+    let err = stderr_of(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(6),
+        "a partial request exits 6: {err}"
+    );
+    let failures: Vec<&str> = err
+        .lines()
+        .filter(|l| l.starts_with("error: class=cell-failure cell=\""))
+        .collect();
+    assert_eq!(failures.len(), 4, "one line per table1 cell:\n{err}");
+    for line in failures {
+        assert!(
+            line.ends_with("\" attempt=0 cause=timeout msg=\"deadline exceeded\""),
+            "{line}"
+        );
+    }
+    let drained = stop_daemon(daemon);
+    assert!(drained.status.success());
+    let log = stderr_of(&drained);
+    assert!(
+        log.contains("4 deadline overruns"),
+        "the drain summary counts overruns:\n{log}"
+    );
+}
+
 /// Sends one request line on a fresh connection and returns the reply line.
 fn request(socket: &Path, line: &str) -> String {
     let mut conn = UnixStream::connect(socket).expect("connect to daemon");
@@ -220,7 +269,7 @@ fn request(socket: &Path, line: &str) -> String {
 #[test]
 fn a_deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
     let socket = tmp("nesting", "sock");
-    let daemon = start_daemon(&socket, None, &[]);
+    let daemon = start_daemon(&socket, None, &[], &[]);
     let reply = request(&socket, &"[".repeat(200_000));
     assert!(
         reply.contains("\"status\":\"error\"") && reply.contains("nesting"),
@@ -241,7 +290,7 @@ fn a_deeply_nested_request_gets_an_error_and_the_daemon_keeps_serving() {
 #[test]
 fn an_endless_request_line_gets_an_error_and_the_daemon_keeps_serving() {
     let socket = tmp("endless", "sock");
-    let daemon = start_daemon(&socket, None, &[]);
+    let daemon = start_daemon(&socket, None, &[], &[]);
     let mut conn = UnixStream::connect(&socket).expect("connect to daemon");
     conn.set_read_timeout(Some(Duration::from_secs(20)))
         .expect("set read timeout");

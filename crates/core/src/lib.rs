@@ -13,6 +13,7 @@ pub mod analysis;
 mod config;
 pub mod deferred;
 pub mod experiments;
+mod json;
 pub mod metrics;
 pub mod paperref;
 mod report;
@@ -39,6 +40,6 @@ pub use sim::{
     HotPrefetches, PrepPhases, PreparedCell, RunResult,
 };
 pub use supervise::{
-    CellFailure, Escalation, FailureCause, Journal, JournalError, JournalHeader, JournalRecord,
-    Overrun, RunPolicy, Salvage,
+    CellFailure, Escalation, FailureCause, FailureReport, Journal, JournalError, JournalHeader,
+    JournalRecord, Overrun, RunPolicy, Salvage,
 };

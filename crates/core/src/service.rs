@@ -28,8 +28,9 @@
 //! simulated, and identical in-flight fingerprints share one result via
 //! the cache. The wire protocol is newline-delimited JSON (one value per
 //! line) over a Unix or TCP socket — see [`parse_request`] /
-//! [`parse_reply`] for both directions, hand-rolled on the journal's
-//! dependency-free codec.
+//! [`parse_reply`] for both directions. Each request and reply type names
+//! its fields once, in one field list that the crate's one JSON codec
+//! renders and parses from (the journal's codec, `crate::json`).
 //!
 //! Determinism: the service schedules whole cells onto the same
 //! single-threaded simulation the CLI runs, and reports are rendered by
@@ -37,12 +38,13 @@
 //! byte-identical to `repro` printing the same experiments.
 
 use crate::experiments::{render_experiment, Repro};
+use crate::json::{self, object, Codec, Fields, Json, Obj, Opt, OrDefault, Plain, Tenths};
 use crate::runner::{
     default_jobs, resolved_outcome, supervise_one, CellOutcome, Experiment, PlannedCell,
     RequestPlan, SuperviseCtx, TraceCache,
 };
 use crate::supervise::{
-    json_escape, lock_tolerant, CellFailure, FailureCause, Journal, Json, RunPolicy,
+    lock_tolerant, CellFailure, FailureCause, FailureReport, Journal, RunPolicy,
 };
 use oscache_memsys::CancelToken;
 use oscache_workloads::BuildOptions;
@@ -104,8 +106,19 @@ pub struct RunRequest {
     pub deadline_ms: Option<u64>,
 }
 
+/// A request line without a `client` is the anonymous client's.
+impl Default for RunRequest {
+    fn default() -> Self {
+        RunRequest {
+            client: "anon".to_string(),
+            experiments: Vec::new(),
+            deadline_ms: None,
+        }
+    }
+}
+
 /// Per-cell progress streamed back while a request runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CellProgress {
     /// Cell index within the request's plan.
     pub index: usize,
@@ -146,8 +159,8 @@ pub struct RequestReport {
     pub report: String,
     /// Experiment names skipped because not all of their cells completed.
     pub skipped: Vec<String>,
-    /// `key: cause-class` lines for the failed cells, in cell order.
-    pub failures: Vec<String>,
+    /// The failed cells, in cell order.
+    pub failures: Vec<FailureReport>,
 }
 
 impl RequestReport {
@@ -772,7 +785,7 @@ impl Inner {
     fn finalize(&self, req: Req) {
         let total = req.plan.len();
         let mut ok_outcomes: Vec<CellOutcome> = Vec::new();
-        let mut failures: Vec<String> = Vec::new();
+        let mut failures: Vec<FailureReport> = Vec::new();
         let mut unstarted = 0usize;
         let mut journal_hits = 0usize;
         for slot in req.slots {
@@ -783,7 +796,7 @@ impl Inner {
                     }
                     ok_outcomes.push(o);
                 }
-                Some(Err(f)) => failures.push(format!("{}: {}", f.cell.key(), f.cause.class())),
+                Some(Err(f)) => failures.push(FailureReport::from(&f)),
                 None => unstarted += 1,
             }
         }
@@ -887,44 +900,49 @@ pub enum WireRequest {
     Shutdown,
 }
 
+/// The keys of a request's operation, a reply's kind, and an `error`
+/// reply's message.
+const OP: &str = "op";
+const STATUS: &str = "status";
+const MSG: &str = "msg";
+
+/// Experiment names; `all` expands to every experiment in paper order.
+struct ExperimentNames;
+
+impl Codec<Vec<Experiment>> for ExperimentNames {
+    fn put(v: &Vec<Experiment>, name: &str, w: &mut Obj<'_>) {
+        json::put_arr(v, w.key(name), |e, out| json::put_str(e.name(), out));
+    }
+    fn get(found: Result<&Json, String>, into: &mut Vec<Experiment>) -> Result<(), String> {
+        for e in found?.arr()? {
+            match e.str()? {
+                "all" => into.extend(Experiment::all()),
+                name => into.push(
+                    Experiment::parse(name)
+                        .ok_or_else(|| format!("unknown experiment {name:?}"))?,
+                ),
+            }
+        }
+        if into.is_empty() {
+            return Err("empty experiment list".to_string());
+        }
+        Ok(())
+    }
+}
+
+object!(RunRequest {
+    "client" => client: OrDefault<Plain>,
+    "experiments" => experiments: ExperimentNames,
+    "deadline_ms" => deadline_ms: Opt,
+});
+
 /// Parses one request line. `experiments` entries are experiment names
 /// (`table1`, `fig6`, ...; `all` expands to every experiment in paper
 /// order); `client` and `deadline_ms` are optional.
 pub fn parse_request(line: &str) -> Result<WireRequest, String> {
     let v = Json::parse(line)?;
-    match v.field("op")?.str()? {
-        "run" => {
-            let mut experiments = Vec::new();
-            for e in v.field("experiments")?.arr()? {
-                let name = e.str()?;
-                if name == "all" {
-                    experiments.extend(Experiment::all());
-                } else {
-                    experiments.push(
-                        Experiment::parse(name)
-                            .ok_or_else(|| format!("unknown experiment {name:?}"))?,
-                    );
-                }
-            }
-            if experiments.is_empty() {
-                return Err("empty experiment list".to_string());
-            }
-            let client = v
-                .field("client")
-                .ok()
-                .and_then(|c| c.str().ok())
-                .unwrap_or("anon")
-                .to_string();
-            let deadline_ms = match v.field("deadline_ms") {
-                Ok(d) => Some(d.u64()?),
-                Err(_) => None,
-            };
-            Ok(WireRequest::Run(RunRequest {
-                client,
-                experiments,
-                deadline_ms,
-            }))
-        }
+    match v.field(OP)?.str()? {
+        "run" => Ok(WireRequest::Run(RunRequest::get_fields(&v)?)),
         "stats" => Ok(WireRequest::Stats),
         "shutdown" => Ok(WireRequest::Shutdown),
         other => Err(format!("unknown op {other:?}")),
@@ -933,21 +951,12 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
 
 /// Serializes a [`RunRequest`] as its request line (client side).
 pub fn run_request_line(req: &RunRequest) -> String {
-    let exps: Vec<String> = req
-        .experiments
-        .iter()
-        .map(|e| format!("\"{}\"", e.name()))
-        .collect();
-    let mut line = format!(
-        "{{\"op\":\"run\",\"client\":\"{}\",\"experiments\":[{}]",
-        json_escape(&req.client),
-        exps.join(",")
-    );
-    if let Some(ms) = req.deadline_ms {
-        line.push_str(&format!(",\"deadline_ms\":{ms}"));
-    }
-    line.push('}');
-    line
+    let mut out = String::new();
+    let mut w = Obj::open(&mut out);
+    json::put_str("run", w.key(OP));
+    req.put_fields(&mut w);
+    w.close();
+    out
 }
 
 /// One parsed server reply line.
@@ -974,147 +983,111 @@ pub enum Reply {
     Error(String),
 }
 
+#[derive(Default)]
+struct Admitted {
+    id: u64,
+    total: usize,
+}
+
+object!(Admitted {
+    "id" => id,
+    "total" => total,
+});
+
+object!(CellProgress {
+    "index" => index,
+    "total" => total,
+    "key" => key,
+    "ok" => ok,
+    "ms" => ms: Tenths,
+    "journaled" => journaled,
+});
+
+object!(RequestReport {
+    "id" => id,
+    "total" => total,
+    "completed" => completed,
+    "failed" => failed,
+    "unstarted" => unstarted,
+    "journal_hits" => journal_hits,
+    "deadline_exceeded" => deadline_exceeded,
+    "shutdown" => shutdown,
+    "skipped" => skipped,
+    "failures" => failures,
+    "report" => report,
+});
+
+object!(ServiceStats {
+    "submitted" => submitted,
+    "accepted" => accepted,
+    "rejected_overloaded" => rejected_overloaded,
+    "rejected_shutdown" => rejected_shutdown,
+    "finished" => finished,
+    "cells_completed" => cells_completed,
+    "cells_failed" => cells_failed,
+    "journal_replays" => journal_replays,
+    "retries" => retries,
+    "overruns" => overruns,
+    "active_requests" => active_requests,
+    "queued_cells" => queued_cells,
+    "draining" => draining,
+    "trace_builds" => trace_builds,
+    "base_traces" => base_traces,
+    "prepared_cells" => prepared_cells,
+    // Absent in replies from pre-spill daemons: read as zero rather than
+    // failing the whole stats line.
+    "peak_rss_mb" => peak_rss_mb: OrDefault<Tenths>,
+    "spilled_mb" => spilled_mb: OrDefault<Tenths>,
+});
+
 /// Serializes one reply line (server side).
 pub fn reply_line(r: &Reply) -> String {
+    let mut out = String::new();
+    put_reply(r, &mut out);
+    out
+}
+
+/// Appends one reply line, without its newline, to `out`.
+fn put_reply(r: &Reply, out: &mut String) {
+    let mut w = Obj::open(out);
+    let status = match r {
+        Reply::Accepted { .. } => "accepted",
+        Reply::Rejected { status } => status,
+        Reply::Cell(_) => "cell",
+        Reply::Done(_) => "done",
+        Reply::Stats(_) => "stats",
+        Reply::Error(_) => "error",
+    };
+    json::put_str(status, w.key(STATUS));
     match r {
-        Reply::Accepted { id, total } => {
-            format!("{{\"status\":\"accepted\",\"id\":{id},\"total\":{total}}}")
-        }
-        Reply::Rejected { status } => format!("{{\"status\":\"{status}\"}}"),
-        Reply::Cell(p) => format!(
-            "{{\"status\":\"cell\",\"index\":{},\"total\":{},\"key\":\"{}\",\"ok\":{},\"ms\":{:.1},\"journaled\":{}}}",
-            p.index,
-            p.total,
-            json_escape(&p.key),
-            p.ok,
-            p.ms,
-            p.journaled
-        ),
-        Reply::Done(rep) => {
-            let skipped: Vec<String> = rep
-                .skipped
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect();
-            let failures: Vec<String> = rep
-                .failures
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect();
-            format!(
-                "{{\"status\":\"done\",\"id\":{},\"total\":{},\"completed\":{},\"failed\":{},\"unstarted\":{},\"journal_hits\":{},\"deadline_exceeded\":{},\"shutdown\":{},\"skipped\":[{}],\"failures\":[{}],\"report\":\"{}\"}}",
-                rep.id,
-                rep.total,
-                rep.completed,
-                rep.failed,
-                rep.unstarted,
-                rep.journal_hits,
-                rep.deadline_exceeded,
-                rep.shutdown,
-                skipped.join(","),
-                failures.join(","),
-                json_escape(&rep.report)
-            )
-        }
-        Reply::Stats(st) => format!(
-            "{{\"status\":\"stats\",\"submitted\":{},\"accepted\":{},\"rejected_overloaded\":{},\"rejected_shutdown\":{},\"finished\":{},\"cells_completed\":{},\"cells_failed\":{},\"journal_replays\":{},\"retries\":{},\"overruns\":{},\"active_requests\":{},\"queued_cells\":{},\"draining\":{},\"trace_builds\":{},\"base_traces\":{},\"prepared_cells\":{},\"peak_rss_mb\":{:.1},\"spilled_mb\":{:.1}}}",
-            st.submitted,
-            st.accepted,
-            st.rejected_overloaded,
-            st.rejected_shutdown,
-            st.finished,
-            st.cells_completed,
-            st.cells_failed,
-            st.journal_replays,
-            st.retries,
-            st.overruns,
-            st.active_requests,
-            st.queued_cells,
-            st.draining,
-            st.trace_builds,
-            st.base_traces,
-            st.prepared_cells,
-            st.peak_rss_mb,
-            st.spilled_mb
-        ),
-        Reply::Error(msg) => format!("{{\"status\":\"error\",\"msg\":\"{}\"}}", json_escape(msg)),
+        &Reply::Accepted { id, total } => Admitted { id, total }.put_fields(&mut w),
+        Reply::Rejected { .. } => {}
+        Reply::Cell(p) => p.put_fields(&mut w),
+        Reply::Done(rep) => rep.put_fields(&mut w),
+        Reply::Stats(st) => st.put_fields(&mut w),
+        Reply::Error(msg) => json::put_str(msg, w.key(MSG)),
     }
+    w.close();
 }
 
 /// Parses one reply line (client side).
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
     let v = Json::parse(line)?;
-    let status = v.field("status")?.str()?;
-    match status {
-        "accepted" => Ok(Reply::Accepted {
-            id: v.field_u64("id")?,
-            total: v.field_u64("total")? as usize,
-        }),
-        "overloaded" | "shutting-down" => Ok(Reply::Rejected {
-            status: status.to_string(),
-        }),
-        "cell" => Ok(Reply::Cell(CellProgress {
-            index: v.field_u64("index")? as usize,
-            total: v.field_u64("total")? as usize,
-            key: v.field("key")?.str()?.to_string(),
-            ok: bool_field(&v, "ok")?,
-            ms: v.field("ms")?.f64()?,
-            journaled: bool_field(&v, "journaled")?,
-        })),
-        "done" => {
-            let strings = |name: &str| -> Result<Vec<String>, String> {
-                v.field(name)?
-                    .arr()?
-                    .iter()
-                    .map(|s| s.str().map(str::to_string))
-                    .collect()
-            };
-            Ok(Reply::Done(RequestReport {
-                id: v.field_u64("id")?,
-                total: v.field_u64("total")? as usize,
-                completed: v.field_u64("completed")? as usize,
-                failed: v.field_u64("failed")? as usize,
-                unstarted: v.field_u64("unstarted")? as usize,
-                journal_hits: v.field_u64("journal_hits")? as usize,
-                deadline_exceeded: bool_field(&v, "deadline_exceeded")?,
-                shutdown: bool_field(&v, "shutdown")?,
-                report: v.field("report")?.str()?.to_string(),
-                skipped: strings("skipped")?,
-                failures: strings("failures")?,
-            }))
+    let status = v.field(STATUS)?.str()?;
+    Ok(match status {
+        "accepted" => {
+            let Admitted { id, total } = Admitted::get_fields(&v)?;
+            Reply::Accepted { id, total }
         }
-        "stats" => Ok(Reply::Stats(ServiceStats {
-            submitted: v.field_u64("submitted")?,
-            accepted: v.field_u64("accepted")?,
-            rejected_overloaded: v.field_u64("rejected_overloaded")?,
-            rejected_shutdown: v.field_u64("rejected_shutdown")?,
-            finished: v.field_u64("finished")?,
-            cells_completed: v.field_u64("cells_completed")?,
-            cells_failed: v.field_u64("cells_failed")?,
-            journal_replays: v.field_u64("journal_replays")?,
-            retries: v.field_u64("retries")?,
-            overruns: v.field_u64("overruns")?,
-            active_requests: v.field_u64("active_requests")? as usize,
-            queued_cells: v.field_u64("queued_cells")? as usize,
-            draining: bool_field(&v, "draining")?,
-            trace_builds: v.field_u64("trace_builds")? as usize,
-            base_traces: v.field_u64("base_traces")? as usize,
-            prepared_cells: v.field_u64("prepared_cells")? as usize,
-            // Absent in replies from pre-spill daemons: default to zero
-            // rather than failing the whole stats line.
-            peak_rss_mb: v.field("peak_rss_mb").and_then(|f| f.f64()).unwrap_or(0.0),
-            spilled_mb: v.field("spilled_mb").and_then(|f| f.f64()).unwrap_or(0.0),
-        })),
-        "error" => Ok(Reply::Error(v.field("msg")?.str()?.to_string())),
-        other => Err(format!("unknown reply status {other:?}")),
-    }
-}
-
-fn bool_field(v: &Json, name: &str) -> Result<bool, String> {
-    match v.field(name)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(format!("expected bool for {name:?}, got {other:?}")),
-    }
+        "overloaded" | "shutting-down" => Reply::Rejected {
+            status: status.to_string(),
+        },
+        "cell" => Reply::Cell(CellProgress::get_fields(&v)?),
+        "done" => Reply::Done(RequestReport::get_fields(&v)?),
+        "stats" => Reply::Stats(ServiceStats::get_fields(&v)?),
+        "error" => Reply::Error(v.field(MSG)?.str()?.to_string()),
+        other => return Err(format!("unknown reply status {other:?}")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1187,7 +1160,7 @@ impl LineReader {
 
 /// Appends one reply line to a write batch.
 fn push_reply(batch: &mut String, r: &Reply) {
-    batch.push_str(&reply_line(r));
+    put_reply(r, batch);
     batch.push('\n');
 }
 

@@ -27,12 +27,13 @@
 //!   the cells that were in flight (plus one torn line, which resume
 //!   drops).
 //!
-//! Everything here is dependency-free: the journal's JSON is written and
-//! parsed by the small hand-rolled codec at the bottom of this module
-//! (records hold only objects, arrays, strings, and integers — `u64`
-//! counters round-trip exactly because numbers are kept as text until a
-//! typed accessor parses them).
+//! Everything here is dependency-free: each journal line type names its
+//! JSON fields once, in one field list near the bottom of this module,
+//! and the crate's one codec (`crate::json`) renders and parses it from
+//! that list (`u64` counters round-trip exactly because numbers are kept
+//! as text until a typed accessor parses them).
 
+use crate::json::{self, object, Codec, Fields, Json, Obj, Value};
 use crate::runner::Cell;
 use oscache_memsys::faults::CellFault;
 use oscache_memsys::{BusStats, CpuStats, ModeSplit, SimError, SimStats};
@@ -191,6 +192,49 @@ impl std::fmt::Display for CellFailure {
     }
 }
 
+/// A cell failure as a report carries it over the wire: plain data,
+/// printed on stderr as the logfmt fields `cell=… attempt=… cause=… msg=…`
+/// (its `Display`), the same by the one-shot CLI and by `repro submit`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FailureReport {
+    /// Run-cache key of the failed cell.
+    pub key: String,
+    /// The last attempt index.
+    pub attempt: u32,
+    /// The cause's class label ([`FailureCause::class`]).
+    pub cause: String,
+    /// The cause's message.
+    pub msg: String,
+}
+
+impl From<&CellFailure> for FailureReport {
+    fn from(f: &CellFailure) -> Self {
+        FailureReport {
+            key: f.cell.key(),
+            attempt: f.attempt,
+            cause: f.cause.class().to_string(),
+            msg: f.cause.to_string(),
+        }
+    }
+}
+
+impl std::fmt::Display for FailureReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cell={:?} attempt={} cause={} msg={:?}",
+            self.key, self.attempt, self.cause, self.msg
+        )
+    }
+}
+
+object!(FailureReport {
+    "cell" => key,
+    "attempt" => attempt,
+    "cause" => cause,
+    "msg" => msg,
+});
+
 /// An attempt that ran past the soft deadline, recorded when the attempt
 /// ended. Under [`Escalation::FlagOnly`] the record is advisory: the
 /// attempt ran to completion (or to its own failure).
@@ -230,7 +274,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// journaling invocation and a `--resume` invocation for the records to be
 /// reusable. A mismatch is a typed [`JournalError::HeaderMismatch`], never
 /// a silent mix of incompatible results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalHeader {
     /// Journal format version ([`JOURNAL_SCHEMA`]).
     pub schema: u32,
@@ -255,7 +299,7 @@ impl JournalHeader {
 }
 
 /// One completed cell in the journal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct JournalRecord {
     /// Stable fingerprint digest
     /// ([`crate::runner::CellFingerprint::stable_digest`]).
@@ -387,7 +431,7 @@ impl Journal {
             line: 1,
             msg: "empty journal (missing header line)".to_string(),
         })?;
-        let found = parse_header(first).map_err(|msg| JournalError::Corrupt { line: 1, msg })?;
+        let found = json::from_line(first).map_err(|msg| JournalError::Corrupt { line: 1, msg })?;
         check_header(&found, &header)?;
         let unterminated = !text.ends_with('\n');
         let last = text.lines().count();
@@ -397,7 +441,7 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            match parse_record(line) {
+            match json::from_line(line) {
                 Ok(rec) => records.push(rec),
                 Err(_) if unterminated && i + 1 == last => {
                     salvaged = Some(Salvage {
@@ -484,7 +528,7 @@ impl Journal {
             return Ok(()); // recurring fingerprint: first record stands
         }
         let mut line = String::new();
-        write_record(&rec, &mut line);
+        put_line(&rec, &mut line);
         let idx = inner.records.len();
         inner.by_digest.insert(rec.digest, idx);
         inner.records.push(rec);
@@ -517,9 +561,9 @@ fn persist(
     records: &[JournalRecord],
 ) -> Result<std::fs::File, JournalError> {
     let mut s = String::new();
-    write_header(header, &mut s);
+    put_line(header, &mut s);
     for r in records {
-        write_record(r, &mut s);
+        put_line(r, &mut s);
     }
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
@@ -529,631 +573,160 @@ fn persist(
     Ok(std::fs::OpenOptions::new().append(true).open(path)?)
 }
 
+/// Compares the headers field by field in their JSON form, so the names a
+/// mismatch reports are the header's own field list.
 fn check_header(found: &JournalHeader, want: &JournalHeader) -> Result<(), JournalError> {
-    let fields: [(&'static str, u64, u64); 4] = [
-        ("schema", u64::from(found.schema), u64::from(want.schema)),
-        ("scale_bits", found.scale_bits, want.scale_bits),
-        ("seed", found.seed, want.seed),
-        ("n_cpus", found.n_cpus as u64, want.n_cpus as u64),
-    ];
-    for (field, journal, current) in fields {
-        if journal != current {
-            return Err(JournalError::HeaderMismatch {
-                field,
-                journal: journal.to_string(),
-                current: current.to_string(),
-            });
+    let values = |h: &JournalHeader| match Json::parse(&json::to_line(h)) {
+        Ok(Json::Obj(fields)) => fields.into_iter().map(|(_, v)| v),
+        _ => unreachable!("a rendered header parses as an object"),
+    };
+    let names = JournalHeader::NAMES.iter();
+    for ((&field, journal), current) in names.zip(values(found)).zip(values(want)) {
+        if let (Json::Num(journal), Json::Num(current)) = (journal, current) {
+            if journal != current {
+                return Err(JournalError::HeaderMismatch {
+                    field,
+                    journal,
+                    current,
+                });
+            }
         }
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Journal serde (header, record, SimStats)
+// Journal lines: one field list per type, rendered and parsed by crate::json
 // ---------------------------------------------------------------------------
 
-fn write_header(h: &JournalHeader, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"schema\":{},\"scale_bits\":{},\"scale\":{},\"seed\":{},\"n_cpus\":{}}}\n",
-        h.schema,
-        h.scale_bits,
-        f64::from_bits(h.scale_bits),
-        h.seed,
-        h.n_cpus
-    ));
+/// The header's `scale`: the trace scale as a plain number for a reader
+/// of the journal. It is never read back; `scale_bits` is exact.
+struct ScaleOfBits;
+
+impl Codec<u64> for ScaleOfBits {
+    fn put(bits: &u64, name: &str, w: &mut Obj<'_>) {
+        f64::from_bits(*bits).put(w.key(name));
+    }
+    fn get(_: Result<&Json, String>, _: &mut u64) -> Result<(), String> {
+        Ok(())
+    }
 }
 
-fn parse_header(line: &str) -> Result<JournalHeader, String> {
-    let j = Json::parse(line)?;
-    Ok(JournalHeader {
-        schema: j.field_u64("schema")? as u32,
-        scale_bits: j.field_u64("scale_bits")?,
-        seed: j.field_u64("seed")?,
-        n_cpus: j.field_u64("n_cpus")? as usize,
-    })
+object!(JournalHeader {
+    "schema" => schema,
+    "scale_bits" => scale_bits,
+    "scale" => scale_bits: ScaleOfBits,
+    "seed" => seed,
+    "n_cpus" => n_cpus,
+});
+
+object!(JournalRecord {
+    "digest" => digest,
+    "cell" => key,
+    "attempt" => attempt,
+    "ms" => ms,
+    "stats" => stats,
+});
+
+object!(SimStats {
+    "cpus" => cpus,
+    "bus" => bus,
+    "cpu_times" => cpu_times,
+});
+
+object!(CpuStats {
+    "exec_cycles" => exec_cycles,
+    "imiss_cycles" => imiss_cycles,
+    "dread_cycles" => dread_cycles,
+    "dwrite_cycles" => dwrite_cycles,
+    "pref_cycles" => pref_cycles,
+    "sync_cycles" => sync_cycles,
+    "dreads" => dreads,
+    "dwrites" => dwrites,
+    "l1d_read_misses" => l1d_read_misses,
+    "l1i_misses" => l1i_misses,
+    "idle_cycles" => idle_cycles,
+    "os_miss_blockop" => os_miss_blockop,
+    "os_miss_other" => os_miss_other,
+    "displ_inside" => displ_inside,
+    "displ_outside" => displ_outside,
+    "reuse_inside" => reuse_inside,
+    "reuse_outside" => reuse_outside,
+    "blk_read_stall" => blk_read_stall,
+    "blk_write_stall" => blk_write_stall,
+    "blk_exec_cycles" => blk_exec_cycles,
+    "blk_displ_stall" => blk_displ_stall,
+    "blk_src_lines" => blk_src_lines,
+    "blk_src_lines_cached" => blk_src_lines_cached,
+    "blk_dst_lines" => blk_dst_lines,
+    "blk_dst_l2_owned" => blk_dst_l2_owned,
+    "blk_dst_l2_shared" => blk_dst_l2_shared,
+    "blk_ops" => blk_ops,
+    "prefetches_issued" => prefetches_issued,
+    "prefetch_full_hits" => prefetch_full_hits,
+    "prefetch_partial_hits" => prefetch_partial_hits,
+    "os_miss_coherence" => os_miss_coherence,
+    "blk_size_buckets" => blk_size_buckets,
+    "os_miss_by_site" => os_miss_by_site,
+    "os_miss_by_class" => os_miss_by_class,
+    "lock_wait_cycles" => lock_wait_cycles,
+    "conflict_pairs" => conflict_pairs,
+});
+
+object!(BusStats {
+    "read_lines" => read_lines,
+    "read_exclusive" => read_exclusive,
+    "invalidations" => invalidations,
+    "write_backs" => write_backs,
+    "line_writes" => line_writes,
+    "update_words" => update_words,
+    "dma_transfers" => dma_transfers,
+    "busy_cycles" => busy_cycles,
+});
+
+/// A mode split as `[user, os]`.
+impl Value for ModeSplit {
+    fn put(&self, out: &mut String) {
+        [self.user, self.os].put(out);
+    }
+    fn get(j: &Json) -> Result<Self, String> {
+        let [user, os] = <[u64; 2]>::get(j)?;
+        Ok(ModeSplit { user, os })
+    }
 }
 
-fn write_record(r: &JournalRecord, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"digest\":{},\"cell\":\"{}\",\"attempt\":{},\"ms\":{},\"stats\":",
-        r.digest,
-        json_escape(&r.key),
-        r.attempt,
-        r.ms
-    ));
-    write_stats(&r.stats, out);
-    out.push_str("}\n");
-}
-
-fn parse_record(line: &str) -> Result<JournalRecord, String> {
-    let j = Json::parse(line)?;
-    Ok(JournalRecord {
-        digest: j.field_u64("digest")?,
-        key: j.field("cell")?.str()?.to_string(),
-        attempt: j.field_u64("attempt")? as u32,
-        ms: j.field("ms")?.f64()?,
-        stats: stats_from_value(j.field("stats")?)?,
-    })
+/// A data class by its stable name.
+impl Value for DataClass {
+    fn put(&self, out: &mut String) {
+        json::put_str(self.name(), out);
+    }
+    fn get(j: &Json) -> Result<Self, String> {
+        let name = j.str()?;
+        DataClass::from_name(name).ok_or_else(|| format!("unknown data class {name:?}"))
+    }
 }
 
 /// Serializes a [`SimStats`] to the journal's JSON form (stable field
 /// order; maps as key-sorted arrays, so equal stats produce equal bytes).
 pub fn stats_to_json(s: &SimStats) -> String {
-    let mut out = String::new();
-    write_stats(s, &mut out);
-    out
+    json::to_line(s)
 }
 
 /// Parses [`stats_to_json`]'s output back; every `u64` counter
 /// round-trips exactly.
 pub fn stats_from_json(text: &str) -> Result<SimStats, String> {
-    stats_from_value(&Json::parse(text)?)
+    json::from_line(text)
 }
 
-fn write_stats(s: &SimStats, out: &mut String) {
-    out.push_str("{\"cpus\":[");
-    for (i, c) in s.cpus.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_cpu(c, out);
-    }
-    out.push_str("],\"bus\":");
-    write_bus(&s.bus, out);
-    out.push_str(",\"cpu_times\":");
-    write_u64s(&s.cpu_times, out);
-    out.push('}');
-}
-
-fn stats_from_value(j: &Json) -> Result<SimStats, String> {
-    let mut s = SimStats::default();
-    for c in j.field("cpus")?.arr()? {
-        s.cpus.push(cpu_from_value(c)?);
-    }
-    s.bus = bus_from_value(j.field("bus")?)?;
-    s.cpu_times = u64s_from_value(j.field("cpu_times")?)?;
-    Ok(s)
-}
-
-fn write_split(m: ModeSplit, out: &mut String) {
-    out.push_str(&format!("[{},{}]", m.user, m.os));
-}
-
-fn split_from_value(j: &Json) -> Result<ModeSplit, String> {
-    let a = j.arr()?;
-    if a.len() != 2 {
-        return Err(format!("mode split needs 2 elements, got {}", a.len()));
-    }
-    Ok(ModeSplit {
-        user: a[0].u64()?,
-        os: a[1].u64()?,
-    })
-}
-
-fn write_u64s(v: &[u64], out: &mut String) {
-    out.push('[');
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_string());
-    }
-    out.push(']');
-}
-
-fn u64s_from_value(j: &Json) -> Result<Vec<u64>, String> {
-    j.arr()?.iter().map(Json::u64).collect()
-}
-
-fn write_cpu(c: &CpuStats, out: &mut String) {
-    out.push('{');
-    let mut first = true;
-    let mut field = |out: &mut String, name: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        out.push_str(name);
-        out.push_str("\":");
-    };
-    for (name, v) in [
-        ("exec_cycles", c.exec_cycles),
-        ("imiss_cycles", c.imiss_cycles),
-        ("dread_cycles", c.dread_cycles),
-        ("dwrite_cycles", c.dwrite_cycles),
-        ("pref_cycles", c.pref_cycles),
-        ("sync_cycles", c.sync_cycles),
-        ("dreads", c.dreads),
-        ("dwrites", c.dwrites),
-        ("l1d_read_misses", c.l1d_read_misses),
-        ("l1i_misses", c.l1i_misses),
-    ] {
-        field(out, name);
-        write_split(v, out);
-    }
-    for (name, v) in [
-        ("idle_cycles", c.idle_cycles),
-        ("os_miss_blockop", c.os_miss_blockop),
-        ("os_miss_other", c.os_miss_other),
-        ("displ_inside", c.displ_inside),
-        ("displ_outside", c.displ_outside),
-        ("reuse_inside", c.reuse_inside),
-        ("reuse_outside", c.reuse_outside),
-        ("blk_read_stall", c.blk_read_stall),
-        ("blk_write_stall", c.blk_write_stall),
-        ("blk_exec_cycles", c.blk_exec_cycles),
-        ("blk_displ_stall", c.blk_displ_stall),
-        ("blk_src_lines", c.blk_src_lines),
-        ("blk_src_lines_cached", c.blk_src_lines_cached),
-        ("blk_dst_lines", c.blk_dst_lines),
-        ("blk_dst_l2_owned", c.blk_dst_l2_owned),
-        ("blk_dst_l2_shared", c.blk_dst_l2_shared),
-        ("blk_ops", c.blk_ops),
-        ("prefetches_issued", c.prefetches_issued),
-        ("prefetch_full_hits", c.prefetch_full_hits),
-        ("prefetch_partial_hits", c.prefetch_partial_hits),
-    ] {
-        field(out, name);
-        out.push_str(&v.to_string());
-    }
-    field(out, "os_miss_coherence");
-    write_u64s(&c.os_miss_coherence, out);
-    field(out, "blk_size_buckets");
-    write_u64s(&c.blk_size_buckets, out);
-    field(out, "os_miss_by_site");
-    write_u64s(&c.os_miss_by_site, out);
-
-    field(out, "os_miss_by_class");
-    let mut by_class: Vec<(DataClass, u64)> =
-        c.os_miss_by_class.iter().map(|(&k, &v)| (k, v)).collect();
-    by_class.sort_unstable();
-    out.push('[');
-    for (i, (k, v)) in by_class.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[\"{}\",{v}]", k.name()));
-    }
-    out.push(']');
-
-    field(out, "lock_wait_cycles");
-    let mut locks: Vec<(u16, u64)> = c.lock_wait_cycles.iter().map(|(&k, &v)| (k, v)).collect();
-    locks.sort_unstable();
-    out.push('[');
-    for (i, (k, v)) in locks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{k},{v}]"));
-    }
-    out.push(']');
-
-    field(out, "conflict_pairs");
-    let mut pairs: Vec<((DataClass, DataClass), u64)> =
-        c.conflict_pairs.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    out.push('[');
-    for (i, ((a, b), v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[\"{}\",\"{}\",{v}]", a.name(), b.name()));
-    }
-    out.push(']');
-    out.push('}');
-}
-
-#[allow(clippy::field_reassign_with_default)]
-fn cpu_from_value(j: &Json) -> Result<CpuStats, String> {
-    let mut c = CpuStats::default();
-    c.exec_cycles = split_from_value(j.field("exec_cycles")?)?;
-    c.imiss_cycles = split_from_value(j.field("imiss_cycles")?)?;
-    c.dread_cycles = split_from_value(j.field("dread_cycles")?)?;
-    c.dwrite_cycles = split_from_value(j.field("dwrite_cycles")?)?;
-    c.pref_cycles = split_from_value(j.field("pref_cycles")?)?;
-    c.sync_cycles = split_from_value(j.field("sync_cycles")?)?;
-    c.dreads = split_from_value(j.field("dreads")?)?;
-    c.dwrites = split_from_value(j.field("dwrites")?)?;
-    c.l1d_read_misses = split_from_value(j.field("l1d_read_misses")?)?;
-    c.l1i_misses = split_from_value(j.field("l1i_misses")?)?;
-    c.idle_cycles = j.field_u64("idle_cycles")?;
-    c.os_miss_blockop = j.field_u64("os_miss_blockop")?;
-    c.os_miss_other = j.field_u64("os_miss_other")?;
-    c.displ_inside = j.field_u64("displ_inside")?;
-    c.displ_outside = j.field_u64("displ_outside")?;
-    c.reuse_inside = j.field_u64("reuse_inside")?;
-    c.reuse_outside = j.field_u64("reuse_outside")?;
-    c.blk_read_stall = j.field_u64("blk_read_stall")?;
-    c.blk_write_stall = j.field_u64("blk_write_stall")?;
-    c.blk_exec_cycles = j.field_u64("blk_exec_cycles")?;
-    c.blk_displ_stall = j.field_u64("blk_displ_stall")?;
-    c.blk_src_lines = j.field_u64("blk_src_lines")?;
-    c.blk_src_lines_cached = j.field_u64("blk_src_lines_cached")?;
-    c.blk_dst_lines = j.field_u64("blk_dst_lines")?;
-    c.blk_dst_l2_owned = j.field_u64("blk_dst_l2_owned")?;
-    c.blk_dst_l2_shared = j.field_u64("blk_dst_l2_shared")?;
-    c.blk_ops = j.field_u64("blk_ops")?;
-    c.prefetches_issued = j.field_u64("prefetches_issued")?;
-    c.prefetch_full_hits = j.field_u64("prefetch_full_hits")?;
-    c.prefetch_partial_hits = j.field_u64("prefetch_partial_hits")?;
-    let coh = u64s_from_value(j.field("os_miss_coherence")?)?;
-    c.os_miss_coherence = coh
-        .try_into()
-        .map_err(|v: Vec<u64>| format!("os_miss_coherence needs 5 elements, got {}", v.len()))?;
-    let buckets = u64s_from_value(j.field("blk_size_buckets")?)?;
-    c.blk_size_buckets = buckets
-        .try_into()
-        .map_err(|v: Vec<u64>| format!("blk_size_buckets needs 3 elements, got {}", v.len()))?;
-    c.os_miss_by_site = u64s_from_value(j.field("os_miss_by_site")?)?;
-    let class = |j: &Json| {
-        let name = j.str()?;
-        DataClass::from_name(name).ok_or_else(|| format!("unknown data class {name:?}"))
-    };
-    for e in j.field("os_miss_by_class")?.arr()? {
-        let pair = e.arr()?;
-        if pair.len() != 2 {
-            return Err("os_miss_by_class entries are [class, count]".to_string());
-        }
-        c.os_miss_by_class.insert(class(&pair[0])?, pair[1].u64()?);
-    }
-    for e in j.field("lock_wait_cycles")?.arr()? {
-        let pair = e.arr()?;
-        if pair.len() != 2 {
-            return Err("lock_wait_cycles entries are [lock, cycles]".to_string());
-        }
-        c.lock_wait_cycles
-            .insert(pair[0].u64()? as u16, pair[1].u64()?);
-    }
-    for e in j.field("conflict_pairs")?.arr()? {
-        let triple = e.arr()?;
-        if triple.len() != 3 {
-            return Err("conflict_pairs entries are [victim, evictor, count]".to_string());
-        }
-        c.conflict_pairs
-            .insert((class(&triple[0])?, class(&triple[1])?), triple[2].u64()?);
-    }
-    Ok(c)
-}
-
-fn write_bus(b: &BusStats, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"read_lines\":{},\"read_exclusive\":{},\"invalidations\":{},\
-         \"write_backs\":{},\"line_writes\":{},\"update_words\":{},\
-         \"dma_transfers\":{},\"busy_cycles\":{}}}",
-        b.read_lines,
-        b.read_exclusive,
-        b.invalidations,
-        b.write_backs,
-        b.line_writes,
-        b.update_words,
-        b.dma_transfers,
-        b.busy_cycles
-    ));
-}
-
-fn bus_from_value(j: &Json) -> Result<BusStats, String> {
-    Ok(BusStats {
-        read_lines: j.field_u64("read_lines")?,
-        read_exclusive: j.field_u64("read_exclusive")?,
-        invalidations: j.field_u64("invalidations")?,
-        write_backs: j.field_u64("write_backs")?,
-        line_writes: j.field_u64("line_writes")?,
-        update_words: j.field_u64("update_words")?,
-        dma_transfers: j.field_u64("dma_transfers")?,
-        busy_cycles: j.field_u64("busy_cycles")?,
-    })
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON (just what the journal needs: objects, arrays, strings,
-// numbers kept as text so u64 counters never pass through f64)
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers stay as their source text until a typed
-/// accessor parses them, so 64-bit counters round-trip exactly.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Json {
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-    /// An array.
-    Arr(Vec<Json>),
-    /// A string.
-    Str(String),
-    /// A number, unparsed.
-    Num(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Json {
-    /// Parses one JSON value from `text` (trailing whitespace allowed).
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn field(&self, name: &str) -> Result<&Json, String> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {name:?}")),
-            _ => Err(format!("expected object while reading field {name:?}")),
-        }
-    }
-
-    pub(crate) fn field_u64(&self, name: &str) -> Result<u64, String> {
-        self.field(name)?.u64()
-    }
-
-    pub(crate) fn u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Num(s) => s.parse().map_err(|_| format!("not a u64: {s:?}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(s) => s.parse().map_err(|_| format!("not a number: {s:?}")),
-            other => Err(format!("expected number, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn str(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    pub(crate) fn arr(&self) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            other => Err(format!("expected array, got {other:?}")),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at offset {}", char::from(ch), *pos))
-    }
-}
-
-/// Deepest array/object nesting [`Json::parse`] accepts, far above any
-/// journal record or service request; the bound keeps a hostile line
-/// from overflowing the recursive parser's stack.
-const MAX_JSON_DEPTH: usize = 32;
-
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_JSON_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
-            *pos
-        ));
-    }
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos, depth + 1)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *pos;
-            *pos += 1;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            Ok(Json::Num(
-                std::str::from_utf8(&b[start..*pos])
-                    .map_err(|e| e.to_string())?
-                    .to_string(),
-            ))
-        }
-        _ => Err(format!("unexpected byte at offset {}", *pos)),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole run up to the next quote or backslash,
-                // validating it once: both delimiters are ASCII, so a run
-                // never splits a multibyte scalar, and the parse stays
-                // linear in the line's length.
-                let run = b[*pos..]
-                    .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
-                    .ok_or("unterminated string")?;
-                let text = std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?;
-                out.push_str(text);
-                *pos += run;
-            }
-        }
-    }
+/// Appends `v` and a newline to `out`: one journal line.
+fn put_line(v: &impl Value, out: &mut String) {
+    v.put(out);
+    out.push('\n');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_scalars() {
-        let j = Json::parse(r#"{"a":18446744073709551615,"b":"x\"\\y","c":[1,2],"d":-3.5}"#)
-            .expect("parses");
-        assert_eq!(j.field_u64("a").unwrap(), u64::MAX);
-        assert_eq!(j.field("b").unwrap().str().unwrap(), "x\"\\y");
-        assert_eq!(j.field("c").unwrap().arr().unwrap().len(), 2);
-        assert_eq!(j.field("d").unwrap().f64().unwrap(), -3.5);
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,2,]").is_err());
-        assert!(Json::parse("{}trailing").is_err());
-        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(Json::parse(&nested(32)).is_ok());
-        let err = Json::parse(&nested(33)).unwrap_err();
-        assert!(err.contains("nesting deeper than 32"), "{err}");
-        assert!(Json::parse(&"[".repeat(200_000)).is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_inside_a_string_is_an_error() {
-        let mut pos = 0;
-        assert!(parse_string(b"\"ok \xff\xfe bad\"", &mut pos).is_err());
-        let mut pos = 0;
-        assert!(parse_string(b"\"cut \xe2\x82\"", &mut pos).is_err());
-        let mut pos = 0;
-        assert_eq!(parse_string(b"\"caf\xc3\xa9\"", &mut pos).unwrap(), "café");
-        assert_eq!(pos, 7);
-        let mut pos = 0;
-        assert!(parse_string(b"\"no end", &mut pos).is_err());
-        let mut pos = 0;
-        assert!(parse_string(br#""bad \q escape""#, &mut pos).is_err());
-    }
 
     #[test]
     fn journal_record_round_trips_multibyte_keys_and_escapes() {
@@ -1165,8 +738,8 @@ mod tests {
             stats: SimStats::default(),
         };
         let mut s = String::new();
-        write_record(&rec, &mut s);
-        let back = parse_record(s.trim_end()).expect("record parses");
+        rec.put(&mut s);
+        let back: JournalRecord = json::from_line(&s).expect("record parses");
         assert_eq!(back.key, rec.key);
         assert_eq!(back.digest, 42);
         assert_eq!(back.attempt, 1);
@@ -1181,8 +754,8 @@ mod tests {
             n_cpus: 4,
         };
         let mut s = String::new();
-        write_header(&h, &mut s);
-        let parsed = parse_header(s.trim_end()).expect("header parses");
+        h.put(&mut s);
+        let parsed: JournalHeader = json::from_line(&s).expect("header parses");
         assert_eq!(parsed, h);
     }
 

@@ -11,7 +11,8 @@ use oscache_core::service::{
     WireRequest,
 };
 use oscache_core::{
-    render_experiment, Escalation, Experiment, Journal, JournalHeader, Repro, RunPolicy,
+    render_experiment, Escalation, Experiment, FailureReport, Journal, JournalHeader, Repro,
+    RunPolicy,
 };
 use oscache_workloads::BuildOptions;
 use std::path::PathBuf;
@@ -136,7 +137,7 @@ fn deadline_cancels_as_typed_timeouts_and_later_requests_are_unpoisoned() {
     assert!(rep.failed >= 1, "an expired deadline must fail cells");
     assert_eq!(rep.completed + rep.failed + rep.unstarted, rep.total);
     for f in &rep.failures {
-        assert!(f.ends_with(": timeout"), "untyped failure: {f}");
+        assert_eq!(f.cause, "timeout", "untyped failure: {f}");
     }
     // Cancellation must not poison shared state: the same experiments
     // then complete byte-identically to the serial reference.
@@ -168,7 +169,7 @@ fn an_escalated_soft_deadline_kills_only_its_own_attempt() {
     assert_eq!(server.stats().overruns, 4, "every cell must be attempted");
     assert!(!rep.deadline_exceeded, "no request deadline was set");
     for f in &rep.failures {
-        assert!(f.ends_with(": timeout"), "untyped failure: {f}");
+        assert_eq!(f.cause, "timeout", "untyped failure: {f}");
     }
     server.stop();
 }
@@ -284,7 +285,12 @@ fn wire_protocol_round_trips_requests_and_replies() {
         shutdown: false,
         report: "Table 1 — \"quoted\"\n\tline two\n".to_string(),
         skipped: vec!["fig6".to_string()],
-        failures: vec!["trfd4/Base: timeout".to_string()],
+        failures: vec![FailureReport {
+            key: "trfd4/Base".to_string(),
+            attempt: 0,
+            cause: "timeout".to_string(),
+            msg: "deadline exceeded".to_string(),
+        }],
     };
     match parse_reply(&reply_line(&Reply::Done(rep.clone()))).expect("done round trip") {
         Reply::Done(r) => {
@@ -497,7 +503,7 @@ fn a_duplicate_cell_waiting_on_another_request_still_meets_its_deadline() {
     assert_eq!(rep.completed, 0, "the duplicate outwaited its deadline");
     assert_eq!(rep.failed, rep.total);
     for f in &rep.failures {
-        assert!(f.ends_with(": timeout"), "untyped failure: {f}");
+        assert_eq!(f.cause, "timeout", "untyped failure: {f}");
     }
     assert!(
         answered < deadline + POLL_GRACE,
@@ -593,7 +599,12 @@ fn multibyte_text_and_escapes_survive_the_wire() {
         completed: 1,
         report: text.to_string(),
         skipped: vec![format!("{text}/skipped")],
-        failures: vec!["Ünïcødé/Base: timeout".to_string()],
+        failures: vec![FailureReport {
+            key: "Ünïcødé/Base \"q\"".to_string(),
+            attempt: 2,
+            cause: "panic".to_string(),
+            msg: format!("panic: {text}"),
+        }],
         ..Default::default()
     };
     match parse_reply(&reply_line(&Reply::Done(rep.clone()))).expect("done parses") {
@@ -608,4 +619,123 @@ fn multibyte_text_and_escapes_survive_the_wire() {
         Reply::Error(msg) => assert_eq!(msg, text),
         _ => panic!("expected error"),
     }
+}
+
+/// The `run` request line, pinned byte for byte.
+const PINNED_RUN: &str = concat!(
+    r#"{"op":"run","client":"pin \"q\"\\é","experiments":["table1","fig6"],"#,
+    r#""deadline_ms":1500}"#,
+);
+/// One reply line of each kind, pinned byte for byte: `ms` and the MiB
+/// gauges at one decimal, text escaped in place.
+const PINNED_ACCEPTED: &str = r#"{"status":"accepted","id":3,"total":4}"#;
+const PINNED_OVERLOADED: &str = r#"{"status":"overloaded"}"#;
+const PINNED_CELL: &str = concat!(
+    r#"{"status":"cell","index":2,"total":4,"key":"shell/Blk_Dma","ok":true,"ms":12.3,"#,
+    r#""journaled":false}"#,
+);
+const PINNED_DONE: &str = concat!(
+    r#"{"status":"done","id":7,"total":4,"completed":3,"failed":1,"unstarted":0,"#,
+    r#""journal_hits":2,"deadline_exceeded":true,"shutdown":false,"skipped":["fig6","#,
+    r#""table2"],"failures":[{"cell":"trfd4/Base","attempt":0,"cause":"timeout","#,
+    r#""msg":"deadline exceeded"}],"#,
+    r#""report":"Table 1 — \"quoted\"\n\tline two\u0001\n"}"#,
+);
+const PINNED_STATS: &str = concat!(
+    r#"{"status":"stats","submitted":1,"accepted":2,"rejected_overloaded":3,"#,
+    r#""rejected_shutdown":4,"finished":5,"cells_completed":6,"cells_failed":7,"#,
+    r#""journal_replays":8,"retries":9,"overruns":10,"active_requests":11,"#,
+    r#""queued_cells":12,"draining":true,"trace_builds":13,"base_traces":14,"#,
+    r#""prepared_cells":15,"peak_rss_mb":321.5,"spilled_mb":87.0}"#,
+);
+const PINNED_ERROR: &str = r#"{"status":"error","msg":"bad \"line\"\n\u0001"}"#;
+
+/// Renders `reply`, requires `pinned`, and requires the pinned line to
+/// parse back to a reply that renders the same bytes.
+fn assert_pinned_reply(reply: Reply, pinned: &str) {
+    let line = reply_line(&reply);
+    assert_eq!(line, pinned);
+    let back = parse_reply(pinned).unwrap_or_else(|e| panic!("{pinned}: {e}"));
+    assert_eq!(reply_line(&back), pinned, "parse then render drifted");
+}
+
+#[test]
+fn wire_lines_are_pinned_byte_for_byte() {
+    let req = RunRequest {
+        client: "pin \"q\"\\é".to_string(),
+        experiments: vec![Experiment::Table1, Experiment::Fig6],
+        deadline_ms: Some(1500),
+    };
+    let line = run_request_line(&req);
+    assert_eq!(line, PINNED_RUN);
+    match parse_request(PINNED_RUN).expect("pinned request parses") {
+        WireRequest::Run(r) => assert_eq!(run_request_line(&r), PINNED_RUN),
+        _ => panic!("expected a run request"),
+    }
+    assert_pinned_reply(Reply::Accepted { id: 3, total: 4 }, PINNED_ACCEPTED);
+    assert_pinned_reply(
+        Reply::Rejected {
+            status: "overloaded".to_string(),
+        },
+        PINNED_OVERLOADED,
+    );
+    assert_pinned_reply(
+        Reply::Cell(CellProgress {
+            index: 2,
+            total: 4,
+            key: "shell/Blk_Dma".to_string(),
+            ok: true,
+            ms: 12.345,
+            journaled: false,
+        }),
+        PINNED_CELL,
+    );
+    assert_pinned_reply(
+        Reply::Done(RequestReport {
+            id: 7,
+            total: 4,
+            completed: 3,
+            failed: 1,
+            unstarted: 0,
+            journal_hits: 2,
+            deadline_exceeded: true,
+            shutdown: false,
+            report: "Table 1 — \"quoted\"\n\tline two\u{1}\n".to_string(),
+            skipped: vec!["fig6".to_string(), "table2".to_string()],
+            failures: vec![FailureReport {
+                key: "trfd4/Base".to_string(),
+                attempt: 0,
+                cause: "timeout".to_string(),
+                msg: "deadline exceeded".to_string(),
+            }],
+        }),
+        PINNED_DONE,
+    );
+    assert_pinned_reply(
+        Reply::Stats(ServiceStats {
+            submitted: 1,
+            accepted: 2,
+            rejected_overloaded: 3,
+            rejected_shutdown: 4,
+            finished: 5,
+            cells_completed: 6,
+            cells_failed: 7,
+            journal_replays: 8,
+            retries: 9,
+            overruns: 10,
+            active_requests: 11,
+            queued_cells: 12,
+            draining: true,
+            trace_builds: 13,
+            base_traces: 14,
+            prepared_cells: 15,
+            peak_rss_mb: 321.46,
+            spilled_mb: 87.0,
+        }),
+        PINNED_STATS,
+    );
+    assert_pinned_reply(
+        Reply::Error("bad \"line\"\n\u{1}".to_string()),
+        PINNED_ERROR,
+    );
 }

@@ -605,3 +605,152 @@ fn failure_types_are_send_and_sync() {
     assert_send_sync::<oscache_core::CellFailure>();
     assert_send_sync::<Journal>();
 }
+
+/// Stats with every counter distinct and every map and array non-empty:
+/// two CPUs, so element separators and per-map key sorting both show.
+#[allow(clippy::field_reassign_with_default)]
+fn pinned_stats() -> SimStats {
+    let cpu = |base: u64| {
+        let split = |n: u64| ModeSplit {
+            user: base + n,
+            os: base + n + 100,
+        };
+        let mut c = CpuStats::default();
+        c.exec_cycles = split(1);
+        c.imiss_cycles = split(2);
+        c.dread_cycles = split(3);
+        c.dwrite_cycles = split(4);
+        c.pref_cycles = split(5);
+        c.sync_cycles = split(6);
+        c.dreads = split(7);
+        c.dwrites = split(8);
+        c.l1d_read_misses = split(9);
+        c.l1i_misses = split(10);
+        c.idle_cycles = base + 11;
+        c.os_miss_blockop = base + 12;
+        c.os_miss_coherence = [21, 22, 23, 24, 25].map(|n| base + n);
+        c.os_miss_other = base + 13;
+        c.os_miss_by_site = vec![base + 31, 0, base + 32];
+        c.displ_inside = base + 14;
+        c.displ_outside = base + 15;
+        c.reuse_inside = base + 16;
+        c.reuse_outside = base + 17;
+        c.blk_read_stall = base + 18;
+        c.blk_write_stall = base + 19;
+        c.blk_exec_cycles = base + 20;
+        c.blk_displ_stall = base + 26;
+        c.blk_src_lines = base + 27;
+        c.blk_src_lines_cached = base + 28;
+        c.blk_dst_lines = base + 29;
+        c.blk_dst_l2_owned = base + 30;
+        c.blk_dst_l2_shared = base + 33;
+        c.blk_size_buckets = [41, 42, 43].map(|n| base + n);
+        c.blk_ops = base + 34;
+        c.prefetches_issued = base + 35;
+        c.prefetch_full_hits = base + 36;
+        c.prefetch_partial_hits = base + 37;
+        c.os_miss_by_class.insert(DataClass::UserStack, base + 51);
+        c.os_miss_by_class.insert(DataClass::BarrierVar, base + 52);
+        c.lock_wait_cycles.insert(9, base + 61);
+        c.lock_wait_cycles.insert(2, base + 62);
+        c.conflict_pairs
+            .insert((DataClass::PageTable, DataClass::LockVar), base + 71);
+        c.conflict_pairs
+            .insert((DataClass::LockVar, DataClass::RunQueue), base + 72);
+        c
+    };
+    SimStats {
+        cpus: vec![cpu(1000), cpu(2000)],
+        bus: BusStats {
+            read_lines: 81,
+            read_exclusive: 82,
+            invalidations: 83,
+            write_backs: 84,
+            line_writes: 85,
+            update_words: 86,
+            dma_transfers: 87,
+            busy_cycles: u64::MAX,
+        },
+        cpu_times: vec![91, 92],
+    }
+}
+
+/// The journal header line, pinned byte for byte.
+const PINNED_HEADER: &str = concat!(
+    r#"{"schema":1,"scale_bits":4587366580439587226,"scale":0.05,"seed":6073486,"#,
+    r#""n_cpus":4}"#,
+);
+
+/// A journal record line, pinned byte for byte: full-precision `ms`, the
+/// key escaped, every map as a key-sorted array.
+const PINNED_RECORD: &str = concat!(
+    r#"{"digest":16045690981116495207,"cell":"Shell/Base \"q\"\\é","attempt":2,"#,
+    r#""ms":12.345678901234,"stats":{"cpus":[{"exec_cycles":[1001,1101],"#,
+    r#""imiss_cycles":[1002,1102],"dread_cycles":[1003,1103],"dwrite_cycles":[1004,"#,
+    r#"1104],"pref_cycles":[1005,1105],"sync_cycles":[1006,1106],"dreads":[1007,1107],"#,
+    r#""dwrites":[1008,1108],"l1d_read_misses":[1009,1109],"l1i_misses":[1010,1110],"#,
+    r#""idle_cycles":1011,"os_miss_blockop":1012,"os_miss_other":1013,"#,
+    r#""displ_inside":1014,"displ_outside":1015,"reuse_inside":1016,"#,
+    r#""reuse_outside":1017,"blk_read_stall":1018,"blk_write_stall":1019,"#,
+    r#""blk_exec_cycles":1020,"blk_displ_stall":1026,"blk_src_lines":1027,"#,
+    r#""blk_src_lines_cached":1028,"blk_dst_lines":1029,"blk_dst_l2_owned":1030,"#,
+    r#""blk_dst_l2_shared":1033,"blk_ops":1034,"prefetches_issued":1035,"#,
+    r#""prefetch_full_hits":1036,"prefetch_partial_hits":1037,"#,
+    r#""os_miss_coherence":[1021,1022,1023,1024,1025],"blk_size_buckets":[1041,1042,"#,
+    r#"1043],"os_miss_by_site":[1031,0,1032],"os_miss_by_class":[["BarrierVar",1052],"#,
+    r#"["UserStack",1051]],"lock_wait_cycles":[[2,1062],[9,1061]],"#,
+    r#""conflict_pairs":[["LockVar","RunQueue",1072],["PageTable","LockVar",1071]]},"#,
+    r#"{"exec_cycles":[2001,2101],"imiss_cycles":[2002,2102],"dread_cycles":[2003,"#,
+    r#"2103],"dwrite_cycles":[2004,2104],"pref_cycles":[2005,2105],"sync_cycles":[2006,"#,
+    r#"2106],"dreads":[2007,2107],"dwrites":[2008,2108],"l1d_read_misses":[2009,2109],"#,
+    r#""l1i_misses":[2010,2110],"idle_cycles":2011,"os_miss_blockop":2012,"#,
+    r#""os_miss_other":2013,"displ_inside":2014,"displ_outside":2015,"#,
+    r#""reuse_inside":2016,"reuse_outside":2017,"blk_read_stall":2018,"#,
+    r#""blk_write_stall":2019,"blk_exec_cycles":2020,"blk_displ_stall":2026,"#,
+    r#""blk_src_lines":2027,"blk_src_lines_cached":2028,"blk_dst_lines":2029,"#,
+    r#""blk_dst_l2_owned":2030,"blk_dst_l2_shared":2033,"blk_ops":2034,"#,
+    r#""prefetches_issued":2035,"prefetch_full_hits":2036,"prefetch_partial_hits":2037,"#,
+    r#""os_miss_coherence":[2021,2022,2023,2024,2025],"blk_size_buckets":[2041,2042,"#,
+    r#"2043],"os_miss_by_site":[2031,0,2032],"os_miss_by_class":[["BarrierVar",2052],"#,
+    r#"["UserStack",2051]],"lock_wait_cycles":[[2,2062],[9,2061]],"#,
+    r#""conflict_pairs":[["LockVar","RunQueue",2072],["PageTable","LockVar",2071]]}],"#,
+    r#""bus":{"read_lines":81,"read_exclusive":82,"invalidations":83,"write_backs":84,"#,
+    r#""line_writes":85,"update_words":86,"dma_transfers":87,"#,
+    r#""busy_cycles":18446744073709551615},"cpu_times":[91,92]}}"#,
+);
+
+#[test]
+fn journal_lines_are_pinned_byte_for_byte() {
+    let path = tmp_path("pinned");
+    let _ = std::fs::remove_file(&path);
+    let header = JournalHeader::new(&BuildOptions {
+        scale: 0.05,
+        seed: 0x05cac8e,
+        n_cpus: 4,
+    });
+    let journal = Journal::create(&path, header).expect("create");
+    journal
+        .append(JournalRecord {
+            digest: 0xdead_beef_0123_4567,
+            key: "Shell/Base \"q\"\\é".to_string(),
+            attempt: 2,
+            ms: 12.345_678_901_234,
+            stats: pinned_stats(),
+        })
+        .expect("append");
+    drop(journal);
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines, [PINNED_HEADER, PINNED_RECORD]);
+    // The parse direction: a journal holding exactly these bytes resumes
+    // to the same stats.
+    std::fs::write(&path, format!("{PINNED_HEADER}\n{PINNED_RECORD}\n")).expect("write");
+    let resumed = Journal::resume(&path, header).expect("resume pinned journal");
+    assert_eq!(resumed.len(), 1);
+    assert_eq!(
+        resumed.lookup(0xdead_beef_0123_4567),
+        Some(pinned_stats()),
+        "the pinned record must parse back to the stats it was written from"
+    );
+    let _ = std::fs::remove_file(&path);
+}
