@@ -270,7 +270,9 @@ fn perturb(workload: &str, scale: f64) {
             ..Default::default()
         },
     );
-    let inst = oscache_core::transform::instrument_escapes(&trace);
+    let inst = oscache_core::transform::TransformPipeline::new()
+        .escapes()
+        .run(&trace);
     let growth = inst.total_events() as f64 / trace.total_events() as f64 - 1.0;
     let base = oscache_core::run_system(&trace, System::Base);
     let with = oscache_core::run_system(&inst, System::Base);

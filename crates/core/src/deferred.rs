@@ -7,7 +7,7 @@
 //! 9–44% of small copies, but eliminating them removes only 0.1–0.4% of
 //! primary-cache misses.
 
-use oscache_trace::{Addr, ChunkedStreamBuilder, ChunkedTrace, Event, PAGE_SIZE};
+use oscache_trace::{Addr, ChunkedTrace, Event, PAGE_SIZE};
 
 /// Counts for Table 4.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,171 +174,56 @@ pub fn analyze(trace: &ChunkedTrace) -> DeferredCounts {
     summarize(trace).counts
 }
 
-/// Applies deferred copying: read-only small copies are removed entirely
-/// (the copy never happens) and later reads of their destination blocks
-/// are remapped to the source (the VMP-style remap); a short bookkeeping
-/// overhead replaces each removed operation.
-pub fn apply_deferred_copy(trace: &ChunkedTrace) -> ChunkedTrace {
-    rewrite(trace, &summarize(trace))
-}
-
-/// [`apply_deferred_copy`] with the trace's summary already in hand. Each
-/// removed bracket is the one whose `BlockOpBegin` index the summary
-/// recorded, so an identical copy elsewhere in the stream is never
-/// mistaken for it; events outside the removed brackets keep their order.
-/// The rewrite decodes one chunk at a time and re-encodes into fresh
-/// chunks.
-pub(crate) fn rewrite(trace: &ChunkedTrace, summary: &DeferralSummary) -> ChunkedTrace {
-    let mut out = ChunkedTrace::new(trace.n_cpus(), trace.meta.clone());
-    for (cpu, stream) in trace.streams.iter().enumerate() {
-        let ops = &summary.readonly[cpu];
+impl DeferralSummary {
+    /// Deferred copying over stream `cpu` of the summarized trace (the
+    /// first [`TransformPipeline`](crate::transform::TransformPipeline)
+    /// stage): a short bookkeeping overhead replaces each read-only small
+    /// copy's bracket — the one whose `BlockOpBegin` index the summary
+    /// recorded — and later reads of its destination block read the source
+    /// (the VMP-style remap). Every other event keeps its place.
+    pub(crate) fn stage<'s>(
+        &'s self,
+        cpu: usize,
+        events: impl Iterator<Item = Event> + 's,
+    ) -> impl Iterator<Item = Event> + 's {
+        let ops = &self.readonly[cpu];
         let dsts = PageIndex::build(ops.iter().enumerate().map(|(k, o)| (k, o.dst, o.len)));
-        let mut b = ChunkedStreamBuilder::new();
-        let mut next = 0usize;
-        let mut skip_until: Option<usize> = None;
-        for (idx, e) in stream.iter().enumerate() {
-            if let Some(end) = skip_until {
-                if idx == end {
-                    skip_until = None; // the BlockOpEnd itself
-                }
-                continue;
-            }
-            if let Some(ro) = ops.get(next).filter(|o| o.begin_idx == idx) {
-                // Remap bookkeeping: a few kernel-stack-class writes.
-                for k in 0..4u32 {
-                    b.push(Event::Write {
-                        addr: Addr(0x0104_0000 + cpu as u32 * 4096 + 512 + k * 4),
-                        class: oscache_trace::DataClass::KernelStack,
-                    });
-                }
-                skip_until = Some(ro.end_idx);
-                next += 1;
-                continue;
-            }
-            // Remap reads of removed destinations to the source: the
-            // earliest removed copy whose destination covers the address.
-            if let Event::Read { addr, class } = e {
-                if let Some(ro) = dsts
-                    .on_page(addr)
-                    .map(|k| &ops[k])
-                    .find(|o| idx > o.end_idx && covers(o.dst, o.len, addr))
-                {
-                    b.push(Event::Read {
-                        addr: Addr(ro.src.0 + (addr.0 - ro.dst.0)),
-                        class,
-                    });
-                    continue;
+        let mut events = events.enumerate();
+        let mut next = 0;
+        // Bookkeeping writes still to emit for the bracket just removed.
+        let mut owed = 0u32;
+        std::iter::from_fn(move || {
+            if owed == 0 {
+                let (idx, e) = events.next()?;
+                if ops.get(next).is_some_and(|o| o.begin_idx == idx) {
+                    // Drop the bracket through its `BlockOpEnd`.
+                    let end = ops[next].end_idx;
+                    events.by_ref().find(|&(i, _)| i == end);
+                    next += 1;
+                    owed = 4;
+                } else {
+                    // Remap reads of removed destinations to the source:
+                    // the earliest removed copy whose destination covers
+                    // the address.
+                    let Event::Read { addr, class } = e else {
+                        return Some(e);
+                    };
+                    let covering = dsts
+                        .on_page(addr)
+                        .map(|k| &ops[k])
+                        .find(|o| idx > o.end_idx && covers(o.dst, o.len, addr));
+                    return Some(covering.map_or(e, |ro| {
+                        let addr = ro.src.offset(addr.0 - ro.dst.0);
+                        Event::Read { addr, class }
+                    }));
                 }
             }
-            b.push(e);
-        }
-        out.streams[cpu] = b.finish();
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use oscache_trace::{BarrierId, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
-
-    fn copy(b: &mut StreamBuilder, src: u32, dst: u32, len: u32) {
-        b.begin_block_copy(
-            Addr(src),
-            Addr(dst),
-            len,
-            DataClass::BufferCache,
-            DataClass::UserData,
-        );
-        let mut off = 0;
-        while off < len {
-            b.read(Addr(src + off), DataClass::BufferCache);
-            b.write(Addr(dst + off), DataClass::UserData);
-            off += 8;
-        }
-        b.end_block_op();
-    }
-
-    #[test]
-    fn counts_small_and_readonly_copies() {
-        let mut t = Trace::new(1, TraceMeta::default());
-        let mut b = StreamBuilder::new();
-        b.set_mode(Mode::Os);
-        copy(&mut b, 0x1000_0000, 0x2000_0000, 512); // read-only small
-        copy(&mut b, 0x1100_0000, 0x2100_0000, 256); // dst written later
-        b.write(Addr(0x2100_0010), DataClass::UserData);
-        copy(&mut b, 0x1200_0000, 0x2200_0000, PAGE_SIZE); // page-sized
-        t.streams[0] = b.finish();
-        let c = analyze(&ChunkedTrace::from_trace(&t));
-        assert_eq!(c.block_copies, 3);
-        assert_eq!(c.small_copies, 2);
-        assert_eq!(c.readonly_small_copies, 1);
-        assert!((c.small_pct() - 66.666).abs() < 0.1);
-        assert!((c.readonly_pct() - 50.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn apply_removes_readonly_copies_and_remaps_reads() {
-        let mut t = Trace::new(1, TraceMeta::default());
-        let mut b = StreamBuilder::new();
-        b.set_mode(Mode::Os);
-        copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
-        b.read(Addr(0x2000_0008), DataClass::UserData); // read of dst
-        t.streams[0] = b.finish();
-        let out = apply_deferred_copy(&ChunkedTrace::from_trace(&t)).to_trace();
-        let evs = out.streams[0].events();
-        assert!(
-            !evs.iter().any(|e| matches!(e, Event::BlockOpBegin { .. })),
-            "copy should be removed"
-        );
-        // The dst read now reads the source.
-        assert!(evs.iter().any(|e| matches!(
-            e,
-            Event::Read { addr, class: DataClass::UserData } if addr.0 == 0x1000_0008
-        )));
-    }
-
-    #[test]
-    fn removes_the_read_only_bracket_not_an_identical_earlier_one() {
-        // Two identical copies with a barrier between them: the later
-        // copy rewrites the earlier one's destination, so only the later
-        // one is read-only, and only its bracket may go.
-        let mut t = Trace::new(1, TraceMeta::default());
-        let mut b = StreamBuilder::new();
-        b.set_mode(Mode::Os);
-        copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
-        b.barrier(BarrierId(0), Addr(0x0300_0000), 1);
-        copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
-        t.streams[0] = b.finish();
-        let ct = ChunkedTrace::from_trace(&t);
-        assert_eq!(analyze(&ct).readonly_small_copies, 1);
-        let out = apply_deferred_copy(&ct).to_trace();
-        let evs = out.streams[0].events();
-        let begins: Vec<usize> = evs
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, Event::BlockOpBegin { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let barrier = evs
-            .iter()
-            .position(|e| matches!(e, Event::Barrier { .. }))
-            .expect("the barrier survives the pass");
-        assert_eq!(begins.len(), 1, "exactly one copy is removed");
-        assert!(begins[0] < barrier, "the earlier copy is the one kept");
-    }
-
-    #[test]
-    fn cross_cpu_write_disqualifies() {
-        let mut t = Trace::new(2, TraceMeta::default());
-        let mut b = StreamBuilder::new();
-        copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
-        t.streams[0] = b.finish();
-        let mut b1 = StreamBuilder::new();
-        b1.write(Addr(0x1000_0020), DataClass::UserData); // writes the src
-        t.streams[1] = b1.finish();
-        let c = analyze(&ChunkedTrace::from_trace(&t));
-        assert_eq!(c.small_copies, 1);
-        assert_eq!(c.readonly_small_copies, 0);
+            // Remap bookkeeping: a few kernel-stack-class writes.
+            owed -= 1;
+            Some(Event::Write {
+                addr: Addr(0x0104_0000 + cpu as u32 * 4096 + 512 + (3 - owed) * 4),
+                class: oscache_trace::DataClass::KernelStack,
+            })
+        })
     }
 }

@@ -4,7 +4,7 @@
 use crate::analysis;
 use crate::config::{Geometry, System, SystemSpec, UpdatePolicy};
 use crate::deferred::{self, DeferralSummary};
-use crate::transform;
+use crate::transform::{self, TransformPipeline};
 use oscache_memsys::{AuditLevel, CancelToken, Machine, OverlapStats, PageSet, SimError, SimStats};
 use oscache_trace::ChunkedTrace;
 use std::collections::HashSet;
@@ -204,17 +204,20 @@ pub fn prepare_cell(
 /// and the fused rewrite. Deterministic in `(trace, AnalysisPrefix::of
 /// (spec))`; infallible because no machine runs here.
 ///
-/// Every pass streams chunk-by-chunk — deferred copy, coloring, profiling,
-/// and the fused privatize/relocate rewrite each hold one decode window
-/// plus one open output chunk per stream, never a materialized
-/// `Vec<Event>`. The plans themselves ([`transform::false_sharing_plan`]
-/// etc.) read only the metadata.
+/// Each step — deferred copy, coloring, the fused privatize/relocate
+/// rewrite — is one streaming [`TransformPipeline`] run over the previous
+/// step's encoded output, which that step's plan (deferral summary,
+/// first-touch colors, sharing profile) reads. The relocation plans
+/// themselves ([`transform::false_sharing_plan`] etc.) read only the
+/// metadata.
 pub fn analyze_cell(trace: &ChunkedTrace, spec: SystemSpec) -> AnalyzedCell {
-    analyze_cell_with(trace, spec, None)
+    let deferral = spec.deferred_copy.then(|| deferred::summarize(trace));
+    analyze_cell_with(trace, spec, deferral.as_ref())
 }
 
-/// [`analyze_cell`], with the trace's deferral summary already computed
-/// (the runner's cache computes it once per base trace).
+/// [`analyze_cell`], given the trace's deferral summary exactly when the
+/// spec defers copies (the runner's cache computes it once per base
+/// trace).
 pub(crate) fn analyze_cell_with(
     trace: &ChunkedTrace,
     spec: SystemSpec,
@@ -223,11 +226,9 @@ pub(crate) fn analyze_cell_with(
     let mut update_pages = PageSet::new();
     let mut owned: Option<ChunkedTrace> = None;
 
-    if spec.deferred_copy {
-        owned = Some(match deferral {
-            Some(summary) => deferred::rewrite(trace, summary),
-            None => deferred::apply_deferred_copy(trace),
-        });
+    debug_assert_eq!(deferral.is_some(), spec.deferred_copy);
+    if let Some(summary) = deferral {
+        owned = Some(TransformPipeline::new().defer(summary).run(trace));
     }
 
     if spec.page_coloring {
@@ -238,7 +239,7 @@ pub(crate) fn analyze_cell_with(
         // L2), which is what lets this whole phase be geometry-free.
         let l2_size = Geometry::default().machine_config(&spec).l2.size;
         let working = owned.as_ref().unwrap_or(trace);
-        let colored = transform::TransformPipeline::new()
+        let colored = TransformPipeline::new()
             .coloring(working, l2_size)
             .run(working);
         owned = Some(colored);
@@ -287,15 +288,14 @@ pub(crate) fn analyze_cell_with(
         plan.finish();
         // One fused walk applies privatization and relocation together —
         // the old chain cloned and rewrote the trace once per pass.
-        let mut pipe = transform::TransformPipeline::new();
+        let mut pipe = TransformPipeline::new();
         if spec.privatize && !privatized.is_empty() {
             pipe = pipe.privatize(&privatized);
         }
         if !plan.is_empty() {
             pipe = pipe.relocate(&plan);
         }
-        let rewritten = pipe.run(working);
-        owned = Some(rewritten);
+        owned = Some(pipe.run(working));
     }
 
     if spec.update == UpdatePolicy::Full {

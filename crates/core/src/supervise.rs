@@ -41,18 +41,10 @@ use oscache_trace::DataClass;
 use oscache_workloads::BuildOptions;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Locks `m`, recovering the guard if a previous holder panicked.
-///
-/// Every shared structure the supervised runner touches is either
-/// write-once or append-only, so a panicking holder can never leave it in
-/// an inconsistent state — recovering the lock is what lets one panicked
-/// cell *not* wedge every other cell of the run.
-pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+pub(crate) use oscache_trace::lock_tolerant;
 
 // ---------------------------------------------------------------------------
 // Policy and failures
@@ -258,17 +250,7 @@ pub struct Overrun {
 /// changes so stale journals are rejected instead of misread.
 pub const JOURNAL_SCHEMA: u32 = 1;
 
-/// A stable 64-bit FNV-1a digest of `bytes`. Used for journal record
-/// identity so journals survive recompilation (unlike `DefaultHasher`,
-/// whose keys the standard library may change between releases).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use oscache_trace::fnv1a;
 
 /// The journal's first line: everything that must match between the
 /// journaling invocation and a `--resume` invocation for the records to be

@@ -2,9 +2,11 @@
 //!
 //! A hot-spot cell never encodes a rewritten trace: its replay splices the
 //! hot entries of the analysis's [`HotspotPlan`] into each decode window
-//! as it fills ([`Machine::with_prefetches`]). The reference is the plan's
-//! forward-merge expansion, [`HotspotPlan::materialize`], replayed by a
-//! plain [`Machine`]. The two must agree on everything a replay exposes —
+//! as it fills ([`Machine::with_prefetches`]). The reference is a plain
+//! [`Machine`] replaying the pass-by-pass insertion of
+//! `oscache_oracle::compat` (for synthetic plans, which no trace ranks, a
+//! forward merge of the test's own entry list). The two must agree on
+//! everything a replay exposes —
 //! statistics, final [`Machine::state_digest`] (cursors included, so the
 //! merged indices equal the expansion's) and `steps` — on every workload
 //! at the geometries the figures sweep, at hostile chunk capacities, and
@@ -15,10 +17,11 @@
 use oscache_core::transform::build_hotspot_plan;
 use oscache_core::{analysis, analyze_cell, Geometry, System};
 use oscache_memsys::{profile_os_misses, Machine, MachineConfig, SimErrorKind};
+use oscache_oracle::compat;
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, HotspotPlan, LockId, Mode, PlanEntry,
-    StreamBuilder, Trace, TraceMeta,
+    Addr, ChunkedStream, ChunkedTrace, DataClass, Event, HotspotPlan, LockId, Mode, PlanEntry,
+    Stream, StreamBuilder, Trace, TraceMeta, LOOP_AHEAD,
 };
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
@@ -56,6 +59,11 @@ fn rechunk(ct: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
         out.streams[cpu] = ChunkedStream::from_events(s.iter(), capacity);
     }
     out
+}
+
+/// `trace` with the pass-by-pass insertion at `hot`, re-encoded.
+fn inserted(trace: &ChunkedTrace, hot: &[u16]) -> ChunkedTrace {
+    ChunkedTrace::from_trace(&compat::insert_hotspot_prefetches(&trace.to_trace(), hot))
 }
 
 /// Replays `trace` with `hot`'s entries of `plan` merged in and the
@@ -115,7 +123,7 @@ fn merged_replay_matches_the_expansion_on_every_workload() {
             let stats = profile_os_misses(cfg.clone(), working).unwrap();
             let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
             assert!(!hot.is_empty(), "{workload:?}/{glabel}: no hot sites");
-            let expanded = plan.materialize(working, &hot);
+            let expanded = inserted(working, &hot);
             assert!(expanded.total_events() > working.total_events());
             for (capacity, trace) in CAPACITIES.iter().zip(&rechunked) {
                 let what = format!("{workload:?}/{glabel}/capacity {capacity}");
@@ -138,7 +146,7 @@ fn merged_replay_matches_the_expansion_with_every_site_hot() {
     );
     let plan = build_hotspot_plan(&base);
     let all: Vec<u16> = base.meta.code.sites().map(|(id, _)| id.0).collect();
-    let expanded = plan.materialize(&base, &all);
+    let expanded = inserted(&base, &all);
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = base.n_cpus();
     for capacity in CAPACITIES {
@@ -194,20 +202,16 @@ fn synthetic_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
+/// One synthetic plan entry: `(before, site, addr, ahead)`.
+type Entry = (usize, u16, Addr, bool);
+
 /// Hand-placed edge entries plus random ones for each non-empty stream;
 /// the empty stream gets entries at its only position, 0.
-fn synthetic_plan(t: &Trace, rng: &mut SmallRng) -> HotspotPlan {
+fn synthetic_entries(t: &Trace, rng: &mut SmallRng) -> Vec<Vec<Entry>> {
     let entry = |before: usize, site: u16, ahead: bool, k: u32| {
-        PlanEntry::new(
-            before as u32,
-            site,
-            Addr(0x0300_0000 + 16 * k),
-            DataClass::RunQueue,
-            ahead,
-        )
+        (before, site, Addr(0x0300_0000 + 16 * k), ahead)
     };
-    let streams = t
-        .streams
+    t.streams
         .iter()
         .map(|s| {
             let len = s.len();
@@ -235,8 +239,46 @@ fn synthetic_plan(t: &Trace, rng: &mut SmallRng) -> HotspotPlan {
             v.push(entry(len, 3, true, 41));
             v
         })
-        .collect();
-    HotspotPlan::new(streams)
+        .collect()
+}
+
+fn plan_of(entries: &[Vec<Entry>]) -> HotspotPlan {
+    let entry = |&(before, site, addr, ahead): &Entry| {
+        PlanEntry::new(before as u32, site, addr, DataClass::RunQueue, ahead)
+    };
+    HotspotPlan::new(
+        entries
+            .iter()
+            .map(|v| v.iter().map(entry).collect())
+            .collect(),
+    )
+}
+
+/// The reference expansion of synthetic entries: before each event (and
+/// after the last), the hot entries positioned there, in list order, each
+/// a prefetch of its address preceded, for a loop entry, by one
+/// [`LOOP_AHEAD`] bytes further on.
+fn expand(t: &Trace, entries: &[Vec<Entry>], hot: &[u16]) -> ChunkedTrace {
+    let mut out = t.clone();
+    for (cpu, stream) in t.streams.iter().enumerate() {
+        let mut events = Vec::new();
+        for i in 0..=stream.len() {
+            for &(_, _, addr, ahead) in entries[cpu]
+                .iter()
+                .filter(|&&(before, site, _, _)| before == i && hot.contains(&site))
+            {
+                let class = DataClass::RunQueue;
+                if ahead {
+                    let addr = addr.offset(LOOP_AHEAD);
+                    events.push(Event::Prefetch { addr, class });
+                }
+                events.push(Event::Prefetch { addr, class });
+            }
+            events.extend(stream.events().get(i));
+        }
+        out.streams[cpu] = Stream::from_events(events);
+    }
+    ChunkedTrace::from_trace(&out)
 }
 
 #[test]
@@ -247,11 +289,12 @@ fn merged_replay_matches_the_expansion_on_synthetic_edge_plans() {
         t.validate().expect("generator must emit valid traces");
         assert!(t.streams[t.n_cpus() - 1].is_empty());
         let base = ChunkedTrace::from_trace(&t);
-        let plan = synthetic_plan(&t, &mut rng);
+        let entries = synthetic_entries(&t, &mut rng);
+        let plan = plan_of(&entries);
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = t.n_cpus();
         for hot in [&[1u16, 3][..], &[2], &[1, 2, 3], &[]] {
-            let expanded = plan.materialize(&base, hot);
+            let expanded = expand(&t, &entries, hot);
             for capacity in CAPACITIES {
                 let trace = rechunk(&base, capacity);
                 let what = format!("seed {seed} hot {hot:?} capacity {capacity}");

@@ -2,26 +2,29 @@
 //!
 //! Re-implements the pre-fusion `prepare_cell` over the materialized
 //! `Trace` — one cloned rewrite per software pass, using the verbatim old
-//! passes kept in `transform::compat` — and checks that the production
+//! passes kept in `oscache_oracle::compat` and the independent deferral
+//! reference `oscache_oracle::deferral` — and checks that the production
 //! path (`analyze_cell` + `prepare_from_analysis` over the chunked trace,
 //! decoded with `to_trace()`, hot-spot cells with their selected
-//! prefetches expanded) produces an event-for-event identical effective
-//! replay stream and the same update-page set for every `System` in the
-//! ladder, plus the coloring variants the ladder itself never enables.
+//! prefetches merged in as the replay merges them) produces an
+//! event-for-event identical effective replay stream and the same
+//! update-page set for every `System` in the ladder, plus Table 4's
+//! deferred-copy analysis and the coloring variants the ladder itself
+//! never enables.
 
 use oscache_core::{
-    analysis, analyze_cell, deferred, prepare_from_analysis, transform, Geometry, System,
-    UpdatePolicy,
+    analysis, analyze_cell, prepare_from_analysis, transform, Geometry, System, UpdatePolicy,
 };
 use oscache_memsys::{AuditLevel, CancelToken, Machine, PageSet};
+use oscache_oracle::{compat, deferral};
 use oscache_trace::{ChunkedTrace, Trace};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::collections::HashSet;
 
 /// The old pass-by-pass preparation: each enabled pass clones and rewrites
 /// the whole trace. Mirrors the pre-fusion `sim::prepare_cell` exactly;
-/// the analyses that have no `compat` twin (sharing profile, deferred
-/// copy, the profiling replay) run on a re-encoding of the working trace.
+/// the analyses that have no reference twin (sharing profile, the
+/// profiling replay) run on a re-encoding of the working trace.
 fn prepare_compat(
     trace: &Trace,
     spec: oscache_core::SystemSpec,
@@ -31,13 +34,12 @@ fn prepare_compat(
     let mut owned: Option<Trace> = None;
 
     if spec.deferred_copy {
-        let working = ChunkedTrace::from_trace(owned.as_ref().unwrap_or(trace));
-        owned = Some(deferred::apply_deferred_copy(&working).to_trace());
+        owned = Some(deferral::defer_copies(owned.as_ref().unwrap_or(trace)).1);
     }
 
     if spec.page_coloring {
         let l2_size = geometry.machine_config(&spec).l2.size;
-        owned = Some(transform::compat::color_pages(
+        owned = Some(compat::color_pages(
             owned.as_ref().unwrap_or(trace),
             l2_size,
         ));
@@ -82,10 +84,10 @@ fn prepare_compat(
         plan.finish();
         let mut t = working.clone();
         if spec.privatize && !privatized.is_empty() {
-            t = transform::compat::privatize_counters(&t, &privatized);
+            t = compat::privatize_counters(&t, &privatized);
         }
         if !plan.is_empty() {
-            t = transform::compat::relocate(&t, &plan);
+            t = compat::relocate(&t, &plan);
         }
         owned = Some(t);
     }
@@ -108,7 +110,7 @@ fn prepare_compat(
             .run()
             .unwrap();
         let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
-        let t = transform::compat::insert_hotspot_prefetches(working, &hot);
+        let t = compat::insert_hotspot_prefetches(working, &hot);
         owned = Some(t);
     }
 
@@ -144,7 +146,9 @@ fn check_workload(workload: Workload, seed: u64) {
     let t = ct.to_trace();
     let geometry = Geometry::default();
     // Every ladder system, plus coloring alone and coloring stacked on the
-    // full ladder top (exercises the C stage feeding P/R/H).
+    // full ladder top (exercises the C stage feeding P/R/H), plus Table 4's
+    // deferred copy alone and under the full ladder top (the D stage
+    // feeding every later plan).
     let mut specs: Vec<(String, oscache_core::SystemSpec)> = System::all()
         .iter()
         .map(|s| (s.label().to_string(), s.spec()))
@@ -155,6 +159,12 @@ fn check_workload(workload: Workload, seed: u64) {
     let mut colored_top = System::BCPref.spec();
     colored_top.page_coloring = true;
     specs.push(("BCPref+color".into(), colored_top));
+    let mut deferred = System::Base.spec();
+    deferred.deferred_copy = true;
+    specs.push(("Base+Deferred".into(), deferred));
+    let mut deferred_top = System::BCPref.spec();
+    deferred_top.deferred_copy = true;
+    specs.push(("BCPref+Deferred".into(), deferred_top));
 
     for (label, spec) in specs {
         let analyzed = analyze_cell(&ct, spec);
@@ -168,11 +178,11 @@ fn check_workload(workload: Workload, seed: u64) {
             "{what}: update pages differ"
         );
         // The effective replay stream: the working trace with the cell's
-        // hot set expanded (the replay merges the same entries into its
-        // decode windows; tests/hotspot_merge.rs pins that merge).
+        // hot set merged in, window by window, as the replay merges it
+        // (tests/hotspot_merge.rs pins the replay itself).
         let working = fused.trace.as_deref().unwrap_or(&ct);
         let replayed = match &fused.prefetches {
-            Some(p) => Some(p.plan.materialize(working, &p.hot).to_trace()),
+            Some(p) => Some(oscache_oracle::merged_trace(working, &p.plan, &p.hot)),
             None => fused.trace.as_deref().map(ChunkedTrace::to_trace),
         };
         assert_eq!(

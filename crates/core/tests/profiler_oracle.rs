@@ -7,11 +7,12 @@
 //! times must match a fully-recorded run *bit for bit*. These tests pin
 //! that claim against the real ladder (every system × every workload) and
 //! against seeded-PRNG random traces, and pin the hot-spot insertion plan
-//! against the pass-by-pass `compat` rewrite.
+//! against the pass-by-pass `oscache_oracle::compat` rewrite.
 
-use oscache_core::transform::{build_hotspot_plan, compat};
+use oscache_core::transform::build_hotspot_plan;
 use oscache_core::{analysis, analyze_cell, try_run_spec_audited, Geometry, System};
 use oscache_memsys::{profile_os_misses, AuditLevel, Machine, MachineConfig, SimStats};
+use oscache_oracle::{compat, merged_trace};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
@@ -164,10 +165,11 @@ fn profiler_matches_machine_on_random_traces() {
     }
 }
 
-/// The precomputed hot-spot insertion plan must expand, for every hot set
-/// the ladder actually ranks (plus synthetic subsets), to the exact event
-/// streams the pass-by-pass `compat` rewrite emits. (That the replay's
-/// window merge equals this expansion is `tests/hotspot_merge.rs`.)
+/// The precomputed hot-spot insertion plan, merged window by window as a
+/// replay merges it, must give, for every hot set the ladder actually
+/// ranks (plus synthetic subsets), the exact event streams the
+/// pass-by-pass `compat` rewrite emits. (That the merged replay equals a
+/// replay of that rewrite is `tests/hotspot_merge.rs`.)
 #[test]
 fn hotspot_plan_matches_compat_rewrite() {
     for workload in [Workload::Trfd4, Workload::Shell, Workload::Arc2dFsck] {
@@ -190,7 +192,7 @@ fn hotspot_plan_matches_compat_rewrite() {
             sets.push(rot);
         }
         for set in sets {
-            let planned = plan.materialize(working, &set).to_trace();
+            let planned = merged_trace(working, &plan, &set);
             let staged = compat::insert_hotspot_prefetches(&flat, &set);
             for cpu in 0..working.n_cpus() {
                 assert_eq!(

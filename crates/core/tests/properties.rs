@@ -1,13 +1,16 @@
 //! Property-style tests of the analysis and transform passes, driven by
 //! the in-tree deterministic PRNG so every failure reproduces exactly.
 
-use oscache_core::transform::{
-    insert_hotspot_prefetches, privatize_counters, relocate, RelocationMap,
-};
+use oscache_core::transform::{build_hotspot_plan, RelocationMap, TransformPipeline};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
+
+/// `t` rewritten by `pipe`.
+fn run(pipe: TransformPipeline, t: &Trace) -> Trace {
+    pipe.run(&ChunkedTrace::from_trace(t)).to_trace()
+}
 
 fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, bool)> {
     let n = rng.gen_range(1..max_len);
@@ -46,7 +49,8 @@ fn empty_relocation_is_identity() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, u32::MAX, 100));
-        let out = relocate(&ChunkedTrace::from_trace(&t), &RelocationMap::new()).to_trace();
+        let empty = RelocationMap::new();
+        let out = run(TransformPipeline::new().relocate(&empty), &t);
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].events(), t.streams[cpu].events());
         }
@@ -66,7 +70,7 @@ fn relocation_is_structure_preserving() {
         let old = Addr(0x0100_0000 + start * 4);
         let new = Addr(0x0900_0000);
         m.add(old, len, new);
-        let out = relocate(&ChunkedTrace::from_trace(&t), &m).to_trace();
+        let out = run(TransformPipeline::new().relocate(&m), &t);
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].len(), t.streams[cpu].len());
             for (a, b) in t.streams[cpu]
@@ -113,7 +117,7 @@ fn privatization_removes_shared_addresses() {
             }
             t.streams[cpu] = b.finish();
         }
-        let out = privatize_counters(&ChunkedTrace::from_trace(&t), &[target]).to_trace();
+        let out = run(TransformPipeline::new().privatize(&[target]), &t);
         let mut private_addrs = std::collections::HashSet::new();
         for cpu in 0..2 {
             for e in out.streams[cpu].events() {
@@ -139,7 +143,8 @@ fn prefetch_insertion_is_additive() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, 4096, 150));
-        let out = insert_hotspot_prefetches(&ChunkedTrace::from_trace(&t), &[0]).to_trace();
+        let ct = ChunkedTrace::from_trace(&t);
+        let out = oscache_oracle::merged_trace(&ct, &build_hotspot_plan(&ct), &[0]);
         for cpu in 0..2 {
             let orig: Vec<&Event> = t.streams[cpu].events().iter().collect();
             let kept: Vec<&Event> = out.streams[cpu]
@@ -155,11 +160,13 @@ fn prefetch_insertion_is_additive() {
     }
 }
 
-/// `apply_deferred_copy` never removes more events than the read-only
-/// copies' footprints, and leaves a trace the machine can replay.
+/// Deferred copying never removes more events than the read-only copies'
+/// footprints, and leaves a trace the machine can replay.
 #[test]
 fn deferred_copy_is_safe_on_random_copy_chains() {
-    use oscache_core::deferred::{analyze, apply_deferred_copy};
+    use oscache_core::deferred::analyze;
+    let mut deferred = oscache_core::System::Base.spec();
+    deferred.deferred_copy = true;
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let lens: Vec<u32> = (0..rng.gen_range(1usize..10))
@@ -192,7 +199,10 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
         let ct = ChunkedTrace::from_trace(&t);
         let counts = analyze(&ct);
         assert_eq!(counts.small_copies as usize, lens.len());
-        let out = apply_deferred_copy(&ct).to_trace();
+        let out = oscache_core::analyze_cell(&ct, deferred)
+            .trace
+            .expect("deferral rewrites the trace")
+            .to_trace();
         // All copies are read-only (no later writes): every bracket goes.
         let remaining = out.streams[0]
             .events()

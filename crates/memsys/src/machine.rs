@@ -381,8 +381,9 @@ impl<'t> Machine<'t> {
     /// of `hot` merged in: every entry of `plan` whose site is in `hot` is
     /// spliced into the stream as its decode windows fill, so the replay
     /// — statistics, `steps`, [`Machine::state_digest`], cursors — equals
-    /// a replay of [`HotspotPlan::materialize`]`(trace, hot)` without that
-    /// trace ever being encoded.
+    /// a replay of `trace` with those prefetches encoded in, without that
+    /// trace ever being encoded (the tests replay the oracle crate's
+    /// pass-by-pass insertion as the reference).
     ///
     /// Besides the validation [`Machine::new`] does, rejects a plan that
     /// positions an entry past the end of its stream (or names a stream

@@ -4,11 +4,11 @@
 //! prefetches §6 would insert if that site were hot — one compact
 //! [`PlanEntry`] per insertion point. A cell that ranks a concrete hot set
 //! never rewrites the trace: [`MergedStream`] splices the hot entries into
-//! each decoded chunk as the replay's decode window fills, so the replay
-//! sees exactly the event stream [`HotspotPlan::materialize`] (the
-//! reference expansion the oracles compare against) would have encoded.
+//! each decoded chunk as the replay's decode window fills. The tests
+//! compare the merged stream, and its replay, against the pass-by-pass
+//! insertion of the test-only `oscache-oracle` crate.
 
-use crate::{Addr, ChunkedStream, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event};
+use crate::{Addr, ChunkedStream, DataClass, Event};
 
 /// Prefetch look-ahead for loop hot spots, in bytes (§6 unrolls and
 /// software-pipelines the loops).
@@ -111,42 +111,6 @@ impl HotspotPlan {
     /// Stream `cpu`'s entries, `before`-sorted (empty past the last list).
     pub fn stream(&self, cpu: usize) -> &[PlanEntry] {
         self.streams.get(cpu).map_or(&[], Vec::as_slice)
-    }
-
-    /// The reference expansion: `trace` re-encoded with the entries of
-    /// `hot_sites` inserted, by a forward merge over each stream. Entries
-    /// at or past a stream's end are appended after its last event. The
-    /// replay never calls this — it merges through [`MergedStream`] — so
-    /// it is what the differential oracles compare that merge against.
-    pub fn materialize(&self, trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
-        let mut out = ChunkedTrace::new(trace.n_cpus(), trace.meta.clone());
-        let mut buf = [Event::BlockOpEnd; 2];
-        for (cpu, stream) in trace.streams.iter().enumerate() {
-            let mut b = ChunkedStreamBuilder::new();
-            let mut ins = self
-                .stream(cpu)
-                .iter()
-                .filter(|e| hot_sites.contains(&e.site))
-                .peekable();
-            let mut emit = |b: &mut ChunkedStreamBuilder, e: &PlanEntry| {
-                let w = e.width();
-                e.write_into(&mut buf[..w]);
-                for &ev in &buf[..w] {
-                    b.push(ev);
-                }
-            };
-            for (i, ev) in stream.iter().enumerate() {
-                while let Some(e) = ins.next_if(|e| e.before as usize == i) {
-                    emit(&mut b, e);
-                }
-                b.push(ev);
-            }
-            for e in ins {
-                emit(&mut b, e);
-            }
-            out.streams[cpu] = b.finish();
-        }
-        out
     }
 }
 

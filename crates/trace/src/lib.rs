@@ -66,6 +66,24 @@ pub use stream::{Stream, StreamBuilder};
 pub use trace::{KernelVar, Trace, TraceMeta, VarRole};
 pub use validate::TraceError;
 
+/// A stable 64-bit FNV-1a digest of `bytes` (journal record identity,
+/// spill fault plans), unlike `DefaultHasher`'s fixed across releases.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Locks `m`, recovering the guard if a previous holder panicked: every
+/// structure locked this way is write-once or append-only, so one
+/// panicked cell cannot wedge every other cell of a run.
+pub fn lock_tolerant<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The most CPUs a trace may have: the paper's machines have 4 and the
 /// scalability extension sweeps up to 8. [`read_trace`] rejects a dump
 /// declaring more, and the kernel layout and the sharing profile are

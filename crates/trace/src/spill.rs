@@ -36,6 +36,7 @@
 //! sticky ENOSPC — so the detection and recovery paths above stay
 //! continuously exercised, in the spirit of `memsys::faults`.
 
+use crate::{fnv1a, lock_tolerant};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read};
@@ -103,15 +104,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = t[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
     !c
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 // ---- errors ----------------------------------------------------------------
@@ -358,7 +350,7 @@ impl IoFaultPlan {
         key[0..8].copy_from_slice(&self.seed.to_le_bytes());
         key[8..16].copy_from_slice(&u64::from(cpu).to_le_bytes());
         key[16..24].copy_from_slice(&u64::from(frame).to_le_bytes());
-        let h = fnv1a64(&key);
+        let h = fnv1a(&key);
         if !h.is_multiple_of(7) {
             return None;
         }
@@ -715,7 +707,7 @@ impl SpillStore {
             Some(IoFaultClass::ShortWrite) => write(&bytes[..bytes.len() / 2]),
             Some(IoFaultClass::BitFlip) => {
                 let mut flipped = bytes.to_vec();
-                let bit = fnv1a64(&offset.to_le_bytes()) as usize % (flipped.len() * 8);
+                let bit = fnv1a(&offset.to_le_bytes()) as usize % (flipped.len() * 8);
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 write(&flipped)
             }
@@ -904,13 +896,6 @@ impl Drop for SpillStore {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.dir);
     }
-}
-
-/// Locks a mutex, tolerating poison: all state guarded here is write-once
-/// or append-only, so a panicked holder cannot leave it inconsistent
-/// (same reasoning as the trace cache's `lock_tolerant`).
-fn lock_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
