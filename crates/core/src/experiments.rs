@@ -11,6 +11,7 @@ use crate::runner::{
 };
 use crate::sim::RunResult;
 use crate::supervise::{CellFailure, Journal, Overrun, RunPolicy};
+use oscache_memsys::CancelToken;
 use oscache_workloads::{BuildOptions, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -57,7 +58,8 @@ pub struct CellTiming {
     /// Milliseconds fetching/building the base trace (first cell per
     /// workload pays the build; the rest hit the cache).
     pub build_ms: f64,
-    /// Milliseconds in the software passes (`prepare_cell`).
+    /// Milliseconds in the software passes: analysis, hot-spot profiling
+    /// replay and prefetch selection.
     pub prepare_ms: f64,
     /// Milliseconds of `prepare_ms` in the geometry-independent analysis
     /// (zero when another cell already analyzed this working trace).
@@ -188,7 +190,7 @@ impl Repro {
         let report = run_plan_supervised(
             &self.cache,
             self.build_options(),
-            &plan,
+            plan,
             self.jobs,
             policy,
             journal,
@@ -301,7 +303,12 @@ impl Repro {
                 geometry,
                 tag: tag.to_string(),
             };
-            let outcome = run_cell(&self.cache, self.build_options(), &cell)?;
+            let outcome = run_cell(
+                &self.cache,
+                self.build_options(),
+                &cell,
+                &CancelToken::none(),
+            )?;
             let timing = self.absorb(outcome);
             self.timings.push(timing);
         }

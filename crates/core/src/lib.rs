@@ -30,14 +30,14 @@ pub use metrics::{
     BlockOpOverhead, CoherenceBreakdown, MissBreakdown, OsTimeBreakdown, WorkloadMetrics,
 };
 pub use runner::{
-    cell_cost, default_jobs, dispatch_order, run_cells_supervised, run_plan_supervised, Cell,
-    CellFingerprint, Experiment, PlannedCell, RequestPlan, SupervisedReport, TraceCache,
+    cell_cost, default_jobs, dispatch_order, run_cells_supervised, Cell, CellFingerprint,
+    Experiment, PlannedCell, RequestPlan, SupervisedReport, TraceCache,
 };
 pub use scorecard::{Check, Scorecard};
 pub use sim::{
-    analyze_cell, prepare_cell, prepare_from_analysis, run_prepared_chunked_timed, run_spec,
-    run_system, try_run_spec, try_run_spec_audited, try_run_system, AnalysisPrefix, AnalyzedCell,
-    HotPrefetches, PrepPhases, PreparedCell, RunResult,
+    analyze_cell, prepare_from_analysis, run_prepared_chunked_timed, run_spec, run_system,
+    try_run_spec, try_run_spec_audited, AnalysisPrefix, AnalyzedCell, HotPrefetches, PrepPhases,
+    PreparedCell, RunResult,
 };
 pub use supervise::{
     CellFailure, Escalation, FailureCause, FailureReport, Journal, JournalError, JournalHeader,

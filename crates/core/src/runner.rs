@@ -1,21 +1,23 @@
-//! Parallel experiment runner and shared trace cache.
+//! Parallel experiment runner, shared trace cache, and the one cell
+//! dispatcher.
 //!
 //! The reproduction's experiment grid — every (workload, system, geometry)
 //! cell behind the paper's tables and figures — is embarrassingly parallel
 //! *across* cells even though each simulation must stay single-threaded
-//! for reproducibility (DESIGN.md §5). This module supplies the two pieces
+//! for reproducibility (DESIGN.md §5). This module supplies the pieces
 //! that exploit that:
 //!
 //! * [`TraceCache`]: builds each calibrated workload trace exactly once
 //!   per [`TraceBuildKey`] `(workload, scale, seed, n_cpus)` and shares it
 //!   immutably via [`Arc`]; the geometry-independent analysis of each
 //!   working trace is computed once per `(trace build, AnalysisPrefix)`,
-//!   and a cell whose [`CellFingerprint`] recurs in a fan-out waits for
-//!   the one in-flight result instead of simulating again.
-//! * [`run_cells_supervised`]: a dependency-free fan-out over a work queue
-//!   (`std::thread::scope`, worker count from [`default_jobs`] or an
-//!   explicit `--jobs N`) that schedules whole cells onto workers and
-//!   returns results ordered by cell index, never by completion order.
+//!   and a cell whose [`CellFingerprint`] is already in flight waits for
+//!   that one result instead of simulating again.
+//! * The one cell dispatcher (`Sched`): longest-first within a request,
+//!   round-robin across clients, one supervised per-cell body. The
+//!   one-shot [`run_cells_supervised`] admits its plan as one request and
+//!   runs scoped workers on it; the resident [`crate::service`] keeps a
+//!   pool on it. Results come back by cell index, never by completion.
 //!
 //! Determinism argument (DESIGN.md §10): every [`RunResult`] is produced
 //! by `sim::run_prepared_chunked_timed`, a deterministic single-threaded
@@ -46,7 +48,6 @@ use oscache_workloads::{
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -224,7 +225,8 @@ impl RequestPlan {
 
     /// Fingerprints appearing more than once in this plan (e.g. a sweep
     /// point coinciding with the default geometry): these cells share one
-    /// simulation result.
+    /// simulation result. The dispatcher shares every result, so it needs
+    /// no such list; this reports the plan's duplicates to observers.
     pub fn recurring(&self) -> HashSet<CellFingerprint> {
         let mut counts: HashMap<CellFingerprint, usize> = HashMap::new();
         for pc in &self.cells {
@@ -333,10 +335,10 @@ impl Drop for ResultClaim<'_> {
 ///
 /// Prepared cells are not memoized: a [`PreparedCell`] is the shared
 /// analysis plus a hot-site list, cheap to derive and consumed by one
-/// simulation (DESIGN.md §12.3). Cells whose fingerprint recurs within
-/// one fan-out share the *result* instead: the first claims the
-/// fingerprint's in-flight slot, and the others wait for its result
-/// rather than preparing and simulating again.
+/// simulation (DESIGN.md §12.3). Cells share the *result* instead: the
+/// first cell of a fingerprint claims its in-flight slot and stores its
+/// result, and later cells with that fingerprint wait for it, or read
+/// it, rather than preparing and simulating again.
 ///
 /// The cache is **panic-tolerant** (DESIGN.md §13.1): a panicking builder
 /// or simulation leaves its slot empty for the next requester, and every
@@ -347,7 +349,7 @@ pub struct TraceCache {
     base: Memo<TraceBuildKey, Arc<ChunkedTrace>>,
     analyzed: Memo<(TraceBuildKey, AnalysisPrefix), Arc<AnalyzedCell>>,
     deferral: Memo<TraceBuildKey, Arc<DeferralSummary>>,
-    /// Results of recurring fingerprints; `None` while a cell runs it.
+    /// Results by fingerprint; `None` while a cell runs it.
     results: Mutex<HashMap<CellFingerprint, Option<RunResult>>>,
     /// Signalled whenever a result slot is filled or abandoned.
     result_settled: Condvar,
@@ -387,9 +389,8 @@ impl TraceCache {
     }
 
     /// The cached final result for `fp`, if a cell with this fingerprint
-    /// already simulated in this process. Never blocks: a result still in
-    /// flight reads as `None`. Only fingerprints flagged as recurring by
-    /// [`run_cells_supervised`] are ever stored.
+    /// already simulated through this cache. Never blocks: a result still
+    /// in flight reads as `None`.
     pub fn shared_result(&self, fp: &CellFingerprint) -> Option<RunResult> {
         lock_tolerant(&self.results).get(fp).cloned().flatten()
     }
@@ -673,10 +674,9 @@ pub struct CellOutcome {
     pub spilled_mb: f64,
     /// Milliseconds spent writing those spill frames.
     pub spill_ms: f64,
-    /// Position at which the scheduler dispatched this cell (0-based rank
-    /// in the cost-model LPT order; 0 for serial single-cell runs).
-    /// Observability only — results are always returned in cell-index
-    /// order regardless of dispatch order.
+    /// The cell's 0-based rank in its request's [`dispatch_order`] (0 for
+    /// serial single-cell runs). Observability only — results are always
+    /// returned in cell-index order regardless of dispatch order.
     pub sched_order: usize,
     /// Attempt index that produced this outcome (0 unless a supervised run
     /// retried the cell).
@@ -687,59 +687,36 @@ pub struct CellOutcome {
 }
 
 /// Runs one cell through the cache: base trace, software passes, final
-/// single-threaded machine run.
-pub fn run_cell(
-    cache: &TraceCache,
-    opts: BuildOptions,
-    cell: &Cell,
-) -> Result<CellOutcome, SimError> {
-    run_cell_inner(
-        cache,
-        opts,
-        cell,
-        cell.fingerprint(opts),
-        false,
-        &CancelToken::none(),
-    )
-}
-
-/// [`run_cell`], with the cell's fingerprint precomputed by the caller
-/// (the fan-out computes it exactly once per cell) and result sharing for
-/// fingerprints known to recur in the current fan-out: the first such
-/// cell claims the fingerprint, simulates and publishes its result; the
-/// others wait for it (identical by determinism) without preparing or
-/// simulating, and run the cell themselves only if the claimant fails.
-/// `cancel` reaches the wait and both machine runs (profiling replay and
-/// final run).
+/// single-threaded machine run. Results are shared by fingerprint: the
+/// first cell claims the fingerprint, simulates and publishes its result;
+/// a later one is served it (identical by determinism) without preparing
+/// or simulating, waiting while it is in flight, and runs the cell itself
+/// only if the claimant fails. `cancel` reaches the wait and both machine
+/// runs (profiling replay and final run).
 ///
 /// Every stage — generation, the software passes, and the final machine
 /// run — consumes and produces the columnar chunked representation, so no
 /// stage ever materializes a per-CPU `Vec<Event>` of the whole trace.
-fn run_cell_inner(
+pub(crate) fn run_cell(
     cache: &TraceCache,
     opts: BuildOptions,
     cell: &Cell,
-    fp: CellFingerprint,
-    share_result: bool,
     cancel: &CancelToken,
 ) -> Result<CellOutcome, SimError> {
     let t0 = Instant::now();
+    let fp = cell.fingerprint(opts);
     // Held until this cell publishes its result (or fails, and the slot
     // empties for a waiter to take over).
-    let _claim = if share_result {
-        match cache.claim_result(fp, cancel)? {
-            SharedResult::Ready(result) => {
-                let ms = 1e3 * t0.elapsed().as_secs_f64();
-                return Ok(CellOutcome {
-                    ms,
-                    sim_ms: ms,
-                    ..resolved_outcome(cell, result.stats, false)
-                });
-            }
-            SharedResult::Claimed(claim) => Some(claim),
+    let _claim = match cache.claim_result(fp, cancel)? {
+        SharedResult::Ready(result) => {
+            let ms = 1e3 * t0.elapsed().as_secs_f64();
+            return Ok(CellOutcome {
+                ms,
+                sim_ms: ms,
+                ..resolved_outcome(cell, result.stats, false)
+            });
         }
-    } else {
-        None
+        SharedResult::Claimed(claim) => claim,
     };
     let spill0 = cache
         .spill_config()
@@ -758,9 +735,7 @@ fn run_cell_inner(
         AuditLevel::Off,
         cancel,
     )?;
-    if share_result {
-        cache.store_result(fp, result.clone());
-    }
+    cache.store_result(fp, result.clone());
     let done = Instant::now();
     let (spilled_mb, spill_ms) = match (spill0, cache.spill_config()) {
         (Some((b0, ms0)), Some(cfg)) => (
@@ -855,7 +830,7 @@ pub fn run_cells_supervised(
     journal: Option<&Journal>,
 ) -> SupervisedReport {
     let plan = RequestPlan::from_cells(cells, opts);
-    run_plan_supervised(cache, opts, &plan, jobs, policy, journal)
+    run_plan_supervised(cache, opts, plan, jobs, policy, journal)
 }
 
 /// Static cost estimate of one cell, in arbitrary units (DESIGN.md §17).
@@ -921,116 +896,186 @@ pub fn dispatch_order(cells: &[PlannedCell], scale: f64) -> Vec<usize> {
 }
 
 /// [`run_cells_supervised`] over a pre-built [`RequestPlan`] (what
-/// [`crate::Repro::warm_supervised`] runs). The resident service
-/// schedules plan cells through its own worker pool instead.
-pub fn run_plan_supervised(
+/// [`crate::Repro::warm_supervised`] runs): the plan is admitted as one
+/// request on the dispatcher — the same one the resident service's pool
+/// runs on — and `jobs` scoped workers claim its cells until none is
+/// left.
+pub(crate) fn run_plan_supervised(
     cache: &TraceCache,
     opts: BuildOptions,
-    plan: &RequestPlan,
+    plan: RequestPlan,
     jobs: usize,
     policy: &RunPolicy,
     journal: Option<&Journal>,
 ) -> SupervisedReport {
     let t0 = Instant::now();
-    let cells = &plan.cells;
     let jobs = if jobs == 0 { default_jobs() } else { jobs };
-    let jobs = jobs.min(cells.len()).max(1);
-    // Fingerprints appearing more than once (e.g. a sweep point that
-    // coincides with the default geometry) share one simulation result.
-    let recurring = plan.recurring();
-    // Longest-first dispatch: workers claim cells through this static
-    // permutation so the heaviest cells (BCPref profiling+run) start
-    // first and never serialize the tail of the fan-out. Result slots
-    // below stay in cell-index order, so the reordering cannot change a
-    // single output byte (DESIGN.md §17).
-    let order = dispatch_order(cells, opts.scale);
-    let next = AtomicUsize::new(0);
-    let retries = AtomicU64::new(0);
-    let journal_hits = AtomicUsize::new(0);
-    let journal_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<Result<CellOutcome, CellFailure>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
-    let overruns: Mutex<Vec<Overrun>> = Mutex::new(Vec::new());
+    let jobs = jobs.min(plan.len()).max(1);
+    let journal_errors = Mutex::new(Vec::new());
+    let ctx = SuperviseCtx {
+        cache,
+        opts,
+        policy,
+        journal,
+        journal_errors: &journal_errors,
+    };
+    let req = ctx.admit(String::new(), Arc::new(plan), CancelToken::none(), ());
+    let sched = Mutex::new(Sched::new(vec![req]));
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let rank = next.fetch_add(1, Ordering::Relaxed);
-                    if rank >= order.len() {
-                        break;
-                    }
-                    let i = order[rank];
-                    let pc = &cells[i];
-                    let mut out = supervise_one(
-                        SuperviseCtx {
-                            cache,
-                            opts,
-                            policy,
-                            journal,
-                            retries: &retries,
-                            journal_hits: &journal_hits,
-                            journal_errors: &journal_errors,
-                            overruns: &overruns,
-                            share: recurring.contains(&pc.fingerprint),
-                            cancel: &CancelToken::none(),
-                        },
-                        pc,
-                    );
-                    if let Ok(o) = &mut out {
-                        o.sched_order = rank;
-                    }
-                    *lock_tolerant(&slots[i]) = Some(out);
-                })
-            })
-            .collect();
-        for w in workers {
-            // A worker thread cannot panic (every fallible step runs under
-            // catch_unwind), but stay defensive: a dead worker costs only
-            // the slots it never filled.
-            let _ = w.join();
+        for _ in 0..jobs {
+            s.spawn(|| {
+                ctx.work(
+                    || lock_tolerant(&sched).pick(),
+                    |job, out, overruns| {
+                        lock_tolerant(&sched).record(job, out, overruns);
+                    },
+                )
+            });
         }
     });
-    let mut overruns = overruns
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
+    let Req {
+        slots,
+        mut overruns,
+        ..
+    } = lock_tolerant(&sched).requests.remove(0);
     overruns.sort_by(|a, b| a.key.cmp(&b.key).then(a.attempt.cmp(&b.attempt)));
-    let outcomes: Vec<Result<CellOutcome, CellFailure>> = slots
+    // Workers run until nothing is left to claim, and record every cell
+    // they claim; a cell's panic is caught inside its supervision.
+    let outcomes: Vec<_> = slots
         .into_iter()
-        .zip(cells)
-        .map(|(slot, pc)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    // Unreachable today (see the join comment above), but
-                    // an unfilled slot must degrade to a typed failure, not
-                    // a collector panic.
-                    Err(CellFailure {
-                        cell: pc.cell.clone(),
-                        attempt: 0,
-                        cause: FailureCause::Panic(
-                            "worker terminated before filling this cell's slot".to_string(),
-                        ),
-                    })
-                })
-        })
+        .map(|slot| slot.expect("every cell is claimed and recorded"))
         .collect();
     SupervisedReport {
+        retries: outcomes.iter().map(|o| u64::from(attempt_of(o))).sum(),
+        journal_hits: outcomes
+            .iter()
+            .filter(|o| matches!(o, Ok(o) if o.journaled))
+            .count(),
         outcomes,
         jobs,
         wall_ms: 1e3 * t0.elapsed().as_secs_f64(),
         overruns,
-        retries: retries.load(Ordering::Relaxed),
-        journal_hits: journal_hits.load(Ordering::Relaxed),
         journal_errors: journal_errors
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner),
     }
 }
 
+/// The attempt that filled a cell's slot: the retries the cell was granted.
+pub(crate) fn attempt_of(out: &Result<CellOutcome, CellFailure>) -> u32 {
+    match out {
+        Ok(o) => o.attempt,
+        Err(f) => f.attempt,
+    }
+}
+
+/// One outcome slot of a request: `None` until the cell is processed.
+pub(crate) type Slot = Option<Result<CellOutcome, CellFailure>>;
+
+/// One admitted request on the dispatcher, with one outcome slot per plan
+/// cell. `X` is what its owner tracks besides (the service's deadline,
+/// client channel and experiments; nothing for the one-shot run).
+pub(crate) struct Req<X> {
+    /// Assigned by the owner (the one-shot run's only request is 0).
+    pub(crate) id: u64,
+    client: String,
+    pub(crate) plan: Arc<RequestPlan>,
+    /// The token every cell of the request polls.
+    pub(crate) cancel: CancelToken,
+    /// The cells admission could not resolve, as (plan index, rank in
+    /// [`dispatch_order`]) in that order: the only cells workers see.
+    pub(crate) todo: Vec<(usize, usize)>,
+    /// Next undispatched position in `todo`.
+    pub(crate) next: usize,
+    /// Cells dispatched to workers and not yet recorded back.
+    pub(crate) inflight: usize,
+    pub(crate) slots: Vec<Slot>,
+    /// Attempts of this request's cells that ran past the soft deadline.
+    overruns: Vec<Overrun>,
+    pub(crate) ext: X,
+}
+
+/// A claimed cell, run outside the dispatcher's lock.
+pub(crate) struct Job {
+    id: u64,
+    plan: Arc<RequestPlan>,
+    /// The cell's plan index.
+    pub(crate) cidx: usize,
+    /// Its rank in [`dispatch_order`], the outcome's `sched_order`.
+    rank: usize,
+    cancel: CancelToken,
+}
+
+/// The dispatcher's state, kept under its owner's one lock: admitted
+/// requests in arrival order and the rotation over their clients.
+pub(crate) struct Sched<X> {
+    pub(crate) requests: Vec<Req<X>>,
+    rr: u64,
+}
+
+impl<X> Sched<X> {
+    pub(crate) fn new(requests: Vec<Req<X>>) -> Self {
+        Sched { requests, rr: 0 }
+    }
+
+    /// Admitted cells not yet dispatched.
+    pub(crate) fn queued(&self) -> usize {
+        self.requests.iter().map(|r| r.todo.len() - r.next).sum()
+    }
+
+    /// Claims the next cell under two-level round-robin: rotate across
+    /// distinct clients with cells left (arrival order), FIFO across each
+    /// client's requests, and longest-first within a request.
+    pub(crate) fn pick(&mut self) -> Option<Job> {
+        // Each client's first request with cells left.
+        let mut heads: Vec<usize> = Vec::new();
+        for (i, r) in self.requests.iter().enumerate() {
+            let seen = heads.iter().any(|&h| self.requests[h].client == r.client);
+            if r.next < r.todo.len() && !seen {
+                heads.push(i);
+            }
+        }
+        if heads.is_empty() {
+            return None;
+        }
+        let pos = heads[self.rr as usize % heads.len()];
+        self.rr += 1;
+        let req = &mut self.requests[pos];
+        let (cidx, rank) = req.todo[req.next];
+        req.next += 1;
+        req.inflight += 1;
+        Some(Job {
+            id: req.id,
+            plan: Arc::clone(&req.plan),
+            cidx,
+            rank,
+            cancel: req.cancel.clone(),
+        })
+    }
+
+    /// Fills a processed cell's slot, stamped with its dispatch rank, and
+    /// returns its request's position (`None` once the request is gone).
+    pub(crate) fn record(
+        &mut self,
+        job: &Job,
+        mut out: Result<CellOutcome, CellFailure>,
+        overruns: Vec<Overrun>,
+    ) -> Option<usize> {
+        let pos = self.requests.iter().position(|r| r.id == job.id)?;
+        let req = &mut self.requests[pos];
+        if let Ok(o) = &mut out {
+            o.sched_order = job.rank;
+        }
+        req.slots[job.cidx] = Some(out);
+        req.inflight -= 1;
+        req.overruns.extend(overruns);
+        Some(pos)
+    }
+}
+
 /// The outcome of a cell answered without running anything: from its
 /// journal record (`journaled`), or from a result this process already
-/// simulated. Both the supervised path ([`supervise_one`]) and the
-/// service's admission gate build journal hits here.
+/// simulated.
 pub(crate) fn resolved_outcome(cell: &Cell, stats: SimStats, journaled: bool) -> CellOutcome {
     CellOutcome {
         cell: cell.clone(),
@@ -1057,40 +1102,110 @@ pub(crate) fn resolved_outcome(cell: &Cell, stats: SimStats, journaled: bool) ->
     }
 }
 
-/// Everything [`supervise_one`] needs besides the cell itself (bundled so
-/// the worker loop stays readable). `pub(crate)` because the resident
-/// service ([`crate::service`]) schedules cells through the same
-/// supervision path one at a time.
+/// What every cell on the dispatcher runs against: the shared cache, the
+/// build options, the supervision policy, and the optional journal.
+/// Both entry points build one — [`run_cells_supervised`] per run, the
+/// resident service ([`crate::service`]) per worker of its pool.
 pub(crate) struct SuperviseCtx<'a> {
     pub(crate) cache: &'a TraceCache,
     pub(crate) opts: BuildOptions,
     pub(crate) policy: &'a RunPolicy,
     pub(crate) journal: Option<&'a Journal>,
-    pub(crate) retries: &'a AtomicU64,
-    pub(crate) journal_hits: &'a AtomicUsize,
+    /// Journal writes that failed (the run goes on without them).
     pub(crate) journal_errors: &'a Mutex<Vec<String>>,
-    /// Where attempts that ran past the soft deadline are recorded.
-    pub(crate) overruns: &'a Mutex<Vec<Overrun>>,
-    pub(crate) share: bool,
-    /// Request-level cancellation: tripped by a service deadline, a
-    /// vanished client, or a draining daemon. Inert for plain CLI runs.
-    pub(crate) cancel: &'a CancelToken,
 }
 
-/// Runs one cell under the supervision policy: journal replay, panic
-/// isolation, bounded retry, soft deadlines, journal record, cooperative
-/// cancellation.
-pub(crate) fn supervise_one(
-    ctx: SuperviseCtx<'_>,
-    pc: &PlannedCell,
-) -> Result<CellOutcome, CellFailure> {
-    let (cell, fp, key, digest) = (&pc.cell, pc.fingerprint, pc.key.as_str(), pc.digest);
-    if let Some(j) = ctx.journal {
-        if let Some(stats) = j.lookup(digest) {
-            ctx.journal_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(resolved_outcome(cell, stats, true));
+impl SuperviseCtx<'_> {
+    /// Admits `plan` as one request: every cell already held — its journal
+    /// record, or without a journal a result this cache simulated — fills
+    /// its slot here, and the rest queue in [`dispatch_order`].
+    pub(crate) fn admit<X>(
+        &self,
+        client: String,
+        plan: Arc<RequestPlan>,
+        cancel: CancelToken,
+        ext: X,
+    ) -> Req<X> {
+        let mut slots: Vec<Slot> = plan.cells.iter().map(|_| None).collect();
+        let mut todo = Vec::new();
+        for (rank, i) in dispatch_order(&plan.cells, self.opts.scale)
+            .into_iter()
+            .enumerate()
+        {
+            let pc = &plan.cells[i];
+            let held = match self.journal {
+                Some(j) => j
+                    .lookup(pc.digest)
+                    .map(|stats| resolved_outcome(&pc.cell, stats, true)),
+                None => self
+                    .cache
+                    .shared_result(&pc.fingerprint)
+                    .map(|r| resolved_outcome(&pc.cell, r.stats, false)),
+            };
+            match held {
+                Some(o) => {
+                    slots[i] = Some(Ok(CellOutcome {
+                        sched_order: rank,
+                        ..o
+                    }))
+                }
+                None => todo.push((i, rank)),
+            }
+        }
+        Req {
+            id: 0,
+            client,
+            plan,
+            cancel,
+            todo,
+            next: 0,
+            inflight: 0,
+            slots,
+            overruns: Vec::new(),
+            ext,
         }
     }
+
+    /// The worker loop of both entry points: claims cells until `claim`
+    /// returns `None`, runs each — a cell whose request was cancelled
+    /// before it started fails as a timeout without simulating — and
+    /// hands it to `record` with the attempts that overran the soft
+    /// deadline.
+    pub(crate) fn work(
+        &self,
+        mut claim: impl FnMut() -> Option<Job>,
+        mut record: impl FnMut(&Job, Result<CellOutcome, CellFailure>, Vec<Overrun>),
+    ) {
+        while let Some(job) = claim() {
+            let pc = &job.plan.cells[job.cidx];
+            let mut overruns = Vec::new();
+            let out = if job.cancel.is_cancelled() {
+                Err(CellFailure {
+                    cell: pc.cell.clone(),
+                    attempt: 0,
+                    cause: FailureCause::Timeout,
+                })
+            } else {
+                supervise_one(self, pc, &job.cancel, &mut overruns)
+            };
+            record(&job, out, overruns);
+        }
+    }
+}
+
+/// Runs one cell under the supervision policy: panic isolation, bounded
+/// retry, soft deadlines (overrunning attempts are pushed onto
+/// `overruns`), journal record, cooperative cancellation through `cancel`
+/// — the request's token, inert for one-shot runs. Journal replay happens
+/// at admission; a cell journaled after its request was admitted was
+/// simulated in this process, so the shared result answers it.
+fn supervise_one(
+    ctx: &SuperviseCtx<'_>,
+    pc: &PlannedCell,
+    cancel: &CancelToken,
+    overruns: &mut Vec<Overrun>,
+) -> Result<CellOutcome, CellFailure> {
+    let (cell, key, digest) = (&pc.cell, pc.key.as_str(), pc.digest);
     // This thread is busy with the cell, so its machines' decode-ahead
     // helpers need a core beyond it (DESIGN.md §17).
     let _busy = CoreGauge::process().lease();
@@ -1109,8 +1224,8 @@ pub(crate) fn supervise_one(
             .zip(ctx.policy.grace())
             .and_then(|(d, g)| started.checked_add(d + g));
         let attempt_cancel = match kill_at {
-            Some(at) => ctx.cancel.child_until(at),
-            None => ctx.cancel.clone(),
+            Some(at) => cancel.child_until(at),
+            None => cancel.clone(),
         };
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
             if let Some(fault) = &ctx.policy.inject {
@@ -1121,11 +1236,11 @@ pub(crate) fn supervise_one(
                     );
                 }
             }
-            run_cell_inner(ctx.cache, ctx.opts, cell, fp, ctx.share, &attempt_cancel)
+            run_cell(ctx.cache, ctx.opts, cell, &attempt_cancel)
         }));
         let elapsed = started.elapsed();
         if let Some(d) = deadline.filter(|&d| elapsed > d) {
-            lock_tolerant(ctx.overruns).push(Overrun {
+            overruns.push(Overrun {
                 key: key.to_string(),
                 attempt,
                 deadline_ms: d.as_millis() as u64,
@@ -1170,7 +1285,6 @@ pub(crate) fn supervise_one(
         }
         std::thread::sleep(ctx.policy.backoff(attempt));
         attempt += 1;
-        ctx.retries.fetch_add(1, Ordering::Relaxed);
     };
     if let (Some(j), Ok(o)) = (ctx.journal, &out) {
         if let Err(e) = j.append(JournalRecord {
@@ -1361,6 +1475,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn memo_builds_once() {

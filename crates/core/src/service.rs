@@ -8,9 +8,12 @@
 //! * **Admission control** — the queue of undispatched cells is bounded;
 //!   a request that would exceed it is rejected with
 //!   [`Admission::Overloaded`] instead of being buffered without limit.
-//! * **Fairness** — cells are dispatched round-robin across *clients*
-//!   (FIFO across each client's requests), so one client submitting a
-//!   large sweep cannot starve another's single table.
+//! * **Fairness** — the pool runs on the crate's one cell dispatcher (the
+//!   one `repro` runs a single request on): cells are dispatched
+//!   round-robin across *clients*, FIFO across each client's requests,
+//!   and longest-first within a request ([`crate::dispatch_order`]), so
+//!   one client submitting a large sweep cannot starve another's single
+//!   table.
 //! * **Cooperative cancellation** — every request carries a live
 //!   [`CancelToken`] threaded into the simulator's event loop. A
 //!   per-request deadline, a vanished client, or nothing at all: when the
@@ -40,17 +43,17 @@
 use crate::experiments::{render_experiment, Repro};
 use crate::json::{self, object, Codec, Fields, Json, Obj, Opt, OrDefault, Plain, Tenths};
 use crate::runner::{
-    default_jobs, resolved_outcome, supervise_one, CellOutcome, Experiment, PlannedCell,
-    RequestPlan, SuperviseCtx, TraceCache,
+    attempt_of, default_jobs, CellOutcome, Experiment, Job, Req, RequestPlan, Sched, Slot,
+    SuperviseCtx, TraceCache,
 };
 use crate::supervise::{
-    lock_tolerant, CellFailure, FailureCause, FailureReport, Journal, RunPolicy,
+    lock_tolerant, CellFailure, FailureCause, FailureReport, Journal, Overrun, RunPolicy,
 };
 use oscache_memsys::CancelToken;
 use oscache_workloads::BuildOptions;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -260,9 +263,6 @@ pub fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// One outcome slot of a request: `None` until the cell is processed.
-type Slot = Option<Result<CellOutcome, CellFailure>>;
-
 /// Why a request's remaining cells are being abandoned.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CancelKind {
@@ -276,45 +276,26 @@ enum CancelKind {
     Drain,
 }
 
-/// One admitted request's scheduling state.
-struct Req {
-    id: u64,
-    client: String,
+/// What the daemon tracks per admitted request besides its dispatch state.
+struct Watch {
     experiments: Vec<Experiment>,
-    plan: Arc<RequestPlan>,
-    cancel: CancelToken,
     deadline: Option<Instant>,
     deadline_hit: bool,
     orphaned: bool,
     drained: bool,
-    /// True once any cell has an outcome or a worker: resolved at
-    /// admission or dispatched.
-    started: bool,
-    /// Plan indices of the cells admission could not resolve, in plan
-    /// order: the only cells that ever reach a worker.
-    todo: Vec<usize>,
-    /// Next undispatched position in `todo` (== `todo.len()` once nothing
-    /// more will be dispatched).
-    next: usize,
-    /// Cells dispatched to workers and not yet recorded back.
-    inflight: usize,
-    slots: Vec<Slot>,
     tx: Sender<Event>,
 }
 
-/// Scheduler state under the one service lock.
-struct Sched {
-    requests: Vec<Req>,
-    /// Round-robin rotation counter over distinct clients.
-    rr: u64,
+/// Everything under the one service lock: the dispatcher and the drain.
+struct State {
+    sched: Sched<Watch>,
     draining: bool,
     stopped: bool,
-    queued_cells: usize,
     next_id: u64,
-    /// Requests removed from `requests` whose report is still to be
+    /// Requests removed from the dispatcher whose report is still to be
     /// rendered and sent: filled under the lock, emptied by
     /// [`Inner::release`] once it is dropped.
-    retired: Vec<Req>,
+    retired: Vec<Req<Watch>>,
 }
 
 /// Monotonic counters (lock-free reads for the `stats` op).
@@ -327,21 +308,37 @@ struct Counters {
     finished: AtomicU64,
     cells_completed: AtomicU64,
     cells_failed: AtomicU64,
+    journal_replays: AtomicU64,
+    retries: AtomicU64,
     overruns: AtomicU64,
 }
 
+impl Counters {
+    /// Counts one processed cell: resolved at admission, or run.
+    fn count_cell(&self, out: &Result<CellOutcome, CellFailure>) {
+        let bump = |n: &AtomicU64, by: u64| n.fetch_add(by, Ordering::Relaxed);
+        bump(&self.retries, u64::from(attempt_of(out)));
+        match out {
+            Ok(o) => {
+                bump(&self.cells_completed, 1);
+                bump(&self.journal_replays, u64::from(o.journaled));
+            }
+            Err(_) => {
+                bump(&self.cells_failed, 1);
+            }
+        }
+    }
+}
+
 struct Inner {
-    scale: f64,
     opts: BuildOptions,
     queue_limit: usize,
     policy: RunPolicy,
     cache: Arc<TraceCache>,
     journal: Option<Journal>,
-    sched: Mutex<Sched>,
+    state: Mutex<State>,
     cv: Condvar,
     counters: Counters,
-    retries: AtomicU64,
-    journal_hits: AtomicUsize,
     journal_errors: Mutex<Vec<String>>,
 }
 
@@ -366,7 +363,6 @@ impl Server {
             cfg.jobs
         };
         let inner = Arc::new(Inner {
-            scale: cfg.scale,
             opts: BuildOptions {
                 scale: cfg.scale,
                 ..Default::default()
@@ -381,19 +377,15 @@ impl Server {
                 cache
             },
             journal,
-            sched: Mutex::new(Sched {
-                requests: Vec::new(),
-                rr: 0,
+            state: Mutex::new(State {
+                sched: Sched::new(Vec::new()),
                 draining: false,
                 stopped: false,
-                queued_cells: 0,
                 next_id: 1,
                 retired: Vec::new(),
             }),
             cv: Condvar::new(),
             counters: Counters::default(),
-            retries: AtomicU64::new(0),
-            journal_hits: AtomicUsize::new(0),
             journal_errors: Mutex::new(Vec::new()),
         });
         let mut threads = Vec::with_capacity(jobs + 1);
@@ -423,97 +415,67 @@ impl Server {
     /// calling thread, so its whole event stream is waiting on return.
     pub fn submit(&self, req: RunRequest) -> Admission {
         let inner = &self.inner;
-        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(RequestPlan::for_experiments(
-            &req.experiments,
-            inner.opts,
-            |_| false,
-        ));
-        let slots: Vec<Slot> = plan
-            .cells
-            .iter()
-            .map(|pc| inner.resolve(pc).map(Ok))
-            .collect();
-        let todo: Vec<usize> = (0..plan.len()).filter(|&i| slots[i].is_none()).collect();
-        let mut s = lock_tolerant(&inner.sched);
-        if s.draining || s.stopped {
-            inner
-                .counters
-                .rejected_shutdown
-                .fetch_add(1, Ordering::Relaxed);
-            return Admission::ShuttingDown;
-        }
-        if s.queued_cells + todo.len() > inner.queue_limit {
-            inner
-                .counters
-                .rejected_overloaded
-                .fetch_add(1, Ordering::Relaxed);
-            return Admission::Overloaded {
-                queued: s.queued_cells,
-                limit: inner.queue_limit,
-            };
-        }
-        let id = s.next_id;
-        s.next_id += 1;
-        let (tx, rx) = channel();
-        let total = plan.len();
-        for (cidx, slot) in slots.iter().enumerate() {
-            if let Some(Ok(o)) = slot {
-                inner
-                    .counters
-                    .cells_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if o.journaled {
-                    inner.journal_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                // The receiver is still in hand here, so the send succeeds.
-                let _ = tx.send(progress(&plan, cidx, slot));
-            }
-        }
-        s.queued_cells += todo.len();
-        let req = Req {
-            id,
-            client: if req.client.is_empty() {
-                "anon".to_string()
-            } else {
-                req.client
-            },
+        let c = &inner.counters;
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        let plan = RequestPlan::for_experiments(&req.experiments, inner.opts, |_| false);
+        let (tx, events) = channel();
+        let watch = Watch {
             experiments: req.experiments,
-            started: todo.len() < total,
-            plan,
-            cancel: CancelToken::new(),
             deadline: req
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms)),
             deadline_hit: false,
             orphaned: false,
             drained: false,
-            next: 0,
-            inflight: 0,
-            todo,
-            slots,
             tx,
         };
-        inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if req.todo.is_empty() {
-            s.retired.push(req);
+        let client = if req.client.is_empty() {
+            "anon".to_string()
         } else {
-            s.requests.push(req);
+            req.client
+        };
+        let mut r = inner
+            .ctx()
+            .admit(client, Arc::new(plan), CancelToken::new(), watch);
+        let mut s = lock_tolerant(&inner.state);
+        if s.draining || s.stopped {
+            c.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            return Admission::ShuttingDown;
+        }
+        let queued = s.sched.queued();
+        if queued + r.todo.len() > inner.queue_limit {
+            c.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+            return Admission::Overloaded {
+                queued,
+                limit: inner.queue_limit,
+            };
+        }
+        r.id = s.next_id;
+        s.next_id += 1;
+        for (cidx, slot) in r.slots.iter().enumerate() {
+            if let Some(out) = slot {
+                c.count_cell(out);
+                // The receiver is still in hand here, so the send succeeds.
+                let _ = r.ext.tx.send(progress(&r.plan, cidx, slot));
+            }
+        }
+        c.accepted.fetch_add(1, Ordering::Relaxed);
+        let (id, total) = (r.id, r.plan.len());
+        if r.todo.is_empty() {
+            s.retired.push(r);
+        } else {
+            s.sched.requests.push(r);
         }
         inner.release(s);
-        Admission::Accepted {
-            id,
-            total,
-            events: rx,
-        }
+        Admission::Accepted { id, total, events }
     }
 
     /// Cancels an admitted request (client vanished): trips its token so
     /// in-flight cells die within the polling latency, and abandons the
     /// queued rest.
     pub fn cancel(&self, id: u64) {
-        let mut s = lock_tolerant(&self.inner.sched);
-        if let Some(pos) = s.requests.iter().position(|r| r.id == id) {
+        let mut s = lock_tolerant(&self.inner.state);
+        if let Some(pos) = s.sched.requests.iter().position(|r| r.id == id) {
             self.inner
                 .cancel_locked(&mut s, pos, CancelKind::ClientGone);
         }
@@ -525,12 +487,12 @@ impl Server {
     /// started are answered `shutting-down`; started requests finalize as
     /// partial the moment their in-flight cells land. Idempotent.
     pub fn shutdown(&self) {
-        let mut s = lock_tolerant(&self.inner.sched);
+        let mut s = lock_tolerant(&self.inner.state);
         if s.draining {
             return;
         }
         s.draining = true;
-        for pos in (0..s.requests.len()).rev() {
+        for pos in (0..s.sched.requests.len()).rev() {
             self.inner.cancel_locked(&mut s, pos, CancelKind::Drain);
         }
         self.inner.release(s);
@@ -541,8 +503,8 @@ impl Server {
     pub fn stop(&self) {
         self.shutdown();
         {
-            let mut s = lock_tolerant(&self.inner.sched);
-            while !s.requests.is_empty() {
+            let mut s = lock_tolerant(&self.inner.state);
+            while !s.sched.requests.is_empty() {
                 s = self
                     .inner
                     .cv
@@ -563,8 +525,8 @@ impl Server {
         let inner = &self.inner;
         let c = &inner.counters;
         let (active, queued, draining) = {
-            let s = lock_tolerant(&inner.sched);
-            (s.requests.len(), s.queued_cells, s.draining)
+            let s = lock_tolerant(&inner.state);
+            (s.sched.requests.len(), s.sched.queued(), s.draining)
         };
         ServiceStats {
             submitted: c.submitted.load(Ordering::Relaxed),
@@ -574,8 +536,8 @@ impl Server {
             finished: c.finished.load(Ordering::Relaxed),
             cells_completed: c.cells_completed.load(Ordering::Relaxed),
             cells_failed: c.cells_failed.load(Ordering::Relaxed),
-            journal_replays: inner.journal_hits.load(Ordering::Relaxed) as u64,
-            retries: inner.retries.load(Ordering::Relaxed),
+            journal_replays: c.journal_replays.load(Ordering::Relaxed),
+            retries: c.retries.load(Ordering::Relaxed),
             overruns: c.overruns.load(Ordering::Relaxed),
             active_requests: active,
             queued_cells: queued,
@@ -601,125 +563,56 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// Picks the next cell to dispatch under two-level round-robin:
-    /// rotate across distinct clients (arrival order), FIFO across each
-    /// client's requests. Returns the job outside-the-lock handle.
-    fn pick(&self, s: &mut Sched) -> Option<(u64, Arc<RequestPlan>, usize, CancelToken)> {
-        if s.draining {
-            return None;
+    /// The supervision context every cell of the pool runs under.
+    fn ctx(&self) -> SuperviseCtx<'_> {
+        SuperviseCtx {
+            cache: &self.cache,
+            opts: self.opts,
+            policy: &self.policy,
+            journal: self.journal.as_ref(),
+            journal_errors: &self.journal_errors,
         }
-        let mut clients: Vec<String> = Vec::new();
-        for r in &s.requests {
-            if r.next < r.todo.len() && !clients.contains(&r.client) {
-                clients.push(r.client.clone());
-            }
-        }
-        if clients.is_empty() {
-            return None;
-        }
-        let start = (s.rr as usize) % clients.len();
-        let client = clients[start].clone();
-        s.rr += 1;
-        let req = s
-            .requests
-            .iter_mut()
-            .find(|r| r.client == client && r.next < r.todo.len())?;
-        let cidx = req.todo[req.next];
-        req.next += 1;
-        req.inflight += 1;
-        req.started = true;
-        s.queued_cells -= 1;
-        Some((req.id, Arc::clone(&req.plan), cidx, req.cancel.clone()))
     }
 
-    /// Worker: pull one cell at a time through the same supervision path
-    /// the CLI fan-out uses ([`supervise_one`]), with `share` always on so
-    /// identical in-flight fingerprints across requests run once.
+    /// Worker: the dispatcher's worker loop, claiming cells whenever the
+    /// daemon is not draining and ending once it stops.
     fn worker_loop(&self) {
-        loop {
-            let (id, plan, cidx, cancel) = {
-                let mut s = lock_tolerant(&self.sched);
+        self.ctx().work(
+            || {
+                let mut s = lock_tolerant(&self.state);
                 loop {
                     if s.stopped {
-                        return;
+                        return None;
                     }
-                    if let Some(job) = self.pick(&mut s) {
-                        break job;
+                    let job = if s.draining { None } else { s.sched.pick() };
+                    if job.is_some() {
+                        return job;
                     }
                     s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
                 }
-            };
-            let pc = &plan.cells[cidx];
-            let overruns = Mutex::new(Vec::new());
-            let out = if cancel.is_cancelled() {
-                // Cancelled between dispatch and execution: charge the
-                // deadline, don't burn a simulation.
-                Err(CellFailure {
-                    cell: pc.cell.clone(),
-                    attempt: 0,
-                    cause: FailureCause::Timeout,
-                })
-            } else {
-                supervise_one(
-                    SuperviseCtx {
-                        cache: &self.cache,
-                        opts: self.opts,
-                        policy: &self.policy,
-                        journal: self.journal.as_ref(),
-                        retries: &self.retries,
-                        journal_hits: &self.journal_hits,
-                        journal_errors: &self.journal_errors,
-                        overruns: &overruns,
-                        share: true,
-                        cancel: &cancel,
-                    },
-                    pc,
-                )
-            };
-            let overruns = lock_tolerant(&overruns).len() as u64;
-            self.counters
-                .overruns
-                .fetch_add(overruns, Ordering::Relaxed);
-            self.complete(id, cidx, out);
-        }
-    }
-
-    /// The outcome the daemon already holds for `pc`, if any: its journal
-    /// record, or (without a journal) a result this daemon simulated.
-    fn resolve(&self, pc: &PlannedCell) -> Option<CellOutcome> {
-        match &self.journal {
-            Some(j) => j
-                .lookup(pc.digest)
-                .map(|stats| resolved_outcome(&pc.cell, stats, true)),
-            None => self
-                .cache
-                .shared_result(&pc.fingerprint)
-                .map(|r| resolved_outcome(&pc.cell, r.stats, false)),
-        }
+            },
+            |job, out, overruns| self.complete(job, out, overruns),
+        );
     }
 
     /// Records one processed cell, streams progress, finalizes the
     /// request when it was the last.
-    fn complete(&self, id: u64, cidx: usize, out: Result<CellOutcome, CellFailure>) {
-        let mut s = lock_tolerant(&self.sched);
-        let Some(pos) = s.requests.iter().position(|r| r.id == id) else {
+    fn complete(&self, job: &Job, out: Result<CellOutcome, CellFailure>, overruns: Vec<Overrun>) {
+        let c = &self.counters;
+        c.overruns
+            .fetch_add(overruns.len() as u64, Ordering::Relaxed);
+        c.count_cell(&out);
+        let mut s = lock_tolerant(&self.state);
+        let Some(pos) = s.sched.record(job, out, overruns) else {
             return;
         };
-        match &out {
-            Ok(_) => self
-                .counters
-                .cells_completed
-                .fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.counters.cells_failed.fetch_add(1, Ordering::Relaxed),
-        };
-        let req = &mut s.requests[pos];
-        req.slots[cidx] = Some(out);
-        req.inflight -= 1;
+        let req = &mut s.sched.requests[pos];
         let orphaned = req
+            .ext
             .tx
-            .send(progress(&req.plan, cidx, &req.slots[cidx]))
+            .send(progress(&req.plan, job.cidx, &req.slots[job.cidx]))
             .is_err();
-        if orphaned && !req.orphaned {
+        if orphaned && !req.ext.orphaned {
             self.cancel_locked(&mut s, pos, CancelKind::ClientGone);
         } else if req.inflight == 0 && req.next >= req.todo.len() {
             self.retire(&mut s, pos);
@@ -729,48 +622,45 @@ impl Inner {
 
     /// Abandons a request's undispatched cells per `kind`; finalizes
     /// immediately when nothing is in flight.
-    fn cancel_locked(&self, s: &mut Sched, pos: usize, kind: CancelKind) {
-        {
-            let req = &mut s.requests[pos];
-            s.queued_cells -= req.todo.len() - req.next;
-            match kind {
-                CancelKind::Deadline => {
-                    req.cancel.cancel();
-                    req.deadline_hit = true;
-                    for &i in &req.todo[req.next..] {
-                        req.slots[i] = Some(Err(CellFailure {
-                            cell: req.plan.cells[i].cell.clone(),
-                            attempt: 0,
-                            cause: FailureCause::Timeout,
-                        }));
-                    }
-                }
-                CancelKind::ClientGone => {
-                    req.cancel.cancel();
-                    req.orphaned = true;
-                }
-                CancelKind::Drain => {
-                    req.drained = true;
+    fn cancel_locked(&self, s: &mut State, pos: usize, kind: CancelKind) {
+        let req = &mut s.sched.requests[pos];
+        match kind {
+            CancelKind::Deadline => {
+                req.cancel.cancel();
+                req.ext.deadline_hit = true;
+                for &(i, _) in &req.todo[req.next..] {
+                    req.slots[i] = Some(Err(CellFailure {
+                        cell: req.plan.cells[i].cell.clone(),
+                        attempt: 0,
+                        cause: FailureCause::Timeout,
+                    }));
                 }
             }
-            req.next = req.todo.len();
+            CancelKind::ClientGone => {
+                req.cancel.cancel();
+                req.ext.orphaned = true;
+            }
+            CancelKind::Drain => {
+                req.ext.drained = true;
+            }
         }
-        if s.requests[pos].inflight == 0 {
+        req.next = req.todo.len();
+        if req.inflight == 0 {
             self.retire(s, pos);
         }
     }
 
-    /// Removes a finished request from the schedule; [`Inner::release`]
+    /// Removes a finished request from the dispatcher; [`Inner::release`]
     /// renders and answers it once the lock is dropped.
-    fn retire(&self, s: &mut Sched, pos: usize) {
-        let req = s.requests.remove(pos);
+    fn retire(&self, s: &mut State, pos: usize) {
+        let req = s.sched.requests.remove(pos);
         s.retired.push(req);
     }
 
     /// Drops the scheduler lock, waking every waiter first, and then
     /// finalizes the requests retired while it was held. Every request
     /// finalizes here, so no report is ever rendered under the lock.
-    fn release(&self, mut s: MutexGuard<'_, Sched>) {
+    fn release(&self, mut s: MutexGuard<'_, State>) {
         let retired = std::mem::take(&mut s.retired);
         self.cv.notify_all();
         drop(s);
@@ -782,7 +672,7 @@ impl Inner {
     /// Renders a retired request's report from the completed cells
     /// (exactly the `--keep-going` machinery: only experiments whose
     /// cells all completed render) and sends [`Event::Done`].
-    fn finalize(&self, req: Req) {
+    fn finalize(&self, req: Req<Watch>) {
         let total = req.plan.len();
         let mut ok_outcomes: Vec<CellOutcome> = Vec::new();
         let mut failures: Vec<FailureReport> = Vec::new();
@@ -801,14 +691,15 @@ impl Inner {
             }
         }
         let completed = ok_outcomes.len();
-        let (report, skipped) = if req.orphaned {
+        let w = req.ext;
+        let (report, skipped) = if w.orphaned {
             (String::new(), Vec::new())
         } else {
-            let mut r = Repro::with_cache(self.scale, 1, Arc::clone(&self.cache));
+            let mut r = Repro::with_cache(self.opts.scale, 1, Arc::clone(&self.cache));
             r.absorb_outcomes(ok_outcomes);
             let mut text = String::new();
             let mut skipped = Vec::new();
-            for e in &req.experiments {
+            for e in &w.experiments {
                 if r.experiment_ready(*e) {
                     text.push_str(&render_experiment(&mut r, *e));
                 } else {
@@ -818,15 +709,16 @@ impl Inner {
             (text, skipped)
         };
         self.counters.finished.fetch_add(1, Ordering::Relaxed);
-        let _ = req.tx.send(Event::Done(RequestReport {
+        let _ = w.tx.send(Event::Done(RequestReport {
             id: req.id,
             total,
             completed,
             failed: failures.len(),
             unstarted,
             journal_hits,
-            deadline_exceeded: req.deadline_hit,
-            shutdown: req.drained && !req.started,
+            deadline_exceeded: w.deadline_hit,
+            // Drained before any cell had an outcome or a worker.
+            shutdown: w.drained && unstarted == total,
             report,
             skipped,
             failures,
@@ -838,18 +730,19 @@ impl Inner {
     /// without any client cooperation.
     fn monitor_loop(&self) {
         loop {
-            let mut s = lock_tolerant(&self.sched);
+            let mut s = lock_tolerant(&self.state);
             if s.stopped {
                 return;
             }
             let now = Instant::now();
             let mut wake = Duration::from_millis(50);
             let expired: Vec<u64> = s
+                .sched
                 .requests
                 .iter()
-                .filter_map(|r| match r.deadline {
-                    Some(d) if !r.deadline_hit && d <= now => Some(r.id),
-                    Some(d) if !r.deadline_hit => {
+                .filter_map(|r| match r.ext.deadline {
+                    Some(d) if !r.ext.deadline_hit && d <= now => Some(r.id),
+                    Some(d) if !r.ext.deadline_hit => {
                         wake = wake.min(d - now);
                         None
                     }
@@ -857,7 +750,7 @@ impl Inner {
                 })
                 .collect();
             for id in expired {
-                if let Some(pos) = s.requests.iter().position(|r| r.id == id) {
+                if let Some(pos) = s.sched.requests.iter().position(|r| r.id == id) {
                     self.cancel_locked(&mut s, pos, CancelKind::Deadline);
                 }
             }

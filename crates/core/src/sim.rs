@@ -27,15 +27,10 @@ pub struct RunResult {
 /// # Panics
 ///
 /// Panics on a malformed trace or a simulator invariant violation; use
-/// [`try_run_system`] to receive those as typed errors instead.
+/// [`try_run_spec`] with `system.spec()` and the default geometry to
+/// receive those as typed errors instead.
 pub fn run_system(trace: &ChunkedTrace, system: System) -> RunResult {
     run_spec(trace, system.spec(), Geometry::default())
-}
-
-/// Fallible variant of [`run_system`]: malformed traces and invariant
-/// violations come back as a typed [`SimError`].
-pub fn try_run_system(trace: &ChunkedTrace, system: System) -> Result<RunResult, SimError> {
-    try_run_spec_audited(trace, system.spec(), Geometry::default(), AuditLevel::Off)
 }
 
 /// Runs a fully-specified system at a given geometry.
@@ -167,36 +162,23 @@ pub struct PrepPhases {
 /// Runs a fully-specified system with the machine's invariant auditor set
 /// to `audit`, returning trace and invariant problems as typed errors:
 /// analyze, prepare, run — every phase streaming.
+///
+/// Preparation composes the two cacheable phases, [`analyze_cell`] and
+/// [`prepare_from_analysis`] (the hot-spot profiling simulation, itself a
+/// deterministic single-threaded run); callers that prepare several
+/// geometries of one spec analyze once and prepare per geometry instead,
+/// as the runner's [`TraceCache`](crate::runner::TraceCache) does.
 pub fn try_run_spec_audited(
     trace: &ChunkedTrace,
     spec: SystemSpec,
     geometry: Geometry,
     audit: AuditLevel,
 ) -> Result<RunResult, SimError> {
-    let prepared = prepare_cell(trace, spec, geometry, audit)?;
-    let none = CancelToken::none();
-    run_prepared_chunked_timed(trace, &prepared, spec, geometry, audit, &none).map(|(r, _)| r)
-}
-
-/// The preparation half of [`try_run_spec_audited`]: applies every
-/// software pass (including the hot-spot profiling simulation, which is
-/// itself a deterministic single-threaded run).
-///
-/// Composition of the two cacheable phases; callers that prepare several
-/// geometries of one spec should call [`analyze_cell`] once and
-/// [`prepare_from_analysis`] per geometry instead (the runner's
-/// [`TraceCache`](crate::runner::TraceCache) does).
-pub fn prepare_cell(
-    trace: &ChunkedTrace,
-    spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-) -> Result<PreparedCell, SimError> {
     let analyzed = analyze_cell(trace, spec);
     let none = CancelToken::none();
     let (prepared, _phases) =
         prepare_from_analysis(trace, &analyzed, spec, geometry, audit, &none)?;
-    Ok(prepared)
+    run_prepared_chunked_timed(trace, &prepared, spec, geometry, audit, &none).map(|(r, _)| r)
 }
 
 /// The geometry-independent preparation prefix: deferred copy, page

@@ -77,7 +77,7 @@ fn profiling_cfg(trace: &ChunkedTrace, system: System, geometry: Geometry) -> Ma
 
 /// Every ladder system on every workload, at the default geometry and the
 /// two sweep extremes the figures probe: the profiler's outputs must equal
-/// the fully-recorded machine's on exactly the traces `prepare_cell`
+/// the fully-recorded machine's on exactly the traces cell preparation
 /// profiles.
 #[test]
 fn profiler_matches_machine_across_ladder() {

@@ -11,8 +11,8 @@ use oscache_core::service::{
     WireRequest,
 };
 use oscache_core::{
-    render_experiment, Escalation, Experiment, FailureReport, Journal, JournalHeader, Repro,
-    RunPolicy,
+    dispatch_order, render_experiment, Escalation, Experiment, FailureReport, Journal,
+    JournalHeader, Repro, RequestPlan, RunPolicy,
 };
 use oscache_workloads::BuildOptions;
 use std::path::PathBuf;
@@ -473,6 +473,43 @@ fn without_a_journal_simulated_results_answer_at_admission() {
     assert_eq!(rep.journal_hits, 0, "no journal, no journal hits");
     assert_eq!(rep.report, reference());
     assert_eq!(server.stats().cells_completed, 8);
+    server.stop();
+}
+
+#[test]
+fn one_worker_dispatches_a_request_longest_first() {
+    // Table 3 plans each workload's Base cell before its costlier
+    // Blk_Bypass cell, so plan order and dispatch order differ.
+    let opts = BuildOptions {
+        scale: SCALE,
+        ..Default::default()
+    };
+    let plan = RequestPlan::for_experiments(&[Experiment::Table3], opts, |_| false);
+    let order = dispatch_order(&plan.cells, SCALE);
+    assert_ne!(order, (0..plan.len()).collect::<Vec<_>>());
+    let server = Server::start(config(1), None);
+    let adm = server.submit(RunRequest {
+        client: "sweeper".to_string(),
+        experiments: vec![Experiment::Table3],
+        deadline_ms: None,
+    });
+    let Admission::Accepted { events, .. } = adm else {
+        panic!("expected admission");
+    };
+    let mut seen = Vec::new();
+    for ev in events {
+        match ev {
+            Event::Cell(p) => seen.push(p.index),
+            Event::Done(rep) => {
+                assert!(rep.complete());
+                break;
+            }
+        }
+    }
+    assert_eq!(
+        seen, order,
+        "one worker must run the cells in dispatch_order"
+    );
     server.stop();
 }
 

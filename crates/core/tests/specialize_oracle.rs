@@ -71,7 +71,7 @@ fn assert_spec_matches_generic(
 
 /// Every ladder system on every workload, at the default geometry and the
 /// two sweep extremes the figures probe: the specialized replay must equal
-/// the generic oracle bit for bit on exactly the traces `prepare_cell`
+/// the generic oracle bit for bit on exactly the traces cell preparation
 /// simulates.
 #[test]
 fn specialized_replay_matches_generic_across_ladder() {
