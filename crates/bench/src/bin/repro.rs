@@ -523,12 +523,12 @@ fn simulate(workload: &str, system: &str, scale: f64, sup_opts: &Supervision) {
 }
 
 fn dump(workload: &str, path: &str, scale: f64) {
-    use oscache_workloads::{build, BuildOptions, Workload};
+    use oscache_workloads::{build_chunked, BuildOptions, Workload};
     let w = Workload::all()
         .into_iter()
         .find(|w| w.name().eq_ignore_ascii_case(workload))
         .unwrap_or_else(|| usage());
-    let trace = build(
+    let trace = build_chunked(
         w,
         BuildOptions {
             scale,
@@ -563,7 +563,6 @@ fn replay(path: &str, system: &str, inject: Option<(oscache_memsys::faults::Faul
             fail("trace-validation", &e.to_string(), EXIT_TRACE_INVALID);
         }
     }
-    let trace = oscache_trace::ChunkedTrace::from_trace(&trace);
     // Replay with the full invariant audit enabled, so a fault that slips
     // past validation is either survived cleanly or reported as a typed
     // simulation error — never a panic.
@@ -1057,7 +1056,7 @@ fn codec_microcell() -> (f64, f64, f64, f64) {
             b.read(addr, DataClass::RunQueue);
         }
     }
-    let events = b.finish().into_events();
+    let events: Vec<_> = b.finish().iter().collect();
     assert_eq!(events.len(), EVENTS);
     let mb = std::mem::size_of_val(events.as_slice()) as f64 / (1024.0 * 1024.0);
     let t0 = std::time::Instant::now();

@@ -354,9 +354,7 @@ pub fn prepare_from_analysis(
     // streams carry the facts that prove it valid. Only a trace with a
     // violation pays the full scan, which names the offending event.
     let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
-    working
-        .validate_for_cpus(trace.n_cpus())
-        .map_err(SimError::from_trace)?;
+    working.validate_for_cpus(trace.n_cpus())?;
 
     Ok((
         PreparedCell {

@@ -16,8 +16,8 @@
 //! fixed composition order. Hot-spot prefetching runs after them as a
 //! [`HotspotPlan`] the replay merges into its decode windows, so no
 //! prefetch-carrying trace is ever encoded. The pass-by-pass reference
-//! rewrites over the flat `Trace` that the tests check the pipeline
-//! against live in the test-only `oscache-oracle` crate.
+//! rewrites that the tests check the pipeline against live in the
+//! test-only `oscache-oracle` crate.
 
 use crate::analysis::UpdateSet;
 use crate::deferred::DeferralSummary;
@@ -649,7 +649,7 @@ impl<'a> TransformPipeline<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscache_trace::{Mode, StreamBuilder, Trace, TraceMeta};
+    use oscache_trace::{Mode, StreamBuilder, TraceMeta};
 
     #[test]
     fn relocation_map_remaps_ranges() {
@@ -716,9 +716,13 @@ mod tests {
             .flat_map(|s| s.iter())
             .filter(|e| matches!(e, Event::Exec { .. }))
             .count();
+        let reads = |t: &ChunkedTrace| {
+            let events = t.streams.iter().flat_map(|s| s.iter());
+            events.filter(Event::is_read).count()
+        };
         assert_eq!(
-            instrumented.to_trace().total_reads(),
-            t.to_trace().total_reads() + execs,
+            reads(&instrumented),
+            reads(&t) + execs,
             "one escape per basic block"
         );
         let base = crate::sim::run_system(&t, crate::config::System::Base);
@@ -750,18 +754,16 @@ mod tests {
         );
     }
 
-    fn colored(t: &Trace) -> Trace {
-        let ct = ChunkedTrace::from_trace(t);
-        TransformPipeline::new()
-            .coloring(&ct, 256 * 1024)
-            .run(&ct)
-            .to_trace()
+    /// The events of `t`'s stream 0 after the coloring stage.
+    fn colored(t: &ChunkedTrace) -> Vec<Event> {
+        let out = TransformPipeline::new().coloring(t, 256 * 1024).run(t);
+        out.streams[0].iter().collect()
     }
 
     #[test]
     fn coloring_spreads_conflicting_pages() {
         // Pages all congruent modulo the L2: coloring must separate them.
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         for k in 0..8u32 {
@@ -770,21 +772,20 @@ mod tests {
         }
         t.streams[0] = b.finish();
         let out = colored(&t);
-        let colors: std::collections::HashSet<u32> = out.streams[0]
-            .events()
+        let colors: std::collections::HashSet<u32> = out
             .iter()
             .filter_map(|e| e.data_addr())
             .map(|a| a.page() % 64)
             .collect();
         assert_eq!(colors.len(), 8, "eight pages must get eight colors");
         // Offsets preserved.
-        let first = out.streams[0].events()[1].data_addr().unwrap();
+        let first = out[1].data_addr().unwrap();
         assert_eq!(first.page_offset(), 0);
     }
 
     #[test]
     fn coloring_is_consistent_across_events_and_block_ops() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.begin_block_copy(
             Addr(0x1000_0000),
@@ -798,8 +799,7 @@ mod tests {
         b.end_block_op();
         b.read(Addr(0x1000_0008), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = colored(&t);
-        let evs = out.streams[0].events();
+        let evs = colored(&t);
         let (src, dst) = match evs[0] {
             Event::BlockOpBegin { op } => (op.src, op.dst),
             _ => unreachable!(),
@@ -815,13 +815,12 @@ mod tests {
 
     #[test]
     fn coloring_leaves_kernel_structures_alone() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.read(Addr(0x0100_0000), DataClass::InfreqCounter);
         b.read(Addr(0x1000_0000), DataClass::PageFrame);
         t.streams[0] = b.finish();
-        let out = colored(&t);
-        let evs = out.streams[0].events();
+        let evs = colored(&t);
         assert_eq!(evs[0].data_addr().unwrap(), Addr(0x0100_0000));
         assert_ne!(evs[1].data_addr().unwrap(), Addr(0x1000_0000));
     }
@@ -850,13 +849,13 @@ mod tests {
                 .relocate(&plan)
                 .escapes()
         };
-        let fused = later().defer(&summary).run(&t).to_trace();
+        let fused = later().defer(&summary).run(&t);
         let deferred = TransformPipeline::new().defer(&summary).run(&t);
-        let staged = later().run(&deferred).to_trace();
+        let staged = later().run(&deferred);
         for cpu in 0..t.n_cpus() {
             assert_eq!(
-                fused.streams[cpu].events(),
-                staged.streams[cpu].events(),
+                fused.streams[cpu].iter().collect::<Vec<_>>(),
+                staged.streams[cpu].iter().collect::<Vec<_>>(),
                 "cpu {cpu}"
             );
         }
@@ -865,7 +864,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "run deferral first")]
     fn deferral_and_coloring_do_not_share_a_walk() {
-        let t = ChunkedTrace::from_trace(&Trace::new(1, TraceMeta::default()));
+        let t = ChunkedTrace::new(1, TraceMeta::default());
         let summary = crate::deferred::summarize(&t);
         TransformPipeline::new()
             .defer(&summary)

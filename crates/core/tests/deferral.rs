@@ -1,14 +1,13 @@
 //! The §4.2.1 deferred-copy pass on hand-built traces, checked twice: the
 //! production stage, reached as cells reach it (Table 4's counts from
 //! `deferred::analyze`, the rewrite from a `Base+Deferred` analysis), and
-//! the independent flat-trace reference `oscache_oracle::deferral`.
+//! the independent reference `oscache_oracle::deferral`.
 
 use oscache_core::deferred::{analyze, DeferredCounts};
 use oscache_core::{analyze_cell, System};
 use oscache_oracle::deferral::defer_copies;
 use oscache_trace::{
-    Addr, BarrierId, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta,
-    PAGE_SIZE,
+    Addr, BarrierId, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, TraceMeta, PAGE_SIZE,
 };
 
 fn copy(b: &mut StreamBuilder, src: u32, dst: u32, len: u32) {
@@ -30,21 +29,20 @@ fn copy(b: &mut StreamBuilder, src: u32, dst: u32, len: u32) {
 
 /// The production and the reference deferral of `t`, labelled; the two
 /// must agree on the counts and on every event.
-fn deferrals(t: &Trace) -> [(&'static str, DeferredCounts, Trace); 2] {
-    let ct = ChunkedTrace::from_trace(t);
+fn deferrals(t: &ChunkedTrace) -> [(&'static str, DeferredCounts, ChunkedTrace); 2] {
     let mut spec = System::Base.spec();
     spec.deferred_copy = true;
-    let production = analyze_cell(&ct, spec)
+    let production = analyze_cell(t, spec)
         .trace
-        .expect("deferral rewrites the trace")
-        .to_trace();
+        .expect("deferral rewrites the trace");
+    let production = std::sync::Arc::unwrap_or_clone(production);
     let (counts, reference) = defer_copies(t);
-    let production_counts = analyze(&ct);
+    let production_counts = analyze(t);
     assert_eq!(production_counts, counts, "production and reference counts");
     for cpu in 0..t.n_cpus() {
         assert_eq!(
-            production.streams[cpu].events(),
-            reference.streams[cpu].events(),
+            production.streams[cpu].iter().collect::<Vec<_>>(),
+            reference.streams[cpu].iter().collect::<Vec<_>>(),
             "production and reference deferral of cpu {cpu}"
         );
     }
@@ -56,7 +54,7 @@ fn deferrals(t: &Trace) -> [(&'static str, DeferredCounts, Trace); 2] {
 
 #[test]
 fn counts_small_and_readonly_copies() {
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     copy(&mut b, 0x1000_0000, 0x2000_0000, 512); // read-only small
@@ -75,14 +73,14 @@ fn counts_small_and_readonly_copies() {
 
 #[test]
 fn apply_removes_readonly_copies_and_remaps_reads() {
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
     b.read(Addr(0x2000_0008), DataClass::UserData); // read of dst
     t.streams[0] = b.finish();
     for (who, _, out) in deferrals(&t) {
-        let evs = out.streams[0].events();
+        let evs: Vec<Event> = out.streams[0].iter().collect();
         assert!(
             !evs.iter().any(|e| matches!(e, Event::BlockOpBegin { .. })),
             "{who}: copy should be removed"
@@ -103,7 +101,7 @@ fn removes_the_read_only_bracket_not_an_identical_earlier_one() {
     // Two identical copies with a barrier between them: the later copy
     // rewrites the earlier one's destination, so only the later one is
     // read-only, and only its bracket may go.
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
@@ -112,7 +110,7 @@ fn removes_the_read_only_bracket_not_an_identical_earlier_one() {
     t.streams[0] = b.finish();
     for (who, counts, out) in deferrals(&t) {
         assert_eq!(counts.readonly_small_copies, 1, "{who}");
-        let evs = out.streams[0].events();
+        let evs: Vec<Event> = out.streams[0].iter().collect();
         let begins: Vec<usize> = evs
             .iter()
             .enumerate()
@@ -133,7 +131,7 @@ fn removes_the_read_only_bracket_not_an_identical_earlier_one() {
 
 #[test]
 fn cross_cpu_write_disqualifies() {
-    let mut t = Trace::new(2, TraceMeta::default());
+    let mut t = ChunkedTrace::new(2, TraceMeta::default());
     let mut b = StreamBuilder::new();
     copy(&mut b, 0x1000_0000, 0x2000_0000, 128);
     t.streams[0] = b.finish();

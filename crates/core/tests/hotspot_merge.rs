@@ -21,7 +21,7 @@ use oscache_oracle::compat;
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedStream, ChunkedTrace, DataClass, Event, HotspotPlan, LockId, Mode, PlanEntry,
-    Stream, StreamBuilder, Trace, TraceMeta, LOOP_AHEAD,
+    StreamBuilder, TraceMeta, CHUNK_EVENTS, LOOP_AHEAD,
 };
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
@@ -59,11 +59,6 @@ fn rechunk(ct: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
         out.streams[cpu] = ChunkedStream::from_events(s.iter(), capacity);
     }
     out
-}
-
-/// `trace` with the pass-by-pass insertion at `hot`, re-encoded.
-fn inserted(trace: &ChunkedTrace, hot: &[u16]) -> ChunkedTrace {
-    ChunkedTrace::from_trace(&compat::insert_hotspot_prefetches(&trace.to_trace(), hot))
 }
 
 /// Replays `trace` with `hot`'s entries of `plan` merged in and the
@@ -123,7 +118,7 @@ fn merged_replay_matches_the_expansion_on_every_workload() {
             let stats = profile_os_misses(cfg.clone(), working).unwrap();
             let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
             assert!(!hot.is_empty(), "{workload:?}/{glabel}: no hot sites");
-            let expanded = inserted(working, &hot);
+            let expanded = compat::insert_hotspot_prefetches(working, &hot);
             assert!(expanded.total_events() > working.total_events());
             for (capacity, trace) in CAPACITIES.iter().zip(&rechunked) {
                 let what = format!("{workload:?}/{glabel}/capacity {capacity}");
@@ -146,7 +141,7 @@ fn merged_replay_matches_the_expansion_with_every_site_hot() {
     );
     let plan = build_hotspot_plan(&base);
     let all: Vec<u16> = base.meta.code.sites().map(|(id, _)| id.0).collect();
-    let expanded = inserted(&base, &all);
+    let expanded = compat::insert_hotspot_prefetches(&base, &all);
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = base.n_cpus();
     for capacity in CAPACITIES {
@@ -157,12 +152,12 @@ fn merged_replay_matches_the_expansion_with_every_site_hot() {
 }
 
 /// A small random multi-CPU trace whose last CPU has an empty stream.
-fn synthetic_trace(rng: &mut SmallRng) -> Trace {
+fn synthetic_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 3;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("hm", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus - 1 {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -207,7 +202,7 @@ type Entry = (usize, u16, Addr, bool);
 
 /// Hand-placed edge entries plus random ones for each non-empty stream;
 /// the empty stream gets entries at its only position, 0.
-fn synthetic_entries(t: &Trace, rng: &mut SmallRng) -> Vec<Vec<Entry>> {
+fn synthetic_entries(t: &ChunkedTrace, rng: &mut SmallRng) -> Vec<Vec<Entry>> {
     let entry = |before: usize, site: u16, ahead: bool, k: u32| {
         (before, site, Addr(0x0300_0000 + 16 * k), ahead)
     };
@@ -258,9 +253,10 @@ fn plan_of(entries: &[Vec<Entry>]) -> HotspotPlan {
 /// after the last), the hot entries positioned there, in list order, each
 /// a prefetch of its address preceded, for a loop entry, by one
 /// [`LOOP_AHEAD`] bytes further on.
-fn expand(t: &Trace, entries: &[Vec<Entry>], hot: &[u16]) -> ChunkedTrace {
-    let mut out = t.clone();
+fn expand(t: &ChunkedTrace, entries: &[Vec<Entry>], hot: &[u16]) -> ChunkedTrace {
+    let mut out = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
     for (cpu, stream) in t.streams.iter().enumerate() {
+        let original: Vec<Event> = stream.iter().collect();
         let mut events = Vec::new();
         for i in 0..=stream.len() {
             for &(_, _, addr, ahead) in entries[cpu]
@@ -274,11 +270,11 @@ fn expand(t: &Trace, entries: &[Vec<Entry>], hot: &[u16]) -> ChunkedTrace {
                 }
                 events.push(Event::Prefetch { addr, class });
             }
-            events.extend(stream.events().get(i));
+            events.extend(original.get(i));
         }
-        out.streams[cpu] = Stream::from_events(events);
+        out.streams[cpu] = ChunkedStream::from_events(events, CHUNK_EVENTS);
     }
-    ChunkedTrace::from_trace(&out)
+    out
 }
 
 #[test]
@@ -288,7 +284,6 @@ fn merged_replay_matches_the_expansion_on_synthetic_edge_plans() {
         let t = synthetic_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
         assert!(t.streams[t.n_cpus() - 1].is_empty());
-        let base = ChunkedTrace::from_trace(&t);
         let entries = synthetic_entries(&t, &mut rng);
         let plan = plan_of(&entries);
         let mut cfg = MachineConfig::base();
@@ -296,7 +291,7 @@ fn merged_replay_matches_the_expansion_on_synthetic_edge_plans() {
         for hot in [&[1u16, 3][..], &[2], &[1, 2, 3], &[]] {
             let expanded = expand(&t, &entries, hot);
             for capacity in CAPACITIES {
-                let trace = rechunk(&base, capacity);
+                let trace = rechunk(&t, capacity);
                 let what = format!("seed {seed} hot {hot:?} capacity {capacity}");
                 assert_merge_matches(&cfg, &trace, &plan, hot, &expanded, &what);
             }
@@ -310,7 +305,6 @@ fn merged_replay_matches_the_expansion_on_synthetic_edge_plans() {
 fn out_of_range_plan_entries_are_rejected() {
     let mut rng = SmallRng::seed_from_u64(7);
     let t = synthetic_trace(&mut rng);
-    let base = ChunkedTrace::from_trace(&t);
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = t.n_cpus();
     let len = t.streams[0].len();
@@ -319,7 +313,7 @@ fn out_of_range_plan_entries_are_rejected() {
     let past = HotspotPlan::new(vec![vec![entry(len + 1)]]);
     let extra = HotspotPlan::new(vec![vec![], vec![], vec![], vec![entry(0)]]);
     for (plan, cpu, before, stream_len) in [(&past, 0, len + 1, len), (&extra, 3, 0, 0)] {
-        let err = Machine::with_prefetches(cfg.clone(), &base, plan, &[1])
+        let err = Machine::with_prefetches(cfg.clone(), &t, plan, &[1])
             .err()
             .expect("plan must be rejected");
         assert_eq!(err.cpu, Some(cpu));

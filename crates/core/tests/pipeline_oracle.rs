@@ -1,12 +1,11 @@
 //! End-to-end equivalence oracle for the fused transform pipeline.
 //!
-//! Re-implements the pre-fusion `prepare_cell` over the materialized
-//! `Trace` — one cloned rewrite per software pass, using the verbatim old
-//! passes kept in `oscache_oracle::compat` and the independent deferral
-//! reference `oscache_oracle::deferral` — and checks that the production
-//! path (`analyze_cell` + `prepare_from_analysis` over the chunked trace,
-//! decoded with `to_trace()`, hot-spot cells with their selected
-//! prefetches merged in as the replay merges them) produces an
+//! Re-implements the pre-fusion `prepare_cell` — one full rewrite per
+//! software pass, using the old passes kept in `oscache_oracle::compat`
+//! and the independent deferral reference `oscache_oracle::deferral` — and
+//! checks that the production path (`analyze_cell` +
+//! `prepare_from_analysis`, hot-spot cells with their selected prefetches
+//! merged in as the replay merges them) produces an
 //! event-for-event identical effective replay stream and the same
 //! update-page set for every `System` in the ladder, plus Table 4's
 //! deferred-copy analysis and the coloring variants the ladder itself
@@ -17,21 +16,21 @@ use oscache_core::{
 };
 use oscache_memsys::{AuditLevel, CancelToken, Machine, PageSet};
 use oscache_oracle::{compat, deferral};
-use oscache_trace::{ChunkedTrace, Trace};
+use oscache_trace::ChunkedTrace;
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 use std::collections::HashSet;
 
-/// The old pass-by-pass preparation: each enabled pass clones and rewrites
-/// the whole trace. Mirrors the pre-fusion `sim::prepare_cell` exactly;
-/// the analyses that have no reference twin (sharing profile, the
-/// profiling replay) run on a re-encoding of the working trace.
+/// The old pass-by-pass preparation: each enabled pass rewrites the whole
+/// trace. Mirrors the pre-fusion `sim::prepare_cell` exactly; the analyses
+/// that have no reference twin (sharing profile, the profiling replay) run
+/// on the working trace itself.
 fn prepare_compat(
-    trace: &Trace,
+    trace: &ChunkedTrace,
     spec: oscache_core::SystemSpec,
     geometry: Geometry,
-) -> (Option<Trace>, PageSet) {
+) -> (Option<ChunkedTrace>, PageSet) {
     let mut update_pages = PageSet::new();
-    let mut owned: Option<Trace> = None;
+    let mut owned: Option<ChunkedTrace> = None;
 
     if spec.deferred_copy {
         owned = Some(deferral::defer_copies(owned.as_ref().unwrap_or(trace)).1);
@@ -47,7 +46,7 @@ fn prepare_compat(
 
     if spec.privatize || spec.relocate || spec.update != UpdatePolicy::None {
         let working = owned.as_ref().unwrap_or(trace);
-        let profile = analysis::profile_sharing(&ChunkedTrace::from_trace(working));
+        let profile = analysis::profile_sharing(working);
         let privatized = if spec.privatize {
             analysis::find_privatizable(&profile)
         } else {
@@ -105,10 +104,7 @@ fn prepare_compat(
         cfg.update_pages = update_pages.clone();
         cfg.audit = AuditLevel::Off;
         let working = owned.as_ref().unwrap_or(trace);
-        let profile_stats = Machine::new(cfg, &ChunkedTrace::from_trace(working))
-            .unwrap()
-            .run()
-            .unwrap();
+        let profile_stats = Machine::new(cfg, working).unwrap().run().unwrap();
         let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
         let t = compat::insert_hotspot_prefetches(working, &hot);
         owned = Some(t);
@@ -117,8 +113,12 @@ fn prepare_compat(
     (owned, update_pages)
 }
 
-fn assert_prepared_equal(a: Option<Trace>, trace: &Trace, b: Option<&Trace>, what: &str) {
-    let a = a.as_ref();
+fn assert_prepared_equal(
+    a: Option<&ChunkedTrace>,
+    trace: &ChunkedTrace,
+    b: Option<&ChunkedTrace>,
+    what: &str,
+) {
     let a = a.unwrap_or(trace);
     let b = b.unwrap_or(trace);
     assert_eq!(a.n_cpus(), b.n_cpus(), "{what}: cpu count differs");
@@ -128,7 +128,7 @@ fn assert_prepared_equal(a: Option<Trace>, trace: &Trace, b: Option<&Trace>, wha
             sb.len(),
             "{what}: cpu {cpu} stream length differs"
         );
-        for (i, (ea, eb)) in sa.events().iter().zip(sb.events()).enumerate() {
+        for (i, (ea, eb)) in sa.iter().zip(sb).enumerate() {
             assert_eq!(ea, eb, "{what}: cpu {cpu} event {i} differs");
         }
     }
@@ -143,7 +143,6 @@ fn check_workload(workload: Workload, seed: u64) {
             ..Default::default()
         },
     );
-    let t = ct.to_trace();
     let geometry = Geometry::default();
     // Every ladder system, plus coloring alone and coloring stacked on the
     // full ladder top (exercises the C stage feeding P/R/H), plus Table 4's
@@ -171,7 +170,7 @@ fn check_workload(workload: Workload, seed: u64) {
         let none = CancelToken::none();
         let (fused, _) =
             prepare_from_analysis(&ct, &analyzed, spec, geometry, AuditLevel::Off, &none).unwrap();
-        let (oracle, oracle_pages) = prepare_compat(&t, spec, geometry);
+        let (oracle, oracle_pages) = prepare_compat(&ct, spec, geometry);
         let what = format!("{workload:?}/{label}");
         assert_eq!(
             fused.update_pages, oracle_pages,
@@ -181,16 +180,15 @@ fn check_workload(workload: Workload, seed: u64) {
         // hot set merged in, window by window, as the replay merges it
         // (tests/hotspot_merge.rs pins the replay itself).
         let working = fused.trace.as_deref().unwrap_or(&ct);
-        let replayed = match &fused.prefetches {
-            Some(p) => Some(oscache_oracle::merged_trace(working, &p.plan, &p.hot)),
-            None => fused.trace.as_deref().map(ChunkedTrace::to_trace),
-        };
+        let merged = (fused.prefetches.as_ref())
+            .map(|p| oscache_oracle::merged_trace(working, &p.plan, &p.hot));
+        let replayed = merged.as_ref().or(fused.trace.as_deref());
         assert_eq!(
             fused.prefetches.is_some(),
             spec.hotspot_prefetch,
             "{what}: prefetches selected for the wrong specs"
         );
-        assert_prepared_equal(replayed, &t, oracle.as_ref(), &what);
+        assert_prepared_equal(replayed, &ct, oracle.as_ref(), &what);
     }
 }
 

@@ -14,7 +14,7 @@ use oscache_core::{analysis, analyze_cell, try_run_spec_audited, Geometry, Syste
 use oscache_memsys::{profile_os_misses, AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_oracle::{compat, merged_trace};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
@@ -134,7 +134,7 @@ fn profiler_matches_machine_on_random_traces() {
             .enumerate()
             .map(|(k, &s)| meta.code.add_block(Addr(0x1000 + 0x100 * k as u32), 4, s))
             .collect();
-        let mut t = Trace::new(n_cpus, meta);
+        let mut t = ChunkedTrace::new(n_cpus, meta);
         for cpu in 0..n_cpus {
             let mut b = StreamBuilder::new();
             let n = rng.gen_range(50..400u32);
@@ -160,7 +160,6 @@ fn profiler_matches_machine_on_random_traces() {
         }
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
-        let t = ChunkedTrace::from_trace(&t);
         assert_profiler_exact(cfg, &t, &format!("random seed {seed}"));
     }
 }
@@ -183,7 +182,6 @@ fn hotspot_plan_matches_compat_rewrite() {
         assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
 
         let plan = build_hotspot_plan(working);
-        let flat = working.to_trace();
         let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
         // A rotated subset exercises orderings the ranking never produces.
         if hot.len() > 2 {
@@ -193,11 +191,11 @@ fn hotspot_plan_matches_compat_rewrite() {
         }
         for set in sets {
             let planned = merged_trace(working, &plan, &set);
-            let staged = compat::insert_hotspot_prefetches(&flat, &set);
+            let staged = compat::insert_hotspot_prefetches(working, &set);
             for cpu in 0..working.n_cpus() {
                 assert_eq!(
-                    planned.streams[cpu].events(),
-                    staged.streams[cpu].events(),
+                    planned.streams[cpu].iter().collect::<Vec<_>>(),
+                    staged.streams[cpu].iter().collect::<Vec<_>>(),
                     "{workload:?}: cpu {cpu} rewrite differs for set {set:?}"
                 );
             }

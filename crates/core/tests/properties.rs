@@ -3,14 +3,9 @@
 
 use oscache_core::transform::{build_hotspot_plan, RelocationMap, TransformPipeline};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
-
-/// `t` rewritten by `pipe`.
-fn run(pipe: TransformPipeline, t: &Trace) -> Trace {
-    pipe.run(&ChunkedTrace::from_trace(t)).to_trace()
-}
 
 fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, bool)> {
     let n = rng.gen_range(1..max_len);
@@ -19,11 +14,11 @@ fn random_refs(rng: &mut SmallRng, max_addr: u32, max_len: usize) -> Vec<(u32, b
         .collect()
 }
 
-fn random_trace(refs: &[(u32, bool)]) -> Trace {
+fn random_trace(refs: &[(u32, bool)]) -> ChunkedTrace {
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("s", false);
     let bb = meta.code.add_block(Addr(0x100), 4, site);
-    let mut t = Trace::new(2, meta);
+    let mut t = ChunkedTrace::new(2, meta);
     for cpu in 0..2 {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -50,9 +45,9 @@ fn empty_relocation_is_identity() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, u32::MAX, 100));
         let empty = RelocationMap::new();
-        let out = run(TransformPipeline::new().relocate(&empty), &t);
+        let out = TransformPipeline::new().relocate(&empty).run(&t);
         for cpu in 0..2 {
-            assert_eq!(out.streams[cpu].events(), t.streams[cpu].events());
+            assert!(out.streams[cpu].iter().eq(t.streams[cpu].iter()));
         }
     }
 }
@@ -70,14 +65,10 @@ fn relocation_is_structure_preserving() {
         let old = Addr(0x0100_0000 + start * 4);
         let new = Addr(0x0900_0000);
         m.add(old, len, new);
-        let out = run(TransformPipeline::new().relocate(&m), &t);
+        let out = TransformPipeline::new().relocate(&m).run(&t);
         for cpu in 0..2 {
             assert_eq!(out.streams[cpu].len(), t.streams[cpu].len());
-            for (a, b) in t.streams[cpu]
-                .events()
-                .iter()
-                .zip(out.streams[cpu].events())
-            {
+            for (a, b) in t.streams[cpu].iter().zip(out.streams[cpu].iter()) {
                 match (a.data_addr(), b.data_addr()) {
                     (Some(x), Some(y)) => {
                         if x.0 >= old.0 && x.0 < old.0 + len {
@@ -106,7 +97,7 @@ fn privatization_removes_shared_addresses() {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("s", false);
         let _bb = meta.code.add_block(Addr(0x100), 4, site);
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         for cpu in 0..2 {
             let mut b = StreamBuilder::new();
             for _ in 0..n_updates {
@@ -117,10 +108,10 @@ fn privatization_removes_shared_addresses() {
             }
             t.streams[cpu] = b.finish();
         }
-        let out = run(TransformPipeline::new().privatize(&[target]), &t);
+        let out = TransformPipeline::new().privatize(&[target]).run(&t);
         let mut private_addrs = std::collections::HashSet::new();
         for cpu in 0..2 {
-            for e in out.streams[cpu].events() {
+            for e in out.streams[cpu].iter() {
                 if let Some(a) = e.data_addr() {
                     assert_ne!(a, target, "shared counter survived");
                     private_addrs.insert(a.line(64));
@@ -128,9 +119,16 @@ fn privatization_removes_shared_addresses() {
             }
             // updates unchanged in count: each rmw is still read+write
             let s = &out.streams[cpu];
-            assert_eq!(s.write_count(), n_updates, "updates must stay per-cpu");
+            assert_eq!(
+                s.iter().filter(Event::is_write).count(),
+                n_updates,
+                "updates must stay per-cpu"
+            );
             // each lone read expands into one read per CPU
-            assert_eq!(s.read_count(), n_updates + n_lone_reads * 2);
+            assert_eq!(
+                s.iter().filter(Event::is_read).count(),
+                n_updates + n_lone_reads * 2
+            );
         }
         // the two CPUs' copies are in different 64-byte lines
         assert!(private_addrs.len() >= 2 || n_updates == 0);
@@ -143,12 +141,10 @@ fn prefetch_insertion_is_additive() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed);
         let t = random_trace(&random_refs(&mut rng, 4096, 150));
-        let ct = ChunkedTrace::from_trace(&t);
-        let out = oscache_oracle::merged_trace(&ct, &build_hotspot_plan(&ct), &[0]);
+        let out = oscache_oracle::merged_trace(&t, &build_hotspot_plan(&t), &[0]);
         for cpu in 0..2 {
-            let orig: Vec<&Event> = t.streams[cpu].events().iter().collect();
-            let kept: Vec<&Event> = out.streams[cpu]
-                .events()
+            let orig: Vec<Event> = t.streams[cpu].iter().collect();
+            let kept: Vec<Event> = out.streams[cpu]
                 .iter()
                 .filter(|e| !matches!(e, Event::Prefetch { .. }))
                 .collect();
@@ -176,7 +172,7 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("s", false);
         let _bb = meta.code.add_block(Addr(0x100), 4, site);
-        let mut t = Trace::new(1, meta);
+        let mut t = ChunkedTrace::new(1, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         for (k, len) in lens.iter().enumerate() {
@@ -196,26 +192,23 @@ fn deferred_copy_is_safe_on_random_copy_chains() {
             }
         }
         t.streams[0] = b.finish();
-        let ct = ChunkedTrace::from_trace(&t);
-        let counts = analyze(&ct);
+        let counts = analyze(&t);
         assert_eq!(counts.small_copies as usize, lens.len());
-        let out = oscache_core::analyze_cell(&ct, deferred)
+        let out = oscache_core::analyze_cell(&t, deferred)
             .trace
-            .expect("deferral rewrites the trace")
-            .to_trace();
+            .expect("deferral rewrites the trace");
         // All copies are read-only (no later writes): every bracket goes.
         let remaining = out.streams[0]
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
         assert_eq!(remaining, 0);
         // Replay must not panic and must account time.
-        let mut t4 = Trace::new(4, out.meta.clone());
+        let mut t4 = ChunkedTrace::new(4, out.meta.clone());
         t4.streams[0] = out.streams[0].clone();
         let cfg =
             oscache_memsys::MachineConfig::base().with_audit(oscache_memsys::AuditLevel::Strict);
-        let s = oscache_memsys::Machine::new(cfg, &ChunkedTrace::from_trace(&t4))
+        let s = oscache_memsys::Machine::new(cfg, &t4)
             .unwrap()
             .run()
             .unwrap();

@@ -117,7 +117,7 @@ fn cached_trace_is_bitwise_identical_to_fresh_build() {
     ];
     let bytes = |t: &oscache_trace::ChunkedTrace| {
         let mut buf = Vec::new();
-        oscache_trace::write_trace(&t.to_trace(), &mut buf).expect("serialize");
+        oscache_trace::write_trace(t, &mut buf).expect("serialize");
         buf
     };
     for (w, scale, seed) in keys {

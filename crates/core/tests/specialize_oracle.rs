@@ -14,7 +14,7 @@
 use oscache_core::{analyze_cell, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 /// Reduced trace scale: big enough for thousands of misses per cell,
@@ -179,7 +179,7 @@ fn specialized_replay_matches_generic_on_random_traces() {
             .enumerate()
             .map(|(k, &s)| meta.code.add_block(Addr(0x1000 + 0x100 * k as u32), 4, s))
             .collect();
-        let mut t = Trace::new(n_cpus, meta);
+        let mut t = ChunkedTrace::new(n_cpus, meta);
         for cpu in 0..n_cpus {
             let mut b = StreamBuilder::new();
             let n = rng.gen_range(50..400u32);
@@ -203,7 +203,6 @@ fn specialized_replay_matches_generic_on_random_traces() {
             }
             t.streams[cpu] = b.finish();
         }
-        let t = ChunkedTrace::from_trace(&t);
         let mut cfg = MachineConfig::base();
         cfg.n_cpus = n_cpus;
         if seed % 2 == 0 {

@@ -15,7 +15,7 @@ use oscache_memsys::{Machine, MachineConfig};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedStream, ChunkedTrace, DataClass, IoFaultClass, IoFaultPlan, LockId, MemBudget,
-    Mode, SpillStore, StoreIdentity, StreamBuilder, Trace, TraceMeta,
+    Mode, SpillStore, StoreIdentity, StreamBuilder, TraceMeta,
 };
 use oscache_workloads::Workload;
 use std::sync::Arc;
@@ -39,12 +39,12 @@ fn identity(seed: u64) -> StoreIdentity {
 /// A random valid multi-CPU trace exercising the full event vocabulary —
 /// the same generator shape the streaming oracle uses, so failures
 /// reproduce from the seed alone.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("sm", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -97,12 +97,11 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
-/// Re-encodes a materialized trace chunk-by-chunk at an explicit
-/// capacity.
-fn chunk_with_capacity(t: &Trace, capacity: usize) -> ChunkedTrace {
+/// Re-encodes a trace chunk-by-chunk at an explicit capacity.
+fn chunk_with_capacity(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
     let mut ct = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
     for (cpu, s) in t.streams.iter().enumerate() {
-        ct.streams[cpu] = ChunkedStream::from_events(s.events().iter().copied(), capacity);
+        ct.streams[cpu] = ChunkedStream::from_events(s, capacity);
     }
     ct
 }

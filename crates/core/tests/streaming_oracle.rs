@@ -18,7 +18,7 @@ use oscache_core::{try_run_spec_audited, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta,
+    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta,
 };
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
@@ -32,10 +32,10 @@ const CAPACITIES: [usize; 3] = [1, 5, 4096];
 /// Re-encodes a trace chunk-by-chunk at an explicit capacity, so chunk
 /// boundaries land mid-stream wherever the capacity says — the decode
 /// windows must be invisible to the replay.
-fn chunk_with_capacity(t: &Trace, capacity: usize) -> ChunkedTrace {
+fn chunk_with_capacity(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
     let mut ct = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
     for (cpu, s) in t.streams.iter().enumerate() {
-        ct.streams[cpu] = ChunkedStream::from_events(s.events().iter().copied(), capacity);
+        ct.streams[cpu] = ChunkedStream::from_events(s, capacity);
     }
     ct
 }
@@ -71,7 +71,7 @@ fn ladder_matrix_is_chunk_capacity_invariant() {
     };
     for w in Workload::all() {
         let base = build_chunked(w, opts);
-        let small = chunk_with_capacity(&base.to_trace(), 5);
+        let small = chunk_with_capacity(&base, 5);
         assert!(small.streams.iter().all(|s| s.capacity() == 5));
         for sys in System::all() {
             for (gi, geometry) in geometries().into_iter().enumerate() {
@@ -90,12 +90,12 @@ fn ladder_matrix_is_chunk_capacity_invariant() {
 /// (sharing, locks, block operations, mode switches, idle gaps) — the
 /// same generator shape the specialization matrix uses, so failures
 /// reproduce from the seed alone.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("sm", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -193,12 +193,12 @@ fn random_traces_match_across_chunk_capacities() {
         let mut rng = SmallRng::seed_from_u64(0x57EA_0000 ^ seed);
         let t = random_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
-        let reference = ChunkedTrace::from_trace(&t);
+        let reference = &t;
         for capacity in CAPACITIES {
             let ct = chunk_with_capacity(&t, capacity);
             assert_eq!(ct.total_events(), t.total_events());
             let what = format!("seed {seed} capacity {capacity}");
-            assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
+            assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
         }
     }
 }
@@ -207,26 +207,26 @@ fn random_traces_match_across_chunk_capacities() {
 /// have no events at all replay identically at every capacity.
 #[test]
 fn empty_and_partially_empty_streams_match() {
-    let empty = Trace::new(4, TraceMeta::default());
-    let reference = ChunkedTrace::from_trace(&empty);
+    let empty = ChunkedTrace::new(4, TraceMeta::default());
+    let reference = &empty;
     assert_eq!(reference.total_events(), 0);
     for capacity in CAPACITIES {
         let ct = chunk_with_capacity(&empty, capacity);
         let what = format!("empty capacity {capacity}");
-        assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
+        assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
     }
 
-    let mut partial = Trace::new(4, TraceMeta::default());
+    let mut partial = ChunkedTrace::new(4, TraceMeta::default());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..300u32 {
         b.read(Addr(0x0100_0000 + (i % 512) * 4), DataClass::KernelOther);
     }
     partial.streams[2] = b.finish();
-    let reference = ChunkedTrace::from_trace(&partial);
+    let reference = &partial;
     for capacity in CAPACITIES {
         let ct = chunk_with_capacity(&partial, capacity);
         let what = format!("partial capacity {capacity}");
-        assert_capacity_invisible(MachineConfig::base(), &reference, &ct, &what);
+        assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
     }
 }

@@ -10,16 +10,11 @@ use oscache_core::transform::{
     TransformPipeline, LOOP_AHEAD, RELOC_BASE,
 };
 use oscache_oracle::{compat, merged_trace};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, Mode, StreamBuilder, TraceMeta};
 use std::collections::HashSet;
 
-/// `ct` rewritten by `pipe`, decoded.
-fn run(pipe: TransformPipeline, ct: &ChunkedTrace) -> Trace {
-    pipe.run(ct).to_trace()
-}
-
 /// Asserts two traces are event-for-event identical.
-fn assert_traces_equal(a: &Trace, b: &Trace, what: &str) {
+fn assert_traces_equal(a: &ChunkedTrace, b: &ChunkedTrace, what: &str) {
     assert_eq!(a.streams.len(), b.streams.len(), "{what}: stream count");
     for (cpu, (sa, sb)) in a.streams.iter().zip(&b.streams).enumerate() {
         assert_eq!(
@@ -29,7 +24,7 @@ fn assert_traces_equal(a: &Trace, b: &Trace, what: &str) {
             sa.len(),
             sb.len()
         );
-        for (i, (ea, eb)) in sa.events().iter().zip(sb.events()).enumerate() {
+        for (i, (ea, eb)) in sa.iter().zip(sb).enumerate() {
             assert_eq!(ea, eb, "{what}: cpu{cpu} event {i}");
         }
     }
@@ -48,36 +43,35 @@ fn workload_trace() -> ChunkedTrace {
 
 #[test]
 fn pipeline_matches_compat_single_passes() {
-    let ct = workload_trace();
-    let t = ct.to_trace();
-    let p = analysis::profile_sharing(&ct);
+    let t = workload_trace();
+    let p = analysis::profile_sharing(&t);
     let privatized = analysis::find_privatizable(&p);
     assert!(!privatized.is_empty(), "need privatization targets");
     assert_traces_equal(
-        &run(TransformPipeline::new().privatize(&privatized), &ct),
+        &TransformPipeline::new().privatize(&privatized).run(&t),
         &compat::privatize_counters(&t, &privatized),
         "privatize",
     );
     let plan = false_sharing_plan(&t.meta, &HashSet::new());
     assert!(!plan.is_empty(), "need relocation ranges");
     assert_traces_equal(
-        &run(TransformPipeline::new().relocate(&plan), &ct),
+        &TransformPipeline::new().relocate(&plan).run(&t),
         &compat::relocate(&t, &plan),
         "relocate",
     );
     assert_traces_equal(
-        &run(TransformPipeline::new().escapes(), &ct),
+        &TransformPipeline::new().escapes().run(&t),
         &compat::instrument_escapes(&t),
         "escapes",
     );
     assert_traces_equal(
-        &run(TransformPipeline::new().coloring(&ct, 256 * 1024), &ct),
+        &TransformPipeline::new().coloring(&t, 256 * 1024).run(&t),
         &compat::color_pages(&t, 256 * 1024),
         "coloring",
     );
     // The identity pipeline is a chunk-level copy.
-    let id = TransformPipeline::new().run(&ct);
-    assert_traces_equal(&t, &id.to_trace(), "identity");
+    let id = TransformPipeline::new().run(&t);
+    assert_traces_equal(&t, &id, "identity");
 }
 
 #[test]
@@ -85,20 +79,19 @@ fn fused_pipeline_matches_compat_composition() {
     // The fused walk plus the merged hot-spot plan must equal the pass-by-pass
     // *composition* in the pipeline's stage order, with every stage
     // enabled at once.
-    let ct = workload_trace();
-    let t = ct.to_trace();
-    let p = analysis::profile_sharing(&ct);
+    let t = workload_trace();
+    let p = analysis::profile_sharing(&t);
     let privatized = analysis::find_privatizable(&p);
     let mut plan = false_sharing_plan(&t.meta, &HashSet::new());
     plan.finish();
     let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
 
     let fused = TransformPipeline::new()
-        .coloring(&ct, 256 * 1024)
+        .coloring(&t, 256 * 1024)
         .privatize(&privatized)
         .relocate(&plan)
         .escapes()
-        .run(&ct);
+        .run(&t);
     fused.validate().expect("fused output validates");
     let fused = merged_trace(&fused, &build_hotspot_plan(&fused), &sites);
 
@@ -115,23 +108,22 @@ fn hotspot_plan_matches_compat_insertion() {
     // Hot-spot insertion over every non-block-op site, loop and
     // sequence alike, exercising both insertion shapes and hoisting;
     // one plan serves every hot set.
-    let ct = workload_trace();
-    let t = ct.to_trace();
+    let t = workload_trace();
     let sites: Vec<u16> = t.meta.code.sites().map(|(id, _)| id.0).collect();
-    let plan = build_hotspot_plan(&ct);
+    let plan = build_hotspot_plan(&t);
     assert_traces_equal(
-        &merged_trace(&ct, &plan, &sites),
+        &merged_trace(&t, &plan, &sites),
         &compat::insert_hotspot_prefetches(&t, &sites),
         "hotspot all sites",
     );
     // A subset and the empty set (identity merge).
     let some: Vec<u16> = sites.iter().copied().take(sites.len() / 2).collect();
     assert_traces_equal(
-        &merged_trace(&ct, &plan, &some),
+        &merged_trace(&t, &plan, &some),
         &compat::insert_hotspot_prefetches(&t, &some),
         "hotspot subset",
     );
-    assert_traces_equal(&merged_trace(&ct, &plan, &[]), &t, "hotspot empty set");
+    assert_traces_equal(&merged_trace(&t, &plan, &[]), &t, "hotspot empty set");
 }
 
 fn mini_trace() -> ChunkedTrace {
@@ -140,7 +132,7 @@ fn mini_trace() -> ChunkedTrace {
     let bb = meta.code.add_block(Addr(0x1000), 4, site);
     let lsite = meta.code.add_site("loop", true);
     let lb = meta.code.add_block(Addr(0x2000), 4, lsite);
-    let mut t = Trace::new(2, meta);
+    let mut t = ChunkedTrace::new(2, meta);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.exec(bb);
@@ -155,7 +147,7 @@ fn mini_trace() -> ChunkedTrace {
     b1.set_mode(Mode::Os);
     b1.rmw(Addr(0x0100_0000), DataClass::InfreqCounter);
     t.streams[1] = b1.finish();
-    ChunkedTrace::from_trace(&t)
+    t
 }
 
 #[test]
@@ -163,14 +155,12 @@ fn privatize_rewrites_updates_and_expands_aggregates() {
     let t = mini_trace();
     let out = TransformPipeline::new()
         .privatize(&[Addr(0x0100_0000)])
-        .run(&t)
-        .to_trace();
+        .run(&t);
     // cpu0: rmw → private pair; aggregate read → 2 reads (2 CPUs).
     let reads0: Vec<Addr> = out.streams[0]
-        .events()
         .iter()
         .filter_map(|e| match e {
-            Event::Read { addr, .. } => Some(*addr),
+            Event::Read { addr, .. } => Some(addr),
             _ => None,
         })
         .collect();
@@ -178,7 +168,7 @@ fn privatize_rewrites_updates_and_expands_aggregates() {
     assert!(reads0.contains(&private_copy_addr(0, 1)));
     // No reference to the original address survives.
     for s in &out.streams {
-        for e in s.events() {
+        for e in s.iter() {
             if let Some(a) = e.data_addr() {
                 assert_ne!(a, Addr(0x0100_0000));
             }
@@ -186,10 +176,9 @@ fn privatize_rewrites_updates_and_expands_aggregates() {
     }
     // cpu1's update went to its own copy, a different line.
     let w1 = out.streams[1]
-        .events()
         .iter()
         .find_map(|e| match e {
-            Event::Write { addr, .. } => Some(*addr),
+            Event::Write { addr, .. } => Some(addr),
             _ => None,
         })
         .unwrap();
@@ -205,9 +194,9 @@ fn relocate_rewrites_all_reference_kinds() {
     let t = mini_trace();
     let mut m = RelocationMap::new();
     m.add(Addr(0x0100_0000), 4, Addr(RELOC_BASE));
-    let out = TransformPipeline::new().relocate(&m).run(&t).to_trace();
+    let out = TransformPipeline::new().relocate(&m).run(&t);
     for s in &out.streams {
-        for e in s.events() {
+        for e in s.iter() {
             if let Some(a) = e.data_addr() {
                 assert_ne!(a, Addr(0x0100_0000));
             }
@@ -221,7 +210,7 @@ fn hotspot_prefetch_inserts_ahead_for_loops_and_hoists_for_sequences() {
     // site ids: 0 = "seq", 1 = "loop"
     let plan = build_hotspot_plan(&t);
     let out = merged_trace(&t, &plan, &[0, 1]);
-    let evs = out.streams[0].events();
+    let evs: Vec<Event> = out.streams[0].iter().collect();
     let is_prefetch = |e: &Event| matches!(e, Event::Prefetch { .. });
     let n_pref = evs.iter().filter(|e| is_prefetch(e)).count();
     assert!(n_pref >= 2, "expected prefetches, got {n_pref}");

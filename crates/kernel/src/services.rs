@@ -690,18 +690,13 @@ mod tests {
             DataClass::PageFrame,
         );
         let s = b.finish();
-        assert_eq!(s.read_count(), 512); // 4096 / 8
-        assert_eq!(s.write_count(), 512);
+        assert_eq!(s.iter().filter(Event::is_read).count(), 512); // 4096 / 8
+        assert_eq!(s.iter().filter(Event::is_write).count(), 512);
         let begins = s
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
-        let ends = s
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::BlockOpEnd))
-            .count();
+        let ends = s.iter().filter(|e| matches!(e, Event::BlockOpEnd)).count();
         assert_eq!(begins, 1);
         assert_eq!(ends, 1);
     }
@@ -712,8 +707,8 @@ mod tests {
         let mut b = StreamBuilder::new();
         k.block_zero(&mut b, Addr(0x1000_0000), 1024, DataClass::PageFrame);
         let s = b.finish();
-        assert_eq!(s.read_count(), 0);
-        assert_eq!(s.write_count(), 128);
+        assert_eq!(s.iter().filter(Event::is_read).count(), 0);
+        assert_eq!(s.iter().filter(Event::is_write).count(), 128);
     }
 
     #[test]
@@ -724,7 +719,7 @@ mod tests {
         b.set_mode(Mode::Os);
         k.page_fault(&mut b, &mut rng, 0, 5, 40, 100, Fill::Zero);
         let s = b.finish(); // panics if locks unbalanced
-        let classes: Vec<_> = s.events().iter().filter_map(|e| e.data_class()).collect();
+        let classes: Vec<_> = s.iter().filter_map(|e| e.data_class()).collect();
         assert!(classes.contains(&DataClass::PageTable));
         assert!(classes.contains(&DataClass::Freelist));
         assert!(classes.contains(&DataClass::InfreqCounter));
@@ -739,7 +734,6 @@ mod tests {
         k.fork(&mut b, &mut rng, 1, 2, 3, &[10, 11], &[20, 21]);
         let s = b.finish();
         let copies = s
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
             .count();
@@ -779,7 +773,7 @@ mod tests {
             DataClass::PageFrame,
         );
         let s = b.finish();
-        let n = s.read_count();
+        let n = s.iter().filter(Event::is_read).count();
         assert!(n > 80 && n < 180, "expected ~128 warm touches, got {n}");
     }
 }

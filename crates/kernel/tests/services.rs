@@ -11,11 +11,11 @@ fn kernel() -> Kernel {
     Kernel::new(&mut code)
 }
 
-fn classes_of(s: &oscache_trace::Stream) -> Vec<DataClass> {
-    s.events().iter().filter_map(|e| e.data_class()).collect()
+fn classes_of(s: &oscache_trace::ChunkedStream) -> Vec<DataClass> {
+    s.iter().filter_map(|e| e.data_class()).collect()
 }
 
-fn count_class(s: &oscache_trace::Stream, c: DataClass) -> usize {
+fn count_class(s: &oscache_trace::ChunkedStream, c: DataClass) -> usize {
     classes_of(s).into_iter().filter(|&x| x == c).count()
 }
 
@@ -42,13 +42,12 @@ fn page_fault_scans_ptes_sequentially() {
     k.page_fault(&mut b, &mut rng, 0, 5, 100, 7, Fill::Soft);
     let s = b.finish();
     let pte_reads: Vec<Addr> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
             Event::Read {
                 addr,
                 class: DataClass::PageTable,
-            } => Some(*addr),
+            } => Some(addr),
             _ => None,
         })
         .collect();
@@ -59,7 +58,6 @@ fn page_fault_scans_ptes_sequentially() {
     }
     // The free-list lock protects the allocation.
     let acquires = s
-        .events()
         .iter()
         .filter(|e| matches!(e, Event::LockAcquire { .. }))
         .count();
@@ -75,8 +73,7 @@ fn page_fault_fill_kinds_differ() {
         b.set_mode(Mode::Os);
         k.page_fault(&mut b, &mut rng.clone(), 0, 5, 100, 7, fill);
         let s = b.finish();
-        s.events()
-            .iter()
+        s.iter()
             .filter_map(|e| match e {
                 Event::BlockOpBegin { op } => Some(op.kind),
                 _ => None,
@@ -102,7 +99,6 @@ fn context_switch_reads_the_target_process() {
     let s = b.finish();
     let proc17 = k.layout.proc_addr(17);
     let target_reads = s
-        .events()
         .iter()
         .filter(|e| {
             matches!(e, Event::Read { addr, class: DataClass::ProcTable }
@@ -123,10 +119,9 @@ fn timer_tick_takes_timer_and_accounting_locks() {
     k.timer_tick(&mut b, &mut rng, 0, 4);
     let s = b.finish();
     let lock_addrs: Vec<Addr> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
-            Event::LockAcquire { addr, .. } => Some(*addr),
+            Event::LockAcquire { addr, .. } => Some(addr),
             _ => None,
         })
         .collect();
@@ -142,9 +137,9 @@ fn xproc_pair_touches_cpievents_and_v_intr() {
     send.set_mode(Mode::Os);
     k.xproc_send(&mut send, 3);
     let s = send.finish();
-    assert_eq!(s.write_count(), 1);
+    assert_eq!(s.iter().filter(Event::is_write).count(), 1);
     assert_eq!(
-        s.events()[1].data_addr().unwrap(),
+        s.iter().nth(1).unwrap().data_addr().unwrap(),
         k.layout.cpievents_addr(3)
     );
     let mut h = StreamBuilder::new();
@@ -154,7 +149,7 @@ fn xproc_pair_touches_cpievents_and_v_intr() {
     assert!(count_class(&s, DataClass::CpiEvents) >= 1);
     // v_intr is counter 0.
     let v_intr = k.layout.counter_addr(0);
-    assert!(s.events().iter().any(|e| e.data_addr() == Some(v_intr)));
+    assert!(s.iter().any(|e| e.data_addr() == Some(v_intr)));
 }
 
 #[test]
@@ -168,7 +163,7 @@ fn pager_sweep_reads_every_counter() {
     for c in 0..N_COUNTERS {
         let addr = k.layout.counter_addr(c);
         assert!(
-            s.events().iter().any(|e| e.data_addr() == Some(addr)),
+            s.iter().any(|e| e.data_addr() == Some(addr)),
             "counter {c} unread"
         );
     }
@@ -185,10 +180,9 @@ fn fork_pages_copies_the_parents_address_space() {
     k.fork_pages(&mut b, &mut rng, 0, 5, 9, parent_base, child_base, 2);
     let s = b.finish();
     let ops: Vec<_> = s
-        .events()
         .iter()
         .filter_map(|e| match e {
-            Event::BlockOpBegin { op } => Some(*op),
+            Event::BlockOpBegin { op } => Some(op),
             _ => None,
         })
         .collect();
@@ -232,10 +226,9 @@ fn file_ops_move_the_requested_bytes() {
     k.file_read(&mut b, &mut rng, 0, 4, 512, 2);
     let s = b.finish();
     let op = s
-        .events()
         .iter()
         .find_map(|e| match e {
-            Event::BlockOpBegin { op } => Some(*op),
+            Event::BlockOpBegin { op } => Some(op),
             _ => None,
         })
         .expect("file read must copy");

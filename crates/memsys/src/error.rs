@@ -25,16 +25,6 @@ pub struct SimError {
 }
 
 impl SimError {
-    /// Wraps a static trace-validation failure (no simulated state yet).
-    pub fn from_trace(e: TraceError) -> Self {
-        SimError {
-            cycle: 0,
-            cpu: None,
-            line: None,
-            kind: SimErrorKind::Trace(e),
-        }
-    }
-
     /// True when the error is a static trace-validation failure rather
     /// than a runtime simulation failure (callers report these with
     /// different exit codes).
@@ -295,8 +285,14 @@ impl std::error::Error for SimError {
 }
 
 impl From<TraceError> for SimError {
+    /// Wraps a static trace-validation failure (no simulated state yet).
     fn from(e: TraceError) -> Self {
-        SimError::from_trace(e)
+        SimError {
+            cycle: 0,
+            cpu: None,
+            line: None,
+            kind: SimErrorKind::Trace(e),
+        }
     }
 }
 
@@ -323,7 +319,7 @@ mod tests {
 
     #[test]
     fn trace_errors_are_classified() {
-        let e = SimError::from_trace(TraceError::CpuCountMismatch {
+        let e = SimError::from(TraceError::CpuCountMismatch {
             expected: 4,
             actual: 2,
         });

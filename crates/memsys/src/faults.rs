@@ -13,7 +13,7 @@
 //! yields the same perturbed trace.
 
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, BlockKind, BlockOp, DataClass, Event, Stream, Trace};
+use oscache_trace::{Addr, BlockKind, BlockOp, ChunkedStream, ChunkedTrace, DataClass, Event};
 
 /// Deterministic **runner-level** fault: makes selected experiment cells
 /// panic inside the supervised fan-out, so the supervision layer's panic
@@ -166,8 +166,10 @@ fn addr_of_mut(ev: &mut Event) -> Option<&mut Addr> {
 /// Streams are chosen among the non-empty ones; a trace with only empty
 /// streams is returned unchanged (there is nothing to perturb except
 /// [`FaultKind::CorruptBlockOpLength`], which appends its corrupt
-/// operation to stream 0).
-pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
+/// operation to stream 0). Only the chosen stream is decoded; it is
+/// re-encoded at its own chunk capacity, so where chunk boundaries fall
+/// never changes which edit is made.
+pub fn inject(trace: &ChunkedTrace, kind: FaultKind, seed: u64) -> ChunkedTrace {
     // Decorrelate the streams of different fault kinds at the same seed.
     let mut rng = SmallRng::seed_from_u64(seed ^ ((kind as u64 + 1) << 56));
     let mut out = trace.clone();
@@ -186,7 +188,7 @@ pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
     } else {
         candidates[rng.gen_range(0..candidates.len())]
     };
-    let mut events = std::mem::take(&mut out.streams[cpu]).into_events();
+    let mut events: Vec<Event> = out.streams[cpu].iter().collect();
     match kind {
         FaultKind::DropEvent => {
             let k = rng.gen_range(0..events.len());
@@ -254,7 +256,7 @@ pub fn inject(trace: &Trace, kind: FaultKind, seed: u64) -> Trace {
             }
         }
     }
-    out.streams[cpu] = Stream::from_events(events);
+    out.streams[cpu] = ChunkedStream::from_events(events, out.streams[cpu].capacity());
     out
 }
 
@@ -263,11 +265,11 @@ mod tests {
     use super::*;
     use oscache_trace::{LockId, Mode, StreamBuilder, TraceMeta};
 
-    fn small_trace() -> Trace {
+    fn small_trace() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("t", false);
         let bb = meta.code.add_block(Addr(0x100), 2, site);
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         for s in &mut t.streams {
             let mut b = StreamBuilder::new();
             b.set_mode(Mode::Os);
@@ -290,7 +292,7 @@ mod tests {
             let a = inject(&t, kind, 7);
             let b = inject(&t, kind, 7);
             for (sa, sb) in a.streams.iter().zip(&b.streams) {
-                assert_eq!(sa.events(), sb.events(), "{kind:?} not deterministic");
+                assert!(sa.iter().eq(sb.iter()), "{kind:?} not deterministic");
             }
         }
     }
@@ -305,12 +307,30 @@ mod tests {
                     .streams
                     .iter()
                     .zip(&p.streams)
-                    .filter(|(a, b)| a.events() != b.events())
+                    .filter(|(a, b)| !a.iter().eq(b.iter()))
                     .count();
                 assert!(
                     changed <= 1,
                     "{kind:?} seed {seed} changed {changed} streams"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn injection_is_independent_of_chunk_capacity() {
+        let t = small_trace();
+        let mut tiny = t.clone();
+        for s in &mut tiny.streams {
+            *s = ChunkedStream::from_events(&*s, 3);
+        }
+        for kind in FaultKind::ALL {
+            for seed in 0..32 {
+                let (a, b) = (inject(&t, kind, seed), inject(&tiny, kind, seed));
+                for (cpu, (sa, sb)) in a.streams.iter().zip(&b.streams).enumerate() {
+                    assert!(sa.iter().eq(sb.iter()), "{kind:?} seed {seed} cpu {cpu}");
+                    assert_eq!(sb.capacity(), 3, "{kind:?} seed {seed} re-encoded");
+                }
             }
         }
     }
@@ -389,10 +409,15 @@ mod tests {
 
     #[test]
     fn empty_trace_survives_injection() {
-        let t = Trace::new(2, TraceMeta::default());
-        for kind in FaultKind::ALL {
-            let p = inject(&t, kind, 3);
-            assert_eq!(p.n_cpus(), 2);
+        let defaulted = ChunkedTrace {
+            streams: vec![ChunkedStream::default(); 2],
+            meta: TraceMeta::default(),
+        };
+        for t in [ChunkedTrace::new(2, TraceMeta::default()), defaulted] {
+            for kind in FaultKind::ALL {
+                let p = inject(&t, kind, 3);
+                assert_eq!(p.n_cpus(), 2);
+            }
         }
     }
 }

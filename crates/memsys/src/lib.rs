@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use oscache_memsys::{AuditLevel, Machine, MachineConfig};
-//! use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+//! use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
 //!
 //! let mut meta = TraceMeta::default();
 //! let site = meta.code.add_site("demo", false);
 //! let bb = meta.code.add_block(Addr(0x1000), 4, site);
-//! let mut trace = Trace::new(4, meta);
+//! let mut trace = ChunkedTrace::new(4, meta);
 //! let mut b = StreamBuilder::new();
 //! b.set_mode(Mode::Os);
 //! b.exec(bb);
@@ -45,7 +45,6 @@
 //! trace.streams[0] = b.finish();
 //!
 //! let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-//! let trace = ChunkedTrace::from_trace(&trace);
 //! let stats = Machine::new(cfg, &trace).unwrap().run().unwrap();
 //! assert_eq!(stats.total().l1d_read_misses.os, 1); // cold miss
 //! ```

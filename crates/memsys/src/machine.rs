@@ -422,9 +422,7 @@ impl<'t> Machine<'t> {
         hot: &'t [u16],
         record: bool,
     ) -> Result<Self, SimError> {
-        trace
-            .validate_for_cpus(cfg.n_cpus)
-            .map_err(SimError::from_trace)?;
+        trace.validate_for_cpus(cfg.n_cpus)?;
         cfg.validate();
         let out_of_range = |cpu: usize, before: u32, stream_len: usize| SimError {
             cycle: 0,

@@ -3,7 +3,7 @@
 //! probes.
 
 use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder, TraceMeta};
 
 fn meta() -> TraceMeta {
     let mut m = TraceMeta::default();
@@ -15,8 +15,8 @@ fn meta() -> TraceMeta {
 const SRC: Addr = Addr(0x1000_0000);
 const DST: Addr = Addr(0x1103_4000);
 
-fn copy_trace(len: u32) -> Trace {
-    let mut t = Trace::new(4, meta());
+fn copy_trace(len: u32) -> ChunkedTrace {
+    let mut t = ChunkedTrace::new(4, meta());
     let bb = oscache_trace::BlockId(0);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
@@ -33,14 +33,11 @@ fn copy_trace(len: u32) -> Trace {
     t
 }
 
-fn run(t: &Trace, scheme: BlockOpScheme) -> SimStats {
+fn run(t: &ChunkedTrace, scheme: BlockOpScheme) -> SimStats {
     let cfg = MachineConfig::base()
         .with_block_scheme(scheme)
         .with_audit(oscache_memsys::AuditLevel::Strict);
-    Machine::new(cfg, &ChunkedTrace::from_trace(t))
-        .unwrap()
-        .run()
-        .unwrap()
+    Machine::new(cfg, t).unwrap().run().unwrap()
 }
 
 #[test]
@@ -82,7 +79,7 @@ fn bypref_streams_through_the_buffer() {
 fn cached_scheme_displaces_resident_data() {
     // Fill a victim line that collides with the source block, then copy.
     let victim = Addr(SRC.0 + 32 * 1024); // same L1 frame region as SRC
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let bb = oscache_trace::BlockId(0);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
@@ -113,7 +110,7 @@ fn cached_scheme_displaces_resident_data() {
 #[test]
 fn table3_probes_report_warm_sources() {
     // Touch 50% of the source lines beforehand; the probe must see ~50%.
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let bb = oscache_trace::BlockId(0);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
@@ -143,7 +140,7 @@ fn table3_probes_report_warm_sources() {
 fn table3_probes_report_owned_destinations() {
     // Write the destination beforehand: its L2 lines are Modified at the
     // probe.
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let bb = oscache_trace::BlockId(0);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
@@ -167,7 +164,7 @@ fn table3_probes_report_owned_destinations() {
 
 #[test]
 fn size_buckets_follow_the_paper_boundaries() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for len in [4096u32, 4088, 1024, 1023, 64] {

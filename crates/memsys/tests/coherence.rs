@@ -3,7 +3,10 @@
 //! through the machine's counters.
 
 use oscache_memsys::{BlockOpScheme, Machine, MachineConfig, SimStats};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{
+    Addr, ChunkedStream, ChunkedTrace, DataClass, Event, LockId, Mode, StreamBuilder, TraceMeta,
+    CHUNK_EVENTS,
+};
 
 fn meta() -> TraceMeta {
     let mut meta = TraceMeta::default();
@@ -12,8 +15,8 @@ fn meta() -> TraceMeta {
     meta
 }
 
-fn run(t: &Trace) -> SimStats {
-    Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(t))
+fn run(t: &ChunkedTrace) -> SimStats {
+    Machine::new(MachineConfig::base(), t)
         .unwrap()
         .run()
         .unwrap()
@@ -24,10 +27,10 @@ fn run(t: &Trace) -> SimStats {
 fn two_phase(
     first: impl FnOnce(&mut StreamBuilder),
     second: impl FnOnce(&mut StreamBuilder),
-) -> Trace {
+) -> ChunkedTrace {
     let lock = LockId(9);
     let la = Addr(0x0100_0300);
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b0 = StreamBuilder::new();
     b0.set_mode(Mode::Os);
     b0.lock_acquire(lock, la);
@@ -50,7 +53,7 @@ const D: Addr = Addr(0x0200_0000);
 fn illinois_grants_exclusive_without_sharers() {
     // A lone reader then a write: Exclusive→Modified needs no bus
     // invalidation, so the only transactions are the line fills.
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.read(D, DataClass::KernelOther);
@@ -80,7 +83,7 @@ fn shared_write_sends_one_invalidation() {
 
 #[test]
 fn write_miss_uses_read_exclusive() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.write(D, DataClass::KernelOther);
@@ -92,7 +95,7 @@ fn write_miss_uses_read_exclusive() {
 
 #[test]
 fn dirty_eviction_writes_back() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.write(D, DataClass::KernelOther); // M in L2
@@ -105,7 +108,7 @@ fn dirty_eviction_writes_back() {
 
 #[test]
 fn inclusion_l2_eviction_kills_l1_copy() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.read(D, DataClass::KernelOther); // L1 + L2
@@ -138,13 +141,10 @@ fn firefly_update_keeps_remote_copies_valid() {
         extra.set_mode(Mode::Os);
         extra.idle(500_000);
         extra.read(D, DataClass::FreqShared);
-        let mut evs = t2.streams[0].clone().into_events();
-        evs.extend(extra.finish().into_events());
-        t2.streams[0] = oscache_trace::Stream::from_events(evs);
-        Machine::new(cfg, &ChunkedTrace::from_trace(&t2))
-            .unwrap()
-            .run()
-            .unwrap()
+        let mut evs: Vec<Event> = t2.streams[0].iter().collect();
+        evs.extend(&extra.finish());
+        t2.streams[0] = ChunkedStream::from_events(evs, CHUNK_EVENTS);
+        Machine::new(cfg, &t2).unwrap().run().unwrap()
     };
     let inval = mk(false);
     let upd = mk(true);
@@ -160,7 +160,7 @@ fn firefly_stops_broadcasting_without_sharers() {
     // and subsequent writes stay local.
     let mut cfg = MachineConfig::base();
     cfg.update_pages.insert(D.page());
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.read(D, DataClass::FreqShared);
@@ -168,10 +168,7 @@ fn firefly_stops_broadcasting_without_sharers() {
         b.write(D, DataClass::FreqShared);
     }
     t.streams[0] = b.finish();
-    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
     assert_eq!(s.bus.update_words, 0, "no sharers -> no broadcasts");
 }
 
@@ -179,7 +176,7 @@ fn firefly_stops_broadcasting_without_sharers() {
 fn read_forwards_from_pending_write() {
     // A read that immediately follows a write to the same word must not
     // count as a miss (forwarded from the write buffer).
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.write(D, DataClass::KernelOther);
@@ -191,7 +188,7 @@ fn read_forwards_from_pending_write() {
 
 #[test]
 fn dma_zero_op_touches_no_source() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     b.begin_block_zero(Addr(0x1000_0000), 4096, DataClass::PageFrame);
@@ -203,10 +200,7 @@ fn dma_zero_op_touches_no_source() {
     b.end_block_op();
     t.streams[0] = b.finish();
     let cfg = MachineConfig::base().with_block_scheme(BlockOpScheme::Dma);
-    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
     assert_eq!(s.bus.dma_transfers, 1);
     assert_eq!(s.total().dreads.total(), 0);
     assert_eq!(s.total().os_miss_blockop, 0);
@@ -220,7 +214,7 @@ fn dma_updates_cached_destination_copies() {
     // copy valid (snooped update), so CPU1's re-read hits.
     let src = Addr(0x1000_0000);
     let dst = Addr(0x1103_4000);
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b1 = StreamBuilder::new();
     b1.set_mode(Mode::Os);
     b1.read(dst, DataClass::PageFrame);
@@ -238,19 +232,16 @@ fn dma_updates_cached_destination_copies() {
     b0.end_block_op();
     t.streams[0] = b0.finish();
     // CPU1 re-reads its line well after the DMA.
-    let mut evs = t.streams[1].clone().into_events();
+    let mut evs: Vec<Event> = t.streams[1].iter().collect();
     let mut more = StreamBuilder::new();
     more.set_mode(Mode::Os);
     more.idle(500_000);
     more.read(dst, DataClass::PageFrame);
-    evs.extend(more.finish().into_events());
-    t.streams[1] = oscache_trace::Stream::from_events(evs);
+    evs.extend(&more.finish());
+    t.streams[1] = ChunkedStream::from_events(evs, CHUNK_EVENTS);
 
     let cfg = MachineConfig::base().with_block_scheme(BlockOpScheme::Dma);
-    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
     // One initial cold miss only: the DMA updated the cached copy in place.
     assert_eq!(s.cpus[1].l1d_read_misses.os, 1, "{:?}", s.cpus[1]);
 }
@@ -267,10 +258,10 @@ fn bus_contention_delays_everyone() {
         }
         b.finish()
     };
-    let mut solo = Trace::new(4, meta());
+    let mut solo = ChunkedTrace::new(4, meta());
     solo.streams[0] = stream_of(0x0300_0000);
     let s1 = run(&solo);
-    let mut quad = Trace::new(4, meta());
+    let mut quad = ChunkedTrace::new(4, meta());
     for cpu in 0..4u32 {
         quad.streams[cpu as usize] = stream_of(0x0300_0000 + cpu * 0x0100_0000);
     }
@@ -287,7 +278,7 @@ fn bus_contention_delays_everyone() {
 
 #[test]
 fn partial_prefetch_counts_as_pref_stall() {
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     // Demand read arrives immediately: the prefetch has barely started.
@@ -307,7 +298,7 @@ fn associativity_removes_conflict_misses() {
     let a = Addr(0x0300_0000);
     let b_addr = Addr(0x0300_8000); // 32 KB apart: same L1 set when 1-way
     let mk = || {
-        let mut t = Trace::new(4, meta());
+        let mut t = ChunkedTrace::new(4, meta());
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         for _ in 0..50 {
@@ -318,16 +309,13 @@ fn associativity_removes_conflict_misses() {
         t
     };
     let t = mk();
-    let direct = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
+    let direct = Machine::new(MachineConfig::base(), &t)
         .unwrap()
         .run()
         .unwrap();
     let mut cfg = MachineConfig::base();
     cfg.l1d = oscache_memsys::CacheGeom::new_assoc(32 * 1024, 16, 2);
-    let assoc = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let assoc = Machine::new(cfg, &t).unwrap().run().unwrap();
     assert!(direct.cpus[0].l1d_read_misses.os > 50, "must thrash 1-way");
     assert!(
         assoc.cpus[0].l1d_read_misses.os <= 4,
@@ -342,7 +330,7 @@ fn victim_cache_absorbs_conflict_ping_pong() {
     // cache must absorb it too.
     let a = Addr(0x0300_0000);
     let b_addr = Addr(0x0300_8000);
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for _ in 0..50 {
@@ -353,10 +341,7 @@ fn victim_cache_absorbs_conflict_ping_pong() {
     let plain = run(&t);
     let mut cfg = MachineConfig::base();
     cfg.victim_lines = 4;
-    let vc = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let vc = Machine::new(cfg, &t).unwrap().run().unwrap();
     assert!(plain.cpus[0].l1d_read_misses.os > 50);
     assert!(
         vc.cpus[0].l1d_read_misses.os <= 4,
@@ -371,7 +356,7 @@ fn victim_cache_absorbs_conflict_ping_pong() {
 fn victim_cache_is_fifo_bounded() {
     // More distinct conflicting lines than victim entries: the oldest
     // falls out and misses again.
-    let mut t = Trace::new(4, meta());
+    let mut t = ChunkedTrace::new(4, meta());
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for round in 0..3u32 {
@@ -383,10 +368,7 @@ fn victim_cache_is_fifo_bounded() {
     t.streams[0] = b.finish();
     let mut cfg = MachineConfig::base();
     cfg.victim_lines = 2;
-    let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-        .unwrap()
-        .run()
-        .unwrap();
+    let s = Machine::new(cfg, &t).unwrap().run().unwrap();
     // 8 lines cycling through one frame + 2 victim entries: the victim
     // cache cannot hold the working set, so most rounds still miss.
     assert!(

@@ -15,7 +15,7 @@ use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_P
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedStream, ChunkedTrace, DataClass, HotspotPlan, LockId, Mode, PlanEntry,
-    StreamBuilder, Trace, TraceMeta,
+    StreamBuilder, TraceMeta,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -24,12 +24,12 @@ const SEEDS: std::ops::Range<u64> = 0..8;
 /// operations, mode switches, and idle gaps — the same event vocabulary
 /// as tests/specialize_matrix.rs, so chunk boundaries land inside lock
 /// sections and block-op brackets.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("da", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -82,13 +82,13 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
-/// Re-chunks a flat trace at an arbitrary capacity: the default
+/// Re-chunks a trace at an arbitrary capacity: the default
 /// `CHUNK_EVENTS` is far larger than these traces, so small capacities
 /// force many chunk swap-ins per stream.
-fn rechunk(t: &Trace, capacity: usize) -> ChunkedTrace {
+fn rechunk(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
     let mut ct = ChunkedTrace::new(t.streams.len(), t.meta.clone());
     for (i, s) in t.streams.iter().enumerate() {
-        ct.streams[i] = ChunkedStream::from_events(s.events().iter().copied(), capacity);
+        ct.streams[i] = ChunkedStream::from_events(s, capacity);
     }
     ct
 }
@@ -162,7 +162,7 @@ fn prefetch_matches_sync_decode_on_random_traces() {
 /// Random hot-spot plans over each stream: entries at any position up to
 /// and including the stream's end, loop and sequence shapes, hot and cold
 /// sites.
-fn random_plan(t: &Trace, rng: &mut SmallRng) -> HotspotPlan {
+fn random_plan(t: &ChunkedTrace, rng: &mut SmallRng) -> HotspotPlan {
     HotspotPlan::new(
         t.streams
             .iter()
@@ -245,13 +245,13 @@ fn prefetch_is_invisible_across_configs() {
 }
 
 /// A single-CPU stream of `n` data reads after the leading mode event.
-fn long_trace(n: u32) -> Trace {
+fn long_trace(n: u32) -> ChunkedTrace {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..n {
         b.read(Addr(0x0100_0000 + (i % 4096) * 4), DataClass::KernelOther);
     }
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     t.streams[0] = b.finish();
     t
 }

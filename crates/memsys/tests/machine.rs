@@ -4,13 +4,13 @@
 
 use oscache_memsys::{BlockOpScheme, CacheGeom, Machine, MachineConfig, SimErrorKind, SimStats};
 use oscache_trace::{
-    Addr, BarrierId, BlockId, ChunkedTrace, CoherenceCategory, DataClass, Event, LockId, Mode,
-    Stream, StreamBuilder, Trace, TraceMeta,
+    Addr, BarrierId, BlockId, ChunkedStream, ChunkedTrace, CoherenceCategory, DataClass, Event,
+    LockId, Mode, StreamBuilder, TraceMeta, CHUNK_EVENTS,
 };
 
 /// Builds a 4-CPU trace with one basic block available and hands each CPU's
 /// builder to `f`.
-fn trace_with(f: impl FnOnce(&mut [StreamBuilder; 4], BlockId)) -> Trace {
+fn trace_with(f: impl FnOnce(&mut [StreamBuilder; 4], BlockId)) -> ChunkedTrace {
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("test", false);
     let bb = meta.code.add_block(Addr(0x0001_0000), 4, site);
@@ -24,23 +24,20 @@ fn trace_with(f: impl FnOnce(&mut [StreamBuilder; 4], BlockId)) -> Trace {
         b.set_mode(Mode::Os);
     }
     f(&mut builders, bb);
-    let mut t = Trace::new(4, meta);
+    let mut t = ChunkedTrace::new(4, meta);
     for (i, b) in builders.into_iter().enumerate() {
         t.streams[i] = b.finish();
     }
     t
 }
 
-fn run(trace: &Trace) -> SimStats {
+fn run(trace: &ChunkedTrace) -> SimStats {
     run_cfg(MachineConfig::base(), trace)
 }
 
-fn run_cfg(cfg: MachineConfig, trace: &Trace) -> SimStats {
+fn run_cfg(cfg: MachineConfig, trace: &ChunkedTrace) -> SimStats {
     let cfg = cfg.with_audit(oscache_memsys::AuditLevel::Strict);
-    Machine::new(cfg, &ChunkedTrace::from_trace(trace))
-        .unwrap()
-        .run()
-        .unwrap()
+    Machine::new(cfg, trace).unwrap().run().unwrap()
 }
 
 const D: Addr = Addr(0x0200_0000);
@@ -210,7 +207,7 @@ fn lock_enforces_mutual_exclusion_in_time() {
     assert!(lock_misses >= 3, "got {lock_misses}");
 }
 
-fn block_copy_trace(len: u32) -> Trace {
+fn block_copy_trace(len: u32) -> ChunkedTrace {
     trace_with(|b, bb| {
         // src and dst must not be congruent modulo either cache size, or
         // the destination's write-allocate fills would evict the source
@@ -406,7 +403,7 @@ fn instruction_fetch_misses_are_counted() {
     let blocks: Vec<_> = (0..64)
         .map(|k| meta.code.add_block(Addr(0x0001_0000 + k * 1024), 8, site))
         .collect();
-    let mut t = Trace::new(4, meta);
+    let mut t = ChunkedTrace::new(4, meta);
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for _ in 0..2 {
@@ -455,8 +452,8 @@ fn chunked_machine_rejects_a_trace_that_already_failed_validation() {
         lock: LockId(1),
         addr: Addr(0x0100_0000),
     };
-    t.streams[2] = Stream::from_events(vec![leak]);
-    let ct = ChunkedTrace::from_trace(&t);
+    t.streams[2] = ChunkedStream::from_events(vec![leak], CHUNK_EVENTS);
+    let ct = t;
     let first = ct.validate().expect_err("a lock held at end is invalid");
     assert_eq!(ct.validate(), Err(first.clone()));
     for _ in 0..2 {

@@ -9,7 +9,7 @@ use oscache_memsys::{
 };
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedTrace, DataClass, LineAddr, LockId, Mode, StreamBuilder, Trace, TraceMeta,
+    Addr, ChunkedTrace, DataClass, LineAddr, LockId, Mode, StreamBuilder, TraceMeta,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..24;
@@ -166,18 +166,12 @@ fn machine_accounts_all_cycles() {
                 b.read(a, DataClass::KernelOther);
             }
         }
-        let mut t = Trace::new(4, meta);
+        let mut t = ChunkedTrace::new(4, meta);
         t.streams[0] = b.finish();
 
         let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-        let s1 = Machine::new(cfg.clone(), &ChunkedTrace::from_trace(&t))
-            .unwrap()
-            .run()
-            .unwrap();
-        let s2 = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-            .unwrap()
-            .run()
-            .unwrap();
+        let s1 = Machine::new(cfg.clone(), &t).unwrap().run().unwrap();
+        let s2 = Machine::new(cfg, &t).unwrap().run().unwrap();
         // deterministic
         assert_eq!(s1.cpu_times, s2.cpu_times);
         assert_eq!(
@@ -223,15 +217,12 @@ fn block_ops_account_under_every_scheme() {
             off += 8;
         }
         b.end_block_op();
-        let mut t = Trace::new(4, meta);
+        let mut t = ChunkedTrace::new(4, meta);
         t.streams[0] = b.finish();
         let cfg = MachineConfig::base()
             .with_block_scheme(scheme)
             .with_audit(AuditLevel::Strict);
-        let s = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-            .unwrap()
-            .run()
-            .unwrap();
+        let s = Machine::new(cfg, &t).unwrap().run().unwrap();
         assert_eq!(s.cpus[0].accounted_cycles(), s.cpu_times[0], "seed {seed}");
         assert_eq!(s.total().blk_ops, 1);
     }
@@ -239,12 +230,12 @@ fn block_ops_account_under_every_scheme() {
 
 /// Builds a random valid multi-CPU trace with sharing, locks, and block
 /// operations — the full event vocabulary.
-fn random_valid_trace(rng: &mut SmallRng) -> Trace {
+fn random_valid_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("rv", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -312,9 +303,7 @@ fn random_traces_pass_strict_audit_under_every_scheme() {
             let cfg = MachineConfig::base()
                 .with_block_scheme(scheme)
                 .with_audit(AuditLevel::Strict);
-            let r = Machine::new(cfg, &ChunkedTrace::from_trace(&t))
-                .unwrap()
-                .run();
+            let r = Machine::new(cfg, &t).unwrap().run();
             assert!(r.is_ok(), "seed {seed} {scheme:?}: {:?}", r.err());
         }
     }
@@ -335,9 +324,8 @@ fn injected_faults_are_rejected_or_survived() {
                 // Rejected up front with a typed error; Machine::new must
                 // agree and also reject.
                 let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-                let ct = ChunkedTrace::from_trace(&bad);
                 assert!(
-                    Machine::new(cfg, &ct).is_err(),
+                    Machine::new(cfg, &bad).is_err(),
                     "{kind:?} seed {seed}: validate/new disagree"
                 );
                 continue;
@@ -345,9 +333,7 @@ fn injected_faults_are_rejected_or_survived() {
             // Slipped past validation (e.g. a bit-flip that still forms a
             // valid trace): the replay must finish with a typed result.
             let cfg = MachineConfig::base().with_audit(AuditLevel::Strict);
-            let r = Machine::new(cfg, &ChunkedTrace::from_trace(&bad))
-                .unwrap()
-                .run();
+            let r = Machine::new(cfg, &bad).unwrap().run();
             match r {
                 Ok(_) | Err(_) => {} // both fine; the point is no panic
             }

@@ -12,19 +12,19 @@
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 
 /// A random valid multi-CPU trace exercising sharing, locks, block
 /// operations, mode switches, and idle gaps — the full vocabulary the
 /// specialized loops must replay identically.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("sm", true);
     let bb = meta.code.add_block(Addr(0x2000), 4, site);
-    let mut t = Trace::new(n_cpus, meta);
+    let mut t = ChunkedTrace::new(n_cpus, meta);
     for cpu in 0..n_cpus {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -107,12 +107,11 @@ fn cfg_for(updates: bool, victim: bool, cancel: bool) -> MachineConfig {
 /// dispatcher and the generic oracle and asserts end-to-end equality:
 /// the full `Result` (statistics or typed error), the final machine-state
 /// digest, and the step count.
-fn assert_spec_matches_generic(cfg: MachineConfig, trace: &Trace, record: bool, what: &str) {
-    let trace = ChunkedTrace::from_trace(trace);
-    let mut s = Machine::with_recording(cfg.clone(), &trace, record)
+fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, record: bool, what: &str) {
+    let mut s = Machine::with_recording(cfg.clone(), trace, record)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let mut g =
-        Machine::with_recording(cfg, &trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
+        Machine::with_recording(cfg, trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
     let rs = s.run_mut();
     let rg = g.run_generic_mut();
     assert_eq!(rs, rg, "{what}: specialized and generic results diverge");
@@ -147,13 +146,13 @@ fn every_config_variant_matches_generic() {
 
 /// A single-CPU trace of `n` data reads (plus the leading mode event):
 /// enough events to cross several cancellation-poll strides.
-fn long_trace(n: u32) -> Trace {
+fn long_trace(n: u32) -> ChunkedTrace {
     let mut b = StreamBuilder::new();
     b.set_mode(Mode::Os);
     for i in 0..n {
         b.read(Addr(0x0100_0000 + (i % 4096) * 4), DataClass::KernelOther);
     }
-    let mut t = Trace::new(1, TraceMeta::default());
+    let mut t = ChunkedTrace::new(1, TraceMeta::default());
     t.streams[0] = b.finish();
     t
 }
@@ -174,7 +173,7 @@ fn cancel_poll_stride_is_a_power_of_two() {
 /// step 0 and every `CANCEL_POLL_STRIDE` events thereafter.
 #[test]
 fn cancellation_fires_at_identical_deterministic_steps() {
-    let t = ChunkedTrace::from_trace(&long_trace(3 * CANCEL_POLL_STRIDE as u32));
+    let t = long_trace(3 * CANCEL_POLL_STRIDE as u32);
     for polls in 1..=3u64 {
         // Each machine gets its *own* countdown (the token is shared
         // state; a cloned config would share the counter between them).
@@ -210,7 +209,7 @@ fn cancellation_fires_at_identical_deterministic_steps() {
 #[test]
 fn armed_unfired_token_is_invisible() {
     let mut rng = SmallRng::seed_from_u64(0xCA9C_E77E);
-    let t = ChunkedTrace::from_trace(&random_trace(&mut rng));
+    let t = random_trace(&mut rng);
     let armed = {
         let mut cfg = MachineConfig::base();
         cfg.cancel = CancelToken::new();
@@ -230,7 +229,7 @@ fn armed_unfired_token_is_invisible() {
 #[test]
 fn victim_keyed_replay_still_fills_caches() {
     let mut rng = SmallRng::seed_from_u64(0x71C7_1234);
-    let t = ChunkedTrace::from_trace(&random_trace(&mut rng));
+    let t = random_trace(&mut rng);
     let cfg = cfg_for(false, true, false);
     assert!(cfg.victim_lines > 0);
     let mut m = Machine::new(cfg, &t).unwrap();

@@ -4,7 +4,8 @@
 //! A chunked trace answers `validate` from the facts its encoder recorded
 //! per stream, and falls back to the full scan only when those facts cannot
 //! prove the trace valid. This differential pins the pair against the
-//! materialized reference, [`Trace::validate`]: for every fault class over
+//! reference, [`ChunkedTrace::validate_by_scan`], which runs every event
+//! through the validator and ignores the facts: for every fault class over
 //! many seeds, and for hand-built violations that only show across streams
 //! or against the metadata, both sides return the same `Ok` or the same
 //! typed error at the same `(cpu, index)`.
@@ -13,7 +14,7 @@ use oscache_memsys::faults::{inject, FaultKind};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, BarrierId, BlockId, ChunkedStream, ChunkedTrace, CodeLayout, DataClass, Event, LockId,
-    Mode, Stream, StreamBuilder, Trace, TraceError, TraceMeta,
+    Mode, StreamBuilder, TraceError, TraceMeta, CHUNK_EVENTS,
 };
 
 const N_CPUS: usize = 4;
@@ -21,14 +22,14 @@ const N_CPUS: usize = 4;
 /// A random valid trace with the whole event vocabulary the validator
 /// checks: several code blocks, locks, block operations, mode switches,
 /// idle gaps, and barriers every CPU reaches in the same order.
-fn random_trace(rng: &mut SmallRng) -> Trace {
+fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let mut meta = TraceMeta::default();
     let site = meta.code.add_site("vp", true);
     let blocks: Vec<BlockId> = (0..4)
         .map(|k| meta.code.add_block(Addr(0x2000 + 0x40 * k), 4, site))
         .collect();
     let rounds = rng.gen_range(1..4usize);
-    let mut t = Trace::new(N_CPUS, meta);
+    let mut t = ChunkedTrace::new(N_CPUS, meta);
     for cpu in 0..N_CPUS {
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
@@ -76,19 +77,15 @@ fn random_trace(rng: &mut SmallRng) -> Trace {
     t
 }
 
-/// Encodes `t` at the default capacity and at a tiny one, asserts that
-/// both chunked traces validate exactly as the materialized trace does,
+/// Asserts that `t` (encoded at the default capacity) and its re-encoding
+/// at a tiny capacity both validate exactly as the full scan of `t` does,
 /// and returns that common result.
-fn assert_agrees(t: &Trace, what: &str) -> Result<(), TraceError> {
-    let expected = t.validate();
-    assert_eq!(
-        ChunkedTrace::from_trace(t).validate(),
-        expected,
-        "{what}: default capacity"
-    );
+fn assert_agrees(t: &ChunkedTrace, what: &str) -> Result<(), TraceError> {
+    let expected = t.validate_by_scan();
+    assert_eq!(t.validate(), expected, "{what}: default capacity");
     let mut tiny = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
     for (cpu, s) in t.streams.iter().enumerate() {
-        tiny.streams[cpu] = ChunkedStream::from_events(s.events().iter().copied(), 3);
+        tiny.streams[cpu] = ChunkedStream::from_events(s, 3);
     }
     assert_eq!(tiny.validate(), expected, "{what}: capacity 3");
     expected
@@ -101,7 +98,11 @@ fn proof_matches_scan_for_every_fault_class() {
         for seed in 0..64u64 {
             let mut rng = SmallRng::seed_from_u64(0x9F00_F000 ^ seed);
             let t = random_trace(&mut rng);
-            assert_eq!(t.validate(), Ok(()), "generator must emit valid traces");
+            assert_eq!(
+                t.validate_by_scan(),
+                Ok(()),
+                "generator must emit valid traces"
+            );
             let bad = inject(&t, kind, seed);
             let verdict = assert_agrees(&bad, &format!("{kind:?} seed {seed}"));
             if verdict.is_err() {
@@ -116,6 +117,10 @@ fn proof_matches_scan_for_every_fault_class() {
     assert!(invalid > 64 && invalid < 6 * 64, "{invalid} rejected");
 }
 
+fn stream(events: Vec<Event>) -> ChunkedStream {
+    ChunkedStream::from_events(events, CHUNK_EVENTS)
+}
+
 fn arrive(barrier: u16, participants: u8) -> Event {
     Event::Barrier {
         barrier: BarrierId(barrier),
@@ -126,9 +131,9 @@ fn arrive(barrier: u16, participants: u8) -> Event {
 
 #[test]
 fn barrier_sizes_disagreeing_across_streams_are_caught() {
-    let mut t = Trace::new(2, TraceMeta::default());
-    t.streams[0] = Stream::from_events(vec![arrive(0, 2), arrive(1, 2)]);
-    t.streams[1] = Stream::from_events(vec![arrive(0, 2), arrive(1, 1)]);
+    let mut t = ChunkedTrace::new(2, TraceMeta::default());
+    t.streams[0] = stream(vec![arrive(0, 2), arrive(1, 2)]);
+    t.streams[1] = stream(vec![arrive(0, 2), arrive(1, 1)]);
     assert_eq!(
         assert_agrees(&t, "disagreeing barrier"),
         Err(TraceError::InconsistentBarrier {
@@ -141,9 +146,9 @@ fn barrier_sizes_disagreeing_across_streams_are_caught() {
 
 #[test]
 fn more_participants_than_cpus_are_caught() {
-    let mut t = Trace::new(2, TraceMeta::default());
-    t.streams[0] = Stream::from_events(vec![arrive(0, 2)]);
-    t.streams[1] = Stream::from_events(vec![Event::Idle { cycles: 1 }, arrive(3, 3)]);
+    let mut t = ChunkedTrace::new(2, TraceMeta::default());
+    t.streams[0] = stream(vec![arrive(0, 2)]);
+    t.streams[1] = stream(vec![Event::Idle { cycles: 1 }, arrive(3, 3)]);
     assert!(matches!(
         assert_agrees(&t, "oversized barrier"),
         Err(TraceError::BarrierParticipants {
@@ -162,12 +167,12 @@ fn exec_past_a_swapped_smaller_layout_is_caught() {
     for k in 0..3 {
         meta.code.add_block(Addr(0x100 + 0x40 * k), 2, site);
     }
-    let mut t = Trace::new(1, meta);
-    t.streams[0] = Stream::from_events(vec![
+    let mut t = ChunkedTrace::new(1, meta);
+    t.streams[0] = stream(vec![
         Event::Exec { block: BlockId(0) },
         Event::Exec { block: BlockId(2) },
     ]);
-    let mut ct = ChunkedTrace::from_trace(&t);
+    let mut ct = t.clone();
     assert_eq!(ct.validate(), Ok(()));
     // Swap the code layout after encoding: the facts recorded against the
     // old layout must not vouch for the new one.
@@ -181,14 +186,14 @@ fn exec_past_a_swapped_smaller_layout_is_caught() {
         index: 1,
         block: BlockId(2),
     });
-    assert_eq!(t.validate(), expected);
+    assert_eq!(t.validate_by_scan(), expected);
     assert_eq!(ct.validate(), expected);
 }
 
 #[test]
 fn lock_held_at_stream_end_is_caught() {
-    let mut t = Trace::new(2, TraceMeta::default());
-    t.streams[1] = Stream::from_events(vec![Event::LockAcquire {
+    let mut t = ChunkedTrace::new(2, TraceMeta::default());
+    t.streams[1] = stream(vec![Event::LockAcquire {
         lock: LockId(4),
         addr: Addr(0x40),
     }]);

@@ -1,14 +1,16 @@
-//! The original pass-by-pass rewrites, kept verbatim as the equivalence
-//! oracle for `oscache_core::transform::TransformPipeline`: each function
-//! materializes a full trace per pass, which is exactly the cost the fused
-//! pipeline removes. The `pipeline_matches_*` tests pin output equality
-//! event-for-event. `colorable` is the coloring pass's own definition of
-//! the placeable classes, restated here.
+//! The original pass-by-pass rewrites, kept as the equivalence oracle for
+//! `oscache_core::transform::TransformPipeline`: each function decodes
+//! every stream into a `Vec<Event>` and re-encodes it once per pass, which
+//! is exactly the cost the fused pipeline removes. The
+//! `pipeline_matches_*` tests pin output equality event-for-event.
+//! `colorable` is the coloring pass's own definition of the placeable
+//! classes, restated here.
 
+use crate::rewrite_streams;
 use oscache_core::transform::{
     private_copy_addr, RelocationMap, COLOR_BASE_PAGE, HOIST_LIMIT, LOOP_AHEAD,
 };
-use oscache_trace::{Addr, DataClass, Event, Stream, Trace, WORD_SIZE};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Event, WORD_SIZE};
 use std::collections::{HashMap, HashSet};
 
 /// Classes whose pages the allocator may place freely (dynamically
@@ -21,16 +23,14 @@ fn colorable(class: DataClass) -> bool {
 }
 
 /// Oracle for the privatization stage (`TransformPipeline::privatize`).
-pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
+pub fn privatize_counters(trace: &ChunkedTrace, targets: &[Addr]) -> ChunkedTrace {
     let index: HashMap<u32, usize> = targets
         .iter()
         .enumerate()
         .map(|(i, a)| (a.0 & !(WORD_SIZE - 1), i))
         .collect();
     let n_cpus = trace.n_cpus();
-    let mut out = trace.clone();
-    for (cpu, stream) in trace.streams.iter().enumerate() {
-        let events = stream.events();
+    rewrite_streams(trace, |cpu, events| {
         let mut new = Vec::with_capacity(events.len());
         let mut i = 0;
         while i < events.len() {
@@ -74,18 +74,15 @@ pub fn privatize_counters(trace: &Trace, targets: &[Addr]) -> Trace {
             }
             i += 1;
         }
-        out.streams[cpu] = Stream::from_events(new);
-    }
-    out
+        new
+    })
 }
 
 /// Oracle for the relocation stage (`TransformPipeline::relocate`).
-pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
-    let mut out = trace.clone();
+pub fn relocate(trace: &ChunkedTrace, map: &RelocationMap) -> ChunkedTrace {
     let remap = |a: Addr| map.lookup(a).unwrap_or(a);
-    for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
-        let new: Vec<Event> = events
+    rewrite_streams(trace, |_, events| {
+        events
             .into_iter()
             .map(|e| match e {
                 Event::Read { addr, class } => Event::Read {
@@ -119,19 +116,15 @@ pub fn relocate(trace: &Trace, map: &RelocationMap) -> Trace {
                 },
                 other => other,
             })
-            .collect();
-        *stream = Stream::from_events(new);
-    }
-    out
+            .collect()
+    })
 }
 
 /// Oracle for the hot-spot stage (`transform::build_hotspot_plan`, whose
 /// plan a replay merges into its decode windows).
-pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
+pub fn insert_hotspot_prefetches(trace: &ChunkedTrace, hot_sites: &[u16]) -> ChunkedTrace {
     let hot: HashSet<u16> = hot_sites.iter().copied().collect();
-    let mut out = trace.clone();
-    for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+    rewrite_streams(trace, |_, events| {
         // insertions[i] = prefetches to emit immediately before event i.
         let mut insertions: HashMap<usize, Vec<Event>> = HashMap::new();
         let mut cur_site: Option<u16> = None;
@@ -204,16 +197,13 @@ pub fn insert_hotspot_prefetches(trace: &Trace, hot_sites: &[u16]) -> Trace {
             }
             new.push(e);
         }
-        *stream = Stream::from_events(new);
-    }
-    out
+        new
+    })
 }
 
 /// Oracle for escape instrumentation (`TransformPipeline::escapes`).
-pub fn instrument_escapes(trace: &Trace) -> Trace {
-    let mut out = trace.clone();
-    for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
+pub fn instrument_escapes(trace: &ChunkedTrace) -> ChunkedTrace {
+    rewrite_streams(trace, |_, events| {
         let mut new = Vec::with_capacity(events.len() * 2);
         for e in events {
             new.push(e);
@@ -225,13 +215,12 @@ pub fn instrument_escapes(trace: &Trace) -> Trace {
                 });
             }
         }
-        *stream = Stream::from_events(new);
-    }
-    out
+        new
+    })
 }
 
 /// Oracle for the coloring stage (`TransformPipeline::coloring`).
-pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
+pub fn color_pages(trace: &ChunkedTrace, l2_size: u32) -> ChunkedTrace {
     let colors = (l2_size / oscache_trace::PAGE_SIZE).max(1);
     let mut map: HashMap<u32, u32> = HashMap::new();
     let mut next_color = 0u32;
@@ -246,8 +235,8 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
         });
     };
     for stream in &trace.streams {
-        for e in stream.events() {
-            match *e {
+        for e in stream {
+            match e {
                 Event::Read { addr, class }
                 | Event::Write { addr, class }
                 | Event::Prefetch { addr, class }
@@ -273,10 +262,8 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
             None => a,
         }
     };
-    let mut out = trace.clone();
-    for stream in &mut out.streams {
-        let events = std::mem::take(stream).into_events();
-        let new: Vec<Event> = events
+    rewrite_streams(trace, |_, events| {
+        events
             .into_iter()
             .map(|e| match e {
                 Event::Read { addr, class } if colorable(class) => Event::Read {
@@ -302,8 +289,6 @@ pub fn color_pages(trace: &Trace, l2_size: u32) -> Trace {
                 }
                 other => other,
             })
-            .collect();
-        *stream = Stream::from_events(new);
-    }
-    out
+            .collect()
+    })
 }

@@ -1,5 +1,6 @@
-//! An independent reference for the §4.2.1 deferred-copy pass over the
-//! flat [`Trace`]: plain scans, with each copy matched to its own bracket.
+//! An independent reference for the §4.2.1 deferred-copy pass: plain scans
+//! over each stream decoded into a `Vec<Event>`, with each copy matched to
+//! its own bracket.
 //!
 //! Production (`oscache_core::deferred`) summarizes a chunked trace
 //! through a page index of the copies and rewrites it as the first stage
@@ -8,8 +9,9 @@
 //! `BlockOpBegin`, decides read-only status from every write of the trace
 //! sorted by address, and rewrites each stream by event index.
 
+use crate::rewrite_streams;
 use oscache_core::deferred::DeferredCounts;
-use oscache_trace::{Addr, BlockKind, DataClass, Event, Stream, Trace, PAGE_SIZE};
+use oscache_trace::{Addr, BlockKind, ChunkedTrace, DataClass, Event, PAGE_SIZE};
 use std::collections::HashMap;
 
 /// One sub-page copy, by its bracket in the issuing CPU's stream.
@@ -34,11 +36,11 @@ type WriteRef = (u32, usize, usize);
 
 /// The number of block copies of any size in `trace`, and every sub-page
 /// copy, in CPU then stream order.
-pub fn small_copies(trace: &Trace) -> (u64, Vec<SmallCopy>) {
+pub fn small_copies(trace: &ChunkedTrace) -> (u64, Vec<SmallCopy>) {
     let mut copies = 0;
     let mut small = Vec::new();
     for (cpu, stream) in trace.streams.iter().enumerate() {
-        let events = stream.events();
+        let events: Vec<Event> = stream.iter().collect();
         for (begin, e) in events.iter().enumerate() {
             let Event::BlockOpBegin { op } = e else {
                 continue;
@@ -87,11 +89,11 @@ fn is_read_only(copy: &SmallCopy, writes: &[WriteRef]) -> bool {
 /// each read-only small copy's bracket replaced by four kernel-stack
 /// bookkeeping writes and each later read of its destination (on its own
 /// CPU) remapped to its source.
-pub fn defer_copies(trace: &Trace) -> (DeferredCounts, Trace) {
+pub fn defer_copies(trace: &ChunkedTrace) -> (DeferredCounts, ChunkedTrace) {
     let (block_copies, small) = small_copies(trace);
     let mut writes: Vec<WriteRef> = Vec::new();
     for (cpu, stream) in trace.streams.iter().enumerate() {
-        for (idx, e) in stream.events().iter().enumerate() {
+        for (idx, e) in stream.iter().enumerate() {
             if let Event::Write { addr, .. } = e {
                 writes.push((addr.0, cpu, idx));
             }
@@ -109,8 +111,7 @@ pub fn defer_copies(trace: &Trace) -> (DeferredCounts, Trace) {
         readonly_small_copies: read_only.len() as u64,
     };
 
-    let mut out = trace.clone();
-    for (cpu, stream) in trace.streams.iter().enumerate() {
+    let out = rewrite_streams(trace, |cpu, events| {
         let mine: Vec<&SmallCopy> = read_only.iter().filter(|c| c.cpu == cpu).collect();
         let brackets: HashMap<usize, usize> = mine.iter().map(|c| (c.begin, c.end)).collect();
         // Removed destination byte -> (its copy's end, the source byte);
@@ -123,7 +124,6 @@ pub fn defer_copies(trace: &Trace) -> (DeferredCounts, Trace) {
                     .or_insert((c.end, c.src.0 + off));
             }
         }
-        let events = stream.events();
         let mut new = Vec::with_capacity(events.len());
         let mut i = 0;
         while i < events.len() {
@@ -149,8 +149,8 @@ pub fn defer_copies(trace: &Trace) -> (DeferredCounts, Trace) {
             });
             i += 1;
         }
-        out.streams[cpu] = Stream::from_events(new);
-    }
+        new
+    });
     (counts, out)
 }
 
@@ -161,19 +161,19 @@ mod tests {
 
     #[test]
     fn a_trace_without_copies_is_unchanged() {
-        let mut t = Trace::new(2, TraceMeta::default());
+        let mut t = ChunkedTrace::new(2, TraceMeta::default());
         let mut b = StreamBuilder::new();
         b.write(Addr(0x2000_0000), DataClass::UserData);
         b.read(Addr(0x2000_0000), DataClass::UserData);
         t.streams[1] = b.finish();
         let (counts, out) = defer_copies(&t);
         assert_eq!(counts, DeferredCounts::default());
-        assert_eq!(out.streams[1].events(), t.streams[1].events());
+        assert!(out.streams[1].iter().eq(t.streams[1].iter()));
     }
 
     #[test]
     fn a_copy_whose_source_is_written_later_stays() {
-        let mut t = Trace::new(1, TraceMeta::default());
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
         let mut b = StreamBuilder::new();
         let (src, dst) = (Addr(0x1000_0000), Addr(0x2000_0000));
         b.begin_block_copy(src, dst, 8, DataClass::BufferCache, DataClass::UserData);
@@ -184,6 +184,6 @@ mod tests {
         t.streams[0] = b.finish();
         let (counts, out) = defer_copies(&t);
         assert_eq!((counts.small_copies, counts.readonly_small_copies), (1, 0));
-        assert_eq!(out.streams[0].events(), t.streams[0].events());
+        assert!(out.streams[0].iter().eq(t.streams[0].iter()));
     }
 }

@@ -26,8 +26,8 @@
 use crate::spill::{FrameRef, MemBudget, SpillStore, SpillTarget};
 use crate::validate::{check_meta, facts_prove_valid, StreamFacts, StreamProver, TraceValidator};
 use crate::{
-    Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, Stream, Trace,
-    TraceError, TraceMeta,
+    Addr, BarrierId, BlockId, BlockKind, BlockOp, DataClass, Event, LockId, Mode, TraceError,
+    TraceMeta,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -502,7 +502,7 @@ impl Default for ChunkedStreamBuilder {
 }
 
 /// One CPU's reference stream as fixed-capacity encoded chunks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkedStream {
     chunks: Vec<EncodedChunk>,
     len: usize,
@@ -511,6 +511,14 @@ pub struct ChunkedStream {
     /// [`ChunkedTrace::validate`]). Private, and set only when the stream
     /// is sealed, so it always describes exactly these events.
     facts: StreamFacts,
+}
+
+impl Default for ChunkedStream {
+    /// [`ChunkedStream::new`]: a default stream has the default capacity,
+    /// so re-encoding an edited copy at its `capacity()` works for it too.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ChunkedStream {
@@ -522,11 +530,6 @@ impl ChunkedStream {
             capacity: CHUNK_EVENTS,
             facts: StreamFacts::default(),
         }
-    }
-
-    /// Encodes a materialized stream with the default capacity.
-    pub fn from_stream(stream: &Stream) -> Self {
-        Self::from_events(stream.events().iter().copied(), CHUNK_EVENTS)
     }
 
     /// Encodes events from an iterator with an explicit chunk capacity.
@@ -653,15 +656,6 @@ impl ChunkedStream {
             pos: 0,
         }
     }
-
-    /// Decodes the whole stream into a materialized [`Stream`].
-    pub fn to_stream(&self) -> Stream {
-        let mut events = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            c.decode_into(&mut events);
-        }
-        Stream::from_events(events)
-    }
 }
 
 /// Chunk-at-a-time decoding iterator over a [`ChunkedStream`]'s events.
@@ -710,8 +704,8 @@ impl<'a> IntoIterator for &'a ChunkedStream {
     }
 }
 
-/// A whole trace in chunked form: per-CPU [`ChunkedStream`]s plus the
-/// same shared [`TraceMeta`] a materialized [`Trace`] carries.
+/// A complete multiprocessor trace: one [`ChunkedStream`] per CPU plus the
+/// workload's [`TraceMeta`].
 ///
 /// Each stream carries what its encoder proved about its events, so
 /// [`ChunkedTrace::validate`] is O(streams + barriers) for every trace the
@@ -731,27 +725,6 @@ impl ChunkedTrace {
             streams: (0..n_cpus).map(|_| ChunkedStream::new()).collect(),
             meta,
         }
-    }
-
-    /// Encodes a materialized trace (default chunk capacity).
-    pub fn from_trace(trace: &Trace) -> Self {
-        ChunkedTrace {
-            streams: trace
-                .streams
-                .iter()
-                .map(ChunkedStream::from_stream)
-                .collect(),
-            meta: trace.meta.clone(),
-        }
-    }
-
-    /// Decodes into a materialized [`Trace`].
-    pub fn to_trace(&self) -> Trace {
-        let mut t = Trace::new(self.n_cpus(), self.meta.clone());
-        for (cpu, s) in self.streams.iter().enumerate() {
-            t.streams[cpu] = s.to_stream();
-        }
-        t
     }
 
     /// Number of CPU streams.
@@ -787,23 +760,30 @@ impl ChunkedTrace {
             .sum()
     }
 
-    /// Checks every structural invariant [`Trace::validate`] checks.
+    /// Checks every structural invariant a well-formed trace satisfies,
+    /// returning the first violation. Replay consumers (`Machine::new`) and
+    /// the dump reader ([`read_trace`](crate::read_trace)) call this, so a
+    /// malformed or adversarial trace is rejected with a typed error before
+    /// simulation starts.
     ///
     /// The metadata checks run every time. The event invariants are
     /// answered from the facts each stream's encoder recorded; when they
-    /// cannot prove the trace valid, the full scan runs instead and
-    /// returns the first violation, exactly as [`Trace::validate`] would.
+    /// cannot prove the trace valid, [`ChunkedTrace::validate_by_scan`]
+    /// runs instead and returns the first violation.
     pub fn validate(&self) -> Result<(), TraceError> {
         check_meta(&self.meta)?;
         if facts_prove_valid(&self.meta, self.streams.iter().map(|s| &s.facts)) {
             return Ok(());
         }
-        self.scan()
+        self.validate_by_scan()
     }
 
-    /// The full validation scan, streaming chunk-by-chunk (one decode
-    /// window per stream): the error path of [`ChunkedTrace::validate`].
-    fn scan(&self) -> Result<(), TraceError> {
+    /// The full validation scan: every event of every stream through the
+    /// validator, streaming chunk-by-chunk (one decode window per stream),
+    /// ignoring the encoders' facts. It is the error path of
+    /// [`ChunkedTrace::validate`] and the reference the facts are tested
+    /// against.
+    pub fn validate_by_scan(&self) -> Result<(), TraceError> {
         let mut v = TraceValidator::new(&self.meta, self.n_cpus())?;
         for (cpu, stream) in self.streams.iter().enumerate() {
             let mut st = v.stream_state();
@@ -901,7 +881,12 @@ mod tests {
             assert_eq!(s.len(), all_kinds().len());
             let back: Vec<Event> = s.iter().collect();
             assert_eq!(back, all_kinds(), "capacity {cap}");
-            assert_eq!(s.to_stream().events(), &all_kinds()[..]);
+            let (mut by_chunk, mut buf) = (Vec::new(), Vec::new());
+            for c in 0..s.n_chunks() {
+                s.decode_chunk(c, &mut buf);
+                by_chunk.extend_from_slice(&buf);
+            }
+            assert_eq!(by_chunk, all_kinds(), "capacity {cap}");
         }
     }
 
@@ -955,7 +940,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
         assert_eq!(s.n_chunks(), 0);
-        assert!(s.to_stream().is_empty());
+        assert_eq!(s.byte_len(), 0);
     }
 
     #[test]
@@ -986,9 +971,8 @@ mod tests {
             b.read(Addr(0x0100_0000 + k * 4), DataClass::KernelOther);
         }
         b.set_mode(Mode::User);
-        let s = b.finish();
-        let c = ChunkedStream::from_stream(&s);
-        let flat = s.len() * std::mem::size_of::<Event>();
+        let c = b.finish();
+        let flat = c.len() * std::mem::size_of::<Event>();
         assert!(
             c.byte_len() * 3 < flat,
             "encoded {} vs flat {flat}",
@@ -1001,7 +985,7 @@ mod tests {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("p", false);
         let bb = meta.code.add_block(Addr(0x100), 3, site);
-        let mut t = Trace::new(2, meta);
+        let mut c = ChunkedTrace::new(2, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         b.exec(bb);
@@ -1009,18 +993,17 @@ mod tests {
         b.read(Addr(0x0100_0000), DataClass::KernelOther);
         b.lock_release(LockId(1), Addr(0x40));
         b.set_mode(Mode::User);
-        t.streams[0] = b.finish();
-        let c = ChunkedTrace::from_trace(&t);
-        assert_eq!(c.total_events(), t.total_events());
+        c.streams[0] = b.finish();
+        assert_eq!(c.total_events(), 6);
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.validate_for_cpus(2), Ok(()));
         assert!(matches!(
             c.validate_for_cpus(4),
             Err(TraceError::CpuCountMismatch { .. })
         ));
-        let back = c.to_trace();
-        for cpu in 0..2 {
-            assert_eq!(back.streams[cpu].events(), t.streams[cpu].events());
+        for s in &c.streams {
+            let back = ChunkedStream::from_events(s, 2);
+            assert!(back.iter().eq(s), "re-encoding changed the events");
         }
     }
 

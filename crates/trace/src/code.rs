@@ -79,7 +79,7 @@ pub struct SiteInfo {
 /// The code map: every basic block of kernel and user code.
 ///
 /// `CodeLayout` is append-only; generators allocate blocks while building a
-/// trace and the resulting layout travels with the [`crate::Trace`].
+/// trace and the resulting layout travels with the [`crate::ChunkedTrace`].
 #[derive(Clone, Debug, Default)]
 pub struct CodeLayout {
     blocks: Vec<BasicBlock>,

@@ -3,8 +3,10 @@
 //! The paper's performance monitor dumps its trace buffers to disk so that
 //! "an unbounded continuous stretch of the workload" can be traced and
 //! re-simulated later (§2.1). This module provides the equivalent: a
-//! line-oriented text format that round-trips a full [`Trace`] — events,
-//! code layout, kernel-variable map, and kernel data ranges.
+//! line-oriented text format that round-trips a full [`ChunkedTrace`] —
+//! events, code layout, kernel-variable map, and kernel data ranges. Both
+//! directions stream: the writer decodes one chunk at a time, and the
+//! reader encodes events into chunks as it parses them.
 //!
 //! The format is versioned, deliberately simple, and diff-friendly:
 //!
@@ -26,8 +28,7 @@
 
 use crate::{
     Addr, BarrierId, BlockId, BlockKind, BlockOp, ChunkedStreamBuilder, ChunkedTrace, CodeLayout,
-    DataClass, Event, KernelVar, LockId, Mode, SiteId, Trace, TraceError, TraceMeta, VarRole,
-    MAX_CPUS,
+    DataClass, Event, KernelVar, LockId, Mode, SiteId, TraceError, TraceMeta, VarRole, MAX_CPUS,
 };
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -128,27 +129,35 @@ fn parse_role(s: &str) -> Option<VarRole> {
     })
 }
 
-/// Writes `trace` in the versioned text format.
+/// Writes `trace` in the versioned text format, decoding each stream one
+/// chunk at a time (a dump never holds a stream's events all at once).
 ///
 /// # Examples
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// use oscache_trace::{read_trace, write_trace, Trace, TraceMeta};
+/// use oscache_trace::{read_trace, write_trace, ChunkedTrace, Mode, StreamBuilder, TraceMeta};
 ///
-/// let trace = Trace::new(4, TraceMeta::default());
+/// let mut trace = ChunkedTrace::new(4, TraceMeta::default());
+/// let mut b = StreamBuilder::new();
+/// b.set_mode(Mode::Os);
+/// b.idle(7);
+/// trace.streams[2] = b.finish();
 /// let mut buf = Vec::new();
 /// write_trace(&trace, &mut buf)?;
 /// let back = read_trace(&buf[..])?;
 /// assert_eq!(back.n_cpus(), 4);
+/// let events = |t: &ChunkedTrace| t.streams[2].iter().collect::<Vec<_>>();
+/// assert_eq!(events(&back), events(&trace));
 /// # Ok(())
 /// # }
 /// ```
 ///
 /// # Errors
 ///
-/// Returns any I/O error from the writer.
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
+/// Returns any I/O error from the writer, including one from the final
+/// flush.
+pub fn write_trace<W: Write>(trace: &ChunkedTrace, mut w: W) -> io::Result<()> {
     writeln!(w, "oscache-trace 1")?;
     writeln!(w, "workload {}", trace.meta.workload)?;
     writeln!(w, "cpus {}", trace.n_cpus())?;
@@ -182,8 +191,8 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     }
     for (cpu, stream) in trace.streams.iter().enumerate() {
         writeln!(w, "stream {cpu}")?;
-        for e in stream.events() {
-            match *e {
+        for e in stream {
+            match e {
                 Event::Exec { block } => writeln!(w, "E {}", block.0)?,
                 Event::Read { addr, class } => writeln!(w, "R {:x} {}", addr.0, class.name())?,
                 Event::Write { addr, class } => writeln!(w, "W {:x} {}", addr.0, class.name())?,
@@ -217,7 +226,8 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
         }
     }
     writeln!(w, "end")?;
-    Ok(())
+    // A buffered writer dropped unflushed would discard this error.
+    w.flush()
 }
 
 struct Parser {
@@ -245,11 +255,12 @@ impl Parser {
     }
 }
 
-/// Reads a trace previously written by [`write_trace`].
+/// Reads a trace previously written by [`write_trace`], validating it.
 ///
-/// Decoding goes through [`read_trace_chunked`] and materializes at the
-/// end; callers that keep the trace chunked should use that function
-/// directly and skip the materialization entirely.
+/// Events encode straight into per-CPU [`ChunkedStreamBuilder`]s as lines
+/// are parsed — no per-CPU `Vec<Event>` of the whole trace ever exists, so
+/// peak memory while loading a dump is the finished compact encoding plus
+/// one open chunk per CPU.
 ///
 /// # Errors
 ///
@@ -257,22 +268,10 @@ impl Parser {
 /// format (wrong magic, unknown event letter, missing fields, more than
 /// [`MAX_CPUS`] CPUs),
 /// [`ReadTraceError::Truncated`] when the input ends before the trailing
-/// `end` marker, and [`ReadTraceError::Io`] on reader failures.
-pub fn read_trace<R: BufRead>(r: R) -> Result<Trace, ReadTraceError> {
-    Ok(read_trace_chunked(r)?.to_trace())
-}
-
-/// Reads a trace dump directly into the chunked columnar representation.
-///
-/// Events decode straight into per-CPU [`ChunkedStreamBuilder`]s as lines
-/// are parsed — no intermediate per-CPU `Vec<Event>` of the whole trace
-/// ever exists, so peak memory while loading a dump is the finished
-/// compact encoding plus one open chunk per CPU.
-///
-/// # Errors
-///
-/// Same as [`read_trace`].
-pub fn read_trace_chunked<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceError> {
+/// `end` marker, [`ReadTraceError::Invalid`] when the parsed trace fails
+/// [`ChunkedTrace::validate`], and [`ReadTraceError::Io`] on reader
+/// failures.
+pub fn read_trace<R: BufRead>(r: R) -> Result<ChunkedTrace, ReadTraceError> {
     let mut p = Parser { line_no: 0 };
     let mut lines = r.lines();
     let mut next = |p: &mut Parser| -> Result<Option<String>, ReadTraceError> {
@@ -487,7 +486,7 @@ mod tests {
     use super::*;
     use crate::StreamBuilder;
 
-    fn sample() -> Trace {
+    fn sample() -> ChunkedTrace {
         let mut meta = TraceMeta::default();
         let site = meta.code.add_site("seq", false);
         let lsite = meta.code.add_site("loop", true);
@@ -502,7 +501,7 @@ mod tests {
             false_shared_group: Some(3),
         });
         meta.kernel_data.push((Addr(0x0100_0000), 0x4000));
-        let mut t = Trace::new(2, meta);
+        let mut t = ChunkedTrace::new(2, meta);
         let mut b = StreamBuilder::new();
         b.set_mode(Mode::Os);
         b.exec(bb);
@@ -548,7 +547,8 @@ mod tests {
         assert_eq!(back.meta.code.block_count(), t.meta.code.block_count());
         assert_eq!(back.meta.code.site_count(), t.meta.code.site_count());
         for cpu in 0..2 {
-            assert_eq!(back.streams[cpu].events(), t.streams[cpu].events());
+            let events = |s: &ChunkedTrace| s.streams[cpu].iter().collect::<Vec<_>>();
+            assert_eq!(events(&back), events(&t));
         }
     }
 
@@ -589,21 +589,6 @@ mod tests {
         let cut = buf[..half].iter().rposition(|&b| b == b'\n').unwrap() + 1;
         let err = read_trace(&buf[..cut]).unwrap_err();
         assert!(matches!(err, ReadTraceError::Truncated { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn chunked_read_matches_materialized_read() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        let chunked = read_trace_chunked(&buf[..]).unwrap();
-        let flat = read_trace(&buf[..]).unwrap();
-        assert_eq!(chunked.n_cpus(), flat.n_cpus());
-        assert_eq!(chunked.total_events(), flat.total_events());
-        for cpu in 0..flat.n_cpus() {
-            let decoded: Vec<Event> = chunked.streams[cpu].iter().collect();
-            assert_eq!(decoded.as_slice(), flat.streams[cpu].events());
-        }
     }
 
     #[test]
@@ -662,6 +647,27 @@ mod tests {
         let input = b"oscache-trace 1\nworkload x\ncpus 1\nstream 0\nI notanumber\n";
         let err = read_trace(&input[..]).unwrap_err();
         assert!(err.to_string().contains("line 5"), "{err}");
+    }
+
+    /// A sink whose every write fails, like a full disk.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("no space left on device"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_final_flush_is_an_error() {
+        // The whole dump fits the buffer, so the sink is first written at
+        // the final flush; dropping the `BufWriter` would lose its error.
+        let err = write_trace(&sample(), io::BufWriter::new(FullDisk)).unwrap_err();
+        assert!(err.to_string().contains("no space"), "{err}");
     }
 
     #[test]

@@ -18,9 +18,12 @@
 //!   its basic-block instrumentation (§2.2).
 //! * [`CodeLayout`] — basic blocks with instruction addresses, so the
 //!   simulator can replay instruction fetches against the L1 I-cache.
-//! * [`Trace`] — one [`Stream`] per CPU plus the metadata (code layout,
-//!   kernel variable map, synchronization objects) the software optimization
-//!   passes need.
+//! * [`ChunkedTrace`] — one [`ChunkedStream`] per CPU, each a run of
+//!   compact independently-decodable chunks, plus the [`TraceMeta`] (code
+//!   layout, kernel variable map, kernel data ranges) the software
+//!   optimization passes need. It is the one trace type: the generators
+//!   build it, every pass and the simulator consume it, and
+//!   [`write_trace`]/[`read_trace`] dump and load it.
 //!
 //! # Example
 //!
@@ -32,7 +35,8 @@
 //! b.read(Addr(0x0100_0000), DataClass::RunQueue);
 //! b.write(Addr(0x0100_0040), DataClass::InfreqCounter);
 //! let stream = b.finish();
-//! assert_eq!(stream.events().len(), 3); // mode switch + read + write
+//! assert_eq!(stream.len(), 3); // mode switch + read + write
+//! assert!(stream.iter().nth(1).unwrap().is_read());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,10 +49,10 @@ mod code;
 mod event;
 mod hotspot;
 pub mod io;
+mod meta;
 pub mod rng;
 pub mod spill;
 mod stream;
-mod trace;
 mod validate;
 
 pub use addr::{Addr, CpuId, LineAddr, PAGE_SIZE, WORD_SIZE};
@@ -57,13 +61,13 @@ pub use class::{CoherenceCategory, DataClass};
 pub use code::{BasicBlock, BlockId, CodeLayout, SiteId, SiteInfo};
 pub use event::{BarrierId, BlockKind, BlockOp, Event, LockId, Mode};
 pub use hotspot::{HotspotPlan, MergedStream, PlanEntry, LOOP_AHEAD};
-pub use io::{read_trace, read_trace_chunked, write_trace, ReadTraceError};
+pub use io::{read_trace, write_trace, ReadTraceError};
+pub use meta::{KernelVar, TraceMeta, VarRole};
 pub use spill::{
     IoFaultClass, IoFaultPlan, MemBudget, SpillError, SpillErrorKind, SpillStore, SpillTarget,
     StoreIdentity,
 };
-pub use stream::{Stream, StreamBuilder};
-pub use trace::{KernelVar, Trace, TraceMeta, VarRole};
+pub use stream::StreamBuilder;
 pub use validate::TraceError;
 
 /// A stable 64-bit FNV-1a digest of `bytes` (journal record identity,

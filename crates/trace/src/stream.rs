@@ -1,84 +1,12 @@
-//! Per-CPU event streams and their builder.
+//! The checked per-CPU stream builder.
 
 use crate::chunk::{ChunkedStream, ChunkedStreamBuilder};
 use crate::{Addr, BarrierId, BlockId, BlockOp, DataClass, Event, LockId, Mode};
 
-/// The ordered sequence of [`Event`]s one processor issues.
-#[derive(Clone, Debug, Default)]
-pub struct Stream {
-    events: Vec<Event>,
-}
-
-impl Stream {
-    /// Creates an empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an event vector. Prefer [`StreamBuilder`] for construction with
-    /// bracket/mode checking.
-    pub fn from_events(events: Vec<Event>) -> Self {
-        Stream { events }
-    }
-
-    /// The events in issue order.
-    #[inline]
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Consumes the stream, returning its events (for rewriting passes).
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if the stream holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scalar data reads (the unit of the paper's miss counts:
-    /// "miss rates and misses refer to reads only", §3).
-    pub fn read_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_read()).count()
-    }
-
-    /// Number of scalar data writes.
-    pub fn write_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_write()).count()
-    }
-}
-
-impl FromIterator<Event> for Stream {
-    fn from_iter<T: IntoIterator<Item = Event>>(iter: T) -> Self {
-        Stream {
-            events: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Event> for Stream {
-    fn extend<T: IntoIterator<Item = Event>>(&mut self, iter: T) {
-        self.events.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a Stream {
-    type Item = &'a Event;
-    type IntoIter = std::slice::Iter<'a, Event>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
-    }
-}
-
-/// Incremental [`Stream`] constructor that enforces structural invariants:
-/// block-operation brackets balance and do not nest, lock acquire/release
-/// pair up per lock, and redundant mode switches are elided.
+/// Incremental [`ChunkedStream`] constructor that enforces structural
+/// invariants: block-operation brackets balance and do not nest, lock
+/// acquire/release pair up per lock, and redundant mode switches are
+/// elided.
 ///
 /// # Example
 ///
@@ -93,7 +21,7 @@ impl<'a> IntoIterator for &'a Stream {
 /// b.write(Addr(0x2000), DataClass::PageFrame);
 /// b.end_block_op();
 /// let s = b.finish();
-/// assert_eq!(s.read_count(), 1);
+/// assert_eq!(s.iter().filter(|e| e.is_read()).count(), 1);
 /// ```
 #[derive(Debug)]
 pub struct StreamBuilder {
@@ -296,18 +224,12 @@ impl StreamBuilder {
         }
     }
 
-    /// Finalizes the stream, decoded into a flat [`Stream`].
+    /// Finalizes the stream.
     ///
     /// # Panics
     ///
     /// Panics if a block operation is still open or any lock is still held.
-    pub fn finish(self) -> Stream {
-        self.finish_chunked().to_stream()
-    }
-
-    /// Finalizes as a [`ChunkedStream`] (the streaming counterpart of
-    /// [`StreamBuilder::finish`], same invariant checks and panics).
-    pub fn finish_chunked(self) -> ChunkedStream {
+    pub fn finish(self) -> ChunkedStream {
         assert!(!self.in_block_op, "unterminated block operation");
         assert!(
             self.held_locks.is_empty(),
@@ -338,11 +260,11 @@ mod tests {
     fn rmw_is_read_then_write() {
         let mut b = StreamBuilder::new();
         b.rmw(Addr(4), DataClass::InfreqCounter);
-        let s = b.finish();
-        assert!(s.events()[0].is_read());
-        assert!(s.events()[1].is_write());
-        assert_eq!(s.read_count(), 1);
-        assert_eq!(s.write_count(), 1);
+        let s: Vec<Event> = b.finish().iter().collect();
+        assert!(s[0].is_read());
+        assert!(s[1].is_write());
+        assert_eq!(s.iter().filter(|e| e.is_read()).count(), 1);
+        assert_eq!(s.iter().filter(|e| e.is_write()).count(), 1);
     }
 
     #[test]
@@ -389,32 +311,23 @@ mod tests {
         let mut b = StreamBuilder::new();
         b.begin_block_zero(Addr(0x3000), 128, DataClass::PageFrame);
         b.end_block_op();
-        let s = b.finish();
-        match s.events()[0] {
+        match b.finish().iter().next().unwrap() {
             Event::BlockOpBegin { op } => {
                 assert_eq!(op.kind, BlockKind::Zero);
                 assert_eq!(op.src, op.dst);
             }
-            ref other => panic!("unexpected event {other:?}"),
+            other => panic!("unexpected event {other:?}"),
         }
     }
 
     #[test]
-    #[should_panic(expected = "locks still held")]
-    fn finish_chunked_with_held_lock_panics() {
-        let mut b = StreamBuilder::new();
-        b.lock_acquire(LockId(1), Addr(64));
-        let _ = b.finish_chunked();
-    }
-
-    #[test]
     fn stream_collects_from_iterator() {
-        let s: Stream = vec![Event::Idle { cycles: 3 }, Event::BlockOpEnd]
-            .into_iter()
-            .collect();
+        let s = ChunkedStream::from_events(
+            vec![Event::Idle { cycles: 3 }, Event::BlockOpEnd],
+            crate::CHUNK_EVENTS,
+        );
         assert_eq!(s.len(), 2);
-        let mut s2 = Stream::new();
-        s2.extend([Event::Idle { cycles: 1 }]);
+        let s2 = ChunkedStream::from_events([Event::Idle { cycles: 1 }], crate::CHUNK_EVENTS);
         assert_eq!(s2.len(), 1);
         assert!(!s2.is_empty());
     }

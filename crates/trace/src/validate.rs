@@ -6,19 +6,20 @@
 //! resolve against the code layout, lock and block-operation brackets are
 //! well-nested per CPU, barrier arrivals agree on their participant count,
 //! kernel variables sit inside the declared kernel data ranges, and block
-//! operations stay inside the address space. [`Trace::validate`] reports the
-//! first violation as a typed [`TraceError`]; `read_trace` and
+//! operations stay inside the address space. `ChunkedTrace::validate`
+//! reports the first violation as a typed [`TraceError`]; `read_trace` and
 //! `Machine::new` both call it so malformed input is rejected with a precise
-//! error instead of a panic deep inside replay. Chunked traces run the same
-//! rules while they are encoded ([`StreamProver`]) and keep the outcome as
-//! per-stream [`StreamFacts`], so validating them reads no event back unless
-//! the facts cannot prove the trace valid.
+//! error instead of a panic deep inside replay. The rules run while a stream
+//! is encoded ([`StreamProver`]) and the outcome is kept as per-stream
+//! [`StreamFacts`], so validation reads no event back unless the facts
+//! cannot prove the trace valid; then `ChunkedTrace::validate_by_scan` runs
+//! the same rules over every event.
 
-use crate::{BarrierId, BlockId, Event, LockId, Trace, TraceMeta};
+use crate::{BarrierId, BlockId, Event, LockId, TraceMeta};
 use std::collections::HashMap;
 use std::fmt;
 
-/// A structural violation found in a [`Trace`].
+/// A structural violation found in a trace.
 ///
 /// `cpu` is the stream index and `index` the offending event's position in
 /// that stream, so errors point at the exact event.
@@ -220,12 +221,10 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The shared per-event validation engine behind [`Trace::validate`],
-/// `ChunkedTrace::validate`'s scan and the encoder's [`StreamProver`]: all
-/// three drive the same `step`/`finish_stream` state machine, so the
-/// chunked representation is checked against exactly the invariants the
-/// materialized one is — by construction, not by a parallel copy of the
-/// rules.
+/// The shared per-event validation engine behind
+/// `ChunkedTrace::validate_by_scan` and the encoder's [`StreamProver`]:
+/// both drive the same `step`/`finish_stream` state machine, so what the
+/// encoder proves and what the scan finds come from one copy of the rules.
 #[derive(Debug)]
 pub(crate) struct TraceValidator {
     n_cpus: usize,
@@ -525,46 +524,21 @@ pub(crate) fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
     Ok(())
 }
 
-impl Trace {
-    /// Checks every structural invariant a well-formed trace satisfies,
-    /// returning the first violation.
-    ///
-    /// Replay consumers (`Machine::new`) and the dump reader (`read_trace`)
-    /// call this so that malformed or adversarial traces are rejected with
-    /// a typed error before simulation starts.
-    pub fn validate(&self) -> Result<(), TraceError> {
-        let mut v = TraceValidator::new(&self.meta, self.n_cpus())?;
-        for (cpu, stream) in self.streams.iter().enumerate() {
-            let mut st = v.stream_state();
-            for (index, ev) in stream.events().iter().enumerate() {
-                v.step(&mut st, cpu, index, ev)?;
-            }
-            v.finish_stream(st, cpu)?;
-        }
-        Ok(())
-    }
-
-    /// Like [`Trace::validate`], additionally requiring exactly `expected`
-    /// CPU streams.
-    pub fn validate_for_cpus(&self, expected: usize) -> Result<(), TraceError> {
-        if self.n_cpus() != expected {
-            return Err(TraceError::CpuCountMismatch {
-                expected,
-                actual: self.n_cpus(),
-            });
-        }
-        self.validate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Addr, DataClass, KernelVar, Mode, Stream, StreamBuilder, TraceMeta, VarRole};
+    use crate::{
+        Addr, ChunkedStream, ChunkedTrace, DataClass, KernelVar, Mode, StreamBuilder, TraceMeta,
+        VarRole, CHUNK_EVENTS,
+    };
 
-    fn one_cpu_trace(stream: Stream) -> Trace {
-        let mut t = Trace::new(1, TraceMeta::default());
-        t.streams[0] = stream;
+    fn stream(events: Vec<Event>) -> ChunkedStream {
+        ChunkedStream::from_events(events, CHUNK_EVENTS)
+    }
+
+    fn one_cpu_trace(events: Vec<Event>) -> ChunkedTrace {
+        let mut t = ChunkedTrace::new(1, TraceMeta::default());
+        t.streams[0] = stream(events);
         t
     }
 
@@ -582,7 +556,7 @@ mod tests {
         b.begin_block_zero(Addr(0x2000), 64, DataClass::PageFrame);
         b.write(Addr(0x2000), DataClass::PageFrame);
         b.end_block_op();
-        let mut t = Trace::new(1, meta);
+        let mut t = ChunkedTrace::new(1, meta);
         t.streams[0] = b.finish();
         assert_eq!(t.validate(), Ok(()));
         assert_eq!(t.validate_for_cpus(1), Ok(()));
@@ -590,7 +564,7 @@ mod tests {
 
     #[test]
     fn cpu_count_mismatch_detected() {
-        let t = Trace::new(2, TraceMeta::default());
+        let t = ChunkedTrace::new(2, TraceMeta::default());
         assert_eq!(
             t.validate_for_cpus(4),
             Err(TraceError::CpuCountMismatch {
@@ -602,7 +576,7 @@ mod tests {
 
     #[test]
     fn unknown_block_detected() {
-        let t = one_cpu_trace(Stream::from_events(vec![Event::Exec { block: BlockId(7) }]));
+        let t = one_cpu_trace(vec![Event::Exec { block: BlockId(7) }]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::UnknownBlock {
@@ -623,14 +597,14 @@ mod tests {
             lock: LockId(3),
             addr: Addr(0x40),
         };
-        let t = one_cpu_trace(Stream::from_events(vec![acquire, acquire]));
+        let t = one_cpu_trace(vec![acquire, acquire]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::LockAlreadyHeld { .. })
         ));
-        let t = one_cpu_trace(Stream::from_events(vec![release]));
+        let t = one_cpu_trace(vec![release]);
         assert!(matches!(t.validate(), Err(TraceError::LockNotHeld { .. })));
-        let t = one_cpu_trace(Stream::from_events(vec![acquire]));
+        let t = one_cpu_trace(vec![acquire]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::LockHeldAtEnd { .. })
@@ -644,14 +618,14 @@ mod tests {
             addr: Addr(0x80),
             participants,
         };
-        let mut t = Trace::new(2, TraceMeta::default());
-        t.streams[0] = Stream::from_events(vec![arrive(3)]);
+        let mut t = ChunkedTrace::new(2, TraceMeta::default());
+        t.streams[0] = stream(vec![arrive(3)]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::BarrierParticipants { .. })
         ));
-        t.streams[0] = Stream::from_events(vec![arrive(2)]);
-        t.streams[1] = Stream::from_events(vec![arrive(1)]);
+        t.streams[0] = stream(vec![arrive(2)]);
+        t.streams[1] = stream(vec![arrive(1)]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::InconsistentBarrier { cpu: 1, .. })
@@ -670,26 +644,22 @@ mod tests {
                 dst_class: DataClass::PageFrame,
             },
         };
-        let t = one_cpu_trace(Stream::from_events(vec![begin, begin]));
+        let t = one_cpu_trace(vec![begin, begin]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::NestedBlockOp { .. })
         ));
-        let t = one_cpu_trace(Stream::from_events(vec![Event::BlockOpEnd]));
+        let t = one_cpu_trace(vec![Event::BlockOpEnd]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::UnmatchedBlockOpEnd { .. })
         ));
-        let t = one_cpu_trace(Stream::from_events(vec![begin]));
+        let t = one_cpu_trace(vec![begin]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::UnterminatedBlockOp { cpu: 0 })
         ));
-        let t = one_cpu_trace(Stream::from_events(vec![
-            begin,
-            Event::Idle { cycles: 5 },
-            Event::BlockOpEnd,
-        ]));
+        let t = one_cpu_trace(vec![begin, Event::Idle { cycles: 5 }, Event::BlockOpEnd]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::ForeignEventInBlockOp { kind: "idle", .. })
@@ -708,7 +678,7 @@ mod tests {
                 dst_class: DataClass::PageFrame,
             },
         };
-        let t = one_cpu_trace(Stream::from_events(vec![begin, Event::BlockOpEnd]));
+        let t = one_cpu_trace(vec![begin, Event::BlockOpEnd]);
         assert!(matches!(
             t.validate(),
             Err(TraceError::BlockOpOutOfRange { .. })
@@ -723,7 +693,7 @@ mod tests {
                 dst_class: DataClass::PageFrame,
             },
         };
-        let t = one_cpu_trace(Stream::from_events(vec![zero, Event::BlockOpEnd]));
+        let t = one_cpu_trace(vec![zero, Event::BlockOpEnd]);
         assert!(matches!(t.validate(), Err(TraceError::EmptyBlockOp { .. })));
     }
 
@@ -743,7 +713,7 @@ mod tests {
             vars: vec![var],
             kernel_data: vec![(Addr(0x0100_0000), 0x1000)],
         };
-        let t = Trace::new(1, meta);
+        let t = ChunkedTrace::new(1, meta);
         assert!(matches!(
             t.validate(),
             Err(TraceError::VarOutsideKernelData { .. })

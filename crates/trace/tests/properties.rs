@@ -68,7 +68,7 @@ fn builder_streams_are_well_formed() {
         // Brackets balance and never nest.
         let mut depth = 0i32;
         let mut last_mode: Option<Mode> = None;
-        for e in s.events() {
+        for e in &s {
             match e {
                 Event::BlockOpBegin { .. } => {
                     depth += 1;
@@ -79,8 +79,8 @@ fn builder_streams_are_well_formed() {
                     assert_eq!(depth, 0);
                 }
                 Event::SetMode { mode } => {
-                    assert_ne!(Some(*mode), last_mode, "redundant mode switch");
-                    last_mode = Some(*mode);
+                    assert_ne!(Some(mode), last_mode, "redundant mode switch");
+                    last_mode = Some(mode);
                 }
                 _ => {}
             }
@@ -104,8 +104,8 @@ fn read_write_counts_are_exact() {
             b.write(Addr(k as u32 * 4), DataClass::UserData);
         }
         let s = b.finish();
-        assert_eq!(s.read_count(), reads);
-        assert_eq!(s.write_count(), writes);
+        assert_eq!(s.iter().filter(Event::is_read).count(), reads);
+        assert_eq!(s.iter().filter(Event::is_write).count(), writes);
         assert_eq!(s.len(), reads + writes);
     }
 }
@@ -120,24 +120,23 @@ fn zero_ops_are_well_formed() {
         let mut b = StreamBuilder::new();
         b.begin_block_zero(Addr(dst), len, DataClass::PageFrame);
         b.end_block_op();
-        let s = b.finish();
-        match s.events()[0] {
+        match b.finish().iter().next().unwrap() {
             Event::BlockOpBegin { op } => {
                 assert_eq!(op.kind, BlockKind::Zero);
                 assert_eq!(op.src, op.dst);
                 assert!(op.len > 0);
             }
-            ref other => panic!("unexpected {other:?}"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 }
 
-/// Every builder-produced stream passes `Trace::validate`, and a
+/// Every builder-produced stream passes `ChunkedTrace::validate`, and a
 /// serialization round-trip through `write_trace`/`read_trace` (which also
 /// validates) preserves it.
 #[test]
 fn random_builder_streams_validate_and_roundtrip() {
-    use oscache_trace::{read_trace, write_trace, Trace, TraceMeta};
+    use oscache_trace::{read_trace, write_trace, ChunkedTrace, TraceMeta};
     let mut rng = SmallRng::seed_from_u64(0xF00F);
     for _ in 0..64 {
         let mut meta = TraceMeta::default();
@@ -159,12 +158,12 @@ fn random_builder_streams_validate_and_roundtrip() {
                 _ => b.idle(rng.gen_range(1..50u32)),
             }
         }
-        let mut t = Trace::new(1, meta);
+        let mut t = ChunkedTrace::new(1, meta);
         t.streams[0] = b.finish();
         assert_eq!(t.validate(), Ok(()));
         let mut buf = Vec::new();
         write_trace(&t, &mut buf).unwrap();
         let back = read_trace(&buf[..]).unwrap();
-        assert_eq!(back.streams[0].events(), t.streams[0].events());
+        assert!(back.streams[0].iter().eq(t.streams[0].iter()));
     }
 }

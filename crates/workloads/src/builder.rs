@@ -11,7 +11,7 @@ use crate::user::{UserProc, UserPrograms};
 use oscache_kernel::{Fill, Kernel, N_BARRIERS, N_BUFFERS, N_FRAMES};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    BarrierId, ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, Trace, TraceMeta,
+    BarrierId, ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, TraceMeta,
 };
 
 /// Number of CPUs in every workload (the traced machine has 4).
@@ -247,13 +247,6 @@ impl Workload {
     }
 }
 
-/// Builds one of the paper's workload traces, decoded into the
-/// materialized [`Trace`] (for trace dumps and event-level inspection;
-/// the simulator itself consumes [`build_chunked`]).
-pub fn build(workload: Workload, opts: BuildOptions) -> Trace {
-    build_chunked(workload, opts).to_trace()
-}
-
 /// Builds one of the paper's workload traces, encoded straight into the
 /// chunked representation: each per-CPU stream is sealed into fixed-size
 /// delta-encoded chunks as the generator emits events, so the peak decoded
@@ -324,7 +317,8 @@ pub struct TraceBuildKey {
 }
 
 impl BuildOptions {
-    /// The cache key identifying the trace `build(workload, self)` returns.
+    /// The cache key identifying the trace `build_chunked(workload, self)`
+    /// returns.
     pub fn key(&self, workload: Workload) -> TraceBuildKey {
         TraceBuildKey {
             workload,
@@ -374,9 +368,9 @@ impl TraceBuildKey {
 ///
 /// Panics if `opts.scale <= 0`, `mix.segments < 2`, or `opts.n_cpus` is
 /// outside `1..=8`.
-pub fn build_with_mix(name: &str, base: Workload, mix: Mix, opts: BuildOptions) -> Trace {
+pub fn build_with_mix(name: &str, base: Workload, mix: Mix, opts: BuildOptions) -> ChunkedTrace {
     assert!(mix.segments >= 2, "need at least two segments per round");
-    let mut trace = Builder::new(base, mix, opts).run().to_trace();
+    let mut trace = Builder::new(base, mix, opts).run();
     trace.meta.workload = name.to_string();
     trace
 }
@@ -856,7 +850,7 @@ impl Builder {
         let meta = self.take_meta();
         let mut trace = ChunkedTrace::new(self.n_cpus, meta);
         for (k, s) in self.streams.into_iter().enumerate() {
-            trace.streams[k] = s.finish_chunked();
+            trace.streams[k] = s.finish();
         }
         trace
     }
@@ -867,8 +861,8 @@ mod tests {
     use super::*;
     use oscache_trace::Event;
 
-    fn small(w: Workload) -> Trace {
-        build(
+    fn small(w: Workload) -> ChunkedTrace {
+        build_chunked(
             w,
             BuildOptions {
                 scale: 0.05,
@@ -930,7 +924,7 @@ mod tests {
         let b = small(Workload::Shell);
         assert_eq!(a.total_events(), b.total_events());
         for cpu in 0..4 {
-            assert_eq!(a.streams[cpu].events(), b.streams[cpu].events());
+            assert!(a.streams[cpu].iter().eq(b.streams[cpu].iter()), "cpu {cpu}");
         }
     }
 
@@ -942,8 +936,7 @@ mod tests {
                 .streams
                 .iter()
                 .map(|s| {
-                    s.events()
-                        .iter()
+                    s.iter()
                         .filter(|e| matches!(e, Event::Barrier { .. }))
                         .count()
                 })
@@ -957,7 +950,7 @@ mod tests {
 
     #[test]
     fn trfd4_has_mostly_page_sized_blocks() {
-        let t = build(
+        let t = build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.2,
@@ -968,7 +961,7 @@ mod tests {
         let mut page = 0u32;
         let mut other = 0u32;
         for s in &t.streams {
-            for e in s.events() {
+            for e in s {
                 if let Event::BlockOpBegin { op } = e {
                     if op.is_page_sized() {
                         page += 1;
@@ -983,7 +976,7 @@ mod tests {
 
     #[test]
     fn shell_has_mostly_small_blocks() {
-        let t = build(
+        let t = build_chunked(
             Workload::Shell,
             BuildOptions {
                 scale: 0.2,
@@ -994,7 +987,7 @@ mod tests {
         let mut small_ops = 0u32;
         let mut total = 0u32;
         for s in &t.streams {
-            for e in s.events() {
+            for e in s {
                 if let Event::BlockOpBegin { op } = e {
                     total += 1;
                     if op.len < 1024 {
@@ -1013,7 +1006,7 @@ mod tests {
     #[test]
     fn scale_controls_size() {
         let s1 = small(Workload::Trfd4).total_events();
-        let s2 = build(
+        let s2 = build_chunked(
             Workload::Trfd4,
             BuildOptions {
                 scale: 0.1,
@@ -1027,16 +1020,14 @@ mod tests {
 
     #[test]
     fn modes_alternate_and_locks_balance() {
-        // finish() inside build() already asserts lock balance; check that
-        // both modes appear.
+        // finish() inside build_chunked() already asserts lock balance;
+        // check that both modes appear.
         let t = small(Workload::TrfdMake);
         for s in &t.streams {
             let os = s
-                .events()
                 .iter()
                 .any(|e| matches!(e, Event::SetMode { mode: Mode::Os }));
             let user = s
-                .events()
                 .iter()
                 .any(|e| matches!(e, Event::SetMode { mode: Mode::User }));
             assert!(os && user);

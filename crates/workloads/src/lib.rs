@@ -31,7 +31,7 @@ mod builder;
 mod user;
 
 pub use builder::{
-    build, build_chunked, build_chunked_shared, build_chunked_spilled, build_with_mix,
-    BuildOptions, Mix, TraceBuildKey, Workload, N_CPUS,
+    build_chunked, build_chunked_shared, build_chunked_spilled, build_with_mix, BuildOptions, Mix,
+    TraceBuildKey, Workload, N_CPUS,
 };
 pub use user::{UserProc, UserProgram, UserPrograms};

@@ -286,7 +286,7 @@ impl UserProc {
 mod tests {
     use super::*;
     use oscache_trace::rng::SmallRng;
-    use oscache_trace::Mode;
+    use oscache_trace::{Event, Mode};
 
     fn setup() -> (Kernel, UserPrograms, CodeLayout) {
         let mut code = CodeLayout::new();
@@ -334,9 +334,9 @@ mod tests {
             p.shell_step(&mut b, &u.shell, &mut rng);
         }
         let s = b.finish();
-        assert!(s.read_count() > 100);
-        assert!(s.write_count() > 20);
-        for e in s.events() {
+        assert!(s.iter().filter(Event::is_read).count() > 100);
+        assert!(s.iter().filter(Event::is_write).count() > 20);
+        for e in &s {
             if let Some(c) = e.data_class() {
                 assert!(!c.is_kernel_structure(), "unexpected class {c:?}");
             }
@@ -354,7 +354,6 @@ mod tests {
         let s = b.finish();
         // The 5 hot reads per step must stay inside [data, data+HOT).
         let hot_reads = s
-            .events()
             .iter()
             .filter(|e| {
                 matches!(e, oscache_trace::Event::Read { addr, .. }

@@ -1,11 +1,11 @@
 //! Structural tests of the generated workload traces — the properties the
 //! simulator and the optimization passes rely on.
 
-use oscache_trace::{BlockKind, DataClass, Event, Mode, Trace};
-use oscache_workloads::{build, BuildOptions, Workload};
+use oscache_trace::{BlockKind, ChunkedTrace, DataClass, Event, Mode};
+use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
-fn small(w: Workload) -> Trace {
-    build(
+fn small(w: Workload) -> ChunkedTrace {
+    build_chunked(
         w,
         BuildOptions {
             scale: 0.1,
@@ -20,8 +20,8 @@ fn every_stream_starts_in_user_mode_and_switches() {
     for w in Workload::all() {
         let t = small(w);
         for (cpu, s) in t.streams.iter().enumerate() {
-            let first_mode = s.events().iter().find_map(|e| match e {
-                Event::SetMode { mode } => Some(*mode),
+            let first_mode = s.iter().find_map(|e| match e {
+                Event::SetMode { mode } => Some(mode),
                 _ => None,
             });
             assert_eq!(first_mode, Some(Mode::Os), "{w} cpu{cpu}: first switch");
@@ -36,7 +36,7 @@ fn xproc_sends_equal_handles() {
         let mut sends = 0usize;
         let mut handles = 0usize;
         for s in &t.streams {
-            for e in s.events() {
+            for e in s.iter() {
                 match e {
                     Event::Write {
                         class: DataClass::CpiEvents,
@@ -74,7 +74,7 @@ fn kernel_data_ranges_are_populated_and_disjoint() {
 fn zero_ops_only_come_from_page_zeroing() {
     let t = small(Workload::Trfd4);
     for s in &t.streams {
-        for e in s.events() {
+        for e in s.iter() {
             if let Event::BlockOpBegin { op } = e {
                 if op.kind == BlockKind::Zero {
                     assert_eq!(op.len, oscache_trace::PAGE_SIZE);
@@ -90,9 +90,9 @@ fn block_op_bodies_only_touch_the_block() {
     let t = small(Workload::TrfdMake);
     for s in &t.streams {
         let mut cur: Option<oscache_trace::BlockOp> = None;
-        for e in s.events() {
+        for e in s.iter() {
             match e {
-                Event::BlockOpBegin { op } => cur = Some(*op),
+                Event::BlockOpBegin { op } => cur = Some(op),
                 Event::BlockOpEnd => cur = None,
                 Event::Read { addr, .. } if cur.is_some() => {
                     let op = cur.unwrap();
@@ -116,17 +116,16 @@ fn block_op_bodies_only_touch_the_block() {
 
 #[test]
 fn workload_mix_differs_in_the_documented_ways() {
-    let count_barriers = |t: &Trace| {
+    let count_barriers = |t: &ChunkedTrace| {
         t.streams[0]
-            .events()
             .iter()
             .filter(|e| matches!(e, Event::Barrier { .. }))
             .count()
     };
-    let count_syscalls = |t: &Trace| {
+    let count_syscalls = |t: &ChunkedTrace| {
         t.streams
             .iter()
-            .flat_map(|s| s.events())
+            .flat_map(|s| s.iter())
             .filter(|e| {
                 matches!(
                     e,
@@ -159,10 +158,9 @@ fn idle_time_is_emitted_for_every_cpu() {
         let t = small(w);
         for (cpu, s) in t.streams.iter().enumerate() {
             let idle: u64 = s
-                .events()
                 .iter()
                 .filter_map(|e| match e {
-                    Event::Idle { cycles } => Some(u64::from(*cycles)),
+                    Event::Idle { cycles } => Some(u64::from(cycles)),
                     _ => None,
                 })
                 .sum();
@@ -177,7 +175,6 @@ fn counters_are_updated_by_every_cpu() {
     let v_syscall = t.meta.var_named("vmmeter.v_syscall").unwrap().addr;
     for (cpu, s) in t.streams.iter().enumerate() {
         let updates = s
-            .events()
             .iter()
             .filter(|e| e.is_write() && e.data_addr() == Some(v_syscall))
             .count();
@@ -187,7 +184,7 @@ fn counters_are_updated_by_every_cpu() {
 
 #[test]
 fn seeds_change_the_trace_but_not_its_shape() {
-    let a = build(
+    let a = build_chunked(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.1,
@@ -195,7 +192,7 @@ fn seeds_change_the_trace_but_not_its_shape() {
             ..Default::default()
         },
     );
-    let b = build(
+    let b = build_chunked(
         Workload::Arc2dFsck,
         BuildOptions {
             scale: 0.1,
@@ -204,8 +201,8 @@ fn seeds_change_the_trace_but_not_its_shape() {
         },
     );
     assert_ne!(
-        a.streams[0].events().len(),
-        b.streams[0].events().len(),
+        a.streams[0].len(),
+        b.streams[0].len(),
         "different seeds should differ in detail"
     );
     // But the volume is in the same ballpark (±20%).
@@ -240,7 +237,7 @@ fn custom_mix_builds_and_respects_rates() {
     let ops = t
         .streams
         .iter()
-        .flat_map(|s| s.events())
+        .flat_map(|s| s.iter())
         .filter(|e| matches!(e, Event::BlockOpBegin { .. }))
         .count();
     assert_eq!(ops, 0, "copy-free mix must emit no block operations");
@@ -248,15 +245,15 @@ fn custom_mix_builds_and_respects_rates() {
 
 #[test]
 fn mix_accessor_matches_build() {
-    // Building with the workload's own mix is identical to build().
+    // Building with the workload's own mix is identical to build_chunked().
     let opts = BuildOptions {
         scale: 0.05,
         seed: 77,
         ..Default::default()
     };
-    let a = build(Workload::Shell, opts);
+    let a = build_chunked(Workload::Shell, opts);
     let b =
         oscache_workloads::build_with_mix("Shell", Workload::Shell, Workload::Shell.mix(), opts);
     assert_eq!(a.total_events(), b.total_events());
-    assert_eq!(a.streams[2].events(), b.streams[2].events());
+    assert!(a.streams[2].iter().eq(b.streams[2].iter()));
 }

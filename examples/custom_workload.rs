@@ -11,7 +11,6 @@
 //! ```
 
 use oscache::core::{run_system, MissBreakdown, OsTimeBreakdown, System};
-use oscache::trace::ChunkedTrace;
 use oscache::workloads::{build_with_mix, BuildOptions, Workload};
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
         "mix", "OS misses", "block%", "coh%", "other%", "Blk_Dma gain"
     );
     for (name, mix) in rows {
-        let t = ChunkedTrace::from_trace(&build_with_mix(name, Workload::Trfd4, mix, opts));
+        let t = build_with_mix(name, Workload::Trfd4, mix, opts);
         let base = run_system(&t, System::Base);
         let dma = run_system(&t, System::BlkDma);
         let b = MissBreakdown::from_stats(&base.stats);

@@ -12,7 +12,7 @@
 
 use oscache::kernel::Kernel;
 use oscache::memsys::{BlockOpScheme, Machine, MachineConfig};
-use oscache::trace::{ChunkedTrace, CodeLayout, Mode, Trace, TraceMeta};
+use oscache::trace::{ChunkedTrace, CodeLayout, Mode, TraceMeta};
 use oscache_trace::rng::SmallRng;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         }
         streams.push(b.finish());
     }
-    let mut trace = Trace::new(
+    let mut trace = ChunkedTrace::new(
         4,
         TraceMeta {
             workload: "fork_storm".into(),
@@ -52,7 +52,6 @@ fn main() {
         },
     );
     trace.streams = streams;
-    let trace = ChunkedTrace::from_trace(&trace);
 
     println!("fork-storm: 4 CPUs x 24 chained forks x 3 pages each\n");
     println!(

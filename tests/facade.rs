@@ -4,7 +4,7 @@
 use oscache::core::{run_system, Repro, System};
 use oscache::kernel::{Kernel, KernelLock};
 use oscache::memsys::{BlockOpScheme, Machine, MachineConfig};
-use oscache::trace::{ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, Trace, TraceMeta};
+use oscache::trace::{ChunkedTrace, CodeLayout, DataClass, Mode, StreamBuilder, TraceMeta};
 use oscache::workloads::{build_chunked, BuildOptions, Workload};
 
 #[test]
@@ -17,7 +17,7 @@ fn hand_built_trace_through_facade() {
     b.lock_acquire(lid, kernel.layout.lock_addr(KernelLock::Sched));
     b.read(kernel.layout.runq_head_addr(), DataClass::RunQueue);
     b.lock_release(lid, kernel.layout.lock_addr(KernelLock::Sched));
-    let mut t = Trace::new(
+    let mut t = ChunkedTrace::new(
         4,
         TraceMeta {
             workload: "facade".into(),
@@ -27,7 +27,7 @@ fn hand_built_trace_through_facade() {
         },
     );
     t.streams[0] = b.finish();
-    let stats = Machine::new(MachineConfig::base(), &ChunkedTrace::from_trace(&t))
+    let stats = Machine::new(MachineConfig::base(), &t)
         .unwrap()
         .run()
         .unwrap();
