@@ -96,10 +96,20 @@ pub struct SharingProfile {
 pub fn profile_sharing(trace: &ChunkedTrace) -> SharingProfile {
     assert!(trace.n_cpus() <= MAX_CPUS, "more than {MAX_CPUS} cpus");
     let meta = &trace.meta;
-    // Static-variable ranges, sorted for binary search.
+    // Static-variable ranges, sorted for binary search behind a check
+    // against their overall span `[lo, hi)`.
     let mut ranges: Vec<(u32, u32)> = meta.vars.iter().map(|v| (v.addr.0, v.size)).collect();
     ranges.sort_unstable();
+    let lo = ranges.first().map_or(0, |&(s, _)| s);
+    let hi = ranges
+        .iter()
+        .map(|&(s, len)| u64::from(s) + u64::from(len))
+        .max()
+        .unwrap_or(0);
     let in_static = |a: u32| -> bool {
+        if a < lo || u64::from(a) >= hi {
+            return false;
+        }
         match ranges.binary_search_by(|&(s, _)| s.cmp(&a)) {
             Ok(_) => true,
             Err(0) => false,

@@ -24,7 +24,7 @@ use crate::deferred::DeferralSummary;
 use oscache_trace::{
     Addr, ChunkedStreamBuilder, ChunkedTrace, DataClass, Event, PlanEntry, TraceMeta, WORD_SIZE,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Base of the per-CPU private-counter area.
 pub const PRIVATE_BASE: u32 = 0x0300_0000;
@@ -75,6 +75,10 @@ pub struct RelocationMap {
     ranges: Vec<(u32, u32, u32)>,
     /// True while ranges added since the last `finish()` remain unsorted.
     dirty: bool,
+    /// `[lo, hi)` spans every range once `finish()` has run (empty for an
+    /// empty map): lookups outside it skip the search.
+    lo: u32,
+    hi: u64,
 }
 
 impl RelocationMap {
@@ -107,19 +111,27 @@ impl RelocationMap {
                 "overlapping relocation ranges: {w:?}"
             );
         }
+        if let (Some(first), Some(&(start, len, _))) = (self.ranges.first(), self.ranges.last()) {
+            self.lo = first.0;
+            self.hi = u64::from(start) + u64::from(len);
+        }
         self.dirty = false;
     }
 
-    /// Remaps one address, if covered. Binary search after
-    /// [`RelocationMap::finish`]; a linear scan (first matching range wins)
-    /// on a map still under construction.
+    /// Remaps one address, if covered. After [`RelocationMap::finish`], a
+    /// range check against the span of all ranges, then binary search; a
+    /// linear scan (first matching range wins) on a map still under
+    /// construction.
     pub fn lookup(&self, a: Addr) -> Option<Addr> {
         if self.dirty {
             return self
                 .ranges
                 .iter()
-                .find(|&&(s, len, _)| a.0 >= s && a.0 < s + len)
+                .find(|&&(s, len, _)| a.0 >= s && a.0 - s < len)
                 .map(|&(s, _, new)| Addr(new + (a.0 - s)));
+        }
+        if a.0 < self.lo || u64::from(a.0) >= self.hi {
+            return None;
         }
         let i = match self.ranges.binary_search_by(|&(s, _, _)| s.cmp(&a.0)) {
             Ok(i) => i,
@@ -127,7 +139,7 @@ impl RelocationMap {
             Err(i) => i - 1,
         };
         let (start, len, new) = self.ranges[i];
-        (a.0 < start + len).then(|| Addr(new + (a.0 - start)))
+        (a.0 - start < len).then(|| Addr(new + (a.0 - start)))
     }
 
     /// Number of ranges.
@@ -205,7 +217,7 @@ pub const HOIST_LIMIT: usize = 24;
 /// hot set. The split is sound because the stage's decisions are
 /// per-site-run: `recent_lines` resets whenever the current site changes
 /// and is consulted only for reads attributed to that site, and hoist
-/// targets are chosen from the input-event window alone — so whether
+/// targets are chosen from the input events alone — so whether
 /// *other* sites are hot never changes what one site inserts. The tests
 /// pin event-for-event equality of the merged stream against the oracle
 /// crate's pass-by-pass insertion.
@@ -222,15 +234,31 @@ pub fn build_hotspot_plan(trace: &ChunkedTrace) -> HotspotPlan {
     )
 }
 
+/// Distinct lines a site run remembers before it may prefetch a line
+/// again (FIFO).
+const RECENT_LINES: usize = 16;
+
+/// An empty `recent` slot: no read line has the low bits set.
+const NO_LINE: u32 = u32::MAX;
+
 /// One stream's plan entries, in generation order: the per-site
 /// bookkeeping walk.
+///
+/// A sequence read hoists its prefetch to the earliest of the previous
+/// [`HOIST_LIMIT`] events that no blocking event (synchronization, block
+/// operation bracket, mode switch, idle) follows: event
+/// `max(i - HOIST_LIMIT, one past the last blocking event)`, kept in O(1).
 fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<PlanEntry> {
     let mut ins: Vec<PlanEntry> = Vec::new();
     let mut cur_site: Option<u16> = None;
     let mut site_is_loop = false;
     let mut in_blockop = false;
-    let mut recent_lines: Vec<u32> = Vec::new();
-    let mut window: VecDeque<(bool, u32)> = VecDeque::with_capacity(HOIST_LIMIT + 1);
+    // The last `RECENT_LINES` distinct lines of the current site run, as a
+    // ring overwritten oldest-first.
+    let mut recent = [NO_LINE; RECENT_LINES];
+    let mut next_slot = 0;
+    // One past the last blocking event seen so far.
+    let mut after_block = 0u32;
     for (i, e) in events.enumerate() {
         let i = i as u32;
         match e {
@@ -239,7 +267,8 @@ fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<Pla
                 if cur_site != Some(bb.site.0) {
                     cur_site = Some(bb.site.0);
                     site_is_loop = meta.code.site(bb.site).is_loop;
-                    recent_lines.clear();
+                    recent = [NO_LINE; RECENT_LINES];
+                    next_slot = 0;
                 }
             }
             Event::BlockOpBegin { .. } => in_blockop = true,
@@ -247,28 +276,20 @@ fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<Pla
             Event::Read { addr, class } if !in_blockop && cur_site.is_some() => {
                 let site = cur_site.expect("guarded");
                 let line = addr.0 & !15;
-                if !recent_lines.contains(&line) {
-                    recent_lines.push(line);
-                    if recent_lines.len() > 16 {
-                        recent_lines.remove(0);
-                    }
-                    if site_is_loop {
-                        ins.push(PlanEntry::new(i, site, addr, class, true));
+                if !recent.contains(&line) {
+                    recent[next_slot] = line;
+                    next_slot = (next_slot + 1) % RECENT_LINES;
+                    let target = if site_is_loop {
+                        i
                     } else {
-                        let mut target = i;
-                        for (hoisted, &(blocks, p)) in window.iter().rev().enumerate() {
-                            if blocks || hoisted >= HOIST_LIMIT {
-                                break;
-                            }
-                            target = p;
-                        }
-                        ins.push(PlanEntry::new(target, site, addr, class, false));
-                    }
+                        i.saturating_sub(HOIST_LIMIT as u32).max(after_block)
+                    };
+                    ins.push(PlanEntry::new(target, site, addr, class, site_is_loop));
                 }
             }
             _ => {}
         }
-        let blocks = matches!(
+        if matches!(
             e,
             Event::LockAcquire { .. }
                 | Event::LockRelease { .. }
@@ -277,10 +298,8 @@ fn plan_stream(meta: &TraceMeta, events: impl Iterator<Item = Event>) -> Vec<Pla
                 | Event::BlockOpEnd
                 | Event::SetMode { .. }
                 | Event::Idle { .. }
-        );
-        window.push_back((blocks, i));
-        if window.len() > HOIST_LIMIT {
-            window.pop_front();
+        ) {
+            after_block = i + 1;
         }
     }
     ins
@@ -371,6 +390,24 @@ fn first_touch_color_map(trace: &ChunkedTrace, l2_size: u32) -> HashMap<u32, u32
     map
 }
 
+/// The privatization stage's targets: word → target index, behind a
+/// `[lo, hi)` span check so the common non-target word never hashes.
+struct PrivateWords {
+    index: HashMap<u32, usize>,
+    lo: u32,
+    hi: u64,
+}
+
+impl PrivateWords {
+    #[inline]
+    fn get(&self, word: u32) -> Option<usize> {
+        if word < self.lo || u64::from(word) >= self.hi {
+            return None;
+        }
+        self.index.get(&word).copied()
+    }
+}
+
 /// The trace rewriter: any combination of the passes applied in one
 /// streaming walk over each chunked stream.
 ///
@@ -395,7 +432,7 @@ pub struct TransformPipeline<'a> {
     /// First-touch page map for the coloring stage.
     color: Option<HashMap<u32, u32>>,
     /// Word → target-index map for the privatization stage.
-    privatize: Option<HashMap<u32, usize>>,
+    privatize: Option<PrivateWords>,
     /// Finished relocation plan.
     reloc: Option<&'a RelocationMap>,
     /// Insert one escape read after every basic block.
@@ -442,13 +479,14 @@ impl<'a> TransformPipeline<'a> {
     /// reads of every copy (§5.1: "instead of reading one counter, [the
     /// pager] reads all the private sub-counters and adds them all up").
     pub fn privatize(mut self, targets: &[Addr]) -> Self {
-        self.privatize = Some(
-            targets
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a.0 & !(WORD_SIZE - 1), i))
-                .collect(),
-        );
+        let index: HashMap<u32, usize> = targets
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.0 & !(WORD_SIZE - 1), i))
+            .collect();
+        let lo = index.keys().copied().min().unwrap_or(0);
+        let hi = index.keys().map(|&w| u64::from(w) + 1).max().unwrap_or(0);
+        self.privatize = Some(PrivateWords { index, lo, hi });
         self
     }
 
@@ -603,7 +641,7 @@ impl<'a> TransformPipeline<'a> {
                 match e {
                     Event::Read { addr, class } => {
                         let w = addr.0 & !(WORD_SIZE - 1);
-                        if let Some(&idx) = index.get(&w) {
+                        if let Some(idx) = index.get(w) {
                             // Update (read+write pair) → private copy. The
                             // lookahead sees the *colored* next event,
                             // exactly as a privatization pass running after
@@ -632,7 +670,7 @@ impl<'a> TransformPipeline<'a> {
                     }
                     Event::Write { addr, class } => {
                         let w = addr.0 & !(WORD_SIZE - 1);
-                        if let Some(&idx) = index.get(&w) {
+                        if let Some(idx) = index.get(w) {
                             let addr = private_copy_addr(idx, cpu);
                             self.emit(meta, b, Event::Write { addr, class });
                             continue;
@@ -667,6 +705,41 @@ mod tests {
         assert_eq!(m.lookup(Addr(202)), Some(Addr(2002)));
         assert_eq!(m.lookup(Addr(99)), None);
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn relocation_lookups_at_the_span_edges() {
+        let mut m = RelocationMap::new();
+        m.add(Addr(0x300), 0x10, Addr(0x9300));
+        m.add(Addr(0x100), 0x20, Addr(0x9100));
+        // Unfinished: the linear scan answers, with no span to consult.
+        assert_eq!(m.lookup(Addr(0x30f)), Some(Addr(0x930f)));
+        assert_eq!(m.lookup(Addr(0xff)), None);
+        assert_eq!(m.lookup(Addr(0x200)), None);
+        m.finish();
+        // One below the first start.
+        assert_eq!(m.lookup(Addr(0xff)), None);
+        assert_eq!(m.lookup(Addr(0)), None);
+        assert_eq!(m.lookup(Addr(0x100)), Some(Addr(0x9100)));
+        // Inside the gap between the ranges, at both of its edges.
+        assert_eq!(m.lookup(Addr(0x120)), None);
+        assert_eq!(m.lookup(Addr(0x200)), None);
+        assert_eq!(m.lookup(Addr(0x2ff)), None);
+        // Exactly at the last end, and just inside it.
+        assert_eq!(m.lookup(Addr(0x310)), None);
+        assert_eq!(m.lookup(Addr(0x30f)), Some(Addr(0x930f)));
+        assert_eq!(m.lookup(Addr(u32::MAX)), None);
+        // A range ending at the top of the address space.
+        let mut top = RelocationMap::new();
+        top.add(Addr(u32::MAX - 0xf), 0x10, Addr(0x100));
+        top.finish();
+        assert_eq!(top.lookup(Addr(u32::MAX)), Some(Addr(0x10f)));
+        assert_eq!(top.lookup(Addr(u32::MAX - 0x10)), None);
+        // An empty map, finished or not, covers nothing.
+        let mut empty = RelocationMap::new();
+        assert_eq!(empty.lookup(Addr(0)), None);
+        empty.finish();
+        assert_eq!(empty.lookup(Addr(0)), None);
     }
 
     #[test]

@@ -52,15 +52,6 @@ fn geometries() -> [(&'static str, Geometry); 3] {
     ]
 }
 
-/// Re-encodes `ct` at an explicit chunk capacity, chunk by chunk.
-fn rechunk(ct: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
-    let mut out = ChunkedTrace::new(ct.n_cpus(), ct.meta.clone());
-    for (cpu, s) in ct.streams.iter().enumerate() {
-        out.streams[cpu] = ChunkedStream::from_events(s.iter(), capacity);
-    }
-    out
-}
-
 /// Replays `trace` with `hot`'s entries of `plan` merged in and the
 /// reference expansion `expanded` plainly; asserts equal results, final
 /// state digests and step counts.
@@ -109,8 +100,7 @@ fn merged_replay_matches_the_expansion_on_every_workload() {
         let analyzed = analyze_cell(&base, spec);
         let working = analyzed.trace.as_deref().unwrap_or(&base);
         let plan = build_hotspot_plan(working);
-        let rechunked: Vec<ChunkedTrace> =
-            CAPACITIES.iter().map(|&c| rechunk(working, c)).collect();
+        let rechunked: Vec<ChunkedTrace> = CAPACITIES.iter().map(|&c| working.rechunk(c)).collect();
         for (glabel, geometry) in geometries() {
             let mut cfg = geometry.machine_config(&spec);
             cfg.n_cpus = base.n_cpus();
@@ -145,7 +135,7 @@ fn merged_replay_matches_the_expansion_with_every_site_hot() {
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = base.n_cpus();
     for capacity in CAPACITIES {
-        let trace = rechunk(&base, capacity);
+        let trace = base.rechunk(capacity);
         let what = format!("every site hot, capacity {capacity}");
         assert_merge_matches(&cfg, &trace, &plan, &all, &expanded, &what);
     }
@@ -291,7 +281,7 @@ fn merged_replay_matches_the_expansion_on_synthetic_edge_plans() {
         for hot in [&[1u16, 3][..], &[2], &[1, 2, 3], &[]] {
             let expanded = expand(&t, &entries, hot);
             for capacity in CAPACITIES {
-                let trace = rechunk(&t, capacity);
+                let trace = t.rechunk(capacity);
                 let what = format!("seed {seed} hot {hot:?} capacity {capacity}");
                 assert_merge_matches(&cfg, &trace, &plan, hot, &expanded, &what);
             }
@@ -324,5 +314,76 @@ fn out_of_range_plan_entries_are_rejected() {
                 stream_len
             }
         );
+    }
+}
+
+/// The hoist bound at its edges: a sequence read hoists to one past the
+/// last blocking event when that event is 23, 24 or 25 events back (the
+/// last two sit at and beyond [`HOIST_LIMIT`]'s window), to one past a
+/// blocking event at stream start, and to event 0 when nothing blocks.
+/// The plan positions are pinned, and the merged replay must equal the
+/// oracle crate's pass-by-pass insertion at every capacity.
+#[test]
+fn hoists_stop_at_blocking_events_and_the_hoist_limit() {
+    let mut meta = TraceMeta::default();
+    let site = meta.code.add_site("seq", false);
+    let bb = meta.code.add_block(Addr(0x2000), 4, site);
+    let mut t = ChunkedTrace::new(5, meta);
+    let mut line = 0u32;
+    let mut read = |b: &mut StreamBuilder| {
+        line += 1;
+        b.read(Addr(0x0300_0000 + 64 * line), DataClass::RunQueue);
+    };
+    let fill = |b: &mut StreamBuilder, n: u32| {
+        for k in 0..n {
+            b.write(Addr(0x0400_0000 + 4 * k), DataClass::RunQueue);
+        }
+    };
+    // CPUs 0–2: SetMode (0), Exec (1), 30 writes, Idle (32), then the
+    // read `distance` events after the Idle.
+    for (cpu, distance) in [23u32, 24, 25].into_iter().enumerate() {
+        let mut b = StreamBuilder::new();
+        b.set_mode(Mode::Os);
+        b.exec(bb);
+        fill(&mut b, 30);
+        b.idle(1);
+        fill(&mut b, distance - 1);
+        read(&mut b);
+        t.streams[cpu] = b.finish();
+    }
+    // CPU 3: SetMode at stream start, a read right after the Exec, and
+    // one past the hoist limit.
+    let mut b = StreamBuilder::new();
+    b.set_mode(Mode::Os);
+    b.exec(bb);
+    read(&mut b);
+    fill(&mut b, 27);
+    read(&mut b);
+    t.streams[3] = b.finish();
+    // CPU 4: nothing blocks before the read.
+    let mut b = StreamBuilder::new();
+    b.exec(bb);
+    read(&mut b);
+    t.streams[4] = b.finish();
+    t.validate().expect("valid trace");
+
+    let plan = build_hotspot_plan(&t);
+    let befores =
+        |cpu: usize| -> Vec<u32> { plan.stream(cpu).iter().map(PlanEntry::before).collect() };
+    // Reads at 55/56/57: one past the Idle (33) is 22, 23 and 24 events
+    // back; the last equals `read - HOIST_LIMIT`.
+    for cpu in 0..3 {
+        assert_eq!(befores(cpu), vec![33], "cpu {cpu}");
+    }
+    assert_eq!(befores(3), vec![1, 6]);
+    assert_eq!(befores(4), vec![0]);
+
+    let hot = [site.0];
+    let expanded = compat::insert_hotspot_prefetches(&t, &hot);
+    let mut cfg = MachineConfig::base();
+    cfg.n_cpus = t.n_cpus();
+    for capacity in CAPACITIES {
+        let what = format!("hoist edges, capacity {capacity}");
+        assert_merge_matches(&cfg, &t.rechunk(capacity), &plan, &hot, &expanded, &what);
     }
 }

@@ -14,8 +14,8 @@ use oscache_core::{Geometry, Repro, System};
 use oscache_memsys::{Machine, MachineConfig};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, IoFaultClass, IoFaultPlan, LockId, MemBudget,
-    Mode, SpillStore, StoreIdentity, StreamBuilder, TraceMeta,
+    Addr, ChunkedTrace, DataClass, IoFaultClass, IoFaultPlan, LockId, MemBudget, Mode, SpillStore,
+    StoreIdentity, StreamBuilder, TraceMeta,
 };
 use oscache_workloads::Workload;
 use std::sync::Arc;
@@ -97,15 +97,6 @@ fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     t
 }
 
-/// Re-encodes a trace chunk-by-chunk at an explicit capacity.
-fn chunk_with_capacity(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
-    let mut ct = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
-    for (cpu, s) in t.streams.iter().enumerate() {
-        ct.streams[cpu] = ChunkedStream::from_events(s, capacity);
-    }
-    ct
-}
-
 /// Spills every chunk of `ct` to a fresh store (a zero budget refuses to
 /// keep anything resident), returning the store.
 fn spill_fully(
@@ -131,8 +122,8 @@ fn spilled_replay_matches_in_memory_across_capacities() {
         let t = random_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
         for capacity in CAPACITIES {
-            let inmem = chunk_with_capacity(&t, capacity);
-            let mut spilled = chunk_with_capacity(&t, capacity);
+            let inmem = t.rechunk(capacity);
+            let mut spilled = t.rechunk(capacity);
             let _store = spill_fully(&mut spilled, "oracle", seed, None);
             assert!(
                 spilled.spilled_chunks() > 0,
@@ -180,7 +171,7 @@ fn spilled_replay_matches_in_memory_across_capacities() {
 fn validate_then_spill_then_replay_is_transparent() {
     let mut rng = SmallRng::seed_from_u64(0x5B11_AA1D);
     let t = random_trace(&mut rng);
-    let mut ct = chunk_with_capacity(&t, 7);
+    let mut ct = t.rechunk(7);
     ct.validate().expect("generator must emit valid traces");
     let mut before = Machine::new(MachineConfig::base(), &ct).unwrap();
     let expected = before.run_mut().expect("replay in memory");
@@ -212,8 +203,8 @@ fn validate_then_spill_then_replay_is_transparent() {
 fn bit_flipped_frames_salvage_to_identical_decode() {
     let mut rng = SmallRng::seed_from_u64(0xB17F_11F0);
     let t = random_trace(&mut rng);
-    let inmem = chunk_with_capacity(&t, 5);
-    let mut spilled = chunk_with_capacity(&t, 5);
+    let inmem = t.rechunk(5);
+    let mut spilled = t.rechunk(5);
     // The pristine chunk bytes, captured before any spill write: the
     // rebuilder serves exactly what a deterministic regeneration would.
     let pristine: Vec<Vec<Option<Vec<u8>>>> = inmem
@@ -253,8 +244,8 @@ fn bit_flipped_frames_salvage_to_identical_decode() {
 fn replay_salvages_each_bad_frame_once_with_the_helper_on() {
     let mut rng = SmallRng::seed_from_u64(0xB17F_0BCE);
     let t = random_trace(&mut rng);
-    let inmem = chunk_with_capacity(&t, 3);
-    let mut spilled = chunk_with_capacity(&t, 3);
+    let inmem = t.rechunk(3);
+    let mut spilled = t.rechunk(3);
     let pristine: Vec<Vec<Option<Vec<u8>>>> = inmem
         .streams
         .iter()
@@ -313,7 +304,7 @@ fn unrecoverable_frame_fails_the_replay_cleanly() {
     if std::env::var_os(CHILD_ENV).is_some() {
         let mut rng = SmallRng::seed_from_u64(0x70B1_D00D);
         let t = random_trace(&mut rng);
-        let mut ct = chunk_with_capacity(&t, 2);
+        let mut ct = t.rechunk(2);
         let store = spill_fully(&mut ct, "unrecoverable", 0, None);
         // Tear the second half of every segment: early chunks still
         // decode, later ones fail mid-replay.

@@ -17,9 +17,7 @@
 use oscache_core::{try_run_spec_audited, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig};
 use oscache_trace::rng::{Rng, SmallRng};
-use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta,
-};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, LockId, Mode, StreamBuilder, TraceMeta};
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
 
 const SEEDS: std::ops::Range<u64> = 0..24;
@@ -28,17 +26,6 @@ const SEEDS: std::ops::Range<u64> = 0..24;
 /// its own chunk), a small prime that misaligns with any event pattern,
 /// and the production default.
 const CAPACITIES: [usize; 3] = [1, 5, 4096];
-
-/// Re-encodes a trace chunk-by-chunk at an explicit capacity, so chunk
-/// boundaries land mid-stream wherever the capacity says — the decode
-/// windows must be invisible to the replay.
-fn chunk_with_capacity(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
-    let mut ct = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
-    for (cpu, s) in t.streams.iter().enumerate() {
-        ct.streams[cpu] = ChunkedStream::from_events(s, capacity);
-    }
-    ct
-}
 
 /// The three geometries of the matrix: the paper's default, the wide
 /// line from the figure-7 sweep, and a small L1D that forces heavy
@@ -71,7 +58,7 @@ fn ladder_matrix_is_chunk_capacity_invariant() {
     };
     for w in Workload::all() {
         let base = build_chunked(w, opts);
-        let small = chunk_with_capacity(&base, 5);
+        let small = base.rechunk(5);
         assert!(small.streams.iter().all(|s| s.capacity() == 5));
         for sys in System::all() {
             for (gi, geometry) in geometries().into_iter().enumerate() {
@@ -195,7 +182,7 @@ fn random_traces_match_across_chunk_capacities() {
         t.validate().expect("generator must emit valid traces");
         let reference = &t;
         for capacity in CAPACITIES {
-            let ct = chunk_with_capacity(&t, capacity);
+            let ct = t.rechunk(capacity);
             assert_eq!(ct.total_events(), t.total_events());
             let what = format!("seed {seed} capacity {capacity}");
             assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
@@ -211,7 +198,7 @@ fn empty_and_partially_empty_streams_match() {
     let reference = &empty;
     assert_eq!(reference.total_events(), 0);
     for capacity in CAPACITIES {
-        let ct = chunk_with_capacity(&empty, capacity);
+        let ct = empty.rechunk(capacity);
         let what = format!("empty capacity {capacity}");
         assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
     }
@@ -225,7 +212,7 @@ fn empty_and_partially_empty_streams_match() {
     partial.streams[2] = b.finish();
     let reference = &partial;
     for capacity in CAPACITIES {
-        let ct = chunk_with_capacity(&partial, capacity);
+        let ct = partial.rechunk(capacity);
         let what = format!("partial capacity {capacity}");
         assert_capacity_invisible(MachineConfig::base(), reference, &ct, &what);
     }

@@ -176,7 +176,7 @@ impl Machine<'_> {
                 .acquire(now, self.cfg.timing.line_transfer, BusOp::ReadLine);
             self.snoop_read(i, line2);
             if self.s_record::<S>() {
-                self.bypassed.mark(i, line1);
+                self.history.mark(i, line1);
             }
             (grant - now) + self.cfg.timing.mem - 1
         };
@@ -211,7 +211,7 @@ impl Machine<'_> {
             }
         }
         if self.s_record::<S>() {
-            self.bypassed.mark(i, line1);
+            self.history.mark(i, line1);
         }
     }
 
@@ -305,7 +305,7 @@ impl Machine<'_> {
                 a.src_reg = Some(line1);
             }
             if self.s_record::<S>() {
-                self.bypassed.mark(i, line1);
+                self.history.mark(i, line1);
             }
             if ready <= now {
                 if self.s_record::<S>() {
@@ -341,7 +341,7 @@ impl Machine<'_> {
             .acquire(now, self.cfg.timing.line_transfer, BusOp::ReadLine);
         self.snoop_read(i, line2);
         if self.s_record::<S>() {
-            self.bypassed.mark(i, line1);
+            self.history.mark(i, line1);
         }
         if let Some(a) = self.cpus[i].block.as_mut() {
             a.src_reg = Some(line1);
@@ -381,7 +381,7 @@ impl Machine<'_> {
                     while b < a + l2line {
                         let l1a = LineAddr(b);
                         if !self.cpus[i].l1d.contains(l1a) {
-                            self.bypassed.mark(i, l1a);
+                            self.history.mark(i, l1a);
                         }
                         b += l1line;
                     }
@@ -413,7 +413,7 @@ impl Machine<'_> {
                 while b < a + l2line {
                     let l1a = LineAddr(b);
                     if !self.cpus[i].l1d.contains(l1a) {
-                        self.bypassed.mark(i, l1a);
+                        self.history.mark(i, l1a);
                     }
                     b += l1line;
                 }

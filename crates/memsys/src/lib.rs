@@ -75,7 +75,7 @@ pub use config::{
 };
 pub use cores::{available_cores, CoreGauge, Lease, ThreadLease};
 pub use error::{InvariantKind, SimError, SimErrorKind};
-pub use history::{BypassSet, Departure, HistoryMap};
+pub use history::{CacheLevel, Departure, DepartureTable};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
 pub use profiler::profile_os_misses;

@@ -23,7 +23,7 @@
 //! oracle behind [`Machine::run_generic`].
 
 use crate::error::{SimError, SimErrorKind};
-use crate::history::{BypassSet, Departure, HistoryMap};
+use crate::history::{CacheLevel, Departure, DepartureTable};
 use crate::prefetch::{MshrSet, PrefetchBuffer};
 use crate::spec::{Gen, Spec, K};
 use crate::stats::{CpuStats, MissKind, SimStats};
@@ -324,9 +324,9 @@ pub struct Machine<'t> {
     locks: Vec<LockSlot>,
     /// Dense barrier table indexed by barrier id.
     barriers: Vec<BarrierState>,
-    pub(crate) l1d_hist: HistoryMap,
-    pub(crate) l2_hist: HistoryMap,
-    pub(crate) bypassed: BypassSet,
+    /// Why each line last left each CPU's L1D and L2, and the bypass
+    /// marks (record-only: never touched when `record` is off).
+    pub(crate) history: DepartureTable,
     /// L1D lines installed without a resident covering L2 line (the
     /// write-merge path) — tolerated by the inclusion audit until they
     /// leave the L1D. Maintained only when auditing is on; stored as
@@ -464,6 +464,7 @@ impl<'t> Machine<'t> {
             })
             .collect();
         let n_cpus = cfg.n_cpus;
+        let history = DepartureTable::new(n_cpus, cfg.l1d.line, cfg.l2.line);
         Ok(Machine {
             cfg,
             trace,
@@ -474,9 +475,7 @@ impl<'t> Machine<'t> {
             bus: Bus::new(),
             locks: Vec::new(),
             barriers: Vec::new(),
-            l1d_hist: HistoryMap::new(),
-            l2_hist: HistoryMap::new(),
-            bypassed: BypassSet::new(),
+            history,
             incl_exempt: vec![Vec::new(); n_cpus],
             record,
             steps: 0,
@@ -1178,7 +1177,8 @@ impl<'t> Machine<'t> {
             }
             if self.cpus[j].l2.invalidate(line2).is_valid() {
                 if self.s_record::<S>() {
-                    self.l2_hist.record(j, line2, Departure::InvalidatedRemote);
+                    self.history
+                        .record(CacheLevel::L2, j, line2, Departure::InvalidatedRemote);
                 }
                 self.invalidate_l1_range::<S>(j, line2, Departure::InvalidatedRemote);
             }
@@ -1213,7 +1213,7 @@ impl<'t> Machine<'t> {
             let l = LineAddr(a);
             if self.cpus[j].l1d.invalidate(l).is_valid() {
                 if self.s_record::<S>() {
-                    self.l1d_hist.record(j, l, why);
+                    self.history.record(CacheLevel::L1d, j, l, why);
                 }
                 self.note_l1d_departure::<S>(j, l);
             }
@@ -1253,12 +1253,12 @@ impl<'t> Machine<'t> {
                 Departure::Evicted
             };
             if self.s_record::<S>() {
-                self.l2_hist.record(i, ev.line, why);
+                self.history.record(CacheLevel::L2, i, ev.line, why);
             }
             self.invalidate_l1_range::<S>(i, ev.line, why);
         }
         if self.s_record::<S>() {
-            self.l2_hist.forget(i, line2);
+            self.history.forget(CacheLevel::L2, i, line2);
         }
     }
 
@@ -1295,7 +1295,7 @@ impl<'t> Machine<'t> {
                 } else {
                     Departure::Evicted
                 };
-                self.l1d_hist.record(i, ev.line, why);
+                self.history.record(CacheLevel::L1d, i, ev.line, why);
                 // Conflict-pair bookkeeping for the §6 analysis: which
                 // kernel structure displaced which.
                 if ev.class != class
@@ -1311,8 +1311,8 @@ impl<'t> Machine<'t> {
             }
         }
         if self.s_record::<S>() {
-            self.l1d_hist.forget(i, line1);
-            self.bypassed.take(i, line1);
+            self.history.forget(CacheLevel::L1d, i, line1);
+            self.history.take(i, line1);
         }
     }
 
@@ -1339,10 +1339,10 @@ impl<'t> Machine<'t> {
             };
         }
         let in_blk = self.cpus[i].block.is_some();
-        let l1h = self.l1d_hist.get(i, line1);
+        let l1h = self.history.get(CacheLevel::L1d, i, line1);
         let l2_miss = !self.cpus[i].l2.contains(line2);
-        let l2h = self.l2_hist.get(i, line2);
-        let reused = self.bypassed.contains(i, line1);
+        let l2h = self.history.get(CacheLevel::L2, i, line2);
+        let reused = self.history.contains(i, line1);
         let displaced = l1h == Some(Departure::EvictedByBlockOp)
             || (l2_miss && l2h == Some(Departure::EvictedByBlockOp));
         let kind = if in_blk {

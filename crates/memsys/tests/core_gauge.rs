@@ -5,7 +5,7 @@
 //! which any concurrently running test in the same binary would perturb.
 
 use oscache_memsys::{CoreGauge, Machine, MachineConfig};
-use oscache_trace::{Addr, ChunkedStream, ChunkedTrace, DataClass, Mode, StreamBuilder};
+use oscache_trace::{Addr, ChunkedTrace, DataClass, Mode, StreamBuilder};
 
 #[test]
 fn a_full_gauge_denies_the_helper_unless_pinned() {
@@ -16,8 +16,7 @@ fn a_full_gauge_denies_the_helper_unless_pinned() {
     }
     let mut t = ChunkedTrace::new(1, Default::default());
     t.streams[0] = b.finish();
-    let mut ct = ChunkedTrace::new(1, t.meta.clone());
-    ct.streams[0] = ChunkedStream::from_events(&t.streams[0], 64);
+    let ct = t.rechunk(64);
     let n_chunks = ct.streams[0].n_chunks() as u64;
     let mut cfg = MachineConfig::base();
     cfg.n_cpus = 1;

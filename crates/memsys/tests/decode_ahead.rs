@@ -14,8 +14,7 @@
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
-    Addr, ChunkedStream, ChunkedTrace, DataClass, HotspotPlan, LockId, Mode, PlanEntry,
-    StreamBuilder, TraceMeta,
+    Addr, ChunkedTrace, DataClass, HotspotPlan, LockId, Mode, PlanEntry, StreamBuilder, TraceMeta,
 };
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -82,17 +81,6 @@ fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     t
 }
 
-/// Re-chunks a trace at an arbitrary capacity: the default
-/// `CHUNK_EVENTS` is far larger than these traces, so small capacities
-/// force many chunk swap-ins per stream.
-fn rechunk(t: &ChunkedTrace, capacity: usize) -> ChunkedTrace {
-    let mut ct = ChunkedTrace::new(t.streams.len(), t.meta.clone());
-    for (i, s) in t.streams.iter().enumerate() {
-        ct.streams[i] = ChunkedStream::from_events(s, capacity);
-    }
-    ct
-}
-
 /// Runs the same chunked cell with the decode-ahead helper on and off and
 /// asserts end-to-end equality: the full `Result`, the final machine-state
 /// digest, and the step count. Also returns the prefetch-on machine's
@@ -145,7 +133,7 @@ fn prefetch_matches_sync_decode_on_random_traces() {
         let t = random_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
         for capacity in [7, 64, 1024] {
-            let ct = rechunk(&t, capacity);
+            let ct = t.rechunk(capacity);
             ct.validate().expect("rechunk must stay valid");
             let what = format!("seed {seed} capacity {capacity}");
             let overlap = assert_prefetch_invisible(MachineConfig::base(), &ct, &what);
@@ -193,7 +181,7 @@ fn prefetch_matches_sync_decode_with_merged_prefetches() {
         let t = random_trace(&mut rng);
         let plan = random_plan(&t, &mut rng);
         for capacity in [1, 7, 64] {
-            let ct = rechunk(&t, capacity);
+            let ct = t.rechunk(capacity);
             let what = format!("seed {seed} capacity {capacity} merged");
             let overlap =
                 assert_merged_prefetch_invisible(MachineConfig::base(), &ct, &plan, &[1, 3], &what);
@@ -213,7 +201,7 @@ fn prefetch_matches_sync_decode_at_capacity_one() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(0xCAB1_0000 ^ seed);
         let t = random_trace(&mut rng);
-        let ct = rechunk(&t, 1);
+        let ct = t.rechunk(1);
         let what = format!("seed {seed} capacity 1");
         assert_prefetch_invisible(MachineConfig::base(), &ct, &what);
     }
@@ -227,7 +215,7 @@ fn prefetch_is_invisible_across_configs() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(0x5bec_da00 ^ seed);
         let t = random_trace(&mut rng);
-        let ct = rechunk(&t, 32);
+        let ct = t.rechunk(32);
         for (updates, victim) in [(true, false), (false, true), (true, true)] {
             let mut cfg = MachineConfig::base();
             if updates {
@@ -263,7 +251,7 @@ fn long_trace(n: u32) -> ChunkedTrace {
 #[test]
 fn cancellation_fires_at_identical_steps_with_prefetch() {
     let t = long_trace(3 * CANCEL_POLL_STRIDE as u32);
-    let ct = rechunk(&t, 256);
+    let ct = t.rechunk(256);
     for polls in 1..=3u64 {
         let mk = |polls| {
             let mut cfg = MachineConfig::base();
@@ -300,7 +288,7 @@ fn cancellation_fires_at_identical_steps_with_prefetch() {
 #[test]
 fn overlap_counters_account_for_every_chunk() {
     let t = long_trace(4096);
-    let ct = rechunk(&t, 64);
+    let ct = t.rechunk(64);
     let n_chunks = ct.streams[0].n_chunks();
     assert!(n_chunks > 1, "test needs a multi-chunk stream");
     let mut cfg = MachineConfig::base();

@@ -83,11 +83,7 @@ fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
 fn assert_agrees(t: &ChunkedTrace, what: &str) -> Result<(), TraceError> {
     let expected = t.validate_by_scan();
     assert_eq!(t.validate(), expected, "{what}: default capacity");
-    let mut tiny = ChunkedTrace::new(t.n_cpus(), t.meta.clone());
-    for (cpu, s) in t.streams.iter().enumerate() {
-        tiny.streams[cpu] = ChunkedStream::from_events(s, 3);
-    }
-    assert_eq!(tiny.validate(), expected, "{what}: capacity 3");
+    assert_eq!(t.rechunk(3).validate(), expected, "{what}: capacity 3");
     expected
 }
 

@@ -732,6 +732,24 @@ impl ChunkedTrace {
         self.streams.len()
     }
 
+    /// The same events and metadata re-encoded at `capacity` events per
+    /// chunk, one decoded chunk at a time, so chunk boundaries land
+    /// wherever `capacity` puts them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn rechunk(&self, capacity: usize) -> ChunkedTrace {
+        ChunkedTrace {
+            streams: self
+                .streams
+                .iter()
+                .map(|s| ChunkedStream::from_events(s, capacity))
+                .collect(),
+            meta: self.meta.clone(),
+        }
+    }
+
     /// Total events across all streams.
     pub fn total_events(&self) -> usize {
         self.streams.iter().map(ChunkedStream::len).sum()
@@ -1004,6 +1022,33 @@ mod tests {
         for s in &c.streams {
             let back = ChunkedStream::from_events(s, 2);
             assert!(back.iter().eq(s), "re-encoding changed the events");
+        }
+    }
+
+    #[test]
+    fn rechunk_keeps_events_and_metadata() {
+        let mut meta = TraceMeta::default();
+        let site = meta.code.add_site("p", false);
+        let bb = meta.code.add_block(Addr(0x100), 3, site);
+        let mut c = ChunkedTrace::new(3, meta);
+        for (cpu, n) in [(0, 7usize), (1, 1)] {
+            let mut b = StreamBuilder::new();
+            for k in 0..n as u32 {
+                b.exec(bb);
+                b.read(Addr(0x0100_0000 + 16 * k), DataClass::KernelOther);
+            }
+            c.streams[cpu] = b.finish();
+        }
+        for capacity in [1, 3, CHUNK_EVENTS] {
+            let r = c.rechunk(capacity);
+            assert_eq!(r.n_cpus(), 3);
+            assert_eq!(r.meta.code.block(bb), c.meta.code.block(bb));
+            for (s, back) in c.streams.iter().zip(&r.streams) {
+                assert_eq!(back.capacity(), capacity);
+                assert_eq!(back.n_chunks(), s.len().div_ceil(capacity));
+                assert!(back.iter().eq(s), "capacity {capacity} changed the events");
+            }
+            assert_eq!(r.validate(), Ok(()));
         }
     }
 
