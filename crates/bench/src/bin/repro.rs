@@ -1077,9 +1077,10 @@ fn codec_microcell() -> (f64, f64, f64, f64) {
 
 /// The `bench` perf smoke: four representative TRFD_4 cells — the cheap
 /// baseline, the transform-heavy relocate+update cell, the full ladder
-/// top (hot-spot profiling simulation + prefetch selection), and the
-/// ladder top again at a second line size, whose preparation re-profiles
-/// and re-ranks against a warm analysis cache — run serially at a
+/// top (prefetch selection from its twin, the relocate+update cell just
+/// run), and the ladder top again at a second line size, whose
+/// preparation replays that geometry's twin and re-ranks against a warm
+/// analysis cache — run serially at a
 /// reduced scale with per-phase timings. Two structural cells ride along:
 /// the chunk-codec microcell ([`codec_microcell`]) and a jobs-4
 /// mini-matrix fan-out over Fig5, which times the LPT dispatch order end
@@ -1101,9 +1102,9 @@ fn bench(check: bool) {
         rss_after.push(peak_rss_mb());
     }
     // The prepare-heavy cell: BCPref at a second line size repeats the
-    // geometry-dependent half of preparation (profiling replay + prefetch
+    // geometry-dependent half of preparation (its twin's replay + prefetch
     // selection) against a warm analysis cache — exactly the path the
-    // bookkeeping-free profiler and the analysis cache optimize.
+    // analysis cache optimizes.
     let wide = oscache_core::Geometry {
         l1_line: 64,
         l2_line: 64,

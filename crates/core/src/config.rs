@@ -125,6 +125,19 @@ pub struct SystemSpec {
     pub page_coloring: bool,
 }
 
+impl SystemSpec {
+    /// The hot-spot spec's *twin*: the same spec without §6 prefetching.
+    /// It shares the spec's analysis and machine configuration, so its
+    /// full replay is the profiling run whose per-site OS misses rank the
+    /// hot sites (`BCoh_RelUp` is `BCPref`'s twin).
+    pub fn twin(self) -> SystemSpec {
+        SystemSpec {
+            hotspot_prefetch: false,
+            ..self
+        }
+    }
+}
+
 /// Cache geometry of a run (Figures 6 and 7 sweep size and line; the
 /// associativity fields support the ablation of the paper's §7 remark
 /// that the remaining misses are mostly conflicts).
@@ -193,6 +206,7 @@ mod tests {
         assert!(!relup.hotspot_prefetch);
         let bcpref = System::BCPref.spec();
         assert!(bcpref.hotspot_prefetch);
+        assert_eq!(bcpref.twin(), relup);
         assert_eq!(bcpref.block_scheme, BlockOpScheme::Dma);
     }
 

@@ -11,8 +11,9 @@
 //!   per [`TraceBuildKey`] `(workload, scale, seed, n_cpus)` and shares it
 //!   immutably via [`Arc`]; the geometry-independent analysis of each
 //!   working trace is computed once per `(trace build, AnalysisPrefix)`,
-//!   and a cell whose [`CellFingerprint`] is already in flight waits for
-//!   that one result instead of simulating again.
+//!   and a cell whose [`CellFingerprint`] is already in flight (or a
+//!   hot-spot cell whose twin's is) waits for that one result instead of
+//!   simulating again.
 //! * The one cell dispatcher (`Sched`): longest-first within a request,
 //!   round-robin across clients, one supervised per-cell body. The
 //!   one-shot [`run_cells_supervised`] admits its plan as one request and
@@ -71,9 +72,9 @@ pub struct CellFingerprint {
     pub base: TraceBuildKey,
     /// The system configuration (all software passes).
     pub spec: SystemSpec,
-    /// Cache geometry (coloring and the prefetch profiling run see it).
+    /// Cache geometry.
     pub geometry: Geometry,
-    /// Audit level (the profiling run inherits it).
+    /// Audit level (a hot-spot cell's twin replay inherits it).
     pub audit: AuditLevel,
 }
 
@@ -463,10 +464,15 @@ impl TraceCache {
     }
 
     /// The prepared (transform-applied) input for `fp`: the shared
-    /// analysis of its base trace and spec prefix plus the cell's own
-    /// hot-spot selection, with the wall-clock phase breakdown of what
-    /// this call computed. `cancel` reaches the profiling replay.
-    /// Nothing here is memoized beyond the analysis.
+    /// analysis of its base trace and spec prefix plus, for a hot-spot
+    /// cell, the sites its twin's result ranks hot, with the wall-clock
+    /// phase breakdown of what this call computed. The twin's result
+    /// ([`SystemSpec::twin`] at the same geometry) is shared by
+    /// fingerprint like any cell's: this call reads it, waits for it, or
+    /// claims it and replays the twin on the shared analysis (`cancel`
+    /// reaches that replay and the wait; the analysis transforms are not
+    /// cancellation points), so a hot-spot cell and its twin cost one
+    /// replay, not two.
     pub fn prepared_chunked_cancellable(
         &self,
         base: &ChunkedTrace,
@@ -474,10 +480,50 @@ impl TraceCache {
         cancel: &CancelToken,
     ) -> Result<(Arc<PreparedCell>, PrepPhases), SimError> {
         let (analyzed, analyze_ms) = self.analyzed_for(base, fp);
+        let (twin, profile_ms) = if fp.spec.hotspot_prefetch {
+            let (stats, ms) = self.twin_stats(base, &analyzed, fp, cancel)?;
+            (Some(stats), ms)
+        } else {
+            (None, 0.0)
+        };
         let (prepared, mut phases) =
-            sim::prepare_from_analysis(base, &analyzed, fp.spec, fp.geometry, fp.audit, cancel)?;
+            sim::prepare_from_analysis(base, &analyzed, fp.spec, twin.as_ref())?;
         phases.analyze_ms = analyze_ms;
+        phases.profile_ms = profile_ms;
         Ok((Arc::new(prepared), phases))
+    }
+
+    /// The statistics of hot-spot cell `fp`'s twin on `analyzed`, and the
+    /// milliseconds this call replayed: the shared result (zero), or the
+    /// twin's replay run here and published.
+    fn twin_stats(
+        &self,
+        base: &ChunkedTrace,
+        analyzed: &AnalyzedCell,
+        fp: CellFingerprint,
+        cancel: &CancelToken,
+    ) -> Result<(SimStats, f64), SimError> {
+        let twin = CellFingerprint {
+            spec: fp.spec.twin(),
+            ..fp
+        };
+        let _claim = match self.claim_result(twin, cancel)? {
+            SharedResult::Ready(result) => return Ok((result.stats, 0.0)),
+            SharedResult::Claimed(claim) => claim,
+        };
+        let t0 = Instant::now();
+        let (prepared, _) = sim::prepare_from_analysis(base, analyzed, twin.spec, None)?;
+        let (result, _) = sim::run_prepared_chunked_timed(
+            base,
+            &prepared,
+            twin.spec,
+            twin.geometry,
+            twin.audit,
+            cancel,
+        )?;
+        let ms = 1e3 * t0.elapsed().as_secs_f64();
+        self.store_result(twin, result.clone());
+        Ok((result.stats, ms))
     }
 
     /// The shared geometry-independent analysis for `fp`'s base trace and
@@ -650,14 +696,14 @@ pub struct CellOutcome {
     /// Milliseconds fetching (and, for the first cell per workload,
     /// building) the base trace.
     pub build_ms: f64,
-    /// Milliseconds in the software passes, including the hot-spot
-    /// profiling simulation; zero for a reused result.
+    /// Milliseconds in the software passes, including a hot-spot cell's
+    /// twin replay when this cell ran it; zero for a reused result.
     pub prepare_ms: f64,
     /// Milliseconds in the final machine run (for a result reused from an
     /// identical-fingerprint cell, the time spent waiting for that run).
     pub sim_ms: f64,
-    /// Breakdown of `prepare_ms` by phase (analysis / profiling replay /
-    /// prefetch selection), with `cached: true` on a reused result.
+    /// Breakdown of `prepare_ms` by phase (analysis / twin replay /
+    /// prefetch plan), with `cached: true` on a reused result.
     pub phases: PrepPhases,
     /// Milliseconds of `sim_ms` the final machine run spent in
     /// *synchronous* chunk decode (the stall decode-ahead hides; zero on
@@ -691,8 +737,8 @@ pub struct CellOutcome {
 /// first cell claims the fingerprint, simulates and publishes its result;
 /// a later one is served it (identical by determinism) without preparing
 /// or simulating, waiting while it is in flight, and runs the cell itself
-/// only if the claimant fails. `cancel` reaches the wait and both machine
-/// runs (profiling replay and final run).
+/// only if the claimant fails. `cancel` reaches the waits and both machine
+/// runs (a hot-spot cell's twin replay and the final run).
 ///
 /// Every stage — generation, the software passes, and the final machine
 /// run — consumes and produces the columnar chunked representation, so no
@@ -837,9 +883,13 @@ pub fn run_cells_supervised(
 ///
 /// The model is seeded from the measured shape of `repro --jobs 2
 /// --timings all`: a hot-spot prefetch cell (`BCPref*`) costs its
-/// coherence-ladder twin plus one profiling replay, which measures
-/// ~0.6× a `Base` cell's replay (its prefetches are merged into the
-/// final replay, so no rewrite is paid); coherence-ladder rewrites
+/// coherence-ladder cell plus its twin's replay (its prefetches are
+/// merged into the final replay, so no rewrite is paid). The +60 weight
+/// was measured when that replay was a record-off profiling run at
+/// ~0.6× a `Base` cell's replay; the recorded twin replay costs about
+/// 1.05× that run, so the weight stands until remeasured, and
+/// dispatching the hot-spot cell first lets its twin replay serve the
+/// twin cell. Coherence-ladder rewrites
 /// (`privatize`/`relocate`/update mapping) sit between `Base` and
 /// `BCPref`, and the block-op schemes add a little bus work each. The
 /// deferred-copy analysis (two summary walks plus a re-encoding rewrite)
@@ -1476,6 +1526,45 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn phases_time_only_what_the_cell_computed() {
+        // Two geometries of one hot-spot spec share the analysis and its
+        // plan: the second preparation replays its own twin but neither
+        // analyzes nor builds the plan. A third, repeating the second's
+        // fingerprint, is served that twin's result and replays nothing.
+        let cache = TraceCache::new();
+        let opts = BuildOptions {
+            scale: 0.02,
+            ..Default::default()
+        };
+        let narrow = Cell::system(Workload::Trfd4, System::BCPref);
+        let wide = Cell {
+            geometry: Geometry {
+                l1_line: 64,
+                l2_line: 64,
+                ..Geometry::default()
+            },
+            ..narrow.clone()
+        };
+        let base = cache.base_chunked(narrow.workload, opts);
+        let none = CancelToken::none();
+        let phases = |cell: &Cell| {
+            cache
+                .prepared_chunked_cancellable(&base, cell.fingerprint(opts), &none)
+                .unwrap()
+                .1
+        };
+        let (first, second, third) = (phases(&narrow), phases(&wide), phases(&wide));
+        assert!(first.rewrite_ms > 0.0 && first.profile_ms > 0.0);
+        assert_eq!(
+            second.analyze_ms, 0.0,
+            "second geometry re-ran the analysis"
+        );
+        assert_eq!(second.rewrite_ms, 0.0, "second geometry rebuilt the plan");
+        assert!(second.profile_ms > 0.0, "second geometry skipped its twin");
+        assert_eq!(third.profile_ms, 0.0, "a shared twin result was replayed");
+    }
 
     #[test]
     fn memo_builds_once() {

@@ -41,8 +41,9 @@ pub fn run_system(trace: &ChunkedTrace, system: System) -> RunResult {
 /// 2. privatize counters and relocate falsely-shared variables (§5.1),
 ///    gathering the §5.2 update set into one update-mapped page;
 /// 3. for hot-spot prefetching (§6), first run a *profiling* simulation of
-///    the system without prefetches, rank sites by OS misses, insert
-///    prefetches at the top 12, then run the final simulation.
+///    the system without prefetches (the spec's [`SystemSpec::twin`]),
+///    rank sites by its OS misses, insert prefetches at the top 12, then
+///    run the final simulation.
 pub fn run_spec(trace: &ChunkedTrace, spec: SystemSpec, geometry: Geometry) -> RunResult {
     try_run_spec_audited(trace, spec, geometry, AuditLevel::Off)
         .unwrap_or_else(|e| panic!("simulation failed: {e}"))
@@ -81,7 +82,7 @@ pub struct PreparedCell {
 
 /// The §6 prefetches of one hot-spot cell: the analysis's plan (every
 /// site's would-be insertions, shared by all geometries) and the sites
-/// this cell's profiling replay ranked hot. The replay splices the hot
+/// its twin's replay ranked hot. The replay splices the hot
 /// entries into its decode windows
 /// ([`Machine::with_prefetches`]); no rewritten trace is encoded.
 #[derive(Clone, Debug)]
@@ -148,11 +149,13 @@ pub struct AnalyzedCell {
 pub struct PrepPhases {
     /// Prefix analysis + rewrite (zero on an analysis-cache hit).
     pub analyze_ms: f64,
-    /// Hot-spot profiling replay.
+    /// The hot-spot cell's twin replay (the §6 profiling run), when this
+    /// cell ran it; zero when the twin's result was shared or waited for.
     pub profile_ms: f64,
-    /// Hot-spot prefetch selection: ranking the hot sites, plus building
-    /// the analysis's insertion plan on its first use (near-zero after).
-    /// No trace is rewritten; the replay merges the plan.
+    /// Building the analysis's hot-spot insertion plan, when this cell
+    /// built it; zero for a cell that found the plan built or waited for
+    /// its builder, as `analyze_ms` is zero on an analysis hit. No trace
+    /// is rewritten; the replay merges the plan.
     pub rewrite_ms: f64,
     /// The cell reused a result (an identical-fingerprint cell's, or a
     /// journal record): every phase was skipped.
@@ -163,11 +166,12 @@ pub struct PrepPhases {
 /// to `audit`, returning trace and invariant problems as typed errors:
 /// analyze, prepare, run — every phase streaming.
 ///
-/// Preparation composes the two cacheable phases, [`analyze_cell`] and
-/// [`prepare_from_analysis`] (the hot-spot profiling simulation, itself a
-/// deterministic single-threaded run); callers that prepare several
-/// geometries of one spec analyze once and prepare per geometry instead,
-/// as the runner's [`TraceCache`](crate::runner::TraceCache) does.
+/// Preparation composes [`analyze_cell`] and [`prepare_from_analysis`]. A
+/// hot-spot spec first replays its twin on the same analysis, at the same
+/// audit level, and ranks its sites from that result; callers that run
+/// several cells of one analysis share the analysis and the twin results
+/// instead, as the runner's [`TraceCache`](crate::runner::TraceCache)
+/// does.
 pub fn try_run_spec_audited(
     trace: &ChunkedTrace,
     spec: SystemSpec,
@@ -176,9 +180,16 @@ pub fn try_run_spec_audited(
 ) -> Result<RunResult, SimError> {
     let analyzed = analyze_cell(trace, spec);
     let none = CancelToken::none();
-    let (prepared, _phases) =
-        prepare_from_analysis(trace, &analyzed, spec, geometry, audit, &none)?;
-    run_prepared_chunked_timed(trace, &prepared, spec, geometry, audit, &none).map(|(r, _)| r)
+    let run = |spec: SystemSpec, twin: Option<&SimStats>| -> Result<RunResult, SimError> {
+        let (prepared, _phases) = prepare_from_analysis(trace, &analyzed, spec, twin)?;
+        run_prepared_chunked_timed(trace, &prepared, spec, geometry, audit, &none).map(|(r, _)| r)
+    };
+    let twin = if spec.hotspot_prefetch {
+        Some(run(spec.twin(), None)?.stats)
+    } else {
+        None
+    };
+    run(spec, twin.as_ref())
 }
 
 /// The geometry-independent preparation prefix: deferred copy, page
@@ -294,66 +305,47 @@ pub(crate) fn analyze_cell_with(
     }
 }
 
-/// The geometry-dependent preparation suffix: the hot-spot profiling
-/// replay and hot-site ranking, which select the prefetches the replay
-/// merges from the analysis's [`transform::HotspotPlan`]. For specs
-/// without `hotspot_prefetch` this just repackages the analysis.
+/// The cell-specific preparation suffix: for a hot-spot spec, ranks the
+/// sites by the OS misses of `twin` — the full result of the spec's
+/// [`SystemSpec::twin`] at the cell's geometry, the §6 profiling run —
+/// and selects the prefetches the replay merges from the analysis's
+/// [`transform::HotspotPlan`]. For specs without `hotspot_prefetch`
+/// (`twin` is `None`) this just repackages the analysis. No machine runs
+/// here.
 ///
-/// With `audit == Off` the profiling run uses the bookkeeping-free
-/// [`profile_os_misses`](oscache_memsys::profile_os_misses) replay, whose
-/// per-site OS miss counts are exact by construction; any higher audit
-/// level falls back to the fully-recorded [`Machine`] so the step/final
-/// auditors see the bookkeeping they cross-check (see `DESIGN.md` §12).
 /// The plan is built once per analysis, on the first hot-spot cell, and
 /// shared by every geometry; each cell carries only its hot-site list.
 ///
-/// `cancel` is wired into the profiling replay (the only machine run in
-/// this phase; the analysis transforms themselves are not cancellation
-/// points, so a cancellation grace period must absorb them).
+/// # Panics
+///
+/// Panics if a hot-spot spec comes without its twin's stats.
 pub fn prepare_from_analysis(
     trace: &ChunkedTrace,
     analyzed: &AnalyzedCell,
     spec: SystemSpec,
-    geometry: Geometry,
-    audit: AuditLevel,
-    cancel: &CancelToken,
+    twin: Option<&SimStats>,
 ) -> Result<(PreparedCell, PrepPhases), SimError> {
     let mut phases = PrepPhases::default();
-    let mut prefetches = None;
-
-    if spec.hotspot_prefetch {
-        let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
-        // Profiling run without the prefetches.
-        let t0 = Instant::now();
-        let mut cfg = geometry.machine_config(&spec);
-        cfg.n_cpus = trace.n_cpus();
-        cfg.update_pages = analyzed.update_pages.clone();
-        cfg.cancel = cancel.clone();
-        let profile_stats = if audit == AuditLevel::Off {
-            oscache_memsys::profile_os_misses(cfg, working)?
-        } else {
-            cfg.audit = audit;
-            Machine::new(cfg, working)?.run()?
-        };
-        phases.profile_ms = 1e3 * t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let hot = analysis::find_hot_spots(&profile_stats.total(), &working.meta.code);
-        let plan = analyzed
-            .hot_plan
-            .get_or_init(|| Arc::new(transform::build_hotspot_plan(working)));
-        prefetches = Some(HotPrefetches {
+    let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
+    let prefetches = spec.hotspot_prefetch.then(|| {
+        let twin = twin.expect("a hot-spot cell ranks its sites from its twin's stats");
+        let hot = analysis::find_hot_spots(&twin.total(), &working.meta.code);
+        let plan = analyzed.hot_plan.get_or_init(|| {
+            let t0 = Instant::now();
+            let plan = Arc::new(transform::build_hotspot_plan(working));
+            phases.rewrite_ms = 1e3 * t0.elapsed().as_secs_f64();
+            plan
+        });
+        HotPrefetches {
             plan: Arc::clone(plan),
             hot,
-        });
-        phases.rewrite_ms = 1e3 * t1.elapsed().as_secs_f64();
-    }
+        }
+    });
 
     // Reject an invalid working trace before the timed final run. For
     // every trace the encoder vouched for this reads no chunk back: its
     // streams carry the facts that prove it valid. Only a trace with a
     // violation pays the full scan, which names the offending event.
-    let working: &ChunkedTrace = analyzed.trace.as_deref().unwrap_or(trace);
     working.validate_for_cpus(trace.n_cpus())?;
 
     Ok((

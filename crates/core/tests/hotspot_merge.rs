@@ -12,12 +12,13 @@
 //! at the geometries the figures sweep, at hostile chunk capacities, and
 //! on synthetic plans with the merge's edge cases: an entry before event
 //! 0, several entries at one chunk boundary, a trailing entry, an empty
-//! stream, and every site hot.
+//! stream, and every site hot. The plan itself, merged window by window,
+//! is pinned against the `compat` rewrite's event streams.
 
 use oscache_core::transform::build_hotspot_plan;
 use oscache_core::{analysis, analyze_cell, Geometry, System};
-use oscache_memsys::{profile_os_misses, Machine, MachineConfig, SimErrorKind};
-use oscache_oracle::compat;
+use oscache_memsys::{Machine, MachineConfig, SimErrorKind};
+use oscache_oracle::{compat, merged_trace};
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedStream, ChunkedTrace, DataClass, Event, HotspotPlan, LockId, Mode, PlanEntry,
@@ -84,7 +85,7 @@ fn assert_merge_matches(
 }
 
 /// Every workload × the three sweep geometries × chunk capacities 1, 5
-/// and 4096: the cell's own hot set (ranked by the profiling replay, as
+/// and 4096: the cell's own hot set (ranked from its twin's replay, as
 /// `prepare_from_analysis` ranks it) over the BCPref working trace.
 #[test]
 fn merged_replay_matches_the_expansion_on_every_workload() {
@@ -105,7 +106,7 @@ fn merged_replay_matches_the_expansion_on_every_workload() {
             let mut cfg = geometry.machine_config(&spec);
             cfg.n_cpus = base.n_cpus();
             cfg.update_pages = analyzed.update_pages.clone();
-            let stats = profile_os_misses(cfg.clone(), working).unwrap();
+            let stats = Machine::new(cfg.clone(), working).unwrap().run().unwrap();
             let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
             assert!(!hot.is_empty(), "{workload:?}/{glabel}: no hot sites");
             let expanded = compat::insert_hotspot_prefetches(working, &hot);
@@ -113,6 +114,52 @@ fn merged_replay_matches_the_expansion_on_every_workload() {
             for (capacity, trace) in CAPACITIES.iter().zip(&rechunked) {
                 let what = format!("{workload:?}/{glabel}/capacity {capacity}");
                 assert_merge_matches(&cfg, trace, &plan, &hot, &expanded, &what);
+            }
+        }
+    }
+}
+
+/// The precomputed hot-spot insertion plan, merged window by window as a
+/// replay merges it, must give, for every hot set the ladder actually
+/// ranks (plus synthetic subsets), the exact event streams the
+/// pass-by-pass `compat` rewrite emits.
+#[test]
+fn hotspot_plan_matches_compat_rewrite() {
+    let spec = System::BCPref.spec();
+    for workload in [Workload::Trfd4, Workload::Shell, Workload::Arc2dFsck] {
+        let base = build_chunked(
+            workload,
+            BuildOptions {
+                scale: 0.08,
+                ..Default::default()
+            },
+        );
+        let analyzed = analyze_cell(&base, spec);
+        let working = analyzed.trace.as_deref().unwrap_or(&base);
+        let mut cfg = Geometry::default().machine_config(&spec);
+        cfg.n_cpus = base.n_cpus();
+        cfg.update_pages = analyzed.update_pages.clone();
+        let stats = Machine::new(cfg, working).unwrap().run().unwrap();
+        let hot = analysis::find_hot_spots(&stats.total(), &working.meta.code);
+        assert!(!hot.is_empty(), "{workload:?}: no hot sites ranked");
+
+        let plan = build_hotspot_plan(working);
+        let mut sets: Vec<Vec<u16>> = vec![hot.clone(), vec![hot[0]]];
+        // A rotated subset exercises orderings the ranking never produces.
+        if hot.len() > 2 {
+            let mut rot = hot[1..].to_vec();
+            rot.push(hot[0]);
+            sets.push(rot);
+        }
+        for set in sets {
+            let planned = merged_trace(working, &plan, &set);
+            let staged = compat::insert_hotspot_prefetches(working, &set);
+            for cpu in 0..working.n_cpus() {
+                assert_eq!(
+                    planned.streams[cpu].iter().collect::<Vec<_>>(),
+                    staged.streams[cpu].iter().collect::<Vec<_>>(),
+                    "{workload:?}: cpu {cpu} rewrite differs for set {set:?}"
+                );
             }
         }
     }

@@ -12,9 +12,10 @@
 //! never enables.
 
 use oscache_core::{
-    analysis, analyze_cell, prepare_from_analysis, transform, Geometry, System, UpdatePolicy,
+    analysis, analyze_cell, prepare_from_analysis, transform, try_run_spec, Geometry, System,
+    UpdatePolicy,
 };
-use oscache_memsys::{AuditLevel, CancelToken, Machine, PageSet};
+use oscache_memsys::{AuditLevel, Machine, PageSet};
 use oscache_oracle::{compat, deferral};
 use oscache_trace::ChunkedTrace;
 use oscache_workloads::{build_chunked, BuildOptions, Workload};
@@ -167,9 +168,9 @@ fn check_workload(workload: Workload, seed: u64) {
 
     for (label, spec) in specs {
         let analyzed = analyze_cell(&ct, spec);
-        let none = CancelToken::none();
-        let (fused, _) =
-            prepare_from_analysis(&ct, &analyzed, spec, geometry, AuditLevel::Off, &none).unwrap();
+        let twin = (spec.hotspot_prefetch)
+            .then(|| try_run_spec(&ct, spec.twin(), geometry).unwrap().stats);
+        let (fused, _) = prepare_from_analysis(&ct, &analyzed, spec, twin.as_ref()).unwrap();
         let (oracle, oracle_pages) = prepare_compat(&ct, spec, geometry);
         let what = format!("{workload:?}/{label}");
         assert_eq!(

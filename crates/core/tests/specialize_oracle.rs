@@ -1,15 +1,14 @@
-//! Differential oracle for the config-specialized replay loops
+//! Differential oracle for the config-specialized replay loop
 //! (DESIGN.md §15), run over the *real* ladder.
 //!
 //! `crates/memsys/tests/specialize_matrix.rs` pins every configuration
 //! variant on small random traces; this file pins the dispatcher on the
 //! inputs production actually runs: every ladder system on every workload
-//! across the geometries the figures sweep, the profiling (record-off)
-//! replay, audited fallbacks, and adversarial seeded-PRNG traces. The
-//! contract is bitwise: identical `SimStats` (including the per-site OS
-//! miss maps), identical final machine-state digests, identical step
-//! counts. Any divergence means a specialized loop folded away something
-//! that was not actually constant.
+//! across the geometries the figures sweep, audited fallbacks, and
+//! adversarial seeded-PRNG traces. The contract is bitwise: identical
+//! `SimStats` (including the per-site OS miss maps), identical final
+//! machine-state digests, identical step counts. Any divergence means the
+//! specialized loop folded away something that was not actually constant.
 
 use oscache_core::{analyze_cell, Geometry, System};
 use oscache_memsys::{AuditLevel, Machine, MachineConfig, SimStats};
@@ -35,16 +34,9 @@ fn trace_of(workload: Workload) -> ChunkedTrace {
 /// oracle and asserts bitwise equality of everything a run produces:
 /// the statistics (spot-checking the per-site OS miss maps for a sharper
 /// failure message), the final machine-state digest, and the step count.
-fn assert_spec_matches_generic(
-    cfg: MachineConfig,
-    trace: &ChunkedTrace,
-    record: bool,
-    what: &str,
-) -> SimStats {
-    let mut s = Machine::with_recording(cfg.clone(), trace, record)
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut g =
-        Machine::with_recording(cfg, trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
+fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, what: &str) -> SimStats {
+    let mut s = Machine::new(cfg.clone(), trace).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut g = Machine::new(cfg, trace).unwrap_or_else(|e| panic!("{what}: {e}"));
     let rs = s.run_mut().unwrap_or_else(|e| panic!("{what}: {e}"));
     let rg = g
         .run_generic_mut()
@@ -104,28 +96,8 @@ fn specialized_replay_matches_generic_across_ladder() {
                 cfg.n_cpus = base.n_cpus();
                 cfg.update_pages = analyzed.update_pages.clone();
                 let what = format!("{workload:?}/{}/{glabel}", system.label());
-                assert_spec_matches_generic(cfg, working, true, &what);
+                assert_spec_matches_generic(cfg, working, &what);
             }
-        }
-    }
-}
-
-/// The profiling replay (recording off — the hottest production loop) is
-/// specialized too: pin it against the generic oracle on the full ladder
-/// at the default geometry.
-#[test]
-fn specialized_profiling_replay_matches_generic() {
-    for workload in Workload::all() {
-        let base = trace_of(workload);
-        for system in System::all() {
-            let spec = system.spec();
-            let analyzed = analyze_cell(&base, spec);
-            let working = analyzed.trace.as_deref().unwrap_or(&base);
-            let mut cfg = Geometry::default().machine_config(&spec);
-            cfg.n_cpus = base.n_cpus();
-            cfg.update_pages = analyzed.update_pages.clone();
-            let what = format!("{workload:?}/{}/profiling", system.label());
-            assert_spec_matches_generic(cfg, working, false, &what);
         }
     }
 }
@@ -143,11 +115,11 @@ fn audited_replays_fall_back_and_agree() {
     let mut cfg = Geometry::default().machine_config(&spec);
     cfg.n_cpus = base.n_cpus();
     cfg.update_pages = analyzed.update_pages.clone();
-    let plain = assert_spec_matches_generic(cfg.clone(), working, true, "Shell/audit-off");
+    let plain = assert_spec_matches_generic(cfg.clone(), working, "Shell/audit-off");
     for audit in [AuditLevel::Final, AuditLevel::Strict] {
         let audited_cfg = cfg.clone().with_audit(audit);
         let audited =
-            assert_spec_matches_generic(audited_cfg, working, true, &format!("Shell/{audit:?}"));
+            assert_spec_matches_generic(audited_cfg, working, &format!("Shell/{audit:?}"));
         assert_eq!(
             plain.cpu_times, audited.cpu_times,
             "{audit:?} changed clocks"
@@ -162,8 +134,8 @@ fn audited_replays_fall_back_and_agree() {
 
 /// Seeded-PRNG random traces: multi-CPU, mixed OS/user modes, random
 /// read/write mixes over a shared region, none of the workload
-/// generators' structure. Both recording modes, with victim caches and
-/// update pages sprinkled in by seed to widen the config coverage.
+/// generators' structure, with victim caches and update pages sprinkled
+/// in by seed to widen the config coverage.
 #[test]
 fn specialized_replay_matches_generic_on_random_traces() {
     for seed in 0..24u64 {
@@ -211,9 +183,6 @@ fn specialized_replay_matches_generic_on_random_traces() {
         if seed % 3 == 0 {
             cfg.update_pages.insert(0x0100_0000 >> 12);
         }
-        for record in [true, false] {
-            let what = format!("random seed {seed} record={record}");
-            assert_spec_matches_generic(cfg.clone(), &t, record, &what);
-        }
+        assert_spec_matches_generic(cfg, &t, &format!("random seed {seed}"));
     }
 }

@@ -131,9 +131,9 @@ fn spilled_replay_matches_in_memory_across_capacities() {
             );
             for prefetch in [false, true] {
                 let what = format!("seed {seed} capacity {capacity} prefetch {prefetch}");
-                let mut m0 = Machine::with_recording(MachineConfig::base(), &inmem, true)
+                let mut m0 = Machine::new(MachineConfig::base(), &inmem)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
-                let mut m1 = Machine::with_recording(MachineConfig::base(), &spilled, true)
+                let mut m1 = Machine::new(MachineConfig::base(), &spilled)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 m0.set_decode_prefetch(prefetch);
                 m1.set_decode_prefetch(prefetch);
@@ -144,9 +144,8 @@ fn spilled_replay_matches_in_memory_across_capacities() {
                     "{what}: final machine states diverge"
                 );
                 assert_eq!(m0.steps(), m1.steps(), "{what}: event counts diverge");
-                let mut g0 = Machine::with_recording(MachineConfig::base(), &inmem, true).unwrap();
-                let mut g1 =
-                    Machine::with_recording(MachineConfig::base(), &spilled, true).unwrap();
+                let mut g0 = Machine::new(MachineConfig::base(), &inmem).unwrap();
+                let mut g1 = Machine::new(MachineConfig::base(), &spilled).unwrap();
                 g0.set_decode_prefetch(prefetch);
                 g1.set_decode_prefetch(prefetch);
                 assert_eq!(

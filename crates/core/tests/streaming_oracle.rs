@@ -1,8 +1,8 @@
 //! Chunk-capacity invariance oracle (DESIGN.md §16).
 //!
-//! Every pass, the profiler and the machine consume `ChunkedTrace`, which
-//! splits each per-CPU stream into fixed-capacity delta-encoded chunks and
-//! decodes them through small windows. Where the chunk boundaries fall
+//! Every pass and the machine consume `ChunkedTrace`, which splits each
+//! per-CPU stream into fixed-capacity delta-encoded chunks and decodes
+//! them through small windows. Where the chunk boundaries fall
 //! must be invisible to every result. This file pins that at every layer:
 //!
 //! * the full ladder matrix (every system × every workload × three cache

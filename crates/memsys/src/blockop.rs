@@ -50,11 +50,6 @@ impl Machine<'_> {
 
     /// Table 3 rows 1–6: cache-state probes and the size histogram.
     fn probe_block_op<S: Spec>(&mut self, i: usize, op: &BlockOp) {
-        if !self.s_record::<S>() {
-            // Pure statistics over read-only probes (`contains`/`state`
-            // never touch LRU) — skip the whole src/dst scan.
-            return;
-        }
         let bucket = if op.len == PAGE_SIZE {
             0
         } else if op.len >= 1024 {
@@ -116,7 +111,7 @@ impl Machine<'_> {
             if a >= op.src.0 + op.len {
                 break;
             }
-            self.advance::<S>(i, 1, Bucket::Exec); // the prefetch instruction
+            self.advance(i, 1, Bucket::Exec); // the prefetch instruction
             self.issue_prefetch::<S>(i, Addr(a), op.src_class);
         }
     }
@@ -136,7 +131,7 @@ impl Machine<'_> {
         let op = active.op;
         let ahead = line1.0 + self.cfg.prefetch_distance * l1;
         if ahead >= op.src.0 && ahead < op.src.0 + op.len {
-            self.advance::<S>(i, 1, Bucket::Exec);
+            self.advance(i, 1, Bucket::Exec);
             self.issue_prefetch::<S>(i, Addr(ahead), class);
         }
     }
@@ -151,10 +146,8 @@ impl Machine<'_> {
         let Some(active) = self.cpus[i].block else {
             return self.demand_read::<S>(i, addr, class);
         };
-        if self.s_record::<S>() {
-            let mode = self.cpus[i].mode;
-            self.cpus[i].stats.dreads.add(mode, 1);
-        }
+        let mode = self.cpus[i].mode;
+        self.cpus[i].stats.dreads.add(mode, 1);
         let line1 = addr.line(self.cfg.l1d.line);
         let line2 = addr.line(self.cfg.l2.line);
 
@@ -164,7 +157,7 @@ impl Machine<'_> {
         if self.cpus[i].l1d.contains(line1) {
             return; // already cached: access the cache
         }
-        let pc = self.peek_classify::<S>(i, line1, line2, class);
+        let pc = self.peek_classify(i, line1, line2, class);
         let now = self.cpus[i].time;
         let stall = if self.cpus[i].l2.contains(line2) {
             // Secondary-cache access, but no L1 fill (bypass).
@@ -175,16 +168,14 @@ impl Machine<'_> {
                 .bus
                 .acquire(now, self.cfg.timing.line_transfer, BusOp::ReadLine);
             self.snoop_read(i, line2);
-            if self.s_record::<S>() {
-                self.history.mark(i, line1);
-            }
+            self.history.mark(i, line1);
             (grant - now) + self.cfg.timing.mem - 1
         };
         if let Some(a) = self.cpus[i].block.as_mut() {
             a.src_reg = Some(line1);
         }
-        self.count_miss::<S>(i, pc, stall);
-        self.advance::<S>(i, stall, Bucket::DRead);
+        self.count_miss(i, pc, stall);
+        self.advance(i, stall, Bucket::DRead);
     }
 
     /// Bypass destination write: words accumulate in a line register that
@@ -200,19 +191,15 @@ impl Machine<'_> {
         let Some(active) = self.cpus[i].block else {
             return self.demand_write::<S>(i, addr, class);
         };
-        if self.s_record::<S>() {
-            let mode = self.cpus[i].mode;
-            self.cpus[i].stats.dwrites.add(mode, 1);
-        }
+        let mode = self.cpus[i].mode;
+        self.cpus[i].stats.dwrites.add(mode, 1);
         if active.dst_reg != Some(line1) {
             self.flush_dst_reg::<S>(i);
             if let Some(a) = self.cpus[i].block.as_mut() {
                 a.dst_reg = Some(line1);
             }
         }
-        if self.s_record::<S>() {
-            self.history.mark(i, line1);
-        }
+        self.history.mark(i, line1);
     }
 
     /// Writes the full destination line register to memory over the bus.
@@ -226,7 +213,7 @@ impl Machine<'_> {
         let line2 = LineAddr(line1.0 & !(self.cfg.l2.line - 1));
         let now = self.cpus[i].time;
         let stall = self.cpus[i].wb2.stall_for_slot(now);
-        self.advance::<S>(i, stall, Bucket::DWrite);
+        self.advance(i, stall, Bucket::DWrite);
         // The stall freed a slot at the new time; reclaim it before pushing.
         let now = self.cpus[i].time;
         self.cpus[i].wb2.drain(now);
@@ -286,10 +273,8 @@ impl Machine<'_> {
         let Some(active) = self.cpus[i].block else {
             return self.demand_read::<S>(i, addr, class);
         };
-        if self.s_record::<S>() {
-            let mode = self.cpus[i].mode;
-            self.cpus[i].stats.dreads.add(mode, 1);
-        }
+        let mode = self.cpus[i].mode;
+        self.cpus[i].stats.dreads.add(mode, 1);
         let line1 = addr.line(self.cfg.l1d.line);
         let line2 = addr.line(self.cfg.l2.line);
 
@@ -304,51 +289,43 @@ impl Machine<'_> {
             if let Some(a) = self.cpus[i].block.as_mut() {
                 a.src_reg = Some(line1);
             }
-            if self.s_record::<S>() {
-                self.history.mark(i, line1);
-            }
+            self.history.mark(i, line1);
             if ready <= now {
-                if self.s_record::<S>() {
-                    self.cpus[i].stats.prefetch_full_hits += 1;
-                }
+                self.cpus[i].stats.prefetch_full_hits += 1;
             } else {
                 // Not issued early enough: a partially-hidden miss.
-                let pc = self.peek_classify::<S>(i, line1, line2, class);
-                self.count_miss::<S>(i, pc, ready - now);
-                if self.s_record::<S>() {
-                    self.cpus[i].stats.prefetch_partial_hits += 1;
-                }
-                self.advance::<S>(i, ready - now, Bucket::Pref);
+                let pc = self.peek_classify(i, line1, line2, class);
+                self.count_miss(i, pc, ready - now);
+                self.cpus[i].stats.prefetch_partial_hits += 1;
+                self.advance(i, ready - now, Bucket::Pref);
             }
             self.pbuf_fetch_next(i);
             return;
         }
         if self.cpus[i].l2.contains(line2) {
-            let pc = self.peek_classify::<S>(i, line1, line2, class);
+            let pc = self.peek_classify(i, line1, line2, class);
             let stall = self.cfg.timing.l2_hit - 1;
             if let Some(a) = self.cpus[i].block.as_mut() {
                 a.src_reg = Some(line1);
             }
-            self.count_miss::<S>(i, pc, stall);
-            self.advance::<S>(i, stall, Bucket::DRead);
+            self.count_miss(i, pc, stall);
+            self.advance(i, stall, Bucket::DRead);
             return;
         }
         // Fallback blocking fetch (line escaped the streaming window).
-        let pc = self.peek_classify::<S>(i, line1, line2, class);
+        let pc = self.peek_classify(i, line1, line2, class);
         let now = self.cpus[i].time;
         let grant = self
             .bus
             .acquire(now, self.cfg.timing.line_transfer, BusOp::ReadLine);
         self.snoop_read(i, line2);
-        if self.s_record::<S>() {
-            self.history.mark(i, line1);
-        }
+        self.history.mark(i, line1);
         if let Some(a) = self.cpus[i].block.as_mut() {
             a.src_reg = Some(line1);
         }
         let stall = (grant - now) + self.cfg.timing.mem - 1;
-        self.count_miss::<S>(i, pc, stall);
-        self.advance::<S>(i, stall, Bucket::DRead);
+        self.count_miss(i, pc, stall);
+        self.advance(i, stall, Bucket::DRead);
     }
 
     // ---- Blk_Dma ------------------------------------------------------------
@@ -376,15 +353,13 @@ impl Machine<'_> {
                 }
                 // The originator's caches do not receive the source data;
                 // later reads of it are *reuses* (outside the op).
-                if self.s_record::<S>() {
-                    let mut b = a;
-                    while b < a + l2line {
-                        let l1a = LineAddr(b);
-                        if !self.cpus[i].l1d.contains(l1a) {
-                            self.history.mark(i, l1a);
-                        }
-                        b += l1line;
+                let mut b = a;
+                while b < a + l2line {
+                    let l1a = LineAddr(b);
+                    if !self.cpus[i].l1d.contains(l1a) {
+                        self.history.mark(i, l1a);
                     }
+                    b += l1line;
                 }
                 a += l2line;
             }
@@ -408,7 +383,7 @@ impl Machine<'_> {
                     }
                 }
             }
-            if !cached_here && self.s_record::<S>() {
+            if !cached_here {
                 let mut b = a;
                 while b < a + l2line {
                     let l1a = LineAddr(b);
@@ -429,12 +404,12 @@ impl Machine<'_> {
         let now = self.cpus[i].time;
         let grant = self.bus.acquire(now, occ, BusOp::DmaTransfer);
         // Setup instructions (the scheme "requires very few instructions").
-        self.advance::<S>(i, 10, Bucket::Exec);
+        self.advance(i, 10, Bucket::Exec);
         // The originating processor is stalled for the whole transfer; the
         // paper assigns this stall to D Read Miss (§4.2).
         let done = grant + occ;
         let stall = done.saturating_sub(self.cpus[i].time);
-        self.advance::<S>(i, stall, Bucket::DRead);
+        self.advance(i, stall, Bucket::DRead);
     }
 
     /// Skips the bracketed word references of a DMA-executed block op.

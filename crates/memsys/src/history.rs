@@ -88,8 +88,8 @@ type Region = Box<[Option<Leaf>; PAGES_PER_REGION]>;
 /// region's page array and each page's leaf (`n_cpus × PAGE_SIZE /
 /// l1d_line` bytes) are allocated when a record or mark first reaches
 /// them, and never copied or resized after. Reads and clears of an
-/// untouched page allocate nothing, so a replay that never records (the
-/// profiling replay) never allocates.
+/// untouched page allocate nothing, so memory follows the pages a replay
+/// records departures on.
 pub struct DepartureTable {
     n_cpus: usize,
     /// `log2(l1d_line)`.

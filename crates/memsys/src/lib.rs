@@ -63,7 +63,6 @@ pub mod faults;
 mod history;
 mod machine;
 mod prefetch;
-pub mod profiler;
 mod spec;
 mod stats;
 mod wbuf;
@@ -78,6 +77,5 @@ pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{CacheLevel, Departure, DepartureTable};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
-pub use profiler::profile_os_misses;
 pub use stats::{CpuStats, MissKind, ModeSplit, SimStats};
 pub use wbuf::WriteBuffer;

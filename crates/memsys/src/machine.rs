@@ -15,9 +15,8 @@
 //! maintained in the simulations" (§2.2).
 //!
 //! The event loop is *config-specialized* (DESIGN.md §15): an audit-off
-//! [`Machine::run`] dispatches on the recording flag to one of 2
-//! monomorphized copies of the loop, in which recording and auditing are
-//! compile-time constants; update pages, the victim cache and
+//! [`Machine::run`] runs a monomorphized copy of the loop in which
+//! auditing is a compile-time constant; update pages, the victim cache and
 //! cancellation stay run-time checks. The generic loop — the same body
 //! instantiated with every decision dynamic — is kept as the equivalence
 //! oracle behind [`Machine::run_generic`].
@@ -325,21 +324,13 @@ pub struct Machine<'t> {
     /// Dense barrier table indexed by barrier id.
     barriers: Vec<BarrierState>,
     /// Why each line last left each CPU's L1D and L2, and the bypass
-    /// marks (record-only: never touched when `record` is off).
+    /// marks (read only to classify misses).
     pub(crate) history: DepartureTable,
     /// L1D lines installed without a resident covering L2 line (the
     /// write-merge path) — tolerated by the inclusion audit until they
     /// leave the L1D. Maintained only when auditing is on; stored as
     /// sorted vectors probed by binary search.
     pub(crate) incl_exempt: Vec<Vec<u32>>,
-    /// `false` in the bookkeeping-free profiling replay (see
-    /// [`crate::profiler`]): all record-only statistics — departure
-    /// histories, bypass marks, miss attribution beyond the per-site OS
-    /// count, cycle buckets, contention hashes — are skipped. Cache/MESI
-    /// state transitions and every clock update are identical either way,
-    /// so the interleaving, and with it `os_miss_by_site` and the OS miss
-    /// total, are preserved exactly by construction.
-    pub(crate) record: bool,
     steps: u64,
     /// Whether the replay runs a decode-ahead helper thread
     /// (DESIGN.md §17): `None` lets the process [`CoreGauge`] decide (a
@@ -374,7 +365,7 @@ impl<'t> Machine<'t> {
     /// Panics if `cfg` itself is invalid (see [`MachineConfig::validate`]) —
     /// a programmer error, unlike trace problems, which are input errors.
     pub fn new(cfg: MachineConfig, trace: &'t ChunkedTrace) -> Result<Self, SimError> {
-        Self::with_recording(cfg, trace, true)
+        Self::with_prefetches(cfg, trace, HotspotPlan::empty(), &[])
     }
 
     /// [`Machine::new`] replaying `trace` with the §6 hot-spot prefetches
@@ -393,34 +384,6 @@ impl<'t> Machine<'t> {
         trace: &'t ChunkedTrace,
         plan: &'t HotspotPlan,
         hot: &'t [u16],
-    ) -> Result<Self, SimError> {
-        Self::assemble(cfg, trace, plan, hot, true)
-    }
-
-    /// [`Machine::new`] with full statistics recording switched on or off.
-    ///
-    /// `record = false` is the bookkeeping-free profiling replay (see
-    /// [`crate::profiler`]): every state- and time-affecting mechanism is
-    /// kept, only record-only statistics are skipped, so the per-site OS
-    /// miss counts and the clocks are exact. Public so differential tests
-    /// can drive the profiling replay through either loop explicitly;
-    /// ordinary callers want [`crate::profile_os_misses`].
-    pub fn with_recording(
-        cfg: MachineConfig,
-        trace: &'t ChunkedTrace,
-        record: bool,
-    ) -> Result<Self, SimError> {
-        Self::assemble(cfg, trace, HotspotPlan::empty(), &[], record)
-    }
-
-    /// The one constructor behind the public ones: a replay without
-    /// prefetches merges the empty plan through the same windows.
-    fn assemble(
-        cfg: MachineConfig,
-        trace: &'t ChunkedTrace,
-        plan: &'t HotspotPlan,
-        hot: &'t [u16],
-        record: bool,
     ) -> Result<Self, SimError> {
         trace.validate_for_cpus(cfg.n_cpus)?;
         cfg.validate();
@@ -477,7 +440,6 @@ impl<'t> Machine<'t> {
             barriers: Vec::new(),
             history,
             incl_exempt: vec![Vec::new(); n_cpus],
-            record,
             steps: 0,
             decode_prefetch: None,
             prefetch: None,
@@ -506,12 +468,6 @@ impl<'t> Machine<'t> {
 
     // ---- specialization helpers ------------------------------------------
 
-    /// Recording decision through the witness (folds under [`K`]).
-    #[inline(always)]
-    pub(crate) fn s_record<S: Spec>(&self) -> bool {
-        S::RECORD.resolve(self.record)
-    }
-
     /// Audit-off decision through the witness (folds under [`K`]).
     #[inline(always)]
     pub(crate) fn s_audit_off<S: Spec>(&self) -> bool {
@@ -520,11 +476,10 @@ impl<'t> Machine<'t> {
 
     /// Replays the whole trace and returns the collected statistics.
     ///
-    /// An audit-off replay dispatches once on the recording flag to one of
-    /// the 2 monomorphized event loops; an audited replay runs the generic
-    /// loop. The choice never changes any output: `tests/specialize_oracle.rs`
-    /// and `tests/specialize_matrix.rs` pin both specialized loops bitwise
-    /// against the generic oracle.
+    /// An audit-off replay runs the monomorphized event loop; an audited
+    /// replay runs the generic loop. The choice never changes any output:
+    /// `tests/specialize_oracle.rs` and `tests/specialize_matrix.rs` pin
+    /// the specialized loop bitwise against the generic oracle.
     ///
     /// Fails with a typed [`SimError`] on deadlock (a barrier some
     /// participant never reaches, or a lock never released), on replay
@@ -544,10 +499,8 @@ impl<'t> Machine<'t> {
         let _busy = CoreGauge::process().lease();
         if self.cfg.audit != AuditLevel::Off {
             self.run_loop_generic()
-        } else if self.record {
-            self.run_loop_spec::<K<true>>()
         } else {
-            self.run_loop_spec::<K<false>>()
+            self.run_loop_spec::<K>()
         }
     }
 
@@ -676,7 +629,6 @@ impl<'t> Machine<'t> {
     /// buffer drain into the final times, the final audit, and statistics
     /// assembly.
     fn finish<S: Spec>(&mut self) -> Result<SimStats, SimError> {
-        let record = self.s_record::<S>();
         let mut times = Vec::with_capacity(self.cpus.len());
         for (i, c) in self.cpus.iter_mut().enumerate() {
             if c.status != Status::Done {
@@ -692,10 +644,7 @@ impl<'t> Machine<'t> {
                 });
             }
             let drained = c.time.max(c.wb1.drained_at()).max(c.wb2.drained_at());
-            if record {
-                let extra = drained - c.time;
-                c.stats.dwrite_cycles.add(c.mode, extra);
-            }
+            c.stats.dwrite_cycles.add(c.mode, drained - c.time);
             c.time = drained;
             times.push(c.time);
         }
@@ -770,16 +719,12 @@ impl<'t> Machine<'t> {
     // ---- accounting -----------------------------------------------------
 
     #[inline]
-    pub(crate) fn advance<S: Spec>(&mut self, i: usize, cycles: u64, bucket: Bucket) {
+    pub(crate) fn advance(&mut self, i: usize, cycles: u64, bucket: Bucket) {
         if cycles == 0 {
             return;
         }
-        let record = self.s_record::<S>();
         let c = &mut self.cpus[i];
         c.time += cycles;
-        if !record {
-            return; // clock moved; bucket attribution is record-only
-        }
         let mode = c.mode;
         let in_blk = c.block.is_some();
         match bucket {
@@ -922,12 +867,9 @@ impl<'t> Machine<'t> {
                 self.cpus[i].cursor += 1;
             }
             Event::Idle { cycles } => {
-                let record = self.s_record::<S>();
                 let c = &mut self.cpus[i];
                 c.time += u64::from(cycles);
-                if record {
-                    c.stats.idle_cycles += u64::from(cycles);
-                }
+                c.stats.idle_cycles += u64::from(cycles);
                 c.cursor += 1;
             }
             Event::Exec { block } => {
@@ -943,7 +885,7 @@ impl<'t> Machine<'t> {
                 };
                 self.cpus[i].cur_site = bb.site.0;
                 self.fetch_code::<S>(i, &bb);
-                self.advance::<S>(i, u64::from(bb.instrs), Bucket::Exec);
+                self.advance(i, u64::from(bb.instrs), Bucket::Exec);
                 self.cpus[i].cursor += 1;
             }
             Event::Read { addr, class } => {
@@ -956,7 +898,7 @@ impl<'t> Machine<'t> {
             }
             Event::Prefetch { addr, class } => {
                 // One inserted prefetch instruction.
-                self.advance::<S>(i, 1, Bucket::Exec);
+                self.advance(i, 1, Bucket::Exec);
                 self.issue_prefetch::<S>(i, addr, class);
                 self.cpus[i].cursor += 1;
             }
@@ -1016,14 +958,12 @@ impl<'t> Machine<'t> {
                         if l == lock.0 {
                             let wait = release.saturating_sub(self.cpus[j].time);
                             self.cpus[j].status = Status::Runnable;
-                            self.advance::<S>(j, wait, Bucket::Sync);
-                            if self.s_record::<S>() {
-                                *self.cpus[j]
-                                    .stats
-                                    .lock_wait_cycles
-                                    .entry(lock.0)
-                                    .or_insert(0) += wait;
-                            }
+                            self.advance(j, wait, Bucket::Sync);
+                            *self.cpus[j]
+                                .stats
+                                .lock_wait_cycles
+                                .entry(lock.0)
+                                .or_insert(0) += wait;
                         }
                     }
                 }
@@ -1062,7 +1002,7 @@ impl<'t> Machine<'t> {
                         }
                         let wait = release.saturating_sub(self.cpus[j].time);
                         self.cpus[j].status = Status::Runnable;
-                        self.advance::<S>(j, wait, Bucket::Sync);
+                        self.advance(j, wait, Bucket::Sync);
                         // resume: re-read the barrier word (a coherence miss
                         // under invalidation, a hit under updates)
                         self.demand_read::<S>(j, addr, DataClass::BarrierVar);
@@ -1110,12 +1050,10 @@ impl<'t> Machine<'t> {
         while a < end {
             let l = LineAddr(a);
             if self.cpus[i].l1i.probe(l).is_none() {
-                if self.s_record::<S>() {
-                    let mode = self.cpus[i].mode;
-                    self.cpus[i].stats.l1i_misses.add(mode, 1);
-                }
+                let mode = self.cpus[i].mode;
+                self.cpus[i].stats.l1i_misses.add(mode, 1);
                 let stall = self.fetch_into_l2_shared::<S>(i, Addr(a));
-                self.advance::<S>(i, stall, Bucket::IMiss);
+                self.advance(i, stall, Bucket::IMiss);
                 // Fill L1I (code is read-only; state is just "valid").
                 self.cpus[i]
                     .l1i
@@ -1176,10 +1114,8 @@ impl<'t> Machine<'t> {
                 continue;
             }
             if self.cpus[j].l2.invalidate(line2).is_valid() {
-                if self.s_record::<S>() {
-                    self.history
-                        .record(CacheLevel::L2, j, line2, Departure::InvalidatedRemote);
-                }
+                self.history
+                    .record(CacheLevel::L2, j, line2, Departure::InvalidatedRemote);
                 self.invalidate_l1_range::<S>(j, line2, Departure::InvalidatedRemote);
             }
         }
@@ -1212,9 +1148,7 @@ impl<'t> Machine<'t> {
         while a < line2.0 + self.cfg.l2.line {
             let l = LineAddr(a);
             if self.cpus[j].l1d.invalidate(l).is_valid() {
-                if self.s_record::<S>() {
-                    self.history.record(CacheLevel::L1d, j, l, why);
-                }
+                self.history.record(CacheLevel::L1d, j, l, why);
                 self.note_l1d_departure::<S>(j, l);
             }
             a += l1line;
@@ -1252,14 +1186,10 @@ impl<'t> Machine<'t> {
             } else {
                 Departure::Evicted
             };
-            if self.s_record::<S>() {
-                self.history.record(CacheLevel::L2, i, ev.line, why);
-            }
+            self.history.record(CacheLevel::L2, i, ev.line, why);
             self.invalidate_l1_range::<S>(i, ev.line, why);
         }
-        if self.s_record::<S>() {
-            self.history.forget(CacheLevel::L2, i, line2);
-        }
+        self.history.forget(CacheLevel::L2, i, line2);
     }
 
     /// Installs a line in CPU `i`'s L1D.
@@ -1279,8 +1209,7 @@ impl<'t> Machine<'t> {
         self.note_l1d_fill::<S>(i, line1, l2_resident);
         if let Some(ev) = evicted {
             self.note_l1d_departure::<S>(i, ev.line);
-            // The victim cache is timing-relevant (it turns conflict misses
-            // into 2-cycle swaps), so it is maintained even when `!record`.
+            // The victim cache turns conflict misses into 2-cycle swaps.
             if self.cfg.victim_lines > 0 {
                 let v = &mut self.cpus[i].victim;
                 v.retain(|&l| l != ev.line);
@@ -1289,31 +1218,24 @@ impl<'t> Machine<'t> {
                     v.remove(0);
                 }
             }
-            if self.s_record::<S>() {
-                let why = if ev.evicted_by_blockop {
-                    Departure::EvictedByBlockOp
-                } else {
-                    Departure::Evicted
-                };
-                self.history.record(CacheLevel::L1d, i, ev.line, why);
-                // Conflict-pair bookkeeping for the §6 analysis: which
-                // kernel structure displaced which.
-                if ev.class != class
-                    && ev.class.is_kernel_structure()
-                    && class.is_kernel_structure()
-                {
-                    *self.cpus[i]
-                        .stats
-                        .conflict_pairs
-                        .entry((ev.class, class))
-                        .or_insert(0) += 1;
-                }
+            let why = if ev.evicted_by_blockop {
+                Departure::EvictedByBlockOp
+            } else {
+                Departure::Evicted
+            };
+            self.history.record(CacheLevel::L1d, i, ev.line, why);
+            // Conflict-pair bookkeeping for the §6 analysis: which
+            // kernel structure displaced which.
+            if ev.class != class && ev.class.is_kernel_structure() && class.is_kernel_structure() {
+                *self.cpus[i]
+                    .stats
+                    .conflict_pairs
+                    .entry((ev.class, class))
+                    .or_insert(0) += 1;
             }
         }
-        if self.s_record::<S>() {
-            self.history.forget(CacheLevel::L1d, i, line1);
-            self.history.take(i, line1);
-        }
+        self.history.forget(CacheLevel::L1d, i, line1);
+        self.history.take(i, line1);
     }
 
     // ---- classification ----------------------------------------------------
@@ -1321,23 +1243,13 @@ impl<'t> Machine<'t> {
     /// Computes how a miss on `line1` would classify, *without* counting it.
     /// (Counting happens either immediately at a demand miss or later when a
     /// partially-covered prefetch is consumed.)
-    pub(crate) fn peek_classify<S: Spec>(
+    pub(crate) fn peek_classify(
         &self,
         i: usize,
         line1: LineAddr,
         line2: LineAddr,
         class: DataClass,
     ) -> PendingClass {
-        if !self.s_record::<S>() {
-            // The classification feeds only statistics, never state or
-            // timing; skip the history/bypass probes entirely.
-            return PendingClass {
-                kind: MissKind::Other,
-                class,
-                displaced: false,
-                reused: false,
-            };
-        }
         let in_blk = self.cpus[i].block.is_some();
         let l1h = self.history.get(CacheLevel::L1d, i, line1);
         let l2_miss = !self.cpus[i].l2.contains(line2);
@@ -1363,18 +1275,9 @@ impl<'t> Machine<'t> {
     }
 
     /// Counts a classified read miss.
-    pub(crate) fn count_miss<S: Spec>(&mut self, i: usize, pc: PendingClass, stall: u64) {
+    pub(crate) fn count_miss(&mut self, i: usize, pc: PendingClass, stall: u64) {
         let mode = self.cpus[i].mode;
         let site = self.cpus[i].cur_site;
-        if !self.s_record::<S>() {
-            // Profiling replay: only the per-site OS miss count survives.
-            // One OS read miss still increments the total by exactly one
-            // (`os_miss_other`), so `os_read_misses()` stays exact too.
-            if mode.is_os() {
-                self.cpus[i].stats.count_os_miss_site_only(site);
-            }
-            return;
-        }
         let in_blk = self.cpus[i].block.is_some();
         let st = &mut self.cpus[i].stats;
         st.l1d_read_misses.add(mode, 1);
@@ -1426,29 +1329,22 @@ impl<'t> Machine<'t> {
         // Single borrow of the CPU for the hit path: the common case (L1D
         // hit, no pending prefetch) touches nothing else, so keeping one
         // `&mut` avoids re-indexing `self.cpus[i]` per field access.
-        let record = S::RECORD.resolve(self.record);
         let c = &mut self.cpus[i];
-        if record {
-            c.stats.dreads.add(c.mode, 1);
-        }
+        c.stats.dreads.add(c.mode, 1);
         let now = c.time;
 
         // In-flight or completed prefetch?
         if let Some((ready, pc)) = c.mshr.take_with(line1) {
             if ready <= now {
-                if record {
-                    c.stats.prefetch_full_hits += 1;
-                }
+                c.stats.prefetch_full_hits += 1;
                 return; // fully hidden: not a miss
             }
             let stall = ready - now;
-            if record {
-                c.stats.prefetch_partial_hits += 1;
-            }
+            c.stats.prefetch_partial_hits += 1;
             if let Some(pc) = pc {
-                self.count_miss::<S>(i, pc, stall);
+                self.count_miss(i, pc, stall);
             }
-            self.advance::<S>(i, stall, Bucket::Pref);
+            self.advance(i, stall, Bucket::Pref);
             return;
         }
 
@@ -1461,7 +1357,7 @@ impl<'t> Machine<'t> {
             if let Some(pos) = self.cpus[i].victim.iter().position(|&l| l == line1) {
                 self.cpus[i].victim.remove(pos);
                 self.l1d_fill::<S>(i, line1, class, self.cpus[i].block.is_some());
-                self.advance::<S>(i, 2, Bucket::DRead);
+                self.advance(i, 2, Bucket::DRead);
                 return;
             }
         }
@@ -1473,7 +1369,7 @@ impl<'t> Machine<'t> {
         }
 
         // Primary-cache read miss.
-        let pc = self.peek_classify::<S>(i, line1, line2, class);
+        let pc = self.peek_classify(i, line1, line2, class);
         let stall = if self.cpus[i].l2.probe(line2).is_some() {
             self.l2_read_delay(i, now) + self.cfg.timing.l2_hit - 1
         } else {
@@ -1492,8 +1388,8 @@ impl<'t> Machine<'t> {
         };
         let by_blk = self.cpus[i].block.is_some();
         self.l1d_fill::<S>(i, line1, class, by_blk);
-        self.count_miss::<S>(i, pc, stall);
-        self.advance::<S>(i, stall, Bucket::DRead);
+        self.count_miss(i, pc, stall);
+        self.advance(i, stall, Bucket::DRead);
     }
 
     // ---- demand write -----------------------------------------------------------
@@ -1505,17 +1401,15 @@ impl<'t> Machine<'t> {
     /// block operation's destination displace cached data (§4.1.3) and
     /// lets later reads of freshly-written blocks hit.
     pub(crate) fn demand_write<S: Spec>(&mut self, i: usize, addr: Addr, class: DataClass) {
-        if self.s_record::<S>() {
-            let mode = self.cpus[i].mode;
-            self.cpus[i].stats.dwrites.add(mode, 1);
-        }
+        let mode = self.cpus[i].mode;
+        self.cpus[i].stats.dwrites.add(mode, 1);
         let line1 = addr.line(self.cfg.l1d.line);
         let line2 = addr.line(self.cfg.l2.line);
 
         // Stall if the word buffer is full.
         let now = self.cpus[i].time;
         let stall = self.cpus[i].wb1.stall_for_slot(now);
-        self.advance::<S>(i, stall, Bucket::DWrite);
+        self.advance(i, stall, Bucket::DWrite);
         let now = self.cpus[i].time;
         self.cpus[i].wb1.drain(now);
 
@@ -1615,16 +1509,14 @@ impl<'t> Machine<'t> {
         let line1 = addr.line(self.cfg.l1d.line);
         let line2 = addr.line(self.cfg.l2.line);
         let now = self.cpus[i].time;
-        if self.s_record::<S>() {
-            self.cpus[i].stats.prefetches_issued += 1;
-        }
+        self.cpus[i].stats.prefetches_issued += 1;
         if self.cpus[i].l1d.contains(line1) || self.cpus[i].mshr.pending(line1).is_some() {
             return;
         }
         if self.cpus[i].mshr.in_flight(now) >= self.cfg.max_prefetches {
             return; // all MSHRs busy: drop
         }
-        let pc = self.peek_classify::<S>(i, line1, line2, class);
+        let pc = self.peek_classify(i, line1, line2, class);
         let ready = if self.cpus[i].l2.contains(line2) {
             now + self.cfg.timing.l2_hit
         } else {

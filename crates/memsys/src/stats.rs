@@ -202,20 +202,6 @@ impl CpuStats {
         *self.os_miss_by_class.entry(class).or_insert(0) += 1;
     }
 
-    /// Records an OS read miss keeping only the per-site attribution — the
-    /// profiling replay's slim path. The miss lands in `os_miss_other`, so
-    /// [`CpuStats::os_read_misses`] still counts it exactly once; the
-    /// kind/class breakdowns are deliberately not maintained.
-    #[inline]
-    pub fn count_os_miss_site_only(&mut self, site: u16) {
-        self.os_miss_other += 1;
-        let idx = usize::from(site);
-        if idx >= self.os_miss_by_site.len() {
-            self.os_miss_by_site.resize(idx + 1, 0);
-        }
-        self.os_miss_by_site[idx] += 1;
-    }
-
     /// OS read misses attributed to `site` (0 for never-seen sites).
     #[inline]
     pub fn os_misses_at_site(&self, site: u16) -> u64 {

@@ -1,14 +1,13 @@
 //! Exhaustive configuration equivalence matrix (DESIGN.md §15).
 //!
-//! An audit-off [`Machine::run`] dispatches on the recording flag to one
-//! of 2 monomorphized replay loops; update pages, the victim cache and
-//! cancellation are run-time checks inside them. The generic loop is kept
-//! verbatim as the oracle, and this file pins both specialized loops
-//! against it under every `(updates, victim, cancel)` configuration, so
-//! each run-time branch is taken: same statistics, same final
-//! machine-state digest, same step count, and — for armed tokens that
-//! actually fire — the same typed cancellation error at the same event
-//! index. Traces are seeded-PRNG random so failures reproduce exactly.
+//! An audit-off [`Machine::run`] runs the monomorphized replay loop;
+//! update pages, the victim cache and cancellation are run-time checks
+//! inside it. The generic loop is kept verbatim as the oracle, and this
+//! file pins the specialized loop against it under every `(updates,
+//! victim, cancel)` configuration, so each run-time branch is taken: same
+//! statistics, same final machine-state digest, same step count, and —
+//! for armed tokens that actually fire — the same typed cancellation
+//! error at the same event index. Traces are seeded-PRNG random so failures reproduce exactly.
 
 use oscache_memsys::{CancelToken, Machine, MachineConfig, SimErrorKind, CANCEL_POLL_STRIDE};
 use oscache_trace::rng::{Rng, SmallRng};
@@ -18,7 +17,7 @@ const SEEDS: std::ops::Range<u64> = 0..8;
 
 /// A random valid multi-CPU trace exercising sharing, locks, block
 /// operations, mode switches, and idle gaps — the full vocabulary the
-/// specialized loops must replay identically.
+/// specialized loop must replay identically.
 fn random_trace(rng: &mut SmallRng) -> ChunkedTrace {
     let n_cpus = 4;
     let mut meta = TraceMeta::default();
@@ -103,15 +102,13 @@ fn cfg_for(updates: bool, victim: bool, cancel: bool) -> MachineConfig {
     cfg
 }
 
-/// Runs the same (trace, config, record) cell through the specialized
+/// Runs the same (trace, config) cell through the specialized
 /// dispatcher and the generic oracle and asserts end-to-end equality:
 /// the full `Result` (statistics or typed error), the final machine-state
 /// digest, and the step count.
-fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, record: bool, what: &str) {
-    let mut s = Machine::with_recording(cfg.clone(), trace, record)
-        .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut g =
-        Machine::with_recording(cfg, trace, record).unwrap_or_else(|e| panic!("{what}: {e}"));
+fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, what: &str) {
+    let mut s = Machine::new(cfg.clone(), trace).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut g = Machine::new(cfg, trace).unwrap_or_else(|e| panic!("{what}: {e}"));
     let rs = s.run_mut();
     let rg = g.run_generic_mut();
     assert_eq!(rs, rg, "{what}: specialized and generic results diverge");
@@ -123,23 +120,20 @@ fn assert_spec_matches_generic(cfg: MachineConfig, trace: &ChunkedTrace, record:
     assert_eq!(s.steps(), g.steps(), "{what}: event counts diverge");
 }
 
-/// Every `(updates, victim, cancel)` configuration, with recording on and
-/// off, replays seeded random traces identically to the generic oracle —
-/// statistics, final state, and step count.
+/// Every `(updates, victim, cancel)` configuration replays seeded random
+/// traces identically to the generic oracle — statistics, final state,
+/// and step count.
 #[test]
 fn every_config_variant_matches_generic() {
     for seed in SEEDS {
         let mut rng = SmallRng::seed_from_u64(0x5BEC_0000 ^ seed);
         let t = random_trace(&mut rng);
         t.validate().expect("generator must emit valid traces");
-        for variant in 0..16u32 {
-            let (record, updates) = (variant & 1 != 0, variant & 2 != 0);
-            let (victim, cancel) = (variant & 4 != 0, variant & 8 != 0);
+        for variant in 0..8u32 {
+            let (updates, victim, cancel) = (variant & 1 != 0, variant & 2 != 0, variant & 4 != 0);
             let cfg = cfg_for(updates, victim, cancel);
-            let what = format!(
-                "seed {seed} record={record} updates={updates} victim={victim} cancel={cancel}"
-            );
-            assert_spec_matches_generic(cfg, &t, record, &what);
+            let what = format!("seed {seed} updates={updates} victim={victim} cancel={cancel}");
+            assert_spec_matches_generic(cfg, &t, &what);
         }
     }
 }
