@@ -418,7 +418,7 @@ fn classes(workload: &str, scale: f64) {
     let base = oscache_core::run_system(&trace, System::Base);
     let misses = base.stats.total().os_miss_by_class;
     let mut rows: Vec<_> = p.into_iter().collect();
-    rows.sort_by_key(|(_, e)| std::cmp::Reverse(e.reads + e.writes));
+    rows.sort_by_key(|&(c, e)| (std::cmp::Reverse(e.reads + e.writes), c));
     let total: u64 = rows.iter().map(|(_, e)| e.reads + e.writes).sum();
     println!(
         "reference profile of {} ({} data references):",
@@ -436,7 +436,7 @@ fn classes(workload: &str, scale: f64) {
             e.reads,
             e.writes,
             100.0 * (e.reads + e.writes) as f64 / total.max(1) as f64,
-            misses.get(&c).copied().unwrap_or(0)
+            misses[c as usize]
         );
     }
 }

@@ -369,17 +369,18 @@ pub struct ConflictPair {
 pub fn conflict_matrix(total: &CpuStats) -> Vec<ConflictPair> {
     let mut v: Vec<ConflictPair> = total
         .conflict_pairs
+        .entries()
         .iter()
-        .map(|(&(victim, evictor), &count)| ConflictPair {
+        .map(|&((victim, evictor), count)| ConflictPair {
             victim,
             evictor,
             count,
         })
         .collect();
+    // Ties rank by the pair's names.
     v.sort_by(|a, b| {
-        b.count.cmp(&a.count).then_with(|| {
-            format!("{:?}{:?}", a.victim, a.evictor).cmp(&format!("{:?}{:?}", b.victim, b.evictor))
-        })
+        let names = |p: &ConflictPair| (p.victim.name(), p.evictor.name());
+        b.count.cmp(&a.count).then_with(|| names(a).cmp(&names(b)))
     });
     v
 }

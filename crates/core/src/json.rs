@@ -7,9 +7,8 @@
 //! in key order, and both directions read that one list. No other module
 //! escapes strings or writes JSON punctuation.
 
-use std::collections::HashMap;
+use oscache_memsys::SortedCounts;
 use std::fmt::Write as _;
-use std::hash::Hash;
 use std::marker::PhantomData;
 
 /// Writes `s` as a JSON string onto `out`. Every byte that needs an escape
@@ -156,13 +155,13 @@ impl<const N: usize> Value for [u64; N] {
 }
 
 /// A count-map key: the leading `ARITY` elements of its entry's array.
-pub(crate) trait MapKey: Copy + Ord + Hash {
+pub(crate) trait MapKey: Copy + Ord {
     const ARITY: usize;
     fn put_key(&self, out: &mut String);
     fn get_key(items: &[Json]) -> Result<Self, String>;
 }
 
-impl<K: Value + Copy + Ord + Hash> MapKey for K {
+impl<K: Value + Copy + Ord> MapKey for K {
     const ARITY: usize = 1;
     fn put_key(&self, out: &mut String) {
         self.put(out);
@@ -184,26 +183,54 @@ impl<A: MapKey + Value, B: MapKey + Value> MapKey for (A, B) {
     }
 }
 
-/// A count map: `[key..., count]` entries sorted by key, so equal maps
-/// write equal bytes.
-impl<K: MapKey> Value for HashMap<K, u64> {
-    fn put(&self, out: &mut String) {
-        let mut entries: Vec<(K, u64)> = self.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
+/// A count map: an array of `[key..., count]` entries sorted by key, so
+/// equal counters write equal bytes. A reader accepts the entries in any
+/// order and rejects a key that appears twice.
+pub(crate) struct Counts;
+
+impl Counts {
+    /// Writes `entries`, which are in key order.
+    pub(crate) fn put_entries<K: MapKey>(
+        entries: impl IntoIterator<Item = (K, u64)>,
+        out: &mut String,
+    ) {
         put_arr(entries, out, |(k, v), out| {
             out.push('[');
             k.put_key(out);
             let _ = write!(out, ",{v}]");
         });
     }
-    fn get(j: &Json) -> Result<Self, String> {
+
+    /// Reads the entries of field `name`, sorted by key.
+    pub(crate) fn get_entries<K: MapKey>(j: &Json, name: &str) -> Result<Vec<(K, u64)>, String> {
         let entry = |e: &Json| match e.arr()? {
             items if items.len() == K::ARITY + 1 => {
                 Ok((K::get_key(items)?, u64::get(&items[K::ARITY])?))
             }
             _ => Err(format!("map entries need {} elements", K::ARITY + 1)),
         };
-        j.arr()?.iter().map(entry).collect()
+        let mut entries = j.arr()?.iter().map(entry).collect::<Result<Vec<_>, _>>()?;
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let mut key = String::new();
+            pair[0].0.put_key(&mut key);
+            return Err(format!("duplicate key [{key}] in {name:?}"));
+        }
+        Ok(entries)
+    }
+}
+
+impl<K: MapKey> Codec<SortedCounts<K>> for Counts {
+    fn put(v: &SortedCounts<K>, name: &str, w: &mut Obj<'_>) {
+        Counts::put_entries(v.entries().iter().copied(), w.key(name));
+    }
+    fn get(
+        found: Result<&Json, String>,
+        name: &str,
+        into: &mut SortedCounts<K>,
+    ) -> Result<(), String> {
+        *into = Counts::get_entries(found?, name)?.into_iter().collect();
+        Ok(())
     }
 }
 
@@ -211,8 +238,9 @@ impl<K: MapKey> Value for HashMap<K, u64> {
 pub(crate) trait Codec<T> {
     /// Writes field `name` holding `v`, or leaves it out.
     fn put(v: &T, name: &str, w: &mut Obj<'_>);
-    /// Reads the field into `into`, given its value or why it is missing.
-    fn get(found: Result<&Json, String>, into: &mut T) -> Result<(), String>;
+    /// Reads field `name` into `into`, given its value or why it is
+    /// missing.
+    fn get(found: Result<&Json, String>, name: &str, into: &mut T) -> Result<(), String>;
 }
 
 /// The type's own [`Value`] form; the field is required.
@@ -222,7 +250,7 @@ impl<T: Value> Codec<T> for Plain {
     fn put(v: &T, name: &str, w: &mut Obj<'_>) {
         v.put(w.key(name));
     }
-    fn get(found: Result<&Json, String>, into: &mut T) -> Result<(), String> {
+    fn get(found: Result<&Json, String>, _: &str, into: &mut T) -> Result<(), String> {
         *into = T::get(found?)?;
         Ok(())
     }
@@ -235,8 +263,8 @@ impl Codec<f64> for Tenths {
     fn put(v: &f64, name: &str, w: &mut Obj<'_>) {
         let _ = write!(w.key(name), "{v:.1}");
     }
-    fn get(found: Result<&Json, String>, into: &mut f64) -> Result<(), String> {
-        Plain::get(found, into)
+    fn get(found: Result<&Json, String>, name: &str, into: &mut f64) -> Result<(), String> {
+        Plain::get(found, name, into)
     }
 }
 
@@ -249,7 +277,7 @@ impl<T: Value> Codec<Option<T>> for Opt {
             v.put(w.key(name));
         }
     }
-    fn get(found: Result<&Json, String>, into: &mut Option<T>) -> Result<(), String> {
+    fn get(found: Result<&Json, String>, _: &str, into: &mut Option<T>) -> Result<(), String> {
         *into = found.ok().map(T::get).transpose()?;
         Ok(())
     }
@@ -262,8 +290,8 @@ impl<T, C: Codec<T>> Codec<T> for OrDefault<C> {
     fn put(v: &T, name: &str, w: &mut Obj<'_>) {
         C::put(v, name, w);
     }
-    fn get(found: Result<&Json, String>, into: &mut T) -> Result<(), String> {
-        let _ = C::get(found, into);
+    fn get(found: Result<&Json, String>, name: &str, into: &mut T) -> Result<(), String> {
+        let _ = C::get(found, name, into);
         Ok(())
     }
 }
@@ -305,7 +333,7 @@ macro_rules! object {
             fn get_fields(j: &$crate::json::Json) -> Result<Self, String> {
                 let mut v = Self::default();
                 $(<$crate::json::object!(@codec $($codec)?) as $crate::json::Codec<_>>::get(
-                    j.field($name), &mut v.$field,
+                    j.field($name), $name, &mut v.$field,
                 )?;)+
                 Ok(v)
             }

@@ -806,7 +806,11 @@ impl Codec<Vec<Experiment>> for ExperimentNames {
     fn put(v: &Vec<Experiment>, name: &str, w: &mut Obj<'_>) {
         json::put_arr(v, w.key(name), |e, out| json::put_str(e.name(), out));
     }
-    fn get(found: Result<&Json, String>, into: &mut Vec<Experiment>) -> Result<(), String> {
+    fn get(
+        found: Result<&Json, String>,
+        _: &str,
+        into: &mut Vec<Experiment>,
+    ) -> Result<(), String> {
         for e in found?.arr()? {
             match e.str()? {
                 "all" => into.extend(Experiment::all()),

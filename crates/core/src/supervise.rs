@@ -33,7 +33,7 @@
 //! that list (`u64` counters round-trip exactly because numbers are kept
 //! as text until a typed accessor parses them).
 
-use crate::json::{self, object, Codec, Fields, Json, Obj, Value};
+use crate::json::{self, object, Codec, Counts, Fields, Json, Obj, Value};
 use crate::runner::Cell;
 use oscache_memsys::faults::CellFault;
 use oscache_memsys::{BusStats, CpuStats, ModeSplit, SimError, SimStats};
@@ -589,7 +589,7 @@ impl Codec<u64> for ScaleOfBits {
     fn put(bits: &u64, name: &str, w: &mut Obj<'_>) {
         f64::from_bits(*bits).put(w.key(name));
     }
-    fn get(_: Result<&Json, String>, _: &mut u64) -> Result<(), String> {
+    fn get(_: Result<&Json, String>, _: &str, _: &mut u64) -> Result<(), String> {
         Ok(())
     }
 }
@@ -650,9 +650,9 @@ object!(CpuStats {
     "os_miss_coherence" => os_miss_coherence,
     "blk_size_buckets" => blk_size_buckets,
     "os_miss_by_site" => os_miss_by_site,
-    "os_miss_by_class" => os_miss_by_class,
-    "lock_wait_cycles" => lock_wait_cycles,
-    "conflict_pairs" => conflict_pairs,
+    "os_miss_by_class" => os_miss_by_class: Counts,
+    "lock_wait_cycles" => lock_wait_cycles: Counts,
+    "conflict_pairs" => conflict_pairs: Counts,
 });
 
 object!(BusStats {
@@ -685,6 +685,24 @@ impl Value for DataClass {
     fn get(j: &Json) -> Result<Self, String> {
         let name = j.str()?;
         DataClass::from_name(name).ok_or_else(|| format!("unknown data class {name:?}"))
+    }
+}
+
+/// Per-class counts as the count map of the classes counted.
+impl Codec<[u64; DataClass::COUNT]> for Counts {
+    fn put(v: &[u64; DataClass::COUNT], name: &str, w: &mut Obj<'_>) {
+        let counted = DataClass::all().iter().copied().zip(v.iter().copied());
+        Counts::put_entries(counted.filter(|&(_, n)| n != 0), w.key(name));
+    }
+    fn get(
+        found: Result<&Json, String>,
+        name: &str,
+        into: &mut [u64; DataClass::COUNT],
+    ) -> Result<(), String> {
+        for (class, n) in Counts::get_entries::<DataClass>(found?, name)? {
+            into[class as usize] = n;
+        }
+        Ok(())
     }
 }
 

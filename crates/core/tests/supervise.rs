@@ -14,6 +14,7 @@ use oscache_memsys::{BusStats, CpuStats, ModeSplit, SimStats};
 use oscache_trace::rng::{Rng, RngCore, SmallRng};
 use oscache_trace::DataClass;
 use oscache_workloads::{BuildOptions, Workload};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 const SCALE: f64 = 0.02;
@@ -299,17 +300,20 @@ fn random_cpu(rng: &mut SmallRng) -> CpuStats {
     let classes = DataClass::all();
     for _ in 0..rng.gen_range(0..6usize) {
         let k = classes[rng.gen_range(0..classes.len())];
-        c.os_miss_by_class.insert(k, rng.next_u64());
+        c.os_miss_by_class[k as usize] = rng.next_u64();
     }
-    for _ in 0..rng.gen_range(0..6usize) {
-        c.lock_wait_cycles
-            .insert(rng.gen_range(0..64u64) as u16, rng.next_u64());
-    }
-    for _ in 0..rng.gen_range(0..6usize) {
-        let a = classes[rng.gen_range(0..classes.len())];
-        let b = classes[rng.gen_range(0..classes.len())];
-        c.conflict_pairs.insert((a, b), rng.next_u64());
-    }
+    let locks: BTreeMap<u16, u64> = (0..rng.gen_range(0..6usize))
+        .map(|_| (rng.gen_range(0..64u64) as u16, rng.next_u64()))
+        .collect();
+    c.lock_wait_cycles = locks.into_iter().collect();
+    let pairs: BTreeMap<(DataClass, DataClass), u64> = (0..rng.gen_range(0..6usize))
+        .map(|_| {
+            let a = classes[rng.gen_range(0..classes.len())];
+            let b = classes[rng.gen_range(0..classes.len())];
+            ((a, b), rng.next_u64())
+        })
+        .collect();
+    c.conflict_pairs = pairs.into_iter().collect();
     c
 }
 
@@ -346,6 +350,7 @@ fn journal_stats_serde_round_trips_exactly() {
             json,
             "seed {seed}: round trip is not a fixed point"
         );
+        assert_eq!(parsed, stats, "seed {seed}: round trip changed the stats");
     }
     assert!(stats_from_json("{\"cpus\":oops").is_err());
     assert!(stats_from_json("{\"cpus\":[]}").is_err(), "missing fields");
@@ -649,14 +654,14 @@ fn pinned_stats() -> SimStats {
         c.prefetches_issued = base + 35;
         c.prefetch_full_hits = base + 36;
         c.prefetch_partial_hits = base + 37;
-        c.os_miss_by_class.insert(DataClass::UserStack, base + 51);
-        c.os_miss_by_class.insert(DataClass::BarrierVar, base + 52);
-        c.lock_wait_cycles.insert(9, base + 61);
-        c.lock_wait_cycles.insert(2, base + 62);
+        c.os_miss_by_class[DataClass::UserStack as usize] = base + 51;
+        c.os_miss_by_class[DataClass::BarrierVar as usize] = base + 52;
+        c.lock_wait_cycles.add(9, base + 61);
+        c.lock_wait_cycles.add(2, base + 62);
         c.conflict_pairs
-            .insert((DataClass::PageTable, DataClass::LockVar), base + 71);
+            .add((DataClass::PageTable, DataClass::LockVar), base + 71);
         c.conflict_pairs
-            .insert((DataClass::LockVar, DataClass::RunQueue), base + 72);
+            .add((DataClass::LockVar, DataClass::RunQueue), base + 72);
         c
     };
     SimStats {
@@ -753,4 +758,106 @@ fn journal_lines_are_pinned_byte_for_byte() {
         "the pinned record must parse back to the stats it was written from"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Resumes a journal holding the pinned header and `record`.
+fn resume_record(name: &str, record: &str) -> Result<Journal, JournalError> {
+    let path = tmp_path(name);
+    std::fs::write(&path, format!("{PINNED_HEADER}\n{record}\n")).expect("write");
+    let header = JournalHeader::new(&BuildOptions {
+        scale: 0.05,
+        seed: 0x05cac8e,
+        n_cpus: 4,
+    });
+    let resumed = Journal::resume(&path, header);
+    let _ = std::fs::remove_file(&path);
+    resumed
+}
+
+#[test]
+fn count_map_entries_parse_in_any_order() {
+    let reordered = PINNED_RECORD
+        .replace(
+            r#"[["BarrierVar",1052],["UserStack",1051]]"#,
+            r#"[["UserStack",1051],["BarrierVar",1052]]"#,
+        )
+        .replace("[[2,1062],[9,1061]]", "[[9,1061],[2,1062]]")
+        .replace(
+            r#"[["LockVar","RunQueue",1072],["PageTable","LockVar",1071]]"#,
+            r#"[["PageTable","LockVar",1071],["LockVar","RunQueue",1072]]"#,
+        );
+    assert_eq!(reordered.len(), PINNED_RECORD.len());
+    assert_ne!(reordered, PINNED_RECORD);
+    let resumed = resume_record("reordered", &reordered).expect("resume reordered record");
+    assert_eq!(resumed.lookup(0xdead_beef_0123_4567), Some(pinned_stats()));
+}
+
+#[test]
+fn duplicate_count_map_key_is_a_corrupt_line_naming_the_field() {
+    for (field, entry, duplicate) in [
+        (
+            "os_miss_by_class",
+            r#"["UserStack",1051]"#,
+            r#"["BarrierVar",1051]"#,
+        ),
+        ("lock_wait_cycles", "[9,1061]", "[2,1061]"),
+        (
+            "conflict_pairs",
+            r#"["PageTable","LockVar",1071]"#,
+            r#"["LockVar","RunQueue",1071]"#,
+        ),
+    ] {
+        assert!(PINNED_RECORD.contains(entry), "{field}");
+        let record = PINNED_RECORD.replacen(entry, duplicate, 1);
+        match resume_record(field, &record) {
+            Err(JournalError::Corrupt { line: 2, msg }) => {
+                assert!(
+                    msg.contains("duplicate key") && msg.contains(field),
+                    "{field}: {msg}"
+                );
+            }
+            Err(e) => panic!("{field}: wrong error {e}"),
+            Ok(_) => panic!("{field}: a duplicate key parsed"),
+        }
+    }
+}
+
+/// One CPU's stats whose lock 3 was entered with a wait of 0 (a waiter
+/// released at its own clock), pinned byte for byte.
+const PINNED_ZERO_WAIT: &str = concat!(
+    r#"{"cpus":[{"exec_cycles":[0,0],"imiss_cycles":[0,0],"dread_cycles":[0,0],"#,
+    r#""dwrite_cycles":[0,0],"pref_cycles":[0,0],"sync_cycles":[0,40],"dreads":[0,0],"#,
+    r#""dwrites":[0,0],"l1d_read_misses":[0,0],"l1i_misses":[0,0],"idle_cycles":0,"#,
+    r#""os_miss_blockop":0,"os_miss_other":0,"displ_inside":0,"displ_outside":0,"#,
+    r#""reuse_inside":0,"reuse_outside":0,"blk_read_stall":0,"blk_write_stall":0,"#,
+    r#""blk_exec_cycles":0,"blk_displ_stall":0,"blk_src_lines":0,"#,
+    r#""blk_src_lines_cached":0,"blk_dst_lines":0,"blk_dst_l2_owned":0,"#,
+    r#""blk_dst_l2_shared":0,"blk_ops":0,"prefetches_issued":0,"prefetch_full_hits":0,"#,
+    r#""prefetch_partial_hits":0,"os_miss_coherence":[0,0,0,0,0],"#,
+    r#""blk_size_buckets":[0,0,0],"os_miss_by_site":[],"os_miss_by_class":[],"#,
+    r#""lock_wait_cycles":[[3,0],[7,40]],"conflict_pairs":[]}],"bus":{"read_lines":0,"#,
+    r#""read_exclusive":0,"invalidations":0,"write_backs":0,"line_writes":0,"#,
+    r#""update_words":0,"dma_transfers":0,"busy_cycles":0},"cpu_times":[40]}"#,
+);
+
+#[allow(clippy::field_reassign_with_default)]
+fn zero_wait_stats() -> SimStats {
+    let mut c = CpuStats::default();
+    c.sync_cycles.os = 40;
+    c.lock_wait_cycles.add(3, 0);
+    c.lock_wait_cycles.add(7, 40);
+    SimStats {
+        cpus: vec![c],
+        bus: BusStats::default(),
+        cpu_times: vec![40],
+    }
+}
+
+#[test]
+fn zero_lock_wait_entry_is_written_and_read_back() {
+    assert_eq!(stats_to_json(&zero_wait_stats()), PINNED_ZERO_WAIT);
+    let back = stats_from_json(PINNED_ZERO_WAIT).expect("pinned line parses");
+    assert_eq!(back, zero_wait_stats());
+    assert_eq!(back.total().lock_wait_cycles.get(3), Some(0));
+    assert_eq!(stats_to_json(&back), PINNED_ZERO_WAIT);
 }

@@ -77,5 +77,5 @@ pub use error::{InvariantKind, SimError, SimErrorKind};
 pub use history::{CacheLevel, Departure, DepartureTable};
 pub use machine::{Machine, OverlapStats, CANCEL_POLL_STRIDE};
 pub use prefetch::{MshrSet, PrefetchBuffer};
-pub use stats::{CpuStats, MissKind, ModeSplit, SimStats};
+pub use stats::{CpuStats, MissKind, ModeSplit, SimStats, SortedCounts};
 pub use wbuf::WriteBuffer;

@@ -959,11 +959,7 @@ impl<'t> Machine<'t> {
                             let wait = release.saturating_sub(self.cpus[j].time);
                             self.cpus[j].status = Status::Runnable;
                             self.advance(j, wait, Bucket::Sync);
-                            *self.cpus[j]
-                                .stats
-                                .lock_wait_cycles
-                                .entry(lock.0)
-                                .or_insert(0) += wait;
+                            self.cpus[j].stats.lock_wait_cycles.add(lock.0, wait);
                         }
                     }
                 }
@@ -1227,11 +1223,7 @@ impl<'t> Machine<'t> {
             // Conflict-pair bookkeeping for the §6 analysis: which
             // kernel structure displaced which.
             if ev.class != class && ev.class.is_kernel_structure() && class.is_kernel_structure() {
-                *self.cpus[i]
-                    .stats
-                    .conflict_pairs
-                    .entry((ev.class, class))
-                    .or_insert(0) += 1;
+                self.cpus[i].stats.conflict_pairs.add((ev.class, class), 1);
             }
         }
         self.history.forget(CacheLevel::L1d, i, line1);

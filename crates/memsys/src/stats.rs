@@ -7,10 +7,18 @@
 //! (Table 5), block-operation probes (Table 3), displacement/reuse tracking
 //! (§4.1.3), per-site miss attribution (the §6 hot-spot analysis), and bus
 //! traffic (§5.2's update-traffic comparison).
+//!
+//! No counter is hashed. Sites and data classes are small dense ids, so
+//! their counters are tables indexed by the id; lock waits and conflict
+//! pairs are [`SortedCounts`], short key-sorted lists. Every journal
+//! record serializes these counters and every report sums them across
+//! CPUs with [`SimStats::total`], so merging is element-wise adds and
+//! linear merges of sorted lists, and the journal writes the lists in the
+//! order they are stored.
 
 use crate::BusStats;
 use oscache_trace::{CoherenceCategory, DataClass, Mode};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// A counter split into user and OS components.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,6 +59,91 @@ impl std::ops::AddAssign for ModeSplit {
     fn add_assign(&mut self, rhs: Self) {
         self.user += rhs.user;
         self.os += rhs.os;
+    }
+}
+
+/// Counters keyed by `K`: a list of `(key, count)` entries sorted by key,
+/// each key at most once. A key is present once it has been counted, even
+/// with a count of 0. The keys of a run are few (a few dozen locks, pairs
+/// of 17 classes), so a binary search finds an entry and two lists merge
+/// in one linear pass.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SortedCounts<K>(Vec<(K, u64)>);
+
+impl<K> Default for SortedCounts<K> {
+    fn default() -> Self {
+        SortedCounts(Vec::new())
+    }
+}
+
+impl<K: Copy + Ord> SortedCounts<K> {
+    /// Adds `n` to `key`'s count, entering the key if it is absent (also
+    /// when `n` is 0).
+    pub fn add(&mut self, key: K, n: u64) {
+        match self.0.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.0[i].1 += n,
+            Err(i) => self.0.insert(i, (key, n)),
+        }
+    }
+
+    /// The count of `key`, or `None` if it was never counted.
+    pub fn get(&self, key: K) -> Option<u64> {
+        self.0
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .ok()
+            .map(|i| self.0[i].1)
+    }
+
+    /// The entries, in key order.
+    pub fn entries(&self) -> &[(K, u64)] {
+        &self.0
+    }
+
+    /// Adds every count of `other` into this list.
+    pub fn merge(&mut self, other: &SortedCounts<K>) {
+        if other.0.is_empty() {
+            return;
+        }
+        let (a, b) = (&self.0, &other.0);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((ka, na), (kb, nb)) = (a[i], b[j]);
+            merged.push(match ka.cmp(&kb) {
+                Ordering::Less => {
+                    i += 1;
+                    (ka, na)
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (kb, nb)
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (ka, na + nb)
+                }
+            });
+        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.0 = merged;
+    }
+}
+
+impl<K: Copy + Ord> FromIterator<(K, u64)> for SortedCounts<K> {
+    /// Collects entries in any order; a repeated key's counts add up.
+    fn from_iter<I: IntoIterator<Item = (K, u64)>>(iter: I) -> Self {
+        let mut entries: Vec<(K, u64)> = iter.into_iter().collect();
+        entries.sort_by_key(|&(k, _)| k);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        SortedCounts(entries)
     }
 }
 
@@ -104,13 +197,12 @@ pub struct CpuStats {
     pub os_miss_other: u64,
     /// OS read misses attributed to the code site executing at miss time,
     /// indexed by raw [`oscache_trace::SiteId`] value (hot-spot analysis,
-    /// §6). Sites are small dense ids, so a length-grown `Vec` replaces the
-    /// former per-miss `HashMap` entry — no hashing on the miss path and no
-    /// iteration-order hazard for consumers.
+    /// §6), grown to the largest site that missed.
     pub os_miss_by_site: Vec<u64>,
     /// OS read misses attributed to the kernel structure being accessed
-    /// (the paper's §2.2 data-structure attribution).
-    pub os_miss_by_class: HashMap<DataClass, u64>,
+    /// (the paper's §2.2 data-structure attribution), indexed by the
+    /// class's byte (`class as usize`).
+    pub os_miss_by_class: [u64; DataClass::COUNT],
 
     // ---- displacement / reuse (all modes; Table 3 rows 7–10) ----
     /// Misses on block-displaced lines, during a block operation.
@@ -151,15 +243,16 @@ pub struct CpuStats {
     // ---- lock contention ----
     /// Cycles spent waiting for each lock, keyed by raw
     /// [`oscache_trace::LockId`] value (the "10 most active locks" of
-    /// §5.2 are the head of this distribution).
-    pub lock_wait_cycles: HashMap<u16, u64>,
+    /// §5.2 are the head of this distribution). A waiter released at its
+    /// own clock enters its lock with a wait of 0.
+    pub lock_wait_cycles: SortedCounts<u16>,
 
     // ---- conflict-pair analysis (§6) ----
     /// L1D evictions between distinct kernel structures, keyed by
     /// `(victim class, evictor class)` — the paper's conflict-pair
     /// analysis, used to decide whether any two structures conflict
     /// consistently enough to justify relocation.
-    pub conflict_pairs: HashMap<(DataClass, DataClass), u64>,
+    pub conflict_pairs: SortedCounts<(DataClass, DataClass)>,
 
     // ---- prefetching ----
     /// Software prefetches issued to the memory system.
@@ -199,7 +292,7 @@ impl CpuStats {
             self.os_miss_by_site.resize(idx + 1, 0);
         }
         self.os_miss_by_site[idx] += 1;
-        *self.os_miss_by_class.entry(class).or_insert(0) += 1;
+        self.os_miss_by_class[class as usize] += 1;
     }
 
     /// OS read misses attributed to `site` (0 for never-seen sites).
@@ -235,12 +328,10 @@ impl CpuStats {
         for (site, &n) in o.os_miss_by_site.iter().enumerate() {
             self.os_miss_by_site[site] += n;
         }
-        for (&class, &n) in &o.os_miss_by_class {
-            *self.os_miss_by_class.entry(class).or_insert(0) += n;
+        for (mine, &n) in self.os_miss_by_class.iter_mut().zip(&o.os_miss_by_class) {
+            *mine += n;
         }
-        for (&lock, &n) in &o.lock_wait_cycles {
-            *self.lock_wait_cycles.entry(lock).or_insert(0) += n;
-        }
+        self.lock_wait_cycles.merge(&o.lock_wait_cycles);
         self.displ_inside += o.displ_inside;
         self.displ_outside += o.displ_outside;
         self.reuse_inside += o.reuse_inside;
@@ -258,9 +349,7 @@ impl CpuStats {
             self.blk_size_buckets[i] += o.blk_size_buckets[i];
         }
         self.blk_ops += o.blk_ops;
-        for (&k, &v) in &o.conflict_pairs {
-            *self.conflict_pairs.entry(k).or_insert(0) += v;
-        }
+        self.conflict_pairs.merge(&o.conflict_pairs);
         self.prefetches_issued += o.prefetches_issued;
         self.prefetch_full_hits += o.prefetch_full_hits;
         self.prefetch_partial_hits += o.prefetch_partial_hits;

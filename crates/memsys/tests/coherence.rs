@@ -393,10 +393,10 @@ fn lock_waits_are_attributed_per_lock() {
     );
     let s = run(&t);
     let total = s.total();
-    let waited = total.lock_wait_cycles.get(&9).copied().unwrap_or(0);
+    let waited = total.lock_wait_cycles.get(9).unwrap_or(0);
     assert!(waited > 1000, "cpu1 must wait on lock 9: {waited}");
     assert_eq!(
-        total.lock_wait_cycles.len(),
+        total.lock_wait_cycles.entries().len(),
         1,
         "only lock 9 is contended: {:?}",
         total.lock_wait_cycles

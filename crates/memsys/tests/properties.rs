@@ -4,13 +4,15 @@
 
 use oscache_memsys::faults::FaultKind;
 use oscache_memsys::{
-    AuditLevel, BlockOpScheme, Bus, BusOp, Cache, CacheGeom, LineState, Machine, MachineConfig,
-    MshrSet, PrefetchBuffer, WriteBuffer,
+    AuditLevel, BlockOpScheme, Bus, BusOp, Cache, CacheGeom, CpuStats, LineState, Machine,
+    MachineConfig, MissKind, MshrSet, PrefetchBuffer, SimStats, WriteBuffer,
 };
 use oscache_trace::rng::{Rng, SmallRng};
 use oscache_trace::{
     Addr, ChunkedTrace, DataClass, LineAddr, LockId, Mode, StreamBuilder, TraceMeta,
 };
+
+use std::collections::HashMap;
 
 const SEEDS: std::ops::Range<u64> = 0..24;
 
@@ -385,5 +387,96 @@ fn cache_matches_lru_oracle() {
                 cache.fill(line, LineState::Shared, DataClass::UserData, false);
             }
         }
+    }
+}
+
+/// A hash map's entries in key order.
+fn sorted<K: Copy + Ord>(m: &HashMap<K, u64>) -> Vec<(K, u64)> {
+    let mut v: Vec<_> = m.iter().map(|(&k, &n)| (k, n)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// The hash-map sums the per-structure counters are checked against.
+#[derive(Default)]
+struct CountsReference {
+    classes: HashMap<DataClass, u64>,
+    locks: HashMap<u16, u64>,
+    pairs: HashMap<(DataClass, DataClass), u64>,
+}
+
+impl CountsReference {
+    fn assert_matches(&self, t: &CpuStats, what: &str) {
+        for &class in DataClass::all() {
+            let want = self.classes.get(&class).copied().unwrap_or(0);
+            assert_eq!(t.os_miss_by_class[class as usize], want, "{what}: {class}");
+        }
+        assert_eq!(t.lock_wait_cycles.entries(), sorted(&self.locks), "{what}");
+        assert_eq!(t.conflict_pairs.entries(), sorted(&self.pairs), "{what}");
+    }
+}
+
+/// Summing the per-CPU class table, lock waits and conflict pairs with
+/// `CpuStats::merge` and `SimStats::total` gives what hash maps summing
+/// the same counts give: every class, pairs in both orders, and lock
+/// entries whose wait is 0 (a waiter released at its own clock).
+#[test]
+fn stats_merge_matches_a_hash_map_reference() {
+    let classes = DataClass::all();
+    for seed in SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n_cpus = rng.gen_range(1..9usize);
+        let mut cpus = vec![CpuStats::default(); n_cpus];
+        let mut reference = CountsReference::default();
+        // Every class is counted at least once, on some CPU.
+        let counted = classes
+            .iter()
+            .copied()
+            .chain(
+                (0..rng.gen_range(0..200usize)).map(|_| classes[rng.gen_range(0..classes.len())]),
+            )
+            .collect::<Vec<_>>();
+        for class in counted {
+            let site = rng.gen_range(0..16u32) as u16;
+            cpus[rng.gen_range(0..n_cpus)].count_os_miss(MissKind::Other, site, class);
+            *reference.classes.entry(class).or_insert(0) += 1;
+        }
+        for _ in 0..rng.gen_range(0..40usize) {
+            let lock = rng.gen_range(0..24u32) as u16;
+            let wait = if rng.gen_bool(0.3) {
+                0
+            } else {
+                rng.gen_range(1..5_000u64)
+            };
+            cpus[rng.gen_range(0..n_cpus)]
+                .lock_wait_cycles
+                .add(lock, wait);
+            *reference.locks.entry(lock).or_insert(0) += wait;
+        }
+        for _ in 0..rng.gen_range(0..60usize) {
+            let a = classes[rng.gen_range(0..classes.len())];
+            let b = classes[rng.gen_range(0..classes.len())];
+            let n = rng.gen_range(1..100u64);
+            // Half the pairs also occur the other way round.
+            let both = rng.gen_bool(0.5);
+            for (pair, n) in [((a, b), n), ((b, a), n + 1)]
+                .into_iter()
+                .take(1 + usize::from(both))
+            {
+                cpus[rng.gen_range(0..n_cpus)].conflict_pairs.add(pair, n);
+                *reference.pairs.entry(pair).or_insert(0) += n;
+            }
+        }
+        let stats = SimStats {
+            cpus,
+            ..Default::default()
+        };
+        reference.assert_matches(&stats.total(), &format!("seed {seed}: total"));
+        // Merging in the other order gives the same sums.
+        let mut reversed = CpuStats::default();
+        for c in stats.cpus.iter().rev() {
+            reversed.merge(c);
+        }
+        reference.assert_matches(&reversed, &format!("seed {seed}: reversed merge"));
     }
 }

@@ -123,10 +123,14 @@ impl DataClass {
         matches!(self, DataClass::BarrierVar | DataClass::LockVar)
     }
 
+    /// The number of classes: the length of [`DataClass::all`], so a
+    /// class's byte indexes a `[T; DataClass::COUNT]` table.
+    pub const COUNT: usize = 17;
+
     /// All classes, for exhaustive iteration in tests and reports.
     pub fn all() -> &'static [DataClass] {
         use DataClass::*;
-        &[
+        const ALL: [DataClass; DataClass::COUNT] = [
             BarrierVar,
             LockVar,
             InfreqCounter,
@@ -144,7 +148,8 @@ impl DataClass {
             PageFrame,
             UserData,
             UserStack,
-        ]
+        ];
+        &ALL
     }
 }
 
@@ -229,6 +234,14 @@ mod tests {
             DataClass::CpiEvents.coherence_category(),
             CoherenceCategory::FreqShared
         );
+    }
+
+    #[test]
+    fn count_matches_all_and_bytes_index_it() {
+        assert_eq!(DataClass::all().len(), DataClass::COUNT);
+        for (i, &c) in DataClass::all().iter().enumerate() {
+            assert_eq!(c as usize, i, "{c}");
+        }
     }
 
     #[test]
